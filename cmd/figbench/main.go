@@ -19,7 +19,6 @@
 //
 // The instruction budget trades fidelity for runtime; the shipped default
 // reproduces the paper's qualitative shapes in minutes on one machine.
-// See EXPERIMENTS.md for recorded paper-vs-measured results.
 //
 // With -cache-dir, every computed run is persisted keyed by its
 // configuration fingerprint (which folds in the engine version stamp), so
@@ -73,7 +72,6 @@ func main() {
 	force := flag.Bool("force", false, "recompute cached runs and rewrite the persistent cache")
 	shard := flag.String("shard", "", "compute only slice K/N of the experiment matrix into -cache-dir (no tables are rendered; merge shards with figmerge)")
 	customWl := flag.String("workload", "", "comma-separated workloads for the custom experiment (benchmarks, mixes, mt-<app>, trace:FILE)")
-	gang := flag.Bool("gang", true, "execute same-workload runs as one gang over a shared instruction stream (results are bit-identical either way)")
 	worker := flag.String("worker", "", "serve a figserve coordinator at this base URL instead of running locally (scale and experiments come from the coordinator)")
 	workerID := flag.String("worker-id", "", "worker name in coordinator logs (default: host-pid)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file (inspect with go tool pprof)")
@@ -134,7 +132,6 @@ func main() {
 		Insts: *insts, SingleApps: *apps, MixesPerCategory: *mixes,
 		MCIterations: *mc, Parallelism: *par,
 	}, cache, *force)
-	r.SetGangEnabled(*gang)
 
 	// The catalog is the harness's canonical experiment list — the same
 	// one figserve workers resolve — plus the CLI-only custom experiment,
@@ -242,9 +239,9 @@ func main() {
 			r.SimCycles(), r.SimWallSeconds(), cps/1e6)
 	}
 	st := r.CacheStats()
-	fmt.Printf("result cache: hits=%d (mem=%d disk=%d) misses=%d computed=%d systems=%d built+%d reused gangs=%d ganged=%d",
+	fmt.Printf("result cache: hits=%d (mem=%d disk=%d) misses=%d computed=%d systems=%d built+%d reused",
 		st.Hits(), st.MemHits, st.DiskHits, st.Misses, st.Stores,
-		r.SystemsBuilt(), r.SystemsReused(), r.GangsFormed(), r.GangedRuns())
+		r.SystemsBuilt(), r.SystemsReused())
 	if *cacheDir != "" {
 		fmt.Printf(" dir=%s", *cacheDir)
 	}

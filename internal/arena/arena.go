@@ -3,10 +3,10 @@
 // core window rings, controller per-bank registers. Carving them out of
 // a few large chunks instead of one heap object each makes System
 // construction a handful of allocations (the dominant cost of spinning
-// up the thousands of short-lived Systems a harness matrix or gang
-// warm-up creates) and gives the garbage collector nothing to scan:
-// the chunks are plain byte slices, legal to alias with typed slices
-// precisely because the element types contain no pointers.
+// up the thousands of short-lived Systems a harness matrix creates) and
+// gives the garbage collector nothing to scan: the chunks are plain byte
+// slices, legal to alias with typed slices precisely because the element
+// types contain no pointers.
 //
 // An Arena is single-owner and append-only: the owner allocates during
 // construction, holds the arena for the lifetime of every slice carved

@@ -63,8 +63,8 @@ type WorkerOptions struct {
 // RunWorker serves one coordinator until its matrix is complete: fetch
 // the spec, rebuild the identical job index locally (refusing to run on
 // engine or matrix drift), then loop lease -> simulate -> upload. The
-// worker computes through a private in-memory result cache, so gang
-// execution and System reuse work exactly as in a solo figbench run.
+// worker computes through a private in-memory result cache, so System
+// reuse works exactly as in a solo figbench run.
 // Returns nil when the coordinator reports the matrix done.
 func RunWorker(baseURL string, opts WorkerOptions) error {
 	if opts.ID == "" {
@@ -196,8 +196,8 @@ func (w *worker) serveLease(lease Lease, uploads *int) (bool, error) {
 		}
 		cfgs = append(cfgs, cfg)
 	}
-	// One batch run: the runner's worker pool, System reuse, and gang
-	// formation all apply, exactly as in a solo figbench -shard run.
+	// One batch run: the runner's worker pool and System reuse apply,
+	// exactly as in a solo figbench -shard run.
 	if _, err := w.runner.RunJobs(cfgs); err != nil {
 		return false, fmt.Errorf("dispatch: computing lease %s: %w", lease.ID, err)
 	}

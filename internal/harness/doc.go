@@ -7,13 +7,6 @@
 // and renders the same rows and series the paper reports. cmd/figbench
 // drives it at full scale; bench_test.go drives scaled-down versions.
 //
-// Jobs that share a workload stream (same sim.Config.GangKey — the
-// matrix's figure rows, where one app meets every preset) execute as
-// one sim.Gang over a shared instruction stream; the rest run solo.
-// Results are bit-identical either way (SetGangEnabled(false) is the
-// escape hatch, figbench's -gang=false), and cache, shard, and merge
-// semantics are unchanged — a gang is purely an execution strategy.
-//
 // The Scale struct is the single knob for matrix cost (instruction
 // budget, workload subset, circuit-model iterations, parallelism);
 // DefaultScale is the full matrix, QuickScale the minutes-scale version
@@ -26,9 +19,4 @@
 // index into K-of-N slices, and ShardManifest describes a slice for
 // later merge validation (expcache.Merge). See ARCHITECTURE.md for the
 // full multi-machine workflow.
-//
-// RunSampled (sampled.go) is the sampled-execution workflow built on
-// the system checkpoint lifecycle: fast-forward to a region of
-// interest, snapshot (keeping the bytes for bit-exact re-entry), warm
-// up, and measure a window (SampledResult.WindowIPC).
 package harness

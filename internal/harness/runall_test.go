@@ -121,12 +121,9 @@ func TestRunAllDedupsJobs(t *testing.T) {
 // TestRunAllReusesSystems verifies the solo reuse path end to end: a
 // single-worker batch of same-shape jobs constructs one System and
 // Reset-reuses it for every subsequent run, and the reused results are
-// identical to fresh ones. Gangs are disabled — these three jobs share a
-// workload and would otherwise execute as one gang (see
-// TestRunAllGangExecution).
+// identical to fresh ones.
 func TestRunAllReusesSystems(t *testing.T) {
 	r, _ := testRunner(t)
-	r.SetGangEnabled(false)
 	var jobs []sim.Config
 	for _, p := range []sim.Preset{sim.Base, sim.FIGCacheFast, sim.LISAVilla} {
 		cfg := testConfig(t, "mcf")
@@ -151,61 +148,6 @@ func TestRunAllReusesSystems(t *testing.T) {
 		}
 		if !reflect.DeepEqual(out.of(cfg), fresh.of(cfg)) {
 			t.Errorf("job %d (%s): reused-System result differs from cold run", i, cfg.Describe())
-		}
-	}
-}
-
-// TestRunAllGangExecution verifies the gang path end to end: same-
-// workload jobs execute as one gang (counted by GangsFormed/GangedRuns),
-// a different-workload sibling stays solo and reuses a gang member's
-// System afterwards, and every result is bit-identical to a gang-
-// disabled runner's.
-func TestRunAllGangExecution(t *testing.T) {
-	row := func() []sim.Config {
-		var jobs []sim.Config
-		for _, p := range []sim.Preset{sim.Base, sim.FIGCacheFast, sim.LISAVilla} {
-			cfg := testConfig(t, "mcf")
-			cfg.Preset = p
-			jobs = append(jobs, cfg)
-		}
-		odd := testConfig(t, "odd-one-out")
-		odd.Seed = 99 // different stream: must not join the row's gang
-		return append(jobs, odd)
-	}
-
-	r, _ := testRunner(t)
-	out, err := r.runAll(row())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := r.GangsFormed(); got != 1 {
-		t.Errorf("formed %d gangs, want 1", got)
-	}
-	if got := r.GangedRuns(); got != 3 {
-		t.Errorf("%d runs executed ganged, want 3", got)
-	}
-	// One worker: the gang builds three Systems, the solo job then
-	// Reset-reuses one of them.
-	if got := r.SystemsBuilt(); got != 3 {
-		t.Errorf("built %d Systems, want 3", got)
-	}
-	if got := r.SystemsReused(); got != 1 {
-		t.Errorf("reused %d Systems, want 1", got)
-	}
-
-	solo, _ := testRunner(t)
-	solo.SetGangEnabled(false)
-	want, err := solo.runAll(row())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if solo.GangsFormed() != 0 || solo.GangedRuns() != 0 {
-		t.Errorf("gang-disabled runner reported gangs (%d formed, %d runs)",
-			solo.GangsFormed(), solo.GangedRuns())
-	}
-	for _, cfg := range row() {
-		if !reflect.DeepEqual(out.of(cfg), want.of(cfg)) {
-			t.Errorf("%s: gang result differs from solo result", cfg.Describe())
 		}
 	}
 }

@@ -8,7 +8,7 @@
 // cycle (800 MHz).
 //
 // The package is the repository's layer between the hardware models
-// below it and the experiment machinery above it. Three contracts define
+// below it and the experiment machinery above it. Four contracts define
 // that seam (ARCHITECTURE.md describes each in depth):
 //
 //   - Engine equivalence. System.Run normally uses a cycle-skipping,
@@ -37,12 +37,10 @@
 //     checkpointed at instruction K and resumed — in-process or
 //     restored into a fresh System — finishes bit-identical to an
 //     uninterrupted run, for both engines (TestEngineEquivalence's
-//     checkpoint-at-K cases).
+//     checkpoint-at-K cases). System.RunSlice pauses on a cycle budget
+//     instead — the pause/resume primitive for observers of a running
+//     System — under the same contract (the sliced cases).
 //
-//   - Gang execution. Gang (gang.go) runs N same-workload Systems in
-//     interleaved slices over one shared instruction stream
-//     (workload.Tee), with each member's Result bit-identical to its
-//     solo run — a pure execution-strategy change under the same
-//     EngineVersion, so gang-computed and solo-computed cache entries
-//     are interchangeable. Config.GangKey is the grouping identity.
+// Run, RunSlice and RunUntilRetired are thin wrappers over one private
+// run loop that selects the engine once per call.
 package sim

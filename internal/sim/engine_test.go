@@ -146,72 +146,12 @@ func TestEngineEquivalence(t *testing.T) {
 				t.Errorf("Reset-reused System diverges from fresh run:\n fresh: %+v\nreused: %+v", skip, reused)
 			}
 
-			// Gang: the case's config plus two timing-divergent siblings —
-			// a different preset and a dense-engine twin — execute as one
-			// gang over a shared instruction stream. Gang execution is a
-			// pure execution-strategy change, so every member must be
-			// bit-identical to its solo run (the dense twin doubles as a
-			// mixed-engine gang case). For the mixed-sources case this also
-			// pins a synth+trace gang.
-			sib := c.cfg
-			if sib.Preset == LISAVilla {
-				sib.Preset = FIGCacheFast
-			} else {
-				sib.Preset = LISAVilla
-			}
-			denseTwin := c.cfg
-			denseTwin.DenseLoop = true
-			gangCfgs := []Config{c.cfg, sib, denseTwin}
-			gang, err := NewGang(gangCfgs, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gangRes, gangErrs := gang.Run()
-			for i, gerr := range gangErrs {
-				if gerr != nil {
-					t.Fatalf("gang member %d: %v", i, gerr)
-				}
-			}
-			sibSolo := runWith(t, sib, false)
-			for i, want := range []Result{skip, sibSolo, dense} {
-				if !reflect.DeepEqual(gangRes[i], want) {
-					t.Errorf("gang member %d diverges from its solo run:\n gang: %+v\n solo: %+v", i, gangRes[i], want)
-				}
-			}
-
-			// A gang member's System is an ordinary finished System:
-			// Reset-reusing the whole gang into a second identical gang, and
-			// Reset-reusing one member into a solo run, must both reproduce
-			// the fresh results bit for bit.
-			regang, err := NewGang(gangCfgs, gang.Members())
-			if err != nil {
-				t.Fatal(err)
-			}
-			regangRes, regangErrs := regang.Run()
-			for i, want := range []Result{skip, sibSolo, dense} {
-				if regangErrs[i] != nil {
-					t.Fatalf("reused gang member %d: %v", i, regangErrs[i])
-				}
-				if !reflect.DeepEqual(regangRes[i], want) {
-					t.Errorf("reused gang member %d diverges:\n gang: %+v\n solo: %+v", i, regangRes[i], want)
-				}
-			}
-			member := regang.Members()[1]
-			if err := member.Reset(c.cfg); err != nil {
-				t.Fatal(err)
-			}
-			soloAfterGang, err := member.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(soloAfterGang, skip) {
-				t.Errorf("solo run on a Reset gang member diverges:\n  got: %+v\n want: %+v", soloAfterGang, skip)
-			}
-
 			// Checkpoint-at-K: pausing a run mid-flight at RunUntilRetired,
 			// snapshotting, and finishing — on the same System, or on a
 			// freshly built one restored from the snapshot bytes — must
 			// reproduce the uninterrupted run bit for bit, for both engines.
+			// Sliced: driving a fresh System to completion in RunSlice
+			// steps must do the same.
 			k := c.insts * int64(len(c.cfg.Mix.Apps)) / 3
 			if k < 1 {
 				k = 1
@@ -253,6 +193,16 @@ func TestEngineEquivalence(t *testing.T) {
 				}
 				if !reflect.DeepEqual(restored, want) {
 					t.Errorf("dense=%v: checkpoint-at-%d + fresh-System restore diverges:\n want: %+v\n  got: %+v", dl, k, want, restored)
+				}
+
+				sliced, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for !sliced.RunSlice(4096) {
+				}
+				if got := sliced.collect(); !reflect.DeepEqual(got, want) {
+					t.Errorf("dense=%v: RunSlice(4096) steps diverge from Run:\n want: %+v\n  got: %+v", dl, want, got)
 				}
 			}
 		})

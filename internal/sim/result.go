@@ -109,8 +109,7 @@ func (r Result) IPCSum() float64 {
 // to a baseline run of the same mix: sum_i IPC_i / IPC_base_i, divided by
 // the core count so that "no change" is 1.0. The paper reports weighted
 // speedup improvements over Base (Section 7); using the in-mix Base IPCs
-// as the alone-IPC proxy keeps the metric self-contained (documented in
-// EXPERIMENTS.md).
+// as the alone-IPC proxy keeps the metric self-contained.
 func (r Result) WeightedSpeedupOver(base Result) float64 {
 	if len(r.Cores) != len(base.Cores) || len(r.Cores) == 0 {
 		return 0

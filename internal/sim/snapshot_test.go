@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/workload"
 )
 
 // snapshotAt builds a system, runs it to k total retired instructions,
@@ -93,5 +95,39 @@ func TestRestoreRewindsDirtySystem(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("rewound run diverges from uninterrupted run:\n want: %+v\n  got: %+v", want, got)
+	}
+}
+
+// BenchmarkSnapshotRoundTrip measures the cost of one checkpoint cycle
+// — serializing a warm default-scale (1M-instruction) system and
+// restoring it in place — plus its allocation footprint and snapshot
+// size.
+func BenchmarkSnapshotRoundTrip(b *testing.B) {
+	spec, err := workload.ByName("mcf")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := DefaultConfig(FIGCacheFast, workload.Mix{Name: "mcf", Apps: workload.Sources(spec)})
+	cfg.TargetInsts = 1_000_000
+	sys, err := New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sys.RunUntilRetired(cfg.TargetInsts / 4) // warm every structure first
+	var buf bytes.Buffer
+	if err := sys.Snapshot(&buf); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(buf.Len()), "snapshot-bytes")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		if err := sys.Snapshot(&buf); err != nil {
+			b.Fatal(err)
+		}
+		if err := sys.Restore(bytes.NewReader(buf.Bytes())); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -33,8 +33,8 @@ type System struct {
 	busSched func(at int64, tok ev.Token)
 	// ctrlWake[i] is the next-work bus cycle controller i reported at its
 	// most recent tick; zero forces a tick at the first bus boundary.
-	// Owned by runSkippingUntil, kept on the System so resumed engine
-	// runs (benchmarks drive bounded spans) neither reallocate it nor
+	// Owned by runSkipping, kept on the System so resumed engine runs
+	// (RunSlice, RunUntilRetired) neither reallocate it nor
 	// re-tick idle controllers. coreBatch[i] carries core i's batchable
 	// span from the wake scan to the jump application within one
 	// iteration, so the closed form is sized exactly once per cycle.
@@ -63,27 +63,8 @@ type System struct {
 	arena *arena.Arena
 }
 
-// TraceOpener resolves one core's workload source into the trace reader
-// that feeds it, given the exact parameters System.initCores derives from
-// the configuration (per-core seed, address window, physical layout).
-// A nil opener means the default resolution, workload.Source.Open. The
-// gang engine substitutes an opener that routes every member of a gang
-// through one shared workload.Tee — after verifying the parameters match
-// the leader's, which is what makes the shared stream bit-identical to
-// each member's solo stream.
-//
-// The opener is a construction/Reset-time parameter, never stored on the
-// System: a pooled System Reset without an opener always reverts to solo
-// source resolution.
-type TraceOpener func(core int, src workload.Source, seed, base, span uint64, layout workload.Layout) (cpu.TraceReader, error)
-
 // New builds a system for the configuration.
-func New(cfg Config) (*System, error) { return NewWithOpener(cfg, nil) }
-
-// NewWithOpener builds a system for the configuration, resolving each
-// core's workload source through open (nil selects the default,
-// workload.Source.Open). See TraceOpener.
-func NewWithOpener(cfg Config, open TraceOpener) (*System, error) {
+func New(cfg Config) (*System, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
@@ -145,7 +126,7 @@ func NewWithOpener(cfg Config, open TraceOpener) (*System, error) {
 	}
 	s.hier = hier
 
-	if err := s.initCores(true, open); err != nil {
+	if err := s.initCores(true); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -185,7 +166,7 @@ func (s *System) Dispatch(t ev.Token, now int64) {
 // read here — compute time — not during planning or fingerprinting of
 // the synthetic parts; Reset reopens sources, which rewinds replayers
 // bit-identically (the loaded trace bytes are cached and immutable).
-func (s *System) initCores(fresh bool, open TraceOpener) error {
+func (s *System) initCores(fresh bool) error {
 	cfg := s.cfg
 	geo := cfg.geometry()
 	span := uint64(s.mapper.TotalBytes())
@@ -218,13 +199,7 @@ func (s *System) initCores(fresh bool, open TraceOpener) error {
 		if cfg.SharedFootprint {
 			layout.LayoutSeed = cfg.Seed + 0x51ed270b
 		}
-		seed := cfg.Seed + uint64(i)*1315423911
-		var gen cpu.TraceReader
-		if open != nil {
-			gen, err = open(i, src, seed, base, span, layout)
-		} else {
-			gen, err = src.Open(seed, base, span, layout)
-		}
+		gen, err := src.Open(cfg.Seed+uint64(i)*1315423911, base, span, layout)
 		if err != nil {
 			return err
 		}
@@ -258,12 +233,7 @@ var ErrShapeMismatch = errors.New("sim: Reset config shape differs from the Syst
 //
 // The in-DRAM cache hooks are rebuilt rather than reset: their tag-store
 // state is configuration-dependent and tiny next to the arrays above.
-func (s *System) Reset(cfg Config) error { return s.ResetWithOpener(cfg, nil) }
-
-// ResetWithOpener is Reset with an explicit workload-source resolver
-// (nil selects the default, workload.Source.Open). See TraceOpener; the
-// gang engine uses it to retarget pooled Systems into gang members.
-func (s *System) ResetWithOpener(cfg Config, open TraceOpener) error {
+func (s *System) Reset(cfg Config) error {
 	if err := cfg.normalize(); err != nil {
 		return err
 	}
@@ -309,7 +279,7 @@ func (s *System) ResetWithOpener(cfg Config, open TraceOpener) error {
 	for i := range s.coreBatch {
 		s.coreBatch[i] = 0
 	}
-	return s.initCores(false, open)
+	return s.initCores(false)
 }
 
 // LevelScheduler implements cache.LevelSchedulerFactory: cache levels get
@@ -490,56 +460,26 @@ func (m *memAdapter) drain(busNow int64) {
 // cycle-skipping engine unless Config.DenseLoop selects the reference
 // cycle-by-cycle loop; the two are bit-identical (TestEngineEquivalence).
 func (s *System) Run() (Result, error) {
-	if s.cfg.DenseLoop {
-		s.runDense(0)
-	} else {
-		s.runSkipping()
-	}
-	return s.finishRun()
-}
-
-// finishRun validates that a completed execution reached every core's
-// instruction target and collects the run's Result. Shared verbatim by
-// Run and the gang engine so a gang member fails with the exact error a
-// solo run would.
-func (s *System) finishRun() (Result, error) {
-	for _, c := range s.cores {
-		if !c.Done() {
-			return Result{}, fmt.Errorf("sim: core %d retired only %d/%d instructions in %d cycles",
-				c.ID, c.Retired, c.TargetInsts, s.clock)
-		}
+	if c := s.run(s.cfg.MaxCycles, 0); c != nil {
+		return Result{}, fmt.Errorf("sim: core %d retired only %d/%d instructions in %d cycles",
+			c.ID, c.Retired, c.TargetInsts, s.clock)
 	}
 	return s.collect(), nil
 }
 
 // RunSlice advances the run by at most `cycles` CPU cycles and reports
 // whether the run is complete (every core reached its target, or the
-// MaxCycles safety net expired). It is the gang engine's scheduling
-// quantum: interleaving RunSlice calls across gang members is
-// bit-identical to running each member's Run() to completion, because
+// MaxCycles safety net expired). It is the pause/resume primitive for
+// observers that sample a run as it progresses: slices resumed until one
+// reports true execute bit-identically to one uninterrupted Run, because
 // pausing either engine at a cycle boundary and resuming it replays
 // exactly the dense loop's per-cycle effects — the same contract
 // RunUntilRetired's checkpoint stop-point relies on, pinned by
-// TestEngineEquivalence (gang and checkpoint cases).
+// TestEngineEquivalence (sliced and checkpoint cases). A System that
+// reported true is finished: a further Run or RunSlice executes one more
+// cycle.
 func (s *System) RunSlice(cycles int64) bool {
-	limit := s.clock + cycles
-	if limit > s.cfg.MaxCycles {
-		limit = s.cfg.MaxCycles
-	}
-	if s.cfg.DenseLoop {
-		s.runDenseUntil(limit, 0)
-	} else {
-		s.runSkippingUntil(limit, 0)
-	}
-	if s.clock >= s.cfg.MaxCycles {
-		return true
-	}
-	for _, c := range s.cores {
-		if !c.Done() {
-			return false
-		}
-	}
-	return true
+	return s.run(min(s.clock+cycles, s.cfg.MaxCycles), 0) == nil || s.clock >= s.cfg.MaxCycles
 }
 
 // totalRetired sums the retired instruction count across all cores.
@@ -561,12 +501,25 @@ func (s *System) totalRetired() int64 {
 // cycle-skipping engine may overshoot target by the tail of a batched
 // bubble run; callers needing an exact count should use the dense
 // engine.
-func (s *System) RunUntilRetired(target int64) {
+func (s *System) RunUntilRetired(target int64) { s.run(s.cfg.MaxCycles, target) }
+
+// run advances the engine Config.DenseLoop selects until every core is
+// done, the clock reaches maxCycles (exclusive), or — when stopRetired is
+// positive — the total retired instruction count reaches stopRetired. It
+// returns the first core still short of its target, or nil once every
+// core has finished.
+func (s *System) run(maxCycles, stopRetired int64) *cpu.Core {
 	if s.cfg.DenseLoop {
-		s.runDense(target)
+		s.runDense(maxCycles, stopRetired)
 	} else {
-		s.runSkippingUntil(s.cfg.MaxCycles, target)
+		s.runSkipping(maxCycles, stopRetired)
 	}
+	for _, c := range s.cores {
+		if !c.Done() {
+			return c
+		}
+	}
+	return nil
 }
 
 // runDense is the reference engine: advance the clock one CPU cycle at a
@@ -574,13 +527,8 @@ func (s *System) RunUntilRetired(target int64) {
 // CPU cycle. A positive stopRetired pauses the loop once the total
 // retired instruction count reaches it: the current cycle completes in
 // full, so a snapshot taken at the pause resumes bit-identically.
-func (s *System) runDense(stopRetired int64) { s.runDenseUntil(s.cfg.MaxCycles, stopRetired) }
-
-// runDenseUntil runs the dense engine until every core is done or the
-// clock reaches maxCycles (exclusive). Factored out so RunSlice can
-// drive the reference loop for a bounded cycle span; splitting the loop
-// at any cycle boundary is trivially bit-identical.
-func (s *System) runDenseUntil(maxCycles, stopRetired int64) {
+// Splitting the loop at any cycle boundary is trivially bit-identical.
+func (s *System) runDense(maxCycles, stopRetired int64) {
 	cpb := s.cfg.CPUPerBus
 	for ; s.clock < maxCycles; s.clock++ {
 		s.events.fireDue(s.clock, s)
@@ -629,17 +577,13 @@ func (s *System) runDenseUntil(maxCycles, stopRetired int64) {
 // windows only move when a command issues — or pure bubble issue/retire
 // cycles whose dense effect cpu.Core.Advance replays arithmetically, so
 // jumping over them is bit-identical.
-func (s *System) runSkipping() { s.runSkippingUntil(s.cfg.MaxCycles, 0) }
-
-// runSkippingUntil runs the skipping engine until every core is done or
-// the clock reaches maxCycles (exclusive). Factored out so benchmarks
-// can drive the engine for a bounded cycle span. A positive stopRetired
-// pauses the loop once the total retired count reaches it; the executed
-// cycle (or applied jump) completes in full first, so a checkpoint may
-// land a few batched cycles past the threshold — the contract is that
-// pausing and resuming the same engine is bit-identical, not that both
-// engines pause on the same cycle.
-func (s *System) runSkippingUntil(maxCycles, stopRetired int64) {
+//
+// A positive stopRetired pauses the loop once the total retired count
+// reaches it; the executed cycle (or applied jump) completes in full
+// first, so a checkpoint may land a few batched cycles past the
+// threshold — the contract is that pausing and resuming the same engine
+// is bit-identical, not that both engines pause on the same cycle.
+func (s *System) runSkipping(maxCycles, stopRetired int64) {
 	cpb := s.cfg.CPUPerBus
 	if s.ctrlWake == nil {
 		s.ctrlWake = make([]int64, len(s.ctrls))

@@ -196,7 +196,7 @@ func TestNextBusWork(t *testing.T) {
 	}
 	// The wake slices are lazily built on the first engine step; this
 	// test drives the bookkeeping directly, so build them here the same
-	// way runSkippingUntil does.
+	// way runSkipping does.
 	s.ctrlWake = make([]int64, len(s.ctrls))
 	s.coreBatch = make([]int64, len(s.cores))
 	s.wake.init(s.ctrlWake)

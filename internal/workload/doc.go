@@ -42,9 +42,4 @@
 // (snapshot.go) serialize the RNG, sweep-stream, and cursor state for
 // the system checkpoint lifecycle, so a restored trace source resumes
 // mid-stream bit-identically.
-//
-// Tee (tee.go) shares one opened reader among N consumers for gang
-// execution (sim.Gang): records are produced once and memoized in a
-// ring window bounded by the laggard consumer, and each member reads
-// the identical stream at its own pace through per-member cursors.
 package workload
