@@ -39,8 +39,8 @@
 // it adopts the coordinator's scale and experiment set (local scale and
 // experiment arguments are rejected to prevent silent drift), computes
 // leased slices of the matrix, and uploads the results until the
-// coordinator reports the matrix complete. See the "Distributed
-// dispatch" section of ARCHITECTURE.md.
+// coordinator reports the matrix complete. See "The experiment matrix"
+// section of ARCHITECTURE.md.
 package main
 
 import (

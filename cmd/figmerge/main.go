@@ -1,28 +1,29 @@
-// Command figmerge reassembles an experiment matrix computed in shards:
-// it merges the result-cache directories that figbench -shard runs filled
-// on separate machines into one directory an unsharded figbench run can
+// Command figmerge assembles an experiment matrix computed in shards: it
+// folds the result-cache directories that figbench -shard runs filled on
+// separate machines into one directory an unsharded figbench run can
 // render from without recomputing anything.
 //
 // Usage:
 //
-//	figmerge [-force] [-dry-run] -out DIR SRC_DIR...
+//	figmerge -out DST SRC...
 //	figmerge -out merged .cache-shard1 .cache-shard2
 //
-// Before writing a single file, figmerge validates the merge end to end:
-// every result entry must parse and carry the current engine/format
-// stamps under its claimed fingerprint, every shard manifest must
-// describe the same matrix, the union of shards should cover it, every
-// fingerprint assigned to a present shard must have an entry, no entry
-// may fall outside the matrix, and no two sources may disagree on an
-// entry's bytes (the simulator is deterministic — disagreement means the
-// shards ran different engine builds or configurations). Any violation
-// aborts the merge with nothing written.
+// The sources' shard manifests name the matrix, and must all name the
+// same one. DST is then filled the way figserve fills its directory
+// (dispatch.Merge): entries already in DST are adopted, and every source
+// entry is validated as it is copied in, sources in argument order. An
+// entry that is corrupt, lies outside the matrix or conflicts with an
+// accepted one (the first writer wins, DST's own entries first) is
+// printed as a problem line, as is an incomplete matrix; any problem
+// exits 1. DST only ever holds validated matrix entries, so a refused
+// merge leaves a valid partial cache. Fold the missing shards in later
+// by naming DST as a source:
 //
-// -force proceeds anyway on a first-source-wins basis; missing pieces
-// stay missing and are recomputed by the next figbench run against the
-// merged directory. That is also how deliberate partial merges are done
-// (e.g. folding in shards as they finish). -dry-run validates and
-// reports without writing.
+//	figmerge -out merged merged .cache-shard3
+//
+// A complete DST carries the same manifest-1of1.json a solo run writes.
+// To check shards without touching DST, point -out at a throwaway
+// directory.
 package main
 
 import (
@@ -30,53 +31,32 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/expcache"
+	"repro/internal/dispatch"
 )
 
 func main() {
-	out := flag.String("out", "", "destination cache directory (created if missing; may be one of the sources)")
-	force := flag.Bool("force", false, "merge despite validation problems (first source wins on conflicts)")
-	dryRun := flag.Bool("dry-run", false, "validate and report only; write nothing")
+	out := flag.String("out", "", "destination cache directory (created if missing; may also be a source)")
+	flag.Usage = func() {
+		fmt.Fprintln(os.Stderr, "usage: figmerge -out DST SRC...")
+		flag.PrintDefaults()
+	}
 	flag.Parse()
-
-	srcs := flag.Args()
-	if *out == "" && !*dryRun {
-		fmt.Fprintln(os.Stderr, "figmerge: -out is required (or use -dry-run)")
-		usage()
-		os.Exit(2)
-	}
-	if len(srcs) == 0 {
-		fmt.Fprintln(os.Stderr, "figmerge: no source directories")
-		usage()
+	if *out == "" || flag.NArg() == 0 {
+		flag.Usage()
 		os.Exit(2)
 	}
 
-	rep, err := merge(*out, srcs, *force, *dryRun)
-	if rep != nil {
-		for _, p := range rep.Problems() {
-			fmt.Fprintln(os.Stderr, "figmerge: problem:", p)
-		}
-		fmt.Println("figmerge:", rep.Summary())
-	}
+	st, problems, err := dispatch.Merge(*out, flag.Args())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "figmerge:", err)
 		os.Exit(1)
 	}
-	if *dryRun && rep != nil && len(rep.Problems()) > 0 {
+	for _, p := range problems {
+		fmt.Fprintln(os.Stderr, "figmerge: problem:", p)
+	}
+	fmt.Printf("figmerge: %s holds %d of %d entries (%d already there, %d uploads, %d rejected)\n",
+		*out, st.Done, st.Total, st.Resumed, st.Uploads, st.Rejected)
+	if len(problems) > 0 {
 		os.Exit(1)
 	}
-}
-
-// merge runs the validation-plus-copy; with dryRun it validates via a
-// forced merge into nowhere by asking Merge to stop before writing.
-func merge(out string, srcs []string, force, dryRun bool) (*expcache.MergeReport, error) {
-	if dryRun {
-		return expcache.Validate(srcs)
-	}
-	return expcache.Merge(out, srcs, force)
-}
-
-func usage() {
-	fmt.Fprintln(os.Stderr, "usage: figmerge [-force] [-dry-run] -out DIR SRC_DIR...")
-	flag.PrintDefaults()
 }

@@ -124,8 +124,10 @@ func main() {
 				st.Total, st.Resumed, st.Uploads, st.Rejected, *cacheDir)
 			// Drain: idle workers learn of completion on their next lease
 			// poll (the finishing worker already learned from its upload
-			// ack), so keep answering for a couple of poll intervals.
-			time.Sleep(2500 * time.Millisecond)
+			// ack). They poll every lease TTL/4, so keep answering for two
+			// poll intervals; a fixed shorter drain raced the poll and
+			// failed idle workers with "connection refused".
+			time.Sleep(*leaseTTL / 2)
 			srv.Close()
 			return
 		}

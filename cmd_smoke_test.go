@@ -16,7 +16,7 @@ import (
 // user-facing contracts end to end: catalog listing, workload stats,
 // input validation, the record→replay loop (byte-identical statistics on
 // a second replay — the determinism promise the trace format makes), the
-// text↔binary round trip, and figmerge's refuse-by-default validation.
+// text↔binary round trip, and figmerge's assembly of figbench -shard halves.
 // Before this test the commands were compiled but never executed by the
 // test suite.
 func TestCommandsSmoke(t *testing.T) {
@@ -319,18 +319,36 @@ func TestCommandsSmoke(t *testing.T) {
 		}
 	})
 
-	t.Run("figmerge-dry-run-refusal", func(t *testing.T) {
+	t.Run("figmerge-shards", func(t *testing.T) {
 		t.Parallel()
 		empty := filepath.Join(workDir, "empty-cache")
 		if err := os.MkdirAll(empty, 0o755); err != nil {
 			t.Fatal(err)
 		}
-		out, err := run(t, "figmerge", "-dry-run", empty)
+		out, err := run(t, "figmerge", "-out", filepath.Join(workDir, "never-merged"), empty)
 		if err == nil {
-			t.Fatalf("figmerge -dry-run validated an empty cache directory:\n%s", out)
+			t.Fatalf("figmerge merged a directory without a manifest:\n%s", out)
+		}
+		if !strings.Contains(out, "manifest") {
+			t.Errorf("refusal does not name the missing manifest:\n%s", out)
+		}
+
+		halves := []string{filepath.Join(workDir, "shard-1of2"), filepath.Join(workDir, "shard-2of2")}
+		for i, dir := range halves {
+			mustRun(t, "figbench", append(append([]string{"-shard", []string{"1/2", "2/2"}[i], "-cache-dir", dir}, scaleArgs...), "table2", "fig7")...)
+		}
+		merged := filepath.Join(workDir, "merged-cache")
+		out, err = run(t, "figmerge", "-out", merged, halves[0])
+		if err == nil {
+			t.Fatalf("figmerge accepted half the matrix:\n%s", out)
 		}
 		if !strings.Contains(out, "problem:") {
-			t.Errorf("refusal did not report its problems:\n%s", out)
+			t.Errorf("incomplete merge did not report a problem line:\n%s", out)
+		}
+		mustRun(t, "figmerge", "-out", merged, halves[0], halves[1])
+		warm := mustRun(t, "figbench", append(append([]string{"-cache-dir", merged}, scaleArgs...), "table2", "fig7")...)
+		if !strings.Contains(warm, "misses=0 computed=0") {
+			t.Errorf("warm rerun over the merged directory recomputed work:\n%s", warm)
 		}
 	})
 }

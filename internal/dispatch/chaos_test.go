@@ -59,27 +59,29 @@ func dirContents(t *testing.T, dir string) map[string]string {
 	return out
 }
 
-func compareDirs(t *testing.T, fleetDir, soloDir string) {
+// compareDirs requires dir, assembled by a fleet or a merge, to hold
+// exactly the files of soloDir, byte for byte.
+func compareDirs(t *testing.T, dir, soloDir string) {
 	t.Helper()
-	fleet, solo := dirContents(t, fleetDir), dirContents(t, soloDir)
+	got, solo := dirContents(t, dir), dirContents(t, soloDir)
 	var names []string
 	for name := range solo {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		got, ok := fleet[name]
+		data, ok := got[name]
 		if !ok {
-			t.Errorf("fleet directory is missing %s", name)
+			t.Errorf("%s is missing %s", dir, name)
 			continue
 		}
-		if got != solo[name] {
-			t.Errorf("%s differs between fleet and solo directories (%d vs %d bytes)", name, len(got), len(solo[name]))
+		if data != solo[name] {
+			t.Errorf("%s differs between %s and the solo directory (%d vs %d bytes)", name, dir, len(data), len(solo[name]))
 		}
 	}
-	for name := range fleet {
+	for name := range got {
 		if _, ok := solo[name]; !ok {
-			t.Errorf("fleet directory has extra file %s", name)
+			t.Errorf("%s has extra file %s", dir, name)
 		}
 	}
 }

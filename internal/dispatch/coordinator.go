@@ -90,8 +90,8 @@ type Options struct {
 	// Batch is the maximum fingerprints per lease (default 4).
 	Batch int
 	// Manifest, when set, is written into the store's directory as soon
-	// as the matrix completes (and by Close), so the finished directory
-	// is self-describing the way a figbench -shard directory is.
+	// as the matrix completes, so the finished directory is
+	// self-describing the way a figbench -shard directory is.
 	Manifest *expcache.Manifest
 	// Now overrides the clock (tests). Defaults to time.Now.
 	Now func() time.Time
@@ -239,6 +239,7 @@ func (c *Coordinator) Status() Status {
 // no background timer is needed (and tests drive time explicitly).
 func (c *Coordinator) expireLocked() {
 	now := c.opts.Now()
+	//fglint:deterministic each lease expires on its own deadline; only the order of log lines varies
 	for id, l := range c.leases {
 		if now.Before(l.deadline) {
 			continue
@@ -273,6 +274,7 @@ func (c *Coordinator) Lease(worker string) Lease {
 	// a steal candidate; one covered only by quiet leases is.
 	now := c.opts.Now()
 	fresh := make(map[string]int)
+	//fglint:deterministic counting only: the per-fingerprint sums do not depend on order
 	for _, l := range c.leases {
 		if l.deadline.Sub(now) >= c.opts.LeaseTTL/2 {
 			for _, fp := range l.fps {
@@ -388,6 +390,7 @@ func (c *Coordinator) reject() {
 
 // retireCoveredLocked drops leases whose every fingerprint is done.
 func (c *Coordinator) retireCoveredLocked() {
+	//fglint:deterministic each lease is retired on its own coverage, independent of the others
 	for id, l := range c.leases {
 		covered := true
 		for _, fp := range l.fps {
@@ -413,8 +416,8 @@ func (c *Coordinator) finishLocked() {
 	if c.opts.Manifest != nil {
 		if err := c.writeManifest(); err != nil {
 			// The entries are all on disk and valid; a manifest write
-			// failure degrades the directory to "mergeable with -force",
-			// it does not un-complete the matrix.
+			// failure leaves a directory that a restarted coordinator or
+			// a Merge completes again, it does not un-complete the matrix.
 			c.opts.Logf("dispatch: writing final manifest: %v", err)
 		}
 	}

@@ -1,7 +1,8 @@
 // Package expcache is the experiment-result store behind the harness: a
-// two-tier cache of sim.Results keyed by sim.Fingerprint, plus the
-// manifest and merge machinery that lets a result store be assembled
-// from shards computed on different machines.
+// two-tier cache of sim.Results keyed by sim.Fingerprint, plus the entry
+// wire format and shard manifests that let a result store be assembled
+// from pieces computed on different machines (internal/dispatch does the
+// assembling).
 //
 // # Result cache
 //
@@ -18,17 +19,12 @@
 // rename), so concurrent writers of the same fingerprint — racing
 // processes, or racing workers of one process — land one complete entry.
 //
-// # Shard manifests and merging
+// # Shard manifests
 //
 // A sharded figbench run (-shard K/N) computes a 1/N slice of the
 // experiment matrix into its cache directory and records a Manifest
 // there: the engine version, the full fingerprint index of the matrix,
-// and the slice this shard owned. Merge combines several such
-// directories into one, validating entry integrity and matrix coverage
-// (missing shards, missing or extra entries, byte-level conflicts)
-// before writing anything; a directory holding every shard serves a
-// subsequent unsharded figbench run without any recomputation. Unlike
-// cache reads, merge validation treats defects as errors — a merge
-// asserts coverage, so problems must surface rather than degrade into
-// recomputation on some later machine.
+// and the slice this shard owned. Unlike entries, manifests are
+// validated strictly (Manifest.Validate, ReadManifests): they name the
+// matrix a merge assembles, so a broken one is an error, not a miss.
 package expcache

@@ -16,7 +16,7 @@ var fuzzFP = sim.Fingerprint{0xab, 0xcd, 1, 2, 3}
 // code path that judges worker uploads and disk cache files. It must
 // never panic; when it accepts, a re-encode of the decoded result must
 // be byte-identical to a fresh EncodeEntry (the determinism invariant
-// the whole merge/dispatch machinery diffs on).
+// the whole dispatch machinery diffs on).
 func FuzzDecodeEntry(f *testing.F) {
 	res := sim.Result{
 		Preset:   sim.FIGCacheFast,
@@ -60,7 +60,7 @@ func FuzzDecodeEntry(f *testing.F) {
 }
 
 // FuzzManifestValidate feeds arbitrary JSON to the manifest decode +
-// Validate path figmerge and the dispatch coordinator trust. No input
+// Validate path that dispatch.Merge trusts to name the matrix. No input
 // may panic it; a manifest that validates must have a well-formed
 // positional assignment (ExpectedAssigned never out-of-range).
 func FuzzManifestValidate(f *testing.F) {

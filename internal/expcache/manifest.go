@@ -14,22 +14,21 @@ import (
 
 // ManifestFormatVersion identifies the on-disk manifest layout. Bump it
 // when the manifest envelope changes shape; manifests with any other
-// format are rejected by merges.
+// format fail Validate.
 const ManifestFormatVersion = 1
 
 // Manifest describes one shard's slice of an experiment matrix. A shard
 // run (figbench -shard K/N -cache-dir DIR) writes one into its cache
 // directory next to the result entries, so the directory is
-// self-describing: figmerge can tell, without re-enumerating anything,
-// which runs the full matrix contains, which slice this directory was
-// responsible for, and whether the union of several directories covers
-// the matrix.
+// self-describing: a merge can tell, without re-enumerating anything,
+// which runs the full matrix contains and which slice this directory was
+// responsible for.
 //
 // The assignment rule is positional: with the full fingerprint list in
 // ascending order, index i belongs to shard ShardOf(i, NumShards).
-// Assigned records the resulting slice explicitly anyway, so a merge can
-// detect a manifest written under a different (future) rule instead of
-// silently mis-validating it.
+// Assigned records the resulting slice explicitly anyway, so Validate
+// can reject a manifest written under a different (future) rule instead
+// of silently mis-reading it.
 type Manifest struct {
 	Format int `json:"format"`
 	// Engine is the sim.EngineVersion the shard was computed with.
@@ -38,9 +37,9 @@ type Manifest struct {
 	// would claim shard coverage it does not have.
 	Engine int `json:"engine"`
 	// Scale is a human-readable description of the harness scale the
-	// matrix was enumerated at (insts/apps/mixes/mc). Informational for
-	// humans; merges compare it to catch obviously mismatched shards
-	// early, though any scale difference also changes Fingerprints.
+	// matrix was enumerated at (insts/apps/mixes/mc). Informational
+	// only: any scale difference also changes Fingerprints, which is
+	// what a merge compares.
 	Scale string `json:"scale"`
 	// Experiments names the experiment set the matrix was enumerated
 	// from, in catalog order. Shards of one matrix must be launched with
@@ -77,7 +76,7 @@ func (m *Manifest) ExpectedAssigned() []string {
 // Named manifest-validation errors, one per failure class (assert with
 // errors.Is; the wrapped message carries the specifics). Split out when
 // the fuzz corpus showed arbitrary JSON reaching Validate produced
-// one-size-fits-all messages a merge report could not classify.
+// one-size-fits-all messages a refused merge could not classify.
 var (
 	ErrManifestFormat = errors.New("manifest format mismatch")
 	ErrManifestEngine = errors.New("manifest engine mismatch")

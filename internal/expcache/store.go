@@ -30,9 +30,9 @@ type Store interface {
 }
 
 // DirStore implements Store over a cache directory, interoperating
-// byte-for-byte with Cache, figmerge, and figbench -cache-dir: entries
-// are FP.json files written atomically. Files that are not well-formed
-// entry names (manifests, temp files) are ignored by List/Get.
+// byte-for-byte with Cache and figbench -cache-dir: entries are FP.json
+// files written atomically. Files that are not well-formed entry names
+// (manifests, temp files) are ignored by List/Get.
 type DirStore struct {
 	dir string
 }

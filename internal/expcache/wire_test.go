@@ -131,6 +131,31 @@ func TestManifestValidateNamedErrors(t *testing.T) {
 	}
 }
 
+func TestShardOfPartitionsBalanced(t *testing.T) {
+	for n := 1; n <= 7; n++ {
+		counts := make([]int, n+1)
+		for i := 0; i < 100; i++ {
+			k := ShardOf(i, n)
+			if k < 1 || k > n {
+				t.Fatalf("ShardOf(%d, %d) = %d out of range", i, n, k)
+			}
+			counts[k]++
+		}
+		min, max := 100, 0
+		for k := 1; k <= n; k++ {
+			if counts[k] < min {
+				min = counts[k]
+			}
+			if counts[k] > max {
+				max = counts[k]
+			}
+		}
+		if max-min > 1 {
+			t.Errorf("n=%d: unbalanced shard sizes %v", n, counts[1:])
+		}
+	}
+}
+
 // TestDirStore exercises the storage seam: puts land atomically as
 // entry files a Cache can serve, list order is ascending, and malformed
 // keys are rejected before touching the filesystem.

@@ -16,7 +16,7 @@
 // the sharding layer (shard.go): EnumerateJobs runs the experiment
 // builders in a plan-only mode that records every distinct job without
 // simulating, ShardJobs partitions the canonical fingerprint-ordered
-// index into K-of-N slices, and ShardManifest describes a slice for
-// later merge validation (expcache.Merge). See ARCHITECTURE.md for the
-// full multi-machine workflow.
+// index into K-of-N slices, and ShardManifest describes a slice so the
+// shard's cache directory is self-describing. See ARCHITECTURE.md for
+// the full multi-machine workflow.
 package harness

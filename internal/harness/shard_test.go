@@ -3,7 +3,6 @@ package harness
 import (
 	"testing"
 
-	"repro/internal/expcache"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -126,64 +125,5 @@ func TestParseShard(t *testing.T) {
 		if (err == nil) != tc.ok || k != tc.k || n != tc.n {
 			t.Errorf("ParseShard(%q) = %d, %d, %v; want %d, %d, ok=%v", tc.in, k, n, err, tc.k, tc.n, tc.ok)
 		}
-	}
-}
-
-// TestShardedRunsReassemble is the in-process version of CI's shard-merge
-// job: two shards computed into separate cache directories, merged, and
-// the merged directory must serve an unsharded rerun without a single
-// recomputation, rendering identical tables to a from-scratch run.
-func TestShardedRunsReassemble(t *testing.T) {
-	scale := Scale{Insts: 20_000, SingleApps: 2, MixesPerCategory: 1, MCIterations: 200}
-	builders := func(r *Runner) []func() (*stats.Table, error) {
-		return []func() (*stats.Table, error){r.Table2, r.Fig7}
-	}
-	names := []string{"table2", "fig7"}
-
-	dirs := []string{t.TempDir(), t.TempDir()}
-	for k := 1; k <= 2; k++ {
-		cache := expcache.New(dirs[k-1])
-		r := NewRunnerWithCache(scale, cache, false)
-		jobs, err := r.EnumerateJobs(builders(r)...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mine := ShardJobs(jobs, k, 2)
-		if got, err := r.RunJobs(mine); err != nil || got != len(mine) {
-			t.Fatalf("shard %d: ran %d of %d jobs, err=%v", k, got, len(mine), err)
-		}
-		if err := cache.WriteManifest(r.ShardManifest(jobs, k, 2, names)); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	merged := t.TempDir()
-	rep, err := expcache.Merge(merged, dirs, false)
-	if err != nil {
-		t.Fatalf("merge: %v\n%v", err, rep.Problems())
-	}
-
-	render := func(r *Runner) string {
-		var out string
-		for _, build := range builders(r) {
-			tab, err := build()
-			if err != nil {
-				t.Fatal(err)
-			}
-			out += tab.Render() + "\n"
-		}
-		return out
-	}
-	warm := NewRunnerWithCache(scale, expcache.New(merged), false)
-	warmTables := render(warm)
-	if st := warm.CacheStats(); st.Misses != 0 || st.Stores != 0 {
-		t.Errorf("warm run against merged dir recomputed: misses=%d computed=%d", st.Misses, st.Stores)
-	}
-	if warm.SimCycles() != 0 {
-		t.Errorf("warm run simulated %d cycles", warm.SimCycles())
-	}
-	scratch := NewRunner(scale)
-	if scratchTables := render(scratch); scratchTables != warmTables {
-		t.Error("merged-cache tables differ from a from-scratch run")
 	}
 }

@@ -1,7 +1,7 @@
 // Package maprange flags `range` statements over maps (and unsorted
 // maps.Keys/maps.Values iterator uses) inside the packages whose output
-// must be deterministic: the timing path plus harness/expcache table and
-// report building. Go randomizes map iteration order per run, so a map
+// must be deterministic: the timing path plus harness, expcache and
+// dispatch. Go randomizes map iteration order per run, so a map
 // range on any result- or output-affecting path silently breaks the
 // bit-identical-results contract that the fingerprint cache, the shard
 // merge, and TestEngineEquivalence all lean on (PR 1 fixed exactly such

@@ -11,7 +11,7 @@
 // identity contract (equal sim fingerprints imply equal results).
 //
 // Table rendering is byte-deterministic on purpose: the warm-cache and
-// shard-merge CI jobs diff rendered tables across process and machine
+// dispatch CI jobs diff rendered tables across process and machine
 // boundaries, so formatting here must never depend on map order, time,
 // or locale.
 //
