@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/sim"
@@ -75,6 +76,53 @@ func TestDecodeEntryNamedErrors(t *testing.T) {
 				t.Errorf("DecodeEntry error = %v, want errors.Is(..., %v)", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestManifestValidate: the manifest the positional rule gives each shard
+// of every split validates, and breaking any one of its rules is refused.
+func TestManifestValidate(t *testing.T) {
+	var matrix []string
+	for seed := uint64(1); seed <= 6; seed++ {
+		matrix = append(matrix, testFingerprint(seed).String())
+	}
+	slices.Sort(matrix)
+	good := func(k, n int) *Manifest {
+		m := &Manifest{
+			Format: ManifestFormatVersion, Engine: sim.EngineVersion,
+			Shard: k, NumShards: n, Fingerprints: slices.Clone(matrix),
+		}
+		for i, fp := range matrix {
+			if ShardOf(i, n) == k {
+				m.Assigned = append(m.Assigned, fp)
+			}
+		}
+		return m
+	}
+	for n := 1; n <= len(matrix); n++ {
+		for k := 1; k <= n; k++ {
+			if err := good(k, n).Validate(); err != nil {
+				t.Fatalf("shard %d of %d: valid manifest rejected: %v", k, n, err)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Manifest)
+	}{
+		{"format", func(m *Manifest) { m.Format = 99 }},
+		{"engine", func(m *Manifest) { m.Engine = sim.EngineVersion + 1 }},
+		{"shard zero", func(m *Manifest) { m.Shard = 0 }},
+		{"shard beyond", func(m *Manifest) { m.Shard = 3 }},
+		{"unsorted", func(m *Manifest) { m.Fingerprints[0], m.Fingerprints[1] = m.Fingerprints[1], m.Fingerprints[0] }},
+		{"assignment size", func(m *Manifest) { m.Assigned = m.Assigned[:1] }},
+		{"assignment rule", func(m *Manifest) { m.Assigned[0] = m.Fingerprints[1] }},
+	} {
+		m := good(1, 2)
+		tc.mutate(m)
+		if err := m.Validate(); err == nil {
+			t.Errorf("%s: invalid manifest accepted", tc.name)
+		}
 	}
 }
 
