@@ -1,9 +1,9 @@
 // Command fglint machine-enforces the simulator's standing invariants:
 // deterministic iteration in result-affecting code (maprange), no
 // wall-clock/global-rand/environment reads on the timing path
-// (nondeterm), Reset methods that cover every simulation-mutated field
-// (resetcomplete), and — with -base — EngineVersion bumps for
-// timing-path changes (versionguard).
+// (nondeterm), Snapshot/Restore pairs that cover every
+// simulation-mutated field (snapshotcomplete), and — with -base —
+// EngineVersion bumps for timing-path changes (versionguard).
 //
 // Usage:
 //

@@ -239,9 +239,8 @@ func main() {
 			r.SimCycles(), r.SimWallSeconds(), cps/1e6)
 	}
 	st := r.CacheStats()
-	fmt.Printf("result cache: hits=%d (mem=%d disk=%d) misses=%d computed=%d systems=%d built+%d reused",
-		st.Hits(), st.MemHits, st.DiskHits, st.Misses, st.Stores,
-		r.SystemsBuilt(), r.SystemsReused())
+	fmt.Printf("result cache: hits=%d (mem=%d disk=%d) misses=%d computed=%d",
+		st.Hits(), st.MemHits, st.DiskHits, st.Misses, st.Stores)
 	if *cacheDir != "" {
 		fmt.Printf(" dir=%s", *cacheDir)
 	}

@@ -8,7 +8,7 @@ import (
 
 // TestFglintSelfClean runs the full fglint analyzer suite over the
 // module programmatically and requires zero diagnostics: the tree must
-// stay clean, and any new determinism or Reset-completeness violation
+// stay clean, and any new determinism or Snapshot-completeness violation
 // fails `go test ./...` even where CI is not running the fglint step.
 // (The annotation escapes — //fglint:deterministic, //fglint:preserved —
 // are part of the contract; see ARCHITECTURE.md.)

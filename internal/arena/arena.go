@@ -10,9 +10,8 @@
 //
 // An Arena is single-owner and append-only: the owner allocates during
 // construction, holds the arena for the lifetime of every slice carved
-// from it, and never frees. There is no Reset — the simulator reuses
-// constructed arrays in place across runs (System.Reset), so arena
-// memory is written once per shape, not per run.
+// from it, and never frees. Each System owns its own arena, so the arena
+// is garbage with the System it built, in a few large objects.
 //
 // The zero Arena is ready to use. A nil *Arena degrades every helper to
 // the equivalent plain make, so construction paths can thread one

@@ -95,8 +95,8 @@ type Cache struct {
 	lines []line
 	setsN uint64
 	shift uint
-	next  Backend   //fglint:preserved wiring, rebound by Hierarchy on construction and reuse alike
-	sched Scheduler //fglint:preserved wiring, rebound by Hierarchy on construction and reuse alike
+	next  Backend   //fglint:preserved wiring, bound once at construction; the next level checkpoints its own state
+	sched Scheduler //fglint:preserved wiring, bound once at construction; the event queue's snapshot carries the scheduled tokens
 	// disp executes waiter tokens synchronously at fill time. Normally
 	// the unwrapped scheduler passed to New; separate field because New
 	// may replace sched with a level sub-scheduler.
@@ -111,7 +111,7 @@ type Cache struct {
 	// misses are fed by the bounded L1s plus queued write-backs — so the
 	// linear scan beats map hashing on every lookup, insert and remove.
 	active []*mshr
-	free   []*mshr //fglint:preserved recycled MSHRs are fully re-initialized by newMSHR before reuse
+	free   []*mshr // recycled MSHRs, fully re-initialized by newMSHR before reuse
 	clock  int64
 	coreID int // reported downstream for per-core accounting
 
@@ -180,27 +180,6 @@ func (c *Cache) SetNodeID(id int32) { c.id = id }
 
 // NodeID returns the cache's node ID.
 func (c *Cache) NodeID() int32 { return c.id }
-
-// Reset invalidates every line and zeroes all counters and outstanding
-// misses, returning the cache to its freshly constructed state while
-// keeping its allocations — the flat line array (the dominant cost of
-// building a hierarchy), the MSHR free list, and the set-index geometry.
-// Outstanding MSHRs are recycled without firing their waiters; the
-// caller resets the scheduler that held the corresponding events, so no
-// stale token can fire afterwards.
-func (c *Cache) Reset() {
-	clear(c.lines)
-	c.clock = 0
-	for i, m := range c.active {
-		m.waiters = m.waiters[:0]
-		c.free = append(c.free, m)
-		c.active[i] = nil
-	}
-	c.active = c.active[:0]
-	c.Hits, c.Misses = 0, 0
-	c.WriteBacks, c.MSHRMerges, c.MSHRFullStalls = 0, 0, 0
-	c.ReadAcc, c.WriteAcc = 0, 0
-}
 
 // set returns the ways of one cache set.
 func (c *Cache) set(idx uint64) []line {

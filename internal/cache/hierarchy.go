@@ -45,7 +45,7 @@ type Hierarchy struct {
 	L2s []*Cache
 	LLC *Cache
 
-	nodes []*Cache //fglint:preserved topology registry, fixed at construction
+	nodes []*Cache // topology registry, fixed at construction
 }
 
 // NewHierarchy builds the hierarchy on top of mem.
@@ -91,17 +91,6 @@ func (h *Hierarchy) Node(id int32) *Cache { return h.nodes[id] }
 
 // Nodes returns every cache level in node-ID order.
 func (h *Hierarchy) Nodes() []*Cache { return h.nodes }
-
-// Reset invalidates and zeroes every level, keeping all allocations (see
-// Cache.Reset). The hierarchy's shape — core count, level sizes — is
-// fixed at construction; Reset only clears state between runs.
-func (h *Hierarchy) Reset() {
-	h.LLC.Reset()
-	for i := range h.L1s {
-		h.L1s[i].Reset()
-		h.L2s[i].Reset()
-	}
-}
 
 // LLCMPKI returns the last-level-cache misses per kilo-instruction given
 // the retired instruction count — the paper's memory-intensity metric

@@ -44,10 +44,9 @@ func (c *Cache) Snapshot(w *fgss.Writer) {
 }
 
 // Restore reads back what Snapshot wrote. Existing outstanding misses
-// are recycled to the free list first (mirroring Reset), then the
-// snapshotted set is rebuilt through the normal allocation path. The
-// receiver must have the snapshotted line count (a mismatch stops
-// decoding).
+// are recycled to the free list first, then the snapshotted set is
+// rebuilt through the normal allocation path. The receiver must have the
+// snapshotted line count (a mismatch stops decoding).
 func (c *Cache) Restore(r *fgss.Reader) {
 	n := r.Int()
 	if n != len(c.lines) {

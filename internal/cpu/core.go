@@ -50,7 +50,7 @@ type Core struct {
 	cfg Config
 
 	trace TraceReader  //fglint:preserved the cursor is checkpointed by the system layer (trace section), which knows the concrete reader type
-	l1    *cache.Cache //fglint:preserved wiring only; the cache's own state is reset by Hierarchy.Reset and checkpointed by Hierarchy.Snapshot
+	l1    *cache.Cache //fglint:preserved wiring only, bound at construction; the cache's own state is checkpointed by Hierarchy.Snapshot
 
 	// Instruction window: a ring buffer of completion flags. done[i]
 	// marks the entry ready to retire. epoch[i] disambiguates reuse of a
@@ -136,38 +136,6 @@ func (c *Core) CompleteSlot(slot int) {
 		c.pendingFills--
 		c.extendAvail(slot)
 	}
-}
-
-// Reset rebinds the core to a new trace and retire target and clears all
-// execution state — window, epochs, pending record, progress, stall
-// counters — returning it to the state New would produce. The window
-// arrays are reused, so reuse across runs allocates nothing. cfg must
-// equal the configuration the core was built with: the window arrays are
-// sized by it. The caller must have discarded any scheduler events still
-// holding the old run's completion tokens.
-func (c *Core) Reset(cfg Config, trace TraceReader, targetInsts int64) error {
-	if cfg != c.cfg {
-		return fmt.Errorf("cpu: Reset config %+v does not match construction config %+v", cfg, c.cfg)
-	}
-	if trace == nil {
-		return fmt.Errorf("cpu: trace must be non-nil")
-	}
-	c.trace = trace
-	for i := range c.done {
-		c.done[i] = false
-		c.epoch[i] = 0
-		c.issueEp[i] = 0
-	}
-	c.head, c.tail, c.count = 0, 0, 0
-	c.pending = TraceRecord{}
-	c.hasPending = false
-	c.pendingFills = 0
-	c.avail = 0
-	c.Retired = 0
-	c.TargetInsts = targetInsts
-	c.FinishedAt = 0
-	c.LoadStalls, c.StoreStalls, c.WindowFull = 0, 0, 0
-	return nil
 }
 
 // Done reports whether the core has retired its target instruction count.

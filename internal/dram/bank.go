@@ -55,20 +55,6 @@ type Bank struct {
 	RowConflict int64 // column accesses requiring PRE of a different row
 }
 
-// NewBank returns a bank with all timing windows expired (commands may
-// issue at cycle 0).
-func NewBank(geo Geometry, slow, fast Timing, allFast bool) *Bank {
-	return &Bank{geo: geo, slow: slow, fast: fast, allFast: allFast, openRow: -1}
-}
-
-// Reset returns the bank to its freshly constructed state for the given
-// geometry and latency classes: precharged, all timing windows expired,
-// all counters zero. Banks hold no heap state, so reuse across runs is a
-// plain overwrite.
-func (b *Bank) Reset(geo Geometry, slow, fast Timing, allFast bool) {
-	*b = Bank{geo: geo, slow: slow, fast: fast, allFast: allFast, openRow: -1}
-}
-
 // timingFor returns the timing set that applies to a row. The pointer
 // avoids copying the ~200-byte Timing struct on every command; callers
 // only read it.

@@ -70,7 +70,9 @@ func NewChannelIn(a *arena.Arena, geo Geometry, slow Timing, fast Timing, allFas
 	c := &Channel{Geo: geo, Slow: slow, Fast: fast}
 	c.banks = arena.Slice[Bank](a, nBanks)
 	for i := range c.banks {
-		c.banks[i].Reset(geo, slow, fast, allFast)
+		// Precharged, with every timing window expired: commands may issue
+		// at cycle 0.
+		c.banks[i] = Bank{geo: geo, slow: slow, fast: fast, allFast: allFast, openRow: -1}
 	}
 	c.actTimes = make([][]int64, geo.Ranks)
 	c.lastACT = arena.Slice[int64](a, geo.Ranks)
@@ -82,45 +84,6 @@ func NewChannelIn(a *arena.Arena, geo Geometry, slow Timing, fast Timing, allFas
 		c.lastACT[r] = -int64(slow.RRDL)
 	}
 	return c, nil
-}
-
-// Reset returns the channel to its freshly constructed state for the
-// given geometry and latency layout, reusing every allocation (bank
-// objects, ACT histories, tCCD windows). The bank count implied by geo
-// must match the channel's existing shape — FastSubarrays may change
-// between runs (preset geometry differences), the rank/bank dimensions
-// may not.
-func (c *Channel) Reset(geo Geometry, allFast bool) error {
-	if err := geo.Validate(); err != nil {
-		return err
-	}
-	if geo.Ranks*geo.BanksPerRank() != len(c.banks) || geo.Ranks != len(c.nextREF) ||
-		geo.Ranks*geo.BankGroups != len(c.colReadyL) {
-		return fmt.Errorf("dram: Reset geometry shape (%d ranks, %d banks) does not match channel (%d ranks, %d banks)",
-			geo.Ranks, geo.Ranks*geo.BanksPerRank(), len(c.nextREF), len(c.banks))
-	}
-	c.Geo = geo
-	for i := range c.banks {
-		c.banks[i].Reset(geo, c.Slow, c.Fast, allFast)
-	}
-	for r := range c.nextREF {
-		c.nextREF[r] = int64(c.Slow.REFI)
-		c.lastACT[r] = -int64(c.Slow.RRDL)
-		c.refPending[r] = false
-		c.actTimes[r] = c.actTimes[r][:0]
-	}
-	c.colReadyS = 0
-	for i := range c.colReadyL {
-		c.colReadyL[i] = 0
-	}
-	c.lastColType = 0
-	c.lastColEnd = 0
-	c.Trace = c.Trace[:0]
-	c.TraceOn = false
-	c.NumREF = 0
-	c.RelocBusy = 0
-	c.NumPSMBlocks = 0
-	return nil
 }
 
 // Bank returns the bank at a location.

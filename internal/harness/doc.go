@@ -2,7 +2,7 @@
 // evaluation (Sections 7-9) and is the layer that turns one sim.System
 // run into an experiment matrix: it enumerates the required (preset,
 // workload) configurations per figure, executes them on a worker pool
-// with per-worker sim.System reuse, dedups and caches results by
+// (one newly built sim.System per run), dedups and caches results by
 // configuration fingerprint (internal/expcache, optionally persistent),
 // and renders the same rows and series the paper reports. cmd/figbench
 // drives it at full scale; bench_test.go drives scaled-down versions.

@@ -47,9 +47,7 @@ func DefaultScale() Scale {
 }
 
 // Runner executes simulation runs against a two-tier result cache
-// (internal/expcache) and reuses sim.Systems across jobs of the same
-// shape, so one experiment matrix pays construction and GC for a handful
-// of Systems instead of one per run.
+// (internal/expcache). Every computed run builds its own sim.System.
 type Runner struct {
 	scale Scale
 	cache *expcache.Cache
@@ -64,13 +62,8 @@ type Runner struct {
 	// denominator of the SimCyclesPerSecond throughput metric.
 	simCycles int64
 	simWall   time.Duration
-	// sysBuilt / sysReused count fresh sim.New constructions versus
-	// Reset-reuses across all workers (diagnostics for the reuse rate).
-	sysBuilt, sysReused int64
-	// pools holds idle System pools between runAll batches, so reuse
-	// extends across an experiment sequence (figbench all): a figure's
-	// workers inherit the Systems the previous figure's workers released.
-	pools []*systemPool
+	// sysBuilt counts sim.New constructions across all workers.
+	sysBuilt int64
 
 	// planning switches runAll into job enumeration: submitted
 	// configurations are recorded in plan (deduplicated via planSeen)
@@ -111,19 +104,16 @@ func (r *Runner) Scale() Scale { return r.scale }
 // CacheStats returns the result cache's traffic counters.
 func (r *Runner) CacheStats() expcache.Stats { return r.cache.Stats() }
 
-// SystemsBuilt returns how many sim.Systems were freshly constructed.
+// SystemsBuilt returns how many sim.Systems the runner constructed.
 func (r *Runner) SystemsBuilt() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.sysBuilt
 }
 
-// SystemsReused returns how many runs executed on a Reset-reused System.
-func (r *Runner) SystemsReused() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.sysReused
-}
+// SystemsReused returns 0: every run builds its own System. It stays only
+// because bench/figperf, which may not change, reports it.
+func (r *Runner) SystemsReused() int64 { return 0 }
 
 // results holds one batch's completed runs keyed by fingerprint; of is
 // the lookup the figure builders use (recomputing a configuration's
@@ -140,71 +130,10 @@ func (rs results) of(cfg sim.Config) sim.Result {
 	return res
 }
 
-// systemPool reuses sim.Systems across jobs of compatible shape. Each
-// worker checks out one pool for the duration of a batch, so reuse needs
-// no locking and a System is never shared between goroutines. A worker
-// runs one configuration at a time, so each shape holds at most one idle
-// System.
-type systemPool struct {
-	systems       map[string]*sim.System
-	built, reused int64
-}
-
-// checkoutPool hands a worker an idle pool (with the Systems a previous
-// batch's worker released) or a fresh one.
-func (r *Runner) checkoutPool() *systemPool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if n := len(r.pools); n > 0 {
-		p := r.pools[n-1]
-		r.pools[n-1] = nil
-		r.pools = r.pools[:n-1]
-		return p
-	}
-	return &systemPool{systems: make(map[string]*sim.System)}
-}
-
-// returnPool takes a pool back at the end of a batch, folding its
-// build/reuse counters into the runner's totals.
-func (r *Runner) returnPool(p *systemPool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.sysBuilt += p.built
-	r.sysReused += p.reused
-	p.built, p.reused = 0, 0
-	r.pools = append(r.pools, p)
-}
-
-// run executes one configuration, on a Reset-reused System when the pool
-// holds one of the right shape, freshly constructed otherwise.
-func (p *systemPool) run(cfg sim.Config) (sim.Result, error) {
-	key := cfg.ShapeKey()
-	if sys := p.systems[key]; sys != nil {
-		if err := sys.Reset(cfg); err == nil {
-			p.reused++
-			return sys.Run()
-		}
-		// A failed Reset leaves the System partially reinitialized; drop
-		// it and rebuild. (Shape mismatches cannot happen under ShapeKey
-		// keying; this covers config errors surfaced mid-Reset.)
-		delete(p.systems, key)
-	}
-	sys, err := sim.New(cfg)
-	if err != nil {
-		return sim.Result{}, err
-	}
-	p.built++
-	// A Run error (instruction target not reached within MaxCycles) does
-	// not poison the System: Reset reinitializes every piece of state, so
-	// the System stays pooled either way.
-	p.systems[key] = sys
-	return sys.Run()
-}
-
 // runAll executes the configurations (deduplicated by fingerprint and
 // served from the result cache where possible) and returns results by
-// fingerprint. Workers pull jobs from a shared index and each keep their
-// own System pool. When jobs fail, every failure is reported — one line
+// fingerprint. Workers pull jobs from a shared index and build a
+// System per job. When jobs fail, every failure is reported — one line
 // per run, in deterministic (sorted) order — so a large batch with
 // several broken configurations surfaces all of them at once instead of
 // hiding siblings behind the first error. Completed runs are cached even
@@ -258,14 +187,12 @@ func (r *Runner) runAll(cfgs []sim.Config) (results, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			pool := r.checkoutPool()
-			defer r.returnPool(pool)
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(todo) {
 					return
 				}
-				res, err := pool.run(todo[i])
+				res, err := r.run(todo[i])
 				if err != nil {
 					mu.Lock()
 					failures = append(failures, fmt.Errorf("%s: %w", todo[i].Describe(), err))
@@ -298,6 +225,18 @@ func (r *Runner) runAll(cfgs []sim.Config) (results, error) {
 			len(failures), len(todo), errors.Join(failures...))
 	}
 	return out, nil
+}
+
+// run executes one configuration on a newly built System.
+func (r *Runner) run(cfg sim.Config) (sim.Result, error) {
+	sys, err := sim.New(cfg)
+	if err != nil {
+		return sim.Result{}, err
+	}
+	r.mu.Lock()
+	r.sysBuilt++
+	r.mu.Unlock()
+	return sys.Run()
 }
 
 // SimCycles returns the total number of CPU cycles simulated by this

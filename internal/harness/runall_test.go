@@ -118,36 +118,38 @@ func TestRunAllDedupsJobs(t *testing.T) {
 	}
 }
 
-// TestRunAllReusesSystems verifies the solo reuse path end to end: a
-// single-worker batch of same-shape jobs constructs one System and
-// Reset-reuses it for every subsequent run, and the reused results are
-// identical to fresh ones.
-func TestRunAllReusesSystems(t *testing.T) {
-	r, _ := testRunner(t)
+// TestRunAllMatchesDirectRuns verifies the worker pool end to end: a
+// two-worker batch mixing 1-core and 8-core configurations of three
+// presets returns, for every job, exactly what building the System
+// directly and running it returns.
+func TestRunAllMatchesDirectRuns(t *testing.T) {
+	r := NewRunner(Scale{Insts: 2_000, Parallelism: 2})
 	var jobs []sim.Config
 	for _, p := range []sim.Preset{sim.Base, sim.FIGCacheFast, sim.LISAVilla} {
-		cfg := testConfig(t, "mcf")
-		cfg.Preset = p
-		jobs = append(jobs, cfg)
+		single := testConfig(t, "mcf")
+		single.Preset = p
+		eight := sim.DefaultConfig(p, workload.EightCoreMixes()[0])
+		eight.TargetInsts = 2_000
+		jobs = append(jobs, single, eight)
 	}
 	out, err := r.runAll(jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := r.SystemsBuilt(); got != 1 {
-		t.Errorf("built %d Systems for 3 same-shape jobs on 1 worker, want 1", got)
+	if got := r.SystemsBuilt(); got != int64(len(jobs)) {
+		t.Errorf("built %d Systems for %d jobs, want one per job", got, len(jobs))
 	}
-	if got := r.SystemsReused(); got != 2 {
-		t.Errorf("reused %d Systems, want 2", got)
-	}
-	// Each reused run must match a cold runner's result bit for bit.
 	for i, cfg := range jobs {
-		fresh, ferr := NewRunner(Scale{Insts: 2_000, Parallelism: 1}).runAll([]sim.Config{cfg})
-		if ferr != nil {
-			t.Fatal(ferr)
+		sys, err := sim.New(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(out.of(cfg), fresh.of(cfg)) {
-			t.Errorf("job %d (%s): reused-System result differs from cold run", i, cfg.Describe())
+		direct, err := sys.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(out.of(cfg), direct) {
+			t.Errorf("job %d (%s): runAll result differs from a direct run", i, cfg.Describe())
 		}
 	}
 }

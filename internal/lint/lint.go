@@ -1,6 +1,6 @@
 // Package lint assembles the fglint analyzer suite: the registry of AST
-// analyzers (maprange, nondeterm, resetcomplete, snapshotcomplete) plus
-// a convenience runner that loads module packages and applies them. The diff-aware
+// analyzers (maprange, nondeterm, snapshotcomplete) plus a convenience
+// runner that loads module packages and applies them. The diff-aware
 // versionguard check lives in its own package and is driven separately
 // (it inspects git history, not a package at a time); cmd/fglint wires
 // both together.
@@ -11,7 +11,6 @@ import (
 	"repro/internal/lint/load"
 	"repro/internal/lint/maprange"
 	"repro/internal/lint/nondeterm"
-	"repro/internal/lint/resetcomplete"
 	"repro/internal/lint/snapshotcomplete"
 )
 
@@ -20,7 +19,6 @@ func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		maprange.Analyzer,
 		nondeterm.Analyzer,
-		resetcomplete.Analyzer,
 		snapshotcomplete.Analyzer,
 	}
 }

@@ -15,8 +15,7 @@
 //     passed to clear/delete/copy, or used as the receiver of a
 //     pointer-receiver or interface method call — anywhere outside the
 //     type's constructors (New*/new*/init) and the methods reachable
-//     from its Snapshot, Restore, or Reset (Reset writes are lifecycle
-//     bookkeeping, not state a checkpoint must carry);
+//     from its Snapshot or Restore;
 //
 //   - handled: fields the Snapshot or Restore method (or a same-type
 //     method either calls, transitively) touches at all, plus every
@@ -29,9 +28,9 @@
 //
 //	//fglint:preserved <why omitting this field cannot desynchronize a restored run>
 //
-// Like resetcomplete, this is an AST-and-types approximation of the
-// SSA write set, conservative toward spurious "annotate this field"
-// reports rather than silently missed state.
+// This is an AST-and-types approximation of the SSA write set,
+// conservative toward spurious "annotate this field" reports rather than
+// silently missed state.
 package snapshotcomplete
 
 import (
@@ -56,15 +55,12 @@ type checked struct {
 	fields  map[string]*ast.Field // field name -> declaration
 	order   []string              // declaration order, for deterministic reports
 	methods map[string]*ast.FuncDecl
-	// capture holds the Snapshot and Restore declarations; reset (when
-	// declared) extends the exclusion set but not the handled set.
-	capture []*ast.FuncDecl
-	reset   *ast.FuncDecl
-	// captureReach is capture + same-type methods reachable from it
-	// (defines handled); excluded additionally contains reset-reachable
-	// methods (writes there are not simulation-time mutation).
+	// capture holds the Snapshot and Restore declarations; captureReach
+	// is capture + same-type methods reachable from it. It defines the
+	// handled set, and writes inside it are not simulation-time
+	// mutation.
+	capture      []*ast.FuncDecl
 	captureReach map[*ast.FuncDecl]bool
-	excluded     map[*ast.FuncDecl]bool
 	handled      map[string]bool
 	mutated      map[string]ast.Node // field -> one mutation site (diagnostics)
 }
@@ -76,11 +72,6 @@ func run(pass *analysis.Pass) error {
 	}
 	for _, t := range targets {
 		t.captureReach = reachable(pass, t, t.capture)
-		roots := t.capture
-		if t.reset != nil {
-			roots = append(append([]*ast.FuncDecl{}, roots...), t.reset)
-		}
-		t.excluded = reachable(pass, t, roots)
 		computeHandled(pass, t)
 	}
 	collectMutations(pass, targets)
@@ -136,11 +127,6 @@ func collectTargets(pass *analysis.Pass) []*checked {
 			continue
 		}
 		c.capture = []*ast.FuncDecl{snap, restore}
-		if r, ok := c.methods["Reset"]; ok {
-			c.reset = r
-		} else if r, ok := c.methods["reset"]; ok {
-			c.reset = r
-		}
 		fillFieldDecls(pass, c)
 		targets = append(targets, c)
 	}
@@ -246,8 +232,7 @@ func computeHandled(pass *analysis.Pass, c *checked) {
 
 // collectMutations walks every function body in the package and
 // attributes potential field writes to the checked types, excluding
-// each type's constructors and Snapshot/Restore/Reset-reachable
-// methods.
+// each type's constructors and Snapshot/Restore-reachable methods.
 func collectMutations(pass *analysis.Pass, targets []*checked) {
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
@@ -355,8 +340,8 @@ func attribute(pass *analysis.Pass, targets []*checked, fd *ast.FuncDecl, ctorLi
 					if t.named != named {
 						continue
 					}
-					if ctorLike || t.excluded[fd] {
-						continue // construction/lifecycle writes are not simulation state
+					if ctorLike || t.captureReach[fd] {
+						continue // construction and checkpoint writes are not simulation state
 					}
 					if _, ok := t.fields[e.Sel.Name]; ok {
 						if t.mutated[e.Sel.Name] == nil {

@@ -76,18 +76,16 @@ func (m *Meter) Bump()              { m.n++ }
 func (m *Meter) Snapshot(w *Writer) {}
 func (m *Meter) Restore(r *Reader)  {}
 
-// Resettable writes a field only in its Reset: lifecycle bookkeeping,
-// not simulation-time mutation, so the pair need not carry it. The
-// lowercase snapshot/restore spelling is accepted too.
-type Resettable struct {
-	n     int64
-	epoch int64
+// Lower spells the pair snapshot/restore, which is accepted too: its
+// forgotten field is reported like Engine's.
+type Lower struct {
+	n    int64
+	miss int64 // want `field miss of Lower is mutated during simulation`
 }
 
-func (t *Resettable) Step()              { t.n++ }
-func (t *Resettable) Reset()             { t.epoch++; t.n = 0 }
-func (t *Resettable) snapshot(w *Writer) { w.I64(t.n) }
-func (t *Resettable) restore(r *Reader)  { t.n = r.I64() }
+func (t *Lower) Step()              { t.n++; t.miss++ }
+func (t *Lower) snapshot(w *Writer) { w.I64(t.n) }
+func (t *Lower) restore(r *Reader)  { t.n = r.I64() }
 
 // HalfPair declares only Snapshot — not a checkpointable type, so its
 // unserialized mutation is not this check's concern.

@@ -107,8 +107,8 @@ func DefaultConfig() Config {
 type Controller struct {
 	ID      int
 	cfg     Config
-	channel *dram.Channel //fglint:preserved wiring only; System.Reset resets the channel itself
-	cache   CacheHook
+	channel *dram.Channel
+	cache   CacheHook //fglint:preserved wiring only, bound at construction; the system layer checkpoints the hook's state
 
 	readQ   *queue
 	writeQ  *queue
@@ -125,7 +125,7 @@ type Controller struct {
 	// the hook returns into a pooled object, and flushRelocs returns the
 	// objects after Commit, so steady-state relocation traffic allocates
 	// nothing.
-	//fglint:preserved recycled plans are fully overwritten before reuse and never carry state across runs
+	//fglint:preserved recycled plans are fully overwritten before reuse, so pooled storage carries no state
 	planPool []*RelocPlan
 	// relocBanks counts banks with pending relocation plans, so idle
 	// ticks skip the per-bank scan when there is no deferred work.
@@ -149,7 +149,7 @@ type Controller struct {
 	// must stop before the earliest completion it scheduled, because that
 	// event can feed the controller a new request at the same bus cycle.
 	// issueColumn clamps it as completions are scheduled.
-	//fglint:preserved transient TickSpan bound; always math.MaxInt64 between Tick calls, so neither a checkpoint nor a reused System can observe another value
+	//fglint:preserved transient TickSpan bound; always math.MaxInt64 between Tick calls, so a checkpoint cannot observe another value
 	spanHorizon int64
 
 	// Stats.
@@ -208,43 +208,6 @@ func NewControllerIn(a *arena.Arena, id int, cfg Config, ch *dram.Channel, cache
 
 // Channel exposes the underlying DRAM channel (stats, tests).
 func (c *Controller) Channel() *dram.Channel { return c.channel }
-
-// Reset returns the controller to its freshly constructed state over the
-// same channel, with a new configuration and cache hook, reusing every
-// allocation (queues, per-bank relocation/claim/last-column arrays, the
-// latency reservoir). Queued requests are dropped without Release: their
-// creator resets its own pool alongside this call. The caller must Reset
-// the channel itself separately.
-func (c *Controller) Reset(cfg Config, cache CacheHook) {
-	if cfg.LatSampleCap == 0 {
-		cfg.LatSampleCap = 2048
-	}
-	c.cfg = cfg
-	c.cache = cache
-	c.readQ.reset(cfg.ReadQueueDepth)
-	c.writeQ.reset(cfg.WriteQueueDepth)
-	c.writing = false
-	for i := range c.pendingRelocs {
-		plans := c.pendingRelocs[i]
-		for j, p := range plans {
-			c.planPool = append(c.planPool, p)
-			plans[j] = nil
-		}
-		c.pendingRelocs[i] = plans[:0]
-	}
-	c.relocBanks = 0
-	for i := range c.lastColumn {
-		c.lastColumn[i] = 0
-	}
-	c.lastTick = -1
-	c.spanHorizon = math.MaxInt64
-	c.NumReads, c.NumWrites = 0, 0
-	c.CacheHits, c.CacheMisses = 0, 0
-	c.ReadLatencySum, c.Inserted, c.QueueFullStalls = 0, 0, 0
-	c.MaxReadQ, c.MaxWriteQ = 0, 0
-	c.WritingCycles = 0
-	c.latSamples.Reset(cfg.LatSampleCap, uint64(c.ID)+1)
-}
 
 // AccountSkippedTail credits the write-drain diagnostic for no-op ticks
 // between the controller's last tick and the end of the run (bus cycle

@@ -9,25 +9,24 @@ import (
 
 // benchDrain fills the write queue with locs and ticks the controller
 // (driven densely, as a busy system's completion events would) until the
-// queue is empty, refilling b.N times.
+// queue is empty, b.N times, each on a freshly built channel and
+// controller. The fresh channel's first activates grow its per-rank tFAW
+// histories: those are the few allocations per op it reports.
 func benchDrain(b *testing.B, locs func(i int, geo dram.Geometry) dram.Location) {
 	geo := dram.Default()
 	slow := dram.DDR4()
-	ch, err := dram.NewChannel(geo, slow, slow.Fast(dram.PaperFastScale()), false)
-	if err != nil {
-		b.Fatal(err)
-	}
+	fast := slow.Fast(dram.PaperFastScale())
 	cfg := DefaultConfig()
-	c := NewController(0, cfg, ch, nil)
 	sched := func(at int64, tok ev.Token) {}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
 		b.StopTimer()
-		c.Reset(cfg, nil)
-		if err := ch.Reset(geo, false); err != nil {
+		ch, err := dram.NewChannel(geo, slow, fast, false)
+		if err != nil {
 			b.Fatal(err)
 		}
+		c := NewController(0, cfg, ch, nil)
 		reqs := make([]*Request, cfg.WriteQueueDepth)
 		for i := range reqs {
 			reqs[i] = &Request{IsWrite: true, Loc: locs(i, geo)}

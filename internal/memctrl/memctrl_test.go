@@ -465,7 +465,7 @@ func TestQueueHeadIndexInvariants(t *testing.T) {
 		}
 		check(step)
 	}
-	q.reset(64)
+	q.reset()
 	check(-1)
 	if q.count != 0 || len(q.occupied) != 0 || len(q.heads) != 0 {
 		t.Fatal("reset left queue state behind")

@@ -121,11 +121,10 @@ func (q *queue) push(r *Request) {
 	q.count++
 }
 
-// reset drops every queued request (releasing the pointers for GC) and
-// applies a new capacity, returning the queue to its constructed state.
-// Bucket storage is kept, so a Reset-reused controller schedules without
-// reallocating.
-func (q *queue) reset(capacity int) {
+// reset drops every queued request (releasing the pointers for GC),
+// returning the queue to its constructed state. Bucket storage is kept,
+// so restore refills the queue without reallocating.
+func (q *queue) reset() {
 	for i, b := range q.occupied {
 		bucket := q.byBank[b]
 		for j := range bucket {
@@ -139,7 +138,6 @@ func (q *queue) reset(capacity int) {
 	q.heads = q.heads[:0]
 	q.count = 0
 	q.seq = 0
-	q.cap = capacity
 }
 
 // remove deletes the i-th request of bankID's bucket, preserving arrival

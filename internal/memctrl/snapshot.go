@@ -92,7 +92,7 @@ func (q *queue) snapshot(w *fgss.Writer) {
 // index byte-for-byte because snapshot walked buckets in head-age
 // order.
 func (q *queue) restore(rd *fgss.Reader, ch *dram.Channel) {
-	q.reset(q.cap)
+	q.reset()
 	q.seq = rd.I64()
 	nOcc := rd.Int()
 	if nOcc < 0 || nOcc > len(q.byBank) {

@@ -8,7 +8,7 @@
 // cycle (800 MHz).
 //
 // The package is the repository's layer between the hardware models
-// below it and the experiment machinery above it. Four contracts define
+// below it and the experiment machinery above it. Three contracts define
 // that seam (ARCHITECTURE.md describes each in depth):
 //
 //   - Engine equivalence. System.Run normally uses a cycle-skipping,
@@ -24,11 +24,6 @@
 //     (internal/expcache), and cross-machine sharding all build on. Bump
 //     EngineVersion with any change that can alter what a run produces.
 //
-//   - System reuse. System.Reset retargets a built System to any
-//     same-shape configuration (Config.ShapeKey), reusing its long-lived
-//     allocations; a Reset-reused System must remain bit-identical to a
-//     freshly constructed one (also enforced by TestEngineEquivalence).
-//
 //   - Checkpoint/restore. System.Snapshot serializes the complete
 //     mid-run state of every layer into the versioned FGSS format
 //     (internal/fgss; header carries EngineVersion and the config
@@ -41,6 +36,9 @@
 //     instead — the pause/resume primitive for observers of a running
 //     System — under the same contract (the sliced cases).
 //
-// Run, RunSlice and RunUntilRetired are thin wrappers over one private
-// run loop that selects the engine once per call.
+// New is the only way to build a System's state: every run gets its own
+// System, and Restore overwrites a built one from a snapshot. Run,
+// RunSlice and RunUntilRetired are thin wrappers over one private run
+// loop that selects the engine once per call; on a finished System the
+// loop executes nothing, so Run reads the finished run's Result.
 package sim

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"bytes"
-	"errors"
 	"reflect"
 	"testing"
 
@@ -75,9 +74,9 @@ func TestEngineEquivalence(t *testing.T) {
 	)
 
 	// Recorded-trace replay must satisfy the same equivalence contract as
-	// the synthetic generator: dense, skipping, and Reset-reused runs all
-	// bit-identical. The trace is shorter than the run consumes, so the
-	// looping replay path is exercised too.
+	// the synthetic generator: dense, skipping, checkpointed and sliced
+	// runs all bit-identical. The trace is shorter than the run consumes,
+	// so the looping replay path is exercised too.
 	traceDir := t.TempDir()
 	tracePath := recordTrace(t, traceDir, "equiv.trc", "mcf", 1_500, 3)
 	for _, p := range []Preset{Base, FIGCacheFast} {
@@ -94,6 +93,12 @@ func TestEngineEquivalence(t *testing.T) {
 		workload.TraceSource(tracePath),
 	}}
 	cases = append(cases, tc{name: "Base/mixed-sources", cfg: DefaultConfig(Base, mixed), insts: 8_000})
+	// A non-default CPU/bus clock ratio: controller completions convert
+	// from bus to CPU cycles through CPUPerBus, and both engines must
+	// place every bus boundary identically.
+	halfBus := DefaultConfig(FIGCacheFast, smallMix(t, "mcf"))
+	halfBus.CPUPerBus = 2
+	cases = append(cases, tc{name: "FIGCache-Fast/cpu-per-bus-2", cfg: halfBus, insts: 20_000})
 
 	if !testing.Short() {
 		eight := DefaultConfig(Base, workload.EightCoreMixes()[0])
@@ -109,41 +114,6 @@ func TestEngineEquivalence(t *testing.T) {
 			skip := runWith(t, c.cfg, false)
 			if !reflect.DeepEqual(dense, skip) {
 				t.Errorf("engines diverge:\n dense: %+v\n  skip: %+v", dense, skip)
-			}
-
-			// Reset-reuse: a System that already ran a *different*
-			// configuration of the same shape and was Reset to this one
-			// must reproduce the fresh run bit for bit — the contract the
-			// harness's per-worker System pools rely on. The warm-up run
-			// deliberately differs in preset, seed, and target so every
-			// piece of state Reset clears was actually dirty.
-			warm := c.cfg
-			if warm.Preset == FIGCacheFast {
-				warm.Preset = LISAVilla
-			} else {
-				warm.Preset = FIGCacheFast
-			}
-			warm.Seed = c.cfg.Seed + 17
-			warm.TargetInsts = c.insts / 4
-			if warm.TargetInsts < 1_000 {
-				warm.TargetInsts = 1_000
-			}
-			sys, err := New(warm)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := sys.Run(); err != nil {
-				t.Fatal(err)
-			}
-			if err := sys.Reset(c.cfg); err != nil {
-				t.Fatal(err)
-			}
-			reused, err := sys.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(reused, skip) {
-				t.Errorf("Reset-reused System diverges from fresh run:\n fresh: %+v\nreused: %+v", skip, reused)
 			}
 
 			// Checkpoint-at-K: pausing a run mid-flight at RunUntilRetired,
@@ -201,7 +171,9 @@ func TestEngineEquivalence(t *testing.T) {
 				}
 				for !sliced.RunSlice(4096) {
 				}
-				if got := sliced.collect(); !reflect.DeepEqual(got, want) {
+				if got, err := sliced.Run(); err != nil {
+					t.Fatal(err)
+				} else if !reflect.DeepEqual(got, want) {
 					t.Errorf("dense=%v: RunSlice(4096) steps diverge from Run:\n want: %+v\n  got: %+v", dl, want, got)
 				}
 			}
@@ -209,75 +181,42 @@ func TestEngineEquivalence(t *testing.T) {
 	}
 }
 
-// TestResetShapeMismatch checks that Reset refuses to retarget a System
-// across a shape change (core or channel count) instead of corrupting it.
-func TestResetShapeMismatch(t *testing.T) {
-	cfg := DefaultConfig(Base, smallMix(t, "mcf"))
-	cfg.TargetInsts = 1_000
-	sys, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eight := DefaultConfig(Base, workload.EightCoreMixes()[0])
-	eight.TargetInsts = 1_000
-	if err := sys.Reset(eight); !errors.Is(err, ErrShapeMismatch) {
-		t.Errorf("Reset across 1-core -> 8-core returned %v, want ErrShapeMismatch", err)
-	}
-}
+// TestRunFinishedSystem checks that a finished System executes nothing
+// more: a second Run, and a Run after RunSlice reported completion, both
+// return exactly the one-shot Run's Result, on both engines.
+func TestRunFinishedSystem(t *testing.T) {
+	for _, dense := range []bool{true, false} {
+		cfg := DefaultConfig(FIGCacheFast, smallMix(t, "mcf"))
+		cfg.TargetInsts = 20_000
+		want := runWith(t, cfg, dense)
+		cfg.DenseLoop = dense
 
-// TestResetAcrossClockRatio retargets a System to a different CPU/bus
-// clock ratio: the bus-cycle conversion closure is rebound by Reset, so
-// the reused run must still match a fresh construction exactly.
-func TestResetAcrossClockRatio(t *testing.T) {
-	cfg := DefaultConfig(Base, smallMix(t, "mcf"))
-	cfg.TargetInsts = 10_000
-	sys, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.Run(); err != nil {
-		t.Fatal(err)
-	}
-	half := cfg
-	half.CPUPerBus = 2
-	fresh := runWith(t, half, false)
-	if err := sys.Reset(half); err != nil {
-		t.Fatal(err)
-	}
-	got, err := sys.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, fresh) {
-		t.Errorf("reused run at CPUPerBus=2 diverges from fresh run:\n fresh: %+v\nreused: %+v", fresh, got)
-	}
-}
-
-// TestResetRepeatedReuse drives one System through a chain of resets —
-// the steady state of a harness worker — and checks every run against a
-// fresh construction.
-func TestResetRepeatedReuse(t *testing.T) {
-	mix := smallMix(t, "mcf")
-	var sys *System
-	for i, p := range Presets() {
-		cfg := DefaultConfig(p, mix)
-		cfg.TargetInsts = 10_000
-		cfg.Seed = uint64(i + 1)
-		fresh := runWith(t, cfg, false)
-		if sys == nil {
-			var err error
-			if sys, err = New(cfg); err != nil {
-				t.Fatal(err)
-			}
-		} else if err := sys.Reset(cfg); err != nil {
-			t.Fatalf("%v: %v", p, err)
-		}
-		got, err := sys.Run()
+		twice, err := New(cfg)
 		if err != nil {
-			t.Fatalf("%v: %v", p, err)
+			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, fresh) {
-			t.Errorf("%v (reset #%d): reused result diverges:\n fresh: %+v\nreused: %+v", p, i, fresh, got)
+		for i := 1; i <= 2; i++ {
+			if got, err := twice.Run(); err != nil {
+				t.Fatal(err)
+			} else if !reflect.DeepEqual(got, want) {
+				t.Errorf("dense=%v: Run #%d diverges from a one-shot Run:\n want: %+v\n  got: %+v", dense, i, want, got)
+			}
+		}
+
+		sliced, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for !sliced.RunSlice(4096) {
+		}
+		clock := sliced.Clock()
+		if !sliced.RunSlice(4096) || sliced.Clock() != clock {
+			t.Errorf("dense=%v: RunSlice on a finished System moved the clock %d -> %d", dense, clock, sliced.Clock())
+		}
+		if got, err := sliced.Run(); err != nil {
+			t.Fatal(err)
+		} else if !reflect.DeepEqual(got, want) {
+			t.Errorf("dense=%v: Run after RunSlice completion diverges from a one-shot Run:\n want: %+v\n  got: %+v", dense, want, got)
 		}
 	}
 }

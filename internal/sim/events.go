@@ -42,9 +42,8 @@ type eventLane struct {
 }
 
 // newLane registers a new FIFO lane and returns its index. Lanes live for
-// the queue's lifetime (reset empties them but keeps them registered), so
-// the per-cache-level schedulers bound at System construction stay valid
-// across System.Reset.
+// the queue's lifetime, so the per-cache-level schedulers bound at System
+// construction stay valid for the whole run.
 func (q *eventQueue) newLane() int {
 	q.lanes = append(q.lanes, eventLane{})
 	return len(q.lanes) - 1
@@ -70,21 +69,6 @@ func (q *eventQueue) scheduleLane(lane int, at int64, tok ev.Token) {
 	if at < q.nextDue {
 		q.nextDue = at
 	}
-}
-
-// reset empties the queue — heap and lanes — while keeping all backing
-// storage and lane registrations.
-func (q *eventQueue) reset() {
-	clear(q.items)
-	q.items = q.items[:0]
-	q.seq = 0
-	for i := range q.lanes {
-		l := &q.lanes[i]
-		clear(l.items)
-		l.items = l.items[:0]
-		l.head = 0
-	}
-	q.nextDue = 0
 }
 
 func (q *eventQueue) less(i, j int) bool {
@@ -154,8 +138,8 @@ func (q *eventQueue) scanNext() (at int64, ok bool) {
 
 // nextAt returns the time of the earliest pending event. O(1) off the
 // nextDue cache and small enough to inline into the run loop, which
-// consults it every executed cycle; the cache's zero value (fresh or
-// reset queue, before the first fireDue) is ambiguous and takes the
+// consults it every executed cycle; the cache's zero value (a new or
+// restored queue, before the first fireDue) is ambiguous and takes the
 // out-of-line scan.
 func (q *eventQueue) nextAt() (at int64, ok bool) {
 	if q.nextDue == 0 {

@@ -78,17 +78,6 @@ func (c Config) Fingerprint() Fingerprint {
 	return fp
 }
 
-// ShapeKey identifies the structural shape a System is built with — the
-// dimensions that size its long-lived allocations (channel count and core
-// count; the hierarchy, controller queues, and bank arrays follow from
-// them). Reset can retarget a System to any configuration of the same
-// shape; the harness's per-worker pools key reusable Systems by it.
-func (c Config) ShapeKey() string {
-	norm := c
-	_ = norm.normalize()
-	return fmt.Sprintf("%dch-%dcore", norm.Channels, len(norm.Mix.Apps))
-}
-
 // Describe returns a short human-readable run identity for error messages
 // and logs (not a cache key; Fingerprint is the identity).
 func (c Config) Describe() string {

@@ -101,21 +101,3 @@ func TestFingerprintFIGByValue(t *testing.T) {
 		t.Error("equal FIG overrides behind distinct pointers fingerprint differently")
 	}
 }
-
-func TestShapeKey(t *testing.T) {
-	single := fpConfig(t)
-	if got := single.ShapeKey(); got != "1ch-1core" {
-		t.Errorf("single-core shape = %q", got)
-	}
-	eight := DefaultConfig(Base, workload.EightCoreMixes()[0])
-	if got := eight.ShapeKey(); got != "4ch-8core" {
-		t.Errorf("eight-core shape = %q", got)
-	}
-	// Presets of the same mix share a shape: that is what makes the
-	// harness pools reuse one System across a whole preset sweep.
-	other := single
-	other.Preset = LLDRAM
-	if single.ShapeKey() != other.ShapeKey() {
-		t.Error("presets of one mix have different shapes")
-	}
-}

@@ -190,7 +190,7 @@ func (s *System) Snapshot(out io.Writer) error {
 }
 
 // Restore replaces the System's mutable state with a snapshot written
-// by Snapshot. The receiver must be built (or Reset) for the same
+// by Snapshot. The receiver must be built by New for the same
 // configuration: the FGSS header refuses a mismatched EngineVersion or
 // config fingerprint, and with both pinned every structural dimension
 // below — core count, window sizes, hierarchy shape, bank counts, hook

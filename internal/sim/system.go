@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/arena"
@@ -42,24 +41,23 @@ type System struct {
 	coreBatch []int64
 	// wake is the tournament tree over ctrlWake (its leaves alias that
 	// slice): min/min-except/due-enumeration for the run loop without a
-	// per-iteration scan. Derived state — Reset and Restore rebuild it
-	// from the leaf values.
+	// per-iteration scan. Derived state — Restore rebuilds it from the
+	// leaf values.
 	wake busWake
 	// dueIDs is per-call scratch for the due-controller enumeration.
 	//fglint:preserved scratch; truncated and refilled by every advanceBus call before use
 	dueIDs []int32
 
 	// latencyLanes maps a fixed cache-level latency to its FIFO lane
-	// scheduler (see LevelScheduler); lanes are bound once at construction
-	// and survive Reset.
-	//fglint:preserved lane bindings are config-determined; eventQueue.reset clears the lanes' state
+	// scheduler (see LevelScheduler); lanes are bound once at construction.
+	//fglint:preserved lane bindings are config-determined; the event queue's snapshot carries the lanes' contents
 	latencyLanes map[int64]*laneScheduler
 
 	// arena backs every pointer-free array the System is built from —
 	// cache line arrays, DRAM bank state, controller per-bank registers,
 	// core window rings — so construction is a handful of chunk
 	// allocations instead of one per array. Filled only during
-	// construction; Reset reuses the carved slices in place.
+	// construction.
 	arena *arena.Arena
 }
 
@@ -119,27 +117,20 @@ func New(cfg Config) (*System, error) {
 	for _, ctrl := range s.ctrls {
 		ctrl.Release = s.adapter.release
 	}
-	s.bindBusSched()
+	cpb := cfg.CPUPerBus
+	s.busSched = func(at int64, tok ev.Token) {
+		s.events.schedule(at*cpb, tok)
+	}
 	hier, err := cache.NewHierarchy(hcfg, s.adapter, s)
 	if err != nil {
 		return nil, err
 	}
 	s.hier = hier
 
-	if err := s.initCores(true); err != nil {
+	if err := s.initCores(); err != nil {
 		return nil, err
 	}
 	return s, nil
-}
-
-// bindBusSched (re)binds the bus-to-CPU clock conversion closure for the
-// current configuration's CPUPerBus ratio. Bound per New/Reset rather
-// than per tick, so the hot path never evaluates a fresh closure.
-func (s *System) bindBusSched() {
-	cpb := s.cfg.CPUPerBus
-	s.busSched = func(at int64, tok ev.Token) {
-		s.events.schedule(at*cpb, tok)
-	}
 }
 
 // Dispatch implements ev.Dispatcher: execute one event token. This is
@@ -156,17 +147,16 @@ func (s *System) Dispatch(t ev.Token, now int64) {
 	}
 }
 
-// initCores builds (fresh) or retargets (reuse) the per-core trace
-// readers and cores for s.cfg. Cores get equal disjoint address windows
+// initCores builds the per-core trace readers and cores for s.cfg. Cores get equal disjoint address windows
 // (or one shared window for multithreaded workloads). Each workload
 // source resolves into a cpu.TraceReader through workload.Source.Open:
 // synthetic specs scatter their footprint across the whole window
 // (mimicking OS page placement across banks and subarrays), recorded
 // traces replay their stream rebased into the window. Trace files are
 // read here — compute time — not during planning or fingerprinting of
-// the synthetic parts; Reset reopens sources, which rewinds replayers
-// bit-identically (the loaded trace bytes are cached and immutable).
-func (s *System) initCores(fresh bool) error {
+// the synthetic parts (the loaded trace bytes are cached and immutable,
+// so every System replaying a file opens the same stream).
+func (s *System) initCores() error {
 	cfg := s.cfg
 	geo := cfg.geometry()
 	span := uint64(s.mapper.TotalBytes())
@@ -203,83 +193,13 @@ func (s *System) initCores(fresh bool) error {
 		if err != nil {
 			return err
 		}
-		if fresh {
-			c, err := cpu.NewIn(s.arena, i, cfg.coreConfig(), gen, s.hier.L1s[i], cfg.TargetInsts)
-			if err != nil {
-				return err
-			}
-			s.cores = append(s.cores, c)
-		} else if err := s.cores[i].Reset(cfg.coreConfig(), gen, cfg.TargetInsts); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ErrShapeMismatch reports that Reset was asked to retarget a System to a
-// configuration whose structural shape (channel count or core count, see
-// Config.ShapeKey) differs from the one the System was built with. The
-// caller should construct a fresh System instead.
-var ErrShapeMismatch = errors.New("sim: Reset config shape differs from the System's")
-
-// Reset retargets the System to a new configuration of the same shape,
-// reusing every expensive allocation a fresh construction would redo:
-// cache line arrays, the event queue and its FIFO lanes, pooled
-// memctrl.Requests and MSHRs, DRAM bank objects, controller queues and
-// per-bank arrays, and the core window rings. After a successful Reset
-// the System is observationally identical to sim.New(cfg) — enforced
-// bit-for-bit by TestEngineEquivalence's reuse cases. On error the System
-// must be discarded (state may be partially reinitialized).
-//
-// The in-DRAM cache hooks are rebuilt rather than reset: their tag-store
-// state is configuration-dependent and tiny next to the arrays above.
-func (s *System) Reset(cfg Config) error {
-	if err := cfg.normalize(); err != nil {
-		return err
-	}
-	if cfg.Channels != s.cfg.Channels || len(cfg.Mix.Apps) != len(s.cfg.Mix.Apps) {
-		return fmt.Errorf("%w: have %s, want %s", ErrShapeMismatch, s.cfg.ShapeKey(), cfg.ShapeKey())
-	}
-	geo := cfg.geometry()
-	allFast := cfg.Preset == LLDRAM
-
-	mapper, err := memctrl.NewAddrMapper(geo, cfg.Channels)
-	if err != nil {
-		return err
-	}
-	s.mapper = mapper
-
-	for ch, channel := range s.channels {
-		if err := channel.Reset(geo, allFast); err != nil {
-			return err
-		}
-		hook, err := cfg.buildHook(geo)
+		c, err := cpu.NewIn(s.arena, i, cfg.coreConfig(), gen, s.hier.L1s[i], cfg.TargetInsts)
 		if err != nil {
 			return err
 		}
-		mcCfg := memctrl.DefaultConfig()
-		mcCfg.ImmediateReloc = cfg.ImmediateReloc
-		s.hooks[ch] = hook
-		s.ctrls[ch].Reset(mcCfg, hook)
+		s.cores = append(s.cores, c)
 	}
-	s.adapter.reset()
-	s.hier.Reset()
-
-	s.cfg = cfg
-	s.clock = 0
-	s.bindBusSched() // the closure captures CPUPerBus, which may change
-	s.events.reset()
-	// The wake/batch scratch slices keep their length (same controller and
-	// core counts); a zero wake forces a tick at the first bus boundary,
-	// exactly like first construction.
-	for i := range s.ctrlWake {
-		s.ctrlWake[i] = 0
-	}
-	s.wake.rebuild() // re-derive the tournament tree from the zeroed leaves
-	for i := range s.coreBatch {
-		s.coreBatch[i] = 0
-	}
-	return s.initCores(false)
+	return nil
 }
 
 // LevelScheduler implements cache.LevelSchedulerFactory: cache levels get
@@ -353,7 +273,7 @@ func (s *System) Hooks() []memctrl.CacheHook { return s.hooks }
 // decodes addresses, buffers requests that do not fit in the controller
 // queues, and converts completion times between clock domains.
 type memAdapter struct {
-	sys     *System //fglint:preserved back-pointer; the System resets itself (and this adapter)
+	sys     *System
 	pending []pendingReq
 	blocked []bool // per-channel head-of-line marker, reused across drains
 	// enqueued[ch] reports whether the latest drain handed channel ch a
@@ -364,29 +284,12 @@ type memAdapter struct {
 	// (Controller.Release points here), so the steady-state access path
 	// allocates nothing: the pool grows to the peak number of in-flight
 	// requests and is reused from then on.
-	//fglint:preserved recycled Requests are fully overwritten by alloc before reuse
 	free []*memctrl.Request
 }
 
 type pendingReq struct {
 	channel int
 	req     *memctrl.Request
-}
-
-// reset drops buffered requests and clears the per-channel markers while
-// keeping the request pool: the steady-state peak of one run seeds the
-// next run's pool. Requests still sitting in controller queues are
-// abandoned (the controllers drop them on their own Reset); the pool
-// simply regrows to its working set if needed.
-func (m *memAdapter) reset() {
-	for i := range m.pending {
-		m.pending[i] = pendingReq{}
-	}
-	m.pending = m.pending[:0]
-	for i := range m.blocked {
-		m.blocked[i] = false
-		m.enqueued[i] = false
-	}
 }
 
 // Request implements cache.Backend.
@@ -413,8 +316,8 @@ func (m *memAdapter) alloc() *memctrl.Request {
 }
 
 // release implements memctrl.Controller.Release: the request has been
-// fully served (its completion callback scheduled), so it can be reset
-// and reused by the next access.
+// fully served (its completion callback scheduled), so it is zeroed and
+// reused by the next access.
 func (m *memAdapter) release(r *memctrl.Request) {
 	*r = memctrl.Request{}
 	m.free = append(m.free, r)
@@ -475,9 +378,9 @@ func (s *System) Run() (Result, error) {
 // pausing either engine at a cycle boundary and resuming it replays
 // exactly the dense loop's per-cycle effects — the same contract
 // RunUntilRetired's checkpoint stop-point relies on, pinned by
-// TestEngineEquivalence (sliced and checkpoint cases). A System that
-// reported true is finished: a further Run or RunSlice executes one more
-// cycle.
+// TestEngineEquivalence (sliced and checkpoint cases). A finished System
+// executes nothing more: once RunSlice reports true, Run returns the
+// run's Result, and a further RunSlice reports true again.
 func (s *System) RunSlice(cycles int64) bool {
 	return s.run(min(s.clock+cycles, s.cfg.MaxCycles), 0) == nil || s.clock >= s.cfg.MaxCycles
 }
@@ -507,13 +410,22 @@ func (s *System) RunUntilRetired(target int64) { s.run(s.cfg.MaxCycles, target) 
 // done, the clock reaches maxCycles (exclusive), or — when stopRetired is
 // positive — the total retired instruction count reaches stopRetired. It
 // returns the first core still short of its target, or nil once every
-// core has finished.
+// core has finished; a System whose cores have all finished executes no
+// further cycle.
 func (s *System) run(maxCycles, stopRetired int64) *cpu.Core {
+	if s.unfinished() == nil {
+		return nil
+	}
 	if s.cfg.DenseLoop {
 		s.runDense(maxCycles, stopRetired)
 	} else {
 		s.runSkipping(maxCycles, stopRetired)
 	}
+	return s.unfinished()
+}
+
+// unfinished returns the first core still short of its target, or nil.
+func (s *System) unfinished() *cpu.Core {
 	for _, c := range s.cores {
 		if !c.Done() {
 			return c

@@ -8,7 +8,7 @@ import "math"
 // cost O(1) and O(answer) instead of a scan over every controller. The
 // leaves alias the System's ctrlWake slice (the snapshot format carries
 // the leaf values; the internal nodes are derived and rebuilt on
-// Reset/Restore). Ties break toward the lower controller ID, matching
+// Restore). Ties break toward the lower controller ID, matching
 // the dense loop's ID-order tick sequence.
 //
 // The tree is sized to the next power of two above the leaf count;
@@ -57,7 +57,7 @@ func (w *busWake) child(c int) int32 {
 }
 
 // rebuild derives every internal node from the current leaf values.
-// Called after bulk leaf rewrites (Reset zeroing, snapshot restore).
+// Called by init, which Restore uses after rewriting the leaves in bulk.
 func (w *busWake) rebuild() {
 	for k := w.size - 1; k >= 1; k-- {
 		l, r := w.child(2*k), w.child(2*k+1)

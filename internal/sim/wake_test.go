@@ -155,7 +155,7 @@ func TestBusWakeTree(t *testing.T) {
 }
 
 // TestBusWakeRebuild checks init-over-existing-state: bulk leaf
-// rewrites followed by rebuild (the Reset/Restore path) must yield the
+// rewrites followed by rebuild (the Restore path) must yield the
 // same answers as incremental sets.
 func TestBusWakeRebuild(t *testing.T) {
 	wake := []int64{40, 10, 30, 20, 50}

@@ -4,7 +4,7 @@ import "repro/internal/fgss"
 
 // Snapshot appends the reservoir's mutable state — observation count,
 // current sample set, and generator state — to the open section. The
-// capacity is configuration and comes back through Reset, not the
+// capacity is configuration and comes back through NewReservoir, not the
 // snapshot.
 func (r *Reservoir) Snapshot(w *fgss.Writer) {
 	w.I64(r.seen)

@@ -159,37 +159,13 @@ func NewReservoir(capacity int, seed uint64) *Reservoir {
 		capacity = 1
 	}
 	r := &Reservoir{cap: capacity, items: make([]int64, 0, capacity)}
-	r.seed(seed)
-	return r
-}
-
-// seed (re)initializes the deterministic generator.
-func (r *Reservoir) seed(seed uint64) {
 	r.rng = seed*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d
 	// Zero is xorshift's fixed point: the one seed whose mix wraps to 0
 	// would freeze the generator and degenerate sampling to slot 0.
 	if r.rng == 0 {
 		r.rng = 0x9e3779b97f4a7c15
 	}
-}
-
-// Reset empties the reservoir, applies a new capacity, and re-seeds it,
-// reusing the sample storage where it suffices. A reset reservoir fed
-// the same stream holds the same samples as NewReservoir(capacity, seed)
-// would.
-func (r *Reservoir) Reset(capacity int, seed uint64) {
-	if capacity <= 0 {
-		capacity = 1
-	}
-	if capacity != r.cap {
-		r.cap = capacity
-		if cap(r.items) < capacity {
-			r.items = make([]int64, 0, capacity)
-		}
-	}
-	r.seen = 0
-	r.items = r.items[:0]
-	r.seed(seed)
+	return r
 }
 
 // Add offers one observation to the reservoir.

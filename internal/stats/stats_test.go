@@ -155,30 +155,6 @@ func TestReservoirBoundedAndDeterministic(t *testing.T) {
 	}
 }
 
-// TestReservoirResetMatchesFresh checks the reuse contract: a Reset
-// reservoir fed a stream holds exactly what NewReservoir with the same
-// capacity and seed would — including when Reset changes the capacity.
-func TestReservoirResetMatchesFresh(t *testing.T) {
-	used := NewReservoir(64, 7)
-	for i := int64(0); i < 10_000; i++ {
-		used.Add(i)
-	}
-	for _, capacity := range []int{64, 16, 256} {
-		used.Reset(capacity, 9)
-		fresh := NewReservoir(capacity, 9)
-		for i := int64(0); i < 10_000; i++ {
-			used.Add(i + 5)
-			fresh.Add(i + 5)
-		}
-		if !reflect.DeepEqual(used.Samples(), fresh.Samples()) {
-			t.Errorf("cap %d: reset reservoir diverges from a fresh one", capacity)
-		}
-		if used.Count() != fresh.Count() {
-			t.Errorf("cap %d: Count %d != fresh %d", capacity, used.Count(), fresh.Count())
-		}
-	}
-}
-
 // TestReservoirRoughlyUniform checks that late observations keep being
 // admitted (Algorithm R's defining property) rather than the reservoir
 // freezing on the first capacity-full prefix.

@@ -296,8 +296,8 @@ func parseTrace(raw []byte) (*TraceData, error) {
 // Replayer replays a loaded trace into cpu.TraceRecords, looping back to
 // the first record when the file is exhausted — recorded traces are
 // finite but cores consume an endless stream. Replay is deterministic:
-// the same TraceData, base and span always produce the same stream, and
-// a fresh Replayer (e.g. after sim.System.Reset) rewinds bit-identically.
+// the same TraceData, base and span always produce the same stream, so
+// every System built over one trace replays it bit-identically.
 //
 // Addresses are rebased into [base, base+span): recorded addresses are
 // window-relative (validated against the recorded span at load) and are
