@@ -74,7 +74,14 @@ func NewChannelIn(a *arena.Arena, geo Geometry, slow Timing, fast Timing, allFas
 		// at cycle 0.
 		c.banks[i] = Bank{geo: geo, slow: slow, fast: fast, allFast: allFast, openRow: -1}
 	}
+	// Each rank's tFAW history is carved at its full length, capped so
+	// an append can never cross into the next rank's window: the first
+	// activates of a fresh channel allocate nothing.
 	c.actTimes = make([][]int64, geo.Ranks)
+	hist := arena.Slice[int64](a, geo.Ranks*actHistory)
+	for r := range c.actTimes {
+		c.actTimes[r] = hist[r*actHistory : r*actHistory : (r+1)*actHistory]
+	}
 	c.lastACT = arena.Slice[int64](a, geo.Ranks)
 	c.nextREF = arena.Slice[int64](a, geo.Ranks)
 	c.refPending = arena.Slice[bool](a, geo.Ranks)
@@ -227,14 +234,18 @@ func (c *Channel) rankACTReady(rank int, now int64) int64 {
 	return at
 }
 
+// actHistory is how many recent ACT issue cycles each rank keeps for the
+// tFAW window.
+const actHistory = 8
+
 func (c *Channel) noteACT(rank int, at int64) {
 	c.lastACT[rank] = at
-	// Keep the last 8 ACT times, sliding in place so the history stops
-	// allocating once it reaches capacity.
+	// Keep the last actHistory ACT times, sliding in place within the
+	// capacity NewChannelIn carved.
 	hist := c.actTimes[rank]
-	if len(hist) >= 8 {
-		copy(hist, hist[len(hist)-7:])
-		hist = hist[:7]
+	if len(hist) >= actHistory {
+		copy(hist, hist[len(hist)-(actHistory-1):])
+		hist = hist[:actHistory-1]
 	}
 	c.actTimes[rank] = append(hist, at)
 }

@@ -208,6 +208,47 @@ func TestRankRRDAndFAW(t *testing.T) {
 	}
 }
 
+// TestFreshChannelActivatesAllocateNothing pins that a fresh channel's
+// first activates allocate nothing: each rank's tFAW history is carved
+// at construction. Sixteen ACT/PRE pairs are twice the history's length,
+// so the history also fills and slides.
+func TestFreshChannelActivatesAllocateNothing(t *testing.T) {
+	const runs = 5
+	chans := make([]*Channel, runs+1) // AllocsPerRun adds a warm-up run
+	for i := range chans {
+		chans[i] = testChannel(t, 0, false)
+	}
+	next := 0
+	failed := false
+	allocs := testing.AllocsPerRun(runs, func() {
+		ch := chans[next]
+		next++
+		now := int64(0)
+		for i := 0; i < 16; i++ {
+			loc := Location{Group: i % 4, Bank: i / 4 % 4, Row: 1 + i}
+			act := Command{Type: CmdACT, Loc: loc}
+			at, actOK := ch.CanIssue(&act, now)
+			ch.Issue(&act, at)
+			pre := Command{Type: CmdPRE, Loc: loc}
+			at, preOK := ch.CanIssue(&pre, at)
+			ch.Issue(&pre, at)
+			now = at
+			failed = failed || !actOK || !preOK
+		}
+	})
+	if failed {
+		t.Fatal("an ACT or PRE was structurally refused")
+	}
+	if allocs != 0 {
+		t.Errorf("a fresh channel's first 16 ACT/PRE pairs allocated %.1f times, want 0", allocs)
+	}
+	for _, ch := range chans {
+		if h := ch.actTimes[0]; len(h) != actHistory || cap(h) != actHistory {
+			t.Fatalf("ACT history len %d cap %d, want both %d", len(h), cap(h), actHistory)
+		}
+	}
+}
+
 func TestDataBusSerializesColumnBursts(t *testing.T) {
 	ch := testChannel(t, 0, false)
 	tm := ch.Slow

@@ -2,6 +2,7 @@ package memctrl
 
 import (
 	"math"
+	"math/bits"
 
 	"repro/internal/arena"
 	"repro/internal/dram"
@@ -127,9 +128,11 @@ type Controller struct {
 	// nothing.
 	//fglint:preserved recycled plans are fully overwritten before reuse, so pooled storage carries no state
 	planPool []*RelocPlan
-	// relocBanks counts banks with pending relocation plans, so idle
-	// ticks skip the per-bank scan when there is no deferred work.
-	relocBanks int
+	// relocMask has bit i set while bank i holds pending relocation
+	// plans, so an idle tick visits only the banks with deferred work
+	// instead of scanning every bank. Derived from pendingRelocs: Restore
+	// rebuilds it.
+	relocMask []uint64
 	// lastColumn records each bank's last column-access cycle (indexed by
 	// dense bank ID); the idle flush waits IdleFlushAfter cycles beyond
 	// it, so relocations do not close a row in the middle of a spatial
@@ -196,6 +199,7 @@ func NewControllerIn(a *arena.Arena, id int, cfg Config, ch *dram.Channel, cache
 		readQ:         newQueueIn(a, cfg.ReadQueueDepth, ch.NumBanks()),
 		writeQ:        newQueueIn(a, cfg.WriteQueueDepth, ch.NumBanks()),
 		pendingRelocs: make([][]*RelocPlan, ch.NumBanks()),
+		relocMask:     arena.Slice[uint64](a, (ch.NumBanks()+63)/64),
 		lastColumn:    arena.Slice[int64](a, ch.NumBanks()),
 		cands:         make([]colCand, 0, ch.NumBanks()),
 		lastTick:      -1,
@@ -417,7 +421,7 @@ func (c *Controller) flushRelocs(bankID int, now int64, rowOpen bool) bool {
 	// Keep the backing array: the bank will accumulate plans again, and
 	// regrowing the slice every flush is a steady-state allocation.
 	c.pendingRelocs[bankID] = plans[:0]
-	c.relocBanks--
+	c.relocMask[bankID>>6] &^= 1 << (bankID & 63)
 	var cost int64
 	blocks, hops := 0, 0
 	isLISA, channelWide := false, false
@@ -482,28 +486,28 @@ func (c *Controller) relocFlushReady(bankID int, now int64) int64 {
 
 // flushIdleRelocs spends an otherwise idle tick performing deferred
 // relocation work on a bank that no queued request needs right now and
-// that has been quiet for at least IdleFlushAfter cycles. Banks are
-// visited in ascending ID order so that runs are deterministic when
-// several banks are eligible on the same tick. When nothing is flushed,
-// nextAt is the earliest bus cycle a flush could happen (math.MaxInt64
-// if no work is pending), so the caller gets the next-work probe from
-// the same single scan.
+// that has been quiet for at least IdleFlushAfter cycles. The banks with
+// pending work (relocMask's set bits) are visited in ascending ID order
+// so that runs are deterministic when several banks are eligible on the
+// same tick. When nothing is flushed, nextAt is the earliest bus cycle a
+// flush could happen (math.MaxInt64 if no work is pending), so the
+// caller gets the next-work probe from the same single walk.
 func (c *Controller) flushIdleRelocs(now int64) (flushed bool, nextAt int64) {
 	nextAt = math.MaxInt64
-	if c.relocBanks == 0 {
-		return false, nextAt
-	}
-	for bankID := range c.pendingRelocs {
-		ready := c.relocFlushReady(bankID, now)
-		if ready > now {
-			if ready < nextAt {
-				nextAt = ready
+	for w, word := range c.relocMask {
+		for ; word != 0; word &= word - 1 {
+			bankID := w<<6 | bits.TrailingZeros64(word)
+			ready := c.relocFlushReady(bankID, now)
+			if ready > now {
+				if ready < nextAt {
+					nextAt = ready
+				}
+				continue
 			}
-			continue
+			row, _ := c.channel.Bank(c.pendingRelocs[bankID][0].Loc).Open()
+			c.flushRelocs(bankID, now, row != -1)
+			return true, now + 1
 		}
-		row, _ := c.channel.Bank(c.pendingRelocs[bankID][0].Loc).Open()
-		c.flushRelocs(bankID, now, row != -1)
-		return true, now + 1
 	}
 	return false, nextAt
 }
@@ -703,9 +707,7 @@ func (c *Controller) issueColumn(q *queue, i int, r *Request, now int64, schedul
 			p := c.takePlan()
 			*p = *plan
 			id := p.Loc.BankID(c.channel.Geo)
-			if len(c.pendingRelocs[id]) == 0 {
-				c.relocBanks++
-			}
+			c.relocMask[id>>6] |= 1 << (id & 63)
 			c.pendingRelocs[id] = append(c.pendingRelocs[id], p)
 			c.Inserted++
 			if c.cfg.ImmediateReloc {

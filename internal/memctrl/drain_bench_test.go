@@ -10,8 +10,9 @@ import (
 // benchDrain fills the write queue with locs and ticks the controller
 // (driven densely, as a busy system's completion events would) until the
 // queue is empty, b.N times, each on a freshly built channel and
-// controller. The fresh channel's first activates grow its per-rank tFAW
-// histories: those are the few allocations per op it reports.
+// controller. Construction is untimed, and the drain itself allocates
+// nothing: the fresh channel's per-rank tFAW histories are carved at
+// construction, so its first activates do not grow them.
 func benchDrain(b *testing.B, locs func(i int, geo dram.Geometry) dram.Location) {
 	geo := dram.Default()
 	slow := dram.DDR4()

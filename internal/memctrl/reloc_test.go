@@ -1,10 +1,14 @@
 package memctrl
 
 import (
+	"bytes"
+	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/dram"
 	"repro/internal/ev"
+	"repro/internal/fgss"
 )
 
 // planCache is a CacheHook whose Commit installs the planned segment,
@@ -185,5 +189,138 @@ func TestRelocPlanAccountingInStats(t *testing.T) {
 	}
 	if c.Inserted != 1 {
 		t.Errorf("Inserted = %d, want 1", c.Inserted)
+	}
+}
+
+// bruteIdleFlush is the reference flushIdleRelocs without the mask: the
+// scan over every bank in ascending ID order. It returns the bank that
+// scan flushes (-1 for none), the next-work probe it reports, and how
+// many banks were ready to flush.
+func bruteIdleFlush(c *Controller, now int64) (bank int, nextAt int64, ready int) {
+	bank, nextAt = -1, math.MaxInt64
+	for id := range c.pendingRelocs {
+		at := c.relocFlushReady(id, now)
+		switch {
+		case at > now:
+			if bank < 0 {
+				nextAt = min(nextAt, at)
+			}
+		case bank < 0:
+			bank, nextAt = id, now+1
+			ready++
+		default:
+			ready++
+		}
+	}
+	return bank, nextAt, ready
+}
+
+// checkRelocMask fails unless relocMask's set bits are exactly the banks
+// holding pending plans.
+func checkRelocMask(t *testing.T, c *Controller, when string, now int64) {
+	t.Helper()
+	for id, plans := range c.pendingRelocs {
+		if bit := c.relocMask[id>>6]>>(id&63)&1 == 1; bit != (len(plans) > 0) {
+			t.Fatalf("cycle %d, %s: bank %d mask bit %v with %d pending plans", now, when, id, bit, len(plans))
+		}
+	}
+}
+
+// restoreController snapshots c and its channel and restores both into a
+// fresh channel and controller over the same hook.
+func restoreController(t *testing.T, c *Controller) *Controller {
+	t.Helper()
+	var buf bytes.Buffer
+	w := fgss.NewWriter(&buf, 1, [32]byte{})
+	w.Begin(1)
+	c.channel.Snapshot(w)
+	c.Snapshot(w)
+	w.End()
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	ch, err := dram.NewChannel(c.channel.Geo, c.channel.Slow, c.channel.Fast, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := NewController(c.ID, c.cfg, ch, c.cache)
+	r, err := fgss.NewReader(&buf, 1, [32]byte{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Section(1)
+	ch.Restore(r)
+	d.Restore(r)
+	r.EndSection()
+	if err := r.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// TestRelocMaskTracksPendingBanks alternates busy and quiet phases. In a
+// busy phase, reads spread over every bank arrive and the controller
+// ticks every cycle, so deferred relocations pile up on several banks.
+// In a quiet phase, the idle flush is probed every 50 cycles, so several
+// banks are often ready at once and the flush order matters. relocMask
+// must mark exactly the banks with pending plans after every step and
+// after each Snapshot/Restore round trip (the run then continues on the
+// restored controller), and every idle flush must pick the bank and
+// report the probe that the scan over every bank does.
+func TestRelocMaskTracksPendingBanks(t *testing.T) {
+	pc := newPlanCache(40)
+	c := newTestController(t, pc).Controller
+	geo := c.channel.Geo
+	rng := rand.New(rand.NewSource(1))
+	sched := func(int64, ev.Token) {}
+	before := make([]int, len(c.pendingRelocs))
+	flushes, multiReady := 0, 0
+	for now := int64(0); now < 30_000; now++ {
+		if now%3000 == 2999 {
+			c = restoreController(t, c)
+			checkRelocMask(t, c, "after Restore", now)
+		}
+		if now%1000 < 500 {
+			if now%1000 < 400 && rng.Intn(4) == 0 && c.CanAccept(false) {
+				c.Enqueue(&Request{Loc: dram.Location{
+					Group: rng.Intn(geo.BankGroups), Bank: rng.Intn(geo.BanksPerGroup),
+					Row: 1 + rng.Intn(64), Block: rng.Intn(geo.BlocksPerRow()),
+				}}, now)
+			}
+			c.Tick(now, sched)
+			checkRelocMask(t, c, "after Tick", now)
+			continue
+		}
+		if now%50 != 0 {
+			continue
+		}
+		for id, plans := range c.pendingRelocs {
+			before[id] = len(plans)
+		}
+		wantBank, wantNext, ready := bruteIdleFlush(c, now)
+		flushed, next := c.flushIdleRelocs(now)
+		gotBank := -1
+		for id, plans := range c.pendingRelocs {
+			if before[id] > 0 && len(plans) == 0 {
+				gotBank = id
+			}
+		}
+		if flushed != (wantBank >= 0) || gotBank != wantBank || next != wantNext {
+			t.Fatalf("cycle %d: flushIdleRelocs flushed %v (bank %d), probe %d; the scan flushes bank %d, probe %d",
+				now, flushed, gotBank, next, wantBank, wantNext)
+		}
+		if flushed {
+			flushes++
+		}
+		if ready > 1 {
+			multiReady++
+		}
+		checkRelocMask(t, c, "after idle flush", now)
+	}
+	if flushes == 0 || multiReady == 0 {
+		t.Errorf("vacuous run: %d idle flushes, %d with several banks ready", flushes, multiReady)
 	}
 }

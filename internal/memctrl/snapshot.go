@@ -180,7 +180,7 @@ func (c *Controller) Snapshot(w *fgss.Writer) {
 }
 
 // Restore reads back what Snapshot wrote, recomputing the derived
-// relocation-work bank count. Queued requests are rebuilt as fresh
+// mask of banks with relocation work. Queued requests are rebuilt as fresh
 // objects; the creator's pooling resumes as they are served and
 // released. The receiver must be built over a channel with the
 // snapshotted bank count (a mismatch stops decoding).
@@ -191,7 +191,7 @@ func (c *Controller) Restore(r *fgss.Reader) {
 	if r.Int() != len(c.pendingRelocs) {
 		return
 	}
-	c.relocBanks = 0
+	clear(c.relocMask)
 	for i := range c.pendingRelocs {
 		c.pendingRelocs[i] = nil
 		n := r.Int()
@@ -199,7 +199,7 @@ func (c *Controller) Restore(r *fgss.Reader) {
 			c.pendingRelocs[i] = append(c.pendingRelocs[i], restorePlan(r))
 		}
 		if len(c.pendingRelocs[i]) > 0 {
-			c.relocBanks++
+			c.relocMask[i>>6] |= 1 << (i & 63)
 		}
 	}
 	if r.Int() != len(c.lastColumn) {

@@ -6,6 +6,36 @@ import (
 	"repro/internal/workload"
 )
 
+// allocGate warms a System built for preset and mix over warmup cycles,
+// fails the benchmark if a further 50k-cycle span allocates at all, and
+// then reports the steady state's speed. The instruction target is
+// unreachable within the driven spans: a gate measures the steady state,
+// not a completed run.
+func allocGate(b *testing.B, preset Preset, mix workload.Mix, warmup int64, what string) {
+	cfg := DefaultConfig(preset, mix)
+	cfg.TargetInsts = 1 << 40
+	cfg.MaxCycles = 1 << 62
+	s, err := New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s.run(warmup, 0)
+
+	allocs := testing.AllocsPerRun(5, func() {
+		s.run(s.clock+50_000, 0)
+	})
+	b.ReportMetric(allocs, "allocs/op")
+	if allocs > 0 {
+		b.Fatalf("steady-state %s allocated %.1f times per 50k-cycle span, want 0", what, allocs)
+	}
+
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.run(s.clock+50_000, 0)
+	}
+	b.ReportMetric(float64(50_000*b.N)/b.Elapsed().Seconds(), "sim-cycles/s")
+}
+
 // BenchmarkAccessPathAllocs drives the steady-state memory access path —
 // core issue, L1/L2/LLC lookups and fills, pooled MSHRs, the adapter's
 // pooled memctrl.Request objects, controller scheduling, DRAM timing,
@@ -15,34 +45,7 @@ import (
 // path must be allocation-free, so full-Scale runs no longer spend time
 // in the allocator or grow with run length.
 func BenchmarkAccessPathAllocs(b *testing.B) {
-	spec, err := workload.ByName("mcf")
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := DefaultConfig(Base, workload.Mix{Name: "mcf", Apps: workload.Sources(spec)})
-	// The target is unreachable within the driven spans: the benchmark
-	// measures the steady state, not a completed run.
-	cfg.TargetInsts = 1 << 40
-	cfg.MaxCycles = 1 << 62
-	s, err := New(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	s.run(400_000, 0) // warm pools, queues, and the event heap
-
-	allocs := testing.AllocsPerRun(5, func() {
-		s.run(s.clock+50_000, 0)
-	})
-	b.ReportMetric(allocs, "allocs/op")
-	if allocs > 0 {
-		b.Fatalf("steady-state access path allocated %.1f times per 50k-cycle span, want 0", allocs)
-	}
-
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.run(s.clock+50_000, 0)
-	}
-	b.ReportMetric(float64(50_000*b.N)/b.Elapsed().Seconds(), "sim-cycles/s")
+	allocGate(b, Base, smallMix(b, "mcf"), 400_000, "access path")
 }
 
 // BenchmarkAccessPathAllocsReloc drives the access path with an active
@@ -53,35 +56,19 @@ func BenchmarkAccessPathAllocs(b *testing.B) {
 // the per-bank pending-plan slices whose backing arrays survive each
 // flush. Relocation traffic is continuous for mcf under FIGCache-Fast,
 // so a single allocation per insertion would show up immediately.
+// Relocation state (hook maps, plan pool, pending-plan slices) takes
+// longer to reach steady capacity than the pools alone.
 func BenchmarkAccessPathAllocsReloc(b *testing.B) {
-	spec, err := workload.ByName("mcf")
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := DefaultConfig(FIGCacheFast, workload.Mix{Name: "mcf", Apps: workload.Sources(spec)})
-	// The target is unreachable within the driven spans: the benchmark
-	// measures the steady state, not a completed run.
-	cfg.TargetInsts = 1 << 40
-	cfg.MaxCycles = 1 << 62
-	s, err := New(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Relocation state (hook maps, plan pool, pending-plan slices) takes
-	// longer to reach steady capacity than the pools alone.
-	s.run(1_200_000, 0)
+	allocGate(b, FIGCacheFast, smallMix(b, "mcf"), 1_200_000, "relocation path")
+}
 
-	allocs := testing.AllocsPerRun(5, func() {
-		s.run(s.clock+50_000, 0)
-	})
-	b.ReportMetric(allocs, "allocs/op")
-	if allocs > 0 {
-		b.Fatalf("steady-state relocation path allocated %.1f times per 50k-cycle span, want 0", allocs)
-	}
-
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.run(s.clock+50_000, 0)
-	}
-	b.ReportMetric(float64(50_000*b.N)/b.Elapsed().Seconds(), "sim-cycles/s")
+// BenchmarkAccessPathAllocs8Core drives eight memory-intensive cores
+// (mix-100-0) under FIGCache-Fast over four channels: the shared LLC,
+// four controllers behind the wake tree, and cores parking on and
+// unparking from fills, on top of everything the single-core gates
+// cover. Like the relocation gate it warms up for 1.2M cycles: until
+// then the event lanes, the MSHR free lists and the plan pool still
+// reach new high-water marks.
+func BenchmarkAccessPathAllocs8Core(b *testing.B) {
+	allocGate(b, FIGCacheFast, intensiveMix(b), 1_200_000, "8-core path")
 }

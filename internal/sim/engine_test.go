@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/fgss"
 	"repro/internal/workload"
 )
 
@@ -35,6 +36,18 @@ func warmMix(t *testing.T) workload.Mix {
 	spec.HotSegments = 2560
 	spec.HotFraction = 0.95
 	return workload.Mix{Name: "warm", Apps: workload.Sources(spec)}
+}
+
+// intensiveMix returns mix-100-0, the first eight-core mix whose cores
+// are all memory-intensive: with eight L1s contending for four channels,
+// cores spend long spans fully blocked, where the skip engine parks them.
+func intensiveMix(tb testing.TB) workload.Mix {
+	tb.Helper()
+	mixes := workload.MixesByCategory(workload.EightCoreMixes(), 100)
+	if len(mixes) == 0 {
+		tb.Fatal("no 100%-intensive eight-core mix")
+	}
+	return mixes[0]
 }
 
 // TestEngineEquivalence is the golden determinism test for the
@@ -100,6 +113,9 @@ func TestEngineEquivalence(t *testing.T) {
 	halfBus.CPUPerBus = 2
 	cases = append(cases, tc{name: "FIGCache-Fast/cpu-per-bus-2", cfg: halfBus, insts: 20_000})
 
+	// Eight relocating cores over four channels: cores park and unpark
+	// on fills while relocations run underneath. Short enough for -short.
+	cases = append(cases, tc{name: "FIGCache-Fast/8core", cfg: DefaultConfig(FIGCacheFast, intensiveMix(t)), insts: 5_000})
 	if !testing.Short() {
 		eight := DefaultConfig(Base, workload.EightCoreMixes()[0])
 		cases = append(cases, tc{name: "Base/8core", cfg: eight, insts: 5_000})
@@ -223,8 +239,10 @@ func TestRunFinishedSystem(t *testing.T) {
 
 // TestEngineStallCounters checks that the diagnostic stall statistics —
 // which are not part of sim.Result — also match between engines: the
-// cycle-skipping loop credits skipped stall cycles via
-// cpu.Core.AccountSkipped / cache.Cache.AccountRefused.
+// cycle-skipping loop credits the ticks it skipped for a parked core via
+// cpu.Core.AccountSkipped / cache.Cache.AccountRefused when the core
+// unparks or the run pauses. The sliced case pauses every 4096 cycles,
+// so parked cores are settled mid-run and resume from settled counters.
 func TestEngineStallCounters(t *testing.T) {
 	// writeHeavy streams stores through an LLC-evicting footprint so the
 	// controllers actually enter write-drain mode; without it the
@@ -239,19 +257,40 @@ func TestEngineStallCounters(t *testing.T) {
 		spec.HotFraction = 0
 		return workload.Mix{Name: "writeheavy", Apps: workload.Sources(spec)}
 	}
+	// noBubbles is mix-100-0 with every core issuing only memory
+	// accesses: the most stall-bound eight-core run, and one in which no
+	// core ever batches.
+	noBubbles := func() workload.Mix {
+		mix := intensiveMix(t)
+		mix.Apps = append([]workload.Source(nil), mix.Apps...)
+		for i := range mix.Apps {
+			mix.Apps[i].Synth.Bubbles = 0
+		}
+		return mix
+	}
 	cases := []struct {
-		name         string
-		mix          workload.Mix
-		insts        int64
+		name   string
+		preset Preset
+		mix    workload.Mix
+		insts  int64
+		sliced bool // drive the skip engine in RunSlice(4096) steps
+		// exactState marks a run in which no core ever batches, so the
+		// window-ring slot positions — which the closed-form batch does
+		// not pin, and which load completion tokens name — agree between
+		// engines, and the whole cache hierarchy state must match too.
+		exactState   bool
 		wantDraining bool
 	}{
-		{name: "mcf", mix: smallMix(t, "mcf"), insts: 20_000},
-		{name: "writeheavy", mix: writeHeavy(), insts: 60_000, wantDraining: true},
+		{name: "mcf", preset: Base, mix: smallMix(t, "mcf"), insts: 20_000},
+		{name: "writeheavy", preset: Base, mix: writeHeavy(), insts: 60_000, exactState: true, wantDraining: true},
+		{name: "FIGCache-Fast/8core", preset: FIGCacheFast, mix: intensiveMix(t), insts: 5_000},
+		{name: "FIGCache-Fast/8core/sliced", preset: FIGCacheFast, mix: intensiveMix(t), insts: 5_000, sliced: true},
+		{name: "FIGCache-Fast/8core/no-bubbles", preset: FIGCacheFast, mix: noBubbles(), insts: 5_000, exactState: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			run := func(dense bool) *System {
-				cfg := DefaultConfig(Base, tc.mix)
+				cfg := DefaultConfig(tc.preset, tc.mix)
 				cfg.TargetInsts = tc.insts
 				cfg.Seed = 2
 				cfg.DenseLoop = dense
@@ -259,12 +298,17 @@ func TestEngineStallCounters(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				if tc.sliced && !dense {
+					for !s.RunSlice(4096) {
+					}
+				}
 				if _, err := s.Run(); err != nil {
 					t.Fatal(err)
 				}
 				return s
 			}
 			d, k := run(true), run(false)
+			var stalls int64
 			for i := range d.Cores() {
 				dc, kc := d.Cores()[i], k.Cores()[i]
 				if dc.LoadStalls != kc.LoadStalls || dc.StoreStalls != kc.StoreStalls ||
@@ -273,6 +317,10 @@ func TestEngineStallCounters(t *testing.T) {
 						i, dc.LoadStalls, dc.StoreStalls, dc.WindowFull,
 						kc.LoadStalls, kc.StoreStalls, kc.WindowFull)
 				}
+				stalls += dc.LoadStalls + dc.StoreStalls + dc.WindowFull
+			}
+			if stalls == 0 {
+				t.Error("no core ever stalled; comparison is vacuous")
 			}
 			for i := range d.Hierarchy().L1s {
 				dl, kl := d.Hierarchy().L1s[i], k.Hierarchy().L1s[i]
@@ -280,6 +328,12 @@ func TestEngineStallCounters(t *testing.T) {
 					t.Errorf("L1.%d counters diverge: dense (stalls=%d r=%d w=%d), skip (stalls=%d r=%d w=%d)",
 						i, dl.MSHRFullStalls, dl.ReadAcc, dl.WriteAcc, kl.MSHRFullStalls, kl.ReadAcc, kl.WriteAcc)
 				}
+			}
+			// LRU stamps included: a parked core's skipped retries must
+			// advance its L1's clock before the fill that unparks it
+			// stamps the filled line, as they do in the dense loop.
+			if tc.exactState && !bytes.Equal(hierarchyState(t, d), hierarchyState(t, k)) {
+				t.Error("cache hierarchy state diverges between engines")
 			}
 			var writing int64
 			for i := range d.Controllers() {
@@ -295,6 +349,20 @@ func TestEngineStallCounters(t *testing.T) {
 			}
 		})
 	}
+}
+
+// hierarchyState returns the FGSS encoding of s's cache hierarchy.
+func hierarchyState(t *testing.T, s *System) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w := fgss.NewWriter(&buf, uint32(EngineVersion), [32]byte{})
+	w.Begin(snapSecCaches)
+	s.hier.Snapshot(w)
+	w.End()
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // TestEngineDeterministicRerun checks that the same seed yields a

@@ -9,11 +9,11 @@ import (
 )
 
 // smallMix returns a quick single-core workload for unit tests.
-func smallMix(t *testing.T, name string) workload.Mix {
-	t.Helper()
+func smallMix(tb testing.TB, name string) workload.Mix {
+	tb.Helper()
 	spec, err := workload.ByName(name)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return workload.Mix{Name: name, Apps: workload.Sources(spec), IntensivePercent: 100}
 }

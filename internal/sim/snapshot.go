@@ -212,7 +212,6 @@ func (s *System) Restore(in io.Reader) error {
 	} else if nw == len(s.ctrls) {
 		if s.ctrlWake == nil {
 			s.ctrlWake = make([]int64, len(s.ctrls))
-			s.coreBatch = make([]int64, len(s.cores))
 		}
 		for i := range s.ctrlWake {
 			s.ctrlWake[i] = r.I64()
@@ -222,6 +221,11 @@ func (s *System) Restore(in io.Reader) error {
 	// freshly allocated) leaf slice and rebuild the internal nodes.
 	if s.ctrlWake != nil {
 		s.wake.init(s.ctrlWake)
+	}
+	// Every run settles its parked cores on exit, so a snapshot is taken
+	// with none parked; the restored cores start running.
+	for i := range s.parkedAt {
+		s.parkedAt[i] = -1
 	}
 	r.EndSection()
 

@@ -33,12 +33,18 @@ type System struct {
 	// ctrlWake[i] is the next-work bus cycle controller i reported at its
 	// most recent tick; zero forces a tick at the first bus boundary.
 	// Owned by runSkipping, kept on the System so resumed engine runs
-	// (RunSlice, RunUntilRetired) neither reallocate it nor
-	// re-tick idle controllers. coreBatch[i] carries core i's batchable
-	// span from the wake scan to the jump application within one
-	// iteration, so the closed form is sized exactly once per cycle.
-	ctrlWake  []int64
-	coreBatch []int64
+	// (RunSlice, RunUntilRetired) neither reallocate it nor re-tick idle
+	// controllers.
+	ctrlWake []int64
+	// parkedAt[i] is the cycle at whose wake scan runSkipping found core
+	// i fully blocked and stopped ticking it, or -1 while the core runs.
+	// Dispatch unparks a core on the only two events that can unblock it
+	// (see unpark); every exit of runSkipping settles the rest, so
+	// outside the run loop every entry is -1.
+	parkedAt []int64
+	// l1Core maps a hierarchy node ID to the core whose L1 it is, or -1
+	// for a shared level: an MSHRFill for a parked core's L1 unparks it.
+	l1Core []int32
 	// wake is the tournament tree over ctrlWake (its leaves alias that
 	// slice): min/min-except/due-enumeration for the run loop without a
 	// per-iteration scan. Derived state — Restore rebuilds it from the
@@ -130,6 +136,17 @@ func New(cfg Config) (*System, error) {
 	if err := s.initCores(); err != nil {
 		return nil, err
 	}
+	s.parkedAt = arena.Slice[int64](s.arena, len(s.cores))
+	for i := range s.parkedAt {
+		s.parkedAt[i] = -1
+	}
+	s.l1Core = arena.Slice[int32](s.arena, len(hier.Nodes()))
+	for i := range s.l1Core {
+		s.l1Core[i] = -1
+	}
+	for i, l1 := range hier.L1s {
+		s.l1Core[l1.NodeID()] = int32(i)
+	}
 	return s, nil
 }
 
@@ -139,11 +156,30 @@ func New(cfg Config) (*System, error) {
 func (s *System) Dispatch(t ev.Token, now int64) {
 	switch t.Kind {
 	case ev.CoreSlot:
+		s.unpark(int(t.ID))
 		s.cores[t.ID].CompleteSlot(int(t.Arg))
 	case ev.MSHRStart:
 		s.hier.Node(t.ID).StartFetch(t.Arg)
 	case ev.MSHRFill:
+		if c := s.l1Core[t.ID]; c >= 0 {
+			s.unpark(int(c))
+		}
 		s.hier.Node(t.ID).Fill(t.Arg)
+	}
+}
+
+// unpark resumes a core the skip engine parked, crediting the stall
+// ticks the dense loop would have executed for it: one per cycle after
+// the parking cycle up to the current one, exclusive — the current
+// cycle's tick still runs. The credit lands before the unblocking
+// event's handler, because the dense loop's refused retries advanced the
+// L1's clock, from which Cache.Fill stamps LRU. It reads s.clock rather
+// than a dispatch time, because Cache.Fill dispatches its waiters with
+// now = 0.
+func (s *System) unpark(i int) {
+	if at := s.parkedAt[i]; at >= 0 {
+		s.parkedAt[i] = -1
+		s.cores[i].AccountSkipped(s.clock - 1 - at)
 	}
 }
 
@@ -490,6 +526,13 @@ func (s *System) runDense(maxCycles, stopRetired int64) {
 // cycles whose dense effect cpu.Core.Advance replays arithmetically, so
 // jumping over them is bit-identical.
 //
+// A core the wake scan finds fully blocked is parked: it is neither
+// ticked nor scanned again until Dispatch delivers one of the two events
+// that can unblock it — a CoreSlot completion for it, or an MSHRFill for
+// its L1 — and unpark credits the stall ticks it missed. Every exit
+// settles the cores still parked, so RunSlice, RunUntilRetired and
+// Snapshot see the dense loop's counters.
+//
 // A positive stopRetired pauses the loop once the total retired count
 // reaches it; the executed cycle (or applied jump) completes in full
 // first, so a checkpoint may land a few batched cycles past the
@@ -499,7 +542,6 @@ func (s *System) runSkipping(maxCycles, stopRetired int64) {
 	cpb := s.cfg.CPUPerBus
 	if s.ctrlWake == nil {
 		s.ctrlWake = make([]int64, len(s.ctrls))
-		s.coreBatch = make([]int64, len(s.cores))
 	}
 	if s.wake.wake == nil {
 		s.wake.init(s.ctrlWake)
@@ -510,8 +552,10 @@ func (s *System) runSkipping(maxCycles, stopRetired int64) {
 			s.busTick(s.clock / cpb)
 		}
 		allDone := true
-		for _, c := range s.cores {
-			c.Tick(s.clock)
+		for i, c := range s.cores {
+			if s.parkedAt[i] < 0 {
+				c.Tick(s.clock)
+			}
 			if !c.Done() {
 				allDone = false
 			}
@@ -527,17 +571,19 @@ func (s *System) runSkipping(maxCycles, stopRetired int64) {
 
 		next := maxCycles
 		for i, c := range s.cores {
-			w := c.NextWake(s.clock)
-			batch := int64(0)
-			if w == s.clock+1 {
-				// The core is runnable: it must execute its next cycle
-				// normally unless the cycle after the current one starts a
-				// closed-form bubble run, in which case its next full Tick
-				// is only due after the batch.
-				batch = c.BatchableCycles()
-				w += batch
+			if s.parkedAt[i] >= 0 {
+				continue
 			}
-			s.coreBatch[i] = batch
+			w := c.NextWake(s.clock)
+			if w == maxInt64 {
+				s.parkedAt[i] = s.clock
+				continue
+			}
+			// The core is runnable: it must execute its next cycle
+			// normally unless the cycle after the current one starts a
+			// closed-form bubble run, in which case its next full Tick is
+			// only due after the batch.
+			w += c.BatchableCycles()
 			if w < next {
 				next = w
 				if next <= s.clock+1 {
@@ -590,21 +636,18 @@ func (s *System) runSkipping(maxCycles, stopRetired int64) {
 			next = s.clock + 1
 		}
 		// A jump of more than one cycle only happens when every core is
-		// blocked (credit the stall counters for the skipped ticks) or
-		// executing a bubble run the closed form replays. A batching core
-		// can cross its instruction target mid-jump — the batch cap puts
-		// that crossing on the jump's last cycle — so the loop must stop
-		// exactly where the dense loop would have.
-		// skipped > 0 implies the wake scan above ran to completion (an
-		// early break pins next to clock+1), so coreBatch is valid for
-		// every core: positive for batching cores, zero for blocked ones.
+		// parked (credited when it unparks) or executing a bubble run the
+		// closed form replays. skipped > 0 implies the wake scan above ran
+		// to completion (an early break pins next to clock+1), so every
+		// core still running has a batch covering the whole jump. A
+		// batching core can cross its instruction target mid-jump — the
+		// batch cap puts that crossing on the jump's last cycle — so the
+		// loop must stop exactly where the dense loop would have.
 		if skipped := next - s.clock - 1; skipped > 0 {
 			allDone := true
 			for i, c := range s.cores {
-				if s.coreBatch[i] > 0 {
+				if s.parkedAt[i] < 0 {
 					c.AdvanceBatch(s.clock, skipped)
-				} else {
-					c.AccountSkipped(skipped)
 				}
 				if !c.Done() {
 					allDone = false
@@ -621,9 +664,13 @@ func (s *System) runSkipping(maxCycles, stopRetired int64) {
 		}
 		s.clock = next
 	}
-	// Settle write-drain credit for controller ticks skipped at the very
-	// end of the run: the dense loop ticks every bus boundary up to the
-	// last executed cycle (s.clock-1 on both exit paths).
+	// Settle the stall and write-drain credit for ticks skipped at the
+	// very end of the run: the dense loop ticks every core each cycle and
+	// every controller each bus boundary up to the last executed cycle
+	// (s.clock-1 on every exit path).
+	for i := range s.parkedAt {
+		s.unpark(i)
+	}
 	lastBus := (s.clock - 1) / cpb
 	for _, ctrl := range s.ctrls {
 		ctrl.AccountSkippedTail(lastBus)

@@ -194,11 +194,10 @@ func TestNextBusWork(t *testing.T) {
 	if len(s.ctrls) != 4 {
 		t.Fatalf("got %d controllers, want 4", len(s.ctrls))
 	}
-	// The wake slices are lazily built on the first engine step; this
-	// test drives the bookkeeping directly, so build them here the same
-	// way runSkipping does.
+	// The wake slice is lazily built on the first engine step; this test
+	// drives the bookkeeping directly, so build it here the same way
+	// runSkipping does.
 	s.ctrlWake = make([]int64, len(s.ctrls))
-	s.coreBatch = make([]int64, len(s.cores))
 	s.wake.init(s.ctrlWake)
 
 	// All idle: nextBusWork reports "never" without overflowing the
