@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "fmt"
 
 // segKey uniquely identifies a row segment within one bank: the source
 // row and the segment index within that row. It is the "tag (original
@@ -45,11 +42,6 @@ type FTS struct {
 	// the allocation-free steady state.
 	reserved  []bool
 	nReserved int
-	// free has bit i set while slot i is invalid and unreserved — the
-	// slots FreeSlot may hand out — so a full tag store answers FreeSlot
-	// from a few zero words instead of a scan over every entry. Derived
-	// from entries and reserved: Restore rebuilds it.
-	free []uint64
 
 	// rowIndex, when attached via SetRowIndex, maintains per-row benefit
 	// sums and dirty bitvectors incrementally (the Dirty-Block-Index
@@ -69,26 +61,14 @@ func NewFTS(slots, segsPerRow, benefitBits int) (*FTS, error) {
 	if benefitBits <= 0 || benefitBits > 8 {
 		return nil, fmt.Errorf("core: benefitBits must be in [1,8], got %d", benefitBits)
 	}
-	f := &FTS{
+	return &FTS{
 		entries:    make([]ftsEntry, slots),
 		index:      make(map[segKey]int, slots),
 		segsPerRow: segsPerRow,
 		benefitMax: uint8(1<<benefitBits - 1),
 		reserved:   make([]bool, slots),
-		free:       make([]uint64, (slots+63)/64),
-	}
-	// Every slot starts free.
-	for i := range f.free {
-		f.free[i] = ^uint64(0)
-	}
-	if tail := slots % 64; tail != 0 {
-		f.free[len(f.free)-1] = 1<<tail - 1
-	}
-	return f, nil
+	}, nil
 }
-
-func (f *FTS) setFree(slot int)   { f.free[slot>>6] |= 1 << (slot & 63) }
-func (f *FTS) clearFree(slot int) { f.free[slot>>6] &^= 1 << (slot & 63) }
 
 // Slots returns the number of cache slots the FTS tracks.
 func (f *FTS) Slots() int { return len(f.entries) }
@@ -132,14 +112,14 @@ func (f *FTS) Contains(row, seg int) bool {
 	return ok
 }
 
-// FreeSlot returns the lowest invalid, unreserved slot index, or
-// (0, false) if the cache is full. Taking the lowest such slot makes
-// consecutive insertions pack into the same cache row (the co-location
-// Section 5.1 relies on).
+// FreeSlot returns an invalid, unreserved slot index, or (0, false) if
+// the cache is full. Slots are scanned in order, so consecutive
+// insertions pack into the same cache row (the co-location Section 5.1
+// relies on).
 func (f *FTS) FreeSlot() (int, bool) {
-	for w, word := range f.free {
-		if word != 0 {
-			return w<<6 | bits.TrailingZeros64(word), true
+	for i, e := range f.entries {
+		if !e.valid && !f.reserved[i] {
+			return i, true
 		}
 	}
 	return 0, false
@@ -151,7 +131,6 @@ func (f *FTS) Reserve(slot int) {
 	if !f.reserved[slot] {
 		f.reserved[slot] = true
 		f.nReserved++
-		f.clearFree(slot)
 	}
 }
 
@@ -160,9 +139,6 @@ func (f *FTS) Unreserve(slot int) {
 	if f.reserved[slot] {
 		f.reserved[slot] = false
 		f.nReserved--
-		if !f.entries[slot].valid {
-			f.setFree(slot)
-		}
 	}
 }
 
@@ -190,7 +166,6 @@ func (f *FTS) Install(slot, row, seg int, dirty bool) {
 	key := makeSegKey(row, seg)
 	*e = ftsEntry{key: key, valid: true, dirty: dirty, benefit: 0, lastUse: f.clock}
 	f.index[key] = slot
-	f.clearFree(slot)
 }
 
 // Evict invalidates a slot and returns its tag and dirty bit, so the
@@ -206,9 +181,6 @@ func (f *FTS) Evict(slot int) (row, seg int, dirty, wasValid bool) {
 		f.rowIndex.OnEvict(slot, int(e.benefit), e.dirty)
 	}
 	*e = ftsEntry{}
-	if !f.reserved[slot] {
-		f.setFree(slot)
-	}
 	return row, seg, dirty, true
 }
 

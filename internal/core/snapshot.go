@@ -21,8 +21,7 @@ func sortedKeys[K ~int | ~uint64, V any](m map[K]V) []K {
 
 // Snapshot appends the tag store's mutable state: every entry, the
 // logical clock, in-flight reservations, and hit/miss counters. The
-// index, the free-slot bitmap and the row aggregates are derived and
-// rebuilt on restore.
+// index and row aggregates are derived and rebuilt on restore.
 func (f *FTS) Snapshot(w *fgss.Writer) {
 	w.Int(len(f.entries))
 	for i := range f.entries {
@@ -73,12 +72,6 @@ func (f *FTS) Restore(r *fgss.Reader) {
 	}
 	f.Hits = r.I64()
 	f.Misses = r.I64()
-	clear(f.free)
-	for i := range f.entries {
-		if !f.entries[i].valid && !f.reserved[i] {
-			f.setFree(i)
-		}
-	}
 	if f.rowIndex != nil {
 		// SetRowIndex re-derives the per-row benefit sums and dirty
 		// bitvectors from the restored entries; the dimensions cannot

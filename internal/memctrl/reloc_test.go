@@ -226,31 +226,34 @@ func checkRelocMask(t *testing.T, c *Controller, when string, now int64) {
 	}
 }
 
-// restoreController snapshots c and its channel and restores both into a
-// fresh channel and controller over the same hook.
-func restoreController(t *testing.T, c *Controller) *Controller {
+// restoreInto snapshots src and its channel and restores both over dst
+// and dst's channel. A nil dst restores into a fresh channel and
+// controller over src's hook. It returns the restored controller.
+func restoreInto(t *testing.T, src, dst *Controller) *Controller {
 	t.Helper()
 	var buf bytes.Buffer
 	w := fgss.NewWriter(&buf, 1, [32]byte{})
 	w.Begin(1)
-	c.channel.Snapshot(w)
-	c.Snapshot(w)
+	src.channel.Snapshot(w)
+	src.Snapshot(w)
 	w.End()
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	ch, err := dram.NewChannel(c.channel.Geo, c.channel.Slow, c.channel.Fast, false)
-	if err != nil {
-		t.Fatal(err)
+	if dst == nil {
+		ch, err := dram.NewChannel(src.channel.Geo, src.channel.Slow, src.channel.Fast, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst = NewController(src.ID, src.cfg, ch, src.cache)
 	}
-	d := NewController(c.ID, c.cfg, ch, c.cache)
 	r, err := fgss.NewReader(&buf, 1, [32]byte{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	r.Section(1)
-	ch.Restore(r)
-	d.Restore(r)
+	dst.channel.Restore(r)
+	dst.Restore(r)
 	r.EndSection()
 	if err := r.Err(); err != nil {
 		t.Fatal(err)
@@ -258,7 +261,7 @@ func restoreController(t *testing.T, c *Controller) *Controller {
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return d
+	return dst
 }
 
 // TestRelocMaskTracksPendingBanks alternates busy and quiet phases. In a
@@ -267,9 +270,11 @@ func restoreController(t *testing.T, c *Controller) *Controller {
 // In a quiet phase, the idle flush is probed every 50 cycles, so several
 // banks are often ready at once and the flush order matters. relocMask
 // must mark exactly the banks with pending plans after every step and
-// after each Snapshot/Restore round trip (the run then continues on the
-// restored controller), and every idle flush must pick the bank and
-// report the probe that the scan over every bank does.
+// after each Snapshot/Restore round trip, and every idle flush must pick
+// the bank and report the probe that the scan over every bank does. The
+// round trips happen mid-busy-phase, while plans are pending, and each
+// restores over the controller the previous round trip left behind, so
+// the mask must both gain the snapshot's banks and drop the stale ones.
 func TestRelocMaskTracksPendingBanks(t *testing.T) {
 	pc := newPlanCache(40)
 	c := newTestController(t, pc).Controller
@@ -277,10 +282,18 @@ func TestRelocMaskTracksPendingBanks(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	sched := func(int64, ev.Token) {}
 	before := make([]int, len(c.pendingRelocs))
-	flushes, multiReady := 0, 0
+	flushes, multiReady, restoredPending, staleDropped := 0, 0, 0, 0
+	var left *Controller // the controller the last round trip left behind
 	for now := int64(0); now < 30_000; now++ {
-		if now%3000 == 2999 {
-			c = restoreController(t, c)
+		if now%3000 == 1400 {
+			for id, plans := range c.pendingRelocs {
+				if len(plans) > 0 {
+					restoredPending++
+				} else if left != nil && len(left.pendingRelocs[id]) > 0 {
+					staleDropped++
+				}
+			}
+			left, c = c, restoreInto(t, c, left)
 			checkRelocMask(t, c, "after Restore", now)
 		}
 		if now%1000 < 500 {
@@ -320,7 +333,8 @@ func TestRelocMaskTracksPendingBanks(t *testing.T) {
 		}
 		checkRelocMask(t, c, "after idle flush", now)
 	}
-	if flushes == 0 || multiReady == 0 {
-		t.Errorf("vacuous run: %d idle flushes, %d with several banks ready", flushes, multiReady)
+	if flushes == 0 || multiReady == 0 || restoredPending == 0 || staleDropped == 0 {
+		t.Errorf("vacuous run: %d idle flushes, %d with several banks ready, %d pending banks restored, %d stale banks dropped",
+			flushes, multiReady, restoredPending, staleDropped)
 	}
 }

@@ -604,10 +604,11 @@ func (s *System) runSkipping(maxCycles, stopRetired int64) {
 			// event and the next core wake — advance the memory system in
 			// place instead of surfacing each bus cycle to this loop. The
 			// dense loop's cycles in between are core no-ops (every core
-			// is blocked or mid-bubble-batch; both are settled by the
-			// jump accounting below, which spans these cycles either way)
-			// and fire no events, so the only dense effects are the
-			// controller ticks advanceBus replays in dense order.
+			// is parked or mid-bubble-batch: parked cores are credited
+			// when they unpark or when the loop exits, and batching cores
+			// are advanced by the jump below, which spans these cycles
+			// either way) and fire no events, so the only dense effects
+			// are the controller ticks advanceBus replays in dense order.
 			// Completions scheduled along the way can only pull eventNext
 			// earlier, never invalidate work already done at earlier
 			// cycles, because every scheduled cycle lies beyond the bus
