@@ -5,7 +5,8 @@
 // (one newly built sim.System per run), dedups and caches results by
 // configuration fingerprint (internal/expcache, optionally persistent),
 // and renders the same rows and series the paper reports. cmd/figbench
-// drives it at full scale; bench_test.go drives scaled-down versions.
+// drives it at full scale, or scaled down through its flags, as CI does
+// to render every experiment at quick scale.
 //
 // The Scale struct is the single knob for matrix cost (instruction
 // budget, workload subset, circuit-model iterations, parallelism);

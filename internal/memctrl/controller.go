@@ -148,12 +148,6 @@ type Controller struct {
 	// the write-drain diagnostic for ticks a cycle-skipping caller
 	// elided; -1 before the first tick.
 	lastTick int64
-	// spanHorizon bounds the TickSpan in progress (exclusive): the span
-	// must stop before the earliest completion it scheduled, because that
-	// event can feed the controller a new request at the same bus cycle.
-	// issueColumn clamps it as completions are scheduled.
-	//fglint:preserved transient TickSpan bound; always math.MaxInt64 between Tick calls, so a checkpoint cannot observe another value
-	spanHorizon int64
 
 	// Stats.
 	NumReads, NumWrites    int64
@@ -203,7 +197,6 @@ func NewControllerIn(a *arena.Arena, id int, cfg Config, ch *dram.Channel, cache
 		lastColumn:    arena.Slice[int64](a, ch.NumBanks()),
 		cands:         make([]colCand, 0, ch.NumBanks()),
 		lastTick:      -1,
-		spanHorizon:   math.MaxInt64,
 		// Seed by controller ID so per-channel reservoirs differ but any
 		// two runs of the same configuration sample identically.
 		latSamples: stats.NewReservoir(cfg.LatSampleCap, uint64(id)+1),
@@ -354,33 +347,6 @@ func (c *Controller) Tick(now int64, schedule func(at int64, tok ev.Token)) int6
 		nextAt = now + 1
 	}
 	return nextAt
-}
-
-// TickSpan is the controller's micro-engine: it advances through its own
-// due ticks — each Tick's next-work probe feeds the next call — until the
-// probe reaches horizon (exclusive, in bus cycles). The caller guarantees
-// that nothing outside this controller can interact with it below the
-// horizon: no event fires, no core executes, no request is drained into
-// any queue, and no other controller becomes due. Under that guarantee
-// the span is bit-identical to surfacing every wake to the run loop: the
-// skipped cycles are no-op ticks either way, and the executed ticks see
-// exactly the dense loop's state.
-//
-// One interaction the caller cannot see coming is created by the span
-// itself: issuing a read schedules its completion, and the event firing
-// at that bus cycle can feed this controller a new request in the same
-// cycle (the dense loop drains the adapter before ticking controllers).
-// issueColumn therefore clamps spanHorizon to each scheduled completion
-// cycle, so the span stops short and the run loop resumes interleaving
-// from there. The returned next-work probe carries the usual contract.
-func (c *Controller) TickSpan(now, horizon int64, schedule func(at int64, tok ev.Token)) int64 {
-	c.spanHorizon = horizon
-	next := c.Tick(now, schedule)
-	for next < c.spanHorizon {
-		next = c.Tick(next, schedule)
-	}
-	c.spanHorizon = math.MaxInt64
-	return next
 }
 
 // prechargeForRefresh closes one open bank in the rank; returns true if a
@@ -687,11 +653,6 @@ func (c *Controller) issueColumn(q *queue, i int, r *Request, now int64, schedul
 	}
 	if !r.OnComplete.IsZero() {
 		schedule(end, r.OnComplete)
-		// The completion's event can hand the controller a new request at
-		// bus cycle `end`; a TickSpan in progress must not tick past it.
-		if end < c.spanHorizon {
-			c.spanHorizon = end
-		}
 	}
 	q.remove(r.bankID, i)
 

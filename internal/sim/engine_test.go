@@ -308,26 +308,9 @@ func TestEngineStallCounters(t *testing.T) {
 				return s
 			}
 			d, k := run(true), run(false)
-			var stalls int64
-			for i := range d.Cores() {
-				dc, kc := d.Cores()[i], k.Cores()[i]
-				if dc.LoadStalls != kc.LoadStalls || dc.StoreStalls != kc.StoreStalls ||
-					dc.WindowFull != kc.WindowFull {
-					t.Errorf("core %d stalls diverge: dense load=%d store=%d window=%d, skip load=%d store=%d window=%d",
-						i, dc.LoadStalls, dc.StoreStalls, dc.WindowFull,
-						kc.LoadStalls, kc.StoreStalls, kc.WindowFull)
-				}
-				stalls += dc.LoadStalls + dc.StoreStalls + dc.WindowFull
-			}
+			stalls, writing := compareCounters(t, d, k)
 			if stalls == 0 {
 				t.Error("no core ever stalled; comparison is vacuous")
-			}
-			for i := range d.Hierarchy().L1s {
-				dl, kl := d.Hierarchy().L1s[i], k.Hierarchy().L1s[i]
-				if dl.MSHRFullStalls != kl.MSHRFullStalls || dl.ReadAcc != kl.ReadAcc || dl.WriteAcc != kl.WriteAcc {
-					t.Errorf("L1.%d counters diverge: dense (stalls=%d r=%d w=%d), skip (stalls=%d r=%d w=%d)",
-						i, dl.MSHRFullStalls, dl.ReadAcc, dl.WriteAcc, kl.MSHRFullStalls, kl.ReadAcc, kl.WriteAcc)
-				}
 			}
 			// LRU stamps included: a parked core's skipped retries must
 			// advance its L1's clock before the fill that unparks it
@@ -335,20 +318,47 @@ func TestEngineStallCounters(t *testing.T) {
 			if tc.exactState && !bytes.Equal(hierarchyState(t, d), hierarchyState(t, k)) {
 				t.Error("cache hierarchy state diverges between engines")
 			}
-			var writing int64
-			for i := range d.Controllers() {
-				dc, kc := d.Controllers()[i], k.Controllers()[i]
-				if dc.WritingCycles != kc.WritingCycles {
-					t.Errorf("controller %d WritingCycles diverge: dense %d, skip %d",
-						i, dc.WritingCycles, kc.WritingCycles)
-				}
-				writing += dc.WritingCycles
-			}
 			if tc.wantDraining && writing == 0 {
 				t.Error("write-heavy workload never entered write-drain mode; comparison is vacuous")
 			}
 		})
 	}
+}
+
+// compareCounters checks that the diagnostic counters outside
+// sim.Result agree between a dense run d and a skip run k of one
+// configuration: every core's stall counters, every L1's refusal and
+// access counters, and every controller's write-drain cycles. It returns
+// the dense run's total stalls and write-drain cycles, so callers can
+// tell a vacuous comparison.
+func compareCounters(t *testing.T, d, k *System) (stalls, writing int64) {
+	t.Helper()
+	for i := range d.Cores() {
+		dc, kc := d.Cores()[i], k.Cores()[i]
+		if dc.LoadStalls != kc.LoadStalls || dc.StoreStalls != kc.StoreStalls ||
+			dc.WindowFull != kc.WindowFull {
+			t.Errorf("core %d stalls diverge: dense load=%d store=%d window=%d, skip load=%d store=%d window=%d",
+				i, dc.LoadStalls, dc.StoreStalls, dc.WindowFull,
+				kc.LoadStalls, kc.StoreStalls, kc.WindowFull)
+		}
+		stalls += dc.LoadStalls + dc.StoreStalls + dc.WindowFull
+	}
+	for i := range d.Hierarchy().L1s {
+		dl, kl := d.Hierarchy().L1s[i], k.Hierarchy().L1s[i]
+		if dl.MSHRFullStalls != kl.MSHRFullStalls || dl.ReadAcc != kl.ReadAcc || dl.WriteAcc != kl.WriteAcc {
+			t.Errorf("L1.%d counters diverge: dense (stalls=%d r=%d w=%d), skip (stalls=%d r=%d w=%d)",
+				i, dl.MSHRFullStalls, dl.ReadAcc, dl.WriteAcc, kl.MSHRFullStalls, kl.ReadAcc, kl.WriteAcc)
+		}
+	}
+	for i := range d.Controllers() {
+		dc, kc := d.Controllers()[i], k.Controllers()[i]
+		if dc.WritingCycles != kc.WritingCycles {
+			t.Errorf("controller %d WritingCycles diverge: dense %d, skip %d",
+				i, dc.WritingCycles, kc.WritingCycles)
+		}
+		writing += dc.WritingCycles
+	}
+	return stalls, writing
 }
 
 // hierarchyState returns the FGSS encoding of s's cache hierarchy.

@@ -217,11 +217,6 @@ func (s *System) Restore(in io.Reader) error {
 			s.ctrlWake[i] = r.I64()
 		}
 	}
-	// The wake tournament tree is derived state: re-point it at the (possibly
-	// freshly allocated) leaf slice and rebuild the internal nodes.
-	if s.ctrlWake != nil {
-		s.wake.init(s.ctrlWake)
-	}
 	// Every run settles its parked cores on exit, so a snapshot is taken
 	// with none parked; the restored cores start running.
 	for i := range s.parkedAt {

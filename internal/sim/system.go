@@ -45,14 +45,6 @@ type System struct {
 	// l1Core maps a hierarchy node ID to the core whose L1 it is, or -1
 	// for a shared level: an MSHRFill for a parked core's L1 unparks it.
 	l1Core []int32
-	// wake is the tournament tree over ctrlWake (its leaves alias that
-	// slice): min/min-except/due-enumeration for the run loop without a
-	// per-iteration scan. Derived state — Restore rebuilds it from the
-	// leaf values.
-	wake busWake
-	// dueIDs is per-call scratch for the due-controller enumeration.
-	//fglint:preserved scratch; truncated and refilled by every advanceBus call before use
-	dueIDs []int32
 
 	// latencyLanes maps a fixed cache-level latency to its FIFO lane
 	// scheduler (see LevelScheduler); lanes are bound once at construction.
@@ -543,9 +535,6 @@ func (s *System) runSkipping(maxCycles, stopRetired int64) {
 	if s.ctrlWake == nil {
 		s.ctrlWake = make([]int64, len(s.ctrls))
 	}
-	if s.wake.wake == nil {
-		s.wake.init(s.ctrlWake)
-	}
 	for s.clock < maxCycles {
 		s.events.fireDue(s.clock, s)
 		if s.clock%cpb == 0 {
@@ -601,26 +590,23 @@ func (s *System) runSkipping(maxCycles, stopRetired int64) {
 			}
 			// Memory-only fast path: while the earliest thing anywhere in
 			// the machine is controller work — strictly before the next
-			// event and the next core wake — advance the memory system in
-			// place instead of surfacing each bus cycle to this loop. The
-			// dense loop's cycles in between are core no-ops (every core
-			// is parked or mid-bubble-batch: parked cores are credited
-			// when they unpark or when the loop exits, and batching cores
-			// are advanced by the jump below, which spans these cycles
-			// either way) and fire no events, so the only dense effects
-			// are the controller ticks advanceBus replays in dense order.
-			// Completions scheduled along the way can only pull eventNext
-			// earlier, never invalidate work already done at earlier
-			// cycles, because every scheduled cycle lies beyond the bus
-			// cycles already ticked (advanceBus's span horizon enforces
-			// that for multi-cycle controller spans).
+			// event and the next core wake — run those bus boundaries in
+			// place instead of surfacing each one to this loop. The dense
+			// loop's cycles in between are core no-ops (every core is
+			// parked or mid-bubble-batch: parked cores are credited when
+			// they unpark or when the loop exits, and batching cores are
+			// advanced by the jump below, which spans these cycles either
+			// way) and fire no events, so the only dense effects are the
+			// bus ticks themselves. Completions scheduled along the way
+			// can only pull eventNext earlier, never invalidate work done
+			// at earlier bus cycles: each lands after the bus cycle that
+			// issued it, and eventNext is re-read before the next tick.
+			// The loop stays for a measured end-to-end win over surfacing
+			// every bus boundary (ARCHITECTURE.md, "Performance
+			// engineering").
 			bus := s.nextBusWork(cpb)
 			for bus < next && bus < eventNext {
-				horizon := next
-				if eventNext < horizon {
-					horizon = eventNext
-				}
-				s.advanceBus(bus/cpb, horizon)
+				s.busTick(bus / cpb)
 				if at, ok := s.events.nextAt(); ok && at < eventNext {
 					eventNext = at
 				}
@@ -683,65 +669,29 @@ const maxInt64 = int64(1<<63 - 1)
 // busTick executes one bus boundary exactly as the dense loop would:
 // drain buffered requests into the controller queues, then tick every
 // controller that is either due (its next-work probe has arrived) or
-// freshly fed by the drain. Ticking the others would be a no-op in the
-// dense loop too, so skipping them is bit-identical.
+// freshly fed by the drain, in ID order. Ticking the others would be a
+// no-op in the dense loop too, so skipping them is bit-identical.
 func (s *System) busTick(busNow int64) {
 	s.adapter.drain(busNow)
 	for i, ctrl := range s.ctrls {
 		if s.ctrlWake[i] > busNow && !s.adapter.enqueued[i] {
 			continue
 		}
-		s.wake.set(i, ctrl.Tick(busNow, s.busSched))
-	}
-}
-
-// advanceBus performs the memory system's work at bus cycle busNow while
-// the rest of the machine is provably idle until the CPU cycle horizon
-// (exclusive): no event fires and no core executes before it. Three
-// dense-order-preserving cases:
-//
-//   - buffered requests are waiting for queue space: the boundary is a
-//     full drain-plus-tick, identical to an executed dense boundary;
-//   - exactly one controller is due and no other becomes due before the
-//     horizon: that controller runs a multi-cycle span (TickSpan) — its
-//     micro-engine — since no cross-layer interaction can interleave;
-//   - otherwise each due controller ticks once, in ID order, exactly as
-//     the dense loop interleaves same-cycle controller work.
-func (s *System) advanceBus(busNow, horizon int64) {
-	if len(s.adapter.pending) > 0 {
-		s.busTick(busNow)
-		return
-	}
-	cpb := s.cfg.CPUPerBus
-	s.dueIDs = s.wake.appendDue(busNow, s.dueIDs[:0])
-	if len(s.dueIDs) == 1 {
-		i := int(s.dueIDs[0])
-		// Controller ticks at bus cycle b are hidden from the rest of the
-		// machine while b*cpb < horizon: b < ceil(horizon/cpb). Another
-		// controller's wake bounds the span too — at that cycle the dense
-		// loop interleaves both controllers in ID order, which the
-		// single-controller span cannot reproduce on its own.
-		hor := (horizon + cpb - 1) / cpb
-		if other := s.wake.minExcept(i); other < hor {
-			hor = other
-		}
-		if hor > busNow+1 {
-			s.wake.set(i, s.ctrls[i].TickSpan(busNow, hor, s.busSched))
-			return
-		}
-	}
-	for _, id := range s.dueIDs {
-		i := int(id)
-		s.wake.set(i, s.ctrls[i].Tick(busNow, s.busSched))
+		s.ctrlWake[i] = ctrl.Tick(busNow, s.busSched)
 	}
 }
 
 // nextBusWork returns the next CPU cycle at which the memory system needs
-// a bus tick: the earliest controller next-work probe (tracked by the
-// wake tree), or the very next bus boundary while the adapter still
-// buffers requests that must retry entering a full controller queue.
+// a bus tick: the earliest controller next-work probe, or the very next
+// bus boundary while the adapter still buffers requests that must retry
+// entering a full controller queue.
 func (s *System) nextBusWork(cpb int64) int64 {
-	next := s.wake.min()
+	next := maxInt64
+	for _, w := range s.ctrlWake {
+		if w < next {
+			next = w
+		}
+	}
 	if next != maxInt64 {
 		next *= cpb
 	}
