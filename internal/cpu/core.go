@@ -267,11 +267,12 @@ func (c *Core) AccountSkipped(cycles int64) {
 // whole window is retirable, or the run of retirable entries at the
 // head is long enough that every batched cycle retires a full group
 // before reaching the first entry still waiting on a load. Outstanding
-// loads only complete through scheduler events, and the run loop never
-// jumps past a pending event, so the retirable run cannot grow inside
-// the batch. The count is capped at the cycle the core would reach its
-// instruction target, so the run loop observes the finish exactly where
-// the dense loop would.
+// loads only complete through CompleteSlot, and the run loop may apply a
+// batch later — whole, or cut short at an event — but always before it
+// delivers any CompleteSlot for the core, so the retirable run cannot
+// grow inside the batch. The count is capped at the cycle the core would
+// reach its instruction target, so the run loop observes the finish
+// exactly where the dense loop would.
 //
 // Returns 0 when the next cycle must be executed normally.
 func (c *Core) BatchableCycles() int64 {
@@ -360,10 +361,12 @@ func (c *Core) cyclesToTarget() int64 {
 // AdvanceBatch fast-forwards the core over `cycles` skipped cycles (the
 // cycles now+1 .. now+cycles, which the run loop will not execute) by
 // applying the closed-form bubble execution. The caller must have
-// established batchability (BatchableCycles() >= cycles) for the
-// current state; the run loop computes that once during its wake scan
-// and dispatches here without re-deriving it. Blocked cores take
-// AccountSkipped instead.
+// established batchability (BatchableCycles() >= cycles) in the state
+// the core had at cycle now, and must not have changed that state
+// since: the run loop sizes the batch at cycle now, when the core goes
+// to sleep, and applies it when the core wakes — at the batch's end, or
+// cut short before a CompleteSlot for the core is delivered. Blocked
+// cores take AccountSkipped instead.
 func (c *Core) AdvanceBatch(now, cycles int64) {
 	if cycles <= 0 {
 		return

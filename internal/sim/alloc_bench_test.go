@@ -65,10 +65,11 @@ func BenchmarkAccessPathAllocsReloc(b *testing.B) {
 // BenchmarkAccessPathAllocs8Core drives eight memory-intensive cores
 // (mix-100-0) under FIGCache-Fast over four channels: the shared LLC,
 // four controllers ticked by busTick and the memory-only loop, and
-// cores parking on and unparking from fills, on top of everything the
+// cores sleeping blocked until a fill or through their own bubble
+// batches, each waking on its own cycle, on top of everything the
 // single-core gates cover. Like the relocation gate it warms up for
 // 1.2M cycles: until then the event lanes, the MSHR free lists and the
 // plan pool still reach new high-water marks.
 func BenchmarkAccessPathAllocs8Core(b *testing.B) {
-	allocGate(b, FIGCacheFast, intensiveMix(b), 1_200_000, "8-core path")
+	allocGate(b, FIGCacheFast, eightCoreMix(b, 100), 1_200_000, "8-core path")
 }

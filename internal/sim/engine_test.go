@@ -38,14 +38,16 @@ func warmMix(t *testing.T) workload.Mix {
 	return workload.Mix{Name: "warm", Apps: workload.Sources(spec)}
 }
 
-// intensiveMix returns mix-100-0, the first eight-core mix whose cores
-// are all memory-intensive: with eight L1s contending for four channels,
-// cores spend long spans fully blocked, where the skip engine parks them.
-func intensiveMix(tb testing.TB) workload.Mix {
+// eightCoreMix returns the first eight-core mix with pct percent
+// memory-intensive cores. In mix-100-0 eight L1s contend for four
+// channels, so cores spend long spans fully blocked; mix-25-0 runs six
+// compute-bound cores, which spend theirs in long bubble batches, next
+// to two memory-intensive ones.
+func eightCoreMix(tb testing.TB, pct int) workload.Mix {
 	tb.Helper()
-	mixes := workload.MixesByCategory(workload.EightCoreMixes(), 100)
+	mixes := workload.MixesByCategory(workload.EightCoreMixes(), pct)
 	if len(mixes) == 0 {
-		tb.Fatal("no 100%-intensive eight-core mix")
+		tb.Fatalf("no %d%%-intensive eight-core mix", pct)
 	}
 	return mixes[0]
 }
@@ -113,12 +115,21 @@ func TestEngineEquivalence(t *testing.T) {
 	halfBus.CPUPerBus = 2
 	cases = append(cases, tc{name: "FIGCache-Fast/cpu-per-bus-2", cfg: halfBus, insts: 20_000})
 
-	// Eight relocating cores over four channels: cores park and unpark
-	// on fills while relocations run underneath. Short enough for -short.
-	cases = append(cases, tc{name: "FIGCache-Fast/8core", cfg: DefaultConfig(FIGCacheFast, intensiveMix(t)), insts: 5_000})
+	// Eight relocating cores over four channels: cores sleep blocked and
+	// wake on fills while relocations run underneath. Short enough for
+	// -short.
+	cases = append(cases, tc{name: "FIGCache-Fast/8core", cfg: DefaultConfig(FIGCacheFast, eightCoreMix(t, 100)), insts: 5_000})
+	// Batching dominates on mix-25-0: its compute-bound cores sleep
+	// through their bubble batches while its memory-bound ones keep the
+	// loop busy. Batches end at their wake cycle or are cut short by a
+	// load completion, every core crosses its target on a batch's last
+	// cycle, and the run ends at a wake.
+	cases = append(cases, tc{name: "FIGCache-Fast/8core-batching", cfg: DefaultConfig(FIGCacheFast, eightCoreMix(t, 25)), insts: 5_000})
 	if !testing.Short() {
-		eight := DefaultConfig(Base, workload.EightCoreMixes()[0])
-		cases = append(cases, tc{name: "Base/8core", cfg: eight, insts: 5_000})
+		cases = append(cases,
+			tc{name: "Base/8core", cfg: DefaultConfig(Base, eightCoreMix(t, 100)), insts: 5_000},
+			tc{name: "Base/8core-batching", cfg: DefaultConfig(Base, eightCoreMix(t, 25)), insts: 5_000},
+		)
 	}
 
 	for _, c := range cases {
@@ -239,10 +250,12 @@ func TestRunFinishedSystem(t *testing.T) {
 
 // TestEngineStallCounters checks that the diagnostic stall statistics —
 // which are not part of sim.Result — also match between engines: the
-// cycle-skipping loop credits the ticks it skipped for a parked core via
-// cpu.Core.AccountSkipped / cache.Cache.AccountRefused when the core
-// unparks or the run pauses. The sliced case pauses every 4096 cycles,
-// so parked cores are settled mid-run and resume from settled counters.
+// cycle-skipping loop credits the ticks it skipped for a blocked sleeping
+// core via cpu.Core.AccountSkipped / cache.Cache.AccountRefused when the
+// core wakes or the run pauses, and a batching sleeping core's batch
+// records no stall, so crediting it one shows here. The sliced cases
+// pause every 4096 cycles, so sleeping cores are settled mid-run — a
+// batch cut at the pause — and resume from settled state and counters.
 func TestEngineStallCounters(t *testing.T) {
 	// writeHeavy streams stores through an LLC-evicting footprint so the
 	// controllers actually enter write-drain mode; without it the
@@ -261,7 +274,7 @@ func TestEngineStallCounters(t *testing.T) {
 	// accesses: the most stall-bound eight-core run, and one in which no
 	// core ever batches.
 	noBubbles := func() workload.Mix {
-		mix := intensiveMix(t)
+		mix := eightCoreMix(t, 100)
 		mix.Apps = append([]workload.Source(nil), mix.Apps...)
 		for i := range mix.Apps {
 			mix.Apps[i].Synth.Bubbles = 0
@@ -283,9 +296,11 @@ func TestEngineStallCounters(t *testing.T) {
 	}{
 		{name: "mcf", preset: Base, mix: smallMix(t, "mcf"), insts: 20_000},
 		{name: "writeheavy", preset: Base, mix: writeHeavy(), insts: 60_000, exactState: true, wantDraining: true},
-		{name: "FIGCache-Fast/8core", preset: FIGCacheFast, mix: intensiveMix(t), insts: 5_000},
-		{name: "FIGCache-Fast/8core/sliced", preset: FIGCacheFast, mix: intensiveMix(t), insts: 5_000, sliced: true},
+		{name: "FIGCache-Fast/8core", preset: FIGCacheFast, mix: eightCoreMix(t, 100), insts: 5_000},
+		{name: "FIGCache-Fast/8core/sliced", preset: FIGCacheFast, mix: eightCoreMix(t, 100), insts: 5_000, sliced: true},
 		{name: "FIGCache-Fast/8core/no-bubbles", preset: FIGCacheFast, mix: noBubbles(), insts: 5_000, exactState: true},
+		{name: "FIGCache-Fast/8core-batching", preset: FIGCacheFast, mix: eightCoreMix(t, 25), insts: 5_000},
+		{name: "FIGCache-Fast/8core-batching/sliced", preset: FIGCacheFast, mix: eightCoreMix(t, 25), insts: 5_000, sliced: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -312,8 +327,8 @@ func TestEngineStallCounters(t *testing.T) {
 			if stalls == 0 {
 				t.Error("no core ever stalled; comparison is vacuous")
 			}
-			// LRU stamps included: a parked core's skipped retries must
-			// advance its L1's clock before the fill that unparks it
+			// LRU stamps included: a blocked core's skipped retries must
+			// advance its L1's clock before the fill that wakes it
 			// stamps the filled line, as they do in the dense loop.
 			if tc.exactState && !bytes.Equal(hierarchyState(t, d), hierarchyState(t, k)) {
 				t.Error("cache hierarchy state diverges between engines")

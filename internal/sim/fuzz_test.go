@@ -12,8 +12,11 @@ import (
 // one of the six presets; 1, 2, 4 or 8 channels; 1-8 cores running
 // either copies of one Table 2 benchmark or a prefix of one of the
 // eight-core mixes; a CPU/bus clock ratio of 1-5; and 1k-4k
-// instructions per core.
-func fuzzConfig(preset, chanLog, apps, source, cpb uint8, seed uint64, immediate bool, insts uint16) Config {
+// instructions per core. A nonzero bubbles b sets every app's Bubbles
+// to b-1, and zero keeps each spec's own. Against the issue width of 3,
+// Bubbles of 0-2 give no batch, 3-5 one-cycle batches at the
+// Bubbles/IssueWidth edge, and large values long all-done runs.
+func fuzzConfig(preset, chanLog, apps, source, cpb uint8, seed uint64, immediate bool, insts uint16, bubbles uint8) Config {
 	benches := workload.Benchmarks()
 	mixes := workload.EightCoreMixes()
 	n := 1 + int(apps)%8
@@ -26,6 +29,11 @@ func fuzzConfig(preset, chanLog, apps, source, cpb uint8, seed uint64, immediate
 	} else {
 		mix = mixes[pick-len(benches)]
 		mix.Apps = mix.Apps[:n]
+	}
+	if bubbles > 0 {
+		for i := range mix.Apps {
+			mix.Apps[i].Synth.Bubbles = int(bubbles) - 1
+		}
 	}
 	cfg := DefaultConfig(Presets()[int(preset)%len(Presets())], mix)
 	cfg.Channels = 1 << (chanLog % 4)
@@ -48,23 +56,27 @@ func fuzzConfig(preset, chanLog, apps, source, cpb uint8, seed uint64, immediate
 // fix the engine.
 func FuzzEngineEquivalence(f *testing.F) {
 	// Seeds, as (preset, channels, cores, workload, CPUPerBus, seed,
-	// ImmediateReloc, insts, cut):
-	// FIGCache-Fast, 1, 1, mcf, 4, 1, no, 4000, 1/3;
-	// FIGCache-Fast, 4, 8, mix-100-4, 4, 2, no, 2000, 1/2;
-	// LISA-VILLA, 8, 8, mix-25-0, 4, 3, yes, 1000, 1/6;
-	// Base, 2, 2, bwaves, 2, 4, no, 3000, 4/5;
-	// FIGCache-Ideal, 1, 2, lbm, 2, 5, yes, 2500, 1/25;
-	// FIGCache-Slow, 4, 4, mix-75-1, 5, 6, no, 2000, 1/2;
-	// LL-DRAM, 8, 1, libquantum, 1, 7, no, 1000, 3/4.
-	f.Add(uint8(3), uint8(0), uint8(0), uint8(2), uint8(3), uint64(1), false, uint16(3000), uint8(85))
-	f.Add(uint8(3), uint8(2), uint8(7), uint8(39), uint8(3), uint64(2), false, uint16(1000), uint8(128))
-	f.Add(uint8(1), uint8(3), uint8(7), uint8(20), uint8(3), uint64(3), true, uint16(0), uint8(40))
-	f.Add(uint8(0), uint8(1), uint8(1), uint8(5), uint8(1), uint64(4), false, uint16(2000), uint8(200))
-	f.Add(uint8(4), uint8(0), uint8(1), uint8(6), uint8(1), uint64(5), true, uint16(1500), uint8(10))
-	f.Add(uint8(2), uint8(2), uint8(3), uint8(31), uint8(4), uint64(6), false, uint16(1000), uint8(128))
-	f.Add(uint8(5), uint8(3), uint8(0), uint8(4), uint8(0), uint64(7), false, uint16(0), uint8(192))
-	f.Fuzz(func(t *testing.T, preset, chanLog, apps, source, cpb uint8, seed uint64, immediate bool, insts uint16, cut uint8) {
-		cfg := fuzzConfig(preset, chanLog, apps, source, cpb, seed, immediate, insts)
+	// ImmediateReloc, insts, cut, Bubbles), Bubbles "spec" for b = 0:
+	// FIGCache-Fast, 1, 1, mcf, 4, 1, no, 4000, 1/3, spec;
+	// FIGCache-Fast, 4, 8, mix-100-4, 4, 2, no, 2000, 1/2, spec;
+	// LISA-VILLA, 8, 8, mix-25-0, 4, 3, yes, 1000, 1/6, spec;
+	// Base, 2, 2, bwaves, 2, 4, no, 3000, 4/5, spec;
+	// FIGCache-Ideal, 1, 2, lbm, 2, 5, yes, 2500, 1/25, spec;
+	// FIGCache-Slow, 4, 4, mix-75-1, 5, 6, no, 2000, 1/2, spec;
+	// LL-DRAM, 8, 1, libquantum, 1, 7, no, 1000, 3/4, spec;
+	// FIGCache-Fast, 4, 8, mix-25-0, 4, 8, no, 2000, 1/2, 4 (one-cycle batches);
+	// Base, 1, 2, sjeng, 4, 9, no, 4000, 1/3, 200 (long all-done runs).
+	f.Add(uint8(3), uint8(0), uint8(0), uint8(2), uint8(3), uint64(1), false, uint16(3000), uint8(85), uint8(0))
+	f.Add(uint8(3), uint8(2), uint8(7), uint8(39), uint8(3), uint64(2), false, uint16(1000), uint8(128), uint8(0))
+	f.Add(uint8(1), uint8(3), uint8(7), uint8(20), uint8(3), uint64(3), true, uint16(0), uint8(40), uint8(0))
+	f.Add(uint8(0), uint8(1), uint8(1), uint8(5), uint8(1), uint64(4), false, uint16(2000), uint8(200), uint8(0))
+	f.Add(uint8(4), uint8(0), uint8(1), uint8(6), uint8(1), uint64(5), true, uint16(1500), uint8(10), uint8(0))
+	f.Add(uint8(2), uint8(2), uint8(3), uint8(31), uint8(4), uint64(6), false, uint16(1000), uint8(128), uint8(0))
+	f.Add(uint8(5), uint8(3), uint8(0), uint8(4), uint8(0), uint64(7), false, uint16(0), uint8(192), uint8(0))
+	f.Add(uint8(3), uint8(2), uint8(7), uint8(20), uint8(3), uint64(8), false, uint16(1000), uint8(128), uint8(5))
+	f.Add(uint8(0), uint8(0), uint8(1), uint8(17), uint8(3), uint64(9), false, uint16(3000), uint8(85), uint8(201))
+	f.Fuzz(func(t *testing.T, preset, chanLog, apps, source, cpb uint8, seed uint64, immediate bool, insts uint16, cut, bubbles uint8) {
+		cfg := fuzzConfig(preset, chanLog, apps, source, cpb, seed, immediate, insts, bubbles)
 		if _, err := New(cfg); err != nil {
 			// A shape sim.New rejects: a footprint larger than its window,
 			// or a core count that gives the LLC a non-power-of-two set

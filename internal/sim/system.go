@@ -36,12 +36,17 @@ type System struct {
 	// (RunSlice, RunUntilRetired) neither reallocate it nor re-tick idle
 	// controllers.
 	ctrlWake []int64
-	// parkedAt[i] is the cycle at whose wake scan runSkipping found core
-	// i fully blocked and stopped ticking it, or -1 while the core runs.
-	// Dispatch unparks a core on the only two events that can unblock it
-	// (see unpark); every exit of runSkipping settles the rest, so
-	// outside the run loop every entry is -1.
+	// parkedAt[i] is the cycle at whose wake scan runSkipping parked core
+	// i — put it to sleep, fully blocked or batchable — and stopped
+	// ticking it, or -1 while the core runs. Dispatch wakes a core on the
+	// only two events that can change its state (see unpark), runSkipping
+	// wakes a batching core when its batch ends, and every exit of
+	// runSkipping settles the rest, so outside the run loop every entry
+	// is -1.
 	parkedAt []int64
+	// wakeAt[i] is the cycle of a sleeping core's next full Tick: the
+	// cycle after its batch, or maxInt64 for a blocked core.
+	wakeAt []int64 //fglint:preserved read only while parkedAt[i] >= 0, and Restore resets parkedAt
 	// l1Core maps a hierarchy node ID to the core whose L1 it is, or -1
 	// for a shared level: an MSHRFill for a parked core's L1 unparks it.
 	l1Core []int32
@@ -129,6 +134,7 @@ func New(cfg Config) (*System, error) {
 		return nil, err
 	}
 	s.parkedAt = arena.Slice[int64](s.arena, len(s.cores))
+	s.wakeAt = arena.Slice[int64](s.arena, len(s.cores))
 	for i := range s.parkedAt {
 		s.parkedAt[i] = -1
 	}
@@ -160,18 +166,26 @@ func (s *System) Dispatch(t ev.Token, now int64) {
 	}
 }
 
-// unpark resumes a core the skip engine parked, crediting the stall
-// ticks the dense loop would have executed for it: one per cycle after
-// the parking cycle up to the current one, exclusive — the current
-// cycle's tick still runs. The credit lands before the unblocking
-// event's handler, because the dense loop's refused retries advanced the
-// L1's clock, from which Cache.Fill stamps LRU. It reads s.clock rather
-// than a dispatch time, because Cache.Fill dispatches its waiters with
-// now = 0.
+// unpark wakes a core the skip engine put to sleep, replaying the ticks
+// the dense loop would have executed for it: one per cycle after the
+// sleeping cycle up to the current one, exclusive — the current cycle's
+// tick still runs. A blocked core is credited the stalls of its refused
+// retries; a batching core applies its bubble batch up to that point,
+// whole or cut short. Either lands before the waking event's handler:
+// the dense loop's refused retries advanced the L1's clock, from which
+// Cache.Fill stamps LRU, and a CompleteSlot must find the window the
+// batch left. It reads s.clock rather than a dispatch time, because
+// Cache.Fill dispatches its waiters with now = 0.
 func (s *System) unpark(i int) {
-	if at := s.parkedAt[i]; at >= 0 {
-		s.parkedAt[i] = -1
+	at := s.parkedAt[i]
+	if at < 0 {
+		return
+	}
+	s.parkedAt[i] = -1
+	if s.wakeAt[i] == maxInt64 {
 		s.cores[i].AccountSkipped(s.clock - 1 - at)
+	} else {
+		s.cores[i].AdvanceBatch(at, s.clock-1-at)
 	}
 }
 
@@ -429,8 +443,9 @@ func (s *System) totalRetired() int64 {
 // captures the complete machine state, and calling Run afterwards —
 // on this System or on a fresh one restored from the snapshot —
 // finishes the run bit-identically to an uninterrupted Run. The
-// cycle-skipping engine may overshoot target by the tail of a batched
-// bubble run; callers needing an exact count should use the dense
+// cycle-skipping engine counts a sleeping core's retirements only when
+// the core wakes, so it may overshoot target by up to one batched bubble
+// run per core; callers needing an exact count should use the dense
 // engine.
 func (s *System) RunUntilRetired(target int64) { s.run(s.cfg.MaxCycles, target) }
 
@@ -515,21 +530,26 @@ func (s *System) runDense(maxCycles, stopRetired int64) {
 // Cycles in between are either provably no-ops in the dense loop —
 // blocked cores only unblock through scheduler events, and DRAM timing
 // windows only move when a command issues — or pure bubble issue/retire
-// cycles whose dense effect cpu.Core.Advance replays arithmetically, so
-// jumping over them is bit-identical.
+// cycles whose dense effect cpu.Core.AdvanceBatch replays
+// arithmetically, so jumping over them is bit-identical.
 //
-// A core the wake scan finds fully blocked is parked: it is neither
-// ticked nor scanned again until Dispatch delivers one of the two events
-// that can unblock it — a CoreSlot completion for it, or an MSHRFill for
-// its L1 — and unpark credits the stall ticks it missed. Every exit
-// settles the cores still parked, so RunSlice, RunUntilRetired and
-// Snapshot see the dense loop's counters.
+// A core the wake scan finds fully blocked or batchable sleeps: it is
+// neither ticked nor scanned again until it wakes. A blocked core wakes
+// only when Dispatch delivers one of the two events that can change its
+// state — a CoreSlot completion for it, or an MSHRFill for its L1 — and
+// a batching core also wakes at wakeAt, the cycle after its batch, so it
+// sleeps through its bubble run even while other cores need every
+// cycle. unpark replays what the core missed:
+// the stall credit, or the batch up to the waking cycle. Every exit
+// settles the cores still asleep, so RunSlice, RunUntilRetired and
+// Snapshot see the dense loop's state and counters.
 //
 // A positive stopRetired pauses the loop once the total retired count
-// reaches it; the executed cycle (or applied jump) completes in full
-// first, so a checkpoint may land a few batched cycles past the
-// threshold — the contract is that pausing and resuming the same engine
-// is bit-identical, not that both engines pause on the same cycle.
+// reaches it; the executed cycle completes in full first. A sleeping
+// core's retirements count only when it wakes, so a checkpoint may land
+// past the threshold by up to one batch per core — the contract is that
+// pausing and resuming the same engine is bit-identical, not that both
+// engines pause on the same cycle.
 func (s *System) runSkipping(maxCycles, stopRetired int64) {
 	cpb := s.cfg.CPUPerBus
 	if s.ctrlWake == nil {
@@ -558,32 +578,38 @@ func (s *System) runSkipping(maxCycles, stopRetired int64) {
 			break
 		}
 
-		next := maxCycles
+		// The wake scan: every running core either needs the next cycle,
+		// or sleeps — blocked until an event, or through the closed-form
+		// bubble run starting at the next cycle, its next full Tick due
+		// only after the batch. coreNext is the earliest such Tick over
+		// the sleeping cores. A batch caps at the cycle the core reaches
+		// its target, so a sleeping core cannot finish before it wakes.
+		next, coreNext := maxCycles, int64(maxInt64)
 		for i, c := range s.cores {
-			if s.parkedAt[i] >= 0 {
-				continue
-			}
-			w := c.NextWake(s.clock)
-			if w == maxInt64 {
-				s.parkedAt[i] = s.clock
-				continue
-			}
-			// The core is runnable: it must execute its next cycle
-			// normally unless the cycle after the current one starts a
-			// closed-form bubble run, in which case its next full Tick is
-			// only due after the batch.
-			w += c.BatchableCycles()
-			if w < next {
-				next = w
-				if next <= s.clock+1 {
-					break // can't wake earlier than the next cycle
+			if s.parkedAt[i] < 0 {
+				w := c.NextWake(s.clock)
+				if w == maxInt64 {
+					s.parkedAt[i], s.wakeAt[i] = s.clock, maxInt64
+					continue
 				}
+				n := c.BatchableCycles()
+				if n == 0 {
+					next = w // the next cycle
+					continue
+				}
+				s.parkedAt[i], s.wakeAt[i] = s.clock, w+n
 			}
+			if w := s.wakeAt[i]; w < coreNext {
+				coreNext = w
+			}
+		}
+		if coreNext < next {
+			next = coreNext
 		}
 		if next > s.clock+1 {
 			// Only consult the event queue and the memory system when
-			// every core is blocked or batchable: due events have already
-			// fired, so neither source can be earlier than clock+1.
+			// every core is asleep: due events have already fired, so
+			// neither source can be earlier than clock+1.
 			eventNext := int64(maxInt64)
 			if at, ok := s.events.nextAt(); ok {
 				eventNext = at
@@ -593,10 +619,9 @@ func (s *System) runSkipping(maxCycles, stopRetired int64) {
 			// event and the next core wake — run those bus boundaries in
 			// place instead of surfacing each one to this loop. The dense
 			// loop's cycles in between are core no-ops (every core is
-			// parked or mid-bubble-batch: parked cores are credited when
-			// they unpark or when the loop exits, and batching cores are
-			// advanced by the jump below, which spans these cycles either
-			// way) and fire no events, so the only dense effects are the
+			// asleep: blocked cores are credited, and batching cores
+			// apply their batch, when they wake or when the loop exits)
+			// and fire no events, so the only dense effects are the
 			// bus ticks themselves. Completions scheduled along the way
 			// can only pull eventNext earlier, never invalidate work done
 			// at earlier bus cycles: each lands after the bus cycle that
@@ -622,39 +647,27 @@ func (s *System) runSkipping(maxCycles, stopRetired int64) {
 		if next <= s.clock {
 			next = s.clock + 1
 		}
-		// A jump of more than one cycle only happens when every core is
-		// parked (credited when it unparks) or executing a bubble run the
-		// closed form replays. skipped > 0 implies the wake scan above ran
-		// to completion (an early break pins next to clock+1), so every
-		// core still running has a batch covering the whole jump. A
-		// batching core can cross its instruction target mid-jump — the
-		// batch cap puts that crossing on the jump's last cycle — so the
-		// loop must stop exactly where the dense loop would have.
-		if skipped := next - s.clock - 1; skipped > 0 {
-			allDone := true
-			for i, c := range s.cores {
-				if s.parkedAt[i] < 0 {
-					c.AdvanceBatch(s.clock, skipped)
-				}
-				if !c.Done() {
-					allDone = false
+		s.clock = next
+		if next == coreNext {
+			// Wake the cores whose batch ends here, before any event at
+			// this cycle fires. A batch can carry a core across its
+			// instruction target on its last cycle, next-1, after which
+			// the dense loop stops: the clock already reads the dense
+			// clock after its last executed cycle.
+			for i, w := range s.wakeAt {
+				if w == next && s.parkedAt[i] >= 0 {
+					s.unpark(i)
 				}
 			}
-			if allDone {
-				s.clock = next // dense clock after its last executed cycle
-				break
-			}
-			if stopRetired > 0 && s.totalRetired() >= stopRetired {
-				s.clock = next
+			if s.unfinished() == nil || stopRetired > 0 && s.totalRetired() >= stopRetired {
 				break
 			}
 		}
-		s.clock = next
 	}
-	// Settle the stall and write-drain credit for ticks skipped at the
-	// very end of the run: the dense loop ticks every core each cycle and
-	// every controller each bus boundary up to the last executed cycle
-	// (s.clock-1 on every exit path).
+	// Settle the cores still asleep, and the write-drain credit for ticks
+	// skipped at the very end of the run: the dense loop ticks every core
+	// each cycle and every controller each bus boundary up to the last
+	// executed cycle (s.clock-1 on every exit path).
 	for i := range s.parkedAt {
 		s.unpark(i)
 	}
