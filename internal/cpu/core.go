@@ -52,38 +52,34 @@ type Core struct {
 	trace TraceReader  //fglint:preserved the cursor is checkpointed by the system layer (trace section), which knows the concrete reader type
 	l1    *cache.Cache //fglint:preserved wiring only, bound at construction; the cache's own state is checkpointed by Hierarchy.Snapshot
 
-	// Instruction window: a ring buffer of completion flags. done[i]
-	// marks the entry ready to retire. epoch[i] disambiguates reuse of a
-	// slot, so a late load completion cannot mark a newer instruction
-	// done after its own entry retired.
-	done  []bool
-	epoch []int64
+	// Instruction window: a ring of WindowSize slots holding count
+	// entries, oldest at head, next free slot at tail. Bubbles and stores
+	// are retirable from the moment they enter, so inserting one only
+	// advances tail and count; only loads carry completion state.
 	head  int
 	tail  int
 	count int
 
-	// issueEp[i] is the epoch the in-flight load in slot i was issued
-	// with. A load's completion is the CoreSlot event token carrying this
-	// core's ID and the slot index; CompleteSlot compares the slot's
-	// current epoch against issueEp to reject a stale completion after
-	// the entry retired and the slot was reused.
-	issueEp []int64
+	// pend is an age-ordered ring of the slots that hold loads, pendN
+	// entries from pend[pendHead]. Its front is the oldest load still
+	// waiting on its fill, so every window entry before the front is
+	// retirable. A load that completes behind the front stays queued
+	// until the front completes; CompleteSlot then pops both. The
+	// retirable run at the head is therefore the distance from head to the
+	// front, or count when the ring is empty (retirableRun).
+	pend     []int
+	pendHead int
+	pendN    int
+
+	// waiting[i] marks slot i as holding a load whose fill has not
+	// arrived. A load's completion is the CoreSlot event token carrying
+	// this core's ID and the slot index; CompleteSlot ignores a token for
+	// a slot that is not waiting (a duplicate, or a slot that now holds a
+	// bubble or store).
+	waiting []bool
 
 	pending    TraceRecord
 	hasPending bool
-
-	// pendingFills counts window entries whose load has not completed
-	// yet (inserted not-done, completion callback still outstanding).
-	// Zero means every in-window entry is retirable, the precondition
-	// for the fastest closed-form batch execution of bubble runs.
-	pendingFills int
-	// avail is the length of the run of completed entries at the window
-	// head: done[head .. head+avail) are all true and entry head+avail
-	// (if within the window) still waits on its load. Maintained
-	// incrementally — retires shrink it, completions extend it, each
-	// entry joining the run exactly once — so the cycle-skipping engine
-	// can size retire batches in O(1) per query.
-	avail int
 
 	// Progress.
 	Retired int64
@@ -104,7 +100,7 @@ func New(id int, cfg Config, trace TraceReader, l1 *cache.Cache, targetInsts int
 	return NewIn(nil, id, cfg, trace, l1, targetInsts)
 }
 
-// NewIn is New with the window rings (done/epoch/issueEp — all
+// NewIn is New with the window arrays (pend, waiting — both
 // pointer-free) carved out of a. A nil arena keeps plain allocations.
 func NewIn(a *arena.Arena, id int, cfg Config, trace TraceReader, l1 *cache.Cache, targetInsts int64) (*Core, error) {
 	if err := cfg.Validate(); err != nil {
@@ -118,23 +114,33 @@ func NewIn(a *arena.Arena, id int, cfg Config, trace TraceReader, l1 *cache.Cach
 		cfg:         cfg,
 		trace:       trace,
 		l1:          l1,
-		done:        arena.Slice[bool](a, cfg.WindowSize),
-		epoch:       arena.Slice[int64](a, cfg.WindowSize),
-		issueEp:     arena.Slice[int64](a, cfg.WindowSize),
+		pend:        arena.Slice[int](a, cfg.WindowSize),
+		waiting:     arena.Slice[bool](a, cfg.WindowSize),
 		TargetInsts: targetInsts,
 	}
 	return c, nil
 }
 
-// CompleteSlot marks the load occupying `slot` done — the action of the
-// CoreSlot event token issued with it. The epoch guard rejects a stale
-// completion: valid only while the slot's epoch still matches the epoch
-// recorded at issue (a reused slot has a different epoch).
+// CompleteSlot records the fill of the load occupying `slot` — the
+// action of the CoreSlot event token issued with it — and ignores a
+// token for a slot with no waiting load. A completion at the front of
+// the load ring pops the front and every completed load queued behind
+// it, so each load is pushed and popped once.
 func (c *Core) CompleteSlot(slot int) {
-	if c.epoch[slot] == c.issueEp[slot] && !c.done[slot] {
-		c.done[slot] = true
-		c.pendingFills--
-		c.extendAvail(slot)
+	if !c.waiting[slot] {
+		return
+	}
+	c.waiting[slot] = false
+	if slot != c.pend[c.pendHead] {
+		return // behind the front: retires only after the front completes
+	}
+	for {
+		if c.pendHead++; c.pendHead == c.cfg.WindowSize {
+			c.pendHead = 0
+		}
+		if c.pendN--; c.pendN == 0 || c.waiting[c.pend[c.pendHead]] {
+			return
+		}
 	}
 }
 
@@ -158,16 +164,12 @@ func (c *Core) IPC(now int64) float64 {
 // Tick advances the core one CPU cycle: retire from the window head, then
 // issue new instructions into the tail.
 func (c *Core) Tick(now int64) {
-	// Retire.
-	for r := 0; r < c.cfg.RetireWidth && c.count > 0 && c.done[c.head]; r++ {
-		c.done[c.head] = false
-		c.avail--
-		c.head++
-		if c.head == c.cfg.WindowSize {
-			c.head = 0
+	// Retire a full group, or the whole retirable run if shorter.
+	if n := c.retirableRun(); n > 0 {
+		if r := int64(c.cfg.RetireWidth); n > r {
+			n = r
 		}
-		c.count--
-		c.Retired++
+		c.retire(n)
 		if c.FinishedAt == 0 && c.Retired >= c.TargetInsts {
 			c.FinishedAt = now
 		}
@@ -185,7 +187,7 @@ func (c *Core) Tick(now int64) {
 		}
 		if c.pending.Bubbles > 0 {
 			c.pending.Bubbles--
-			c.insert(true)
+			c.insert()
 			continue
 		}
 		// The memory access of the pending record.
@@ -196,20 +198,20 @@ func (c *Core) Tick(now int64) {
 				c.StoreStalls++
 				return // retry next cycle
 			}
-			c.insert(true)
+			c.insert()
 		} else {
-			// The completion token is valid while the slot's epoch still
-			// matches the epoch recorded at issue; a late dispatch after
-			// the entry retired and the slot was reused finds a different
-			// epoch and is ignored (see CompleteSlot).
+			// The completion token names the slot; CompleteSlot ignores it
+			// unless the slot still waits on this load.
 			slot := c.tail
-			c.issueEp[slot] = c.epoch[slot] + 1
 			tok := ev.Token{Kind: ev.CoreSlot, ID: int32(c.ID), Arg: uint64(slot)}
 			if !c.l1.Access(c.pending.Addr, false, tok) {
 				c.LoadStalls++
 				return
 			}
-			c.insert(false)
+			c.waiting[slot] = true
+			c.pend[c.ring(c.pendHead+c.pendN)] = slot
+			c.pendN++
+			c.insert()
 		}
 		c.hasPending = false
 	}
@@ -219,10 +221,10 @@ func (c *Core) Tick(now int64) {
 // now+1 while the core can retire or issue, or math.MaxInt64 when it is
 // fully blocked (window head waiting on a fill, or the pending memory
 // access refused by the L1). A blocked core's state only changes through
-// scheduler events — a cache fill marking a window entry done or freeing
-// an L1 MSHR — so the run loop may skip it until the next event fires.
+// scheduler events — a load completing or a cache fill freeing an L1
+// MSHR — so the run loop may skip it until the next event fires.
 func (c *Core) NextWake(now int64) int64 {
-	if c.count > 0 && c.done[c.head] {
+	if c.retirableRun() > 0 {
 		return now + 1 // can retire
 	}
 	if c.count < c.cfg.WindowSize {
@@ -272,11 +274,12 @@ func (c *Core) AccountSkipped(cycles int64) {
 // delivers any CompleteSlot for the core, so the retirable run cannot
 // grow inside the batch. The count is capped at the cycle the core would
 // reach its instruction target, so the run loop observes the finish
-// exactly where the dense loop would.
+// exactly where the dense loop would. A window narrower than an issue
+// group never batches: its steady state is issue-limited.
 //
 // Returns 0 when the next cycle must be executed normally.
 func (c *Core) BatchableCycles() int64 {
-	if !c.hasPending || c.cfg.IssueWidth != c.cfg.RetireWidth {
+	if !c.hasPending || c.cfg.IssueWidth != c.cfg.RetireWidth || c.cfg.IssueWidth > c.cfg.WindowSize {
 		return 0
 	}
 	iw := int64(c.cfg.IssueWidth)
@@ -286,7 +289,7 @@ func (c *Core) BatchableCycles() int64 {
 	if n <= 0 {
 		return 0
 	}
-	if c.pendingFills == 0 {
+	if c.pendN == 0 {
 		// Whole window retirable: issue refills what retire drains, so
 		// the regime holds for the entire bubble run.
 		if c.FinishedAt == 0 {
@@ -296,7 +299,7 @@ func (c *Core) BatchableCycles() int64 {
 		}
 		return n
 	}
-	// Loads in flight: retirement stops at the first not-done entry.
+	// Loads in flight: retirement stops at the front of the load ring.
 	avail := c.retirableRun()
 	if avail >= iw {
 		// Full-group retire+issue cycles until the retirable run shrinks
@@ -331,10 +334,24 @@ func (c *Core) BatchableCycles() int64 {
 	return n
 }
 
-// retirableRun returns the length of the run of completed entries at the
-// window head — how many instructions can retire before the first entry
-// still waiting on its load.
-func (c *Core) retirableRun() int64 { return int64(c.avail) }
+// retirableRun returns the length of the run of retirable entries at
+// the window head — how many instructions can retire before the oldest
+// load still waiting on its fill, the front of the load ring.
+func (c *Core) retirableRun() int64 {
+	if c.pendN == 0 {
+		return int64(c.count)
+	}
+	return int64(c.age(c.pend[c.pendHead]))
+}
+
+// age returns how many window entries precede `slot`, counting from
+// head.
+func (c *Core) age(slot int) int {
+	if d := slot - c.head; d >= 0 {
+		return d
+	}
+	return slot - c.head + c.cfg.WindowSize
+}
 
 // cyclesToTarget returns the batched-cycle index (1-based) at which the
 // retire stream crosses TargetInsts in the all-done regime: the first
@@ -371,7 +388,7 @@ func (c *Core) AdvanceBatch(now, cycles int64) {
 	if cycles <= 0 {
 		return
 	}
-	if c.pendingFills == 0 {
+	if c.pendN == 0 {
 		c.advanceAllDone(now, cycles)
 	} else {
 		c.advanceInFlight(now, cycles)
@@ -379,11 +396,10 @@ func (c *Core) AdvanceBatch(now, cycles int64) {
 }
 
 // advanceAllDone applies `cycles` bubble cycles over a fully retirable
-// window. Instead of sliding the ring buffer — whose absolute position
-// is unobservable: retire/issue only read done/epoch relative to head
-// and tail, and the epoch guard only compares values recorded at issue
-// — the window is left in place and only grown to its steady-state
-// occupancy, so the cost is O(RetireWidth) regardless of span.
+// window. Instead of sliding the ring — whose absolute position is
+// unobservable while no load is in it — the window is left in place and
+// only grown to its steady-state occupancy, so the cost is O(1)
+// regardless of span.
 func (c *Core) advanceAllDone(now, cycles int64) {
 	r := int64(c.cfg.RetireWidth)
 	r0 := r
@@ -406,16 +422,17 @@ func (c *Core) advanceAllDone(now, cycles int64) {
 	// Steady-state occupancy: a window below RetireWidth refills to it on
 	// the first cycle (retire everything, issue a full group) and then
 	// holds; a larger window retires and issues in lockstep.
-	for int64(c.count) < r {
-		c.insert(true)
+	if grow := int(r) - c.count; grow > 0 {
+		c.tail = c.ring(c.tail + grow)
+		c.count += grow
 	}
 }
 
 // advanceInFlight applies `cycles` bubble cycles while loads are in
-// flight. Here the not-done entries pin absolute ring positions (their
-// completion tokens name their physical slots), so the ring is
-// updated exactly as the dense per-cycle loop would: retired entries
-// are cleared off the head, issued bubbles inserted at the tail.
+// flight. The loads pin absolute ring positions (their completion
+// tokens name their slots), so head and tail move exactly as the dense
+// per-cycle loop would move them. Retiring and inserting bubbles touch
+// no per-slot state, so the cost is O(1) regardless of span.
 func (c *Core) advanceInFlight(now, cycles int64) {
 	iw := int64(c.cfg.IssueWidth)
 	avail := c.retirableRun()
@@ -425,25 +442,7 @@ func (c *Core) advanceInFlight(now, cycles int64) {
 	} else {
 		retired = avail // first cycle drains the run; the rest retire 0
 	}
-	w := c.cfg.WindowSize
-	// Clear the retired entries off the head in at most two wrap-free
-	// runs; the range-clear loops compile to block fills instead of a
-	// per-entry wrap check.
-	if h, n := c.head, int(retired); h+n <= w {
-		clearDone(c.done[h : h+n])
-		if h += n; h == w {
-			h = 0
-		}
-		c.head = h
-	} else {
-		clearDone(c.done[h:])
-		h += n - w
-		clearDone(c.done[:h])
-		c.head = h
-	}
-	c.count -= int(retired)
-	c.avail -= int(retired)
-	c.Retired += retired
+	c.retire(retired)
 	if c.FinishedAt == 0 && c.Retired >= c.TargetInsts {
 		need := c.TargetInsts - (c.Retired - retired)
 		if need < 1 {
@@ -455,85 +454,31 @@ func (c *Core) advanceInFlight(now, cycles int64) {
 		}
 		c.FinishedAt = now + k
 	}
-	c.pending.Bubbles -= int(iw * cycles)
-	// Tight bubble-insert loop: the generic insert pays a wrap check and
-	// pendingFills/avail bookkeeping per entry; here every entry is a
-	// completed bubble behind a pending load, so only the done flags need
-	// writing. The epoch bump is skipped too: epochs disambiguate slot
-	// reuse for *load* completion tokens, every token fires exactly
-	// once before its entry can retire, and the `!done` guard already
-	// rejects a (hypothetical) stale fire while a bubble occupies the
-	// slot — a bubble entry is done for its whole residence. Epoch values
-	// are only ever compared against issueEp recorded at load issue, so
-	// skipping bumps for bubbles leaves that relation intact.
 	ins := int(iw * cycles)
-	if t := c.tail; t+ins <= w {
-		setDone(c.done[t : t+ins])
-		if t += ins; t == w {
-			t = 0
-		}
-		c.tail = t
-	} else {
-		setDone(c.done[t:])
-		t += ins - w
-		setDone(c.done[:t])
-		c.tail = t
-	}
+	c.pending.Bubbles -= ins
+	c.tail = c.ring(c.tail + ins)
 	c.count += ins
 }
 
-// clearDone and setDone fill a done-flag run; kept as named helpers so
-// both wrap halves share the compiler's block-fill lowering.
-func clearDone(s []bool) {
-	for i := range s {
-		s[i] = false
+// ring wraps a slot index that is at most one window past the end.
+func (c *Core) ring(i int) int {
+	if i >= c.cfg.WindowSize {
+		return i - c.cfg.WindowSize
 	}
+	return i
 }
 
-func setDone(s []bool) {
-	for i := range s {
-		s[i] = true
-	}
+// retire drops n entries off the window head.
+func (c *Core) retire(n int64) {
+	c.head = c.ring(c.head + int(n))
+	c.count -= int(n)
+	c.Retired += n
 }
 
 // insert places one instruction at the window tail.
-func (c *Core) insert(done bool) {
-	c.done[c.tail] = done
-	if !done {
-		c.pendingFills++
-	} else if c.avail == c.count {
-		c.avail++ // the retirable head run reaches the tail: extend it
-	}
-	c.epoch[c.tail]++
-	c.tail++
-	if c.tail == c.cfg.WindowSize {
-		c.tail = 0
-	}
+func (c *Core) insert() {
+	c.tail = c.ring(c.tail + 1)
 	c.count++
-}
-
-// extendAvail grows the retirable head run after the entry in `slot`
-// completed. Only a completion at the run's exact end extends it; the
-// run then absorbs any already-completed entries behind it. Each entry
-// is absorbed exactly once, so the maintenance is O(1) amortized.
-func (c *Core) extendAvail(slot int) {
-	end := c.head + c.avail
-	if end >= c.cfg.WindowSize {
-		end -= c.cfg.WindowSize
-	}
-	if slot != end {
-		return
-	}
-	for c.avail < c.count {
-		i := c.head + c.avail
-		if i >= c.cfg.WindowSize {
-			i -= c.cfg.WindowSize
-		}
-		if !c.done[i] {
-			break
-		}
-		c.avail++
-	}
 }
 
 // WindowOccupancy returns the number of in-flight window entries.

@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/cache"
@@ -12,10 +13,11 @@ import (
 // test fixtures: MSHR tokens route to the single L1 under test, core-slot
 // tokens to the single core.
 type sched struct {
-	now    int64
-	events []tokEvent
-	l1     *cache.Cache
-	core   *Core
+	now       int64
+	events    []tokEvent
+	l1        *cache.Cache
+	core      *Core
+	completed int // CoreSlot tokens dispatched
 }
 
 type tokEvent struct {
@@ -30,6 +32,7 @@ func (s *sched) After(delay int64, tok ev.Token) {
 func (s *sched) Dispatch(tok ev.Token, now int64) {
 	switch tok.Kind {
 	case ev.CoreSlot:
+		s.completed++
 		s.core.CompleteSlot(int(tok.Arg))
 	case ev.MSHRStart:
 		s.l1.StartFetch(tok.Arg)
@@ -67,13 +70,17 @@ func (m *fixedMem) Request(addr uint64, isWrite bool, coreID int, onDone ev.Toke
 
 // sliceTrace replays a fixed set of records, looping forever.
 type sliceTrace struct {
-	recs []TraceRecord
-	pos  int
+	recs  []TraceRecord
+	pos   int
+	loads int // load records handed out
 }
 
 func (t *sliceTrace) Next() TraceRecord {
 	r := t.recs[t.pos%len(t.recs)]
 	t.pos++
+	if !r.IsWrite {
+		t.loads++
+	}
 	return r
 }
 
@@ -421,7 +428,7 @@ func TestBatchableCyclesGating(t *testing.T) {
 	for ; s.now < 200; s.now++ {
 		s.fire()
 		c.Tick(s.now)
-		if c.pendingFills == 0 {
+		if c.pendN == 0 {
 			continue
 		}
 		got := c.BatchableCycles()
@@ -443,25 +450,73 @@ func TestBatchableCyclesGating(t *testing.T) {
 				s.now, got, c.count, avail)
 		}
 	}
+	// A window narrower than an issue group fills every cycle, so its
+	// cycles are issue-limited and never batch.
+	narrow, err := New(0, Config{WindowSize: 2, IssueWidth: 3, RetireWidth: 3},
+		&sliceTrace{recs: []TraceRecord{{Bubbles: 90}}}, s.l1, 1<<40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for now := int64(0); now < 3; now++ {
+		narrow.Tick(now)
+		if got := narrow.BatchableCycles(); got != 0 {
+			t.Fatalf("2-entry window batchable for %d cycles at cycle %d", got, now)
+		}
+	}
 }
 
-// scanAvail recomputes the retirable head run from scratch.
-func scanAvail(c *Core) int {
-	n := 0
-	i := c.head
-	for n < c.count && c.done[i] {
-		n++
-		i++
-		if i == c.cfg.WindowSize {
+// refRun recomputes the retirable head run without the load ring: the
+// distance from head to the oldest window entry whose load still waits
+// on its fill, or count when none waits. The waiting flags are checked
+// against the token stream first. A load's CoreSlot is either queued in
+// the scheduler (an L1 hit) or held by an L1 MSHR until the fill (a
+// miss), so every queued CoreSlot must name a waiting slot, and the
+// waiting slots must number the loads the L1 accepted less the CoreSlots
+// dispatched.
+func refRun(t *testing.T, c *Core, s *sched) int64 {
+	t.Helper()
+	for _, e := range s.events {
+		if e.tok.Kind == ev.CoreSlot && !c.waiting[e.tok.Arg] {
+			t.Fatalf("cycle %d: CoreSlot for slot %d is queued, but the slot is not waiting", s.now, e.tok.Arg)
+		}
+	}
+	accepted := c.trace.(*sliceTrace).loads
+	if c.hasPending && !c.pending.IsWrite {
+		accepted-- // fetched, but its access has not been accepted yet
+	}
+	waiting := 0
+	for _, w := range c.waiting {
+		if w {
+			waiting++
+		}
+	}
+	if waiting != accepted-s.completed {
+		t.Fatalf("cycle %d: %d slots waiting, but %d loads accepted and %d CoreSlots dispatched",
+			s.now, waiting, accepted, s.completed)
+	}
+	for n, i := 0, c.head; n < c.count; n++ {
+		if c.waiting[i] {
+			return int64(n)
+		}
+		if i++; i == c.cfg.WindowSize {
 			i = 0
 		}
 	}
-	return n
+	return int64(c.count)
 }
 
-// TestAvailInvariant drives mixed traces (hits, misses, stores, MSHR
-// pressure) and checks every cycle that the incrementally maintained
-// retirable-run length matches a fresh scan of the window.
+// liveRing returns the load ring's entries, front first.
+func liveRing(c *Core) []int {
+	out := make([]int, c.pendN)
+	for i := range out {
+		out[i] = c.pend[c.ring(c.pendHead+i)]
+	}
+	return out
+}
+
+// TestAvailInvariant drives mixed traces (hits, misses, stores,
+// MSHR pressure) and checks every cycle, and after every batch, that
+// the run the load ring yields matches a reference computed without it.
 func TestAvailInvariant(t *testing.T) {
 	for _, bubbles := range []int{0, 2, 40, 200} {
 		recs := make([]TraceRecord, 512)
@@ -476,18 +531,113 @@ func TestAvailInvariant(t *testing.T) {
 		for ; s.now < 5_000; s.now++ {
 			s.fire()
 			c.Tick(s.now)
-			if got, want := c.avail, scanAvail(c); got != want {
-				t.Fatalf("bubbles=%d cycle %d: avail=%d, scan=%d", bubbles, s.now, got, want)
+			if got, want := c.retirableRun(), refRun(t, c, s); got != want {
+				t.Fatalf("bubbles=%d cycle %d: retirableRun=%d, reference=%d", bubbles, s.now, got, want)
 			}
 			if b := c.BatchableCycles(); b > 0 {
 				// Exercise the batch paths under the invariant too.
 				c.AdvanceBatch(s.now, b)
 				s.now += b
-				if got, want := c.avail, scanAvail(c); got != want {
-					t.Fatalf("bubbles=%d post-batch cycle %d: avail=%d, scan=%d", bubbles, s.now, got, want)
+				if got, want := c.retirableRun(), refRun(t, c, s); got != want {
+					t.Fatalf("bubbles=%d post-batch cycle %d: retirableRun=%d, reference=%d", bubbles, s.now, got, want)
 				}
 			}
 		}
+	}
+}
+
+// threeLoads builds a core whose window holds three loads, each behind
+// two bubbles, on a memory too slow to return any of them, and returns
+// the loads' slots oldest first.
+func threeLoads(t *testing.T) (*Core, []int) {
+	t.Helper()
+	recs := make([]TraceRecord, 64)
+	for i := range recs {
+		recs[i] = TraceRecord{Bubbles: 2, Addr: uint64(i) * 64 * 1024}
+	}
+	c, s, _ := newCore(t, recs, 1_000_000, 1<<40)
+	for ; s.now < 3; s.now++ {
+		s.fire()
+		c.Tick(s.now)
+	}
+	loads := liveRing(c)
+	if len(loads) != 3 || c.retirableRun() != 0 {
+		t.Fatalf("setup: ring %v, retirable run %d; want three loads, the oldest at the head", loads, c.retirableRun())
+	}
+	return c, loads
+}
+
+// TestCompleteSlotOutOfOrder completes three in-flight loads second,
+// third, then first: the younger two stay queued behind the front, and
+// the front's completion pops all three at once.
+func TestCompleteSlotOutOfOrder(t *testing.T) {
+	c, loads := threeLoads(t)
+	steps := []struct {
+		slot int
+		ring int   // loads left in the ring
+		run  int64 // retirable run afterwards
+	}{
+		{loads[1], 3, 0},
+		{loads[2], 3, 0},
+		{loads[0], 0, int64(c.count)},
+	}
+	for i, st := range steps {
+		c.CompleteSlot(st.slot)
+		if c.pendN != st.ring || c.retirableRun() != st.run {
+			t.Fatalf("step %d (slot %d): ring %d, run %d; want ring %d, run %d",
+				i, st.slot, c.pendN, c.retirableRun(), st.ring, st.run)
+		}
+	}
+}
+
+// TestCompleteSlotIgnoresStaleTokens delivers a duplicate CoreSlot and a
+// CoreSlot for a slot that now holds a bubble: neither may touch the
+// ring, the waiting flags or the retirable run.
+func TestCompleteSlotIgnoresStaleTokens(t *testing.T) {
+	c, loads := threeLoads(t)
+	// A duplicate for a load queued behind the still-waiting front.
+	c.CompleteSlot(loads[1])
+	c.CompleteSlot(loads[1])
+	if c.pendN != 3 || c.retirableRun() != 0 || c.waiting[loads[1]] {
+		t.Fatalf("duplicate CoreSlot: ring %d, run %d, waiting %v", c.pendN, c.retirableRun(), c.waiting[loads[1]])
+	}
+	// The front's completion pops it and the completed load behind it;
+	// a duplicate of either is then ignored.
+	c.CompleteSlot(loads[0])
+	ring, run := liveRing(c), c.retirableRun()
+	if len(ring) != 1 || ring[0] != loads[2] || run != int64(c.age(loads[2])) {
+		t.Fatalf("front completion: ring %v, run %d; want [%d], run %d", ring, run, loads[2], c.age(loads[2]))
+	}
+	c.CompleteSlot(loads[0])
+	c.CompleteSlot(loads[1])
+	if got := liveRing(c); len(got) != 1 || c.retirableRun() != run {
+		t.Fatalf("duplicates after the pop: ring %v, run %d; want [%d], run %d", got, c.retirableRun(), loads[2], run)
+	}
+	// Retire the first load, then refill its slot with a bubble: a
+	// CoreSlot naming it must not pop the youngest load, still waiting.
+	retire := int64(c.age(loads[0]) + 1)
+	c.retire(retire)
+	for c.tail != loads[0] {
+		c.insert()
+	}
+	c.insert()
+	before := c.retirableRun()
+	c.CompleteSlot(loads[0])
+	if got := liveRing(c); len(got) != 1 || got[0] != loads[2] || c.retirableRun() != before || c.waiting[loads[0]] {
+		t.Fatalf("CoreSlot for a bubble slot: ring %v, run %d (was %d), waiting %v",
+			got, c.retirableRun(), before, c.waiting[loads[0]])
+	}
+	// With the ring empty, a CoreSlot for the bubble slot that the
+	// ring's front index last named must not pop anything.
+	c.CompleteSlot(loads[2])
+	stale := c.pend[c.pendHead]
+	if c.pendN != 0 || c.age(stale) >= c.count {
+		t.Fatalf("setup: ring %d, slot %d at age %d of %d", c.pendN, stale, c.age(stale), c.count)
+	}
+	c.CompleteSlot(stale)
+	if c.pendN != 0 || c.retirableRun() != int64(c.count) {
+		t.Fatalf("CoreSlot for bubble slot %d on an empty ring: ring %d, run %d of %d",
+			stale, c.pendN, c.retirableRun(), c.count)
 	}
 }
 
@@ -503,7 +653,7 @@ func inflightCore(t *testing.T, bubbles int, latency int64, target int64) (*Core
 	for ; s.now < 100_000; s.now++ {
 		s.fire()
 		c.Tick(s.now)
-		if c.pendingFills > 0 && c.BatchableCycles() > 0 {
+		if c.pendN > 0 && c.BatchableCycles() > 0 {
 			s.now++
 			return c, s
 		}
@@ -515,7 +665,8 @@ func inflightCore(t *testing.T, bubbles int, latency int64, target int64) (*Core
 // TestAdvanceInFlightMatchesDenseTicks checks the closed form with loads
 // outstanding: within the event horizon (no fill completes), Advance
 // must leave the core bit-identical to per-cycle Ticks — including the
-// ring itself, since pending fills pin absolute slot positions.
+// window position and the load ring, since pending fills pin absolute
+// slot positions.
 func TestAdvanceInFlightMatchesDenseTicks(t *testing.T) {
 	for _, bubbles := range []int{120, 250, 1000} {
 		batched, s := inflightCore(t, bubbles, 400, 1<<40)
@@ -548,14 +699,13 @@ func TestAdvanceInFlightMatchesDenseTicks(t *testing.T) {
 				batched.Retired, batched.head, batched.tail, batched.count, batched.pending.Bubbles,
 				dense.Retired, dense.head, dense.tail, dense.count, dense.pending.Bubbles)
 		}
-		// Epochs are not compared: the batch skips bubble epoch bumps by
-		// design (they only guard load-slot reuse), so only the done
-		// flags must be bit-identical.
-		for i := range batched.done {
-			if batched.done[i] != dense.done[i] {
-				t.Fatalf("bubbles=%d span=%d: slot %d done diverged (%v vs %v)",
-					bubbles, span, i, batched.done[i], dense.done[i])
-			}
+		// Neither path writes per-slot state for a bubble, so the load
+		// rings and the waiting flags must be bit-identical.
+		if b, d := liveRing(batched), liveRing(dense); !slices.Equal(b, d) {
+			t.Fatalf("bubbles=%d span=%d: load ring diverged (%v vs %v)", bubbles, span, b, d)
+		}
+		if !slices.Equal(batched.waiting, dense.waiting) {
+			t.Fatalf("bubbles=%d span=%d: waiting flags diverged", bubbles, span)
 		}
 		// Let the outstanding fills land and the traces play on: the twins
 		// must stay in lockstep.

@@ -6,18 +6,27 @@
 // returns from the cache hierarchy; stores retire immediately (modelling
 // a write buffer) but still traverse the hierarchy.
 //
+// Only loads carry completion state. The window keeps an age-ordered
+// ring of the slots holding loads, whose front is the oldest load still
+// waiting on its fill; every entry before the front is retirable. A
+// bubble or store insert only advances the window's tail, so window
+// upkeep costs O(loads), not O(instructions).
+//
 // The core is the top of the timing stack: it consumes the instruction
 // stream internal/workload generates and pushes memory operations into
 // internal/cache. Two accessors exist purely for the cycle-skipping
 // engine in internal/sim: NextWake bounds the next cycle the core can
 // make progress on its own, and BatchableCycles/AdvanceBatch execute
 // bubble runs (non-memory instructions issuing at full width) in closed
-// form instead of cycle by cycle. AccountSkipped credits the stall
-// counters the dense reference loop would have recorded, keeping both
-// engines bit-identical (TestEngineEquivalence).
+// form instead of cycle by cycle, in O(1) per batch with or without
+// loads in flight. AccountSkipped credits the stall counters the dense
+// reference loop would have recorded, keeping both engines bit-identical
+// (TestEngineEquivalence).
 //
-// Core.Snapshot/Restore (snapshot.go) serialize the window ring, issue
-// state, and per-core statistics for the system checkpoint lifecycle;
-// the trace cursor itself is checkpointed by the system layer, which
-// knows the concrete reader type (TraceReader exposes it).
+// Core.Snapshot/Restore (snapshot.go) serialize the window position, the
+// load ring's live entries, issue state, and per-core statistics for the
+// system checkpoint lifecycle, and Restore rejects a window that does
+// not fit the core as a decode error; the trace cursor itself is
+// checkpointed by the system layer, which knows the concrete reader type
+// (TraceReader exposes it).
 package cpu

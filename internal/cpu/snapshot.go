@@ -6,26 +6,26 @@ import "repro/internal/fgss"
 // checkpoint the stream position alongside the core.
 func (c *Core) TraceReader() TraceReader { return c.trace }
 
-// Snapshot appends the core's full execution state: the instruction
-// window ring (completion flags, slot epochs, issue epochs), the
-// buffered trace record, progress, and stall counters. TargetInsts is
-// configuration and does not travel in the snapshot.
+// Snapshot appends the core's full execution state: the window's head,
+// tail and count, the load ring's live entries in age order, each with
+// its slot's waiting flag, the buffered trace record, progress, and
+// stall counters. Slots outside the ring carry no state, so the window
+// costs O(loads in flight) bytes. TargetInsts is configuration and does
+// not travel in the snapshot.
 func (c *Core) Snapshot(w *fgss.Writer) {
-	w.Int(len(c.done))
-	for i := range c.done {
-		w.Bool(c.done[i])
-		w.I64(c.epoch[i])
-		w.I64(c.issueEp[i])
-	}
 	w.Int(c.head)
 	w.Int(c.tail)
 	w.Int(c.count)
+	w.Int(c.pendN)
+	for i := 0; i < c.pendN; i++ {
+		slot := c.pend[c.ring(c.pendHead+i)]
+		w.Int(slot)
+		w.Bool(c.waiting[slot])
+	}
 	w.Int(c.pending.Bubbles)
 	w.U64(c.pending.Addr)
 	w.Bool(c.pending.IsWrite)
 	w.Bool(c.hasPending)
-	w.Int(c.pendingFills)
-	w.Int(c.avail)
 	w.I64(c.Retired)
 	w.I64(c.FinishedAt)
 	w.I64(c.LoadStalls)
@@ -33,27 +33,45 @@ func (c *Core) Snapshot(w *fgss.Writer) {
 	w.I64(c.WindowFull)
 }
 
-// Restore reads back what Snapshot wrote. The receiver must be built
-// with the snapshotted window size (a mismatch stops decoding).
+// Restore reads back what Snapshot wrote. The bytes come from disk, so
+// a window that does not fit the receiver's — head or tail outside it,
+// count or ring length above its size, tail not count entries past
+// head — and a ring slot outside the occupied window, out of age order,
+// or a front that is not waiting are decode errors (fgss.Reader.Reject)
+// rather than a later panic or a run that never ends.
 func (c *Core) Restore(r *fgss.Reader) {
-	n := r.Int()
-	if n != len(c.done) {
+	size := c.cfg.WindowSize
+	head, tail, count, n := r.Int(), r.Int(), r.Int(), r.Int()
+	if r.Err() != nil {
 		return
 	}
-	for i := 0; i < n && r.Err() == nil; i++ {
-		c.done[i] = r.Bool()
-		c.epoch[i] = r.I64()
-		c.issueEp[i] = r.I64()
+	if head < 0 || head >= size || tail < 0 || tail >= size ||
+		count < 0 || count > size || (head+count)%size != tail || n < 0 || n > count {
+		r.Reject("cpu: core %d: window head %d, tail %d, count %d with %d loads does not fit %d entries",
+			c.ID, head, tail, count, n, size)
+		return
 	}
-	c.head = r.Int()
-	c.tail = r.Int()
-	c.count = r.Int()
+	c.head, c.tail, c.count = head, tail, count
+	clear(c.waiting)
+	c.pendHead, c.pendN = 0, n
+	for i, prev := 0, -1; i < n; i++ {
+		slot, waiting := r.Int(), r.Bool()
+		if r.Err() != nil {
+			return
+		}
+		if slot < 0 || slot >= size || c.age(slot) >= count || c.age(slot) <= prev || (i == 0 && !waiting) {
+			r.Reject("cpu: core %d: load ring entry %d (slot %d, waiting %v) is not an occupied slot in age order behind a waiting front",
+				c.ID, i, slot, waiting)
+			return
+		}
+		prev = c.age(slot)
+		c.pend[i] = slot
+		c.waiting[slot] = waiting
+	}
 	c.pending.Bubbles = r.Int()
 	c.pending.Addr = r.U64()
 	c.pending.IsWrite = r.Bool()
 	c.hasPending = r.Bool()
-	c.pendingFills = r.Int()
-	c.avail = r.Int()
 	c.Retired = r.I64()
 	c.FinishedAt = r.I64()
 	c.LoadStalls = r.I64()

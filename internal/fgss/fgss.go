@@ -5,7 +5,7 @@
 //
 //	offset  size  field
 //	0       4     magic "FGSS"
-//	4       2     format version (currently 1)
+//	4       2     format version (currently 2)
 //	6       2     reserved (zero)
 //	8       4     sim.EngineVersion of the writing build
 //	12      32    config fingerprint (sim.Config.Fingerprint)
@@ -38,8 +38,10 @@ import (
 // Magic identifies a FIGARO snapshot stream.
 const Magic = "FGSS"
 
-// FormatVersion is the current container format version.
-const FormatVersion = 1
+// FormatVersion is the current format version. It covers the layers'
+// section payloads as well as the container: version 2 encodes a
+// cpu.Core window as its ring of in-flight loads.
+const FormatVersion = 2
 
 // HeaderSize is the byte length of the fixed header.
 const HeaderSize = 44
@@ -293,6 +295,16 @@ func (r *Reader) Bytes() []byte {
 	b := r.sec[r.soff : r.soff+int(n)]
 	r.soff += int(n)
 	return b
+}
+
+// Reject records a decode error for a value that framed correctly but
+// is out of range for the layer reading it, so a layer refuses corrupt
+// state through the same sticky error as a framing fault. The first
+// error wins.
+func (r *Reader) Reject(format string, args ...any) {
+	if r.err == nil {
+		r.err = fmt.Errorf("fgss: section %d: %s", r.tag, fmt.Sprintf(format, args...))
+	}
 }
 
 // Err reports the first decode error encountered so far.

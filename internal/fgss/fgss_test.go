@@ -43,7 +43,7 @@ func TestGoldenHeader(t *testing.T) {
 	img := encode(t, 3, fp)
 	want := append([]byte{
 		'F', 'G', 'S', 'S', // magic
-		1, 0, // format version 1, little-endian u16
+		2, 0, // format version 2, little-endian u16
 		0, 0, // reserved
 		3, 0, 0, 0, // engine version 3, little-endian u32
 	}, fp[:]...)
@@ -128,7 +128,7 @@ func TestReaderRejectsHeader(t *testing.T) {
 
 // TestReaderRejectsBody covers the section-level defenses: truncation,
 // tag mismatch, oversized claims, trailing bytes, undecoded payload,
-// and invalid bool bytes.
+// invalid bool bytes, and a value a layer rejects.
 func TestReaderRejectsBody(t *testing.T) {
 	fp := testFingerprint()
 	img := encode(t, 3, fp)
@@ -222,6 +222,26 @@ func TestReaderRejectsBody(t *testing.T) {
 		r.Bytes()
 		if err := r.Err(); err == nil || !strings.Contains(err.Error(), "byte string claims") {
 			t.Errorf("err = %v, want byte-string claim refusal", err)
+		}
+	})
+
+	t.Run("layer rejects a value", func(t *testing.T) {
+		r := open(t, img)
+		r.Section(1)
+		if v := r.U64(); v != 42 {
+			t.Fatalf("U64 = %d, want 42", v)
+		}
+		r.Reject("value %d out of range", 42)
+		r.Reject("second rejection")
+		if got := r.I64(); got != 0 {
+			t.Errorf("I64 after Reject = %d, want 0 (sticky error)", got)
+		}
+		err := r.Err()
+		if err == nil || err.Error() != "fgss: section 1: value 42 out of range" {
+			t.Errorf("err = %v, want the first rejection, naming the section", err)
+		}
+		if cerr := r.Close(); cerr != err {
+			t.Errorf("Close = %v, want the rejection %v", cerr, err)
 		}
 	})
 }
