@@ -26,21 +26,13 @@
 // differently; -force recomputes everything and rewrites the store. See
 // the "Warm cache" section of the README for the versioning contract.
 //
-// With -shard K/N the experiment matrix is fanned out across machines:
-// each invocation enumerates the full job index of the selected
-// experiments, computes only its fingerprint-ordered 1/N slice into
-// -cache-dir (no tables are rendered), and writes a shard manifest
-// describing the split. Collect the cache directories, merge them with
-// figmerge, and rerun figbench unsharded against the merged directory:
-// it recomputes nothing and renders tables byte-identical to a
-// single-machine run. See ARCHITECTURE.md for the full workflow.
-//
-// With -worker URL the invocation instead serves a figserve coordinator:
-// it adopts the coordinator's scale and experiment set (local scale and
-// experiment arguments are rejected to prevent silent drift), computes
-// leased slices of the matrix, and uploads the results until the
-// coordinator reports the matrix complete. See "The experiment matrix"
-// section of ARCHITECTURE.md.
+// With -worker URL the invocation instead serves a figserve coordinator,
+// the way to fan the matrix out across machines: it adopts the
+// coordinator's scale and experiment set (local scale and experiment
+// arguments are rejected to prevent silent drift), computes leased
+// slices of the matrix, and uploads the results until the coordinator
+// reports the matrix complete. See "The experiment matrix" section of
+// ARCHITECTURE.md.
 package main
 
 import (
@@ -70,7 +62,6 @@ func main() {
 	par := flag.Int("parallel", 0, "concurrent simulations (0 = GOMAXPROCS)")
 	cacheDir := flag.String("cache-dir", "", "persistent result cache directory (empty = in-memory only)")
 	force := flag.Bool("force", false, "recompute cached runs and rewrite the persistent cache")
-	shard := flag.String("shard", "", "compute only slice K/N of the experiment matrix into -cache-dir (no tables are rendered; merge shards with figmerge)")
 	customWl := flag.String("workload", "", "comma-separated workloads for the custom experiment (benchmarks, mixes, mt-<app>, trace:FILE)")
 	worker := flag.String("worker", "", "serve a figserve coordinator at this base URL instead of running locally (scale and experiments come from the coordinator)")
 	workerID := flag.String("worker-id", "", "worker name in coordinator logs (default: host-pid)")
@@ -180,59 +171,18 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *shard != "" {
-		// Shard mode: enumerate the selected experiments' full job
-		// index, compute only this shard's fingerprint-ordered slice
-		// into the cache directory, and describe the split in a
-		// manifest so figmerge can validate the reassembled matrix. No
-		// tables are rendered — that is the job of an unsharded rerun
-		// against the merged directory, which recomputes nothing.
-		k, n, err := harness.ParseShard(*shard)
+	for _, e := range catalog {
+		if !want[e.Name] {
+			continue
+		}
+		start := time.Now()
+		tab, err := e.Run()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "figbench:", err)
-			os.Exit(2)
-		}
-		if *cacheDir == "" {
-			fmt.Fprintln(os.Stderr, "figbench: -shard requires -cache-dir (the shard's results must land somewhere)")
-			os.Exit(2)
-		}
-		var names []string
-		var builders []func() (*stats.Table, error)
-		for _, e := range catalog {
-			if want[e.Name] {
-				names = append(names, e.Name)
-				builders = append(builders, e.Run)
-			}
-		}
-		jobs, err := r.EnumerateJobs(builders...)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "figbench: enumerating jobs: %v\n", err)
+			fmt.Fprintf(os.Stderr, "figbench: %s: %v\n", e.Name, err)
 			os.Exit(1)
 		}
-		mine := harness.ShardJobs(jobs, k, n)
-		fmt.Printf("shard %d/%d: %d of %d matrix jobs\n", k, n, len(mine), len(jobs))
-		if _, err := r.RunJobs(mine); err != nil {
-			fmt.Fprintf(os.Stderr, "figbench: %v\n", err)
-			os.Exit(1)
-		}
-		if err := cache.WriteManifest(r.ShardManifest(jobs, k, n, names)); err != nil {
-			fmt.Fprintf(os.Stderr, "figbench: %v\n", err)
-			os.Exit(1)
-		}
-	} else {
-		for _, e := range catalog {
-			if !want[e.Name] {
-				continue
-			}
-			start := time.Now()
-			tab, err := e.Run()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "figbench: %s: %v\n", e.Name, err)
-				os.Exit(1)
-			}
-			fmt.Println(tab.Render())
-			fmt.Printf("(%s completed in %.1fs)\n\n", e.Name, time.Since(start).Seconds())
-		}
+		fmt.Println(tab.Render())
+		fmt.Printf("(%s completed in %.1fs)\n\n", e.Name, time.Since(start).Seconds())
 	}
 	if cps := r.SimCyclesPerSecond(); cps > 0 {
 		fmt.Printf("simulator throughput: %d cycles in %.1fs of simulation (%.2fM sim-cycles/s)\n",
@@ -243,9 +193,6 @@ func main() {
 		st.Hits(), st.MemHits, st.DiskHits, st.Misses, st.Stores)
 	if *cacheDir != "" {
 		fmt.Printf(" dir=%s", *cacheDir)
-	}
-	if *shard != "" {
-		fmt.Printf(" shard=%s", *shard)
 	}
 	if st.DiskError > 0 {
 		fmt.Printf(" disk-errors=%d", st.DiskError)

@@ -1,8 +1,9 @@
 // Command figserve coordinates a fleet of figbench workers computing one
-// experiment matrix: it enumerates the matrix, serves fingerprint leases
-// over HTTP, tracks heartbeats, re-dispatches expired or straggling
-// leases, validates uploaded result entries, and assembles a merged
-// cache directory plus a final manifest — then exits.
+// experiment matrix, the way to spread the matrix over several machines:
+// it enumerates the matrix, serves fingerprint leases over HTTP, tracks
+// heartbeats, re-dispatches expired or straggling leases, validates
+// uploaded result entries, and fills one cache directory plus a final
+// manifest.json — then exits.
 //
 // Usage:
 //
@@ -17,12 +18,13 @@
 // They adopt the coordinator's scale and experiment set (no local flags
 // to keep in sync) and refuse to serve a coordinator whose engine
 // version or enumerated matrix differs from their own build's. When the
-// matrix completes, the cache directory serves a warm unsharded rerun
+// matrix completes, the cache directory serves a warm rerun
 //
 //	figbench -insts ... -cache-dir DIR <experiment>...
 //
-// with misses=0 computed=0 and tables byte-identical to a solo run.
-// Restarting figserve over a partially-filled directory resumes: valid
+// with misses=0 computed=0 and tables byte-identical to a solo run; its
+// entries are byte-identical to those a solo figbench -cache-dir run
+// writes. Restarting figserve over a partially-filled directory resumes: valid
 // entries are detected and only the missing fingerprints re-dispatched.
 package main
 

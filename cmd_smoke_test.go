@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -16,9 +15,8 @@ import (
 // user-facing contracts end to end: catalog listing, workload stats,
 // input validation, the record→replay loop (byte-identical statistics on
 // a second replay — the determinism promise the trace format makes), the
-// text↔binary round trip, and figmerge's assembly of figbench -shard halves.
-// Before this test the commands were compiled but never executed by the
-// test suite.
+// text↔binary round trip, and a figserve fleet of figbench workers,
+// including a coordinator restarted over a partial directory.
 func TestCommandsSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping command execution in -short mode")
@@ -270,8 +268,8 @@ func TestCommandsSmoke(t *testing.T) {
 				t.Errorf("worker %d did not report a complete matrix:\n%s", i+1, out)
 			}
 		}
-		// The assembled directory serves a warm unsharded rerun without a
-		// single recomputation.
+		// The assembled directory serves a warm rerun without a single
+		// recomputation.
 		warm := mustRun(t, "figbench", append(append([]string{"-cache-dir", dir}, scaleArgs...), "table2", "fig7")...)
 		if !strings.Contains(warm, "misses=0 computed=0") {
 			t.Errorf("warm rerun over the fleet directory recomputed work:\n%s", warm)
@@ -282,8 +280,8 @@ func TestCommandsSmoke(t *testing.T) {
 		t.Parallel()
 		dir := filepath.Join(workDir, "resume-cache")
 		// Seed a partial directory the way an interrupted fleet leaves one:
-		// a 1-of-2 shard run computes half the table2 matrix into it.
-		mustRun(t, "figbench", append(append([]string{"-shard", "1/2", "-cache-dir", dir}, scaleArgs...), "table2")...)
+		// at -apps 1, table2 computes one of the two runs it has at -apps 2.
+		mustRun(t, "figbench", "-insts", "8000", "-apps", "1", "-mixes", "1", "-mc", "100", "-cache-dir", dir, "table2")
 
 		serveArgs := append(append([]string{"-addr", "127.0.0.1:0", "-cache-dir", dir, "-lease-ttl", "10s", "-batch", "2"}, scaleArgs...), "table2")
 		// First coordinator incarnation adopts the partial entries, then
@@ -294,7 +292,7 @@ func TestCommandsSmoke(t *testing.T) {
 		}
 		out1, _ := waitFigserve(serve1)
 		if !strings.Contains(out1, "(1 resumed)") {
-			t.Fatalf("first incarnation did not resume the shard's entry:\n%s", out1)
+			t.Fatalf("first incarnation did not resume the seeded entry:\n%s", out1)
 		}
 
 		// The restarted coordinator resumes the same entry and dispatches
@@ -316,39 +314,6 @@ func TestCommandsSmoke(t *testing.T) {
 		warm := mustRun(t, "figbench", append(append([]string{"-cache-dir", dir}, scaleArgs...), "table2")...)
 		if !strings.Contains(warm, "misses=0 computed=0") {
 			t.Errorf("warm rerun after restart-resume recomputed work:\n%s", warm)
-		}
-	})
-
-	t.Run("figmerge-shards", func(t *testing.T) {
-		t.Parallel()
-		empty := filepath.Join(workDir, "empty-cache")
-		if err := os.MkdirAll(empty, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		out, err := run(t, "figmerge", "-out", filepath.Join(workDir, "never-merged"), empty)
-		if err == nil {
-			t.Fatalf("figmerge merged a directory without a manifest:\n%s", out)
-		}
-		if !strings.Contains(out, "manifest") {
-			t.Errorf("refusal does not name the missing manifest:\n%s", out)
-		}
-
-		halves := []string{filepath.Join(workDir, "shard-1of2"), filepath.Join(workDir, "shard-2of2")}
-		for i, dir := range halves {
-			mustRun(t, "figbench", append(append([]string{"-shard", []string{"1/2", "2/2"}[i], "-cache-dir", dir}, scaleArgs...), "table2", "fig7")...)
-		}
-		merged := filepath.Join(workDir, "merged-cache")
-		out, err = run(t, "figmerge", "-out", merged, halves[0])
-		if err == nil {
-			t.Fatalf("figmerge accepted half the matrix:\n%s", out)
-		}
-		if !strings.Contains(out, "problem:") {
-			t.Errorf("incomplete merge did not report a problem line:\n%s", out)
-		}
-		mustRun(t, "figmerge", "-out", merged, halves[0], halves[1])
-		warm := mustRun(t, "figbench", append(append([]string{"-cache-dir", merged}, scaleArgs...), "table2", "fig7")...)
-		if !strings.Contains(warm, "misses=0 computed=0") {
-			t.Errorf("warm rerun over the merged directory recomputed work:\n%s", warm)
 		}
 	})
 }

@@ -395,17 +395,5 @@ func (c *Cache) Request(addr uint64, isWrite bool, coreID int, onDone ev.Token) 
 	}
 }
 
-// MissRate returns the fraction of accesses that missed.
-func (c *Cache) MissRate() float64 {
-	total := c.Hits + c.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(c.Misses) / float64(total)
-}
-
 // Accesses returns the total number of accesses.
 func (c *Cache) Accesses() int64 { return c.Hits + c.Misses }
-
-// OutstandingMisses returns the number of allocated MSHRs.
-func (c *Cache) OutstandingMisses() int { return len(c.active) }

@@ -19,15 +19,14 @@ var chaosScale = harness.Scale{Insts: 10_000, SingleApps: 2, MixesPerCategory: 1
 
 var chaosExperiments = []string{"table2", "fig7"}
 
-// soloCacheDir computes the reference directory: one unsharded run of
-// the experiments into a fresh cache, manifest stamped the way a
-// completed fleet stamps its own. Byte-identity of the fleet directory
-// against this is the test's convergence oracle.
+// soloCacheDir computes the reference directory: one solo run of the
+// experiments into a fresh cache, manifest written the way a completed
+// fleet writes its own. Byte-identity of the fleet directory against
+// this is the test's convergence oracle.
 func soloCacheDir(t *testing.T, names []string) string {
 	t.Helper()
 	dir := filepath.Join(t.TempDir(), "solo")
-	cache := expcache.New(dir)
-	r := harness.NewRunnerWithCache(chaosScale, cache, false)
+	r := harness.NewRunnerWithCache(chaosScale, expcache.New(dir), false)
 	_, jobs, manifest, err := BuildSpec(r, names)
 	if err != nil {
 		t.Fatal(err)
@@ -35,7 +34,7 @@ func soloCacheDir(t *testing.T, names []string) string {
 	if _, err := r.RunJobs(jobs); err != nil {
 		t.Fatal(err)
 	}
-	if err := cache.WriteManifest(manifest); err != nil {
+	if err := expcache.NewDirStore(dir).WriteManifest(manifest); err != nil {
 		t.Fatal(err)
 	}
 	return dir
@@ -59,8 +58,8 @@ func dirContents(t *testing.T, dir string) map[string]string {
 	return out
 }
 
-// compareDirs requires dir, assembled by a fleet or a merge, to hold
-// exactly the files of soloDir, byte for byte.
+// compareDirs requires dir, assembled by a fleet, to hold exactly the
+// files of soloDir, byte for byte.
 func compareDirs(t *testing.T, dir, soloDir string) {
 	t.Helper()
 	got, solo := dirContents(t, dir), dirContents(t, soloDir)
@@ -88,9 +87,9 @@ func compareDirs(t *testing.T, dir, soloDir string) {
 
 // TestDispatchConvergesUnderFaults runs a coordinator with a deliberately
 // hostile in-process fleet — a crash mid-lease, a worker that never
-// heartbeats, a double-sender, a straggler — and requires the merged
-// directory to be byte-identical to a solo unsharded run, with a warm
-// rerun over it computing nothing.
+// heartbeats, a double-sender, a straggler — and requires the fleet
+// directory to be byte-identical to a solo run, with a warm rerun over
+// it computing nothing.
 func TestDispatchConvergesUnderFaults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second fleet simulation")
@@ -168,7 +167,7 @@ func TestDispatchConvergesUnderFaults(t *testing.T) {
 
 	compareDirs(t, fleetDir, soloCacheDir(t, chaosExperiments))
 
-	// A warm unsharded rerun over the fleet directory computes nothing.
+	// A warm rerun over the fleet directory computes nothing.
 	warm := expcache.New(fleetDir)
 	wr := harness.NewRunnerWithCache(chaosScale, warm, false)
 	_, wjobs, _, err := BuildSpec(wr, chaosExperiments)

@@ -89,9 +89,9 @@ type Options struct {
 	LeaseTTL time.Duration
 	// Batch is the maximum fingerprints per lease (default 4).
 	Batch int
-	// Manifest, when set, is written into the store's directory as soon
-	// as the matrix completes, so the finished directory is
-	// self-describing the way a figbench -shard directory is.
+	// Manifest, when set, is written into the store's directory as
+	// manifest.json as soon as the matrix completes, so the finished
+	// directory names the matrix it holds.
 	Manifest *expcache.Manifest
 	// Now overrides the clock (tests). Defaults to time.Now.
 	Now func() time.Time
@@ -115,7 +115,7 @@ type lease struct {
 // for concurrent use (the HTTP handler calls them from many requests).
 type Coordinator struct {
 	spec  Spec
-	store expcache.Store
+	store *expcache.DirStore
 
 	mu       sync.Mutex
 	jobs     map[string]*jobState
@@ -136,7 +136,7 @@ type Coordinator struct {
 // marked done — so a coordinator restarted over a partial cache
 // directory re-dispatches only the missing fingerprints. Invalid or
 // foreign files are ignored (they are recomputed and overwritten).
-func NewCoordinator(spec Spec, store expcache.Store, opts Options) (*Coordinator, error) {
+func NewCoordinator(spec Spec, store *expcache.DirStore, opts Options) (*Coordinator, error) {
 	if opts.LeaseTTL <= 0 {
 		opts.LeaseTTL = 30 * time.Second
 	}
@@ -414,23 +414,13 @@ func (c *Coordinator) finishLocked() {
 	default:
 	}
 	if c.opts.Manifest != nil {
-		if err := c.writeManifest(); err != nil {
+		if err := c.store.WriteManifest(c.opts.Manifest); err != nil {
 			// The entries are all on disk and valid; a manifest write
-			// failure leaves a directory that a restarted coordinator or
-			// a Merge completes again, it does not un-complete the matrix.
+			// failure leaves a directory that a restarted coordinator
+			// completes again, it does not un-complete the matrix.
 			c.opts.Logf("dispatch: writing final manifest: %v", err)
 		}
 	}
 	c.leases = make(map[string]*lease)
 	close(c.complete)
-}
-
-// writeManifest persists the final manifest next to the entries. Only
-// directory-backed stores can hold one; others are left manifest-less.
-func (c *Coordinator) writeManifest() error {
-	ds, ok := c.store.(*expcache.DirStore)
-	if !ok {
-		return fmt.Errorf("dispatch: store has no directory for a manifest")
-	}
-	return expcache.New(ds.Dir()).WriteManifest(c.opts.Manifest)
 }

@@ -8,8 +8,8 @@ import (
 
 // BuildSpec enumerates the named experiments' job matrix at the runner's
 // scale (plan-only; nothing is simulated) and returns the dispatch Spec
-// describing it, the canonical job list, and the final 1-of-1 manifest a
-// completed fleet directory should carry. Coordinator side of the
+// describing it, the canonical job list, and the manifest a completed
+// fleet directory should carry. Coordinator side of the
 // matrix-agreement handshake; workers rebuild the same thing from the
 // Spec and compare.
 func BuildSpec(r *harness.Runner, names []string) (Spec, []sim.Config, *expcache.Manifest, error) {
@@ -36,5 +36,5 @@ func BuildSpec(r *harness.Runner, names []string) (Spec, []sim.Config, *expcache
 		Experiments:  names,
 		Fingerprints: fps,
 	}
-	return spec, jobs, r.ShardManifest(jobs, 1, 1, names), nil
+	return spec, jobs, r.ShardManifest(jobs, names), nil
 }

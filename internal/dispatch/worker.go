@@ -196,8 +196,8 @@ func (w *worker) serveLease(lease Lease, uploads *int) (bool, error) {
 		}
 		cfgs = append(cfgs, cfg)
 	}
-	// One batch run on the runner's worker pool, exactly as in a solo
-	// figbench -shard run.
+	// One batch run on the runner's worker pool, exactly as a solo
+	// figbench run computes its matrix.
 	if _, err := w.runner.RunJobs(cfgs); err != nil {
 		return false, fmt.Errorf("dispatch: computing lease %s: %w", lease.ID, err)
 	}

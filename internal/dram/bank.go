@@ -191,10 +191,6 @@ func (b *Bank) ForceClose() {
 	}
 }
 
-// delayACT pushes back the earliest activate cycle; used by the rank for
-// tRRD and tFAW.
-func (b *Bank) delayACT(at int64) { b.nextACT = maxI64(b.nextACT, at) }
-
 func maxI64(a, b int64) int64 {
 	if a > b {
 		return a

@@ -31,10 +31,6 @@ func (c CmdType) String() string {
 	return cmdNames[c]
 }
 
-// IsColumn reports whether the command is a column access (transfers data
-// on the channel data bus).
-func (c CmdType) IsColumn() bool { return c == CmdRD || c == CmdWR }
-
 // Command is one command addressed to a bank (or rank, for REF).
 type Command struct {
 	Type CmdType

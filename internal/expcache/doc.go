@@ -1,8 +1,7 @@
 // Package expcache is the experiment-result store behind the harness: a
 // two-tier cache of sim.Results keyed by sim.Fingerprint, plus the entry
-// wire format and shard manifests that let a result store be assembled
-// from pieces computed on different machines (internal/dispatch does the
-// assembling).
+// wire format and the matrix manifest that let a fleet of machines fill
+// one result store (internal/dispatch does the assembling).
 //
 // # Result cache
 //
@@ -19,12 +18,12 @@
 // rename), so concurrent writers of the same fingerprint — racing
 // processes, or racing workers of one process — land one complete entry.
 //
-// # Shard manifests
+// # Manifests
 //
-// A sharded figbench run (-shard K/N) computes a 1/N slice of the
-// experiment matrix into its cache directory and records a Manifest
-// there: the engine version, the full fingerprint index of the matrix,
-// and the slice this shard owned. Unlike entries, manifests are
-// validated strictly (Manifest.Validate, ReadManifests): they name the
-// matrix a merge assembles, so a broken one is an error, not a miss.
+// A fleet coordinator that completes a matrix writes a Manifest into its
+// cache directory as manifest.json: the engine version, the scale, the
+// experiment set and the full fingerprint index of the matrix. Unlike
+// entries, manifests are validated strictly (Manifest.Validate) before
+// they are written: one that names malformed or unsorted fingerprints
+// is an error, not a miss.
 package expcache

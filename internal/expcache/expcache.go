@@ -158,8 +158,8 @@ func (c *Cache) path(fp sim.Fingerprint) string {
 // decodeEntry parses and validates one on-disk envelope against the
 // fingerprint its filename claims. Any defect — unparsable JSON, foreign
 // format, stale engine, or a fingerprint mismatch (renamed file) — is an
-// error; Cache reads map it to a miss, and the dispatch coordinator (fleet
-// uploads and figmerge alike) rejects the entry with it.
+// error; Cache reads map it to a miss, and the dispatch coordinator
+// rejects a fleet upload with it.
 func decodeEntry(data []byte, fp string) (entry, error) {
 	var e entry
 	if err := json.Unmarshal(data, &e); err != nil {

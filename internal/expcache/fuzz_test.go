@@ -60,19 +60,16 @@ func FuzzDecodeEntry(f *testing.F) {
 }
 
 // FuzzManifestValidate feeds arbitrary JSON to the manifest decode +
-// Validate path that dispatch.Merge trusts to name the matrix. No input
-// may panic it; a manifest that validates must have a well-formed
-// positional assignment (ExpectedAssigned never out-of-range).
+// Validate path. No input may panic it; a manifest that validates must
+// carry the current format and engine stamps and a sorted index of
+// 64-hex fingerprints.
 func FuzzManifestValidate(f *testing.F) {
 	m := &Manifest{
 		Format:       ManifestFormatVersion,
 		Engine:       sim.EngineVersion,
 		Scale:        "insts=1000 apps=1 mixes=1 mc=10",
 		Experiments:  []string{"table2"},
-		Shard:        1,
-		NumShards:    2,
 		Fingerprints: []string{strings.Repeat("0", 64), strings.Repeat("f", 64)},
-		Assigned:     []string{strings.Repeat("0", 64)},
 	}
 	seed, err := json.Marshal(m)
 	if err != nil {
@@ -81,7 +78,7 @@ func FuzzManifestValidate(f *testing.F) {
 	f.Add(seed)
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"format":1,"engine":1,"shard":0,"num_shards":-1}`))
-	f.Add([]byte(`{"format":1,"fingerprints":["zz"]}`))
+	f.Add([]byte(`{"format":2,"fingerprints":["zz"]}`))
 	f.Add([]byte(`null`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -92,17 +89,15 @@ func FuzzManifestValidate(f *testing.F) {
 		if err := m.Validate(); err != nil {
 			return // invalid manifest: the only requirement is no panic
 		}
-		// A validated manifest's positional assignment must be coherent:
-		// every expected fingerprint comes from the index, and the shard
-		// bounds hold (ShardOf stays within 1..NumShards).
-		for _, fp := range m.ExpectedAssigned() {
-			if !IsFingerprintHex(fp) {
-				t.Fatalf("validated manifest assigns non-hex fingerprint %q", fp)
-			}
+		if m.Format != ManifestFormatVersion || m.Engine != sim.EngineVersion {
+			t.Fatalf("validated manifest has format %d engine %d", m.Format, m.Engine)
 		}
-		for i := range m.Fingerprints {
-			if s := ShardOf(i, m.NumShards); s < 1 || s > m.NumShards {
-				t.Fatalf("ShardOf(%d, %d) = %d out of range", i, m.NumShards, s)
+		for i, fp := range m.Fingerprints {
+			if !IsFingerprintHex(fp) {
+				t.Fatalf("validated manifest indexes non-hex fingerprint %q", fp)
+			}
+			if i > 0 && m.Fingerprints[i-1] > fp {
+				t.Fatalf("validated manifest index out of order at %d", i)
 			}
 		}
 	})

@@ -5,34 +5,22 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 )
 
-// Store is the entry-storage seam: result entries move as encoded
-// envelope bytes (exactly the on-disk format — see EncodeEntry), so an
-// entry can arrive over the wire, out of another cache directory, or
-// from a local computation and land through one code path. The dispatch
-// coordinator accepts worker uploads into a Store; an object-store
-// backend would implement the same three methods.
+// DirStore holds result entries as encoded envelope bytes (exactly the
+// on-disk format — see EncodeEntry) in a cache directory, so an entry
+// can arrive over the wire or from a local computation and land through
+// one code path: the dispatch coordinator accepts worker uploads into a
+// DirStore. It interoperates byte-for-byte with Cache and figbench
+// -cache-dir: entries are FP.json files written atomically. Files that
+// are not well-formed entry names (the manifest, temp files) are ignored
+// by List/Get.
 //
-// Keys are 64-hex fingerprint strings (IsFingerprintHex). A Store holds
-// bytes, not meaning: callers validate with DecodeEntry before writing,
-// so everything inside a Store is a well-formed entry of the current
+// Keys are 64-hex fingerprint strings (IsFingerprintHex). A DirStore
+// holds bytes, not meaning: callers validate with DecodeEntry before
+// writing, so everything inside it is a well-formed entry of the current
 // engine generation.
-type Store interface {
-	// PutEntry persists data under fp, atomically with respect to
-	// readers: a concurrent GetEntry sees the old bytes or the new ones,
-	// never a prefix.
-	PutEntry(fp string, data []byte) error
-	// GetEntry returns the stored bytes for fp, or ok=false when absent.
-	GetEntry(fp string) (data []byte, ok bool, err error)
-	// ListEntries returns the stored fingerprints in ascending order.
-	ListEntries() ([]string, error)
-}
-
-// DirStore implements Store over a cache directory, interoperating
-// byte-for-byte with Cache and figbench -cache-dir: entries are FP.json
-// files written atomically. Files that are not well-formed entry names
-// (manifests, temp files) are ignored by List/Get.
 type DirStore struct {
 	dir string
 }
@@ -40,10 +28,8 @@ type DirStore struct {
 // NewDirStore builds a DirStore over dir (created on first write).
 func NewDirStore(dir string) *DirStore { return &DirStore{dir: dir} }
 
-// Dir returns the backing directory.
-func (s *DirStore) Dir() string { return s.dir }
-
-// PutEntry atomically writes one entry file.
+// PutEntry atomically writes one entry file: a concurrent GetEntry sees
+// the old bytes or the new ones, never a prefix.
 func (s *DirStore) PutEntry(fp string, data []byte) error {
 	if !IsFingerprintHex(fp) {
 		return fmt.Errorf("expcache: store key %.12q is not a 64-hex fingerprint", fp)
@@ -88,4 +74,10 @@ func (s *DirStore) ListEntries() ([]string, error) {
 	}
 	sort.Strings(out)
 	return out, nil
+}
+
+// isEntryName reports whether a cache-directory filename is a result
+// entry (a 64-hex fingerprint plus .json).
+func isEntryName(name string) bool {
+	return strings.HasSuffix(name, ".json") && IsFingerprintHex(strings.TrimSuffix(name, ".json"))
 }

@@ -79,46 +79,35 @@ func TestDecodeEntryNamedErrors(t *testing.T) {
 	}
 }
 
-// TestManifestValidate: the manifest the positional rule gives each shard
-// of every split validates, and breaking any one of its rules is refused.
+// TestManifestValidate: a manifest over a sorted fingerprint index
+// validates, empty or not, and breaking any one of its rules is refused.
 func TestManifestValidate(t *testing.T) {
 	var matrix []string
 	for seed := uint64(1); seed <= 6; seed++ {
 		matrix = append(matrix, testFingerprint(seed).String())
 	}
 	slices.Sort(matrix)
-	good := func(k, n int) *Manifest {
-		m := &Manifest{
+	good := func(n int) *Manifest {
+		return &Manifest{
 			Format: ManifestFormatVersion, Engine: sim.EngineVersion,
-			Shard: k, NumShards: n, Fingerprints: slices.Clone(matrix),
+			Fingerprints: slices.Clone(matrix[:n]),
 		}
-		for i, fp := range matrix {
-			if ShardOf(i, n) == k {
-				m.Assigned = append(m.Assigned, fp)
-			}
-		}
-		return m
 	}
-	for n := 1; n <= len(matrix); n++ {
-		for k := 1; k <= n; k++ {
-			if err := good(k, n).Validate(); err != nil {
-				t.Fatalf("shard %d of %d: valid manifest rejected: %v", k, n, err)
-			}
+	for n := 0; n <= len(matrix); n++ {
+		if err := good(n).Validate(); err != nil {
+			t.Fatalf("%d-run matrix: valid manifest rejected: %v", n, err)
 		}
 	}
 	for _, tc := range []struct {
 		name   string
 		mutate func(*Manifest)
 	}{
-		{"format", func(m *Manifest) { m.Format = 99 }},
+		{"format", func(m *Manifest) { m.Format = 1 }},
 		{"engine", func(m *Manifest) { m.Engine = sim.EngineVersion + 1 }},
-		{"shard zero", func(m *Manifest) { m.Shard = 0 }},
-		{"shard beyond", func(m *Manifest) { m.Shard = 3 }},
 		{"unsorted", func(m *Manifest) { m.Fingerprints[0], m.Fingerprints[1] = m.Fingerprints[1], m.Fingerprints[0] }},
-		{"assignment size", func(m *Manifest) { m.Assigned = m.Assigned[:1] }},
-		{"assignment rule", func(m *Manifest) { m.Assigned[0] = m.Fingerprints[1] }},
+		{"non-hex", func(m *Manifest) { m.Fingerprints[len(m.Fingerprints)-1] = "zz" }},
 	} {
-		m := good(1, 2)
+		m := good(len(matrix))
 		tc.mutate(m)
 		if err := m.Validate(); err == nil {
 			t.Errorf("%s: invalid manifest accepted", tc.name)
@@ -138,12 +127,7 @@ func TestManifestValidateNamedErrors(t *testing.T) {
 		if fps[0] > fps[1] {
 			fps[0], fps[1] = fps[1], fps[0]
 		}
-		m := &Manifest{
-			Format: ManifestFormatVersion, Engine: sim.EngineVersion,
-			Shard: 1, NumShards: 1, Fingerprints: fps,
-		}
-		m.Assigned = m.ExpectedAssigned()
-		return m
+		return &Manifest{Format: ManifestFormatVersion, Engine: sim.EngineVersion, Fingerprints: fps}
 	}
 	if err := valid().Validate(); err != nil {
 		t.Fatalf("reference manifest invalid: %v", err)
@@ -155,18 +139,11 @@ func TestManifestValidateNamedErrors(t *testing.T) {
 	}{
 		{"format", func(m *Manifest) { m.Format++ }, ErrManifestFormat},
 		{"engine", func(m *Manifest) { m.Engine++ }, ErrManifestEngine},
-		{"shard-zero", func(m *Manifest) { m.NumShards = 0 }, ErrManifestShard},
-		{"shard-range", func(m *Manifest) { m.Shard = 5 }, ErrManifestShard},
 		{"unsorted", func(m *Manifest) {
 			m.Fingerprints[0], m.Fingerprints[1] = m.Fingerprints[1], m.Fingerprints[0]
 		}, ErrManifestFingerprint},
 		{"non-hex", func(m *Manifest) { m.Fingerprints[1] = "zz-not-a-fingerprint" }, ErrManifestFingerprint},
 		{"short-hex", func(m *Manifest) { m.Fingerprints[1] = "abcdef" }, ErrManifestFingerprint},
-		{"assignment-count", func(m *Manifest) { m.Assigned = m.Assigned[:1] }, ErrManifestAssignment},
-		{"assignment-drift", func(m *Manifest) {
-			m.Assigned = append([]string{}, m.Assigned...)
-			m.Assigned[0] = m.Fingerprints[1]
-		}, ErrManifestAssignment},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -176,31 +153,6 @@ func TestManifestValidateNamedErrors(t *testing.T) {
 				t.Errorf("Validate error = %v, want errors.Is(..., %v)", err, tc.want)
 			}
 		})
-	}
-}
-
-func TestShardOfPartitionsBalanced(t *testing.T) {
-	for n := 1; n <= 7; n++ {
-		counts := make([]int, n+1)
-		for i := 0; i < 100; i++ {
-			k := ShardOf(i, n)
-			if k < 1 || k > n {
-				t.Fatalf("ShardOf(%d, %d) = %d out of range", i, n, k)
-			}
-			counts[k]++
-		}
-		min, max := 100, 0
-		for k := 1; k <= n; k++ {
-			if counts[k] < min {
-				min = counts[k]
-			}
-			if counts[k] > max {
-				max = counts[k]
-			}
-		}
-		if max-min > 1 {
-			t.Errorf("n=%d: unbalanced shard sizes %v", n, counts[1:])
-		}
 	}
 }
 
@@ -257,8 +209,16 @@ func TestDirStore(t *testing.T) {
 		t.Errorf("GetEntry on a bad key: ok=%v err=%v", ok, err)
 	}
 
-	// Non-entry files (manifests, temp droppings) are invisible.
-	if err := os.WriteFile(filepath.Join(dir, "manifest-1of1.json"), []byte("{}"), 0o666); err != nil {
+	// The manifest lands as manifest.json, only when valid, and is
+	// invisible to the entry listing.
+	if err := s.WriteManifest(&Manifest{}); !errors.Is(err, ErrManifestFormat) {
+		t.Errorf("WriteManifest of an invalid manifest: %v, want ErrManifestFormat", err)
+	}
+	m := &Manifest{Format: ManifestFormatVersion, Engine: sim.EngineVersion, Fingerprints: fps}
+	if err := s.WriteManifest(m); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "manifest.json")); err != nil {
 		t.Fatal(err)
 	}
 	got, err = s.ListEntries()

@@ -91,9 +91,9 @@ func TestCustomRejectsEmptyAndUnknown(t *testing.T) {
 }
 
 // TestCustomEnumerates checks the custom experiment participates in
-// plan-only job enumeration (shard mode) without running any simulation:
-// trace-backed jobs are fingerprinted from cached content hashes, no
-// replayer is constructed.
+// plan-only job enumeration without running any simulation: trace-backed
+// jobs are fingerprinted from cached content hashes, no replayer is
+// constructed.
 func TestCustomEnumerates(t *testing.T) {
 	path := recordTestTrace(t, t.TempDir())
 	ws, err := ParseCustomWorkloads([]string{"trace:" + path})

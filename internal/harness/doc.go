@@ -13,11 +13,11 @@
 // DefaultScale is the full matrix, QuickScale the minutes-scale version
 // used by tests.
 //
-// For fanning the matrix out across machines, the package also provides
-// the sharding layer (shard.go): EnumerateJobs runs the experiment
-// builders in a plan-only mode that records every distinct job without
-// simulating, ShardJobs partitions the canonical fingerprint-ordered
-// index into K-of-N slices, and ShardManifest describes a slice so the
-// shard's cache directory is self-describing. See ARCHITECTURE.md for
-// the full multi-machine workflow.
+// For a fleet run across machines (internal/dispatch), the package also
+// plans the matrix (plan.go): EnumerateJobs runs the experiment builders
+// in a plan-only mode that records every distinct job without
+// simulating, in canonical fingerprint order; RunJobs computes a leased
+// subset through the result cache; and ShardManifest describes the whole
+// matrix so a completed fleet directory is self-describing. See
+// ARCHITECTURE.md for the multi-machine workflow.
 package harness

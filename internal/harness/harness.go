@@ -68,7 +68,7 @@ type Runner struct {
 	// planning switches runAll into job enumeration: submitted
 	// configurations are recorded in plan (deduplicated via planSeen)
 	// and errPlanOnly aborts the calling experiment builder before it
-	// renders anything. EnumerateJobs drives this; see shard.go.
+	// renders anything. EnumerateJobs drives this; see plan.go.
 	planning bool
 	plan     []sim.Config
 	planSeen map[sim.Fingerprint]bool

@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strconv"
-	"strings"
 
 	"repro/internal/expcache"
 	"repro/internal/sim"
@@ -22,16 +20,16 @@ var errPlanOnly = errors.New("harness: plan-only enumeration")
 
 // EnumerateJobs runs the given experiment builders in plan-only mode and
 // returns every distinct simulation job of their combined matrix in
-// ascending fingerprint order — the canonical matrix index that sharding
-// partitions. No simulation runs: each builder's first runAll call
-// records its jobs and aborts the builder. Builders that run no
-// simulations (static tables, the circuit model) contribute no jobs;
+// ascending fingerprint order — the canonical matrix index a fleet
+// coordinator leases from. No simulation runs: each builder's first
+// runAll call records its jobs and aborts the builder. Builders that run
+// no simulations (static tables, the circuit model) contribute no jobs;
 // their output is discarded.
 //
 // The returned order depends only on the set of jobs, not on builder
-// order or per-builder enumeration order, so every shard of a split
-// derives the identical index as long as it is launched with the same
-// experiment set and scale (the manifest records both for verification).
+// order or per-builder enumeration order, so a coordinator and its
+// workers derive the identical index as long as they use the same
+// experiment set and scale (the dispatch Spec carries both).
 //
 // Not safe to call concurrently with the builders' normal execution.
 func (r *Runner) EnumerateJobs(builders ...func() (*stats.Table, error)) ([]sim.Config, error) {
@@ -55,7 +53,7 @@ func (r *Runner) EnumerateJobs(builders ...func() (*stats.Table, error)) ([]sim.
 }
 
 // SortByFingerprint puts jobs into canonical ascending fingerprint order,
-// the order the shard assignment rule is defined over.
+// the matrix order a coordinator leases in.
 func SortByFingerprint(jobs []sim.Config) {
 	fps := make([]sim.Fingerprint, len(jobs))
 	for i, cfg := range jobs {
@@ -78,42 +76,10 @@ func (s *byFingerprint) Swap(i, j int) {
 	s.fps[i], s.fps[j] = s.fps[j], s.fps[i]
 }
 
-// ShardJobs returns the subset of a fingerprint-sorted job list assigned
-// to shard k of n (both 1-based; k in 1..n): job i belongs to shard
-// expcache.ShardOf(i, n). Every job lands in exactly one shard and the
-// split is balanced to within one job. jobs must come from EnumerateJobs
-// (or SortByFingerprint): the positional rule is only stable over the
-// canonical order.
-func ShardJobs(jobs []sim.Config, k, n int) []sim.Config {
-	var out []sim.Config
-	for i, cfg := range jobs {
-		if expcache.ShardOf(i, n) == k {
-			out = append(out, cfg)
-		}
-	}
-	return out
-}
-
-// ParseShard parses a "K/N" shard specification (as figbench's -shard
-// flag takes it), requiring 1 <= K <= N.
-func ParseShard(s string) (k, n int, err error) {
-	a, b, ok := strings.Cut(s, "/")
-	if ok {
-		k, err = strconv.Atoi(strings.TrimSpace(a))
-		if err == nil {
-			n, err = strconv.Atoi(strings.TrimSpace(b))
-		}
-	}
-	if !ok || err != nil || k < 1 || n < 1 || k > n {
-		return 0, 0, fmt.Errorf("harness: invalid shard %q, want K/N with 1 <= K <= N", s)
-	}
-	return k, n, nil
-}
-
 // RunJobs computes the given configurations through the result cache —
-// the execution half of a shard run: no figure is rendered, the cache
-// directory fills with this shard's entries. Returns the number of
-// distinct jobs (cached or computed).
+// the execution half of a fleet worker's lease: no figure is rendered,
+// the cache fills with the jobs' entries. Returns the number of distinct
+// jobs (cached or computed).
 func (r *Runner) RunJobs(jobs []sim.Config) (int, error) {
 	res, err := r.runAll(jobs)
 	if err != nil {
@@ -122,26 +88,21 @@ func (r *Runner) RunJobs(jobs []sim.Config) (int, error) {
 	return len(res), nil
 }
 
-// ShardManifest builds the manifest describing shard k of n over the
-// canonical (fingerprint-sorted) full job index, stamped with the
-// runner's scale and the experiment names the index was enumerated from.
-func (r *Runner) ShardManifest(jobs []sim.Config, k, n int, experiments []string) *expcache.Manifest {
+// ShardManifest builds the manifest of the whole matrix over the
+// canonical (fingerprint-sorted) job index, stamped with the runner's
+// scale and the experiment names the index was enumerated from. A fleet
+// coordinator writes it once the matrix is complete.
+func (r *Runner) ShardManifest(jobs []sim.Config, experiments []string) *expcache.Manifest {
 	m := &expcache.Manifest{
 		Format: expcache.ManifestFormatVersion,
 		Engine: sim.EngineVersion,
 		Scale: fmt.Sprintf("insts=%d apps=%d mixes=%d mc=%d",
 			r.scale.Insts, r.scale.SingleApps, r.scale.MixesPerCategory, r.scale.MCIterations),
 		Experiments:  experiments,
-		Shard:        k,
-		NumShards:    n,
 		Fingerprints: make([]string, len(jobs)),
 	}
 	for i, cfg := range jobs {
-		fp := cfg.Fingerprint().String()
-		m.Fingerprints[i] = fp
-		if expcache.ShardOf(i, n) == k {
-			m.Assigned = append(m.Assigned, fp)
-		}
+		m.Fingerprints[i] = cfg.Fingerprint().String()
 	}
 	return m
 }

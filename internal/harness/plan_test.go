@@ -3,7 +3,6 @@ package harness
 import (
 	"testing"
 
-	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -63,67 +62,6 @@ func TestEnumerateJobsStableAcrossOrder(t *testing.T) {
 	for i := range forward {
 		if forward[i].Fingerprint() != backward[i].Fingerprint() {
 			t.Fatalf("enumeration order changed the canonical index at %d", i)
-		}
-	}
-}
-
-// TestShardPartitionExhaustive: for every split width, the K slices
-// cover the canonical index exactly once — no job lost, none duplicated
-// — and stay balanced to within one job.
-func TestShardPartitionExhaustive(t *testing.T) {
-	r := NewRunner(QuickScale())
-	jobs, err := r.EnumerateJobs(enumerationBuilders(r)...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for n := 1; n <= 5; n++ {
-		seen := make(map[sim.Fingerprint]int)
-		minSize, maxSize := len(jobs), 0
-		for k := 1; k <= n; k++ {
-			slice := ShardJobs(jobs, k, n)
-			if len(slice) < minSize {
-				minSize = len(slice)
-			}
-			if len(slice) > maxSize {
-				maxSize = len(slice)
-			}
-			for _, cfg := range slice {
-				seen[cfg.Fingerprint()]++
-			}
-		}
-		if len(seen) != len(jobs) {
-			t.Fatalf("n=%d: shards cover %d of %d jobs", n, len(seen), len(jobs))
-		}
-		for fp, count := range seen {
-			if count != 1 {
-				t.Fatalf("n=%d: job %s assigned to %d shards", n, fp, count)
-			}
-		}
-		if maxSize-minSize > 1 {
-			t.Errorf("n=%d: unbalanced shards (%d..%d jobs)", n, minSize, maxSize)
-		}
-	}
-}
-
-func TestParseShard(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		k, n int
-		ok   bool
-	}{
-		{"1/1", 1, 1, true},
-		{"2/3", 2, 3, true},
-		{" 4 / 8 ", 4, 8, true},
-		{"0/3", 0, 0, false},
-		{"4/3", 0, 0, false},
-		{"-1/3", 0, 0, false},
-		{"2", 0, 0, false},
-		{"a/b", 0, 0, false},
-		{"", 0, 0, false},
-	} {
-		k, n, err := ParseShard(tc.in)
-		if (err == nil) != tc.ok || k != tc.k || n != tc.n {
-			t.Errorf("ParseShard(%q) = %d, %d, %v; want %d, %d, ok=%v", tc.in, k, n, err, tc.k, tc.n, tc.ok)
 		}
 	}
 }

@@ -150,8 +150,8 @@ var TimingPathPackages = []string{
 
 // OrderSensitivePackages extends the timing path with the packages whose
 // *output* must be byte-identical across runs — harness table building,
-// expcache entries and manifests, and the directories and merge reports
-// dispatch assembles — where map iteration order (though not wall-clock
+// expcache entries and manifests, and the directories dispatch
+// assembles — where map iteration order (though not wall-clock
 // use) is still a determinism hazard.
 var OrderSensitivePackages = append([]string{
 	"internal/harness",

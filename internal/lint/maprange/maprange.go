@@ -3,9 +3,9 @@
 // must be deterministic: the timing path plus harness, expcache and
 // dispatch. Go randomizes map iteration order per run, so a map
 // range on any result- or output-affecting path silently breaks the
-// bit-identical-results contract that the fingerprint cache, the shard
-// merge, and TestEngineEquivalence all lean on (PR 1 fixed exactly such
-// a bug in flushIdleRelocs).
+// bit-identical-results contract that the fingerprint cache, the fleet's
+// conflict check, and TestEngineEquivalence all lean on (flushIdleRelocs
+// once had exactly such a bug).
 //
 // A statement where iteration order provably cannot affect results may
 // carry a trailing (or directly preceding) annotation:

@@ -712,16 +712,6 @@ func (c *Controller) ReadLatencyPercentilesNS(ps ...float64) []float64 {
 	return out
 }
 
-// CacheHitRate returns the in-DRAM cache hit rate observed by this
-// controller, or 0 when no cache is configured.
-func (c *Controller) CacheHitRate() float64 {
-	total := c.CacheHits + c.CacheMisses
-	if total == 0 {
-		return 0
-	}
-	return float64(c.CacheHits) / float64(total)
-}
-
 // Debug instrumentation (kept cheap; used by calibration tests and the
 // figbench harness to explain latency composition).
 func (c *Controller) noteQueueDepths() {

@@ -21,7 +21,7 @@
 //     run: a SHA-256 over the normalized configuration plus
 //     EngineVersion. Equal fingerprints imply bit-identical Results, the
 //     property the harness's result caching, cross-process persistence
-//     (internal/expcache), and cross-machine sharding all build on. Bump
+//     (internal/expcache), and cross-machine fleets all build on. Bump
 //     EngineVersion with any change that can alter what a run produces.
 //
 //   - Checkpoint/restore. System.Snapshot serializes the complete

@@ -14,7 +14,7 @@
 // simulator, not inside it: the harness calls it to render Figure 5 and
 // the Section 4.2/8.3 tables, and its Monte-Carlo iteration count is the
 // only part of the experiment matrix it contributes to (harness.Scale's
-// MCIterations). Its computations produce no sim jobs, so sharded runs
-// skip none of it — every shard re-derives these closed-form tables
+// MCIterations). Its computations produce no sim jobs, so a fleet
+// leases none of it — whoever renders the tables re-derives them
 // locally when asked.
 package spice

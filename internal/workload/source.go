@@ -154,7 +154,7 @@ func (s Source) Open(seed, base, span uint64, layout Layout) (cpu.TraceReader, e
 // exactly when the replayed records can change or the result labels
 // would: editing the file moves it, and moving the file between
 // directories or machines does not — the property that lets recorded
-// traces flow through the shard/merge workflow. (The name must be
+// traces flow through a multi-machine fleet. (The name must be
 // folded in because equal fingerprints promise bit-identical
 // sim.Results, and results carry the trace's display name.) An
 // unreadable trace serializes its error, keeping the fingerprint

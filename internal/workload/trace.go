@@ -254,16 +254,6 @@ func LoadTrace(path string) (*TraceData, error) {
 	return td, nil
 }
 
-// TraceContentHash returns the sha256 of the trace file's content (the
-// fingerprint component of a trace source), loading through the cache.
-func TraceContentHash(path string) ([sha256.Size]byte, error) {
-	td, err := LoadTrace(path)
-	if err != nil {
-		return [sha256.Size]byte{}, err
-	}
-	return td.SHA, nil
-}
-
 // parseTrace validates a whole trace image and returns its TraceData.
 func parseTrace(raw []byte) (*TraceData, error) {
 	br := bytes.NewReader(raw)
