@@ -2,7 +2,7 @@ package cache
 
 import (
 	"fmt"
-	"unsafe"
+	"math/bits"
 
 	"repro/internal/arena"
 	"repro/internal/ev"
@@ -64,18 +64,26 @@ func (c Config) Validate() error {
 			c.Name, c.SizeBytes, c.Ways*c.BlockBytes)
 	case (c.SizeBytes/(c.Ways*c.BlockBytes))&(c.SizeBytes/(c.Ways*c.BlockBytes)-1) != 0:
 		return fmt.Errorf("cache %s: set count must be a power of two", c.Name)
+	case c.BlockBytes&(c.BlockBytes-1) != 0:
+		return fmt.Errorf("cache %s: block bytes %d must be a power of two", c.Name, c.BlockBytes)
+	case c.BlockBytes < 1<<flagBits:
+		return fmt.Errorf("cache %s: block bytes %d leave no room for the %d line flag bits (minimum %d)",
+			c.Name, c.BlockBytes, flagBits, 1<<flagBits)
 	case c.Latency < 0 || c.MSHRs < 0:
 		return fmt.Errorf("cache %s: latency and MSHRs must be non-negative", c.Name)
 	}
 	return nil
 }
 
-type line struct {
-	tag   uint64
-	valid bool
-	dirty bool
-	lru   int64
-}
+// A way's tag word packs the line's tag above its two flag bits. The
+// tag is the block address shifted right by the set bits, so it is at
+// most 64-2 bits wide whenever a block spans at least four bytes, which
+// Validate requires: the shift left by flagBits loses nothing.
+const (
+	lineValid = 1 << 0
+	lineDirty = 1 << 1
+	flagBits  = 2
+)
 
 type mshr struct {
 	blockAddr uint64
@@ -88,15 +96,18 @@ type mshr struct {
 // Cache is one cache level.
 type Cache struct {
 	cfg Config
-	// lines is the flat backing array of all sets (set i occupies
-	// lines[i*Ways:(i+1)*Ways]). One pointer-free allocation: the GC
+	// sets is the flat backing array of all sets: set i occupies
+	// sets[i*2*Ways:(i+1)*2*Ways], its Ways tag words (see lineValid)
+	// followed by its Ways LRU stamps, so a lookup's tag compares read
+	// one contiguous run of words. One pointer-free allocation: the GC
 	// never scans it, and construction is a single zeroed make — both
 	// matter when the harness builds thousands of short-lived systems.
-	lines []line
-	setsN uint64
-	shift uint
-	next  Backend   //fglint:preserved wiring, bound once at construction; the next level checkpoints its own state
-	sched Scheduler //fglint:preserved wiring, bound once at construction; the event queue's snapshot carries the scheduled tokens
+	sets    []uint64
+	setsN   uint64
+	setBits uint      // log2(setsN): the tag is the block address >> setBits
+	shift   uint      // log2(BlockBytes)
+	next    Backend   //fglint:preserved wiring, bound once at construction; the next level checkpoints its own state
+	sched   Scheduler //fglint:preserved wiring, bound once at construction; the event queue's snapshot carries the scheduled tokens
 	// disp executes waiter tokens synchronously at fill time. Normally
 	// the unwrapped scheduler passed to New; separate field because New
 	// may replace sched with a level sub-scheduler.
@@ -128,20 +139,20 @@ func New(cfg Config, next Backend, sched Scheduler, coreID int) (*Cache, error) 
 	return NewIn(nil, cfg, next, sched, coreID)
 }
 
-// LineArrayBytes returns the size of the flat line array New allocates
+// LineArrayBytes returns the size of the flat set array New allocates
 // for this configuration — the dominant memory of a cache level — so a
-// caller providing an arena can pre-size it.
+// caller providing an arena can pre-size it: two words per way, its tag
+// word and its LRU stamp.
 func (c Config) LineArrayBytes() int {
 	if c.Ways <= 0 || c.BlockBytes <= 0 {
 		return 0
 	}
 	sets := c.SizeBytes / (c.Ways * c.BlockBytes)
-	return sets * c.Ways * int(unsafe.Sizeof(line{}))
+	return sets * c.Ways * 2 * 8
 }
 
-// NewIn builds a cache level on top of next, carving the line array out
-// of a (the line struct is pointer-free by design). A nil arena keeps
-// the plain heap allocation.
+// NewIn builds a cache level on top of next, carving the set array out
+// of a. A nil arena keeps the plain heap allocation.
 func NewIn(a *arena.Arena, cfg Config, next Backend, sched Scheduler, coreID int) (*Cache, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -152,24 +163,21 @@ func NewIn(a *arena.Arena, cfg Config, next Backend, sched Scheduler, coreID int
 	}
 	setsN := cfg.SizeBytes / (cfg.Ways * cfg.BlockBytes)
 	c := &Cache{
-		cfg:    cfg,
-		lines:  arena.Slice[line](a, setsN*cfg.Ways),
-		setsN:  uint64(setsN),
-		next:   next,
-		sched:  sched,
-		disp:   disp,
-		coreID: coreID,
+		cfg:     cfg,
+		sets:    arena.Slice[uint64](a, setsN*cfg.Ways*2),
+		setsN:   uint64(setsN),
+		setBits: uint(bits.TrailingZeros64(uint64(setsN))),
+		shift:   uint(bits.TrailingZeros64(uint64(cfg.BlockBytes))),
+		next:    next,
+		sched:   sched,
+		disp:    disp,
+		coreID:  coreID,
 	}
 	mshrCap := cfg.MSHRs
 	if mshrCap <= 0 {
 		mshrCap = 16
 	}
 	c.active = make([]*mshr, 0, mshrCap)
-	shift := uint(0)
-	for b := cfg.BlockBytes; b > 1; b >>= 1 {
-		shift++
-	}
-	c.shift = shift
 	return c, nil
 }
 
@@ -181,18 +189,20 @@ func (c *Cache) SetNodeID(id int32) { c.id = id }
 // NodeID returns the cache's node ID.
 func (c *Cache) NodeID() int32 { return c.id }
 
-// set returns the ways of one cache set.
-func (c *Cache) set(idx uint64) []line {
-	w := uint64(c.cfg.Ways)
-	return c.lines[idx*w : idx*w+w]
+// set returns one cache set: its tag words, then its LRU stamps.
+func (c *Cache) set(idx uint64) []uint64 {
+	w := uint64(c.cfg.Ways) * 2
+	return c.sets[idx*w : idx*w+w]
 }
 
 // Config returns the cache configuration.
 func (c *Cache) Config() Config { return c.cfg }
 
-func (c *Cache) setAndTag(addr uint64) (setIdx uint64, tag uint64) {
+// setAndKey returns the set an address maps to and the tag word a valid
+// line holding its block has, dirty bit clear.
+func (c *Cache) setAndKey(addr uint64) (setIdx uint64, key uint64) {
 	block := addr >> c.shift
-	return block & (c.setsN - 1), block / c.setsN
+	return block & (c.setsN - 1), block>>c.setBits<<flagBits | lineValid
 }
 
 func (c *Cache) blockAddr(addr uint64) uint64 {
@@ -210,15 +220,14 @@ func (c *Cache) Access(addr uint64, isWrite bool, onDone ev.Token) bool {
 	} else {
 		c.ReadAcc++
 	}
-	setIdx, tag := c.setAndTag(addr)
+	setIdx, key := c.setAndKey(addr)
 	set := c.set(setIdx)
-	for i := range set {
-		// Tag first: a mismatch is the common way and is rejected on one
-		// comparison without also loading the valid flag.
-		if set[i].tag == tag && set[i].valid {
-			set[i].lru = c.clock
+	for i, t := range set[:c.cfg.Ways] {
+		// One compare checks tag and valid bit together.
+		if t&^lineDirty == key {
+			set[c.cfg.Ways+i] = uint64(c.clock)
 			if isWrite {
-				set[i].dirty = true
+				set[i] = t | lineDirty
 			}
 			c.Hits++
 			if !onDone.IsZero() {
@@ -332,12 +341,9 @@ func (c *Cache) CanAccept(addr uint64) bool {
 	if c.cfg.MSHRs == 0 || len(c.active) < c.cfg.MSHRs {
 		return true
 	}
-	setIdx, tag := c.setAndTag(addr)
-	set := c.set(setIdx)
-	for i := range set {
-		// Tag first: a mismatch is the common way and is rejected on one
-		// comparison without also loading the valid flag.
-		if set[i].tag == tag && set[i].valid {
+	setIdx, key := c.setAndKey(addr)
+	for _, t := range c.set(setIdx)[:c.cfg.Ways] {
+		if t&^lineDirty == key {
 			return true
 		}
 	}
@@ -349,26 +355,30 @@ func (c *Cache) CanAccept(addr uint64) bool {
 // dispatcher routes here is scheduled by StartFetch's downstream
 // request.
 func (c *Cache) Fill(blk uint64) {
-	setIdx, tag := c.setAndTag(blk)
+	setIdx, key := c.setAndKey(blk)
 	set := c.set(setIdx)
+	tags, stamps := set[:c.cfg.Ways], set[c.cfg.Ways:]
 	victim := 0
-	for i := range set {
-		if !set[i].valid {
+	for i, t := range tags {
+		if t&lineValid == 0 {
 			victim = i
 			break
 		}
-		if set[i].lru < set[victim].lru {
+		if int64(stamps[i]) < int64(stamps[victim]) {
 			victim = i
 		}
 	}
-	if set[victim].valid && set[victim].dirty {
+	if old := tags[victim]; old&(lineValid|lineDirty) == lineValid|lineDirty {
 		c.WriteBacks++
-		victimAddr := (set[victim].tag*c.setsN + setIdx) << c.shift
+		victimAddr := (old>>flagBits<<c.setBits | setIdx) << c.shift
 		c.next.Request(victimAddr, true, c.coreID, ev.Token{})
 	}
 	c.clock++
 	m := c.removeMSHR(blk)
-	set[victim] = line{tag: tag, valid: true, dirty: m.markDirty, lru: c.clock}
+	if m.markDirty {
+		key |= lineDirty
+	}
+	tags[victim], stamps[victim] = key, uint64(c.clock)
 	// Waiters fire directly instead of bouncing through the scheduler at
 	// zero delay: they only mark their own window entry (or upstream
 	// MSHR) complete, so their order relative to other same-cycle events

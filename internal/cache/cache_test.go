@@ -1,10 +1,16 @@
 package cache
 
 import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/ev"
+	"repro/internal/fgss"
 )
 
 // testSched is a deterministic event scheduler and token dispatcher for
@@ -126,6 +132,18 @@ func TestConfigValidate(t *testing.T) {
 	bad.SizeBytes = 3 * 2 * 64 // 3 sets: not a power of two
 	if err := bad.Validate(); err == nil {
 		t.Error("accepted non-power-of-two set count")
+	}
+	// 4 sets of two 48-byte blocks: the set count is a power of two, but
+	// a block address mask of ^47 and a shift of 5 would misplace blocks.
+	bad = Config{Name: "t", SizeBytes: 384, Ways: 2, BlockBytes: 48, Latency: 2}
+	if err := bad.Validate(); err == nil {
+		t.Error("accepted a non-power-of-two block size")
+	}
+	// 2-byte blocks leave one offset bit, too few for a line's valid and
+	// dirty flags beside its tag.
+	bad = Config{Name: "t", SizeBytes: 16, Ways: 2, BlockBytes: 2, Latency: 2}
+	if err := bad.Validate(); err == nil {
+		t.Error("accepted a block too small for the line flag bits")
 	}
 }
 
@@ -338,5 +356,422 @@ func TestPropertyCacheAccounting(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// lineOracle is the cache's earlier layout, kept as the reference the
+// packed sets are checked against: one 24-byte line per way holding tag,
+// valid and dirty flags and LRU stamp, and the tag computed by a divide.
+// It keeps the MSHR bookkeeping of Cache, without the free list, which
+// no observable state depends on.
+type lineOracle struct {
+	cfg    Config
+	lines  []oracleLine
+	setsN  uint64
+	shift  uint
+	next   Backend
+	sched  Scheduler
+	active []*oracleMSHR
+	clock  int64
+
+	Hits, Misses      int64
+	WriteBacks        int64
+	MSHRMerges        int64
+	MSHRFullStalls    int64
+	ReadAcc, WriteAcc int64
+}
+
+type oracleLine struct {
+	tag   uint64
+	valid bool
+	dirty bool
+	lru   int64
+}
+
+type oracleMSHR struct {
+	blockAddr uint64
+	waiters   []ev.Token
+	markDirty bool
+}
+
+func newLineOracle(cfg Config, next Backend, sched Scheduler) *lineOracle {
+	setsN := cfg.SizeBytes / (cfg.Ways * cfg.BlockBytes)
+	o := &lineOracle{cfg: cfg, lines: make([]oracleLine, setsN*cfg.Ways), setsN: uint64(setsN), next: next, sched: sched}
+	for b := cfg.BlockBytes; b > 1; b >>= 1 {
+		o.shift++
+	}
+	return o
+}
+
+func (o *lineOracle) set(idx uint64) []oracleLine {
+	w := uint64(o.cfg.Ways)
+	return o.lines[idx*w : idx*w+w]
+}
+
+func (o *lineOracle) setAndTag(addr uint64) (uint64, uint64) {
+	block := addr >> o.shift
+	return block & (o.setsN - 1), block / o.setsN
+}
+
+func (o *lineOracle) blockAddr(addr uint64) uint64 { return addr &^ (uint64(o.cfg.BlockBytes) - 1) }
+
+func (o *lineOracle) findMSHR(blk uint64) *oracleMSHR {
+	for _, m := range o.active {
+		if m.blockAddr == blk {
+			return m
+		}
+	}
+	return nil
+}
+
+func (o *lineOracle) Access(addr uint64, isWrite bool, onDone ev.Token) bool {
+	o.clock++
+	if isWrite {
+		o.WriteAcc++
+	} else {
+		o.ReadAcc++
+	}
+	setIdx, tag := o.setAndTag(addr)
+	set := o.set(setIdx)
+	for i := range set {
+		if set[i].tag == tag && set[i].valid {
+			set[i].lru = o.clock
+			if isWrite {
+				set[i].dirty = true
+			}
+			o.Hits++
+			if !onDone.IsZero() {
+				o.sched.After(o.cfg.Latency, onDone)
+			}
+			return true
+		}
+	}
+	blk := o.blockAddr(addr)
+	if m := o.findMSHR(blk); m != nil {
+		o.MSHRMerges++
+		o.Misses++
+		if isWrite {
+			m.markDirty = true
+		}
+		if !onDone.IsZero() {
+			m.waiters = append(m.waiters, onDone)
+		}
+		return true
+	}
+	if o.cfg.MSHRs > 0 && len(o.active) >= o.cfg.MSHRs {
+		o.MSHRFullStalls++
+		return false
+	}
+	o.Misses++
+	m := &oracleMSHR{blockAddr: blk, markDirty: isWrite}
+	if !onDone.IsZero() {
+		m.waiters = append(m.waiters, onDone)
+	}
+	o.active = append(o.active, m)
+	o.sched.After(o.cfg.Latency, ev.Token{Kind: ev.MSHRStart, Arg: blk})
+	return true
+}
+
+func (o *lineOracle) CanAccept(addr uint64) bool {
+	if o.cfg.MSHRs == 0 || len(o.active) < o.cfg.MSHRs {
+		return true
+	}
+	setIdx, tag := o.setAndTag(addr)
+	for _, l := range o.set(setIdx) {
+		if l.tag == tag && l.valid {
+			return true
+		}
+	}
+	return o.findMSHR(o.blockAddr(addr)) != nil
+}
+
+func (o *lineOracle) AccountRefused(isWrite bool, n int64) {
+	o.clock += n
+	if isWrite {
+		o.WriteAcc += n
+	} else {
+		o.ReadAcc += n
+	}
+	o.MSHRFullStalls += n
+}
+
+func (o *lineOracle) Fill(blk uint64) {
+	setIdx, tag := o.setAndTag(blk)
+	set := o.set(setIdx)
+	victim := 0
+	for i := range set {
+		if !set[i].valid {
+			victim = i
+			break
+		}
+		if set[i].lru < set[victim].lru {
+			victim = i
+		}
+	}
+	if set[victim].valid && set[victim].dirty {
+		o.WriteBacks++
+		o.next.Request((set[victim].tag*o.setsN+setIdx)<<o.shift, true, 0, ev.Token{})
+	}
+	o.clock++
+	var m *oracleMSHR
+	for i, a := range o.active {
+		if a.blockAddr == blk {
+			m = a
+			last := len(o.active) - 1
+			o.active[i] = o.active[last]
+			o.active = o.active[:last]
+			break
+		}
+	}
+	set[victim] = oracleLine{tag: tag, valid: true, dirty: m.markDirty, lru: o.clock}
+	for _, w := range m.waiters {
+		o.sched.Dispatch(w, 0)
+	}
+}
+
+// Snapshot writes the bytes Cache.Snapshot writes for the same state.
+func (o *lineOracle) Snapshot(w *fgss.Writer) {
+	w.Int(len(o.lines))
+	for _, l := range o.lines {
+		w.U64(l.tag)
+		w.Bool(l.valid)
+		w.Bool(l.dirty)
+		w.I64(l.lru)
+	}
+	w.I64(o.clock)
+	w.Int(len(o.active))
+	for _, m := range o.active {
+		w.U64(m.blockAddr)
+		w.Bool(m.markDirty)
+		w.Int(len(m.waiters))
+		for _, t := range m.waiters {
+			w.U64(uint64(t.Kind))
+			w.I64(int64(t.ID))
+			w.U64(t.Arg)
+		}
+	}
+	for _, v := range []int64{o.Hits, o.Misses, o.WriteBacks, o.MSHRMerges, o.MSHRFullStalls, o.ReadAcc, o.WriteAcc} {
+		w.I64(v)
+	}
+}
+
+// traceLog records, as text, every downstream request, scheduled token
+// and dispatched waiter of one cache, so two caches' observable
+// behaviour compares as one slice.
+type traceLog struct{ log []string }
+
+func (l *traceLog) Request(addr uint64, isWrite bool, coreID int, onDone ev.Token) {
+	l.log = append(l.log, fmt.Sprintf("request %#x write=%v %+v", addr, isWrite, onDone))
+}
+
+func (l *traceLog) After(delay int64, tok ev.Token) {
+	l.log = append(l.log, fmt.Sprintf("after %d %+v", delay, tok))
+}
+
+func (l *traceLog) Dispatch(tok ev.Token, now int64) {
+	l.log = append(l.log, fmt.Sprintf("dispatch %+v", tok))
+}
+
+// snapshotBytes returns one section holding what snap writes.
+func snapshotBytes(t testing.TB, snap func(*fgss.Writer)) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w := fgss.NewWriter(&buf, 1, [32]byte{})
+	w.Begin(1)
+	snap(w)
+	w.End()
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// diffConfigs are the shapes the differential test drives: 4-, 8- and
+// 16-way caches of a few sets, bounded and unbounded.
+var diffConfigs = []Config{
+	{Name: "4way", SizeBytes: 8 * 4 * 64, Ways: 4, BlockBytes: 64, Latency: 4, MSHRs: 8},
+	{Name: "8way", SizeBytes: 4 * 8 * 64, Ways: 8, BlockBytes: 64, Latency: 12},
+	{Name: "16way", SizeBytes: 4 * 16 * 64, Ways: 16, BlockBytes: 64, Latency: 38, MSHRs: 3},
+}
+
+// diffAgainstOracle decodes ops into a sequence of Access, CanAccept,
+// Fill and AccountRefused calls, applies each to a Cache and to the line
+// oracle built for the same configuration, and fails on the first
+// difference in a return value, a downstream request (write-backs carry
+// the victim's address), a scheduled or dispatched token, or the
+// Snapshot bytes (which hold every way's tag, flags and LRU stamp, so
+// they name the victim too). It then restores the final snapshot into a
+// fresh Cache and requires the same bytes back.
+func diffAgainstOracle(t testing.TB, cfg Config, ops []byte) {
+	t.Helper()
+	var gotLog, wantLog traceLog
+	c, err := New(cfg, &gotLog, &gotLog, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := newLineOracle(cfg, &wantLog, &wantLog)
+	for n := 0; len(ops) >= 3; n++ {
+		op, v := ops[0], uint64(ops[1])|uint64(ops[2])<<8
+		ops = ops[3:]
+		// A small pool of blocks makes hits, merges and evictions
+		// common; the top bits of v move some blocks to the far end of
+		// the address space, where the tag is widest.
+		block := v & 0x3ff
+		if v&0x8000 != 0 {
+			block |= (v >> 10 & 0x1f) << 53
+		}
+		addr := block<<6 | uint64(op>>3&63)
+		var tok ev.Token
+		if op&4 != 0 {
+			tok = ev.Token{Kind: ev.CoreSlot, Arg: uint64(n)}
+		}
+		var what string
+		switch op % 4 {
+		case 0:
+			what = fmt.Sprintf("Access(%#x, %v)", addr, op&128 != 0)
+			if got, want := c.Access(addr, op&128 != 0, tok), o.Access(addr, op&128 != 0, tok); got != want {
+				t.Fatalf("op %d: %s = %v, oracle %v", n, what, got, want)
+			}
+		case 1:
+			what = fmt.Sprintf("CanAccept(%#x)", addr)
+			if got, want := c.CanAccept(addr), o.CanAccept(addr); got != want {
+				t.Fatalf("op %d: %s = %v, oracle %v", n, what, got, want)
+			}
+		case 2:
+			if len(o.active) == 0 {
+				continue
+			}
+			blk := o.active[int(v)%len(o.active)].blockAddr
+			what = fmt.Sprintf("Fill(%#x)", blk)
+			c.Fill(blk)
+			o.Fill(blk)
+		case 3:
+			what = fmt.Sprintf("AccountRefused(%v, %d)", op&128 != 0, v%5)
+			c.AccountRefused(op&128 != 0, int64(v%5))
+			o.AccountRefused(op&128 != 0, int64(v%5))
+		}
+		if !slices.Equal(gotLog.log, wantLog.log) {
+			t.Fatalf("op %d: %s: downstream effects diverge:\n got: %q\nwant: %q", n, what, gotLog.log, wantLog.log)
+		}
+		gotLog.log, wantLog.log = gotLog.log[:0], wantLog.log[:0]
+		if got, want := snapshotBytes(t, c.Snapshot), snapshotBytes(t, o.Snapshot); !bytes.Equal(got, want) {
+			t.Fatalf("op %d: %s: snapshot bytes diverge from the line oracle's", n, what)
+		}
+	}
+
+	snap := snapshotBytes(t, c.Snapshot)
+	fresh, err := New(cfg, &gotLog, &gotLog, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := fgss.NewReader(bytes.NewReader(snap), 1, [32]byte{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Section(1)
+	fresh.Restore(r, func(ev.Token) error { return nil })
+	r.EndSection()
+	if err := r.Close(); err != nil {
+		t.Fatalf("restoring the final snapshot: %v", err)
+	}
+	if !bytes.Equal(snapshotBytes(t, fresh.Snapshot), snap) {
+		t.Fatal("a restored cache snapshots different bytes")
+	}
+}
+
+// TestPackedSetsMatchLineOracle drives the packed cache and the line
+// oracle through the same random operation sequences on 4-, 8- and
+// 16-way configurations.
+func TestPackedSetsMatchLineOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, cfg := range diffConfigs {
+		t.Run(cfg.Name, func(t *testing.T) {
+			for run := 0; run < 20; run++ {
+				ops := make([]byte, 3*2000)
+				rng.Read(ops)
+				diffAgainstOracle(t, cfg, ops)
+			}
+		})
+	}
+}
+
+// FuzzPackedSetsMatchLineOracle is TestPackedSetsMatchLineOracle on
+// fuzz-chosen operation sequences; the first byte picks the
+// configuration.
+func FuzzPackedSetsMatchLineOracle(f *testing.F) {
+	f.Add([]byte{0, 0, 1, 0, 2, 0, 0, 128, 1, 0})
+	f.Add([]byte{1, 4, 255, 255, 6, 255, 255, 133, 7, 0, 2, 0, 0})
+	f.Add([]byte{2, 0, 16, 0, 0, 16, 1, 0, 16, 2, 0, 16, 3, 2, 1, 0, 2, 2, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		diffAgainstOracle(t, diffConfigs[int(data[0])%len(diffConfigs)], data[1:])
+	})
+}
+
+// TestRestoreRejects checks that a hand-built cache section holding a
+// line tag wider than the address space leaves room for, or an MSHR
+// waiter token the caller's check refuses, is a decode error.
+func TestRestoreRejects(t *testing.T) {
+	cfg := smallCfg() // 8 sets of 2 ways, 64-byte blocks: tags of 64-6-3 bits
+	errBadTok := fmt.Errorf("no such core")
+	section := func(tag uint64, waiter ev.Token) *fgss.Reader {
+		var buf bytes.Buffer
+		w := fgss.NewWriter(&buf, 1, [32]byte{})
+		w.Begin(1)
+		w.Int(16)
+		for i := 0; i < 16; i++ {
+			w.U64(tag)
+			w.Bool(true)
+			w.Bool(false)
+			w.I64(int64(i))
+		}
+		w.I64(16) // clock
+		w.Int(1)  // one MSHR with one waiter
+		w.U64(0x40)
+		w.Bool(false)
+		w.Int(1)
+		w.U64(uint64(waiter.Kind))
+		w.I64(int64(waiter.ID))
+		w.U64(waiter.Arg)
+		for i := 0; i < 7; i++ {
+			w.I64(0) // counters
+		}
+		w.End()
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		r, err := fgss.NewReader(&buf, 1, [32]byte{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Section(1)
+		return r
+	}
+	check := func(tok ev.Token) error {
+		if tok.ID != 0 {
+			return errBadTok
+		}
+		return nil
+	}
+	good := ev.Token{Kind: ev.CoreSlot, Arg: 1}
+	for _, tc := range []struct {
+		name    string
+		tag     uint64
+		waiter  ev.Token
+		wantErr string
+	}{
+		{"well-formed", 1<<55 - 1, good, ""},
+		{"tag too wide", 1 << 55, good, "is wider than 55 bits"},
+		{"refused waiter", 7, ev.Token{Kind: ev.CoreSlot, ID: 4, Arg: 1}, "no such core"},
+	} {
+		c, _, _ := newTestCache(t, cfg)
+		r := section(tc.tag, tc.waiter)
+		c.Restore(r, check)
+		r.EndSection()
+		if err := r.Close(); (err == nil) != (tc.wantErr == "") || err != nil && !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("%s: restore error = %v, want %q", tc.name, err, tc.wantErr)
+		}
 	}
 }

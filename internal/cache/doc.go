@@ -10,10 +10,21 @@
 // is a timing filter, not a data store: lookups and fills move tags and
 // occupancy, and only misses that escape the LLC become DRAM traffic.
 // The hierarchy is on the simulator's zero-allocation steady-state path:
-// lines live in one flat, pointer-free array per cache and MSHRs are
-// pooled, which BenchmarkAccessPathAllocs enforces.
+// lines live in one flat, pointer-free array of words per cache and
+// MSHRs are pooled, which BenchmarkAccessPathAllocs enforces. Each set
+// stores its W tag words, then its W LRU stamps. A tag word packs the
+// tag, the block address shifted right by the set-index bits, above a
+// valid and a dirty bit, so one compare per way checks tag and valid
+// together, and a 16-way lookup reads 128 bytes. Block sizes must be
+// powers of two of at least four bytes (Config.Validate), which keeps
+// the shift exact and the two flag bits free. TestPackedSetsMatchLineOracle
+// and its fuzz target check the layout against the earlier one-struct-
+// per-line cache, kept in the tests as an oracle.
 //
 // Hierarchy.Snapshot/Restore (snapshot.go) serialize every cache's tag
 // and LRU state plus in-flight MSHRs for the system checkpoint
-// lifecycle (sim.System.Snapshot).
+// lifecycle (sim.System.Snapshot), in the per-line format of the
+// earlier layout. Restore rejects a tag wider than the address space
+// leaves room for and, through the caller's check, any MSHR waiter
+// token that names no core or cache of the restoring System.
 package cache

@@ -5,19 +5,23 @@ import (
 	"repro/internal/fgss"
 )
 
-// Snapshot appends one cache level's full mutable state: every line,
-// the LRU clock, the outstanding misses with their waiter tokens, and
-// the statistics counters. MSHRs are emitted in active-slice order —
-// deterministic (allocation and swap-remove order is a pure function of
-// the simulated history), so snapshot bytes are reproducible.
+// Snapshot appends one cache level's full mutable state: every line in
+// set-major, way-minor order as its tag, valid and dirty bits and LRU
+// stamp, the LRU clock, the outstanding misses with their waiter
+// tokens, and the statistics counters. MSHRs are emitted in
+// active-slice order — deterministic (allocation and swap-remove order
+// is a pure function of the simulated history), so snapshot bytes are
+// reproducible.
 func (c *Cache) Snapshot(w *fgss.Writer) {
-	w.Int(len(c.lines))
-	for i := range c.lines {
-		l := &c.lines[i]
-		w.U64(l.tag)
-		w.Bool(l.valid)
-		w.Bool(l.dirty)
-		w.I64(l.lru)
+	w.Int(len(c.sets) / 2)
+	for s := uint64(0); s < c.setsN; s++ {
+		set := c.set(s)
+		for i, t := range set[:c.cfg.Ways] {
+			w.U64(t >> flagBits)
+			w.Bool(t&lineValid != 0)
+			w.Bool(t&lineDirty != 0)
+			w.I64(int64(set[c.cfg.Ways+i]))
+		}
 	}
 	w.I64(c.clock)
 	snapMSHR := func(m *mshr) {
@@ -46,18 +50,34 @@ func (c *Cache) Snapshot(w *fgss.Writer) {
 // Restore reads back what Snapshot wrote. Existing outstanding misses
 // are recycled to the free list first, then the snapshotted set is
 // rebuilt through the normal allocation path. The receiver must have the
-// snapshotted line count (a mismatch stops decoding).
-func (c *Cache) Restore(r *fgss.Reader) {
+// snapshotted line count (a mismatch stops decoding). The bytes come
+// from disk, so a tag wider than an address leaves room for, and a
+// waiter token that names no core or cache node of this System, are
+// decode errors (fgss.Reader.Reject), not a wrong block address or a
+// panic at dispatch; checkTok decides which tokens a waiter list may
+// hold.
+func (c *Cache) Restore(r *fgss.Reader, checkTok func(ev.Token) error) {
 	n := r.Int()
-	if n != len(c.lines) {
+	if n != len(c.sets)/2 {
 		return
 	}
+	maxTag := ^uint64(0) >> (c.shift + c.setBits)
 	for i := 0; i < n && r.Err() == nil; i++ {
-		l := &c.lines[i]
-		l.tag = r.U64()
-		l.valid = r.Bool()
-		l.dirty = r.Bool()
-		l.lru = r.I64()
+		set := c.set(uint64(i / c.cfg.Ways))
+		way := i % c.cfg.Ways
+		tag, valid, dirty, lru := r.U64(), r.Bool(), r.Bool(), r.I64()
+		if tag > maxTag {
+			r.Reject("cache %s: line %d tag %#x is wider than %d bits", c.cfg.Name, i, tag, 64-c.shift-c.setBits)
+			return
+		}
+		t := tag << flagBits
+		if valid {
+			t |= lineValid
+		}
+		if dirty {
+			t |= lineDirty
+		}
+		set[way], set[c.cfg.Ways+way] = t, uint64(lru)
 	}
 	c.clock = r.I64()
 	for i, m := range c.active {
@@ -73,7 +93,11 @@ func (c *Cache) Restore(r *fgss.Reader) {
 		for j := 0; j < nw && r.Err() == nil; j++ {
 			kind := ev.Kind(r.U64())
 			id := int32(r.I64())
-			m.waiters = append(m.waiters, ev.Token{Kind: kind, ID: id, Arg: r.U64()})
+			tok := ev.Token{Kind: kind, ID: id, Arg: r.U64()}
+			if err := checkTok(tok); err != nil && r.Err() == nil {
+				r.Reject("cache %s: MSHR %#x waiter %d: %v", c.cfg.Name, m.blockAddr, j, err)
+			}
+			m.waiters = append(m.waiters, tok)
 		}
 		c.addMSHR(m)
 	}
@@ -96,12 +120,12 @@ func (h *Hierarchy) Snapshot(w *fgss.Writer) {
 }
 
 // Restore reads back what Snapshot wrote, level by level in node-ID
-// order.
-func (h *Hierarchy) Restore(r *fgss.Reader) {
+// order, accepting only the waiter tokens checkTok accepts.
+func (h *Hierarchy) Restore(r *fgss.Reader, checkTok func(ev.Token) error) {
 	if r.Int() != len(h.nodes) {
 		return
 	}
 	for _, c := range h.nodes {
-		c.Restore(r)
+		c.Restore(r, checkTok)
 	}
 }

@@ -13,7 +13,10 @@
 //     (default 1/8 of a row) from slow subarrays into a small set of cache
 //     rows, tracked by a tag store (FTS) in the memory controller, with an
 //     insert-any-miss insertion policy and a row-granularity benefit-based
-//     replacement policy (Section 5).
+//     replacement policy (Section 5). The FTS finds a tag's slot through
+//     an open-addressing table of twice the slot count (linear probing,
+//     backward-shift deletion), so every tag it holds must be unique; a
+//     bank's planned insertions are a short sorted slice.
 //
 //   - LISA-VILLA (lisa.go): the state-of-the-art in-DRAM cache baseline the
 //     paper compares against — whole-row caching into 16 fast subarrays
@@ -27,4 +30,7 @@
 // FIGCache.Snapshot/Restore and LISAVilla.Snapshot/Restore
 // (snapshot.go) serialize the tag stores, replacement state, and hot
 // counters for the system checkpoint lifecycle (sim.System.Snapshot).
+// FTS.Restore rejects a valid tag held by two slots and a reserved slot
+// out of range or listed twice; FIGCache.Restore rejects planned
+// insertions out of ascending order.
 package core

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/dram"
 	"repro/internal/memctrl"
@@ -130,11 +131,13 @@ type bankCache struct {
 	// missCounts tracks per-segment consecutive misses for threshold
 	// insertion policies (threshold > 1). Cleared on insertion.
 	missCounts map[segKey]int
-	// inflight marks segments whose insertion the controller has planned
-	// but not yet executed (the relocation runs when the source row
-	// closes). Requests in this window keep hitting the open source row,
-	// and duplicate insertions are suppressed.
-	inflight map[segKey]bool
+	// inflight lists, in ascending order, the segments whose insertion
+	// the controller has planned but not yet executed (the relocation
+	// runs when the source row closes). Requests in this window keep
+	// hitting the open source row, and duplicate insertions are
+	// suppressed. A bank rarely has more than one insertion planned, so
+	// a binary search of a short slice beats hashing.
+	inflight []segKey
 }
 
 // NewFIGCache builds a FIGCache over the channel geometry.
@@ -163,7 +166,6 @@ func NewFIGCache(cfg FIGCacheConfig, geo dram.Geometry) (*FIGCache, error) {
 			fts:        fts,
 			repl:       newReplacer(cfg.Replacement, cfg.Seed+uint64(i)),
 			missCounts: make(map[segKey]int),
-			inflight:   make(map[segKey]bool),
 		})
 	}
 	return c, nil
@@ -235,7 +237,8 @@ func (c *FIGCache) Insert(ch *dram.Channel, loc dram.Location, now int64) *memct
 	bank := c.banks[loc.BankID(c.geo)]
 	seg := c.segOf(loc.Block)
 	key := makeSegKey(loc.Row, seg)
-	if bank.fts.Contains(loc.Row, seg) || bank.inflight[key] {
+	at, planned := slices.BinarySearch(bank.inflight, key)
+	if bank.fts.Contains(loc.Row, seg) || planned {
 		return nil // already cached or already being inserted
 	}
 
@@ -272,7 +275,7 @@ func (c *FIGCache) Insert(ch *dram.Channel, loc dram.Location, now int64) *memct
 	} else {
 		cost += ch.RelocCost(c.cfg.SegmentBlocks, true)
 	}
-	bank.inflight[key] = true
+	bank.inflight = slices.Insert(bank.inflight, at, key)
 	bank.fts.Reserve(slot)
 	c.Insertions++
 	c.plan = memctrl.RelocPlan{
@@ -288,7 +291,9 @@ func (c *FIGCache) Insert(ch *dram.Channel, loc dram.Location, now int64) *memct
 // relocation executes.
 func (c *FIGCache) Commit(p *memctrl.RelocPlan) {
 	bank := c.banks[p.CommitBank]
-	delete(bank.inflight, makeSegKey(p.CommitRow, p.CommitSeg))
+	if at, ok := slices.BinarySearch(bank.inflight, makeSegKey(p.CommitRow, p.CommitSeg)); ok {
+		bank.inflight = slices.Delete(bank.inflight, at, at+1)
+	}
 	bank.fts.Unreserve(p.CommitSlot)
 	bank.fts.Install(p.CommitSlot, p.CommitRow, p.CommitSeg, false)
 }

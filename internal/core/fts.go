@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // segKey uniquely identifies a row segment within one bank: the source
 // row and the segment index within that row. It is the "tag (original
@@ -28,10 +31,19 @@ type ftsEntry struct {
 // segment. The paper's configuration has 512 slots per bank (64 cache
 // rows x 8 segments per row).
 type FTS struct {
-	entries    []ftsEntry
-	index      map[segKey]int // valid tag -> slot
-	segsPerRow int            // cache slots per cache row
-	benefitMax uint8          // saturation value (5-bit counter -> 31)
+	entries []ftsEntry
+	// idxKey and idxSlot map each valid tag to its slot: an
+	// open-addressing table of twice the slot count, rounded up to a
+	// power of two, probed linearly from a multiplicative hash of the
+	// key. idxSlot holds the slot plus one, so zero marks an empty cell;
+	// deletion shifts the rest of a probe run back instead of leaving
+	// tombstones. At most half full, so probe runs stay short and
+	// always end at an empty cell.
+	idxKey     []segKey
+	idxSlot    []int32
+	idxShift   uint  // 64 - log2(len(idxKey)): hash bits kept
+	segsPerRow int   // cache slots per cache row
+	benefitMax uint8 // saturation value (5-bit counter -> 31)
 	clock      int64
 
 	// reserved marks slots claimed by an in-flight insertion (planned but
@@ -61,13 +73,67 @@ func NewFTS(slots, segsPerRow, benefitBits int) (*FTS, error) {
 	if benefitBits <= 0 || benefitBits > 8 {
 		return nil, fmt.Errorf("core: benefitBits must be in [1,8], got %d", benefitBits)
 	}
+	size := 1 << bits.Len(uint(2*slots-1))
 	return &FTS{
 		entries:    make([]ftsEntry, slots),
-		index:      make(map[segKey]int, slots),
+		idxKey:     make([]segKey, size),
+		idxSlot:    make([]int32, size),
+		idxShift:   uint(64 - bits.TrailingZeros(uint(size))),
 		segsPerRow: segsPerRow,
 		benefitMax: uint8(1<<benefitBits - 1),
 		reserved:   make([]bool, slots),
 	}, nil
+}
+
+// home returns the index cell a key's probe run starts at (Fibonacci
+// hashing: the top bits of the key times 2^64/phi).
+func (f *FTS) home(k segKey) int {
+	return int(uint64(k) * 0x9e3779b97f4a7c15 >> f.idxShift)
+}
+
+// cell returns the index cell holding tag k, or -1.
+func (f *FTS) cell(k segKey) int {
+	mask := len(f.idxKey) - 1
+	for i := f.home(k); f.idxSlot[i] != 0; i = (i + 1) & mask {
+		if f.idxKey[i] == k {
+			return i
+		}
+	}
+	return -1
+}
+
+// find returns the slot holding a valid tag, or -1.
+func (f *FTS) find(k segKey) int {
+	if i := f.cell(k); i >= 0 {
+		return int(f.idxSlot[i]) - 1
+	}
+	return -1
+}
+
+// indexAdd maps a tag the index does not hold to slot.
+func (f *FTS) indexAdd(k segKey, slot int) {
+	mask := len(f.idxKey) - 1
+	i := f.home(k)
+	for f.idxSlot[i] != 0 {
+		i = (i + 1) & mask
+	}
+	f.idxKey[i], f.idxSlot[i] = k, int32(slot+1)
+}
+
+// indexDel unmaps a tag the index holds. Each later cell of the probe
+// run whose home does not lie cyclically in (hole, cell] moves back
+// into the hole, so every remaining key stays reachable from its home
+// without tombstones.
+func (f *FTS) indexDel(k segKey) {
+	mask := len(f.idxKey) - 1
+	hole := f.cell(k)
+	for j := (hole + 1) & mask; f.idxSlot[j] != 0; j = (j + 1) & mask {
+		if (j-f.home(f.idxKey[j]))&mask >= (j-hole)&mask {
+			f.idxKey[hole], f.idxSlot[hole] = f.idxKey[j], f.idxSlot[j]
+			hole = j
+		}
+	}
+	f.idxKey[hole], f.idxSlot[hole] = 0, 0
 }
 
 // Slots returns the number of cache slots the FTS tracks.
@@ -84,8 +150,8 @@ func (f *FTS) SegsPerRow() int { return f.segsPerRow }
 // bit, and returns the slot index.
 func (f *FTS) Lookup(row, seg int, isWrite bool) (slot int, hit bool) {
 	f.clock++
-	i, ok := f.index[makeSegKey(row, seg)]
-	if !ok {
+	i := f.find(makeSegKey(row, seg))
+	if i < 0 {
 		f.Misses++
 		return 0, false
 	}
@@ -108,8 +174,7 @@ func (f *FTS) Lookup(row, seg int, isWrite bool) (slot int, hit bool) {
 
 // Contains reports whether a segment is cached without touching metadata.
 func (f *FTS) Contains(row, seg int) bool {
-	_, ok := f.index[makeSegKey(row, seg)]
-	return ok
+	return f.find(makeSegKey(row, seg)) >= 0
 }
 
 // FreeSlot returns an invalid, unreserved slot index, or (0, false) if
@@ -146,12 +211,13 @@ func (f *FTS) Unreserve(slot int) {
 func (f *FTS) IsReserved(slot int) bool { return f.reserved[slot] }
 
 // Install fills a slot with a new segment, resetting its metadata. Any
-// previous valid entry in the slot must have been evicted first.
+// previous valid entry in the slot must have been evicted first, and no
+// other slot may hold the segment: the index maps each tag to one slot.
 func (f *FTS) Install(slot, row, seg int, dirty bool) {
 	f.clock++
 	e := &f.entries[slot]
 	if e.valid {
-		delete(f.index, e.key)
+		f.indexDel(e.key)
 	}
 	if f.rowIndex != nil {
 		old, oldDirty := 0, false
@@ -165,7 +231,7 @@ func (f *FTS) Install(slot, row, seg int, dirty bool) {
 	}
 	key := makeSegKey(row, seg)
 	*e = ftsEntry{key: key, valid: true, dirty: dirty, benefit: 0, lastUse: f.clock}
-	f.index[key] = slot
+	f.indexAdd(key, slot)
 }
 
 // Evict invalidates a slot and returns its tag and dirty bit, so the
@@ -175,7 +241,7 @@ func (f *FTS) Evict(slot int) (row, seg int, dirty, wasValid bool) {
 	if !e.valid {
 		return 0, 0, false, false
 	}
-	delete(f.index, e.key)
+	f.indexDel(e.key)
 	row, seg, dirty = e.key.row(), e.key.seg(), e.dirty
 	if f.rowIndex != nil {
 		f.rowIndex.OnEvict(slot, int(e.benefit), e.dirty)

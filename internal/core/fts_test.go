@@ -1,0 +1,203 @@
+package core
+
+import (
+	"bytes"
+	"math/rand"
+	"strings"
+	"testing"
+
+	"repro/internal/fgss"
+)
+
+// TestFTSIndexMatchesMap drives the open-addressing tag index with random
+// Install, Evict and Lookup calls and checks it against a Go map after
+// every call. The key pool includes segments whose probe runs start in
+// the table's last cells, so runs wrap past its end, and the test fails
+// if no run ever did.
+func TestFTSIndexMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, slots := range []int{4, 8, 64} {
+		f, err := NewFTS(slots, 4, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		size := len(f.idxKey)
+		var pool []segKey
+		for row, last, nextToLast := 0, 0, 0; last < 2 || nextToLast < 1; row++ {
+			switch k := makeSegKey(row, 1); f.home(k) {
+			case size - 1:
+				if last < 2 {
+					pool, last = append(pool, k), last+1
+				}
+			case size - 2:
+				if nextToLast < 1 {
+					pool, nextToLast = append(pool, k), nextToLast+1
+				}
+			}
+		}
+		for len(pool) < 3*slots {
+			pool = append(pool, makeSegKey(rng.Intn(1<<16), rng.Intn(8)))
+		}
+
+		ref := make(map[segKey]int)    // valid tag -> slot
+		held := make([]*segKey, slots) // slot -> its valid tag
+		evict := func(slot int) {
+			row, seg, _, valid := f.Evict(slot)
+			if valid != (held[slot] != nil) || valid && makeSegKey(row, seg) != *held[slot] {
+				t.Fatalf("%d slots: Evict(%d) = (%d, %d, valid=%v), want %v", slots, slot, row, seg, valid, held[slot])
+			}
+			if valid {
+				delete(ref, *held[slot])
+				held[slot] = nil
+			}
+		}
+		wrapped := false
+		for op := 0; op < 20_000; op++ {
+			k := pool[rng.Intn(len(pool))]
+			switch rng.Intn(3) {
+			case 0:
+				slot := rng.Intn(slots)
+				if old, ok := ref[k]; ok {
+					evict(old)
+				}
+				evict(slot)
+				f.Install(slot, k.row(), k.seg(), false)
+				ref[k], held[slot] = slot, &k
+			case 1:
+				evict(rng.Intn(slots))
+			case 2:
+				got, hit := f.Lookup(k.row(), k.seg(), false)
+				if want, ok := ref[k]; hit != ok || ok && got != want {
+					t.Fatalf("%d slots: Lookup(%d, %d) = (%d, %v), map says (%d, %v)", slots, k.row(), k.seg(), got, hit, want, ok)
+				}
+			}
+			for _, pk := range pool {
+				if _, ok := ref[pk]; f.Contains(pk.row(), pk.seg()) != ok {
+					t.Fatalf("%d slots, op %d: Contains(%d, %d) = %v, map says %v", slots, op, pk.row(), pk.seg(), !ok, ok)
+				}
+			}
+			for i, s := range f.idxSlot {
+				if s != 0 && f.home(f.idxKey[i]) > i {
+					wrapped = true
+				}
+			}
+		}
+		if !wrapped {
+			t.Errorf("%d slots: no probe run wrapped past the table's end", slots)
+		}
+	}
+}
+
+// ftsSection writes a 16-slot tag store section: the valid tags (slot ->
+// key), then the reserved slot list.
+func ftsSection(t *testing.T, tags map[int]segKey, reserved []int) *fgss.Reader {
+	t.Helper()
+	var buf bytes.Buffer
+	w := fgss.NewWriter(&buf, 1, [32]byte{})
+	w.Begin(1)
+	w.Int(16)
+	for i := 0; i < 16; i++ {
+		k, valid := tags[i]
+		w.U64(uint64(k))
+		w.Bool(valid)
+		w.Bool(false)
+		w.U64(0)
+		w.I64(0)
+	}
+	w.I64(7) // clock
+	w.Int(len(reserved))
+	for _, s := range reserved {
+		w.Int(s)
+	}
+	w.I64(0) // hits
+	w.I64(0) // misses
+	w.End()
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := fgss.NewReader(&buf, 1, [32]byte{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Section(1)
+	return r
+}
+
+// TestFTSRestoreRejects checks that a tag store snapshot naming a
+// reserved slot outside the store, listing one twice, or holding one
+// valid tag in two slots is a decode error, while a well-formed one
+// restores.
+func TestFTSRestoreRejects(t *testing.T) {
+	a, b := makeSegKey(100, 3), makeSegKey(200, 1)
+	cases := []struct {
+		name     string
+		tags     map[int]segKey
+		reserved []int
+		wantErr  string
+	}{
+		{name: "well-formed", tags: map[int]segKey{0: a, 5: b}, reserved: []int{1, 15}},
+		{name: "reserved slot past the end", tags: map[int]segKey{0: a}, reserved: []int{99}, wantErr: "reserved slot 99"},
+		{name: "negative reserved slot", reserved: []int{-1}, wantErr: "reserved slot -1"},
+		{name: "reserved slot listed twice", reserved: []int{3, 3}, wantErr: "reserved slot 3"},
+		{name: "valid tag in two slots", tags: map[int]segKey{2: a, 9: a}, wantErr: "both hold row 100 segment 3"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			f, err := NewFTS(16, 8, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := ftsSection(t, tc.tags, tc.reserved)
+			f.Restore(r)
+			r.EndSection()
+			err = r.Close()
+			if tc.wantErr == "" {
+				if err != nil {
+					t.Fatalf("restore: %v", err)
+				}
+				for slot, k := range tc.tags {
+					if got, hit := f.Lookup(k.row(), k.seg(), false); !hit || got != slot {
+						t.Errorf("Lookup(%d, %d) = (%d, %v), want slot %d", k.row(), k.seg(), got, hit, slot)
+					}
+				}
+				for _, s := range tc.reserved {
+					if !f.IsReserved(s) {
+						t.Errorf("slot %d not reserved after restore", s)
+					}
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("restore error = %v, want one mentioning %q", err, tc.wantErr)
+			}
+		})
+	}
+}
+
+// TestFIGCacheRestoreRejectsUnsortedInflight checks that a snapshot
+// whose in-flight insertion list is not in strictly ascending order —
+// the order Snapshot writes — is a decode error.
+func TestFIGCacheRestoreRejectsUnsortedInflight(t *testing.T) {
+	for _, list := range [][]segKey{{makeSegKey(9, 0), makeSegKey(4, 0)}, {makeSegKey(4, 0), makeSegKey(4, 0)}} {
+		fc, _ := newTestFIGCache(t, nil)
+		fc.banks[3].inflight = list
+		var buf bytes.Buffer
+		w := fgss.NewWriter(&buf, 1, [32]byte{})
+		w.Begin(1)
+		fc.Snapshot(w)
+		w.End()
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		fresh, _ := newTestFIGCache(t, nil)
+		r, err := fgss.NewReader(&buf, 1, [32]byte{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Section(1)
+		fresh.Restore(r)
+		if err := r.Err(); err == nil || !strings.Contains(err.Error(), "not in ascending order") {
+			t.Errorf("in-flight list %v: restore error = %v, want an ordering rejection", list, err)
+		}
+	}
+}

@@ -46,12 +46,16 @@ func (f *FTS) Snapshot(w *fgss.Writer) {
 // Restore reads back what Snapshot wrote and rebuilds the tag index
 // and, when attached, the incremental row aggregates. The receiver
 // must have the snapshotted slot count (a mismatch stops decoding).
+// The bytes come from disk, so a valid tag held by two slots, and a
+// reserved slot out of range or listed twice, are decode errors
+// (fgss.Reader.Reject) rather than a corrupt index or a panic.
 func (f *FTS) Restore(r *fgss.Reader) {
 	n := r.Int()
 	if n != len(f.entries) {
 		return
 	}
-	clear(f.index)
+	clear(f.idxKey)
+	clear(f.idxSlot)
 	for i := 0; i < n && r.Err() == nil; i++ {
 		e := &f.entries[i]
 		e.key = segKey(r.U64())
@@ -59,16 +63,29 @@ func (f *FTS) Restore(r *fgss.Reader) {
 		e.dirty = r.Bool()
 		e.benefit = uint8(r.U64())
 		e.lastUse = r.I64()
-		if e.valid {
-			f.index[e.key] = i
+		if !e.valid || r.Err() != nil {
+			continue
 		}
+		if prev := f.find(e.key); prev >= 0 {
+			r.Reject("core: FTS slots %d and %d both hold row %d segment %d", prev, i, e.key.row(), e.key.seg())
+			return
+		}
+		f.indexAdd(e.key, i)
 	}
 	f.clock = r.I64()
 	clear(f.reserved)
 	f.nReserved = 0
 	nres := r.Int()
 	for i := 0; i < nres && r.Err() == nil; i++ {
-		f.Reserve(r.Int())
+		slot := r.Int()
+		if r.Err() != nil {
+			return
+		}
+		if slot < 0 || slot >= n || f.reserved[slot] {
+			r.Reject("core: FTS reserved slot %d is out of range [0,%d) or listed twice", slot, n)
+			return
+		}
+		f.Reserve(slot)
 	}
 	f.Hits = r.I64()
 	f.Misses = r.I64()
@@ -98,8 +115,9 @@ func (r *replacer) restore(rd *fgss.Reader) {
 
 // Snapshot appends the cache's full mutable state, bank by bank: tag
 // store, replacement state, threshold miss counters, in-flight
-// insertion markers, then the aggregate counters. Maps are emitted in
-// sorted-key order for deterministic output.
+// insertion markers, then the aggregate counters. The miss counters are
+// emitted in sorted-key order for deterministic output; the in-flight
+// list is kept in that order.
 func (c *FIGCache) Snapshot(w *fgss.Writer) {
 	w.Int(len(c.banks))
 	for _, b := range c.banks {
@@ -111,7 +129,7 @@ func (c *FIGCache) Snapshot(w *fgss.Writer) {
 			w.Int(b.missCounts[k])
 		}
 		w.Int(len(b.inflight))
-		for _, k := range sortedKeys(b.inflight) {
+		for _, k := range b.inflight {
 			w.U64(uint64(k))
 		}
 	}
@@ -136,10 +154,15 @@ func (c *FIGCache) Restore(r *fgss.Reader) {
 			k := segKey(r.U64())
 			b.missCounts[k] = r.Int()
 		}
-		clear(b.inflight)
+		b.inflight = b.inflight[:0]
 		n = r.Int()
 		for i := 0; i < n && r.Err() == nil; i++ {
-			b.inflight[segKey(r.U64())] = true
+			k := segKey(r.U64())
+			if last := len(b.inflight) - 1; last >= 0 && b.inflight[last] >= k {
+				r.Reject("core: in-flight insertions %d and %d are not in ascending order", b.inflight[last], k)
+				return
+			}
+			b.inflight = append(b.inflight, k)
 		}
 	}
 	c.Insertions = r.I64()

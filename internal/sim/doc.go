@@ -36,6 +36,20 @@
 //     instead — the pause/resume primitive for observers of a running
 //     System — under the same contract (the sliced cases).
 //
+// The sleep contract. Inside the cycle-skipping loop a core whose next
+// cycles are predictable sleeps: a blocked core until Dispatch delivers
+// a CoreSlot for it or an MSHRFill for its L1, a batching core also
+// until the cycle after its bubble batch. A sleeping core is neither
+// ticked nor scanned; waking replays its skipped cycles (stall credit or
+// the batch) before the waking event's handler runs, and every exit of
+// the loop wakes the cores still asleep, so outside it no core sleeps
+// and a snapshot carries no sleep state. The loop keeps the running
+// cores in the awake set, a bitset of any width, and visits only its
+// set bits, in core-ID order; a done set counts the cores past their
+// target, and the earliest sleeping wake is kept as cores fall asleep
+// and recomputed only when the core holding it wakes. The loop rebuilds
+// all three on entry, when every core runs.
+//
 // New is the only way to build a System's state: every run gets its own
 // System, and Restore overwrites a built one from a snapshot. Run,
 // RunSlice and RunUntilRetired are thin wrappers over one private run

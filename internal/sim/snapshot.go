@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"io"
 
 	"repro/internal/core"
@@ -79,15 +80,24 @@ func (q *eventQueue) snapshot(w *fgss.Writer) {
 
 // restore reads back what snapshot wrote, dropping any currently
 // pending events. Lane registrations are construction-time bindings and
-// must already exist (a count mismatch stops decoding). nextDue is left
-// at its ambiguous zero, which forces the next nextAt to rescan.
-func (q *eventQueue) restore(r *fgss.Reader) {
+// must already exist (a count mismatch stops decoding). Every token must
+// pass checkTok, or the snapshot is rejected before a bad token reaches
+// Dispatch. nextDue is left at its ambiguous zero, which forces the next
+// nextAt to rescan.
+func (q *eventQueue) restore(r *fgss.Reader, checkTok func(ev.Token) error) {
+	next := func() event {
+		e := restoreEvent(r)
+		if err := checkTok(e.tok); err != nil && r.Err() == nil {
+			r.Reject("event at cycle %d: %v", e.at, err)
+		}
+		return e
+	}
 	q.seq = r.I64()
 	clear(q.items)
 	q.items = q.items[:0]
 	n := r.Int()
 	for i := 0; i < n && r.Err() == nil; i++ {
-		q.items = append(q.items, restoreEvent(r))
+		q.items = append(q.items, next())
 	}
 	if r.Int() != len(q.lanes) {
 		return
@@ -99,10 +109,33 @@ func (q *eventQueue) restore(r *fgss.Reader) {
 		l.head = 0
 		n := r.Int()
 		for j := 0; j < n && r.Err() == nil; j++ {
-			l.items = append(l.items, restoreEvent(r))
+			l.items = append(l.items, next())
 		}
 	}
 	q.nextDue = 0
+}
+
+// checkToken reports why a restored event token cannot be dispatched on
+// this System, or nil: its kind must be one Dispatch executes, its ID a
+// core (CoreSlot) or hierarchy node (MSHRStart, MSHRFill) of this
+// System, and a CoreSlot's slot inside the core's window.
+func (s *System) checkToken(t ev.Token) error {
+	switch t.Kind {
+	case ev.CoreSlot:
+		if t.ID < 0 || int(t.ID) >= len(s.cores) {
+			return fmt.Errorf("core slot token names core %d of %d", t.ID, len(s.cores))
+		}
+		if size := s.cfg.coreConfig().WindowSize; t.Arg >= uint64(size) {
+			return fmt.Errorf("core slot token names slot %d of core %d's %d-entry window", t.Arg, t.ID, size)
+		}
+	case ev.MSHRStart, ev.MSHRFill:
+		if n := len(s.hier.Nodes()); t.ID < 0 || int(t.ID) >= n {
+			return fmt.Errorf("MSHR token (kind %d) names cache node %d of %d", t.Kind, t.ID, n)
+		}
+	default:
+		return fmt.Errorf("unknown event token kind %d", t.Kind)
+	}
+	return nil
 }
 
 // Snapshot writes the complete mutable simulation state as one FGSS
@@ -225,7 +258,7 @@ func (s *System) Restore(in io.Reader) error {
 	r.EndSection()
 
 	r.Section(snapSecEvents)
-	s.events.restore(r)
+	s.events.restore(r, s.checkToken)
 	r.EndSection()
 
 	r.Section(snapSecCores)
@@ -249,7 +282,7 @@ func (s *System) Restore(in io.Reader) error {
 	r.EndSection()
 
 	r.Section(snapSecCaches)
-	s.hier.Restore(r)
+	s.hier.Restore(r, s.checkToken)
 	r.EndSection()
 
 	r.Section(snapSecChannels)

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/ev"
+	"repro/internal/fgss"
 	"repro/internal/workload"
 )
 
@@ -129,5 +131,98 @@ func BenchmarkSnapshotRoundTrip(b *testing.B) {
 		if err := sys.Restore(bytes.NewReader(buf.Bytes())); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// eventsSection returns a reader positioned in a hand-built events
+// section for s: the sequence counter, one heap event carrying tok, and
+// s's lanes, empty.
+func eventsSection(t *testing.T, s *System, tok ev.Token) *fgss.Reader {
+	t.Helper()
+	var buf bytes.Buffer
+	w := fgss.NewWriter(&buf, 1, [32]byte{})
+	w.Begin(snapSecEvents)
+	w.I64(1) // seq
+	w.Int(1)
+	snapEvent(w, event{at: 5, seq: 1, tok: tok})
+	w.Int(len(s.events.lanes))
+	for range s.events.lanes {
+		w.Int(0)
+	}
+	w.End()
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := fgss.NewReader(&buf, 1, [32]byte{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Section(snapSecEvents)
+	return r
+}
+
+// TestRestoreRejectsBadTokens checks that a snapshot holding an event
+// token Dispatch cannot execute on a one-core System — an unknown or
+// no-action kind, a core or cache node that does not exist, a CoreSlot
+// slot outside the 256-entry window — in the event queue or in an
+// MSHR's waiter list is refused at restore instead of panicking when
+// the token fires. The event queue is fed hand-built sections; the
+// waiter case puts the token in a real L1 miss and restores the
+// System's snapshot. A valid token passes both paths.
+func TestRestoreRejectsBadTokens(t *testing.T) {
+	cfg := DefaultConfig(Base, smallMix(t, "mcf"))
+	cfg.TargetInsts = 10_000
+	cases := []struct {
+		name    string
+		tok     ev.Token
+		wantErr string
+	}{
+		{"valid core slot", ev.Token{Kind: ev.CoreSlot, ID: 0, Arg: 255}, ""},
+		{"unknown kind", ev.Token{Kind: 9, Arg: 1}, "unknown event token kind 9"},
+		{"no-action kind", ev.Token{Kind: ev.None}, "unknown event token kind 0"},
+		{"core out of range", ev.Token{Kind: ev.CoreSlot, ID: 1, Arg: 3}, "names core 1 of 1"},
+		{"negative core", ev.Token{Kind: ev.CoreSlot, ID: -1, Arg: 3}, "names core -1 of 1"},
+		{"slot outside the window", ev.Token{Kind: ev.CoreSlot, ID: 0, Arg: 256}, "slot 256 of core 0's 256-entry window"},
+		{"fill for a missing node", ev.Token{Kind: ev.MSHRFill, ID: 3, Arg: 0x40}, "names cache node 3 of 3"},
+		{"start for a negative node", ev.Token{Kind: ev.MSHRStart, ID: -1, Arg: 0x40}, "names cache node -1 of 3"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := eventsSection(t, s, tc.tok)
+			s.events.restore(r, s.checkToken)
+			r.EndSection()
+			if err := r.Close(); (err == nil) != (tc.wantErr == "") || err != nil && !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("events section: restore error = %v, want %q", err, tc.wantErr)
+			}
+
+			// An L1 miss with a free MSHR queues its completion token as
+			// the MSHR's first waiter, unless it is the zero token.
+			if tc.tok.IsZero() {
+				return
+			}
+			s, err = New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !s.hier.L1s[0].Access(0x1000, false, tc.tok) {
+				t.Fatal("a fresh L1 refused an access")
+			}
+			var buf bytes.Buffer
+			if err := s.Snapshot(&buf); err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = fresh.Restore(&buf)
+			if (err == nil) != (tc.wantErr == "") || err != nil && !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("MSHR waiter: restore error = %v, want %q", err, tc.wantErr)
+			}
+		})
 	}
 }

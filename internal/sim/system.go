@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/arena"
 	"repro/internal/cache"
@@ -47,6 +48,18 @@ type System struct {
 	// wakeAt[i] is the cycle of a sleeping core's next full Tick: the
 	// cycle after its batch, or maxInt64 for a blocked core.
 	wakeAt []int64 //fglint:preserved read only while parkedAt[i] >= 0, and Restore resets parkedAt
+	// awake holds the cores runSkipping ticks and scans: bit i is set
+	// while parkedAt[i] < 0. done holds the cores past their target, and
+	// nDone counts them. coreNext is the earliest wakeAt over the
+	// sleeping cores, stale once the core holding it wakes, until the
+	// next wake scan recomputes it. runSkipping rebuilds these fields on
+	// entry, when every core runs, so only it reads them.
+	awake    coreSet //fglint:preserved rebuilt on entry to runSkipping
+	done     coreSet //fglint:preserved rebuilt on entry to runSkipping
+	nDone    int     //fglint:preserved rebuilt on entry to runSkipping
+	coreNext int64   //fglint:preserved rebuilt on entry to runSkipping
+	// nextStale marks coreNext as held by a core that has woken.
+	nextStale bool //fglint:preserved rebuilt on entry to runSkipping
 	// l1Core maps a hierarchy node ID to the core whose L1 it is, or -1
 	// for a shared level: an MSHRFill for a parked core's L1 unparks it.
 	l1Core []int32
@@ -135,6 +148,8 @@ func New(cfg Config) (*System, error) {
 	}
 	s.parkedAt = arena.Slice[int64](s.arena, len(s.cores))
 	s.wakeAt = arena.Slice[int64](s.arena, len(s.cores))
+	s.awake = arena.Slice[uint64](s.arena, (len(s.cores)+63)/64)
+	s.done = arena.Slice[uint64](s.arena, (len(s.cores)+63)/64)
 	for i := range s.parkedAt {
 		s.parkedAt[i] = -1
 	}
@@ -182,12 +197,69 @@ func (s *System) unpark(i int) {
 		return
 	}
 	s.parkedAt[i] = -1
+	s.awake.add(i)
+	c := s.cores[i]
 	if s.wakeAt[i] == maxInt64 {
-		s.cores[i].AccountSkipped(s.clock - 1 - at)
-	} else {
-		s.cores[i].AdvanceBatch(at, s.clock-1-at)
+		c.AccountSkipped(s.clock - 1 - at)
+		return
+	}
+	c.AdvanceBatch(at, s.clock-1-at)
+	s.noteDone(i, c)
+	if s.wakeAt[i] == s.coreNext {
+		s.nextStale = true
 	}
 }
+
+// sleep parks running core i at the current cycle until cycle wake.
+func (s *System) sleep(i int, wake int64) {
+	s.parkedAt[i], s.wakeAt[i] = s.clock, wake
+	s.awake.remove(i)
+	if wake < s.coreNext {
+		s.coreNext = wake
+	}
+}
+
+// noteDone adds core i to the done set once it has reached its target.
+func (s *System) noteDone(i int, c *cpu.Core) {
+	if c.Done() && !s.done.has(i) {
+		s.done.add(i)
+		s.nDone++
+	}
+}
+
+// asleep returns word w of the complement of the awake set: the
+// sleeping cores among IDs 64w to 64w+63.
+func (s *System) asleep(w int) uint64 {
+	word := ^s.awake[w]
+	if n := len(s.cores) - w<<6; n < 64 {
+		word &= 1<<n - 1
+	}
+	return word
+}
+
+// wakeAll resets the skip engine's core sets for a loop in which every
+// core runs: all awake, none sleeping, done as the cores report.
+func (s *System) wakeAll() {
+	clear(s.done)
+	s.nDone = 0
+	for w := range s.awake {
+		s.awake[w] = ^uint64(0)
+		if n := len(s.cores) - w<<6; n < 64 {
+			s.awake[w] = 1<<n - 1
+		}
+	}
+	for i, c := range s.cores {
+		s.noteDone(i, c)
+	}
+	s.coreNext, s.nextStale = maxInt64, false
+}
+
+// coreSet is a set of core IDs, one bit each in 64-bit words.
+type coreSet []uint64
+
+func (c coreSet) add(i int)      { c[i>>6] |= 1 << (i & 63) }
+func (c coreSet) remove(i int)   { c[i>>6] &^= 1 << (i & 63) }
+func (c coreSet) has(i int) bool { return c[i>>6]&(1<<(i&63)) != 0 }
 
 // initCores builds the per-core trace readers and cores for s.cfg. Cores get equal disjoint address windows
 // (or one shared window for multithreaded workloads). Each workload
@@ -555,21 +627,23 @@ func (s *System) runSkipping(maxCycles, stopRetired int64) {
 	if s.ctrlWake == nil {
 		s.ctrlWake = make([]int64, len(s.ctrls))
 	}
+	s.wakeAll()
 	for s.clock < maxCycles {
 		s.events.fireDue(s.clock, s)
 		if s.clock%cpb == 0 {
 			s.busTick(s.clock / cpb)
 		}
-		allDone := true
-		for i, c := range s.cores {
-			if s.parkedAt[i] < 0 {
+		// A core finishes only in its own Tick or when it wakes, so the
+		// done set tracks Done for every core, asleep or not.
+		for w, word := range s.awake {
+			for ; word != 0; word &= word - 1 {
+				i := w<<6 | bits.TrailingZeros64(word)
+				c := s.cores[i]
 				c.Tick(s.clock)
-			}
-			if !c.Done() {
-				allDone = false
+				s.noteDone(i, c)
 			}
 		}
-		if allDone {
+		if s.nDone == len(s.cores) {
 			s.clock++
 			break
 		}
@@ -584,25 +658,28 @@ func (s *System) runSkipping(maxCycles, stopRetired int64) {
 		// only after the batch. coreNext is the earliest such Tick over
 		// the sleeping cores. A batch caps at the cycle the core reaches
 		// its target, so a sleeping core cannot finish before it wakes.
-		next, coreNext := maxCycles, int64(maxInt64)
-		for i, c := range s.cores {
-			if s.parkedAt[i] < 0 {
-				w := c.NextWake(s.clock)
-				if w == maxInt64 {
-					s.parkedAt[i], s.wakeAt[i] = s.clock, maxInt64
+		if s.nextStale {
+			s.coreNext, s.nextStale = s.earliestWake(), false
+		}
+		next := maxCycles
+		for w, word := range s.awake {
+			for ; word != 0; word &= word - 1 {
+				i := w<<6 | bits.TrailingZeros64(word)
+				c := s.cores[i]
+				wake := c.NextWake(s.clock)
+				if wake == maxInt64 {
+					s.sleep(i, maxInt64)
 					continue
 				}
 				n := c.BatchableCycles()
 				if n == 0 {
-					next = w // the next cycle
+					next = wake // the next cycle
 					continue
 				}
-				s.parkedAt[i], s.wakeAt[i] = s.clock, w+n
-			}
-			if w := s.wakeAt[i]; w < coreNext {
-				coreNext = w
+				s.sleep(i, wake+n)
 			}
 		}
+		coreNext := s.coreNext
 		if coreNext < next {
 			next = coreNext
 		}
@@ -654,12 +731,14 @@ func (s *System) runSkipping(maxCycles, stopRetired int64) {
 			// instruction target on its last cycle, next-1, after which
 			// the dense loop stops: the clock already reads the dense
 			// clock after its last executed cycle.
-			for i, w := range s.wakeAt {
-				if w == next && s.parkedAt[i] >= 0 {
-					s.unpark(i)
+			for w := range s.awake {
+				for word := s.asleep(w); word != 0; word &= word - 1 {
+					if i := w<<6 | bits.TrailingZeros64(word); s.wakeAt[i] == next {
+						s.unpark(i)
+					}
 				}
 			}
-			if s.unfinished() == nil || stopRetired > 0 && s.totalRetired() >= stopRetired {
+			if s.nDone == len(s.cores) || stopRetired > 0 && s.totalRetired() >= stopRetired {
 				break
 			}
 		}
@@ -668,8 +747,10 @@ func (s *System) runSkipping(maxCycles, stopRetired int64) {
 	// skipped at the very end of the run: the dense loop ticks every core
 	// each cycle and every controller each bus boundary up to the last
 	// executed cycle (s.clock-1 on every exit path).
-	for i := range s.parkedAt {
-		s.unpark(i)
+	for w := range s.awake {
+		for word := s.asleep(w); word != 0; word &= word - 1 {
+			s.unpark(w<<6 | bits.TrailingZeros64(word))
+		}
 	}
 	lastBus := (s.clock - 1) / cpb
 	for _, ctrl := range s.ctrls {
@@ -678,6 +759,20 @@ func (s *System) runSkipping(maxCycles, stopRetired int64) {
 }
 
 const maxInt64 = int64(1<<63 - 1)
+
+// earliestWake returns the earliest wakeAt over the sleeping cores, or
+// maxInt64 when none sleeps through a batch.
+func (s *System) earliestWake() int64 {
+	next := int64(maxInt64)
+	for w := range s.awake {
+		for word := s.asleep(w); word != 0; word &= word - 1 {
+			if at := s.wakeAt[w<<6|bits.TrailingZeros64(word)]; at < next {
+				next = at
+			}
+		}
+	}
+	return next
+}
 
 // busTick executes one bus boundary exactly as the dense loop would:
 // drain buffered requests into the controller queues, then tick every

@@ -2,9 +2,13 @@ package sim
 
 import (
 	"math"
+	"math/bits"
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
+	"repro/internal/cpu"
 	"repro/internal/workload"
 )
 
@@ -146,5 +150,67 @@ func TestEngineEquivalenceCoalescedWakes(t *testing.T) {
 				t.Errorf("engines diverge:\n dense: %+v\n  skip: %+v", dense, skip)
 			}
 		})
+	}
+}
+
+// TestAwakeSetPastOneWord checks the skip engine's core sets on a
+// System of 130 cores, three words of bits: after random cores go to
+// sleep, a walk of the awake set and of its complement visits each
+// core once, in ID order, and none past the last; and coreNext, kept
+// incrementally as cores sleep, equals a fresh scan of the sleeping
+// cores' wake cycles. Engine equivalence past 64 cores is not run: the
+// LLC scales with the core count and must have a power-of-two set
+// count, so the smallest such System has 128 cores and a 256 MB LLC,
+// and its dense run of 300 instructions per core did not finish in ten
+// minutes.
+func TestAwakeSetPastOneWord(t *testing.T) {
+	const n = 130
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 50; trial++ {
+		s := &System{
+			cores:    make([]*cpu.Core, n),
+			parkedAt: make([]int64, n),
+			wakeAt:   make([]int64, n),
+			awake:    make(coreSet, 3),
+			coreNext: maxInt64,
+		}
+		for i := 0; i < n; i++ {
+			s.awake.add(i)
+			s.parkedAt[i] = -1
+		}
+		asleep := make(map[int]bool)
+		want := int64(maxInt64)
+		for _, i := range rng.Perm(n)[:rng.Intn(n+1)] {
+			wake := int64(maxInt64) // blocked
+			if rng.Intn(2) == 0 {
+				wake = 100 + rng.Int63n(1000)
+				want = min(want, wake)
+			}
+			s.sleep(i, wake)
+			asleep[i] = true
+		}
+		var awakeIDs, asleepIDs []int
+		for w, word := range s.awake {
+			for ; word != 0; word &= word - 1 {
+				awakeIDs = append(awakeIDs, w<<6|bits.TrailingZeros64(word))
+			}
+			for word := s.asleep(w); word != 0; word &= word - 1 {
+				asleepIDs = append(asleepIDs, w<<6|bits.TrailingZeros64(word))
+			}
+		}
+		var wantAwake, wantAsleep []int
+		for i := 0; i < n; i++ {
+			if asleep[i] {
+				wantAsleep = append(wantAsleep, i)
+			} else {
+				wantAwake = append(wantAwake, i)
+			}
+		}
+		if !slices.Equal(awakeIDs, wantAwake) || !slices.Equal(asleepIDs, wantAsleep) {
+			t.Fatalf("trial %d: awake walk %v, asleep walk %v; want %v and %v", trial, awakeIDs, asleepIDs, wantAwake, wantAsleep)
+		}
+		if s.coreNext != want || s.earliestWake() != want {
+			t.Fatalf("trial %d: coreNext %d, earliestWake %d, want %d", trial, s.coreNext, s.earliestWake(), want)
+		}
 	}
 }
