@@ -123,15 +123,14 @@ type Cache struct {
 	// linear scan beats map hashing on every lookup, insert and remove.
 	active []*mshr
 	free   []*mshr // recycled MSHRs, fully re-initialized by newMSHR before reuse
+	// clock is the LRU clock. It advances only where a stamp is written
+	// (a hit or a fill), which keeps the stamps in write order, so a
+	// refused Access changes nothing.
 	clock  int64
 	coreID int // reported downstream for per-core accounting
 
 	// Stats.
-	Hits, Misses      int64
-	WriteBacks        int64
-	MSHRMerges        int64
-	MSHRFullStalls    int64
-	ReadAcc, WriteAcc int64
+	Hits, Misses int64
 }
 
 // New builds a cache level on top of next.
@@ -210,21 +209,17 @@ func (c *Cache) blockAddr(addr uint64) uint64 {
 }
 
 // Access performs a load or store. It returns false when the access
-// cannot be accepted this cycle (MSHRs exhausted); the caller must retry.
-// onDone, unless zero, is dispatched when the data is available (hits:
-// after the lookup latency; misses: when the fill returns).
+// cannot be accepted this cycle (MSHRs exhausted); the caller must retry,
+// and the refused attempt leaves the cache unchanged. onDone, unless
+// zero, is dispatched when the data is available (hits: after the lookup
+// latency; misses: when the fill returns).
 func (c *Cache) Access(addr uint64, isWrite bool, onDone ev.Token) bool {
-	c.clock++
-	if isWrite {
-		c.WriteAcc++
-	} else {
-		c.ReadAcc++
-	}
 	setIdx, key := c.setAndKey(addr)
 	set := c.set(setIdx)
 	for i, t := range set[:c.cfg.Ways] {
 		// One compare checks tag and valid bit together.
 		if t&^lineDirty == key {
+			c.clock++
 			set[c.cfg.Ways+i] = uint64(c.clock)
 			if isWrite {
 				set[i] = t | lineDirty
@@ -240,7 +235,6 @@ func (c *Cache) Access(addr uint64, isWrite bool, onDone ev.Token) bool {
 	// Miss. Merge into an outstanding fetch of the same block if any.
 	blk := c.blockAddr(addr)
 	if m := c.findMSHR(blk); m != nil {
-		c.MSHRMerges++
 		c.Misses++
 		if isWrite {
 			m.markDirty = true
@@ -251,7 +245,6 @@ func (c *Cache) Access(addr uint64, isWrite bool, onDone ev.Token) bool {
 		return true
 	}
 	if c.cfg.MSHRs > 0 && len(c.active) >= c.cfg.MSHRs {
-		c.MSHRFullStalls++
 		return false
 	}
 	c.Misses++
@@ -271,6 +264,11 @@ func (c *Cache) Access(addr uint64, isWrite bool, onDone ev.Token) bool {
 func (c *Cache) StartFetch(blk uint64) {
 	c.next.Request(blk, false, c.coreID, ev.Token{Kind: ev.MSHRFill, ID: c.id, Arg: blk})
 }
+
+// Outstanding reports whether the cache has a miss outstanding for the
+// block address blk: whether an MSHRStart or MSHRFill token for it has
+// an MSHR to act on.
+func (c *Cache) Outstanding(blk uint64) bool { return c.findMSHR(blk) != nil }
 
 // findMSHR returns the outstanding miss for blk, or nil.
 func (c *Cache) findMSHR(blk uint64) *mshr {
@@ -301,21 +299,6 @@ func (c *Cache) removeMSHR(blk uint64) *mshr {
 		}
 	}
 	return nil
-}
-
-// AccountRefused credits n refused Access attempts to the statistics:
-// the dense run loop retries a blocked access every cycle (each retry
-// bumping the access counters and MSHR-full stalls), so the cycle-
-// skipping engine calls this for the retries it skipped, keeping the
-// diagnostic counters engine-independent.
-func (c *Cache) AccountRefused(isWrite bool, n int64) {
-	c.clock += n
-	if isWrite {
-		c.WriteAcc += n
-	} else {
-		c.ReadAcc += n
-	}
-	c.MSHRFullStalls += n
 }
 
 // newMSHR pops a recycled MSHR or builds a fresh one.
@@ -369,7 +352,6 @@ func (c *Cache) Fill(blk uint64) {
 		}
 	}
 	if old := tags[victim]; old&(lineValid|lineDirty) == lineValid|lineDirty {
-		c.WriteBacks++
 		victimAddr := (old>>flagBits<<c.setBits | setIdx) << c.shift
 		c.next.Request(victimAddr, true, c.coreID, ev.Token{})
 	}

@@ -8,7 +8,7 @@ import (
 // Snapshot appends one cache level's full mutable state: every line in
 // set-major, way-minor order as its tag, valid and dirty bits and LRU
 // stamp, the LRU clock, the outstanding misses with their waiter
-// tokens, and the statistics counters. MSHRs are emitted in
+// tokens, and the hit and miss counters. MSHRs are emitted in
 // active-slice order — deterministic (allocation and swap-remove order
 // is a pure function of the simulated history), so snapshot bytes are
 // reproducible.
@@ -40,11 +40,6 @@ func (c *Cache) Snapshot(w *fgss.Writer) {
 	}
 	w.I64(c.Hits)
 	w.I64(c.Misses)
-	w.I64(c.WriteBacks)
-	w.I64(c.MSHRMerges)
-	w.I64(c.MSHRFullStalls)
-	w.I64(c.ReadAcc)
-	w.I64(c.WriteAcc)
 }
 
 // Restore reads back what Snapshot wrote. Existing outstanding misses
@@ -103,11 +98,6 @@ func (c *Cache) Restore(r *fgss.Reader, checkTok func(ev.Token) error) {
 	}
 	c.Hits = r.I64()
 	c.Misses = r.I64()
-	c.WriteBacks = r.I64()
-	c.MSHRMerges = r.I64()
-	c.MSHRFullStalls = r.I64()
-	c.ReadAcc = r.I64()
-	c.WriteAcc = r.I64()
 }
 
 // Snapshot appends every level's state in node-ID order — the same

@@ -8,8 +8,8 @@
 //     global row buffer, supporting unaligned source/destination columns
 //     (Section 4.1, Figure 4).
 //
-//   - FIGCache (figcache.go, fts.go, replacement.go, rowindex.go): a
-//     fine-grained in-DRAM cache built on FIGARO. It caches row segments
+//   - FIGCache (figcache.go, fts.go, replacement.go): a fine-grained
+//     in-DRAM cache built on FIGARO. It caches row segments
 //     (default 1/8 of a row) from slow subarrays into a small set of cache
 //     rows, tracked by a tag store (FTS) in the memory controller, with an
 //     insert-any-miss insertion policy and a row-granularity benefit-based
@@ -32,5 +32,7 @@
 // counters for the system checkpoint lifecycle (sim.System.Snapshot).
 // FTS.Restore rejects a valid tag held by two slots and a reserved slot
 // out of range or listed twice; FIGCache.Restore rejects planned
-// insertions out of ascending order.
+// insertions out of ascending order. Both caches' CheckPlan lets a
+// restoring controller refuse a deferred plan whose commit payload names
+// no bank or slot of the cache.
 package core

@@ -89,6 +89,10 @@ func (c FIGCacheConfig) Validate(geo dram.Geometry) error {
 		return fmt.Errorf("core: segment blocks %d out of range (1..%d)", c.SegmentBlocks, geo.BlocksPerRow())
 	case geo.BlocksPerRow()%c.SegmentBlocks != 0:
 		return fmt.Errorf("core: segment blocks %d must divide blocks per row %d", c.SegmentBlocks, geo.BlocksPerRow())
+	case geo.BlocksPerRow()/c.SegmentBlocks > 64:
+		// The RowBenefit policy marks a draining row's segments in one
+		// 64-bit word.
+		return fmt.Errorf("core: %d segments per row exceed the 64 a row's eviction mask holds", geo.BlocksPerRow()/c.SegmentBlocks)
 	case c.CacheRowsPerBank <= 0:
 		return fmt.Errorf("core: cache rows per bank must be positive, got %d", c.CacheRowsPerBank)
 	case c.InsertThreshold <= 0:
@@ -151,15 +155,6 @@ func NewFIGCache(cfg FIGCacheConfig, geo dram.Geometry) (*FIGCache, error) {
 	for i := 0; i < nBanks; i++ {
 		fts, err := NewFTS(cfg.CacheRowsPerBank*segsPerRow, segsPerRow, cfg.BenefitBits)
 		if err != nil {
-			return nil, err
-		}
-		// Maintain per-row benefit sums incrementally, as the paper's
-		// Dirty-Block-Index footnote suggests hardware would.
-		ri, err := NewRowIndex(cfg.CacheRowsPerBank, segsPerRow)
-		if err != nil {
-			return nil, err
-		}
-		if err := fts.SetRowIndex(ri); err != nil {
 			return nil, err
 		}
 		c.banks = append(c.banks, &bankCache{
@@ -296,6 +291,18 @@ func (c *FIGCache) Commit(p *memctrl.RelocPlan) {
 	}
 	bank.fts.Unreserve(p.CommitSlot)
 	bank.fts.Install(p.CommitSlot, p.CommitRow, p.CommitSeg, false)
+}
+
+// CheckPlan implements memctrl.CacheHook: a restored plan must name one
+// of this cache's banks and one of that bank's tag-store slots.
+func (c *FIGCache) CheckPlan(p *memctrl.RelocPlan) error {
+	if p.CommitBank < 0 || p.CommitBank >= len(c.banks) {
+		return fmt.Errorf("core: FIGCache plan commits to bank %d of %d", p.CommitBank, len(c.banks))
+	}
+	if n := c.banks[p.CommitBank].fts.Slots(); p.CommitSlot < 0 || p.CommitSlot >= n {
+		return fmt.Errorf("core: FIGCache plan commits to slot %d of bank %d's %d", p.CommitSlot, p.CommitBank, n)
+	}
+	return nil
 }
 
 // HitRate returns the aggregate in-DRAM cache hit rate.

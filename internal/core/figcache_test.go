@@ -54,6 +54,7 @@ func TestFIGCacheConfigValidate(t *testing.T) {
 		func(c *FIGCacheConfig) { c.SegmentBlocks = 0 },
 		func(c *FIGCacheConfig) { c.SegmentBlocks = 3 }, // does not divide 128
 		func(c *FIGCacheConfig) { c.SegmentBlocks = 256 },
+		func(c *FIGCacheConfig) { c.SegmentBlocks = 1 }, // 128 segments: more than the 64-bit eviction mask holds
 		func(c *FIGCacheConfig) { c.CacheRowsPerBank = 0 },
 		func(c *FIGCacheConfig) { c.InsertThreshold = 0 },
 		func(c *FIGCacheConfig) { c.BenefitBits = 9 },
@@ -116,11 +117,11 @@ func TestFTSRowBenefitSums(t *testing.T) {
 	f.Lookup(1, 0, false)
 	f.Lookup(1, 0, false)
 	f.Lookup(2, 0, false)
-	if got := f.RowBenefit(0); got != 3 {
-		t.Errorf("RowBenefit(0) = %d, want 3", got)
+	if got, evictable := f.RowBenefit(0); got != 3 || !evictable {
+		t.Errorf("RowBenefit(0) = %d, %v, want 3, true", got, evictable)
 	}
-	if got := f.RowBenefit(1); got != 0 {
-		t.Errorf("RowBenefit(1) = %d, want 0", got)
+	if got, evictable := f.RowBenefit(1); got != 0 || evictable {
+		t.Errorf("RowBenefit(1) = %d, %v, want 0, false", got, evictable)
 	}
 }
 
@@ -292,6 +293,27 @@ func TestRowBenefitReplacementDrainsOneRow(t *testing.T) {
 		if fts.Contains(100+i, 0) {
 			t.Errorf("low-benefit segment row %d survived in row 0", 100+i)
 		}
+	}
+}
+
+// TestRowBenefitVictimPicksFirstLowestRow pins how RowBenefit picks
+// the row to drain: the first row, in cache-row order, with the lowest
+// cumulative benefit among the rows holding an evictable segment, so a
+// row whose valid slots are all reserved is passed over.
+func TestRowBenefitVictimPicksFirstLowestRow(t *testing.T) {
+	f, _ := NewFTS(12, 4, 5) // three cache rows of four slots
+	for slot := 0; slot < 12; slot++ {
+		f.Install(slot, 100+slot, 0, false)
+	}
+	f.Lookup(104, 0, false) // row 1 sums 1, rows 0 and 2 sum 0
+	if v := newReplacer(ReplRowBenefit, 1).victim(f); f.RowOfSlot(v) != 0 {
+		t.Errorf("victim slot %d in row %d, want row 0 (first of two rows summing 0)", v, f.RowOfSlot(v))
+	}
+	for slot := 0; slot < 4; slot++ {
+		f.Reserve(slot)
+	}
+	if v := newReplacer(ReplRowBenefit, 1).victim(f); f.RowOfSlot(v) != 2 {
+		t.Errorf("victim slot %d in row %d, want row 2 (row 0 is all reserved)", v, f.RowOfSlot(v))
 	}
 }
 

@@ -55,11 +55,6 @@ type FTS struct {
 	reserved  []bool
 	nReserved int
 
-	// rowIndex, when attached via SetRowIndex, maintains per-row benefit
-	// sums and dirty bitvectors incrementally (the Dirty-Block-Index
-	// optimization of Section 5.1 footnote 2).
-	rowIndex *RowIndex
-
 	// Stats.
 	Hits, Misses int64
 }
@@ -156,18 +151,13 @@ func (f *FTS) Lookup(row, seg int, isWrite bool) (slot int, hit bool) {
 		return 0, false
 	}
 	e := &f.entries[i]
-	delta := 0
 	if e.benefit < f.benefitMax {
 		e.benefit++
-		delta = 1
 	}
 	if isWrite {
 		e.dirty = true
 	}
 	e.lastUse = f.clock
-	if f.rowIndex != nil {
-		f.rowIndex.OnHit(i, delta, isWrite)
-	}
 	f.Hits++
 	return i, true
 }
@@ -219,16 +209,6 @@ func (f *FTS) Install(slot, row, seg int, dirty bool) {
 	if e.valid {
 		f.indexDel(e.key)
 	}
-	if f.rowIndex != nil {
-		old, oldDirty := 0, false
-		if e.valid {
-			old, oldDirty = int(e.benefit), e.dirty
-		}
-		f.rowIndex.OnInstall(slot, old, oldDirty)
-		if dirty {
-			f.rowIndex.OnHit(slot, 0, true)
-		}
-	}
 	key := makeSegKey(row, seg)
 	*e = ftsEntry{key: key, valid: true, dirty: dirty, benefit: 0, lastUse: f.clock}
 	f.indexAdd(key, slot)
@@ -243,9 +223,6 @@ func (f *FTS) Evict(slot int) (row, seg int, dirty, wasValid bool) {
 	}
 	f.indexDel(e.key)
 	row, seg, dirty = e.key.row(), e.key.seg(), e.dirty
-	if f.rowIndex != nil {
-		f.rowIndex.OnEvict(slot, int(e.benefit), e.dirty)
-	}
 	*e = ftsEntry{}
 	return row, seg, dirty, true
 }
@@ -258,16 +235,16 @@ func (f *FTS) SlotOffset(slot int) int { return slot % f.segsPerRow }
 
 // RowBenefit returns the cumulative benefit of all valid segments in a
 // cache row — the quantity the RowBenefit replacement policy minimizes
-// (Section 5.1; the paper notes a Dirty-Block-Index-style structure can
-// maintain these sums in hardware).
-func (f *FTS) RowBenefit(cacheRow int) int {
-	sum := 0
+// (Section 5.1) — and whether the row holds a segment replacement may
+// evict (valid and not reserved), from one pass over its slots.
+func (f *FTS) RowBenefit(cacheRow int) (sum int, evictable bool) {
 	for i := cacheRow * f.segsPerRow; i < (cacheRow+1)*f.segsPerRow; i++ {
-		if f.entries[i].valid {
-			sum += int(f.entries[i].benefit)
+		if e := &f.entries[i]; e.valid {
+			sum += int(e.benefit)
+			evictable = evictable || !f.reserved[i]
 		}
 	}
-	return sum
+	return sum, evictable
 }
 
 // ValidSlots returns the number of valid entries.

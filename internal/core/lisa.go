@@ -74,7 +74,6 @@ type LISAVilla struct {
 	Insertions int64
 	Evictions  int64
 	WriteBacks int64
-	TotalHops  int64
 }
 
 type lisaBank struct {
@@ -246,7 +245,6 @@ func (l *LISAVilla) Insert(ch *dram.Channel, loc dram.Location, now int64) *memc
 	bank.inflight[loc.Row] = true
 	bank.rows[slot] = lisaRow{srcRow: -1}
 	l.Insertions++
-	l.TotalHops += int64(hops)
 	l.plan = memctrl.RelocPlan{Loc: loc, Cost: cost, Hops: hops, IsLISA: true,
 		CommitBank: loc.BankID(l.geo), CommitSlot: slot, CommitRow: loc.Row,
 	}
@@ -261,6 +259,18 @@ func (l *LISAVilla) Commit(p *memctrl.RelocPlan) {
 	bank.clock++
 	bank.rows[p.CommitSlot] = lisaRow{srcRow: p.CommitRow, valid: true, lastUse: bank.clock}
 	bank.index[p.CommitRow] = p.CommitSlot
+}
+
+// CheckPlan implements memctrl.CacheHook: a restored plan must name one
+// of this cache's banks and one of that bank's cache rows.
+func (l *LISAVilla) CheckPlan(p *memctrl.RelocPlan) error {
+	if p.CommitBank < 0 || p.CommitBank >= len(l.banks) {
+		return fmt.Errorf("core: LISA-VILLA plan commits to bank %d of %d", p.CommitBank, len(l.banks))
+	}
+	if n := len(l.banks[p.CommitBank].rows); p.CommitSlot < 0 || p.CommitSlot >= n {
+		return fmt.Errorf("core: LISA-VILLA plan commits to cache row %d of bank %d's %d", p.CommitSlot, p.CommitBank, n)
+	}
+	return nil
 }
 
 // HitRate returns the aggregate in-DRAM cache hit rate.

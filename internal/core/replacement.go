@@ -110,31 +110,13 @@ func (r *replacer) rowBenefitVictim(f *FTS) int {
 		}
 		r.draining = false
 	}
-	// Select a new row: lowest cumulative benefit across all cache rows
-	// that still hold evictable (valid, unreserved) segments. When the
-	// FTS has a Dirty-Block-Index-style row index attached, the sums are
-	// maintained incrementally; otherwise they are recomputed by scanning
-	// the row's slots.
-	hasEvictable := func(row int) bool {
-		for s := row * f.SegsPerRow(); s < (row+1)*f.SegsPerRow(); s++ {
-			if f.entry(s).valid && !f.IsReserved(s) {
-				return true
-			}
-		}
-		return false
-	}
-	bestRow := -1
-	if f.RowIndexed() {
-		bestRow = f.rowIndex.MinRow(hasEvictable)
-	} else {
-		bestSum := int(^uint(0) >> 1)
-		for row := 0; row < f.CacheRows(); row++ {
-			if !hasEvictable(row) {
-				continue
-			}
-			if sum := f.RowBenefit(row); sum < bestSum {
-				bestRow, bestSum = row, sum
-			}
+	// Select a new row: the first with the lowest cumulative benefit
+	// among the cache rows that still hold evictable (valid, unreserved)
+	// segments.
+	bestRow, bestSum := -1, int(^uint(0)>>1)
+	for row := 0; row < f.CacheRows(); row++ {
+		if sum, evictable := f.RowBenefit(row); evictable && sum < bestSum {
+			bestRow, bestSum = row, sum
 		}
 	}
 	if bestRow < 0 {

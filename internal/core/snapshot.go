@@ -21,7 +21,7 @@ func sortedKeys[K ~int | ~uint64, V any](m map[K]V) []K {
 
 // Snapshot appends the tag store's mutable state: every entry, the
 // logical clock, in-flight reservations, and hit/miss counters. The
-// index and row aggregates are derived and rebuilt on restore.
+// index is derived and rebuilt on restore.
 func (f *FTS) Snapshot(w *fgss.Writer) {
 	w.Int(len(f.entries))
 	for i := range f.entries {
@@ -43,9 +43,9 @@ func (f *FTS) Snapshot(w *fgss.Writer) {
 	w.I64(f.Misses)
 }
 
-// Restore reads back what Snapshot wrote and rebuilds the tag index
-// and, when attached, the incremental row aggregates. The receiver
-// must have the snapshotted slot count (a mismatch stops decoding).
+// Restore reads back what Snapshot wrote and rebuilds the tag index.
+// The receiver must have the snapshotted slot count (a mismatch stops
+// decoding).
 // The bytes come from disk, so a valid tag held by two slots, and a
 // reserved slot out of range or listed twice, are decode errors
 // (fgss.Reader.Reject) rather than a corrupt index or a panic.
@@ -89,12 +89,6 @@ func (f *FTS) Restore(r *fgss.Reader) {
 	}
 	f.Hits = r.I64()
 	f.Misses = r.I64()
-	if f.rowIndex != nil {
-		// SetRowIndex re-derives the per-row benefit sums and dirty
-		// bitvectors from the restored entries; the dimensions cannot
-		// mismatch because the index was attached to this same FTS.
-		_ = f.SetRowIndex(f.rowIndex)
-	}
 }
 
 // snapshot appends the replacement policy's mutable state: the
@@ -202,7 +196,6 @@ func (l *LISAVilla) Snapshot(w *fgss.Writer) {
 	w.I64(l.Insertions)
 	w.I64(l.Evictions)
 	w.I64(l.WriteBacks)
-	w.I64(l.TotalHops)
 }
 
 // Restore reads back what Snapshot wrote and rebuilds each bank's
@@ -246,5 +239,4 @@ func (l *LISAVilla) Restore(r *fgss.Reader) {
 	l.Insertions = r.I64()
 	l.Evictions = r.I64()
 	l.WriteBacks = r.I64()
-	l.TotalHops = r.I64()
 }

@@ -88,11 +88,6 @@ type Core struct {
 	// co-running cores, per the multiprogrammed-evaluation methodology.
 	TargetInsts int64
 	FinishedAt  int64 // cycle Retired first reached TargetInsts; 0 if not yet
-
-	// Stats.
-	LoadStalls  int64 // cycles issue stopped on a refused load (MSHRs full)
-	StoreStalls int64 // cycles issue stopped on a refused store (MSHRs full)
-	WindowFull  int64 // cycles issue stopped on a full window
 }
 
 // New builds a core reading trace and accessing the hierarchy through l1.
@@ -178,7 +173,6 @@ func (c *Core) Tick(now int64) {
 	// Issue.
 	for i := 0; i < c.cfg.IssueWidth; i++ {
 		if c.count >= c.cfg.WindowSize {
-			c.WindowFull++
 			return
 		}
 		if !c.hasPending {
@@ -195,7 +189,6 @@ func (c *Core) Tick(now int64) {
 			// Stores retire immediately; the write continues through the
 			// hierarchy in the background.
 			if !c.l1.Access(c.pending.Addr, true, ev.Token{}) {
-				c.StoreStalls++
 				return // retry next cycle
 			}
 			c.insert()
@@ -205,7 +198,6 @@ func (c *Core) Tick(now int64) {
 			slot := c.tail
 			tok := ev.Token{Kind: ev.CoreSlot, ID: int32(c.ID), Arg: uint64(slot)}
 			if !c.l1.Access(c.pending.Addr, false, tok) {
-				c.LoadStalls++
 				return
 			}
 			c.waiting[slot] = true
@@ -236,28 +228,6 @@ func (c *Core) NextWake(now int64) int64 {
 		}
 	}
 	return math.MaxInt64
-}
-
-// AccountSkipped credits the stall counters for cycles the run loop
-// skipped while the core was fully blocked (NextWake == MaxInt64). The
-// dense loop would have ticked the core each of those cycles, recording
-// one window-full cycle, or one refused issue attempt (a load or store
-// stall plus an L1 retry), so the diagnostic statistics stay
-// engine-independent.
-func (c *Core) AccountSkipped(cycles int64) {
-	if cycles <= 0 {
-		return
-	}
-	if c.count >= c.cfg.WindowSize {
-		c.WindowFull += cycles
-		return
-	}
-	if c.pending.IsWrite {
-		c.StoreStalls += cycles
-	} else {
-		c.LoadStalls += cycles
-	}
-	c.l1.AccountRefused(c.pending.IsWrite, cycles)
 }
 
 // BatchableCycles reports how many upcoming cycles — starting at the
@@ -382,8 +352,8 @@ func (c *Core) cyclesToTarget() int64 {
 // the core had at cycle now, and must not have changed that state
 // since: the run loop sizes the batch at cycle now, when the core goes
 // to sleep, and applies it when the core wakes — at the batch's end, or
-// cut short before a CompleteSlot for the core is delivered. Blocked
-// cores take AccountSkipped instead.
+// cut short before a CompleteSlot for the core is delivered. A blocked
+// core needs nothing: its Tick is a no-op.
 func (c *Core) AdvanceBatch(now, cycles int64) {
 	if cycles <= 0 {
 		return

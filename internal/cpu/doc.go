@@ -19,13 +19,14 @@
 // make progress on its own, and BatchableCycles/AdvanceBatch execute
 // bubble runs (non-memory instructions issuing at full width) in closed
 // form instead of cycle by cycle, in O(1) per batch with or without
-// loads in flight. AccountSkipped credits the stall counters the dense
-// reference loop would have recorded, keeping both engines bit-identical
-// (TestEngineEquivalence).
+// loads in flight. A fully blocked core's Tick changes nothing — a full
+// window returns at once, and a refused L1 access leaves the cache as it
+// was — so the engine skips it with nothing to replay, and both engines
+// stay bit-identical (TestEngineEquivalence).
 //
 // Core.Snapshot/Restore (snapshot.go) serialize the window position, the
-// load ring's live entries, issue state, and per-core statistics for the
-// system checkpoint lifecycle, and Restore rejects a window that does
+// load ring's live entries, issue state, and progress for the system
+// checkpoint lifecycle, and Restore rejects a window that does
 // not fit the core as a decode error; the trace cursor itself is
 // checkpointed by the system layer, which knows the concrete reader type
 // (TraceReader exposes it).

@@ -8,8 +8,8 @@ func (c *Core) TraceReader() TraceReader { return c.trace }
 
 // Snapshot appends the core's full execution state: the window's head,
 // tail and count, the load ring's live entries in age order, each with
-// its slot's waiting flag, the buffered trace record, progress, and
-// stall counters. Slots outside the ring carry no state, so the window
+// its slot's waiting flag, the buffered trace record, and progress.
+// Slots outside the ring carry no state, so the window
 // costs O(loads in flight) bytes. TargetInsts is configuration and does
 // not travel in the snapshot.
 func (c *Core) Snapshot(w *fgss.Writer) {
@@ -28,9 +28,6 @@ func (c *Core) Snapshot(w *fgss.Writer) {
 	w.Bool(c.hasPending)
 	w.I64(c.Retired)
 	w.I64(c.FinishedAt)
-	w.I64(c.LoadStalls)
-	w.I64(c.StoreStalls)
-	w.I64(c.WindowFull)
 }
 
 // Restore reads back what Snapshot wrote. The bytes come from disk, so
@@ -74,7 +71,4 @@ func (c *Core) Restore(r *fgss.Reader) {
 	c.hasPending = r.Bool()
 	c.Retired = r.I64()
 	c.FinishedAt = r.I64()
-	c.LoadStalls = r.I64()
-	c.StoreStalls = r.I64()
-	c.WindowFull = r.I64()
 }

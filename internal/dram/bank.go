@@ -37,11 +37,6 @@ type Bank struct {
 	nextRD  int64
 	nextWR  int64
 
-	// openedAt is the issue cycle of the last ACT, used to enforce tRAS.
-	openedAt int64
-	// lastWriteEnd is the cycle the last write burst finished, for tWR.
-	lastWriteEnd int64
-
 	// Stats.
 	NumACT      int64 // activates to slow rows
 	NumACTFast  int64 // activates to fast rows
@@ -127,7 +122,6 @@ func (b *Bank) ACT(at int64, cacheRow bool, row int) {
 	t := b.timingFor(cacheRow, row)
 	b.openRow = row
 	b.openCacheRow = cacheRow
-	b.openedAt = at
 	b.nextRD = maxI64(b.nextRD, at+int64(t.RCD))
 	b.nextWR = maxI64(b.nextWR, at+int64(t.RCD))
 	b.nextPRE = maxI64(b.nextPRE, at+int64(t.RAS))
@@ -163,7 +157,6 @@ func (b *Bank) RD(at int64) (dataEnd int64) {
 func (b *Bank) WR(at int64) (dataEnd int64) {
 	t := b.timingFor(b.openCacheRow, b.openRow)
 	end := at + int64(t.WriteLatency())
-	b.lastWriteEnd = end
 	// Write recovery: the row may not be precharged until tWR after the
 	// last data beat.
 	b.nextPRE = maxI64(b.nextPRE, end+int64(t.WR))

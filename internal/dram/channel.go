@@ -40,11 +40,10 @@ type Channel struct {
 	colReadyL []int64
 
 	// Trace, if enabled, records every issued command (tests/debugging).
-	Trace        []CommandTrace //fglint:preserved debug-only command log; sim runs never enable it, so no checkpoint carries one
-	TraceOn      bool
-	NumREF       int64
-	RelocBusy    int64 // bus cycles banks spent occupied by relocation work
-	NumPSMBlocks int64 // blocks moved via RowClone-PSM (channel-blocking)
+	Trace     []CommandTrace //fglint:preserved debug-only command log; sim runs never enable it, so no checkpoint carries one
+	TraceOn   bool
+	NumREF    int64
+	RelocBusy int64 // bus cycles banks spent occupied by relocation work
 }
 
 // NewChannel builds a channel for the geometry with the given slow/fast
@@ -404,14 +403,13 @@ func (c *Channel) PSMCost(blocks int, srcOpen bool) int64 {
 // RowClone-PSM relocation path, which monopolizes the global data bus and
 // blocks memory requests to all banks (the bank-level-parallelism loss
 // Section 10 describes). The source bank ends precharged.
-func (c *Channel) RelocateAll(loc Location, at, cost int64, blocks int) int64 {
+func (c *Channel) RelocateAll(loc Location, at, cost int64) int64 {
 	end := at + cost
 	c.Bank(loc).ForceClose()
 	for i := range c.banks {
 		c.banks[i].Occupy(end)
 	}
 	c.RelocBusy += cost
-	c.NumPSMBlocks += int64(blocks)
 	if c.TraceOn {
 		c.Trace = append(c.Trace, CommandTrace{At: at, End: end, Cmd: Command{Type: CmdRELOC, Loc: loc}})
 	}
@@ -428,19 +426,6 @@ func (c *Channel) RBMCost(hops int, srcOpen bool) int64 {
 		cost += int64(c.Slow.RCD)
 	}
 	return cost + int64(c.Slow.RP)
-}
-
-// ResetStats clears all per-bank and channel counters (not timing state).
-func (c *Channel) ResetStats() {
-	for i := range c.banks {
-		b := &c.banks[i]
-		b.NumACT, b.NumACTFast, b.NumPRE, b.NumRD, b.NumWR = 0, 0, 0, 0, 0
-		b.NumRELOC, b.NumRBMHops = 0, 0
-		b.RowHits, b.RowMisses, b.RowConflict = 0, 0, 0
-	}
-	c.NumREF = 0
-	c.RelocBusy = 0
-	c.Trace = c.Trace[:0]
 }
 
 // Stats aggregates the per-bank counters of the channel.

@@ -435,10 +435,6 @@ func TestStatsCollection(t *testing.T) {
 	if s.ACT != 1 || s.RD != 1 || s.PRE != 1 {
 		t.Errorf("stats = %+v, want 1 ACT / 1 RD / 1 PRE", s)
 	}
-	ch.ResetStats()
-	if s := ch.CollectStats(); s.ACT != 0 || s.RD != 0 {
-		t.Errorf("stats after reset = %+v", s)
-	}
 }
 
 func TestLocationBankID(t *testing.T) {
@@ -533,7 +529,7 @@ func TestPSMCostAndRelocateAll(t *testing.T) {
 		t.Errorf("PSM (%d) not above FIGARO (%d) for 16 blocks", c16, ch.RelocCost(16, true))
 	}
 	// RelocateAll must block every bank in the channel.
-	end := ch.RelocateAll(Location{Row: 3}, 50, c16, 16)
+	end := ch.RelocateAll(Location{Row: 3}, 50, c16)
 	for g := 0; g < ch.Geo.BankGroups; g++ {
 		for b := 0; b < ch.Geo.BanksPerGroup; b++ {
 			loc := Location{Group: g, Bank: b, Row: 1}
@@ -546,7 +542,7 @@ func TestPSMCostAndRelocateAll(t *testing.T) {
 			}
 		}
 	}
-	if ch.NumPSMBlocks != 16 {
-		t.Errorf("PSM blocks = %d, want 16", ch.NumPSMBlocks)
+	if ch.RelocBusy != c16 {
+		t.Errorf("relocation busy cycles = %d, want %d", ch.RelocBusy, c16)
 	}
 }

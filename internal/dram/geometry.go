@@ -103,6 +103,13 @@ func (l Location) BankID(g Geometry) int {
 	return (l.Rank*g.BankGroups+l.Group)*g.BanksPerGroup + l.Bank
 }
 
+// HasBank reports whether l's rank, bank group and bank exist in g, so
+// that BankID indexes a bank of a channel with this geometry.
+func (g Geometry) HasBank(l Location) bool {
+	return l.Rank >= 0 && l.Rank < g.Ranks && l.Group >= 0 && l.Group < g.BankGroups &&
+		l.Bank >= 0 && l.Bank < g.BanksPerGroup
+}
+
 // SameBank reports whether two locations address the same bank.
 func (l Location) SameBank(o Location) bool {
 	return l.Rank == o.Rank && l.Group == o.Group && l.Bank == o.Bank

@@ -12,8 +12,6 @@ func (b *Bank) Snapshot(w *fgss.Writer) {
 	w.I64(b.nextPRE)
 	w.I64(b.nextRD)
 	w.I64(b.nextWR)
-	w.I64(b.openedAt)
-	w.I64(b.lastWriteEnd)
 	w.I64(b.NumACT)
 	w.I64(b.NumACTFast)
 	w.I64(b.NumPRE)
@@ -34,8 +32,6 @@ func (b *Bank) Restore(r *fgss.Reader) {
 	b.nextPRE = r.I64()
 	b.nextRD = r.I64()
 	b.nextWR = r.I64()
-	b.openedAt = r.I64()
-	b.lastWriteEnd = r.I64()
 	b.NumACT = r.I64()
 	b.NumACTFast = r.I64()
 	b.NumPRE = r.I64()
@@ -77,7 +73,6 @@ func (c *Channel) Snapshot(w *fgss.Writer) {
 	}
 	w.I64(c.NumREF)
 	w.I64(c.RelocBusy)
-	w.I64(c.NumPSMBlocks)
 }
 
 // Restore reads back what Snapshot wrote. The receiver must have the
@@ -113,5 +108,4 @@ func (c *Channel) Restore(r *fgss.Reader) {
 	}
 	c.NumREF = r.I64()
 	c.RelocBusy = r.I64()
-	c.NumPSMBlocks = r.I64()
 }

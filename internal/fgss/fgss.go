@@ -5,7 +5,7 @@
 //
 //	offset  size  field
 //	0       4     magic "FGSS"
-//	4       2     format version (currently 2)
+//	4       2     format version (currently 3)
 //	6       2     reserved (zero)
 //	8       4     sim.EngineVersion of the writing build
 //	12      32    config fingerprint (sim.Config.Fingerprint)
@@ -40,8 +40,11 @@ const Magic = "FGSS"
 
 // FormatVersion is the current format version. It covers the layers'
 // section payloads as well as the container: version 2 encodes a
-// cpu.Core window as its ring of in-flight loads.
-const FormatVersion = 2
+// cpu.Core window as its ring of in-flight loads, and version 3 drops
+// the diagnostic counters and registers no result read (stall and
+// access counters, queue depth maxima, write-drain cycles, two DRAM
+// bank registers).
+const FormatVersion = 3
 
 // HeaderSize is the byte length of the fixed header.
 const HeaderSize = 44
@@ -301,9 +304,13 @@ func (r *Reader) Bytes() []byte {
 // is out of range for the layer reading it, so a layer refuses corrupt
 // state through the same sticky error as a framing fault. The first
 // error wins.
-func (r *Reader) Reject(format string, args ...any) {
+func (r *Reader) Reject(format string, args ...any) { r.RejectIn(r.tag, format, args...) }
+
+// RejectIn is Reject for a value of an earlier section, tag, that only
+// a check made after later sections were read can refuse.
+func (r *Reader) RejectIn(tag uint32, format string, args ...any) {
 	if r.err == nil {
-		r.err = fmt.Errorf("fgss: section %d: %s", r.tag, fmt.Sprintf(format, args...))
+		r.err = fmt.Errorf("fgss: section %d: %s", tag, fmt.Sprintf(format, args...))
 	}
 }
 

@@ -42,6 +42,11 @@ type CacheHook interface {
 	// plan's CommitBank/CommitSlot/CommitRow/CommitSeg fields carry the
 	// hook-specific payload recorded at Insert time.
 	Commit(p *RelocPlan)
+
+	// CheckPlan reports why Commit could not install a plan read back
+	// from a snapshot — its commit payload names no bank or slot of
+	// this hook — or nil.
+	CheckPlan(p *RelocPlan) error
 }
 
 // RelocPlan describes in-DRAM relocation work the controller must apply to
@@ -144,21 +149,12 @@ type Controller struct {
 	// matching the open row, plus its bucket index). At most one entry
 	// per bank, reused across ticks without allocating.
 	cands []colCand
-	// lastTick is the bus cycle of the previous Tick call, used to credit
-	// the write-drain diagnostic for ticks a cycle-skipping caller
-	// elided; -1 before the first tick.
-	lastTick int64
 
 	// Stats.
 	NumReads, NumWrites    int64
 	CacheHits, CacheMisses int64
 	ReadLatencySum         int64 // queue-arrival to data cycles, reads only
 	Inserted               int64 // segments inserted into the in-DRAM cache
-	QueueFullStalls        int64
-
-	// Diagnostics for calibration and latency-composition analysis.
-	MaxReadQ, MaxWriteQ int
-	WritingCycles       int64 // bus cycles spent in write-drain mode
 	// latSamples keeps a bounded, deterministic reservoir of per-read
 	// latencies (bus cycles) instead of an unbounded append-per-read
 	// slice, so full-scale runs stop accumulating one int64 per read.
@@ -196,7 +192,6 @@ func NewControllerIn(a *arena.Arena, id int, cfg Config, ch *dram.Channel, cache
 		relocMask:     arena.Slice[uint64](a, (ch.NumBanks()+63)/64),
 		lastColumn:    arena.Slice[int64](a, ch.NumBanks()),
 		cands:         make([]colCand, 0, ch.NumBanks()),
-		lastTick:      -1,
 		// Seed by controller ID so per-channel reservoirs differ but any
 		// two runs of the same configuration sample identically.
 		latSamples: stats.NewReservoir(cfg.LatSampleCap, uint64(id)+1),
@@ -205,18 +200,6 @@ func NewControllerIn(a *arena.Arena, id int, cfg Config, ch *dram.Channel, cache
 
 // Channel exposes the underlying DRAM channel (stats, tests).
 func (c *Controller) Channel() *dram.Channel { return c.channel }
-
-// AccountSkippedTail credits the write-drain diagnostic for no-op ticks
-// between the controller's last tick and the end of the run (bus cycle
-// lastBus inclusive). Tick credits skipped ticks lazily on the next
-// call, so a run that ends mid-gap must settle the remainder here to
-// keep WritingCycles identical to the dense cycle-by-cycle loop.
-func (c *Controller) AccountSkippedTail(lastBus int64) {
-	if c.writing && c.lastTick >= 0 && lastBus > c.lastTick {
-		c.WritingCycles += lastBus - c.lastTick
-	}
-	c.lastTick = lastBus
-}
 
 // CanAccept reports whether a request of the given kind can enter its
 // queue this cycle.
@@ -272,16 +255,6 @@ func (c *Controller) PendingWrites() int { return c.writeQ.size() }
 // cycles up to (but not including) that cycle; ticking earlier is always
 // safe and behaves exactly like the skipped idle ticks (a no-op).
 func (c *Controller) Tick(now int64, schedule func(at int64, tok ev.Token)) int64 {
-	// Credit the write-drain diagnostic for ticks the caller skipped: a
-	// skipped tick is by contract a no-op, but the dense loop would still
-	// have counted it as a write-drain cycle while the mode was active
-	// (the mode cannot change during no-op ticks — queue sizes are
-	// stable, so the hysteresis is at a fixed point).
-	if c.writing && c.lastTick >= 0 && now > c.lastTick+1 {
-		c.WritingCycles += now - c.lastTick - 1
-	}
-	c.lastTick = now
-
 	// Refresh has strict priority once due: the controller stops issuing
 	// new work to the rank, precharges its open banks as their timing
 	// allows, and issues REF as soon as every bank is closed and the bus
@@ -299,7 +272,6 @@ func (c *Controller) Tick(now int64, schedule func(at int64, tok ev.Token)) int6
 		return now + 1 // hold new work until the refresh has issued
 	}
 
-	c.noteQueueDepths()
 	// Write drain mode hysteresis.
 	if c.writing {
 		if c.writeQ.size() <= c.cfg.LowWatermark {
@@ -313,7 +285,6 @@ func (c *Controller) Tick(now int64, schedule func(at int64, tok ev.Token)) int6
 
 	q := c.readQ
 	if c.writing {
-		c.WritingCycles++
 		q = c.writeQ
 	}
 	if q.empty() {
@@ -403,7 +374,7 @@ func (c *Controller) flushRelocs(bankID int, now int64, rowOpen bool) bool {
 		c.cache.Commit(p)
 	}
 	if channelWide {
-		c.channel.RelocateAll(plans[0].Loc, now, cost, blocks)
+		c.channel.RelocateAll(plans[0].Loc, now, cost)
 	} else {
 		c.channel.Relocate(plans[0].Loc, now, cost, blocks, isLISA, hops)
 	}
@@ -710,15 +681,4 @@ func (c *Controller) ReadLatencyPercentilesNS(ps ...float64) []float64 {
 		out[i] = c.channel.Slow.NS(v)
 	}
 	return out
-}
-
-// Debug instrumentation (kept cheap; used by calibration tests and the
-// figbench harness to explain latency composition).
-func (c *Controller) noteQueueDepths() {
-	if n := c.readQ.size(); n > c.MaxReadQ {
-		c.MaxReadQ = n
-	}
-	if n := c.writeQ.size(); n > c.MaxWriteQ {
-		c.MaxWriteQ = n
-	}
 }

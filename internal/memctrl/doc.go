@@ -28,5 +28,9 @@
 // Controller.Snapshot/Restore (snapshot.go) serialize the queues,
 // in-flight requests (SnapshotRequest/RestoreRequest, driven by the
 // sim layer, which owns request identity), drain/refresh state, and
-// the latency reservoir for the system checkpoint lifecycle.
+// the latency reservoir for the system checkpoint lifecycle. Restore
+// refuses a request whose location names no bank of the channel or
+// whose completion token the caller's check refuses, and a deferred
+// relocation plan whose bank is not in the channel or whose commit
+// payload the hook's CheckPlan refuses.
 package memctrl

@@ -299,6 +299,8 @@ func (f *fakeCache) Insert(ch *dram.Channel, loc dram.Location, now int64) *Relo
 
 func (f *fakeCache) Commit(p *RelocPlan) {}
 
+func (f *fakeCache) CheckPlan(*RelocPlan) error { return nil }
+
 func TestCacheHookHitRedirects(t *testing.T) {
 	fc := &fakeCache{cached: map[uint64]dram.Location{}, insertAll: true, relocCost: 30, blocks: 16}
 	c := newTestController(t, fc)

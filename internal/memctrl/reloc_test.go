@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/dram"
@@ -34,6 +35,8 @@ func (p *planCache) Lookup(loc dram.Location, isWrite bool) (dram.Location, bool
 }
 
 func (p *planCache) ShouldInsert(loc dram.Location) bool { return true }
+
+func (p *planCache) CheckPlan(*RelocPlan) error { return nil }
 
 func (p *planCache) Insert(ch *dram.Channel, loc dram.Location, now int64) *RelocPlan {
 	k := p.key(loc)
@@ -253,7 +256,7 @@ func restoreInto(t *testing.T, src, dst *Controller) *Controller {
 	}
 	r.Section(1)
 	dst.channel.Restore(r)
-	dst.Restore(r)
+	dst.Restore(r, func(ev.Token) error { return nil })
 	r.EndSection()
 	if err := r.Err(); err != nil {
 		t.Fatal(err)
@@ -336,5 +339,44 @@ func TestRelocMaskTracksPendingBanks(t *testing.T) {
 	if flushes == 0 || multiReady == 0 || restoredPending == 0 || staleDropped == 0 {
 		t.Errorf("vacuous run: %d idle flushes, %d with several banks ready, %d pending banks restored, %d stale banks dropped",
 			flushes, multiReady, restoredPending, staleDropped)
+	}
+}
+
+// TestRestoreRejectsPlanOutsideChannel checks that a deferred relocation
+// plan whose location names no bank of the channel is a decode error at
+// restore, not a panic when the controller next probes or flushes the
+// plan's bank. The plan is put into a real controller's bank-0 list and
+// restored through a hand-framed section; a restore that accepts it is
+// then ticked, to show the panic the rejection prevents.
+func TestRestoreRejectsPlanOutsideChannel(t *testing.T) {
+	src := newTestController(t, newPlanCache(40)).Controller
+	src.pendingRelocs[0] = append(src.pendingRelocs[0], &RelocPlan{Loc: dram.Location{Group: 7, Row: 5}, Cost: 40, Blocks: 16})
+	var buf bytes.Buffer
+	w := fgss.NewWriter(&buf, 1, [32]byte{})
+	w.Begin(1)
+	src.Snapshot(w)
+	w.End()
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	dst := newTestController(t, newPlanCache(40)).Controller
+	r, err := fgss.NewReader(&buf, 1, [32]byte{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Section(1)
+	dst.Restore(r, func(ev.Token) error { return nil })
+	r.EndSection()
+	err = r.Close()
+	const want = "section 1: memctrl: controller 0: relocation plan 0 of bank 0: location r0.g7.b0.row5.blk0 names no bank of the channel"
+	if err == nil {
+		t.Errorf("restore accepted the plan, want an error containing %q", want)
+		for now := int64(0); now < 1000; now++ {
+			dst.Tick(now, func(int64, ev.Token) {})
+		}
+		return
+	}
+	if !strings.Contains(err.Error(), want) {
+		t.Errorf("restore error = %v, want it to contain %q", err, want)
 	}
 }

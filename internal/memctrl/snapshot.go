@@ -1,6 +1,8 @@
 package memctrl
 
 import (
+	"fmt"
+
 	"repro/internal/dram"
 	"repro/internal/ev"
 	"repro/internal/fgss"
@@ -55,8 +57,12 @@ func SnapshotRequest(w *fgss.Writer, r *Request) {
 }
 
 // RestoreRequest reads back what SnapshotRequest wrote into r and
-// re-resolves the bank cache against ch.
-func RestoreRequest(rd *fgss.Reader, r *Request, ch *dram.Channel) {
+// re-resolves the bank cache against ch. The bytes come from disk, so a
+// location or service location naming no bank of ch, and a completion
+// token checkTok refuses, are decode errors (fgss.Reader.Reject) rather
+// than a panic at the bank lookup or at dispatch. The zero token that
+// write-backs carry is never checked.
+func RestoreRequest(rd *fgss.Reader, r *Request, ch *dram.Channel, checkTok func(ev.Token) error) {
 	r.Addr = rd.U64()
 	r.Loc = restoreLoc(rd)
 	r.IsWrite = rd.Bool()
@@ -67,6 +73,16 @@ func RestoreRequest(rd *fgss.Reader, r *Request, ch *dram.Channel) {
 	r.CacheHit = rd.Bool()
 	r.noInsert = rd.Bool()
 	r.seq = rd.I64()
+	if !ch.Geo.HasBank(r.Loc) || !ch.Geo.HasBank(r.ServiceLoc) {
+		rd.Reject("memctrl: request %#x: location %v or service location %v names no bank of the channel", r.Addr, r.Loc, r.ServiceLoc)
+		return
+	}
+	if !r.OnComplete.IsZero() {
+		if err := checkTok(r.OnComplete); err != nil {
+			rd.Reject("memctrl: request %#x: %v", r.Addr, err)
+			return
+		}
+	}
 	r.bankID = r.ServiceLoc.BankID(ch.Geo)
 	r.bank = ch.BankByID(r.bankID)
 }
@@ -90,8 +106,8 @@ func (q *queue) snapshot(w *fgss.Writer) {
 // queued requests first. Requests are re-bucketed by their re-resolved
 // bank ID in serialized order, which reproduces the occupied/heads/pos
 // index byte-for-byte because snapshot walked buckets in head-age
-// order.
-func (q *queue) restore(rd *fgss.Reader, ch *dram.Channel) {
+// order. checkTok vets each request's completion token.
+func (q *queue) restore(rd *fgss.Reader, ch *dram.Channel, checkTok func(ev.Token) error) {
 	q.reset()
 	q.seq = rd.I64()
 	nOcc := rd.Int()
@@ -102,7 +118,7 @@ func (q *queue) restore(rd *fgss.Reader, ch *dram.Channel) {
 		n := rd.Int()
 		for j := 0; j < n && rd.Err() == nil; j++ {
 			r := &Request{}
-			RestoreRequest(rd, r, ch)
+			RestoreRequest(rd, r, ch, checkTok)
 			if rd.Err() != nil {
 				return
 			}
@@ -148,8 +164,8 @@ func restorePlan(r *fgss.Reader) *RelocPlan {
 
 // Snapshot appends the controller's full mutable state: both request
 // queues, the write-drain mode, every deferred relocation plan, the
-// per-bank quiet-window registers, the lazy write-drain tick register,
-// the statistics counters, and the latency reservoir.
+// per-bank quiet-window registers, the statistics counters, and the
+// latency reservoir.
 func (c *Controller) Snapshot(w *fgss.Writer) {
 	c.readQ.snapshot(w)
 	c.writeQ.snapshot(w)
@@ -165,17 +181,12 @@ func (c *Controller) Snapshot(w *fgss.Writer) {
 	for _, v := range c.lastColumn {
 		w.I64(v)
 	}
-	w.I64(c.lastTick)
 	w.I64(c.NumReads)
 	w.I64(c.NumWrites)
 	w.I64(c.CacheHits)
 	w.I64(c.CacheMisses)
 	w.I64(c.ReadLatencySum)
 	w.I64(c.Inserted)
-	w.I64(c.QueueFullStalls)
-	w.Int(c.MaxReadQ)
-	w.Int(c.MaxWriteQ)
-	w.I64(c.WritingCycles)
 	c.latSamples.Snapshot(w)
 }
 
@@ -183,10 +194,15 @@ func (c *Controller) Snapshot(w *fgss.Writer) {
 // mask of banks with relocation work. Queued requests are rebuilt as fresh
 // objects; the creator's pooling resumes as they are served and
 // released. The receiver must be built over a channel with the
-// snapshotted bank count (a mismatch stops decoding).
-func (c *Controller) Restore(r *fgss.Reader) {
-	c.readQ.restore(r, c.channel)
-	c.writeQ.restore(r, c.channel)
+// snapshotted bank count (a mismatch stops decoding). The bytes come
+// from disk, so besides RestoreRequest's checks (checkTok vets the
+// requests' completion tokens), a relocation plan whose bank is not in
+// the channel, or whose commit payload the hook refuses
+// (CacheHook.CheckPlan) or that a controller without a hook holds, is a
+// decode error rather than a panic when the plan is flushed.
+func (c *Controller) Restore(r *fgss.Reader, checkTok func(ev.Token) error) {
+	c.readQ.restore(r, c.channel, checkTok)
+	c.writeQ.restore(r, c.channel, checkTok)
 	c.writing = r.Bool()
 	if r.Int() != len(c.pendingRelocs) {
 		return
@@ -196,7 +212,12 @@ func (c *Controller) Restore(r *fgss.Reader) {
 		c.pendingRelocs[i] = nil
 		n := r.Int()
 		for j := 0; j < n && r.Err() == nil; j++ {
-			c.pendingRelocs[i] = append(c.pendingRelocs[i], restorePlan(r))
+			p := restorePlan(r)
+			if err := c.checkPlan(p); err != nil {
+				r.Reject("memctrl: controller %d: relocation plan %d of bank %d: %v", c.ID, j, i, err)
+				return
+			}
+			c.pendingRelocs[i] = append(c.pendingRelocs[i], p)
 		}
 		if len(c.pendingRelocs[i]) > 0 {
 			c.relocMask[i>>6] |= 1 << (i & 63)
@@ -208,16 +229,22 @@ func (c *Controller) Restore(r *fgss.Reader) {
 	for i := range c.lastColumn {
 		c.lastColumn[i] = r.I64()
 	}
-	c.lastTick = r.I64()
 	c.NumReads = r.I64()
 	c.NumWrites = r.I64()
 	c.CacheHits = r.I64()
 	c.CacheMisses = r.I64()
 	c.ReadLatencySum = r.I64()
 	c.Inserted = r.I64()
-	c.QueueFullStalls = r.I64()
-	c.MaxReadQ = r.Int()
-	c.MaxWriteQ = r.Int()
-	c.WritingCycles = r.I64()
 	c.latSamples.Restore(r)
+}
+
+// checkPlan reports why flushing a restored plan would fail, or nil.
+func (c *Controller) checkPlan(p *RelocPlan) error {
+	switch {
+	case !c.channel.Geo.HasBank(p.Loc):
+		return fmt.Errorf("location %v names no bank of the channel", p.Loc)
+	case c.cache == nil:
+		return fmt.Errorf("no in-DRAM cache to commit it")
+	}
+	return c.cache.CheckPlan(p)
 }

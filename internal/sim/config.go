@@ -208,7 +208,8 @@ func (h *idealHook) Insert(ch *dram.Channel, loc dram.Location, now int64) *memc
 	}
 	return plan
 }
-func (h *idealHook) Commit(p *memctrl.RelocPlan) { h.inner.Commit(p) }
+func (h *idealHook) Commit(p *memctrl.RelocPlan)          { h.inner.Commit(p) }
+func (h *idealHook) CheckPlan(p *memctrl.RelocPlan) error { return h.inner.CheckPlan(p) }
 
 // FIGCacheOf extracts the FIGCache from a hook, unwrapping the ideal
 // wrapper; nil if the hook is not FIGCache-based.

@@ -40,9 +40,11 @@
 // cycles are predictable sleeps: a blocked core until Dispatch delivers
 // a CoreSlot for it or an MSHRFill for its L1, a batching core also
 // until the cycle after its bubble batch. A sleeping core is neither
-// ticked nor scanned; waking replays its skipped cycles (stall credit or
-// the batch) before the waking event's handler runs, and every exit of
-// the loop wakes the cores still asleep, so outside it no core sleeps
+// ticked nor scanned. A blocked core's skipped ticks were no-ops — a
+// refused L1 access changes nothing — so waking it replays nothing; a
+// batching core applies its batch up to the waking cycle before the
+// waking event's handler runs. Every exit of the loop wakes the cores
+// still asleep, so outside it no core sleeps
 // and a snapshot carries no sleep state. The loop keeps the running
 // cores in the awake set, a bitset of any width, and visits only its
 // set bits, in core-ID order; a done set counts the cores past their

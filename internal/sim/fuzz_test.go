@@ -47,8 +47,8 @@ func fuzzConfig(preset, chanLog, apps, source, cpb uint8, seed uint64, immediate
 // FuzzEngineEquivalence extends the engine equivalence contract from
 // TestEngineEquivalence's hand-picked cases to random small
 // configurations (see fuzzConfig). For each one, the dense and skip
-// engines must return identical Results and identical stall and
-// write-drain counters; a skip run paused at a fuzz-chosen retired count
+// engines must return identical Results and identical memory-side state
+// (DRAM channels, controllers, in-DRAM cache hooks); a skip run paused at a fuzz-chosen retired count
 // K, snapshotted and restored into a fresh System must finish with the
 // same Result; and the skip run's DRAM command traces must pass the
 // JEDEC validator with no constraint exempt. A failure is an engine bug,
@@ -104,7 +104,7 @@ func FuzzEngineEquivalence(f *testing.F) {
 		if !reflect.DeepEqual(dense, skip) {
 			t.Fatalf("%+v: engines diverge:\n dense: %+v\n  skip: %+v", cfg, dense, skip)
 		}
-		compareCounters(t, d, k)
+		compareMemorySide(t, snapshotSections(t, d), snapshotSections(t, k))
 		checkJEDEC(t, k)
 
 		at := 1 + cfg.TargetInsts*int64(len(cfg.Mix.Apps))*int64(cut)/256

@@ -230,10 +230,33 @@ func (s *System) Snapshot(out io.Writer) error {
 // kinds — matches by construction. Run (or RunUntilRetired) may be
 // called immediately after; the continuation is bit-identical to the
 // uninterrupted run.
+//
+// Every event token the snapshot holds — queued, an MSHR waiter, or a
+// request's completion — must pass checkToken. An MSHRStart or MSHRFill
+// token must also name a miss its cache node has outstanding, or
+// Cache.Fill would find no MSHR; the misses are known only once the
+// caches section is read, so those tokens are checked in one pass after
+// the last section, and a failure names the section that held the token.
 func (s *System) Restore(in io.Reader) error {
 	r, err := fgss.NewReader(in, uint32(EngineVersion), [32]byte(s.cfg.Fingerprint()))
 	if err != nil {
 		return err
+	}
+	type heldToken struct {
+		sec uint32
+		tok ev.Token
+	}
+	var mshrToks []heldToken
+	checkIn := func(sec uint32) func(ev.Token) error {
+		return func(t ev.Token) error {
+			if err := s.checkToken(t); err != nil {
+				return err
+			}
+			if t.Kind != ev.CoreSlot {
+				mshrToks = append(mshrToks, heldToken{sec, t})
+			}
+			return nil
+		}
 	}
 
 	r.Section(snapSecSystem)
@@ -258,7 +281,7 @@ func (s *System) Restore(in io.Reader) error {
 	r.EndSection()
 
 	r.Section(snapSecEvents)
-	s.events.restore(r, s.checkToken)
+	s.events.restore(r, checkIn(snapSecEvents))
 	r.EndSection()
 
 	r.Section(snapSecCores)
@@ -282,7 +305,7 @@ func (s *System) Restore(in io.Reader) error {
 	r.EndSection()
 
 	r.Section(snapSecCaches)
-	s.hier.Restore(r, s.checkToken)
+	s.hier.Restore(r, checkIn(snapSecCaches))
 	r.EndSection()
 
 	r.Section(snapSecChannels)
@@ -296,7 +319,7 @@ func (s *System) Restore(in io.Reader) error {
 	r.Section(snapSecCtrls)
 	if r.Int() == len(s.ctrls) {
 		for _, c := range s.ctrls {
-			c.Restore(r)
+			c.Restore(r, checkIn(snapSecCtrls))
 		}
 	}
 	r.EndSection()
@@ -330,10 +353,17 @@ func (s *System) Restore(in io.Reader) error {
 			break
 		}
 		req := s.adapter.alloc()
-		memctrl.RestoreRequest(r, req, s.channels[ch])
+		memctrl.RestoreRequest(r, req, s.channels[ch], checkIn(snapSecAdapter))
 		s.adapter.pending = append(s.adapter.pending, pendingReq{channel: ch, req: req})
 	}
 	r.EndSection()
+
+	for _, h := range mshrToks {
+		if !s.hier.Node(h.tok.ID).Outstanding(h.tok.Arg) {
+			r.RejectIn(h.sec, "MSHR token (kind %d) names block %#x, which cache node %d has no miss outstanding for",
+				h.tok.Kind, h.tok.Arg, h.tok.ID)
+		}
+	}
 
 	if err := r.Err(); err != nil {
 		return err

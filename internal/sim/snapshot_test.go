@@ -2,12 +2,15 @@ package sim
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/dram"
 	"repro/internal/ev"
 	"repro/internal/fgss"
+	"repro/internal/memctrl"
 	"repro/internal/workload"
 )
 
@@ -222,6 +225,219 @@ func TestRestoreRejectsBadTokens(t *testing.T) {
 			err = fresh.Restore(&buf)
 			if (err == nil) != (tc.wantErr == "") || err != nil && !strings.Contains(err.Error(), tc.wantErr) {
 				t.Errorf("MSHR waiter: restore error = %v, want %q", err, tc.wantErr)
+			}
+		})
+	}
+}
+
+// TestRestoreRejectsUnrunnableState checks that a snapshot holding
+// state the run would fail on later — a request whose completion token
+// names no core, a request location naming no bank, an MSHR token
+// naming a block its cache node has no miss outstanding for — is
+// refused at restore, with an error naming the section that held it.
+// Each case puts the state into a real System through its own methods,
+// snapshots it and restores the bytes into a fresh System. A restore
+// that accepts the snapshot is then run for a while, to show the panic
+// the rejection prevents.
+func TestRestoreRejectsUnrunnableState(t *testing.T) {
+	cfg := DefaultConfig(Base, smallMix(t, "mcf"))
+	cfg.TargetInsts = 10_000
+	badCore := ev.Token{Kind: ev.CoreSlot, ID: 5, Arg: 1}
+	enqueue := func(s *System, r *memctrl.Request) {
+		s.ctrls[0].Enqueue(r, 0)
+	}
+	buffer := func(s *System, r *memctrl.Request) {
+		s.adapter.pending = append(s.adapter.pending, pendingReq{channel: 0, req: r})
+	}
+	fill := func(id int32, blk uint64) ev.Token {
+		return ev.Token{Kind: ev.MSHRFill, ID: id, Arg: blk}
+	}
+	cases := []struct {
+		name    string
+		inject  func(s *System)
+		wantErr string
+	}{
+		{"outstanding misses", func(s *System) {
+			// An L1 miss schedules an MSHRStart for a block it has
+			// outstanding; a queued write-back carries the zero token.
+			s.hier.L1s[0].Access(0x1000, false, ev.Token{Kind: ev.CoreSlot, Arg: 3})
+			enqueue(s, &memctrl.Request{Addr: 0x2000, IsWrite: true})
+		}, ""},
+		{"queued request token", func(s *System) {
+			enqueue(s, &memctrl.Request{Addr: 0x40, OnComplete: badCore})
+		}, "section 7: memctrl: request 0x40: core slot token names core 5 of 1"},
+		{"queued request service location", func(s *System) {
+			r := &memctrl.Request{Addr: 0x40}
+			enqueue(s, r)
+			r.ServiceLoc.Bank = 99
+		}, "section 7: memctrl: request 0x40: location"},
+		{"buffered request token", func(s *System) {
+			buffer(s, &memctrl.Request{Addr: 0x80, OnComplete: badCore})
+		}, "section 9: memctrl: request 0x80: core slot token names core 5 of 1"},
+		{"buffered request location", func(s *System) {
+			buffer(s, &memctrl.Request{Addr: 0x80, Loc: dram.Location{Rank: 3}})
+		}, "section 9: memctrl: request 0x80: location"},
+		{"fill event for no miss", func(s *System) {
+			s.events.schedule(5, fill(s.hier.L1s[0].NodeID(), 0x1000))
+		}, "section 2: MSHR token (kind 3) names block 0x1000, which cache node 2 has no miss outstanding for"},
+		{"start event for no miss", func(s *System) {
+			s.events.schedule(5, ev.Token{Kind: ev.MSHRStart, ID: s.hier.L1s[0].NodeID(), Arg: 0x1000})
+		}, "section 2: MSHR token (kind 2) names block 0x1000"},
+		{"fill waiter for no miss", func(s *System) {
+			s.hier.L2s[0].Access(0x3000, false, fill(s.hier.L1s[0].NodeID(), 0x3000))
+		}, "section 5: MSHR token (kind 3) names block 0x3000, which cache node 2"},
+		{"queued request fill for no miss", func(s *System) {
+			enqueue(s, &memctrl.Request{Addr: 0x4000, OnComplete: fill(s.hier.LLC.NodeID(), 0x4000)})
+		}, "section 7: MSHR token (kind 3) names block 0x4000, which cache node 0"},
+		{"buffered request fill for no miss", func(s *System) {
+			buffer(s, &memctrl.Request{Addr: 0x4000, OnComplete: fill(s.hier.LLC.NodeID(), 0x4000)})
+		}, "section 9: MSHR token (kind 3) names block 0x4000, which cache node 0"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.inject(s)
+			var buf bytes.Buffer
+			if err := s.Snapshot(&buf); err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = fresh.Restore(&buf)
+			if tc.wantErr == "" {
+				if err != nil {
+					t.Fatalf("restore error = %v, want none", err)
+				}
+				return
+			}
+			if err == nil {
+				t.Errorf("restore accepted the snapshot, want an error containing %q", tc.wantErr)
+				fresh.RunSlice(100_000)
+				return
+			}
+			if !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("restore error = %v, want it to contain %q", err, tc.wantErr)
+			}
+		})
+	}
+}
+
+// planHook is an in-DRAM cache stand-in whose Insert returns a fixed
+// relocation plan and whose Lookup always misses.
+type planHook struct{ plan memctrl.RelocPlan }
+
+func (h *planHook) Lookup(dram.Location, bool) (dram.Location, bool) { return dram.Location{}, false }
+func (h *planHook) ShouldInsert(dram.Location) bool                  { return true }
+func (h *planHook) Insert(*dram.Channel, dram.Location, int64) *memctrl.RelocPlan {
+	return &h.plan
+}
+func (h *planHook) Commit(*memctrl.RelocPlan)          {}
+func (h *planHook) CheckPlan(*memctrl.RelocPlan) error { return nil }
+
+// withSection returns the snapshot snap with section tag's payload
+// replaced by payload.
+func withSection(snap []byte, tag uint32, payload []byte) []byte {
+	out := bytes.Clone(snap[:fgss.HeaderSize])
+	for b := snap[fgss.HeaderSize:]; len(b) > 0; {
+		t, n := binary.LittleEndian.Uint32(b), binary.LittleEndian.Uint32(b[4:])
+		p := b[8 : 8+n]
+		if t == tag {
+			p = payload
+		}
+		out = binary.LittleEndian.AppendUint32(out, t)
+		out = binary.LittleEndian.AppendUint32(out, uint32(len(p)))
+		out = append(out, p...)
+		b = b[8+n:]
+	}
+	return out
+}
+
+// TestRestoreRejectsUnrunnablePlans checks that a controllers section
+// holding a deferred relocation plan the run could not commit — its
+// payload naming no bank or slot of the channel's in-DRAM cache, or any
+// plan where there is no such cache — is refused at restore, with an
+// error naming the section. (memctrl's TestRestoreRejectsPlanOutsideChannel
+// covers a plan whose own bank is not in the channel.) The section
+// is built by a stand-in controller whose hook plans the given
+// relocation for its first read, and spliced into a real System's
+// snapshot. A restore that accepts it is then run for a while, to show
+// the panic the rejection prevents.
+func TestRestoreRejectsUnrunnablePlans(t *testing.T) {
+	valid := memctrl.RelocPlan{Loc: dram.Location{Row: 5}, Cost: 40, Blocks: 16, CommitRow: 5}
+	with := func(edit func(p *memctrl.RelocPlan)) memctrl.RelocPlan {
+		p := valid
+		edit(&p)
+		return p
+	}
+	cases := []struct {
+		name    string
+		preset  Preset
+		plan    memctrl.RelocPlan
+		wantErr string
+	}{
+		{"FIGCache plan", FIGCacheFast, valid, ""},
+		{"LISA-VILLA plan", LISAVilla, valid, ""},
+		{"FIGCache commit bank", FIGCacheFast, with(func(p *memctrl.RelocPlan) { p.CommitBank = 99 }),
+			"section 7: memctrl: controller 0: relocation plan 0 of bank 0: core: FIGCache plan commits to bank 99"},
+		{"FIGCache commit slot", FIGCacheFast, with(func(p *memctrl.RelocPlan) { p.CommitSlot = 512 }),
+			"section 7: memctrl: controller 0: relocation plan 0 of bank 0: core: FIGCache plan commits to slot 512"},
+		{"LISA-VILLA commit row", LISAVilla, with(func(p *memctrl.RelocPlan) { p.CommitSlot = -1 }),
+			"section 7: memctrl: controller 0: relocation plan 0 of bank 0: core: LISA-VILLA plan commits to cache row -1"},
+		{"plan without an in-DRAM cache", Base, valid,
+			"section 7: memctrl: controller 0: relocation plan 0 of bank 0: no in-DRAM cache"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig(tc.preset, smallMix(t, "mcf"))
+			cfg.TargetInsts = 10_000
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stand := memctrl.NewController(0, memctrl.DefaultConfig(), s.channels[0], &planHook{plan: tc.plan})
+			stand.Enqueue(&memctrl.Request{Addr: 0x40, Loc: dram.Location{Row: 5}}, 0)
+			for now := int64(0); stand.NumReads == 0; now++ {
+				stand.Tick(now, func(int64, ev.Token) {})
+			}
+			var sec bytes.Buffer
+			w := fgss.NewWriter(&sec, 0, [32]byte{})
+			w.Begin(snapSecCtrls)
+			w.Int(len(s.ctrls))
+			stand.Snapshot(w)
+			for _, c := range s.ctrls[1:] {
+				c.Snapshot(w)
+			}
+			w.End()
+			if err := w.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			var snap bytes.Buffer
+			if err := s.Snapshot(&snap); err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = fresh.Restore(bytes.NewReader(withSection(snap.Bytes(), snapSecCtrls, sec.Bytes()[fgss.HeaderSize+8:])))
+			if tc.wantErr == "" {
+				if err != nil {
+					t.Fatalf("restore error = %v, want none", err)
+				}
+				return
+			}
+			if err == nil {
+				t.Errorf("restore accepted the snapshot, want an error containing %q", tc.wantErr)
+				fresh.RunSlice(100_000)
+				return
+			}
+			if !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("restore error = %v, want it to contain %q", err, tc.wantErr)
 			}
 		})
 	}

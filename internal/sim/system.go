@@ -42,8 +42,8 @@ type System struct {
 	// ticking it, or -1 while the core runs. Dispatch wakes a core on the
 	// only two events that can change its state (see unpark), runSkipping
 	// wakes a batching core when its batch ends, and every exit of
-	// runSkipping settles the rest, so outside the run loop every entry
-	// is -1.
+	// runSkipping wakes the rest, so outside the run loop every entry is
+	// -1.
 	parkedAt []int64
 	// wakeAt[i] is the cycle of a sleeping core's next full Tick: the
 	// cycle after its batch, or maxInt64 for a blocked core.
@@ -181,16 +181,16 @@ func (s *System) Dispatch(t ev.Token, now int64) {
 	}
 }
 
-// unpark wakes a core the skip engine put to sleep, replaying the ticks
-// the dense loop would have executed for it: one per cycle after the
-// sleeping cycle up to the current one, exclusive — the current cycle's
-// tick still runs. A blocked core is credited the stalls of its refused
-// retries; a batching core applies its bubble batch up to that point,
-// whole or cut short. Either lands before the waking event's handler:
-// the dense loop's refused retries advanced the L1's clock, from which
-// Cache.Fill stamps LRU, and a CompleteSlot must find the window the
-// batch left. It reads s.clock rather than a dispatch time, because
-// Cache.Fill dispatches its waiters with now = 0.
+// unpark wakes a core the skip engine put to sleep. A blocked core's
+// skipped ticks were no-ops in the dense loop — a full window returns at
+// once, and a refused L1 access changes nothing — so it only rejoins
+// the awake set. A batching core replays the ticks the dense loop would
+// have executed for it, one per cycle after the sleeping cycle up to
+// the current one, exclusive (the current cycle's tick still runs): it
+// applies its bubble batch up to that point, whole or cut short, before
+// the waking event's handler runs, because a CompleteSlot must find the
+// window the batch left. It reads s.clock rather than a dispatch time,
+// because Cache.Fill dispatches its waiters with now = 0.
 func (s *System) unpark(i int) {
 	at := s.parkedAt[i]
 	if at < 0 {
@@ -198,11 +198,10 @@ func (s *System) unpark(i int) {
 	}
 	s.parkedAt[i] = -1
 	s.awake.add(i)
-	c := s.cores[i]
 	if s.wakeAt[i] == maxInt64 {
-		c.AccountSkipped(s.clock - 1 - at)
 		return
 	}
+	c := s.cores[i]
 	c.AdvanceBatch(at, s.clock-1-at)
 	s.noteDone(i, c)
 	if s.wakeAt[i] == s.coreNext {
@@ -599,11 +598,12 @@ func (s *System) runDense(maxCycles, stopRetired int64) {
 //   - the next bus boundary while the adapter holds requests waiting for
 //     controller queue space.
 //
-// Cycles in between are either provably no-ops in the dense loop —
-// blocked cores only unblock through scheduler events, and DRAM timing
-// windows only move when a command issues — or pure bubble issue/retire
-// cycles whose dense effect cpu.Core.AdvanceBatch replays
-// arithmetically, so jumping over them is bit-identical.
+// Cycles in between are either provably no-ops in the dense loop — a
+// blocked core's tick changes nothing and it only unblocks through
+// scheduler events, and DRAM timing windows only move when a command
+// issues — or pure bubble issue/retire cycles whose dense effect
+// cpu.Core.AdvanceBatch replays arithmetically, so jumping over them is
+// bit-identical.
 //
 // A core the wake scan finds fully blocked or batchable sleeps: it is
 // neither ticked nor scanned again until it wakes. A blocked core wakes
@@ -611,10 +611,10 @@ func (s *System) runDense(maxCycles, stopRetired int64) {
 // state — a CoreSlot completion for it, or an MSHRFill for its L1 — and
 // a batching core also wakes at wakeAt, the cycle after its batch, so it
 // sleeps through its bubble run even while other cores need every
-// cycle. unpark replays what the core missed:
-// the stall credit, or the batch up to the waking cycle. Every exit
-// settles the cores still asleep, so RunSlice, RunUntilRetired and
-// Snapshot see the dense loop's state and counters.
+// cycle. unpark replays what a batching core missed, its batch up to the
+// waking cycle; a blocked core missed nothing. Every exit wakes the cores
+// still asleep, so RunSlice, RunUntilRetired and Snapshot see the dense
+// loop's state.
 //
 // A positive stopRetired pauses the loop once the total retired count
 // reaches it; the executed cycle completes in full first. A sleeping
@@ -696,9 +696,9 @@ func (s *System) runSkipping(maxCycles, stopRetired int64) {
 			// event and the next core wake — run those bus boundaries in
 			// place instead of surfacing each one to this loop. The dense
 			// loop's cycles in between are core no-ops (every core is
-			// asleep: blocked cores are credited, and batching cores
-			// apply their batch, when they wake or when the loop exits)
-			// and fire no events, so the only dense effects are the
+			// asleep: blocked cores' ticks change nothing, and batching
+			// cores apply their batch when they wake or when the loop
+			// exits) and fire no events, so the only dense effects are the
 			// bus ticks themselves. Completions scheduled along the way
 			// can only pull eventNext earlier, never invalidate work done
 			// at earlier bus cycles: each lands after the bus cycle that
@@ -743,18 +743,13 @@ func (s *System) runSkipping(maxCycles, stopRetired int64) {
 			}
 		}
 	}
-	// Settle the cores still asleep, and the write-drain credit for ticks
-	// skipped at the very end of the run: the dense loop ticks every core
-	// each cycle and every controller each bus boundary up to the last
-	// executed cycle (s.clock-1 on every exit path).
+	// Wake the cores still asleep: the dense loop ticks every core each
+	// cycle up to the last executed one (s.clock-1 on every exit path),
+	// so a batching core applies its batch up to there.
 	for w := range s.awake {
 		for word := s.asleep(w); word != 0; word &= word - 1 {
 			s.unpark(w<<6 | bits.TrailingZeros64(word))
 		}
-	}
-	lastBus := (s.clock - 1) / cpb
-	for _, ctrl := range s.ctrls {
-		ctrl.AccountSkippedTail(lastBus)
 	}
 }
 
