@@ -525,14 +525,23 @@ func (o *lineOracle) Fill(blk uint64) {
 	}
 }
 
-// Snapshot writes the bytes Cache.Snapshot writes for the same state.
+// Snapshot writes the bytes Cache.Snapshot writes for the same state:
+// the valid lines only, each with its index.
 func (o *lineOracle) Snapshot(w *fgss.Writer) {
-	w.Int(len(o.lines))
+	valid := 0
 	for _, l := range o.lines {
-		w.U64(l.tag)
-		w.Bool(l.valid)
-		w.Bool(l.dirty)
-		w.I64(l.lru)
+		if l.valid {
+			valid++
+		}
+	}
+	w.Int(valid)
+	for i, l := range o.lines {
+		if l.valid {
+			w.Int(i)
+			w.U64(l.tag)
+			w.Bool(l.dirty)
+			w.I64(l.lru)
+		}
 	}
 	w.I64(o.clock)
 	w.Int(len(o.active))
@@ -712,21 +721,23 @@ func FuzzPackedSetsMatchLineOracle(f *testing.F) {
 }
 
 // TestRestoreRejects checks that a hand-built cache section holding a
-// line tag wider than the address space leaves room for, or an MSHR
-// waiter token the caller's check refuses, is a decode error.
+// line index out of range or not ascending, a line tag wider than the
+// address space leaves room for, or an MSHR waiter token the caller's
+// check refuses, is a decode error, and that a well-formed one restores
+// its lines and leaves the unlisted ways invalid.
 func TestRestoreRejects(t *testing.T) {
 	cfg := smallCfg() // 8 sets of 2 ways, 64-byte blocks: tags of 64-6-3 bits
 	errBadTok := fmt.Errorf("no such core")
-	section := func(tag uint64, waiter ev.Token) *fgss.Reader {
+	section := func(lines []int, tag uint64, waiter ev.Token) *fgss.Reader {
 		var buf bytes.Buffer
 		w := fgss.NewWriter(&buf, 1, [32]byte{})
 		w.Begin(1)
-		w.Int(16)
-		for i := 0; i < 16; i++ {
+		w.Int(len(lines))
+		for i, idx := range lines {
+			w.Int(idx)
 			w.U64(tag)
-			w.Bool(true)
 			w.Bool(false)
-			w.I64(int64(i))
+			w.I64(int64(i + 1))
 		}
 		w.I64(16) // clock
 		w.Int(1)  // one MSHR with one waiter
@@ -755,23 +766,56 @@ func TestRestoreRejects(t *testing.T) {
 		}
 		return nil
 	}
+	validWays := func(c *Cache) int {
+		n := 0
+		for s := uint64(0); s < c.setsN; s++ {
+			for _, w := range c.set(s)[:c.cfg.Ways] {
+				if w&lineValid != 0 {
+					n++
+				}
+			}
+		}
+		return n
+	}
 	good := ev.Token{Kind: ev.CoreSlot, Arg: 1}
+	lines := []int{0, 5, 15}
 	for _, tc := range []struct {
 		name    string
+		lines   []int
 		tag     uint64
 		waiter  ev.Token
 		wantErr string
 	}{
-		{"well-formed", 1<<55 - 1, good, ""},
-		{"tag too wide", 1 << 55, good, "is wider than 55 bits"},
-		{"refused waiter", 7, ev.Token{Kind: ev.CoreSlot, ID: 4, Arg: 1}, "no such core"},
+		{"well-formed", lines, 1<<55 - 1, good, ""},
+		{"line past the cache", []int{0, 16}, 7, good, "line index 16 is outside [1,16)"},
+		{"negative line", []int{-1}, 7, good, "line index -1 is outside [0,16)"},
+		{"line repeated", []int{3, 3}, 7, good, "line index 3 is outside [4,16)"},
+		{"lines out of order", []int{5, 2}, 7, good, "line index 2 is outside [6,16)"},
+		{"tag too wide", lines, 1 << 55, good, "is wider than 55 bits"},
+		{"refused waiter", lines, 7, ev.Token{Kind: ev.CoreSlot, ID: 4, Arg: 1}, "no such core"},
 	} {
 		c, _, _ := newTestCache(t, cfg)
-		r := section(tc.tag, tc.waiter)
+		// Fill every way first: the restore must invalidate the ways the
+		// section does not list.
+		for blk := uint64(0); blk < 16; blk++ {
+			c.Access(blk<<6, false, ev.Token{})
+			c.Fill(blk << 6)
+		}
+		if n := validWays(c); n != 16 {
+			t.Fatalf("%s: setup filled %d of 16 ways", tc.name, n)
+		}
+		r := section(tc.lines, tc.tag, tc.waiter)
 		c.Restore(r, check)
 		r.EndSection()
-		if err := r.Close(); (err == nil) != (tc.wantErr == "") || err != nil && !strings.Contains(err.Error(), tc.wantErr) {
+		err := r.Close()
+		if (err == nil) != (tc.wantErr == "") || err != nil && !strings.Contains(err.Error(), tc.wantErr) {
 			t.Errorf("%s: restore error = %v, want %q", tc.name, err, tc.wantErr)
+		}
+		if err != nil {
+			continue
+		}
+		if n := validWays(c); n != len(tc.lines) {
+			t.Errorf("%s: %d valid ways after restore, want the %d listed", tc.name, n, len(tc.lines))
 		}
 	}
 }

@@ -5,22 +5,37 @@ import (
 	"repro/internal/fgss"
 )
 
-// Snapshot appends one cache level's full mutable state: every line in
-// set-major, way-minor order as its tag, valid and dirty bits and LRU
-// stamp, the LRU clock, the outstanding misses with their waiter
-// tokens, and the hit and miss counters. MSHRs are emitted in
+// Snapshot appends one cache level's full mutable state: the count of
+// valid lines, then each valid line in set-major, way-minor order as its
+// index (set × ways + way), tag, dirty bit and LRU stamp; the LRU clock;
+// the outstanding misses with their waiter tokens; and the hit and miss
+// counters. An invalid way is all zero — no line is ever invalidated,
+// so a way only turns valid, at its first fill — and is not written,
+// which keeps a mostly cold LLC's section small. MSHRs are emitted in
 // active-slice order — deterministic (allocation and swap-remove order
 // is a pure function of the simulated history), so snapshot bytes are
 // reproducible.
 func (c *Cache) Snapshot(w *fgss.Writer) {
-	w.Int(len(c.sets) / 2)
+	ways := c.cfg.Ways
+	valid := 0
+	for s := uint64(0); s < c.setsN; s++ {
+		for _, t := range c.set(s)[:ways] {
+			if t&lineValid != 0 {
+				valid++
+			}
+		}
+	}
+	w.Int(valid)
 	for s := uint64(0); s < c.setsN; s++ {
 		set := c.set(s)
-		for i, t := range set[:c.cfg.Ways] {
+		for i, t := range set[:ways] {
+			if t&lineValid == 0 {
+				continue
+			}
+			w.Int(int(s)*ways + i)
 			w.U64(t >> flagBits)
-			w.Bool(t&lineValid != 0)
 			w.Bool(t&lineDirty != 0)
-			w.I64(int64(set[c.cfg.Ways+i]))
+			w.I64(int64(set[ways+i]))
 		}
 	}
 	w.I64(c.clock)
@@ -42,37 +57,42 @@ func (c *Cache) Snapshot(w *fgss.Writer) {
 	w.I64(c.Misses)
 }
 
-// Restore reads back what Snapshot wrote. Existing outstanding misses
-// are recycled to the free list first, then the snapshotted set is
-// rebuilt through the normal allocation path. The receiver must have the
-// snapshotted line count (a mismatch stops decoding). The bytes come
-// from disk, so a tag wider than an address leaves room for, and a
+// Restore reads back what Snapshot wrote. Every way is zeroed first, so
+// the lines the snapshot does not list come back invalid. Existing
+// outstanding misses are recycled to the free list, then the
+// snapshotted set is rebuilt through the normal allocation path. The
+// bytes come from disk, so a line index outside the cache or not above
+// the previous one, a tag wider than an address leaves room for, and a
 // waiter token that names no core or cache node of this System, are
 // decode errors (fgss.Reader.Reject), not a wrong block address or a
 // panic at dispatch; checkTok decides which tokens a waiter list may
 // hold.
 func (c *Cache) Restore(r *fgss.Reader, checkTok func(ev.Token) error) {
-	n := r.Int()
-	if n != len(c.sets)/2 {
-		return
-	}
+	clear(c.sets)
+	ways := c.cfg.Ways
+	lines := int(c.setsN) * ways
 	maxTag := ^uint64(0) >> (c.shift + c.setBits)
-	for i := 0; i < n && r.Err() == nil; i++ {
-		set := c.set(uint64(i / c.cfg.Ways))
-		way := i % c.cfg.Ways
-		tag, valid, dirty, lru := r.U64(), r.Bool(), r.Bool(), r.I64()
-		if tag > maxTag {
-			r.Reject("cache %s: line %d tag %#x is wider than %d bits", c.cfg.Name, i, tag, 64-c.shift-c.setBits)
+	n := r.Int()
+	for i, prev := 0, -1; i < n && r.Err() == nil; i++ {
+		idx, tag, dirty, lru := r.Int(), r.U64(), r.Bool(), r.I64()
+		if r.Err() != nil {
 			return
 		}
-		t := tag << flagBits
-		if valid {
-			t |= lineValid
+		if idx <= prev || idx >= lines {
+			r.Reject("cache %s: line index %d is outside [%d,%d), past the previous line and inside the cache", c.cfg.Name, idx, prev+1, lines)
+			return
 		}
+		if tag > maxTag {
+			r.Reject("cache %s: line %d tag %#x is wider than %d bits", c.cfg.Name, idx, tag, 64-c.shift-c.setBits)
+			return
+		}
+		prev = idx
+		t := tag<<flagBits | lineValid
 		if dirty {
 			t |= lineDirty
 		}
-		set[way], set[c.cfg.Ways+way] = t, uint64(lru)
+		set, way := c.set(uint64(idx/ways)), idx%ways
+		set[way], set[ways+way] = t, uint64(lru)
 	}
 	c.clock = r.I64()
 	for i, m := range c.active {

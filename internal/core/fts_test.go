@@ -88,18 +88,23 @@ func TestFTSIndexMatchesMap(t *testing.T) {
 	}
 }
 
-// ftsSection writes a 16-slot tag store section: the valid tags (slot ->
-// key), then the reserved slot list.
-func ftsSection(t *testing.T, tags map[int]segKey, reserved []int) *fgss.Reader {
+// slotTag is one valid entry of a hand-built tag store section.
+type slotTag struct {
+	slot int
+	key  segKey
+}
+
+// ftsSection writes a tag store section: the valid entries in the order
+// given, then the reserved slot list.
+func ftsSection(t *testing.T, tags []slotTag, reserved []int) *fgss.Reader {
 	t.Helper()
 	var buf bytes.Buffer
 	w := fgss.NewWriter(&buf, 1, [32]byte{})
 	w.Begin(1)
-	w.Int(16)
-	for i := 0; i < 16; i++ {
-		k, valid := tags[i]
-		w.U64(uint64(k))
-		w.Bool(valid)
+	w.Int(len(tags))
+	for _, st := range tags {
+		w.Int(st.slot)
+		w.U64(uint64(st.key))
 		w.Bool(false)
 		w.U64(0)
 		w.I64(0)
@@ -123,29 +128,39 @@ func ftsSection(t *testing.T, tags map[int]segKey, reserved []int) *fgss.Reader 
 	return r
 }
 
-// TestFTSRestoreRejects checks that a tag store snapshot naming a
+// TestFTSRestoreRejects checks that a tag store snapshot listing a
+// valid slot outside the store or out of ascending order, naming a
 // reserved slot outside the store, listing one twice, or holding one
 // valid tag in two slots is a decode error, while a well-formed one
-// restores.
+// restores its entries into a store whose other slots come back
+// invalid.
 func TestFTSRestoreRejects(t *testing.T) {
 	a, b := makeSegKey(100, 3), makeSegKey(200, 1)
 	cases := []struct {
 		name     string
-		tags     map[int]segKey
+		tags     []slotTag
 		reserved []int
 		wantErr  string
 	}{
-		{name: "well-formed", tags: map[int]segKey{0: a, 5: b}, reserved: []int{1, 15}},
-		{name: "reserved slot past the end", tags: map[int]segKey{0: a}, reserved: []int{99}, wantErr: "reserved slot 99"},
+		{name: "well-formed", tags: []slotTag{{0, a}, {5, b}}, reserved: []int{1, 15}},
+		{name: "valid slot past the end", tags: []slotTag{{0, a}, {16, b}}, wantErr: "FTS slot 16 is outside [1,16)"},
+		{name: "negative valid slot", tags: []slotTag{{-1, a}}, wantErr: "FTS slot -1 is outside [0,16)"},
+		{name: "valid slots out of order", tags: []slotTag{{5, a}, {2, b}}, wantErr: "FTS slot 2 is outside [6,16)"},
+		{name: "reserved slot past the end", tags: []slotTag{{0, a}}, reserved: []int{99}, wantErr: "reserved slot 99"},
 		{name: "negative reserved slot", reserved: []int{-1}, wantErr: "reserved slot -1"},
 		{name: "reserved slot listed twice", reserved: []int{3, 3}, wantErr: "reserved slot 3"},
-		{name: "valid tag in two slots", tags: map[int]segKey{2: a, 9: a}, wantErr: "both hold row 100 segment 3"},
+		{name: "valid tag in two slots", tags: []slotTag{{2, a}, {9, a}}, wantErr: "both hold row 100 segment 3"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			f, err := NewFTS(16, 8, 5)
 			if err != nil {
 				t.Fatal(err)
+			}
+			// Fill every slot first: the restore must invalidate the
+			// slots the section does not list.
+			for i := 0; i < f.Slots(); i++ {
+				f.Install(i, 300+i, 0, false)
 			}
 			r := ftsSection(t, tc.tags, tc.reserved)
 			f.Restore(r)
@@ -155,10 +170,17 @@ func TestFTSRestoreRejects(t *testing.T) {
 				if err != nil {
 					t.Fatalf("restore: %v", err)
 				}
-				for slot, k := range tc.tags {
-					if got, hit := f.Lookup(k.row(), k.seg(), false); !hit || got != slot {
-						t.Errorf("Lookup(%d, %d) = (%d, %v), want slot %d", k.row(), k.seg(), got, hit, slot)
+				for _, st := range tc.tags {
+					k := st.key
+					if got, hit := f.Lookup(k.row(), k.seg(), false); !hit || got != st.slot {
+						t.Errorf("Lookup(%d, %d) = (%d, %v), want slot %d", k.row(), k.seg(), got, hit, st.slot)
 					}
+				}
+				if got := f.ValidSlots(); got != len(tc.tags) {
+					t.Errorf("%d valid slots after restore, want the %d listed", got, len(tc.tags))
+				}
+				if f.Contains(300, 0) {
+					t.Error("a tag installed before the restore is still indexed")
 				}
 				for _, s := range tc.reserved {
 					if !f.IsReserved(s) {

@@ -19,15 +19,27 @@ func sortedKeys[K ~int | ~uint64, V any](m map[K]V) []K {
 	return keys
 }
 
-// Snapshot appends the tag store's mutable state: every entry, the
-// logical clock, in-flight reservations, and hit/miss counters. The
-// index is derived and rebuilt on restore.
+// Snapshot appends the tag store's mutable state: the count of valid
+// entries, then each valid entry in slot order as its slot, tag, dirty
+// bit, benefit counter and last use; the logical clock; the reserved
+// slots; and the hit/miss counters. An invalid slot is all zero —
+// Evict zeroes the entry — and is not written. The index is derived
+// and rebuilt on restore.
 func (f *FTS) Snapshot(w *fgss.Writer) {
-	w.Int(len(f.entries))
+	valid := 0
+	for i := range f.entries {
+		if f.entries[i].valid {
+			valid++
+		}
+	}
+	w.Int(valid)
 	for i := range f.entries {
 		e := &f.entries[i]
+		if !e.valid {
+			continue
+		}
+		w.Int(i)
 		w.U64(uint64(e.key))
-		w.Bool(e.valid)
 		w.Bool(e.dirty)
 		w.U64(uint64(e.benefit))
 		w.I64(e.lastUse)
@@ -44,33 +56,34 @@ func (f *FTS) Snapshot(w *fgss.Writer) {
 }
 
 // Restore reads back what Snapshot wrote and rebuilds the tag index.
-// The receiver must have the snapshotted slot count (a mismatch stops
-// decoding).
-// The bytes come from disk, so a valid tag held by two slots, and a
+// Every slot is zeroed first, so the slots the snapshot does not list
+// come back invalid. The bytes come from disk, so a slot out of range
+// or not above the previous one, a valid tag held by two slots, and a
 // reserved slot out of range or listed twice, are decode errors
 // (fgss.Reader.Reject) rather than a corrupt index or a panic.
 func (f *FTS) Restore(r *fgss.Reader) {
-	n := r.Int()
-	if n != len(f.entries) {
-		return
-	}
+	clear(f.entries)
 	clear(f.idxKey)
 	clear(f.idxSlot)
-	for i := 0; i < n && r.Err() == nil; i++ {
-		e := &f.entries[i]
-		e.key = segKey(r.U64())
-		e.valid = r.Bool()
-		e.dirty = r.Bool()
-		e.benefit = uint8(r.U64())
-		e.lastUse = r.I64()
-		if !e.valid || r.Err() != nil {
-			continue
-		}
-		if prev := f.find(e.key); prev >= 0 {
-			r.Reject("core: FTS slots %d and %d both hold row %d segment %d", prev, i, e.key.row(), e.key.seg())
+	slots := len(f.entries)
+	n := r.Int()
+	for i, prev := 0, -1; i < n && r.Err() == nil; i++ {
+		slot := r.Int()
+		key, dirty, benefit, lastUse := segKey(r.U64()), r.Bool(), uint8(r.U64()), r.I64()
+		if r.Err() != nil {
 			return
 		}
-		f.indexAdd(e.key, i)
+		if slot <= prev || slot >= slots {
+			r.Reject("core: FTS slot %d is outside [%d,%d), past the previous slot and inside the store", slot, prev+1, slots)
+			return
+		}
+		if other := f.find(key); other >= 0 {
+			r.Reject("core: FTS slots %d and %d both hold row %d segment %d", other, slot, key.row(), key.seg())
+			return
+		}
+		prev = slot
+		f.entries[slot] = ftsEntry{key: key, valid: true, dirty: dirty, benefit: benefit, lastUse: lastUse}
+		f.indexAdd(key, slot)
 	}
 	f.clock = r.I64()
 	clear(f.reserved)
@@ -81,8 +94,8 @@ func (f *FTS) Restore(r *fgss.Reader) {
 		if r.Err() != nil {
 			return
 		}
-		if slot < 0 || slot >= n || f.reserved[slot] {
-			r.Reject("core: FTS reserved slot %d is out of range [0,%d) or listed twice", slot, n)
+		if slot < 0 || slot >= slots || f.reserved[slot] {
+			r.Reject("core: FTS reserved slot %d is out of range [0,%d) or listed twice", slot, slots)
 			return
 		}
 		f.Reserve(slot)

@@ -235,17 +235,19 @@ func (c *Core) NextWake(now int64) int64 {
 // instead of cycle-by-cycle Ticks. A cycle is batchable when its dense
 // execution is fully determined: the pending trace record still holds
 // at least a full issue group of bubbles (so issue touches no cache and
-// fetches no trace record), and retirement is predictable — either the
-// whole window is retirable, or the run of retirable entries at the
-// head is long enough that every batched cycle retires a full group
-// before reaching the first entry still waiting on a load. Outstanding
-// loads only complete through CompleteSlot, and the run loop may apply a
-// batch later — whole, or cut short at an event — but always before it
-// delivers any CompleteSlot for the core, so the retirable run cannot
-// grow inside the batch. The count is capped at the cycle the core would
-// reach its instruction target, so the run loop observes the finish
-// exactly where the dense loop would. A window narrower than an issue
-// group never batches: its steady state is issue-limited.
+// fetches no trace record), and retirement is predictable (see
+// batchRetire) — either the whole window is retirable, or the run of
+// retirable entries at the head is long enough that every batched cycle
+// retires a full group before reaching the first entry still waiting on
+// a load, or so short that only the first batched cycle retires.
+// Outstanding loads only complete through CompleteSlot, and the run
+// loop may apply a batch later — whole, or cut short at an event — but
+// always before it delivers any CompleteSlot for the core, so the
+// retirable run cannot grow inside the batch. The count is capped at
+// the cycle the core would reach its instruction target (crossingCycle),
+// so the run loop observes the finish exactly where the dense loop
+// would. A window narrower than an issue group never batches: its
+// steady state is issue-limited.
 //
 // Returns 0 when the next cycle must be executed normally.
 func (c *Core) BatchableCycles() int64 {
@@ -256,50 +258,25 @@ func (c *Core) BatchableCycles() int64 {
 	// Cycles the dense loop would spend issuing only bubbles: a cycle
 	// issues IssueWidth of them iff that many remain at its start.
 	n := int64(c.pending.Bubbles) / iw
-	if n <= 0 {
-		return 0
-	}
-	if c.pendN == 0 {
-		// Whole window retirable: issue refills what retire drains, so
-		// the regime holds for the entire bubble run.
-		if c.FinishedAt == 0 {
-			if k := c.cyclesToTarget(); k < n {
-				n = k
-			}
+	if c.pendN > 0 {
+		// Loads in flight: retirement stops at the front of the load ring.
+		if run := c.retirableRun(); run >= iw {
+			// Full-group retire+issue cycles until the run shrinks below
+			// one group; occupancy is stable, so no window-full cycles.
+			n = min(n, run/iw)
+		} else {
+			// Head (nearly) blocked: the first cycle retires the short
+			// run, after which bubbles accumulate at issue width. Stop
+			// before the window fills so no cycle is issue-limited
+			// (window-full cycles are the blocked path's business).
+			n = min(n, (int64(c.cfg.WindowSize)-int64(c.count)+run)/iw)
 		}
-		return n
-	}
-	// Loads in flight: retirement stops at the front of the load ring.
-	avail := c.retirableRun()
-	if avail >= iw {
-		// Full-group retire+issue cycles until the retirable run shrinks
-		// below one group; occupancy is stable, so no window-full cycles.
-		if m := avail / iw; m < n {
-			n = m
-		}
-		if c.FinishedAt == 0 {
-			need := c.TargetInsts - c.Retired
-			if need < 1 {
-				need = 1
-			}
-			if k := (need + iw - 1) / iw; k < n {
-				n = k
-			}
-		}
-		return n
-	}
-	// Head (nearly) blocked: the first cycle retires the remaining short
-	// run, after which bubbles accumulate at issue width. Stop before the
-	// window fills so no cycle is issue-limited (window-full cycles are
-	// the blocked path's business).
-	if m := (int64(c.cfg.WindowSize) - int64(c.count) + avail) / iw; m < n {
-		n = m
 	}
 	if n <= 0 {
 		return 0
 	}
-	if c.FinishedAt == 0 && c.TargetInsts-c.Retired <= avail {
-		n = 1 // crossing happens on the batch's first (only retiring) cycle
+	if c.FinishedAt == 0 {
+		n = min(n, c.crossingCycle(c.batchRetire()))
 	}
 	return n
 }
@@ -323,111 +300,70 @@ func (c *Core) age(slot int) int {
 	return slot - c.head + c.cfg.WindowSize
 }
 
-// cyclesToTarget returns the batched-cycle index (1-based) at which the
-// retire stream crosses TargetInsts in the all-done regime: the first
-// cycle retires min(RetireWidth, count) entries, every later one a full
-// RetireWidth (the window refills at issue width each cycle).
-func (c *Core) cyclesToTarget() int64 {
-	r0 := int64(c.cfg.RetireWidth)
-	if int64(c.count) < r0 {
-		r0 = int64(c.count)
+// batchRetire returns how many entries the first cycle of a batch
+// retires and how many each later one does. The first retires a full
+// group, or the whole retirable run if shorter. A later cycle retires a
+// full group when no load is in flight (issue refills what retire
+// drains) or when a full group lay ahead of the oldest waiting load at
+// the batch's start (BatchableCycles then stops the batch before the
+// run shrinks below a group), and nothing otherwise (the head is
+// blocked on the load).
+func (c *Core) batchRetire() (first, later int64) {
+	rw := int64(c.cfg.RetireWidth)
+	run := c.retirableRun()
+	first = min(run, rw)
+	if c.pendN == 0 || run >= rw {
+		later = rw
 	}
-	need := c.TargetInsts - c.Retired
-	if need < 1 {
-		// Only reachable with a zero/negative target: the crossing still
-		// needs one actual retire, so it lands on the first retiring cycle.
-		need = 1
-	}
-	if need <= r0 {
+	return first, later
+}
+
+// crossingCycle returns the batched cycle (1-based) on which the retire
+// stream of batchRetire's first and later counts reaches TargetInsts,
+// or math.MaxInt64 if it never does. The crossing needs an actual
+// retire, so a target already reached — possible only with a target
+// below one — lands on the first cycle that retires anything.
+func (c *Core) crossingCycle(first, later int64) int64 {
+	need := max(c.TargetInsts-c.Retired, 1)
+	if need <= first {
 		return 1
 	}
-	r := int64(c.cfg.RetireWidth)
-	return 1 + (need-r0+r-1)/r
+	if later == 0 {
+		return math.MaxInt64
+	}
+	return 1 + (need-first+later-1)/later
 }
 
 // AdvanceBatch fast-forwards the core over `cycles` skipped cycles (the
 // cycles now+1 .. now+cycles, which the run loop will not execute) by
-// applying the closed-form bubble execution. The caller must have
-// established batchability (BatchableCycles() >= cycles) in the state
-// the core had at cycle now, and must not have changed that state
-// since: the run loop sizes the batch at cycle now, when the core goes
-// to sleep, and applies it when the core wakes — at the batch's end, or
-// cut short before a CompleteSlot for the core is delivered. A blocked
-// core needs nothing: its Tick is a no-op.
+// applying the closed-form bubble execution in O(1): head moves past
+// the retired entries and tail past the issued bubbles, modulo the
+// window, exactly as the per-cycle Ticks move them, so the core is left
+// in the dense loop's state, load ring and slot positions included.
+// The caller must have established batchability (BatchableCycles() >=
+// cycles) in the state the core had at cycle now, and must not have
+// changed that state since: the run loop sizes the batch at cycle now,
+// when the core goes to sleep, and applies it when the core wakes — at
+// the batch's end, or cut short before a CompleteSlot for the core is
+// delivered. A blocked core needs nothing: its Tick is a no-op.
 func (c *Core) AdvanceBatch(now, cycles int64) {
 	if cycles <= 0 {
 		return
 	}
-	if c.pendN == 0 {
-		c.advanceAllDone(now, cycles)
-	} else {
-		c.advanceInFlight(now, cycles)
+	first, later := c.batchRetire()
+	if c.FinishedAt == 0 {
+		if k := c.crossingCycle(first, later); k <= cycles {
+			c.FinishedAt = now + k
+		}
 	}
-}
-
-// advanceAllDone applies `cycles` bubble cycles over a fully retirable
-// window. Instead of sliding the ring — whose absolute position is
-// unobservable while no load is in it — the window is left in place and
-// only grown to its steady-state occupancy, so the cost is O(1)
-// regardless of span.
-func (c *Core) advanceAllDone(now, cycles int64) {
-	r := int64(c.cfg.RetireWidth)
-	r0 := r
-	if int64(c.count) < r0 {
-		r0 = int64(c.count)
-	}
-	retired := r0 + r*(cycles-1)
-	c.pending.Bubbles -= int(int64(c.cfg.IssueWidth) * cycles)
-	// Resolve the target-crossing cycle before mutating Retired, with
-	// the same formula BatchableCycles used to cap the batch (the cap
-	// puts the crossing on the batch's last cycle).
-	crossAt := int64(0)
-	if c.FinishedAt == 0 && c.Retired+retired >= c.TargetInsts {
-		crossAt = now + c.cyclesToTarget()
-	}
+	retired := first + later*(cycles-1)
+	issued := int64(c.cfg.IssueWidth) * cycles
+	w := int64(c.cfg.WindowSize)
 	c.Retired += retired
-	if crossAt > 0 {
-		c.FinishedAt = crossAt
-	}
-	// Steady-state occupancy: a window below RetireWidth refills to it on
-	// the first cycle (retire everything, issue a full group) and then
-	// holds; a larger window retires and issues in lockstep.
-	if grow := int(r) - c.count; grow > 0 {
-		c.tail = c.ring(c.tail + grow)
-		c.count += grow
-	}
-}
-
-// advanceInFlight applies `cycles` bubble cycles while loads are in
-// flight. The loads pin absolute ring positions (their completion
-// tokens name their slots), so head and tail move exactly as the dense
-// per-cycle loop would move them. Retiring and inserting bubbles touch
-// no per-slot state, so the cost is O(1) regardless of span.
-func (c *Core) advanceInFlight(now, cycles int64) {
-	iw := int64(c.cfg.IssueWidth)
-	avail := c.retirableRun()
-	var retired int64
-	if avail >= iw {
-		retired = iw * cycles // full retire group every batched cycle
-	} else {
-		retired = avail // first cycle drains the run; the rest retire 0
-	}
-	c.retire(retired)
-	if c.FinishedAt == 0 && c.Retired >= c.TargetInsts {
-		need := c.TargetInsts - (c.Retired - retired)
-		if need < 1 {
-			need = 1
-		}
-		k := int64(1)
-		if avail >= iw {
-			k = (need + iw - 1) / iw
-		}
-		c.FinishedAt = now + k
-	}
-	ins := int(iw * cycles)
-	c.pending.Bubbles -= ins
-	c.tail = c.ring(c.tail + ins)
-	c.count += ins
+	c.pending.Bubbles -= int(issued)
+	c.head = int((int64(c.head) + retired) % w)
+	c.tail = int((int64(c.tail) + issued) % w)
+	c.count += int(issued - retired)
 }
 
 // ring wraps a slot index that is at most one window past the end.

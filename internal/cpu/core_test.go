@@ -284,11 +284,14 @@ func batchCore(t *testing.T, bubbles int, target int64, warm int64) (*Core, *sch
 }
 
 // TestAdvanceMatchesDenseTicks is the unit-level equivalence check for
-// the closed-form bubble batch: after Advance(now, k), the core must be
-// observably identical to a twin that executed the same k cycles with
-// per-cycle Ticks — immediately and on every subsequent cycle.
+// the closed-form bubble batch over a fully retirable window: after
+// Advance(now, k), the core must hold the state of a twin that executed
+// the same k cycles with per-cycle Ticks — the window's head, tail and
+// count and the load ring included, since a later load's completion
+// token names the slot it lands in — immediately and on every
+// subsequent cycle. Spans past one window (300, 1000) wrap the ring.
 func TestAdvanceMatchesDenseTicks(t *testing.T) {
-	for _, span := range []int64{1, 2, 3, 17, 300} {
+	for _, span := range []int64{1, 2, 3, 17, 300, 1000} {
 		batched, s := batchCore(t, 1<<20, 1<<40, 7)
 		dense, _ := batchCore(t, 1<<20, 1<<40, 7)
 
@@ -301,14 +304,16 @@ func TestAdvanceMatchesDenseTicks(t *testing.T) {
 		for j := int64(0); j < span; j++ {
 			dense.Tick(now + j)
 		}
-		// The ring position is internal; everything observable must match.
 		if batched.Retired != dense.Retired ||
-			batched.WindowOccupancy() != dense.WindowOccupancy() ||
+			batched.head != dense.head || batched.tail != dense.tail || batched.count != dense.count ||
 			batched.pending.Bubbles != dense.pending.Bubbles ||
 			batched.FinishedAt != dense.FinishedAt {
-			t.Fatalf("span %d diverged: batched (ret=%d occ=%d bub=%d fin=%d) dense (ret=%d occ=%d bub=%d fin=%d)",
-				span, batched.Retired, batched.WindowOccupancy(), batched.pending.Bubbles, batched.FinishedAt,
-				dense.Retired, dense.WindowOccupancy(), dense.pending.Bubbles, dense.FinishedAt)
+			t.Fatalf("span %d diverged: batched (ret=%d head=%d tail=%d count=%d bub=%d fin=%d) dense (ret=%d head=%d tail=%d count=%d bub=%d fin=%d)",
+				span, batched.Retired, batched.head, batched.tail, batched.count, batched.pending.Bubbles, batched.FinishedAt,
+				dense.Retired, dense.head, dense.tail, dense.count, dense.pending.Bubbles, dense.FinishedAt)
+		}
+		if b, d := liveRing(batched), liveRing(dense); !slices.Equal(b, d) || batched.pendHead != dense.pendHead {
+			t.Fatalf("span %d: load ring diverged (%v at %d vs %v at %d)", span, b, batched.pendHead, d, dense.pendHead)
 		}
 		// Keep ticking both densely: behaviour must stay in lockstep.
 		for j := int64(0); j < 50; j++ {

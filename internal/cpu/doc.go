@@ -19,10 +19,13 @@
 // make progress on its own, and BatchableCycles/AdvanceBatch execute
 // bubble runs (non-memory instructions issuing at full width) in closed
 // form instead of cycle by cycle, in O(1) per batch with or without
-// loads in flight. A fully blocked core's Tick changes nothing — a full
-// window returns at once, and a refused L1 access leaves the cache as it
-// was — so the engine skips it with nothing to replay, and both engines
-// stay bit-identical (TestEngineEquivalence).
+// loads in flight. The closed form moves the window's head and tail
+// exactly as the per-cycle Ticks do, so a batched core holds the dense
+// loop's state, slot positions included. A fully blocked core's Tick
+// changes nothing — a full window returns at once, and a refused L1
+// access leaves the cache as it was — so the engine skips it with
+// nothing to replay, and both engines hold the same state at every
+// pause (TestEngineEquivalence, TestEngineHierarchyState).
 //
 // Core.Snapshot/Restore (snapshot.go) serialize the window position, the
 // load ring's live entries, issue state, and progress for the system

@@ -105,34 +105,17 @@ func (c *Channel) NumBanks() int { return len(c.banks) }
 // earliest cycle at which the bank/rank/bus constraints would allow it.
 // ok is false when the command is structurally impossible in the current
 // state (e.g. RD to a closed row), regardless of time. The command is
-// taken by pointer purely to keep the ~100-byte struct off the hot
+// taken by pointer purely to keep the 56-byte struct off the hot
 // path's copy costs; it is never retained.
 func (c *Channel) CanIssue(cmd *Command, now int64) (at int64, ok bool) {
 	bank := c.Bank(cmd.Loc)
 	switch cmd.Type {
 	case CmdACT:
-		at, ok = bank.CanACT(now)
-		if !ok {
-			return 0, false
-		}
-		at = maxI64(at, c.rankACTReady(cmd.Loc.Rank, now))
-		return at, true
+		return c.CanACTAt(bank, cmd.Loc.Rank, now)
 	case CmdPRE:
 		return bank.CanPRE(now)
-	case CmdRD:
-		at, ok = bank.CanRD(now, cmd.Loc.CacheRow, cmd.Loc.Row)
-		if !ok {
-			return 0, false
-		}
-		at = c.colReady(at, &cmd.Loc)
-		return c.busReady(at, CmdRD), true
-	case CmdWR:
-		at, ok = bank.CanWR(now, cmd.Loc.CacheRow, cmd.Loc.Row)
-		if !ok {
-			return 0, false
-		}
-		at = c.colReady(at, &cmd.Loc)
-		return c.busReady(at, CmdWR), true
+	case CmdRD, CmdWR:
+		return c.CanColumn(bank, &cmd.Loc, cmd.Type == CmdWR, now)
 	case CmdREF:
 		// All banks in the rank must be precharged.
 		base := cmd.Loc.Rank * c.Geo.BanksPerRank()
@@ -191,11 +174,10 @@ func (c *Channel) Issue(cmd *Command, at int64) int64 {
 	}
 }
 
-// CanColumn is CanIssue's CmdRD/CmdWR arm for a caller that already
-// holds the resolved bank: same checks in the same order, minus the
-// Command construction and bank re-lookup. The scheduler probes column
-// candidates every tick, so the ~100-byte command build and the bank-ID
-// multiply chain were pure per-tick overhead.
+// CanColumn is CanIssue's CmdRD/CmdWR check, callable with a bank the
+// caller already holds: the scheduler probes column candidates every
+// tick, so building a 56-byte Command and re-resolving its bank-ID
+// multiply chain would be pure per-tick overhead.
 func (c *Channel) CanColumn(bank *Bank, loc *Location, isWrite bool, now int64) (at int64, ok bool) {
 	if isWrite {
 		at, ok = bank.CanWR(now, loc.CacheRow, loc.Row)
@@ -212,8 +194,8 @@ func (c *Channel) CanColumn(bank *Bank, loc *Location, isWrite bool, now int64) 
 	return c.busReady(at, CmdRD), true
 }
 
-// CanACTAt is CanIssue's CmdACT arm for a caller that already holds the
-// resolved bank.
+// CanACTAt is CanIssue's CmdACT check, callable with a bank the caller
+// already holds.
 func (c *Channel) CanACTAt(bank *Bank, rank int, now int64) (int64, bool) {
 	at, ok := bank.CanACT(now)
 	if !ok {

@@ -35,12 +35,6 @@ func (c CmdType) String() string {
 type Command struct {
 	Type CmdType
 	Loc  Location
-
-	// DstLoc is the destination for RELOC and RBM: the column (RELOC) or
-	// row (RBM) that receives the relocated data. The destination must be
-	// in the same bank as Loc for RELOC (the global row buffer is shared
-	// only within a bank).
-	DstLoc Location
 }
 
 // CommandTrace records an issued command for debugging and verification.

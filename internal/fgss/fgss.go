@@ -5,7 +5,7 @@
 //
 //	offset  size  field
 //	0       4     magic "FGSS"
-//	4       2     format version (currently 3)
+//	4       2     format version (currently 4)
 //	6       2     reserved (zero)
 //	8       4     sim.EngineVersion of the writing build
 //	12      32    config fingerprint (sim.Config.Fingerprint)
@@ -40,11 +40,12 @@ const Magic = "FGSS"
 
 // FormatVersion is the current format version. It covers the layers'
 // section payloads as well as the container: version 2 encodes a
-// cpu.Core window as its ring of in-flight loads, and version 3 drops
+// cpu.Core window as its ring of in-flight loads, version 3 drops
 // the diagnostic counters and registers no result read (stall and
 // access counters, queue depth maxima, write-drain cycles, two DRAM
-// bank registers).
-const FormatVersion = 3
+// bank registers), and version 4 writes only the valid cache lines and
+// FIGCache tag store slots, each with its index.
+const FormatVersion = 4
 
 // HeaderSize is the byte length of the fixed header.
 const HeaderSize = 44

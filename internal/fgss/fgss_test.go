@@ -43,7 +43,7 @@ func TestGoldenHeader(t *testing.T) {
 	img := encode(t, 3, fp)
 	want := append([]byte{
 		'F', 'G', 'S', 'S', // magic
-		3, 0, // format version 3, little-endian u16
+		4, 0, // format version 4, little-endian u16
 		0, 0, // reserved
 		3, 0, 0, 0, // engine version 3, little-endian u32
 	}, fp[:]...)
@@ -113,6 +113,11 @@ func TestReaderRejectsHeader(t *testing.T) {
 			b[4] = 2
 			return b
 		}(), 3, fp, "unsupported snapshot format version 2"},
+		{"format 3 snapshot", func() []byte {
+			b := bytes.Clone(img)
+			b[4] = 3
+			return b
+		}(), 3, fp, "unsupported snapshot format version 3 (this build reads version 4)"},
 		{"engine version mismatch", img, 4, fp, "engine version 3, this build is version 4"},
 		{"fingerprint mismatch", img, 3, otherFP, "does not match this run's config"},
 		{"truncated header", img[:HeaderSize/2], 3, fp, "truncated header"},

@@ -93,10 +93,10 @@ type Config struct {
 	// deferred design is ablated against: it steals row hits from queued
 	// requests and occupies hot banks at their busiest moment.
 	ImmediateReloc bool
-	// LatSampleCap bounds the per-controller read-latency sample
-	// reservoir; 0 selects the default (2048 samples).
-	LatSampleCap int
 }
+
+// latSampleCap bounds each controller's read-latency sample reservoir.
+const latSampleCap = 2048
 
 // DefaultConfig returns the 64-entry read/write queues from Table 1.
 func DefaultConfig() Config {
@@ -178,9 +178,6 @@ func NewController(id int, cfg Config, ch *dram.Channel, cache CacheHook) *Contr
 // (last-column registers, queue occupancy indexes) carved out of a. A
 // nil arena keeps plain allocations.
 func NewControllerIn(a *arena.Arena, id int, cfg Config, ch *dram.Channel, cache CacheHook) *Controller {
-	if cfg.LatSampleCap == 0 {
-		cfg.LatSampleCap = 2048
-	}
 	return &Controller{
 		ID:            id,
 		cfg:           cfg,
@@ -194,7 +191,7 @@ func NewControllerIn(a *arena.Arena, id int, cfg Config, ch *dram.Channel, cache
 		cands:         make([]colCand, 0, ch.NumBanks()),
 		// Seed by controller ID so per-channel reservoirs differ but any
 		// two runs of the same configuration sample identically.
-		latSamples: stats.NewReservoir(cfg.LatSampleCap, uint64(id)+1),
+		latSamples: stats.NewReservoir(latSampleCap, uint64(id)+1),
 	}
 }
 

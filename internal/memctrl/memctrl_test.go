@@ -1,12 +1,17 @@
 package memctrl
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/dram"
 	"repro/internal/ev"
+	"repro/internal/fgss"
 )
 
 // testCtrl wraps a Controller with a token-to-closure registry: tests
@@ -471,6 +476,85 @@ func TestQueueHeadIndexInvariants(t *testing.T) {
 	check(-1)
 	if q.count != 0 || len(q.occupied) != 0 || len(q.heads) != 0 {
 		t.Fatal("reset left queue state behind")
+	}
+}
+
+// TestQueueRestoreRejects checks that a hand-built queue section holding
+// a queue push never builds is a decode error: a read in the write queue
+// or a write in the read queue, more requests than the queue holds, push
+// stamps not ascending within a bank, not ascending across the occupied
+// banks' heads, or not below the push counter, and more occupied banks
+// than the channel has. A well-formed
+// section restores with its requests bucketed by bank in head-age order.
+func TestQueueRestoreRejects(t *testing.T) {
+	ch := newTestController(t, nil).channel
+	req := func(bank int, seq int64, write bool) *Request {
+		loc := dram.Location{Bank: bank, Row: 7}
+		return &Request{Addr: uint64(bank)<<20 | uint64(seq)<<6, Loc: loc, ServiceLoc: loc, IsWrite: write, seq: seq}
+	}
+	read := func(bank int, seq int64) *Request { return req(bank, seq, false) }
+	cases := []struct {
+		name    string
+		writes  bool  // restore into a write queue
+		seq     int64 // the queue's push counter
+		buckets [][]*Request
+		wantErr string
+	}{
+		{name: "well-formed", seq: 4, buckets: [][]*Request{{read(0, 0), read(0, 3)}, {read(1, 1)}, {read(2, 2)}}},
+		{name: "read in the write queue", writes: true, seq: 4, buckets: [][]*Request{{req(0, 0, true), read(0, 1)}},
+			wantErr: "write queue: request 0x40: write=false in the other kind's queue"},
+		{name: "write in the read queue", seq: 4, buckets: [][]*Request{{read(0, 0)}, {req(1, 1, true)}},
+			wantErr: "read queue: request 0x100040: write=true in the other kind's queue"},
+		{name: "more requests than the queue holds", seq: 9, buckets: [][]*Request{{read(0, 0), read(0, 1), read(0, 2), read(0, 3), read(0, 4)}},
+			wantErr: "more than the queue's 4 entries"},
+		{name: "stamps not ascending within a bank", seq: 4, buckets: [][]*Request{{read(0, 2), read(0, 1)}},
+			wantErr: "push stamp 1 is not above bank 0's previous 2"},
+		{name: "heads not ascending", seq: 4, buckets: [][]*Request{{read(0, 2)}, {read(1, 1)}},
+			wantErr: "push stamp 1 of bank 1's head is not above the previous head's 2"},
+		{name: "stamp not below the push counter", seq: 3, buckets: [][]*Request{{read(0, 0)}, {read(1, 3)}},
+			wantErr: "push stamp 3 is not below the push counter 3"},
+		{name: "more occupied banks than the channel has", seq: 4, buckets: make([][]*Request, ch.NumBanks()+1),
+			wantErr: fmt.Sprintf("read queue lists %d occupied banks of %d", ch.NumBanks()+1, ch.NumBanks())},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			w := fgss.NewWriter(&buf, 1, [32]byte{})
+			w.Begin(1)
+			w.I64(tc.seq)
+			w.Int(len(tc.buckets))
+			for _, b := range tc.buckets {
+				w.Int(len(b))
+				for _, r := range b {
+					SnapshotRequest(w, r)
+				}
+			}
+			w.End()
+			if err := w.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			r, err := fgss.NewReader(&buf, 1, [32]byte{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			q := newQueue(4, ch.NumBanks())
+			r.Section(1)
+			q.restore(r, ch, tc.writes, func(ev.Token) error { return nil })
+			r.EndSection()
+			err = r.Close()
+			if tc.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("restore error = %v, want one containing %q", err, tc.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("restore: %v", err)
+			}
+			if q.count != 4 || !slices.Equal(q.occupied, []int{0, 1, 2}) || len(q.byBank[0]) != 2 || q.heads[0].seq != 0 {
+				t.Fatalf("restored queue: count %d, occupied %v, bank 0 holds %d", q.count, q.occupied, len(q.byBank[0]))
+			}
+		})
 	}
 }
 

@@ -102,16 +102,27 @@ func (q *queue) snapshot(w *fgss.Writer) {
 	}
 }
 
-// restore reads back what snapshot wrote, dropping any currently
+// restore reads back what snapshot wrote into the read queue (writes
+// false) or the write queue (writes true), dropping any currently
 // queued requests first. Requests are re-bucketed by their re-resolved
 // bank ID in serialized order, which reproduces the occupied/heads/pos
 // index byte-for-byte because snapshot walked buckets in head-age
-// order. checkTok vets each request's completion token.
-func (q *queue) restore(rd *fgss.Reader, ch *dram.Channel, checkTok func(ev.Token) error) {
+// order. checkTok vets each request's completion token. The bytes come
+// from disk, so a queue push never builds is a decode error
+// (fgss.Reader.Reject): a request of the other kind, more requests than
+// the queue holds, or push stamps that are not ascending within a bank,
+// not ascending across the occupied banks' heads, or not below the
+// push counter.
+func (q *queue) restore(rd *fgss.Reader, ch *dram.Channel, writes bool, checkTok func(ev.Token) error) {
 	q.reset()
 	q.seq = rd.I64()
+	kind := "read"
+	if writes {
+		kind = "write"
+	}
 	nOcc := rd.Int()
 	if nOcc < 0 || nOcc > len(q.byBank) {
+		rd.Reject("memctrl: %s queue lists %d occupied banks of %d", kind, nOcc, len(q.byBank))
 		return
 	}
 	for i := 0; i < nOcc && rd.Err() == nil; i++ {
@@ -120,6 +131,10 @@ func (q *queue) restore(rd *fgss.Reader, ch *dram.Channel, checkTok func(ev.Toke
 			r := &Request{}
 			RestoreRequest(rd, r, ch, checkTok)
 			if rd.Err() != nil {
+				return
+			}
+			if why := q.refuse(r, writes); why != "" {
+				rd.Reject("memctrl: %s queue: request %#x: %s", kind, r.Addr, why)
 				return
 			}
 			b := r.bankID
@@ -132,6 +147,25 @@ func (q *queue) restore(rd *fgss.Reader, ch *dram.Channel, checkTok func(ev.Toke
 			q.count++
 		}
 	}
+}
+
+// refuse reports why restore cannot append r to the queue rebuilt so
+// far, or "".
+func (q *queue) refuse(r *Request, writes bool) string {
+	bucket := q.byBank[r.bankID]
+	switch {
+	case r.IsWrite != writes:
+		return fmt.Sprintf("write=%v in the other kind's queue", r.IsWrite)
+	case q.count >= q.cap:
+		return fmt.Sprintf("more than the queue's %d entries", q.cap)
+	case r.seq >= q.seq:
+		return fmt.Sprintf("push stamp %d is not below the push counter %d", r.seq, q.seq)
+	case len(bucket) > 0 && r.seq <= bucket[len(bucket)-1].seq:
+		return fmt.Sprintf("push stamp %d is not above bank %d's previous %d", r.seq, r.bankID, bucket[len(bucket)-1].seq)
+	case len(bucket) == 0 && len(q.heads) > 0 && r.seq <= q.heads[len(q.heads)-1].seq:
+		return fmt.Sprintf("push stamp %d of bank %d's head is not above the previous head's %d", r.seq, r.bankID, q.heads[len(q.heads)-1].seq)
+	}
+	return ""
 }
 
 func snapPlan(w *fgss.Writer, p *RelocPlan) {
@@ -196,13 +230,14 @@ func (c *Controller) Snapshot(w *fgss.Writer) {
 // released. The receiver must be built over a channel with the
 // snapshotted bank count (a mismatch stops decoding). The bytes come
 // from disk, so besides RestoreRequest's checks (checkTok vets the
-// requests' completion tokens), a relocation plan whose bank is not in
+// requests' completion tokens) and the queues' own (see queue.restore),
+// a relocation plan whose bank is not in
 // the channel, or whose commit payload the hook refuses
 // (CacheHook.CheckPlan) or that a controller without a hook holds, is a
 // decode error rather than a panic when the plan is flushed.
 func (c *Controller) Restore(r *fgss.Reader, checkTok func(ev.Token) error) {
-	c.readQ.restore(r, c.channel, checkTok)
-	c.writeQ.restore(r, c.channel, checkTok)
+	c.readQ.restore(r, c.channel, false, checkTok)
+	c.writeQ.restore(r, c.channel, true, checkTok)
 	c.writing = r.Bool()
 	if r.Int() != len(c.pendingRelocs) {
 		return

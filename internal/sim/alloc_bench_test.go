@@ -19,10 +19,10 @@ func allocGate(b *testing.B, preset Preset, mix workload.Mix, warmup int64, what
 	if err != nil {
 		b.Fatal(err)
 	}
-	s.run(warmup, 0)
+	s.run(warmup)
 
 	allocs := testing.AllocsPerRun(5, func() {
-		s.run(s.clock+50_000, 0)
+		s.run(s.clock + 50_000)
 	})
 	b.ReportMetric(allocs, "allocs/op")
 	if allocs > 0 {
@@ -31,7 +31,7 @@ func allocGate(b *testing.B, preset Preset, mix workload.Mix, warmup int64, what
 
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.run(s.clock+50_000, 0)
+		s.run(s.clock + 50_000)
 	}
 	b.ReportMetric(float64(50_000*b.N)/b.Elapsed().Seconds(), "sim-cycles/s")
 }

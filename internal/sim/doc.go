@@ -13,9 +13,14 @@
 //
 //   - Engine equivalence. System.Run normally uses a cycle-skipping,
 //     batching engine; the dense cycle-by-cycle reference loop is kept
-//     behind Config.DenseLoop, and TestEngineEquivalence enforces that
-//     both produce bit-identical Results. Any timing-model change must
-//     keep that test green.
+//     behind Config.DenseLoop. At every pause — each RunSlice or
+//     RunUntilRetired stop, and the end of the run — both engines hold
+//     the same clock and the same state: their snapshots match byte for
+//     byte in every section but the system section, which carries the
+//     skip engine's controller wake registers. So both produce
+//     bit-identical Results. TestEngineEquivalence,
+//     TestEngineHierarchyState and FuzzEngineEquivalence enforce it; any
+//     timing-model change must keep them green.
 //
 //   - Run identity. Config.Fingerprint() is the canonical identity of a
 //     run: a SHA-256 over the normalized configuration plus
@@ -28,13 +33,15 @@
 //     mid-run state of every layer into the versioned FGSS format
 //     (internal/fgss; header carries EngineVersion and the config
 //     fingerprint, and Restore refuses a mismatch of either).
-//     System.RunUntilRetired is the checkpoint stop-point; a run
-//     checkpointed at instruction K and resumed — in-process or
-//     restored into a fresh System — finishes bit-identical to an
-//     uninterrupted run, for both engines (TestEngineEquivalence's
-//     checkpoint-at-K cases). System.RunSlice pauses on a cycle budget
-//     instead — the pause/resume primitive for observers of a running
-//     System — under the same contract (the sliced cases).
+//     System.RunSlice, which pauses on a cycle budget, is the one pause
+//     primitive; System.RunUntilRetired, the checkpoint stop-point, is
+//     a loop of RunSlice calls sized so that no slice passes the first
+//     cycle at whose end the total retired count reaches K. A run
+//     checkpointed at K and resumed — in-process or restored into a
+//     fresh System — finishes bit-identical to an uninterrupted run,
+//     and both engines checkpoint on the same cycle with the same
+//     bytes (TestEngineEquivalence's checkpoint-at-K and sliced
+//     cases).
 //
 // The sleep contract. Inside the cycle-skipping loop a core whose next
 // cycles are predictable sleeps: a blocked core until Dispatch delivers
@@ -53,8 +60,9 @@
 // all three on entry, when every core runs.
 //
 // New is the only way to build a System's state: every run gets its own
-// System, and Restore overwrites a built one from a snapshot. Run,
-// RunSlice and RunUntilRetired are thin wrappers over one private run
-// loop that selects the engine once per call; on a finished System the
-// loop executes nothing, so Run reads the finished run's Result.
+// System, and Restore overwrites a built one from a snapshot. Run and
+// RunSlice are thin wrappers over one private run loop that selects the
+// engine once per call and stops on a cycle bound or completion; on a
+// finished System the loop executes nothing, so Run reads the finished
+// run's Result.
 package sim

@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -144,21 +145,19 @@ func TestEngineEquivalence(t *testing.T) {
 				t.Errorf("engines diverge:\n dense: %+v\n  skip: %+v", dense, skip)
 			}
 
-			// Checkpoint-at-K: pausing a run mid-flight at RunUntilRetired,
-			// snapshotting, and finishing — on the same System, or on a
-			// freshly built one restored from the snapshot bytes — must
-			// reproduce the uninterrupted run bit for bit, for both engines.
-			// Sliced: driving a fresh System to completion in RunSlice
-			// steps must do the same.
+			// Checkpoint-at-K: both engines pause RunUntilRetired(K) on the
+			// same cycle in the same state. Snapshotting there and
+			// finishing — on the same System, or on a freshly built one
+			// restored from the snapshot bytes — must reproduce the
+			// uninterrupted run bit for bit, for both engines. Sliced:
+			// driving a fresh System to completion in RunSlice steps must
+			// do the same.
 			k := c.insts * int64(len(c.cfg.Mix.Apps)) / 3
 			if k < 1 {
 				k = 1
 			}
+			paused := map[bool]*System{}
 			for _, dl := range []bool{true, false} {
-				want := skip
-				if dl {
-					want = dense
-				}
 				cfg := c.cfg
 				cfg.DenseLoop = dl
 				sys, err := New(cfg)
@@ -166,6 +165,17 @@ func TestEngineEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 				sys.RunUntilRetired(k)
+				paused[dl] = sys
+			}
+			compareEngineState(t, fmt.Sprintf("RunUntilRetired(%d)", k), paused[true], paused[false])
+			for _, dl := range []bool{true, false} {
+				want := skip
+				if dl {
+					want = dense
+				}
+				cfg := c.cfg
+				cfg.DenseLoop = dl
+				sys := paused[dl]
 				var buf bytes.Buffer
 				if err := sys.Snapshot(&buf); err != nil {
 					t.Fatal(err)
@@ -249,16 +259,55 @@ func TestRunFinishedSystem(t *testing.T) {
 	}
 }
 
-// TestEngineHierarchyState checks that the machine state outside
-// sim.Result also matches between engines after a run. The memory side —
-// DRAM channels, controllers, in-DRAM cache hooks — must snapshot the
-// same bytes in every case. In a run where no core ever batches, the
-// window-ring slot positions, which the closed-form batch does not pin
-// and which load completion tokens name, agree between engines too, so
-// the whole cache hierarchy, LRU stamps included, must match as well:
-// a blocked core's skipped ticks are no-ops only while a refused L1
-// access changes nothing. The sliced cases pause every 4096 cycles, so
-// sleeping cores wake mid-run, a batch cut at the pause, and resume.
+// TestRunUntilRetiredStopsAtFirstCrossing checks RunUntilRetired's stop
+// point on both engines against a dense loop stepped one cycle at a
+// time: the run pauses right after the first cycle at whose end the
+// total retired count reaches the target, and a target already reached
+// executes nothing.
+func TestRunUntilRetiredStopsAtFirstCrossing(t *testing.T) {
+	cfg := DefaultConfig(FIGCacheFast, eightCoreMix(t, 25))
+	cfg.TargetInsts = 3_000
+	for _, k := range []int64{1, 2_000, 9_001} {
+		ref := cfg
+		ref.DenseLoop = true
+		step, err := New(ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for step.totalRetired() < k && !step.RunSlice(1) {
+		}
+		for _, dense := range []bool{true, false} {
+			c := cfg
+			c.DenseLoop = dense
+			s, err := New(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.RunUntilRetired(k)
+			if s.Clock() != step.Clock() || s.totalRetired() != step.totalRetired() {
+				t.Errorf("dense=%v: RunUntilRetired(%d) paused at cycle %d with %d retired, want cycle %d with %d",
+					dense, k, s.Clock(), s.totalRetired(), step.Clock(), step.totalRetired())
+			}
+			clock := s.Clock()
+			s.RunUntilRetired(k)
+			s.RunUntilRetired(k / 2)
+			if s.Clock() != clock {
+				t.Errorf("dense=%v: RunUntilRetired on a reached target moved the clock %d -> %d", dense, clock, s.Clock())
+			}
+		}
+	}
+}
+
+// TestEngineHierarchyState checks that the engines agree on the whole
+// machine state, not only on sim.Result: at every pause, and after the
+// run, both report the same clock and snapshot the same bytes in every
+// section but the system section (compareEngineState) — the event
+// queue, the cores' windows and load rings, the trace cursors, the
+// cache hierarchy with its LRU stamps, the DRAM channels, controllers,
+// in-DRAM cache hooks and the request adapter. The sliced cases drive
+// both engines in RunSlice(4096) steps and compare them at each pause,
+// so sleeping cores wake mid-run, a batch is cut at the pause, and both
+// resume.
 func TestEngineHierarchyState(t *testing.T) {
 	// writeHeavy streams stores through an LLC-evicting footprint, so
 	// the controllers' write queues and write-drain mode are exercised.
@@ -288,23 +337,20 @@ func TestEngineHierarchyState(t *testing.T) {
 		preset Preset
 		mix    workload.Mix
 		insts  int64
-		sliced bool // drive the skip engine in RunSlice(4096) steps
-		// exactState marks a run in which no core ever batches, so the
-		// cache hierarchy state must match too.
-		exactState bool
+		sliced bool // pause both engines every 4096 cycles
 	}{
 		{name: "mcf", preset: Base, mix: smallMix(t, "mcf"), insts: 20_000},
-		{name: "writeheavy", preset: Base, mix: writeHeavy(), insts: 60_000, exactState: true},
+		{name: "writeheavy", preset: Base, mix: writeHeavy(), insts: 60_000},
 		{name: "FIGCache-Fast/8core", preset: FIGCacheFast, mix: eightCoreMix(t, 100), insts: 5_000},
 		{name: "FIGCache-Fast/8core/sliced", preset: FIGCacheFast, mix: eightCoreMix(t, 100), insts: 5_000, sliced: true},
-		{name: "FIGCache-Fast/8core/no-bubbles", preset: FIGCacheFast, mix: noBubbles(), insts: 5_000, exactState: true},
-		{name: "FIGCache-Fast/8core/no-bubbles/sliced", preset: FIGCacheFast, mix: noBubbles(), insts: 5_000, sliced: true, exactState: true},
+		{name: "FIGCache-Fast/8core/no-bubbles", preset: FIGCacheFast, mix: noBubbles(), insts: 5_000},
+		{name: "FIGCache-Fast/8core/no-bubbles/sliced", preset: FIGCacheFast, mix: noBubbles(), insts: 5_000, sliced: true},
 		{name: "FIGCache-Fast/8core-batching", preset: FIGCacheFast, mix: eightCoreMix(t, 25), insts: 5_000},
 		{name: "FIGCache-Fast/8core-batching/sliced", preset: FIGCacheFast, mix: eightCoreMix(t, 25), insts: 5_000, sliced: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			run := func(dense bool) *System {
+			build := func(dense bool) *System {
 				cfg := DefaultConfig(tc.preset, tc.mix)
 				cfg.TargetInsts = tc.insts
 				cfg.Seed = 2
@@ -313,20 +359,27 @@ func TestEngineHierarchyState(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if tc.sliced && !dense {
-					for !s.RunSlice(4096) {
+				return s
+			}
+			d, k := build(true), build(false)
+			if tc.sliced {
+				for pause := 1; ; pause++ {
+					dDone, kDone := d.RunSlice(4096), k.RunSlice(4096)
+					compareEngineState(t, fmt.Sprintf("pause %d", pause), d, k)
+					if dDone != kDone {
+						t.Fatalf("pause %d: dense reports done=%v, skip done=%v", pause, dDone, kDone)
+					}
+					if dDone || t.Failed() {
+						break
 					}
 				}
+			}
+			for _, s := range []*System{d, k} {
 				if _, err := s.Run(); err != nil {
 					t.Fatal(err)
 				}
-				return s
 			}
-			d, k := snapshotSections(t, run(true)), snapshotSections(t, run(false))
-			compareMemorySide(t, d, k)
-			if tc.exactState && !bytes.Equal(d[snapSecCaches], k[snapSecCaches]) {
-				t.Error("cache hierarchy state diverges between engines")
-			}
+			compareEngineState(t, "end of run", d, k)
 		})
 	}
 }
@@ -348,17 +401,28 @@ func snapshotSections(t testing.TB, s *System) map[uint32][]byte {
 	return secs
 }
 
-// compareMemorySide fails unless a dense run's and a skip run's snapshot
-// sections (see snapshotSections) agree on the memory side: the DRAM
-// channels, the memory controllers and the in-DRAM cache hooks.
-func compareMemorySide(t testing.TB, dense, skip map[uint32][]byte) {
+// compareEngineState fails unless a dense-loop System and a skip-engine
+// System paused at the same point of the same run hold the same state:
+// the same clock, and byte-identical snapshot sections (see
+// snapshotSections) in all but the system section, which carries the
+// skip engine's controller wake registers next to the clock.
+func compareEngineState(t testing.TB, at string, dense, skip *System) {
 	t.Helper()
+	if dense.Clock() != skip.Clock() {
+		t.Errorf("%s: dense loop paused at cycle %d, skip engine at cycle %d", at, dense.Clock(), skip.Clock())
+		return
+	}
+	d, k := snapshotSections(t, dense), snapshotSections(t, skip)
 	for _, sec := range []struct {
 		tag  uint32
 		name string
-	}{{snapSecChannels, "DRAM channel"}, {snapSecCtrls, "memory controller"}, {snapSecHooks, "in-DRAM cache"}} {
-		if !bytes.Equal(dense[sec.tag], skip[sec.tag]) {
-			t.Errorf("%s state diverges between engines", sec.name)
+	}{
+		{snapSecEvents, "event queue"}, {snapSecCores, "core"}, {snapSecTraces, "trace cursor"},
+		{snapSecCaches, "cache hierarchy"}, {snapSecChannels, "DRAM channel"}, {snapSecCtrls, "memory controller"},
+		{snapSecHooks, "in-DRAM cache"}, {snapSecAdapter, "request adapter"},
+	} {
+		if _, ok := d[sec.tag]; !ok || !bytes.Equal(d[sec.tag], k[sec.tag]) {
+			t.Errorf("%s (cycle %d): %s state diverges between engines", at, dense.Clock(), sec.name)
 		}
 	}
 }

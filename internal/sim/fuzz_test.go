@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -47,13 +48,15 @@ func fuzzConfig(preset, chanLog, apps, source, cpb uint8, seed uint64, immediate
 // FuzzEngineEquivalence extends the engine equivalence contract from
 // TestEngineEquivalence's hand-picked cases to random small
 // configurations (see fuzzConfig). For each one, the dense and skip
-// engines must return identical Results and identical memory-side state
-// (DRAM channels, controllers, in-DRAM cache hooks); a skip run paused at a fuzz-chosen retired count
-// K, snapshotted and restored into a fresh System must finish with the
-// same Result; and the skip run's DRAM command traces must pass the
-// JEDEC validator with no constraint exempt. A failure is an engine bug,
-// not a target to loosen: commit the crasher under testdata/fuzz/ and
-// fix the engine.
+// engines must return identical Results and hold the same state at the
+// end of the run; both engines paused by RunUntilRetired at a
+// fuzz-chosen retired count K must stop on the same cycle in the same
+// state (compareEngineState); the skip run paused there, snapshotted
+// and restored into a fresh System must finish with the same Result;
+// and the skip run's DRAM command traces must pass the JEDEC validator
+// with no constraint exempt. A failure is an engine bug, not a target
+// to loosen: commit the crasher under testdata/fuzz/ and fix the
+// engine.
 func FuzzEngineEquivalence(f *testing.F) {
 	// Seeds, as (preset, channels, cores, workload, CPUPerBus, seed,
 	// ImmediateReloc, insts, cut, Bubbles), Bubbles "spec" for b = 0:
@@ -104,17 +107,24 @@ func FuzzEngineEquivalence(f *testing.F) {
 		if !reflect.DeepEqual(dense, skip) {
 			t.Fatalf("%+v: engines diverge:\n dense: %+v\n  skip: %+v", cfg, dense, skip)
 		}
-		compareMemorySide(t, snapshotSections(t, d), snapshotSections(t, k))
+		compareEngineState(t, "end of run", d, k)
 		checkJEDEC(t, k)
 
 		at := 1 + cfg.TargetInsts*int64(len(cfg.Mix.Apps))*int64(cut)/256
-		paused, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
+		paused := map[bool]*System{}
+		for _, dense := range []bool{true, false} {
+			c := cfg
+			c.DenseLoop = dense
+			s, err := New(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.RunUntilRetired(at)
+			paused[dense] = s
 		}
-		paused.RunUntilRetired(at)
+		compareEngineState(t, fmt.Sprintf("RunUntilRetired(%d)", at), paused[true], paused[false])
 		var buf bytes.Buffer
-		if err := paused.Snapshot(&buf); err != nil {
+		if err := paused[false].Snapshot(&buf); err != nil {
 			t.Fatal(err)
 		}
 		fresh, err := New(cfg)

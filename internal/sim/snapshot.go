@@ -261,17 +261,11 @@ func (s *System) Restore(in io.Reader) error {
 
 	r.Section(snapSecSystem)
 	s.clock = r.I64()
-	if nw := r.Int(); nw == 0 {
-		for i := range s.ctrlWake {
-			s.ctrlWake[i] = 0
-		}
-	} else if nw == len(s.ctrls) {
-		if s.ctrlWake == nil {
-			s.ctrlWake = make([]int64, len(s.ctrls))
-		}
-		for i := range s.ctrlWake {
-			s.ctrlWake[i] = r.I64()
-		}
+	if nw := r.Int(); nw != len(s.ctrlWake) && r.Err() == nil {
+		r.Reject("%d controller wake registers for %d controllers", nw, len(s.ctrlWake))
+	}
+	for i := range s.ctrlWake {
+		s.ctrlWake[i] = r.I64()
 	}
 	// Every run settles its parked cores on exit, so a snapshot is taken
 	// with none parked; the restored cores start running.

@@ -33,9 +33,9 @@ type System struct {
 	busSched func(at int64, tok ev.Token)
 	// ctrlWake[i] is the next-work bus cycle controller i reported at its
 	// most recent tick; zero forces a tick at the first bus boundary.
-	// Owned by runSkipping, kept on the System so resumed engine runs
-	// (RunSlice, RunUntilRetired) neither reallocate it nor re-tick idle
-	// controllers.
+	// Built by New with one entry per controller and owned by
+	// runSkipping; kept on the System so resumed engine runs (RunSlice,
+	// RunUntilRetired) do not re-tick idle controllers.
 	ctrlWake []int64
 	// parkedAt[i] is the cycle at whose wake scan runSkipping parked core
 	// i — put it to sleep, fully blocked or batchable — and stopped
@@ -146,6 +146,7 @@ func New(cfg Config) (*System, error) {
 	if err := s.initCores(); err != nil {
 		return nil, err
 	}
+	s.ctrlWake = arena.Slice[int64](s.arena, len(s.ctrls))
 	s.parkedAt = arena.Slice[int64](s.arena, len(s.cores))
 	s.wakeAt = arena.Slice[int64](s.arena, len(s.cores))
 	s.awake = arena.Slice[uint64](s.arena, (len(s.cores)+63)/64)
@@ -476,7 +477,7 @@ func (m *memAdapter) drain(busNow int64) {
 // cycle-skipping engine unless Config.DenseLoop selects the reference
 // cycle-by-cycle loop; the two are bit-identical (TestEngineEquivalence).
 func (s *System) Run() (Result, error) {
-	if c := s.run(s.cfg.MaxCycles, 0); c != nil {
+	if c := s.run(s.cfg.MaxCycles); c != nil {
 		return Result{}, fmt.Errorf("sim: core %d retired only %d/%d instructions in %d cycles",
 			c.ID, c.Retired, c.TargetInsts, s.clock)
 	}
@@ -485,17 +486,17 @@ func (s *System) Run() (Result, error) {
 
 // RunSlice advances the run by at most `cycles` CPU cycles and reports
 // whether the run is complete (every core reached its target, or the
-// MaxCycles safety net expired). It is the pause/resume primitive for
-// observers that sample a run as it progresses: slices resumed until one
-// reports true execute bit-identically to one uninterrupted Run, because
-// pausing either engine at a cycle boundary and resuming it replays
-// exactly the dense loop's per-cycle effects — the same contract
-// RunUntilRetired's checkpoint stop-point relies on, pinned by
-// TestEngineEquivalence (sliced and checkpoint cases). A finished System
-// executes nothing more: once RunSlice reports true, Run returns the
-// run's Result, and a further RunSlice reports true again.
+// MaxCycles safety net expired). It is the one pause primitive: both
+// engines pause on the same cycle boundary in the dense loop's exact
+// state, so slices resumed until one reports true execute
+// bit-identically to one uninterrupted Run, and a snapshot taken
+// between slices holds the same bytes under either engine, the system
+// section's controller wake registers apart (TestEngineEquivalence's
+// sliced and checkpoint cases, TestEngineHierarchyState). A finished
+// System executes nothing more: once RunSlice reports true, Run returns
+// the run's Result, and a further RunSlice reports true again.
 func (s *System) RunSlice(cycles int64) bool {
-	return s.run(min(s.clock+cycles, s.cfg.MaxCycles), 0) == nil || s.clock >= s.cfg.MaxCycles
+	return s.run(min(s.clock+cycles, s.cfg.MaxCycles)) == nil || s.clock >= s.cfg.MaxCycles
 }
 
 // totalRetired sums the retired instruction count across all cores.
@@ -509,31 +510,39 @@ func (s *System) totalRetired() int64 {
 
 // RunUntilRetired executes the system until the total retired
 // instruction count across all cores reaches target (or every core
-// finishes, or MaxCycles elapse). It is the checkpoint stop-point:
-// the run pauses on a fully executed cycle, a Snapshot taken here
-// captures the complete machine state, and calling Run afterwards —
-// on this System or on a fresh one restored from the snapshot —
-// finishes the run bit-identically to an uninterrupted Run. The
-// cycle-skipping engine counts a sleeping core's retirements only when
-// the core wakes, so it may overshoot target by up to one batched bubble
-// run per core; callers needing an exact count should use the dense
-// engine.
-func (s *System) RunUntilRetired(target int64) { s.run(s.cfg.MaxCycles, target) }
+// finishes, or MaxCycles elapse). It is the checkpoint stop-point: the
+// run pauses after the first cycle at whose end the total reaches
+// target, a Snapshot taken here captures the complete machine state,
+// and calling Run afterwards — on this System or on a fresh one
+// restored from the snapshot — finishes the run bit-identically to an
+// uninterrupted Run. It is a loop of RunSlice calls: a core retires at
+// most RetireWidth instructions a cycle, so a slice of
+// ⌈remaining / (cores × RetireWidth)⌉ cycles cannot pass the first
+// cycle boundary at which the total reaches target, and both engines
+// pause on the dense loop's cycle. A target already reached executes
+// nothing.
+func (s *System) RunUntilRetired(target int64) {
+	perCycle := int64(len(s.cores) * s.cfg.coreConfig().RetireWidth)
+	for {
+		remaining := target - s.totalRetired()
+		if remaining <= 0 || s.RunSlice((remaining+perCycle-1)/perCycle) {
+			return
+		}
+	}
+}
 
 // run advances the engine Config.DenseLoop selects until every core is
-// done, the clock reaches maxCycles (exclusive), or — when stopRetired is
-// positive — the total retired instruction count reaches stopRetired. It
-// returns the first core still short of its target, or nil once every
-// core has finished; a System whose cores have all finished executes no
-// further cycle.
-func (s *System) run(maxCycles, stopRetired int64) *cpu.Core {
+// done or the clock reaches maxCycles (exclusive). It returns the first
+// core still short of its target, or nil once every core has finished;
+// a System whose cores have all finished executes no further cycle.
+func (s *System) run(maxCycles int64) *cpu.Core {
 	if s.unfinished() == nil {
 		return nil
 	}
 	if s.cfg.DenseLoop {
-		s.runDense(maxCycles, stopRetired)
+		s.runDense(maxCycles)
 	} else {
-		s.runSkipping(maxCycles, stopRetired)
+		s.runSkipping(maxCycles)
 	}
 	return s.unfinished()
 }
@@ -550,11 +559,9 @@ func (s *System) unfinished() *cpu.Core {
 
 // runDense is the reference engine: advance the clock one CPU cycle at a
 // time, ticking the memory system every bus cycle and every core every
-// CPU cycle. A positive stopRetired pauses the loop once the total
-// retired instruction count reaches it: the current cycle completes in
-// full, so a snapshot taken at the pause resumes bit-identically.
-// Splitting the loop at any cycle boundary is trivially bit-identical.
-func (s *System) runDense(maxCycles, stopRetired int64) {
+// CPU cycle. Splitting the loop at any cycle boundary is trivially
+// bit-identical.
+func (s *System) runDense(maxCycles int64) {
 	cpb := s.cfg.CPUPerBus
 	for ; s.clock < maxCycles; s.clock++ {
 		s.events.fireDue(s.clock, s)
@@ -573,10 +580,6 @@ func (s *System) runDense(maxCycles, stopRetired int64) {
 			}
 		}
 		if allDone {
-			s.clock++
-			break
-		}
-		if stopRetired > 0 && s.totalRetired() >= stopRetired {
 			s.clock++
 			break
 		}
@@ -613,20 +616,13 @@ func (s *System) runDense(maxCycles, stopRetired int64) {
 // sleeps through its bubble run even while other cores need every
 // cycle. unpark replays what a batching core missed, its batch up to the
 // waking cycle; a blocked core missed nothing. Every exit wakes the cores
-// still asleep, so RunSlice, RunUntilRetired and Snapshot see the dense
-// loop's state.
-//
-// A positive stopRetired pauses the loop once the total retired count
-// reaches it; the executed cycle completes in full first. A sleeping
-// core's retirements count only when it wakes, so a checkpoint may land
-// past the threshold by up to one batch per core — the contract is that
-// pausing and resuming the same engine is bit-identical, not that both
-// engines pause on the same cycle.
-func (s *System) runSkipping(maxCycles, stopRetired int64) {
+// still asleep, so at every pause — the clock bound RunSlice passes, in
+// RunUntilRetired's slices too — the machine holds exactly the dense
+// loop's state at the same cycle, and a Snapshot taken there writes the
+// dense loop's bytes; only ctrlWake, which the dense loop never reads,
+// differs.
+func (s *System) runSkipping(maxCycles int64) {
 	cpb := s.cfg.CPUPerBus
-	if s.ctrlWake == nil {
-		s.ctrlWake = make([]int64, len(s.ctrls))
-	}
 	s.wakeAll()
 	for s.clock < maxCycles {
 		s.events.fireDue(s.clock, s)
@@ -644,10 +640,6 @@ func (s *System) runSkipping(maxCycles, stopRetired int64) {
 			}
 		}
 		if s.nDone == len(s.cores) {
-			s.clock++
-			break
-		}
-		if stopRetired > 0 && s.totalRetired() >= stopRetired {
 			s.clock++
 			break
 		}
@@ -738,7 +730,7 @@ func (s *System) runSkipping(maxCycles, stopRetired int64) {
 					}
 				}
 			}
-			if s.nDone == len(s.cores) || stopRetired > 0 && s.totalRetired() >= stopRetired {
+			if s.nDone == len(s.cores) {
 				break
 			}
 		}

@@ -30,13 +30,9 @@ func TestNextBusWork(t *testing.T) {
 	if cpb <= 0 {
 		cpb = 1
 	}
-	if len(s.ctrls) != 4 {
-		t.Fatalf("got %d controllers, want 4", len(s.ctrls))
+	if len(s.ctrls) != 4 || len(s.ctrlWake) != 4 {
+		t.Fatalf("got %d controllers and %d wake registers, want 4 of each", len(s.ctrls), len(s.ctrlWake))
 	}
-	// The wake slice is lazily built on the first engine step; this test
-	// drives the bookkeeping directly, so build it here the same way
-	// runSkipping does.
-	s.ctrlWake = make([]int64, len(s.ctrls))
 	idle := func() {
 		for i := range s.ctrlWake {
 			s.ctrlWake[i] = math.MaxInt64
