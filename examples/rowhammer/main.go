@@ -72,7 +72,7 @@ func hammer(cache memctrl.CacheHook) map[int]int64 {
 		log.Fatal(err)
 	}
 	channel.TraceOn = true
-	ctrl := memctrl.NewController(0, memctrl.DefaultConfig(), channel, cache)
+	ctrl := memctrl.NewController(0, memctrl.Config{}, channel, cache)
 
 	// The only tokens the controller schedules here are request
 	// completions, so the replay loop just counts fired tokens.

@@ -79,7 +79,7 @@ func probeLatency(victimActive, withFIGCache bool) float64 {
 		}
 		hook = fc
 	}
-	ctrl := memctrl.NewController(0, memctrl.DefaultConfig(), channel, hook)
+	ctrl := memctrl.NewController(0, memctrl.Config{}, channel, hook)
 
 	// The only tokens the controller schedules here are request
 	// completions, so the replay loop just counts fired tokens.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 
-	"repro/internal/arena"
 	"repro/internal/ev"
 )
 
@@ -135,24 +134,6 @@ type Cache struct {
 
 // New builds a cache level on top of next.
 func New(cfg Config, next Backend, sched Scheduler, coreID int) (*Cache, error) {
-	return NewIn(nil, cfg, next, sched, coreID)
-}
-
-// LineArrayBytes returns the size of the flat set array New allocates
-// for this configuration — the dominant memory of a cache level — so a
-// caller providing an arena can pre-size it: two words per way, its tag
-// word and its LRU stamp.
-func (c Config) LineArrayBytes() int {
-	if c.Ways <= 0 || c.BlockBytes <= 0 {
-		return 0
-	}
-	sets := c.SizeBytes / (c.Ways * c.BlockBytes)
-	return sets * c.Ways * 2 * 8
-}
-
-// NewIn builds a cache level on top of next, carving the set array out
-// of a. A nil arena keeps the plain heap allocation.
-func NewIn(a *arena.Arena, cfg Config, next Backend, sched Scheduler, coreID int) (*Cache, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -163,7 +144,7 @@ func NewIn(a *arena.Arena, cfg Config, next Backend, sched Scheduler, coreID int
 	setsN := cfg.SizeBytes / (cfg.Ways * cfg.BlockBytes)
 	c := &Cache{
 		cfg:     cfg,
-		sets:    arena.Slice[uint64](a, setsN*cfg.Ways*2),
+		sets:    make([]uint64, setsN*cfg.Ways*2),
 		setsN:   uint64(setsN),
 		setBits: uint(bits.TrailingZeros64(uint64(setsN))),
 		shift:   uint(bits.TrailingZeros64(uint64(cfg.BlockBytes))),

@@ -1,10 +1,6 @@
 package cache
 
-import (
-	"fmt"
-
-	"repro/internal/arena"
-)
+import "fmt"
 
 // HierarchyConfig describes the full SRAM hierarchy of Table 1.
 type HierarchyConfig struct {
@@ -12,15 +8,6 @@ type HierarchyConfig struct {
 	L2    Config
 	LLC   Config // total size; the caller scales by core count
 	Cores int
-	// Arena, when non-nil, backs every level's line array. The caller
-	// owns it and must keep it alive as long as the hierarchy.
-	Arena *arena.Arena
-}
-
-// LineArrayBytes returns the combined size of the line arrays the full
-// hierarchy allocates, for pre-sizing an arena.
-func (cfg HierarchyConfig) LineArrayBytes() int {
-	return cfg.LLC.LineArrayBytes() + cfg.Cores*(cfg.L1.LineArrayBytes()+cfg.L2.LineArrayBytes())
 }
 
 // DefaultHierarchyConfig returns Table 1's hierarchy for the given core
@@ -53,7 +40,7 @@ func NewHierarchy(cfg HierarchyConfig, mem Backend, sched Scheduler) (*Hierarchy
 	if cfg.Cores <= 0 {
 		return nil, fmt.Errorf("cache: cores must be positive, got %d", cfg.Cores)
 	}
-	llc, err := NewIn(cfg.Arena, cfg.LLC, mem, sched, -1)
+	llc, err := New(cfg.LLC, mem, sched, -1)
 	if err != nil {
 		return nil, err
 	}
@@ -62,13 +49,13 @@ func NewHierarchy(cfg HierarchyConfig, mem Backend, sched Scheduler) (*Hierarchy
 	for i := 0; i < cfg.Cores; i++ {
 		l2cfg := cfg.L2
 		l2cfg.Name = fmt.Sprintf("L2.%d", i)
-		l2, err := NewIn(cfg.Arena, l2cfg, llc, sched, i)
+		l2, err := New(l2cfg, llc, sched, i)
 		if err != nil {
 			return nil, err
 		}
 		l1cfg := cfg.L1
 		l1cfg.Name = fmt.Sprintf("L1.%d", i)
-		l1, err := NewIn(cfg.Arena, l1cfg, l2, sched, i)
+		l1, err := New(l1cfg, l2, sched, i)
 		if err != nil {
 			return nil, err
 		}

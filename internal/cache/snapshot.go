@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"math"
+
 	"repro/internal/ev"
 	"repro/internal/fgss"
 )
@@ -44,9 +46,7 @@ func (c *Cache) Snapshot(w *fgss.Writer) {
 		w.Bool(m.markDirty)
 		w.Int(len(m.waiters))
 		for _, t := range m.waiters {
-			w.U64(uint64(t.Kind))
-			w.I64(int64(t.ID))
-			w.U64(t.Arg)
+			ev.WriteToken(w, t)
 		}
 	}
 	w.Int(len(c.active))
@@ -72,7 +72,7 @@ func (c *Cache) Restore(r *fgss.Reader, checkTok func(ev.Token) error) {
 	ways := c.cfg.Ways
 	lines := int(c.setsN) * ways
 	maxTag := ^uint64(0) >> (c.shift + c.setBits)
-	n := r.Int()
+	n := r.Len(lines, "cache "+c.cfg.Name+": valid lines")
 	for i, prev := 0, -1; i < n && r.Err() == nil; i++ {
 		idx, tag, dirty, lru := r.Int(), r.U64(), r.Bool(), r.I64()
 		if r.Err() != nil {
@@ -101,14 +101,12 @@ func (c *Cache) Restore(r *fgss.Reader, checkTok func(ev.Token) error) {
 		c.active[i] = nil
 	}
 	c.active = c.active[:0]
-	nm := r.Int()
+	nm := r.Len(math.MaxInt, "cache "+c.cfg.Name+": outstanding misses")
 	for i := 0; i < nm && r.Err() == nil; i++ {
 		m := c.newMSHR(r.U64(), r.Bool())
-		nw := r.Int()
+		nw := r.Len(math.MaxInt, "cache "+c.cfg.Name+": MSHR waiters")
 		for j := 0; j < nw && r.Err() == nil; j++ {
-			kind := ev.Kind(r.U64())
-			id := int32(r.I64())
-			tok := ev.Token{Kind: kind, ID: id, Arg: r.U64()}
+			tok := ev.ReadToken(r)
 			if err := checkTok(tok); err != nil && r.Err() == nil {
 				r.Reject("cache %s: MSHR %#x waiter %d: %v", c.cfg.Name, m.blockAddr, j, err)
 			}
@@ -130,9 +128,10 @@ func (h *Hierarchy) Snapshot(w *fgss.Writer) {
 }
 
 // Restore reads back what Snapshot wrote, level by level in node-ID
-// order, accepting only the waiter tokens checkTok accepts.
+// order, accepting only the waiter tokens checkTok accepts. Another
+// level count is a decode error.
 func (h *Hierarchy) Restore(r *fgss.Reader, checkTok func(ev.Token) error) {
-	if r.Int() != len(h.nodes) {
+	if !r.Expect(len(h.nodes), "cache: nodes") {
 		return
 	}
 	for _, c := range h.nodes {

@@ -95,8 +95,8 @@ type slotTag struct {
 }
 
 // ftsSection writes a tag store section: the valid entries in the order
-// given, then the reserved slot list.
-func ftsSection(t *testing.T, tags []slotTag, reserved []int) *fgss.Reader {
+// given, each with the given benefit, then the reserved slot list.
+func ftsSection(t *testing.T, tags []slotTag, benefit uint64, reserved []int) *fgss.Reader {
 	t.Helper()
 	var buf bytes.Buffer
 	w := fgss.NewWriter(&buf, 1, [32]byte{})
@@ -106,7 +106,7 @@ func ftsSection(t *testing.T, tags []slotTag, reserved []int) *fgss.Reader {
 		w.Int(st.slot)
 		w.U64(uint64(st.key))
 		w.Bool(false)
-		w.U64(0)
+		w.U64(benefit)
 		w.I64(0)
 	}
 	w.I64(7) // clock
@@ -129,20 +129,24 @@ func ftsSection(t *testing.T, tags []slotTag, reserved []int) *fgss.Reader {
 }
 
 // TestFTSRestoreRejects checks that a tag store snapshot listing a
-// valid slot outside the store or out of ascending order, naming a
-// reserved slot outside the store, listing one twice, or holding one
-// valid tag in two slots is a decode error, while a well-formed one
-// restores its entries into a store whose other slots come back
-// invalid.
+// valid slot outside the store or out of ascending order, a benefit
+// above the 5-bit counter's 31, a reserved slot outside the store,
+// listed twice or out of ascending order, or one valid tag in two slots
+// is a decode error, while a well-formed one restores its entries into
+// a store whose other slots come back invalid.
 func TestFTSRestoreRejects(t *testing.T) {
 	a, b := makeSegKey(100, 3), makeSegKey(200, 1)
 	cases := []struct {
 		name     string
 		tags     []slotTag
+		benefit  uint64
 		reserved []int
 		wantErr  string
 	}{
-		{name: "well-formed", tags: []slotTag{{0, a}, {5, b}}, reserved: []int{1, 15}},
+		{name: "well-formed", tags: []slotTag{{0, a}, {5, b}}, benefit: 31, reserved: []int{1, 15}},
+		{name: "benefit above the counter", tags: []slotTag{{0, a}}, benefit: 32, wantErr: "FTS slot 0 benefit 32 is above the counter's 31"},
+		{name: "benefit a cast would wrap", tags: []slotTag{{0, a}}, benefit: 257, wantErr: "FTS slot 0 benefit 257"},
+		{name: "reserved slots out of order", reserved: []int{5, 2}, wantErr: "reserved slot 2 is outside [6,16)"},
 		{name: "valid slot past the end", tags: []slotTag{{0, a}, {16, b}}, wantErr: "FTS slot 16 is outside [1,16)"},
 		{name: "negative valid slot", tags: []slotTag{{-1, a}}, wantErr: "FTS slot -1 is outside [0,16)"},
 		{name: "valid slots out of order", tags: []slotTag{{5, a}, {2, b}}, wantErr: "FTS slot 2 is outside [6,16)"},
@@ -162,7 +166,7 @@ func TestFTSRestoreRejects(t *testing.T) {
 			for i := 0; i < f.Slots(); i++ {
 				f.Install(i, 300+i, 0, false)
 			}
-			r := ftsSection(t, tc.tags, tc.reserved)
+			r := ftsSection(t, tc.tags, tc.benefit, tc.reserved)
 			f.Restore(r)
 			r.EndSection()
 			err = r.Close()
@@ -220,6 +224,69 @@ func TestFIGCacheRestoreRejectsUnsortedInflight(t *testing.T) {
 		fresh.Restore(r)
 		if err := r.Err(); err == nil || !strings.Contains(err.Error(), "not in ascending order") {
 			t.Errorf("in-flight list %v: restore error = %v, want an ordering rejection", list, err)
+		}
+	}
+}
+
+// figSection writes a FIGCache section as Snapshot does, except that
+// bank's miss counters are the given keys, in the given order, each
+// counting 1.
+func figSection(t *testing.T, fc *FIGCache, bank int, keys []segKey) *fgss.Reader {
+	t.Helper()
+	var buf bytes.Buffer
+	w := fgss.NewWriter(&buf, 1, [32]byte{})
+	w.Begin(1)
+	w.Int(len(fc.banks))
+	for i, b := range fc.banks {
+		b.fts.Snapshot(w)
+		b.repl.snapshot(w)
+		if i == bank {
+			w.Int(len(keys))
+			for _, k := range keys {
+				w.U64(uint64(k))
+				w.Int(1)
+			}
+		} else {
+			w.Int(0)
+		}
+		w.Int(0) // in-flight insertions
+	}
+	for i := 0; i < 4; i++ {
+		w.I64(0) // Insertions, Evictions, WriteBacks, ThrottledBy
+	}
+	w.End()
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := fgss.NewReader(&buf, 1, [32]byte{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Section(1)
+	return r
+}
+
+// TestFIGCacheRestoreRejectsUnsortedMissCounters checks that miss
+// counters not in the strictly ascending key order Snapshot writes them
+// in — swapped, or one key listed twice — are a decode error, and that
+// ascending ones restore.
+func TestFIGCacheRestoreRejectsUnsortedMissCounters(t *testing.T) {
+	lo, hi := makeSegKey(4, 0), makeSegKey(9, 2)
+	for _, tc := range []struct {
+		keys    []segKey
+		wantErr string
+	}{
+		{[]segKey{lo, hi}, ""},
+		{[]segKey{hi, lo}, "miss counters 2306 and 1024 are not in ascending order"},
+		{[]segKey{lo, lo}, "miss counters 1024 and 1024 are not in ascending order"},
+	} {
+		fc, _ := newTestFIGCache(t, nil)
+		r := figSection(t, fc, 3, tc.keys)
+		fc.Restore(r)
+		r.EndSection()
+		err := r.Close()
+		if (err == nil) != (tc.wantErr == "") || err != nil && !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("miss counters %v: restore error = %v, want %q", tc.keys, err, tc.wantErr)
 		}
 	}
 }

@@ -16,8 +16,6 @@ type LISAVillaConfig struct {
 	// CacheRowsPerBank is the cache capacity in rows (512 in the paper:
 	// 16 fast subarrays x 32 rows).
 	CacheRowsPerBank int
-	// FastSubarrays is the number of interleaved fast subarrays (16).
-	FastSubarrays int
 	// HotThreshold is the number of activations a row must see before
 	// VILLA caches it. Row-granularity insert-any-miss would relocate an
 	// 8 kB row on every activation, so VILLA caches only rows with
@@ -27,29 +25,27 @@ type LISAVillaConfig struct {
 	// misses in a bank, all counters are halved, so stale rows lose their
 	// "hot" status.
 	EpochMisses int
-	// Seed for deterministic internal tie-breaking.
-	Seed uint64
 }
 
 // DefaultLISAVillaConfig returns the paper's LISA-VILLA configuration
-// (Table 1: 512-row in-DRAM cache per bank, 16 fast subarrays).
+// (Table 1: 512-row in-DRAM cache per bank). The number of interleaved
+// fast subarrays (16 in the paper) is the geometry's FastSubarrays.
 func DefaultLISAVillaConfig() LISAVillaConfig {
 	return LISAVillaConfig{
 		CacheRowsPerBank: 512,
-		FastSubarrays:    16,
 		HotThreshold:     2,
 		EpochMisses:      4096,
-		Seed:             1,
 	}
 }
 
-// Validate reports configuration errors.
+// Validate reports configuration errors, including a geometry without
+// the interleaved fast subarrays the cache rows live in.
 func (c LISAVillaConfig) Validate(geo dram.Geometry) error {
 	switch {
 	case c.CacheRowsPerBank <= 0:
 		return fmt.Errorf("core: LISA cache rows must be positive, got %d", c.CacheRowsPerBank)
-	case c.FastSubarrays <= 0:
-		return fmt.Errorf("core: LISA fast subarrays must be positive, got %d", c.FastSubarrays)
+	case geo.FastSubarrays <= 0:
+		return fmt.Errorf("core: LISA fast subarrays must be positive, got %d", geo.FastSubarrays)
 	case c.HotThreshold <= 0:
 		return fmt.Errorf("core: LISA hot threshold must be positive, got %d", c.HotThreshold)
 	case c.EpochMisses <= 0:
@@ -127,7 +123,7 @@ func NewLISAVilla(cfg LISAVillaConfig, geo dram.Geometry) (*LISAVilla, error) {
 // eliminates (Section 3).
 func (l *LISAVilla) Hops(srcRow int) int {
 	sub := l.geo.SubarrayOfRow(srcRow)
-	run := l.geo.SubarraysPerBank / l.cfg.FastSubarrays // slow subarrays per fast subarray
+	run := l.geo.SubarraysPerBank / l.geo.FastSubarrays // slow subarrays per fast subarray
 	if run < 1 {
 		run = 1
 	}

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"bytes"
+	"strings"
 	"testing"
 
 	"repro/internal/dram"
+	"repro/internal/fgss"
 	"repro/internal/memctrl"
 )
 
@@ -29,8 +32,12 @@ func lisaInsertNow(l *LISAVilla, ch *dram.Channel, loc dram.Location) *memctrl.R
 
 func TestLISAConfigValidate(t *testing.T) {
 	geo := dram.Default()
+	geo.FastSubarrays = 16
 	if err := DefaultLISAVillaConfig().Validate(geo); err != nil {
 		t.Fatalf("default config invalid: %v", err)
+	}
+	if err := DefaultLISAVillaConfig().Validate(dram.Default()); err == nil {
+		t.Error("accepted a geometry without fast subarrays")
 	}
 	bad := DefaultLISAVillaConfig()
 	bad.CacheRowsPerBank = 0
@@ -170,5 +177,175 @@ func TestLISAHitRate(t *testing.T) {
 	l.Lookup(dram.Location{Row: 4}, false) // hit
 	if got := l.HitRate(); got != 0.5 {
 		t.Errorf("HitRate = %g, want 0.5", got)
+	}
+}
+
+// lisaSnapshot returns the section payload l's Snapshot writes.
+func lisaSnapshot(t *testing.T, l *LISAVilla) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w := fgss.NewWriter(&buf, 1, [32]byte{})
+	w.Begin(1)
+	l.Snapshot(w)
+	w.End()
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// lisaRestore restores l from a stream fgss.NewWriter wrote and returns
+// the decode error.
+func lisaRestore(t *testing.T, l *LISAVilla, stream []byte) error {
+	t.Helper()
+	r, err := fgss.NewReader(bytes.NewReader(stream), 1, [32]byte{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Section(1)
+	l.Restore(r)
+	r.EndSection()
+	return r.Close()
+}
+
+// TestLISASnapshotListsOccupiedRows checks that a snapshot lists only
+// the valid and reserved cache rows, and that it restores into a cache
+// whose rows were all occupied: the unlisted rows come back free, the
+// listed ones as they were, and the restored cache snapshots to the
+// same bytes.
+func TestLISASnapshotListsOccupiedRows(t *testing.T) {
+	l, ch := newTestLISA(t)
+	lisaInsertNow(l, ch, dram.Location{Row: 7})
+	l.Lookup(dram.Location{Row: 7, Block: 3}, true) // dirty
+	lisaInsertNow(l, ch, dram.Location{Bank: 2, Row: 9})
+	l.Insert(ch, dram.Location{Row: 11}, 0) // reserved, not committed
+	snap := lisaSnapshot(t, l)
+
+	dirtied, _ := newTestLISA(t)
+	for _, b := range dirtied.banks {
+		for i := range b.rows {
+			b.rows[i] = lisaRow{srcRow: 100 + i, valid: true, lastUse: 1}
+		}
+	}
+	if err := lisaRestore(t, dirtied, snap); err != nil {
+		t.Fatal(err)
+	}
+	occupied := 0
+	for _, b := range dirtied.banks {
+		for _, r := range b.rows {
+			if r != (lisaRow{}) {
+				occupied++
+			}
+		}
+	}
+	if occupied != 3 {
+		t.Errorf("%d occupied rows after restore, want the 3 listed", occupied)
+	}
+	if _, hit := dirtied.Lookup(dram.Location{Row: 7}, false); !hit {
+		t.Error("restored cache misses on a cached row")
+	}
+	if _, hit := dirtied.Lookup(dram.Location{Row: 100}, false); hit {
+		t.Error("a row cached before the restore still hits")
+	}
+	again, _ := newTestLISA(t)
+	if err := lisaRestore(t, again, snap); err != nil {
+		t.Fatal(err)
+	}
+	if got := lisaSnapshot(t, again); !bytes.Equal(got, snap) {
+		t.Errorf("restored cache snapshots to %d bytes, want the %d restored", len(got), len(snap))
+	}
+}
+
+// TestLISARestoreRejects checks that a LISA-VILLA section Snapshot never
+// writes is a decode error: a bank count other than the cache's, a
+// listed row outside the bank or not above the previous one, a listed
+// row that is neither valid nor reserved, two valid rows holding one
+// source row, and in-flight or hot rows not in strictly ascending
+// order. Each case writes bank 0 by hand and leaves the other banks
+// empty; the well-formed case restores.
+func TestLISARestoreRejects(t *testing.T) {
+	valid := func(idx, src int) lisaRow { return lisaRow{srcRow: src, valid: true, lastUse: int64(idx)} }
+	reserved := lisaRow{srcRow: -1}
+	type entry struct {
+		idx int
+		r   lisaRow
+	}
+	cases := []struct {
+		name     string
+		banks    int
+		rows     []entry
+		inflight []int
+		hot      [][2]int
+		wantErr  string
+	}{
+		{name: "well-formed", rows: []entry{{0, valid(0, 7)}, {3, reserved}, {511, valid(511, 9)}},
+			inflight: []int{11, 12}, hot: [][2]int{{4, 1}, {20, 3}}},
+		{name: "bank count", banks: 1, wantErr: "core: LISA-VILLA banks: 1, want 16"},
+		{name: "row past the bank", rows: []entry{{512, valid(0, 7)}}, wantErr: "bank 0 row 512 is outside [0,512)"},
+		{name: "negative row", rows: []entry{{-1, valid(0, 7)}}, wantErr: "bank 0 row -1 is outside [0,512)"},
+		{name: "rows out of order", rows: []entry{{5, valid(5, 7)}, {2, valid(2, 8)}}, wantErr: "bank 0 row 2 is outside [6,512)"},
+		{name: "row neither valid nor reserved", rows: []entry{{4, lisaRow{srcRow: 7, dirty: true}}},
+			wantErr: "bank 0 row 4 is listed but neither valid nor reserved"},
+		{name: "free row listed", rows: []entry{{4, lisaRow{}}}, wantErr: "bank 0 row 4 is listed but neither valid nor reserved"},
+		{name: "source row cached twice", rows: []entry{{1, valid(1, 7)}, {2, valid(2, 7)}},
+			wantErr: "bank 0 rows 1 and 2 both hold source row 7"},
+		{name: "in-flight rows out of order", inflight: []int{12, 11}, wantErr: "in-flight rows 12 and 11 are not in ascending order"},
+		{name: "in-flight row listed twice", inflight: []int{11, 11}, wantErr: "in-flight rows 11 and 11 are not in ascending order"},
+		{name: "hot rows out of order", hot: [][2]int{{20, 1}, {4, 1}}, wantErr: "hot rows 20 and 4 are not in ascending order"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			l, _ := newTestLISA(t)
+			var buf bytes.Buffer
+			w := fgss.NewWriter(&buf, 1, [32]byte{})
+			w.Begin(1)
+			banks := len(l.banks)
+			if tc.banks != 0 {
+				banks = tc.banks
+			}
+			w.Int(banks)
+			for b := 0; b < banks; b++ {
+				if b > 0 {
+					w.Int(0)
+					w.Int(0)
+					w.Int(0)
+				} else {
+					w.Int(len(tc.rows))
+					for _, e := range tc.rows {
+						w.Int(e.idx)
+						w.Int(e.r.srcRow)
+						w.Bool(e.r.valid)
+						w.Bool(e.r.dirty)
+						w.I64(e.r.lastUse)
+					}
+					w.Int(len(tc.inflight))
+					for _, k := range tc.inflight {
+						w.Int(k)
+					}
+					w.Int(len(tc.hot))
+					for _, kv := range tc.hot {
+						w.Int(kv[0])
+						w.Int(kv[1])
+					}
+				}
+				for i := 0; i < 4; i++ {
+					w.I64(0) // missesEpoch, clock, hits, misses
+				}
+			}
+			for i := 0; i < 3; i++ {
+				w.I64(0) // Insertions, Evictions, WriteBacks
+			}
+			w.End()
+			if err := w.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			err := lisaRestore(t, l, buf.Bytes())
+			if (err == nil) != (tc.wantErr == "") || err != nil && !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("restore error = %v, want %q", err, tc.wantErr)
+			}
+			if err == nil && !bytes.Equal(lisaSnapshot(t, l), buf.Bytes()) {
+				t.Error("the restored cache snapshots to other bytes")
+			}
+		})
 	}
 }

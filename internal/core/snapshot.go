@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"sort"
 
 	"repro/internal/fgss"
@@ -58,18 +59,19 @@ func (f *FTS) Snapshot(w *fgss.Writer) {
 // Restore reads back what Snapshot wrote and rebuilds the tag index.
 // Every slot is zeroed first, so the slots the snapshot does not list
 // come back invalid. The bytes come from disk, so a slot out of range
-// or not above the previous one, a valid tag held by two slots, and a
-// reserved slot out of range or listed twice, are decode errors
+// or not above the previous one, a valid tag held by two slots, a
+// benefit above the counter's saturation value, and a reserved slot out
+// of range or not above the previous one, are decode errors
 // (fgss.Reader.Reject) rather than a corrupt index or a panic.
 func (f *FTS) Restore(r *fgss.Reader) {
 	clear(f.entries)
 	clear(f.idxKey)
 	clear(f.idxSlot)
 	slots := len(f.entries)
-	n := r.Int()
+	n := r.Len(slots, "core: FTS valid slots")
 	for i, prev := 0, -1; i < n && r.Err() == nil; i++ {
 		slot := r.Int()
-		key, dirty, benefit, lastUse := segKey(r.U64()), r.Bool(), uint8(r.U64()), r.I64()
+		key, dirty, benefit, lastUse := segKey(r.U64()), r.Bool(), r.U64(), r.I64()
 		if r.Err() != nil {
 			return
 		}
@@ -81,23 +83,28 @@ func (f *FTS) Restore(r *fgss.Reader) {
 			r.Reject("core: FTS slots %d and %d both hold row %d segment %d", other, slot, key.row(), key.seg())
 			return
 		}
+		if benefit > uint64(f.benefitMax) {
+			r.Reject("core: FTS slot %d benefit %d is above the counter's %d", slot, benefit, f.benefitMax)
+			return
+		}
 		prev = slot
-		f.entries[slot] = ftsEntry{key: key, valid: true, dirty: dirty, benefit: benefit, lastUse: lastUse}
+		f.entries[slot] = ftsEntry{key: key, valid: true, dirty: dirty, benefit: uint8(benefit), lastUse: lastUse}
 		f.indexAdd(key, slot)
 	}
 	f.clock = r.I64()
 	clear(f.reserved)
 	f.nReserved = 0
-	nres := r.Int()
-	for i := 0; i < nres && r.Err() == nil; i++ {
+	nres := r.Len(slots, "core: FTS reserved slots")
+	for i, prev := 0, -1; i < nres && r.Err() == nil; i++ {
 		slot := r.Int()
 		if r.Err() != nil {
 			return
 		}
-		if slot < 0 || slot >= slots || f.reserved[slot] {
-			r.Reject("core: FTS reserved slot %d is out of range [0,%d) or listed twice", slot, slots)
+		if slot <= prev || slot >= slots {
+			r.Reject("core: FTS reserved slot %d is outside [%d,%d), past the previous reserved slot and inside the store", slot, prev+1, slots)
 			return
 		}
+		prev = slot
 		f.Reserve(slot)
 	}
 	f.Hits = r.I64()
@@ -147,22 +154,29 @@ func (c *FIGCache) Snapshot(w *fgss.Writer) {
 }
 
 // Restore reads back what Snapshot wrote. The receiver must be built
-// from the same configuration (bank count mismatch stops decoding).
+// from the same configuration (another bank count is a decode error).
+// Miss counters and in-flight insertions not in the strictly ascending
+// order Snapshot writes them in are decode errors too.
 func (c *FIGCache) Restore(r *fgss.Reader) {
-	if r.Int() != len(c.banks) {
+	if !r.Expect(len(c.banks), "core: FIGCache banks") {
 		return
 	}
 	for _, b := range c.banks {
 		b.fts.Restore(r)
 		b.repl.restore(r)
 		clear(b.missCounts)
-		n := r.Int()
-		for i := 0; i < n && r.Err() == nil; i++ {
+		n := r.Len(math.MaxInt, "core: FIGCache miss counters")
+		for i, prev := 0, segKey(0); i < n && r.Err() == nil; i++ {
 			k := segKey(r.U64())
+			if i > 0 && k <= prev {
+				r.Reject("core: miss counters %d and %d are not in ascending order", prev, k)
+				return
+			}
+			prev = k
 			b.missCounts[k] = r.Int()
 		}
 		b.inflight = b.inflight[:0]
-		n = r.Int()
+		n = r.Len(math.MaxInt, "core: FIGCache in-flight insertions")
 		for i := 0; i < n && r.Err() == nil; i++ {
 			k := segKey(r.U64())
 			if last := len(b.inflight) - 1; last >= 0 && b.inflight[last] >= k {
@@ -179,14 +193,28 @@ func (c *FIGCache) Restore(r *fgss.Reader) {
 }
 
 // Snapshot appends the baseline cache's mutable state, bank by bank:
-// cache-row entries, in-flight markers, hot-row counters, and the
-// epoch/clock/hit state, then the aggregate counters.
+// the count of occupied cache rows — valid or reserved by an in-flight
+// insertion — then each in row order as its index, source row, valid
+// and dirty bits and last use; the in-flight markers; the hot-row
+// counters; and the epoch/clock/hit state, then the aggregate counters.
+// A free row is all zero — an eviction turns the row straight into a
+// reservation — and is not written.
 func (l *LISAVilla) Snapshot(w *fgss.Writer) {
 	w.Int(len(l.banks))
 	for _, b := range l.banks {
-		w.Int(len(b.rows))
+		occupied := 0
+		for i := range b.rows {
+			if b.rows[i] != (lisaRow{}) {
+				occupied++
+			}
+		}
+		w.Int(occupied)
 		for i := range b.rows {
 			row := &b.rows[i]
+			if *row == (lisaRow{}) {
+				continue
+			}
+			w.Int(i)
 			w.Int(row.srcRow)
 			w.Bool(row.valid)
 			w.Bool(row.dirty)
@@ -212,36 +240,67 @@ func (l *LISAVilla) Snapshot(w *fgss.Writer) {
 }
 
 // Restore reads back what Snapshot wrote and rebuilds each bank's
-// source-row index from the valid cache rows. The receiver must be
-// built from the same configuration.
+// source-row index from the valid cache rows. Every row is zeroed
+// first, so the rows the snapshot does not list come back free. The
+// receiver must be built from the same configuration (another bank
+// count is a decode error). The bytes come from disk, so a row index
+// out of range or not above the previous one, a listed row that is
+// neither valid nor reserved, a source row held by two valid rows, and
+// in-flight or hot rows not in strictly ascending order, are decode
+// errors (fgss.Reader.Reject) rather than a corrupt index.
 func (l *LISAVilla) Restore(r *fgss.Reader) {
-	if r.Int() != len(l.banks) {
+	if !r.Expect(len(l.banks), "core: LISA-VILLA banks") {
 		return
 	}
-	for _, b := range l.banks {
-		if r.Int() != len(b.rows) {
-			return
-		}
+	for bank, b := range l.banks {
+		clear(b.rows)
 		clear(b.index)
-		for i := 0; i < len(b.rows) && r.Err() == nil; i++ {
-			row := &b.rows[i]
-			row.srcRow = r.Int()
-			row.valid = r.Bool()
-			row.dirty = r.Bool()
-			row.lastUse = r.I64()
+		rows := len(b.rows)
+		n := r.Len(rows, "core: LISA-VILLA occupied rows")
+		for i, prev := 0, -1; i < n && r.Err() == nil; i++ {
+			idx := r.Int()
+			row := lisaRow{srcRow: r.Int(), valid: r.Bool(), dirty: r.Bool(), lastUse: r.I64()}
+			if r.Err() != nil {
+				return
+			}
+			if idx <= prev || idx >= rows {
+				r.Reject("core: LISA-VILLA bank %d row %d is outside [%d,%d), past the previous row and inside the cache", bank, idx, prev+1, rows)
+				return
+			}
+			if !row.valid && row.srcRow >= 0 {
+				r.Reject("core: LISA-VILLA bank %d row %d is listed but neither valid nor reserved", bank, idx)
+				return
+			}
+			if other, dup := b.index[row.srcRow]; dup && row.valid {
+				r.Reject("core: LISA-VILLA bank %d rows %d and %d both hold source row %d", bank, other, idx, row.srcRow)
+				return
+			}
+			prev = idx
+			b.rows[idx] = row
 			if row.valid {
-				b.index[row.srcRow] = i
+				b.index[row.srcRow] = idx
 			}
 		}
 		clear(b.inflight)
-		n := r.Int()
-		for i := 0; i < n && r.Err() == nil; i++ {
-			b.inflight[r.Int()] = true
+		n = r.Len(math.MaxInt, "core: LISA-VILLA in-flight rows")
+		for i, prev := 0, 0; i < n && r.Err() == nil; i++ {
+			k := r.Int()
+			if i > 0 && k <= prev {
+				r.Reject("core: LISA-VILLA in-flight rows %d and %d are not in ascending order", prev, k)
+				return
+			}
+			prev = k
+			b.inflight[k] = true
 		}
 		clear(b.hot)
-		n = r.Int()
-		for i := 0; i < n && r.Err() == nil; i++ {
+		n = r.Len(math.MaxInt, "core: LISA-VILLA hot rows")
+		for i, prev := 0, 0; i < n && r.Err() == nil; i++ {
 			k := r.Int()
+			if i > 0 && k <= prev {
+				r.Reject("core: LISA-VILLA hot rows %d and %d are not in ascending order", prev, k)
+				return
+			}
+			prev = k
 			b.hot[k] = r.Int()
 		}
 		b.missesEpoch = r.Int()

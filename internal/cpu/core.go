@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/arena"
 	"repro/internal/cache"
 	"repro/internal/ev"
 )
@@ -92,12 +91,6 @@ type Core struct {
 
 // New builds a core reading trace and accessing the hierarchy through l1.
 func New(id int, cfg Config, trace TraceReader, l1 *cache.Cache, targetInsts int64) (*Core, error) {
-	return NewIn(nil, id, cfg, trace, l1, targetInsts)
-}
-
-// NewIn is New with the window arrays (pend, waiting — both
-// pointer-free) carved out of a. A nil arena keeps plain allocations.
-func NewIn(a *arena.Arena, id int, cfg Config, trace TraceReader, l1 *cache.Cache, targetInsts int64) (*Core, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -109,8 +102,8 @@ func NewIn(a *arena.Arena, id int, cfg Config, trace TraceReader, l1 *cache.Cach
 		cfg:         cfg,
 		trace:       trace,
 		l1:          l1,
-		pend:        arena.Slice[int](a, cfg.WindowSize),
-		waiting:     arena.Slice[bool](a, cfg.WindowSize),
+		pend:        make([]int, cfg.WindowSize),
+		waiting:     make([]bool, cfg.WindowSize),
 		TargetInsts: targetInsts,
 	}
 	return c, nil

@@ -1,10 +1,6 @@
 package dram
 
-import (
-	"fmt"
-
-	"repro/internal/arena"
-)
+import "fmt"
 
 // Channel models one memory channel: its ranks, banks, the shared data
 // bus, and the rank-level constraints (tRRD, tFAW, tCCD, tWTR, tRTW,
@@ -49,13 +45,6 @@ type Channel struct {
 // NewChannel builds a channel for the geometry with the given slow/fast
 // timing sets. allFast marks every subarray fast (LL-DRAM).
 func NewChannel(geo Geometry, slow Timing, fast Timing, allFast bool) (*Channel, error) {
-	return NewChannelIn(nil, geo, slow, fast, allFast)
-}
-
-// NewChannelIn is NewChannel with the bank array and per-rank timing
-// registers (all pointer-free) carved out of a. A nil arena keeps plain
-// allocations.
-func NewChannelIn(a *arena.Arena, geo Geometry, slow Timing, fast Timing, allFast bool) (*Channel, error) {
 	if err := geo.Validate(); err != nil {
 		return nil, err
 	}
@@ -67,24 +56,24 @@ func NewChannelIn(a *arena.Arena, geo Geometry, slow Timing, fast Timing, allFas
 	}
 	nBanks := geo.Ranks * geo.BanksPerRank()
 	c := &Channel{Geo: geo, Slow: slow, Fast: fast}
-	c.banks = arena.Slice[Bank](a, nBanks)
+	c.banks = make([]Bank, nBanks)
 	for i := range c.banks {
 		// Precharged, with every timing window expired: commands may issue
 		// at cycle 0.
 		c.banks[i] = Bank{geo: geo, slow: slow, fast: fast, allFast: allFast, openRow: -1}
 	}
-	// Each rank's tFAW history is carved at its full length, capped so
-	// an append can never cross into the next rank's window: the first
+	// Each rank's tFAW history is made at its full length, capped so an
+	// append can never cross into the next rank's window: the first
 	// activates of a fresh channel allocate nothing.
 	c.actTimes = make([][]int64, geo.Ranks)
-	hist := arena.Slice[int64](a, geo.Ranks*actHistory)
+	hist := make([]int64, geo.Ranks*actHistory)
 	for r := range c.actTimes {
 		c.actTimes[r] = hist[r*actHistory : r*actHistory : (r+1)*actHistory]
 	}
-	c.lastACT = arena.Slice[int64](a, geo.Ranks)
-	c.nextREF = arena.Slice[int64](a, geo.Ranks)
-	c.refPending = arena.Slice[bool](a, geo.Ranks)
-	c.colReadyL = arena.Slice[int64](a, geo.Ranks*geo.BankGroups)
+	c.lastACT = make([]int64, geo.Ranks)
+	c.nextREF = make([]int64, geo.Ranks)
+	c.refPending = make([]bool, geo.Ranks)
+	c.colReadyL = make([]int64, geo.Ranks*geo.BankGroups)
 	for r := range c.nextREF {
 		c.nextREF[r] = int64(slow.REFI)
 		c.lastACT[r] = -int64(slow.RRDL)
@@ -222,7 +211,7 @@ const actHistory = 8
 func (c *Channel) noteACT(rank int, at int64) {
 	c.lastACT[rank] = at
 	// Keep the last actHistory ACT times, sliding in place within the
-	// capacity NewChannelIn carved.
+	// capacity NewChannel made.
 	hist := c.actTimes[rank]
 	if len(hist) >= actHistory {
 		copy(hist, hist[len(hist)-(actHistory-1):])

@@ -209,8 +209,8 @@ func TestRankRRDAndFAW(t *testing.T) {
 }
 
 // TestFreshChannelActivatesAllocateNothing pins that a fresh channel's
-// first activates allocate nothing: each rank's tFAW history is carved
-// at construction. Sixteen ACT/PRE pairs are twice the history's length,
+// first activates allocate nothing: each rank's tFAW history is made at
+// its full length at construction. Sixteen ACT/PRE pairs are twice the history's length,
 // so the history also fills and slides.
 func TestFreshChannelActivatesAllocateNothing(t *testing.T) {
 	const runs = 5

@@ -76,19 +76,21 @@ func (c *Channel) Snapshot(w *fgss.Writer) {
 }
 
 // Restore reads back what Snapshot wrote. The receiver must have the
-// snapshotted rank/bank shape (a mismatch stops decoding).
+// snapshotted rank/bank shape: another bank, rank or tCCD_L window
+// count is a decode error, and so is a tFAW history longer than the
+// channel keeps.
 func (c *Channel) Restore(r *fgss.Reader) {
-	if r.Int() != len(c.banks) {
+	if !r.Expect(len(c.banks), "dram: banks") {
 		return
 	}
 	for i := range c.banks {
 		c.banks[i].Restore(r)
 	}
-	if r.Int() != len(c.actTimes) {
+	if !r.Expect(len(c.actTimes), "dram: ranks") {
 		return
 	}
 	for rank := range c.actTimes {
-		n := r.Int()
+		n := r.Len(actHistory, "dram: tFAW history")
 		c.actTimes[rank] = c.actTimes[rank][:0]
 		for i := 0; i < n && r.Err() == nil; i++ {
 			c.actTimes[rank] = append(c.actTimes[rank], r.I64())
@@ -100,7 +102,7 @@ func (c *Channel) Restore(r *fgss.Reader) {
 	c.lastColType = CmdType(r.Int())
 	c.lastColEnd = r.I64()
 	c.colReadyS = r.I64()
-	if r.Int() != len(c.colReadyL) {
+	if !r.Expect(len(c.colReadyL), "dram: tCCD_L windows") {
 		return
 	}
 	for i := range c.colReadyL {

@@ -18,8 +18,15 @@
 //
 // Snapshot/Restore contract: a Token is plain data; layers that buffer
 // tokens (the event queue, MSHR waiter lists, memctrl requests)
-// serialize them as three scalars and restore them verbatim.
+// serialize them with WriteToken and restore them verbatim with
+// ReadToken.
 package ev
+
+import (
+	"math"
+
+	"repro/internal/fgss"
+)
 
 // Kind names the deferred action a Token performs.
 type Kind uint8
@@ -49,6 +56,24 @@ type Token struct {
 
 // IsZero reports whether the token performs no action.
 func (t Token) IsZero() bool { return t.Kind == None }
+
+// WriteToken appends a token as three scalars: kind, ID and Arg.
+func WriteToken(w *fgss.Writer, t Token) {
+	w.U64(uint64(t.Kind))
+	w.I64(int64(t.ID))
+	w.U64(t.Arg)
+}
+
+// ReadToken decodes a token WriteToken wrote. A kind or ID too wide for
+// its field is a decode error, not a token cut down to fit; whether the
+// token names anything is the restoring layer's check.
+func ReadToken(r *fgss.Reader) Token {
+	kind, id, arg := r.U64(), r.I64(), r.U64()
+	if r.Err() == nil && (kind > math.MaxUint8 || id < math.MinInt32 || id > math.MaxInt32) {
+		r.Reject("event token kind %d or ID %d does not fit its field", kind, id)
+	}
+	return Token{Kind: Kind(kind), ID: int32(id), Arg: arg}
+}
 
 // Dispatcher executes tokens. sim.System implements it by routing
 // CoreSlot to cpu.Core.CompleteSlot and the MSHR kinds to the cache

@@ -5,7 +5,7 @@
 //
 //	offset  size  field
 //	0       4     magic "FGSS"
-//	4       2     format version (currently 4)
+//	4       2     format version (currently 5)
 //	6       2     reserved (zero)
 //	8       4     sim.EngineVersion of the writing build
 //	12      32    config fingerprint (sim.Config.Fingerprint)
@@ -21,7 +21,9 @@
 // version, a mismatched EngineVersion, and a mismatched config
 // fingerprint — a snapshot is only meaningful to the exact timing
 // model and configuration that produced it. Close rejects trailing
-// bytes so a truncated or padded file cannot pass as valid.
+// bytes so a truncated or padded file cannot pass as valid. A varint
+// must use its shortest encoding, so every value has one encoding and a
+// snapshot that restores re-encodes to its own bytes.
 //
 // Both Writer and Reader use a sticky error: layers append or decode
 // unconditionally and the first failure is reported at the end (Flush,
@@ -43,9 +45,11 @@ const Magic = "FGSS"
 // cpu.Core window as its ring of in-flight loads, version 3 drops
 // the diagnostic counters and registers no result read (stall and
 // access counters, queue depth maxima, write-drain cycles, two DRAM
-// bank registers), and version 4 writes only the valid cache lines and
-// FIGCache tag store slots, each with its index.
-const FormatVersion = 4
+// bank registers), version 4 writes only the valid cache lines and
+// FIGCache tag store slots, each with its index, and version 5 writes
+// only the occupied LISA-VILLA cache rows, each with its index, and
+// refuses a varint that is not in its shortest encoding.
+const FormatVersion = 5
 
 // HeaderSize is the byte length of the fixed header.
 const HeaderSize = 44
@@ -235,13 +239,16 @@ func (r *Reader) EndSection() {
 	r.in = false
 }
 
-// U64 decodes one uvarint from the current section.
+// U64 decodes one uvarint from the current section. binary.Uvarint
+// also reads a longer encoding of a value, such as 80 00 for 0, whose
+// last byte is zero; the writer never produces one, so it is refused.
 func (r *Reader) U64() uint64 {
 	if r.err != nil {
 		return 0
 	}
-	v, n := binary.Uvarint(r.sec[r.soff:])
-	if n <= 0 {
+	b := r.sec[r.soff:]
+	v, n := binary.Uvarint(b)
+	if n <= 0 || n > 1 && b[n-1] == 0 {
 		r.err = fmt.Errorf("fgss: section %d: truncated or overlong varint at offset %d", r.tag, r.soff)
 		return 0
 	}
@@ -249,22 +256,44 @@ func (r *Reader) U64() uint64 {
 	return v
 }
 
-// I64 decodes one zigzag varint from the current section.
+// I64 decodes one zigzag varint from the current section, under U64's
+// shortest-encoding rule.
 func (r *Reader) I64() int64 {
-	if r.err != nil {
-		return 0
+	u := r.U64()
+	v := int64(u >> 1)
+	if u&1 != 0 {
+		v = ^v
 	}
-	v, n := binary.Varint(r.sec[r.soff:])
-	if n <= 0 {
-		r.err = fmt.Errorf("fgss: section %d: truncated or overlong varint at offset %d", r.tag, r.soff)
-		return 0
-	}
-	r.soff += n
 	return v
 }
 
 // Int decodes one zigzag varint as an int.
 func (r *Reader) Int() int { return int(r.I64()) }
+
+// Expect decodes a count the receiver's configuration fixes, such as
+// its bank or core count, and rejects any other value. It reports
+// whether decoding may go on.
+func (r *Reader) Expect(want int, what string) bool {
+	if got := r.Int(); r.err == nil && got != want {
+		r.Reject("%s: %d, want %d", what, got, want)
+	}
+	return r.err == nil
+}
+
+// Len decodes the length of a list of at most max elements and rejects
+// a negative one or one above max. Every element takes a byte at least,
+// so a length above the bytes left in the section is rejected too,
+// before anything is sized by it. It returns 0 once decoding has failed.
+func (r *Reader) Len(max int, what string) int {
+	n := r.Int()
+	if r.err == nil && (n < 0 || n > max || n > len(r.sec)-r.soff) {
+		r.Reject("%s: %d, outside [0,%d] or past the section's end", what, n, max)
+	}
+	if r.err != nil {
+		return 0
+	}
+	return n
+}
 
 // Bool decodes one byte as a boolean; any value other than 0 or 1 is
 // a decode error.

@@ -43,7 +43,7 @@ func TestGoldenHeader(t *testing.T) {
 	img := encode(t, 3, fp)
 	want := append([]byte{
 		'F', 'G', 'S', 'S', // magic
-		4, 0, // format version 4, little-endian u16
+		5, 0, // format version 5, little-endian u16
 		0, 0, // reserved
 		3, 0, 0, 0, // engine version 3, little-endian u32
 	}, fp[:]...)
@@ -117,7 +117,12 @@ func TestReaderRejectsHeader(t *testing.T) {
 			b := bytes.Clone(img)
 			b[4] = 3
 			return b
-		}(), 3, fp, "unsupported snapshot format version 3 (this build reads version 4)"},
+		}(), 3, fp, "unsupported snapshot format version 3"},
+		{"format 4 snapshot", func() []byte {
+			b := bytes.Clone(img)
+			b[4] = 4
+			return b
+		}(), 3, fp, "unsupported snapshot format version 4 (this build reads version 5)"},
 		{"engine version mismatch", img, 4, fp, "engine version 3, this build is version 4"},
 		{"fingerprint mismatch", img, 3, otherFP, "does not match this run's config"},
 		{"truncated header", img[:HeaderSize/2], 3, fp, "truncated header"},
@@ -232,6 +237,71 @@ func TestReaderRejectsBody(t *testing.T) {
 		r.Bytes()
 		if err := r.Err(); err == nil || !strings.Contains(err.Error(), "byte string claims") {
 			t.Errorf("err = %v, want byte-string claim refusal", err)
+		}
+	})
+
+	// A section holding raw payload bytes, past the writer's encoders.
+	raw := func(t *testing.T, payload ...byte) *Reader {
+		t.Helper()
+		b := encode(t, 3, fp)[:HeaderSize]
+		b = append(b, 1, 0, 0, 0, byte(len(payload)), 0, 0, 0)
+		r := open(t, append(b, payload...))
+		r.Section(1)
+		return r
+	}
+
+	t.Run("overlong varint", func(t *testing.T) {
+		// binary.Uvarint reads each of these as a value with a shorter
+		// encoding: 0, 1 and 128.
+		for _, payload := range [][]byte{{0x80, 0x00}, {0x81, 0x80, 0x00}, {0x80, 0x81, 0x00}} {
+			for name, decode := range map[string]func(*Reader){
+				"U64": func(r *Reader) { r.U64() },
+				"I64": func(r *Reader) { r.I64() },
+			} {
+				r := raw(t, payload...)
+				decode(r)
+				if err := r.Err(); err == nil || !strings.Contains(err.Error(), "overlong varint at offset 0") {
+					t.Errorf("%s of % x: err = %v, want overlong varint", name, payload, err)
+				}
+			}
+		}
+		r := raw(t, 0x80, 0x01, 0x00)
+		if v := r.U64(); v != 128 || r.Err() != nil {
+			t.Errorf("U64 of 80 01 = %d, %v; want 128 and no error", v, r.Err())
+		}
+	})
+
+	t.Run("count the configuration fixes", func(t *testing.T) {
+		r := raw(t, 4, 4) // zigzag 2, twice
+		if !r.Expect(2, "banks") || r.Err() != nil {
+			t.Fatalf("Expect(2) of 2 failed: %v", r.Err())
+		}
+		if r.Expect(3, "banks") {
+			t.Error("Expect(3) of 2 reported success")
+		}
+		if err := r.Err(); err == nil || err.Error() != "fgss: section 1: banks: 2, want 3" {
+			t.Errorf("err = %v, want the count named", err)
+		}
+	})
+
+	t.Run("list length", func(t *testing.T) {
+		for _, tc := range []struct {
+			payload []byte
+			max     int
+			want    int
+			err     string
+		}{
+			{[]byte{4, 0, 0}, 2, 2, ""},
+			{[]byte{1, 0}, 2, 0, "rows: -1, outside [0,2]"},
+			{[]byte{6, 0, 0, 0}, 2, 0, "rows: 3, outside [0,2]"},
+			{[]byte{6, 0, 0}, 5, 0, "rows: 3, outside [0,5] or past the section's end"},
+		} {
+			r := raw(t, tc.payload...)
+			n := r.Len(tc.max, "rows")
+			err := r.Err()
+			if n != tc.want || (err == nil) != (tc.err == "") || err != nil && !strings.Contains(err.Error(), tc.err) {
+				t.Errorf("Len(%d) of % x = %d, %v; want %d, %q", tc.max, tc.payload, n, err, tc.want, tc.err)
+			}
 		}
 	})
 

@@ -113,9 +113,8 @@ var cachePresets = []sim.Preset{sim.LISAVilla, sim.FIGCacheSlow, sim.FIGCacheFas
 
 // hitRateTable builds Figures 9/10 from a per-result metric.
 func (r *Runner) hitRateTable(title, note string, metric func(sim.Result) float64) (*stats.Table, error) {
-	singles := r.singleWorkloads()
-	eights := r.eightCoreMixes()
-	res, err := r.runMatrix(cachePresets, append(append([]workload.Mix{}, singles...), eights...))
+	mixes, groups := r.workloadGroups()
+	res, err := r.runMatrix(cachePresets, mixes)
 	if err != nil {
 		return nil, err
 	}
@@ -123,29 +122,16 @@ func (r *Runner) hitRateTable(title, note string, metric func(sim.Result) float6
 		Title:  title,
 		Header: append([]string{"workload group"}, presetNames(cachePresets)...),
 	}
-	group := func(name string, mixes []workload.Mix) {
-		row := []string{name}
+	for _, g := range groups {
+		row := []string{g.name}
 		for _, p := range cachePresets {
 			var vals []float64
-			for _, m := range mixes {
+			for _, m := range g.mixes {
 				vals = append(vals, metric(res.of(r.baseConfig(p, m))))
 			}
 			row = append(row, stats.F(stats.Mean(vals)*100, 1)+"%")
 		}
 		t.AddRow(row...)
-	}
-	var nonInt, intens []workload.Mix
-	for _, m := range singles {
-		if m.Apps[0].MemIntensive() {
-			intens = append(intens, m)
-		} else {
-			nonInt = append(nonInt, m)
-		}
-	}
-	group("1-core non-intensive", nonInt)
-	group("1-core intensive", intens)
-	for _, pct := range []int{25, 50, 75, 100} {
-		group(fmt.Sprintf("8-core %d%%", pct), workload.MixesByCategory(eights, pct))
 	}
 	t.AddNote("%s", note)
 	return t, nil
@@ -171,9 +157,8 @@ func (r *Runner) Fig10() (*stats.Table, error) {
 // Fig11 reproduces Figure 11: system energy breakdown normalized to Base.
 func (r *Runner) Fig11() (*stats.Table, error) {
 	energyPresets := []sim.Preset{sim.FIGCacheSlow, sim.FIGCacheFast}
-	singles := r.singleWorkloads()
-	eights := r.eightCoreMixes()
-	res, err := r.runMatrix(energyPresets, append(append([]workload.Mix{}, singles...), eights...))
+	mixes, groups := r.workloadGroups()
+	res, err := r.runMatrix(energyPresets, mixes)
 	if err != nil {
 		return nil, err
 	}
@@ -182,18 +167,18 @@ func (r *Runner) Fig11() (*stats.Table, error) {
 		Header: []string{"workload group", "config", "CPU", "L1&L2", "LLC", "off-chip", "DRAM", "total"},
 	}
 	params := energy.DefaultParams()
-	group := func(name string, mixes []workload.Mix, cores, channels int) {
+	for _, g := range groups {
 		var baseTotals []float64
 		breakdown := func(p sim.Preset, m workload.Mix) energy.Breakdown {
 			return energy.Compute(params, res.of(r.baseConfig(p, m)),
-				cores, channels, p != sim.Base)
+				g.cores, g.channels, p != sim.Base)
 		}
-		for _, m := range mixes {
+		for _, m := range g.mixes {
 			baseTotals = append(baseTotals, breakdown(sim.Base, m).Total())
 		}
 		for _, p := range []sim.Preset{sim.Base, sim.FIGCacheSlow, sim.FIGCacheFast} {
 			var cpu, l12, llc, off, dr, tot []float64
-			for i, m := range mixes {
+			for i, m := range g.mixes {
 				b := breakdown(p, m)
 				cpu = append(cpu, b.CPU/baseTotals[i])
 				l12 = append(l12, b.L1L2/baseTotals[i])
@@ -202,24 +187,11 @@ func (r *Runner) Fig11() (*stats.Table, error) {
 				dr = append(dr, b.DRAM/baseTotals[i])
 				tot = append(tot, b.Total()/baseTotals[i])
 			}
-			t.AddRow(name, p.String(),
+			t.AddRow(g.name, p.String(),
 				stats.F(stats.Mean(cpu)*100, 1)+"%", stats.F(stats.Mean(l12)*100, 1)+"%",
 				stats.F(stats.Mean(llc)*100, 1)+"%", stats.F(stats.Mean(off)*100, 1)+"%",
 				stats.F(stats.Mean(dr)*100, 1)+"%", stats.F(stats.Mean(tot)*100, 1)+"%")
 		}
-	}
-	var nonInt, intens []workload.Mix
-	for _, m := range singles {
-		if m.Apps[0].MemIntensive() {
-			intens = append(intens, m)
-		} else {
-			nonInt = append(nonInt, m)
-		}
-	}
-	group("1-core non-intensive", nonInt, 1, 1)
-	group("1-core intensive", intens, 1, 1)
-	for _, pct := range []int{25, 50, 75, 100} {
-		group(fmt.Sprintf("8-core %d%%", pct), workload.MixesByCategory(eights, pct), 8, 4)
 	}
 	t.AddNote("paper: intensive 1-core energy -6.9%% (Slow) and -11.1%% (Fast) vs Base; 8-core avg DRAM energy -7.8%%")
 	return t, nil

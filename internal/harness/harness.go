@@ -306,6 +306,39 @@ func (r *Runner) singleWorkloads() []workload.Mix {
 	return out
 }
 
+// workloadGroup is one row group of the evaluation's tables: its label,
+// its mixes, and the core and channel counts of their systems.
+type workloadGroup struct {
+	name            string
+	mixes           []workload.Mix
+	cores, channels int
+}
+
+// workloadGroups returns the configured single-core workloads and
+// eight-core mixes in one list, and their split into the six row groups
+// the tables report: 1-core non-intensive, 1-core intensive, and 8-core
+// 25/50/75/100% intensive.
+func (r *Runner) workloadGroups() ([]workload.Mix, []workloadGroup) {
+	singles := r.singleWorkloads()
+	eights := r.eightCoreMixes()
+	var nonInt, intens []workload.Mix
+	for _, m := range singles {
+		if m.Apps[0].MemIntensive() {
+			intens = append(intens, m)
+		} else {
+			nonInt = append(nonInt, m)
+		}
+	}
+	groups := []workloadGroup{
+		{"1-core non-intensive", nonInt, 1, 1},
+		{"1-core intensive", intens, 1, 1},
+	}
+	for _, pct := range []int{25, 50, 75, 100} {
+		groups = append(groups, workloadGroup{fmt.Sprintf("8-core %d%%", pct), workload.MixesByCategory(eights, pct), 8, 4})
+	}
+	return append(append([]workload.Mix{}, singles...), eights...), groups
+}
+
 // eightCoreMixes returns the configured subset of eight-core mixes.
 func (r *Runner) eightCoreMixes() []workload.Mix {
 	var out []workload.Mix

@@ -1,29 +1,27 @@
 package harness
 
 import (
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
-// sweepTable runs FIGCache-Fast variants over the eight-core mixes (plus
-// single-core groups) and tabulates mean weighted speedup over Base per
-// category — the structure shared by Figures 12-15.
+// sweepTable runs Base and each variant on every single-core workload
+// and eight-core mix, and tabulates each variant's mean weighted speedup
+// over Base per workload group: the structure shared by Figures 12-15
+// and the ablation.
 func (r *Runner) sweepTable(title, note string, variants []sweepVariant) (*stats.Table, error) {
-	singles := r.singleWorkloads()
-	eights := r.eightCoreMixes()
-	mixes := append(append([]workload.Mix{}, singles...), eights...)
+	mixes, groups := r.workloadGroups()
 
 	// variantConfig is both the job builder and the lookup key builder:
-	// the FIG override and fast-subarray count are fingerprinted by
-	// value, so rebuilding the config re-derives the identity.
+	// every mutation is fingerprinted by value, so rebuilding the config
+	// re-derives the identity.
 	variantConfig := func(v sweepVariant, mix workload.Mix) sim.Config {
 		cfg := r.baseConfig(v.preset, mix)
-		cfg.FIG = v.fig
-		cfg.FastSubarrays = v.fastSubarrays
+		if v.mutate != nil {
+			v.mutate(&cfg)
+		}
 		return cfg
 	}
 	var jobs []sim.Config
@@ -43,12 +41,11 @@ func (r *Runner) sweepTable(title, note string, variants []sweepVariant) (*stats
 		names[i] = v.name
 	}
 	t := &stats.Table{Title: title, Header: append([]string{"workload group"}, names...)}
-
-	group := func(name string, ms []workload.Mix) {
-		row := []string{name}
+	for _, g := range groups {
+		row := []string{g.name}
 		for _, v := range variants {
 			var vals []float64
-			for _, m := range ms {
+			for _, m := range g.mixes {
 				base := res.of(r.baseConfig(sim.Base, m))
 				run := res.of(variantConfig(v, m))
 				vals = append(vals, run.WeightedSpeedupOver(base))
@@ -57,39 +54,30 @@ func (r *Runner) sweepTable(title, note string, variants []sweepVariant) (*stats
 		}
 		t.AddRow(row...)
 	}
-	var nonInt, intens []workload.Mix
-	for _, m := range singles {
-		if m.Apps[0].MemIntensive() {
-			intens = append(intens, m)
-		} else {
-			nonInt = append(nonInt, m)
-		}
-	}
-	group("1-core non-intensive", nonInt)
-	group("1-core intensive", intens)
-	for _, pct := range []int{25, 50, 75, 100} {
-		group(fmt.Sprintf("8-core %d%%", pct), workload.MixesByCategory(eights, pct))
-	}
 	t.AddNote("%s", note)
 	return t, nil
 }
 
-// sweepVariant is one column of a sensitivity figure.
+// sweepVariant is one column of a sweep table: a preset and a mutation
+// of its run configuration (nil keeps the preset's defaults).
 type sweepVariant struct {
-	name          string
-	preset        sim.Preset
-	fig           *core.FIGCacheConfig
-	fastSubarrays int
+	name   string
+	preset sim.Preset
+	mutate func(*sim.Config)
 }
 
-// figVariant builds a FIGCache-Fast variant with a mutated configuration.
+// figVariant builds a FIGCache-Fast variant with fastSubarrays fast
+// subarrays and a mutated FIGCache configuration.
 func figVariant(name string, fastSubarrays int, mutate func(*core.FIGCacheConfig)) sweepVariant {
-	cfg := core.DefaultFIGCacheConfig()
-	cfg.CacheRowsPerBank = fastSubarrays * 32
+	fig := core.DefaultFIGCacheConfig()
+	fig.CacheRowsPerBank = fastSubarrays * 32
 	if mutate != nil {
-		mutate(&cfg)
+		mutate(&fig)
 	}
-	return sweepVariant{name: name, preset: sim.FIGCacheFast, fig: &cfg, fastSubarrays: fastSubarrays}
+	return sweepVariant{name: name, preset: sim.FIGCacheFast, mutate: func(c *sim.Config) {
+		c.FIG = &fig
+		c.FastSubarrays = fastSubarrays
+	}}
 }
 
 // Fig12 reproduces Figure 12: performance versus in-DRAM cache capacity
@@ -101,7 +89,7 @@ func (r *Runner) Fig12() (*stats.Table, error) {
 		figVariant("4 FS", 4, nil),
 		figVariant("8 FS", 8, nil),
 		figVariant("16 FS", 16, nil),
-		{name: "LL-DRAM", preset: sim.LLDRAM, fastSubarrays: 2},
+		{name: "LL-DRAM", preset: sim.LLDRAM},
 	}
 	return r.sweepTable(
 		"Figure 12: weighted speedup over Base vs in-DRAM cache capacity",
@@ -118,7 +106,7 @@ func (r *Runner) Fig13() (*stats.Table, error) {
 		figVariant("2kB", 2, func(c *core.FIGCacheConfig) { c.SegmentBlocks = 32 }),
 		figVariant("4kB", 2, func(c *core.FIGCacheConfig) { c.SegmentBlocks = 64 }),
 		figVariant("8kB", 2, func(c *core.FIGCacheConfig) { c.SegmentBlocks = 128 }),
-		{name: "LISA-VILLA", preset: sim.LISAVilla, fastSubarrays: 2},
+		{name: "LISA-VILLA", preset: sim.LISAVilla},
 	}
 	return r.sweepTable(
 		"Figure 13: weighted speedup over Base vs row segment size",

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/bits"
 
-	"repro/internal/arena"
 	"repro/internal/dram"
 	"repro/internal/ev"
 	"repro/internal/stats"
@@ -76,18 +75,25 @@ type RelocPlan struct {
 	CommitSeg  int
 }
 
-// Config holds the controller parameters from Table 1.
-type Config struct {
-	ReadQueueDepth  int
-	WriteQueueDepth int
+// The controller parameters from Table 1.
+const (
+	// ReadQueueDepth and WriteQueueDepth are the 64-entry read and write
+	// queues.
+	ReadQueueDepth  = 64
+	WriteQueueDepth = 64
 	// Write drain watermarks: the controller switches to write mode when
 	// the write queue reaches HighWatermark and leaves it at LowWatermark.
-	HighWatermark int
-	LowWatermark  int
+	HighWatermark = 48
+	LowWatermark  = 16
 	// IdleFlushAfter is how long (bus cycles) a bank must be free of
 	// column traffic before an otherwise idle tick may spend it on
-	// deferred relocation work.
-	IdleFlushAfter int64
+	// deferred relocation work: about 80 ns of bank quiet time.
+	IdleFlushAfter = 64
+)
+
+// Config holds the controller's one ablated policy choice. The zero
+// Config is the deferred-relocation design the paper evaluates.
+type Config struct {
 	// ImmediateReloc executes insertion relocations at miss time instead
 	// of deferring them to row close. This is the naive policy the
 	// deferred design is ablated against: it steals row hits from queued
@@ -97,15 +103,6 @@ type Config struct {
 
 // latSampleCap bounds each controller's read-latency sample reservoir.
 const latSampleCap = 2048
-
-// DefaultConfig returns the 64-entry read/write queues from Table 1.
-func DefaultConfig() Config {
-	return Config{
-		ReadQueueDepth: 64, WriteQueueDepth: 64,
-		HighWatermark: 48, LowWatermark: 16,
-		IdleFlushAfter: 64, // ~80 ns of bank quiet time
-	}
-}
 
 // Controller is one channel's memory controller. It ticks once per DRAM
 // bus cycle and issues at most one command per tick, chosen by FR-FCFS:
@@ -171,23 +168,16 @@ type Controller struct {
 // NewController builds a controller over the channel. cache may be nil for
 // the Base configuration.
 func NewController(id int, cfg Config, ch *dram.Channel, cache CacheHook) *Controller {
-	return NewControllerIn(nil, id, cfg, ch, cache)
-}
-
-// NewControllerIn is NewController with the pointer-free per-bank arrays
-// (last-column registers, queue occupancy indexes) carved out of a. A
-// nil arena keeps plain allocations.
-func NewControllerIn(a *arena.Arena, id int, cfg Config, ch *dram.Channel, cache CacheHook) *Controller {
 	return &Controller{
 		ID:            id,
 		cfg:           cfg,
 		channel:       ch,
 		cache:         cache,
-		readQ:         newQueueIn(a, cfg.ReadQueueDepth, ch.NumBanks()),
-		writeQ:        newQueueIn(a, cfg.WriteQueueDepth, ch.NumBanks()),
+		readQ:         newQueue(ReadQueueDepth, ch.NumBanks()),
+		writeQ:        newQueue(WriteQueueDepth, ch.NumBanks()),
 		pendingRelocs: make([][]*RelocPlan, ch.NumBanks()),
-		relocMask:     arena.Slice[uint64](a, (ch.NumBanks()+63)/64),
-		lastColumn:    arena.Slice[int64](a, ch.NumBanks()),
+		relocMask:     make([]uint64, (ch.NumBanks()+63)/64),
+		lastColumn:    make([]int64, ch.NumBanks()),
 		cands:         make([]colCand, 0, ch.NumBanks()),
 		// Seed by controller ID so per-channel reservoirs differ but any
 		// two runs of the same configuration sample identically.
@@ -271,10 +261,10 @@ func (c *Controller) Tick(now int64, schedule func(at int64, tok ev.Token)) int6
 
 	// Write drain mode hysteresis.
 	if c.writing {
-		if c.writeQ.size() <= c.cfg.LowWatermark {
+		if c.writeQ.size() <= LowWatermark {
 			c.writing = false
 		}
-	} else if c.writeQ.full() || c.writeQ.size() >= c.cfg.HighWatermark {
+	} else if c.writeQ.full() || c.writeQ.size() >= HighWatermark {
 		c.writing = true
 	} else if c.readQ.empty() && c.writeQ.size() > 0 {
 		c.writing = true // opportunistic drain when no reads are waiting
@@ -412,7 +402,7 @@ func (c *Controller) relocFlushReady(bankID int, now int64) int64 {
 	} else {
 		ready, _ = bank.CanACT(now) // a closed bank can always ACT eventually
 	}
-	if quiet := c.lastColumn[bankID] + c.cfg.IdleFlushAfter; quiet > ready {
+	if quiet := c.lastColumn[bankID] + IdleFlushAfter; quiet > ready {
 		ready = quiet
 	}
 	return ready

@@ -11,13 +11,13 @@ import (
 // (driven densely, as a busy system's completion events would) until the
 // queue is empty, b.N times, each on a freshly built channel and
 // controller. Construction is untimed, and the drain itself allocates
-// nothing: the fresh channel's per-rank tFAW histories are carved at
-// construction, so its first activates do not grow them.
+// nothing: the fresh channel's per-rank tFAW histories are made at
+// their full length at construction, so its first activates do not grow
+// them.
 func benchDrain(b *testing.B, locs func(i int, geo dram.Geometry) dram.Location) {
 	geo := dram.Default()
 	slow := dram.DDR4()
 	fast := slow.Fast(dram.PaperFastScale())
-	cfg := DefaultConfig()
 	sched := func(at int64, tok ev.Token) {}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -27,8 +27,8 @@ func benchDrain(b *testing.B, locs func(i int, geo dram.Geometry) dram.Location)
 		if err != nil {
 			b.Fatal(err)
 		}
-		c := NewController(0, cfg, ch, nil)
-		reqs := make([]*Request, cfg.WriteQueueDepth)
+		c := NewController(0, Config{}, ch, nil)
+		reqs := make([]*Request, WriteQueueDepth)
 		for i := range reqs {
 			reqs[i] = &Request{IsWrite: true, Loc: locs(i, geo)}
 		}

@@ -41,7 +41,7 @@ func newTestController(t *testing.T, hook CacheHook) *testCtrl {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &testCtrl{Controller: NewController(0, DefaultConfig(), ch, hook)}
+	return &testCtrl{Controller: NewController(0, Config{}, ch, hook)}
 }
 
 // runUntil ticks the controller until pred returns true or the cycle limit
@@ -212,11 +212,11 @@ func TestWriteDrainHysteresis(t *testing.T) {
 	c := newTestController(t, nil)
 	// Fill the write queue past the high watermark; the controller must
 	// drain it below the low watermark even while reads keep arriving.
-	for i := 0; i < c.cfg.HighWatermark+1; i++ {
+	for i := 0; i < HighWatermark+1; i++ {
 		c.Enqueue(&Request{Loc: dram.Location{Row: i % 4, Block: i % 128}, IsWrite: true}, 0)
 	}
-	runUntil(c, 5000, func() bool { return c.PendingWrites() <= c.cfg.LowWatermark })
-	if c.PendingWrites() > c.cfg.LowWatermark {
+	runUntil(c, 5000, func() bool { return c.PendingWrites() <= LowWatermark })
+	if c.PendingWrites() > LowWatermark {
 		t.Errorf("write queue not drained: %d pending", c.PendingWrites())
 	}
 	if c.NumWrites == 0 {
@@ -235,9 +235,9 @@ func TestOpportunisticWriteDrain(t *testing.T) {
 
 func TestQueueCapacity(t *testing.T) {
 	c := newTestController(t, nil)
-	for i := 0; i < c.cfg.ReadQueueDepth; i++ {
+	for i := 0; i < ReadQueueDepth; i++ {
 		if !c.CanAccept(false) {
-			t.Fatalf("queue refused request %d of %d", i, c.cfg.ReadQueueDepth)
+			t.Fatalf("queue refused request %d of %d", i, ReadQueueDepth)
 		}
 		c.Enqueue(&Request{Loc: dram.Location{Row: i}}, 0)
 	}
@@ -483,8 +483,9 @@ func TestQueueHeadIndexInvariants(t *testing.T) {
 // a queue push never builds is a decode error: a read in the write queue
 // or a write in the read queue, more requests than the queue holds, push
 // stamps not ascending within a bank, not ascending across the occupied
-// banks' heads, or not below the push counter, and more occupied banks
-// than the channel has. A well-formed
+// banks' heads, or not below the push counter, more occupied banks than
+// the channel has, and an occupied bank listed with no request, listed
+// twice or with another bank's request. A well-formed
 // section restores with its requests bucketed by bank in head-age order.
 func TestQueueRestoreRejects(t *testing.T) {
 	ch := newTestController(t, nil).channel
@@ -515,6 +516,12 @@ func TestQueueRestoreRejects(t *testing.T) {
 			wantErr: "push stamp 3 is not below the push counter 3"},
 		{name: "more occupied banks than the channel has", seq: 4, buckets: make([][]*Request, ch.NumBanks()+1),
 			wantErr: fmt.Sprintf("read queue lists %d occupied banks of %d", ch.NumBanks()+1, ch.NumBanks())},
+		{name: "occupied bank with no request", seq: 4, buckets: [][]*Request{{read(0, 0)}, {}},
+			wantErr: "read queue: occupied bank 1 of 2 lists no request"},
+		{name: "bank listed twice", seq: 4, buckets: [][]*Request{{read(0, 0)}, {read(1, 1)}, {read(0, 2)}},
+			wantErr: "read queue: request 0x80: bank 0 is listed twice"},
+		{name: "another bank's request in a bucket", seq: 4, buckets: [][]*Request{{read(0, 0), read(1, 1)}},
+			wantErr: "read queue: request 0x100040: bank 1's request in bank 0's bucket"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -611,5 +618,60 @@ func TestReadLatencyPercentiles(t *testing.T) {
 	mean := c.AvgReadLatencyNS()
 	if ps[0] <= 0 || ps[2] < mean*0.5 {
 		t.Errorf("implausible percentiles %v for mean %.1f ns", ps, mean)
+	}
+}
+
+// TestControllerRestoreRejects checks that a controller section whose
+// relocation plan list or last-column registers do not number the
+// channel's banks is a decode error. Each section ends where restore
+// used to stop decoding without an error.
+func TestControllerRestoreRejects(t *testing.T) {
+	c := newTestController(t, nil)
+	banks := c.channel.NumBanks()
+	// section writes empty queues and plan lists, then no last-column
+	// register, and stops after a plan bank count that differs.
+	section := func(planBanks int) func(w *fgss.Writer) {
+		return func(w *fgss.Writer) {
+			c.readQ.snapshot(w)
+			c.writeQ.snapshot(w)
+			w.Bool(false)
+			w.Int(planBanks)
+			if planBanks != banks {
+				return
+			}
+			for i := 0; i < banks; i++ {
+				w.Int(0)
+			}
+			w.Int(0)
+		}
+	}
+	for _, tc := range []struct {
+		name    string
+		fill    func(w *fgss.Writer)
+		wantErr string
+	}{
+		{"no plan banks", section(0), fmt.Sprintf("memctrl: plan banks: 0, want %d", banks)},
+		{"no last-column registers", section(banks), fmt.Sprintf("memctrl: last-column registers: 0, want %d", banks)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			w := fgss.NewWriter(&buf, 1, [32]byte{})
+			w.Begin(1)
+			tc.fill(w)
+			w.End()
+			if err := w.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			r, err := fgss.NewReader(&buf, 1, [32]byte{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.Section(1)
+			newTestController(t, nil).Restore(r, func(ev.Token) error { return nil })
+			r.EndSection()
+			if err := r.Close(); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("restore error = %v, want one containing %q", err, tc.wantErr)
+			}
+		})
 	}
 }

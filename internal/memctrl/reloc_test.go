@@ -93,7 +93,7 @@ func TestDeferredRelocCommitsAtRowClose(t *testing.T) {
 func TestIdleFlushWaitsForQuietWindow(t *testing.T) {
 	pc := newPlanCache(40)
 	c := newTestController(t, pc)
-	quiet := c.cfg.IdleFlushAfter
+	quiet := int64(IdleFlushAfter)
 	var colAt, flushAt int64
 	// One continuous clock: the insertion is planned when the miss's
 	// column command issues; the idle flush may run only after the bank
@@ -137,9 +137,7 @@ func TestImmediateRelocExecutesAtMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig()
-	cfg.ImmediateReloc = true
-	c := &testCtrl{Controller: NewController(0, cfg, ch, pc)}
+	c := &testCtrl{Controller: NewController(0, Config{ImmediateReloc: true}, ch, pc)}
 	done := false
 	c.Enqueue(&Request{Loc: dram.Location{Row: 1, Block: 0}, OnComplete: c.on(func(int64) { done = true })}, 0)
 	runUntil(c, 200, func() bool { return done && pc.committed > 0 })
@@ -181,7 +179,7 @@ func TestRelocPlanAccountingInStats(t *testing.T) {
 	pc := newPlanCache(25)
 	c := newTestController(t, pc)
 	c.Enqueue(&Request{Loc: dram.Location{Row: 1, Block: 0}}, 0)
-	quiet := c.cfg.IdleFlushAfter
+	quiet := int64(IdleFlushAfter)
 	runUntil(c, 400+quiet*4, func() bool { return pc.committed == 1 })
 	s := c.Channel().CollectStats()
 	if s.RELOC != 16 {

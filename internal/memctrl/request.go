@@ -1,7 +1,6 @@
 package memctrl
 
 import (
-	"repro/internal/arena"
 	"repro/internal/dram"
 	"repro/internal/ev"
 )
@@ -73,18 +72,11 @@ type queue struct {
 }
 
 func newQueue(capacity, banks int) *queue {
-	return newQueueIn(nil, capacity, banks)
-}
-
-// newQueueIn carves the queue's pointer-free occupancy indexes (occupied,
-// pos) out of a; the request buckets and head mirror hold pointers and
-// stay on the regular heap. A nil arena keeps plain allocations.
-func newQueueIn(a *arena.Arena, capacity, banks int) *queue {
 	q := &queue{
 		byBank:   make([][]*Request, banks),
-		occupied: arena.Slice[int](a, banks)[:0],
+		occupied: make([]int, 0, banks),
 		heads:    make([]*Request, 0, banks),
-		pos:      arena.Slice[int](a, banks),
+		pos:      make([]int, banks),
 		cap:      capacity,
 	}
 	// Pre-size each bucket to the queue capacity (the per-bank worst

@@ -2,6 +2,7 @@ package memctrl
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/dram"
 	"repro/internal/ev"
@@ -28,18 +29,6 @@ func restoreLoc(r *fgss.Reader) dram.Location {
 	return l
 }
 
-func snapToken(w *fgss.Writer, t ev.Token) {
-	w.U64(uint64(t.Kind))
-	w.I64(int64(t.ID))
-	w.U64(t.Arg)
-}
-
-func restoreToken(r *fgss.Reader) ev.Token {
-	kind := ev.Kind(r.U64())
-	id := int32(r.I64())
-	return ev.Token{Kind: kind, ID: id, Arg: r.U64()}
-}
-
 // SnapshotRequest appends one request's full payload: everything but
 // the bank resolution (recomputed from ServiceLoc on restore) travels
 // in the snapshot.
@@ -49,7 +38,7 @@ func SnapshotRequest(w *fgss.Writer, r *Request) {
 	w.Bool(r.IsWrite)
 	w.I64(r.Arrive)
 	w.Int(r.CoreID)
-	snapToken(w, r.OnComplete)
+	ev.WriteToken(w, r.OnComplete)
 	snapLoc(w, r.ServiceLoc)
 	w.Bool(r.CacheHit)
 	w.Bool(r.noInsert)
@@ -68,7 +57,7 @@ func RestoreRequest(rd *fgss.Reader, r *Request, ch *dram.Channel, checkTok func
 	r.IsWrite = rd.Bool()
 	r.Arrive = rd.I64()
 	r.CoreID = rd.Int()
-	r.OnComplete = restoreToken(rd)
+	r.OnComplete = ev.ReadToken(rd)
 	r.ServiceLoc = restoreLoc(rd)
 	r.CacheHit = rd.Bool()
 	r.noInsert = rd.Bool()
@@ -110,9 +99,10 @@ func (q *queue) snapshot(w *fgss.Writer) {
 // order. checkTok vets each request's completion token. The bytes come
 // from disk, so a queue push never builds is a decode error
 // (fgss.Reader.Reject): a request of the other kind, more requests than
-// the queue holds, or push stamps that are not ascending within a bank,
-// not ascending across the occupied banks' heads, or not below the
-// push counter.
+// the queue holds, an occupied bank listed with no request, listed
+// twice or with another bank's request, or push stamps that are not
+// ascending within a bank, not ascending across the occupied banks'
+// heads, or not below the push counter.
 func (q *queue) restore(rd *fgss.Reader, ch *dram.Channel, writes bool, checkTok func(ev.Token) error) {
 	q.reset()
 	q.seq = rd.I64()
@@ -126,19 +116,24 @@ func (q *queue) restore(rd *fgss.Reader, ch *dram.Channel, writes bool, checkTok
 		return
 	}
 	for i := 0; i < nOcc && rd.Err() == nil; i++ {
-		n := rd.Int()
+		n := rd.Len(math.MaxInt, "memctrl: bucket requests")
+		if n == 0 && rd.Err() == nil {
+			rd.Reject("memctrl: %s queue: occupied bank %d of %d lists no request", kind, i, nOcc)
+		}
+		bank := -1 // the listed bucket's bank, once its first request names it
 		for j := 0; j < n && rd.Err() == nil; j++ {
 			r := &Request{}
 			RestoreRequest(rd, r, ch, checkTok)
 			if rd.Err() != nil {
 				return
 			}
-			if why := q.refuse(r, writes); why != "" {
+			if why := q.refuse(r, writes, bank); why != "" {
 				rd.Reject("memctrl: %s queue: request %#x: %s", kind, r.Addr, why)
 				return
 			}
 			b := r.bankID
-			if len(q.byBank[b]) == 0 {
+			if bank < 0 {
+				bank = b
 				q.pos[b] = len(q.occupied)
 				q.occupied = append(q.occupied, b)
 				q.heads = append(q.heads, r)
@@ -150,14 +145,19 @@ func (q *queue) restore(rd *fgss.Reader, ch *dram.Channel, writes bool, checkTok
 }
 
 // refuse reports why restore cannot append r to the queue rebuilt so
-// far, or "".
-func (q *queue) refuse(r *Request, writes bool) string {
+// far, as a request of bank's listed bucket (-1 for a bucket's first
+// request), or "".
+func (q *queue) refuse(r *Request, writes bool, bank int) string {
 	bucket := q.byBank[r.bankID]
 	switch {
 	case r.IsWrite != writes:
 		return fmt.Sprintf("write=%v in the other kind's queue", r.IsWrite)
 	case q.count >= q.cap:
 		return fmt.Sprintf("more than the queue's %d entries", q.cap)
+	case bank < 0 && len(bucket) > 0:
+		return fmt.Sprintf("bank %d is listed twice", r.bankID)
+	case bank >= 0 && r.bankID != bank:
+		return fmt.Sprintf("bank %d's request in bank %d's bucket", r.bankID, bank)
 	case r.seq >= q.seq:
 		return fmt.Sprintf("push stamp %d is not below the push counter %d", r.seq, q.seq)
 	case len(bucket) > 0 && r.seq <= bucket[len(bucket)-1].seq:
@@ -228,7 +228,7 @@ func (c *Controller) Snapshot(w *fgss.Writer) {
 // mask of banks with relocation work. Queued requests are rebuilt as fresh
 // objects; the creator's pooling resumes as they are served and
 // released. The receiver must be built over a channel with the
-// snapshotted bank count (a mismatch stops decoding). The bytes come
+// snapshotted bank count (another count is a decode error). The bytes come
 // from disk, so besides RestoreRequest's checks (checkTok vets the
 // requests' completion tokens) and the queues' own (see queue.restore),
 // a relocation plan whose bank is not in
@@ -239,13 +239,13 @@ func (c *Controller) Restore(r *fgss.Reader, checkTok func(ev.Token) error) {
 	c.readQ.restore(r, c.channel, false, checkTok)
 	c.writeQ.restore(r, c.channel, true, checkTok)
 	c.writing = r.Bool()
-	if r.Int() != len(c.pendingRelocs) {
+	if !r.Expect(len(c.pendingRelocs), "memctrl: plan banks") {
 		return
 	}
 	clear(c.relocMask)
 	for i := range c.pendingRelocs {
 		c.pendingRelocs[i] = nil
-		n := r.Int()
+		n := r.Len(math.MaxInt, "memctrl: bank plans")
 		for j := 0; j < n && r.Err() == nil; j++ {
 			p := restorePlan(r)
 			if err := c.checkPlan(p); err != nil {
@@ -258,7 +258,7 @@ func (c *Controller) Restore(r *fgss.Reader, checkTok func(ev.Token) error) {
 			c.relocMask[i>>6] |= 1 << (i & 63)
 		}
 	}
-	if r.Int() != len(c.lastColumn) {
+	if !r.Expect(len(c.lastColumn), "memctrl: last-column registers") {
 		return
 	}
 	for i := range c.lastColumn {

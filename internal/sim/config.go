@@ -79,8 +79,6 @@ type Config struct {
 	// FIG overrides the FIGCache parameters for the FIGCache presets
 	// (sensitivity studies of Section 9). Nil selects the paper default.
 	FIG *core.FIGCacheConfig
-	// LISA overrides the LISA-VILLA parameters. Nil selects the default.
-	LISA *core.LISAVillaConfig
 	// FastSubarrays overrides the number of fast subarrays per bank for
 	// FIGCacheFast (Figure 12's capacity sweep). Zero selects the default
 	// of 2.
@@ -159,11 +157,7 @@ func (c *Config) buildHook(geo dram.Geometry) (memctrl.CacheHook, error) {
 	case Base, LLDRAM:
 		return nil, nil
 	case LISAVilla:
-		lcfg := core.DefaultLISAVillaConfig()
-		if c.LISA != nil {
-			lcfg = *c.LISA
-		}
-		return core.NewLISAVilla(lcfg, geo)
+		return core.NewLISAVilla(core.DefaultLISAVillaConfig(), geo)
 	case FIGCacheSlow:
 		fcfg := core.SlowConfig()
 		if c.FIG != nil {

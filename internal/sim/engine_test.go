@@ -28,7 +28,7 @@ func runWith(t *testing.T, cfg Config, dense bool) Result {
 
 // warmMix returns a workload that exercises the in-DRAM cache (insertions,
 // relocations, idle flushes) within a small instruction budget.
-func warmMix(t *testing.T) workload.Mix {
+func warmMix(t testing.TB) workload.Mix {
 	t.Helper()
 	spec, err := workload.ByName("mcf")
 	if err != nil {

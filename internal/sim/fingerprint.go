@@ -28,7 +28,7 @@ func (f Fingerprint) String() string { return hex.EncodeToString(f[:]) }
 // Fingerprint returns the run's canonical identity: a stable hash over
 // the normalized configuration (defaults filled in, so a zero Channels
 // field hashes identically to its explicit default), every workload
-// parameter of the mix, the FIG/LISA overrides, and EngineVersion.
+// parameter of the mix, the FIG override, and EngineVersion.
 //
 // DenseLoop is deliberately excluded: the dense and cycle-skipping
 // engines produce bit-identical results (TestEngineEquivalence), so a
@@ -66,12 +66,9 @@ func (c Config) Fingerprint() Fingerprint {
 	} else {
 		io.WriteString(h, "fig=default\n")
 	}
-	if l := norm.LISA; l != nil {
-		fmt.Fprintf(h, "lisa=%d,%d,%d,%d,%d\n",
-			l.CacheRowsPerBank, l.FastSubarrays, l.HotThreshold, l.EpochMisses, l.Seed)
-	} else {
-		io.WriteString(h, "lisa=default\n")
-	}
+	// LISA-VILLA has one configuration; the line keeps the hash of every
+	// cached result.
+	io.WriteString(h, "lisa=default\n")
 
 	var fp Fingerprint
 	h.Sum(fp[:0])

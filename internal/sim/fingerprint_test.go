@@ -68,11 +68,6 @@ func TestFingerprintSensitivity(t *testing.T) {
 		"app-bubbles":  func(c *Config) { c.Mix.Apps[0].Synth.Bubbles++ },
 		"app-hotfrac":  func(c *Config) { c.Mix.Apps[0].Synth.HotFraction += 0.01 },
 		"fig-override": func(c *Config) { f := core.DefaultFIGCacheConfig(); c.FIG = &f },
-		"lisa-override": func(c *Config) {
-			l := core.DefaultLISAVillaConfig()
-			l.HotThreshold++
-			c.LISA = &l
-		},
 	}
 	seen := map[Fingerprint]string{ref: "base"}
 	for name, mutate := range mutations {

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/fgss"
 	"repro/internal/workload"
 )
 
@@ -142,4 +143,64 @@ func FuzzEngineEquivalence(f *testing.F) {
 			t.Fatalf("%+v: checkpoint at %d retired + restore diverges:\n want: %+v\n  got: %+v", cfg, at, skip, restored)
 		}
 	})
+}
+
+// FuzzRestore feeds System.Restore snapshot bodies — everything after
+// the header, which is rebuilt for the configuration the input selects
+// — mutated from real snapshots. Restore must not panic, and a snapshot
+// it accepts must be the one Snapshot writes for the state it restored:
+// re-encoded, it gives back its own bytes. So a field, count, order or
+// encoding that Snapshot never writes must be refused, not read as
+// something else.
+func FuzzRestore(f *testing.F) {
+	// The seeds, each cut at the given retired count: FIGCache-Fast and
+	// Base on mcf, LISA-VILLA on warmMix's hotter mcf (plain mcf makes
+	// one LISA-VILLA insertion in its first 80k instructions, this one 55
+	// in 10k), and FIGCache-Fast on two cores of a 50%-intensive mix.
+	two := eightCoreMix(f, 50)
+	two.Apps = two.Apps[:2]
+	seeds := []struct {
+		cfg Config
+		cut int64
+	}{
+		{DefaultConfig(FIGCacheFast, smallMix(f, "mcf")), 3_000},
+		{DefaultConfig(LISAVilla, warmMix(f)), 10_000},
+		{DefaultConfig(Base, smallMix(f, "mcf")), 3_000},
+		{DefaultConfig(FIGCacheFast, two), 4_000},
+	}
+	headers := make([][]byte, len(seeds))
+	for i, sd := range seeds {
+		_, snap := snapshotAt(f, sd.cfg, sd.cut)
+		headers[i] = snap[:fgss.HeaderSize]
+		f.Add(uint8(i), snap[fgss.HeaderSize:])
+	}
+	f.Fuzz(func(t *testing.T, which uint8, body []byte) {
+		i := int(which) % len(seeds)
+		s, err := New(seeds[i].cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := append(bytes.Clone(headers[i]), body...)
+		if s.Restore(bytes.NewReader(in)) != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := s.Snapshot(&out); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out.Bytes(), in) {
+			t.Fatalf("%s: restore accepted a snapshot Snapshot does not write: %d bytes in, %d re-encoded, first difference at byte %d",
+				seeds[i].cfg.Describe(), len(in), out.Len(), firstDiff(in, out.Bytes()))
+		}
+	})
+}
+
+// firstDiff returns the index of the first byte where a and b differ,
+// or the shorter length if one is a prefix of the other.
+func firstDiff(a, b []byte) int {
+	i := 0
+	for i < len(a) && i < len(b) && a[i] == b[i] {
+		i++
+	}
+	return i
 }

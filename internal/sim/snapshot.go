@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"io"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/ev"
@@ -43,18 +44,14 @@ type snapshotter interface {
 func snapEvent(w *fgss.Writer, e event) {
 	w.I64(e.at)
 	w.I64(e.seq)
-	w.U64(uint64(e.tok.Kind))
-	w.I64(int64(e.tok.ID))
-	w.U64(e.tok.Arg)
+	ev.WriteToken(w, e.tok)
 }
 
 func restoreEvent(r *fgss.Reader) event {
 	var e event
 	e.at = r.I64()
 	e.seq = r.I64()
-	e.tok.Kind = ev.Kind(r.U64())
-	e.tok.ID = int32(r.I64())
-	e.tok.Arg = r.U64()
+	e.tok = ev.ReadToken(r)
 	return e
 }
 
@@ -80,10 +77,10 @@ func (q *eventQueue) snapshot(w *fgss.Writer) {
 
 // restore reads back what snapshot wrote, dropping any currently
 // pending events. Lane registrations are construction-time bindings and
-// must already exist (a count mismatch stops decoding). Every token must
-// pass checkTok, or the snapshot is rejected before a bad token reaches
-// Dispatch. nextDue is left at its ambiguous zero, which forces the next
-// nextAt to rescan.
+// must already exist (another lane count is a decode error). Every token
+// must pass checkTok, or the snapshot is rejected before a bad token
+// reaches Dispatch. nextDue is left at its ambiguous zero, which forces
+// the next nextAt to rescan.
 func (q *eventQueue) restore(r *fgss.Reader, checkTok func(ev.Token) error) {
 	next := func() event {
 		e := restoreEvent(r)
@@ -95,11 +92,11 @@ func (q *eventQueue) restore(r *fgss.Reader, checkTok func(ev.Token) error) {
 	q.seq = r.I64()
 	clear(q.items)
 	q.items = q.items[:0]
-	n := r.Int()
+	n := r.Len(math.MaxInt, "sim: queued events")
 	for i := 0; i < n && r.Err() == nil; i++ {
 		q.items = append(q.items, next())
 	}
-	if r.Int() != len(q.lanes) {
+	if !r.Expect(len(q.lanes), "sim: event lanes") {
 		return
 	}
 	for i := range q.lanes {
@@ -107,7 +104,7 @@ func (q *eventQueue) restore(r *fgss.Reader, checkTok func(ev.Token) error) {
 		clear(l.items)
 		l.items = l.items[:0]
 		l.head = 0
-		n := r.Int()
+		n := r.Len(math.MaxInt, "sim: lane events")
 		for j := 0; j < n && r.Err() == nil; j++ {
 			l.items = append(l.items, next())
 		}
@@ -199,14 +196,11 @@ func (s *System) Snapshot(out io.Writer) error {
 	w.Begin(snapSecHooks)
 	w.Int(len(s.hooks))
 	for _, h := range s.hooks {
+		w.Int(hookKind(h))
 		if fc := FIGCacheOf(h); fc != nil {
-			w.Int(hookFIGCache)
 			fc.Snapshot(w)
 		} else if lv, ok := h.(*core.LISAVilla); ok {
-			w.Int(hookLISA)
 			lv.Snapshot(w)
-		} else {
-			w.Int(hookNone)
 		}
 	}
 	w.End()
@@ -222,12 +216,24 @@ func (s *System) Snapshot(out io.Writer) error {
 	return w.Flush()
 }
 
+// hookKind returns the marker of an in-DRAM cache hook's kind.
+func hookKind(h memctrl.CacheHook) int {
+	if FIGCacheOf(h) != nil {
+		return hookFIGCache
+	}
+	if _, ok := h.(*core.LISAVilla); ok {
+		return hookLISA
+	}
+	return hookNone
+}
+
 // Restore replaces the System's mutable state with a snapshot written
 // by Snapshot. The receiver must be built by New for the same
 // configuration: the FGSS header refuses a mismatched EngineVersion or
 // config fingerprint, and with both pinned every structural dimension
 // below — core count, window sizes, hierarchy shape, bank counts, hook
-// kinds — matches by construction. Run (or RunUntilRetired) may be
+// kinds — matches by construction, so a count or kind that does not
+// match this System is a decode error. Run (or RunUntilRetired) may be
 // called immediately after; the continuation is bit-identical to the
 // uninterrupted run.
 //
@@ -279,21 +285,22 @@ func (s *System) Restore(in io.Reader) error {
 	r.EndSection()
 
 	r.Section(snapSecCores)
-	if r.Int() == len(s.cores) {
+	if r.Expect(len(s.cores), "sim: cores") {
 		for _, c := range s.cores {
 			c.Restore(r)
 		}
 	}
 	r.EndSection()
 
+	// Both trace readers New opens, the generator and the replayer,
+	// snapshot themselves, so Snapshot marks each present.
 	r.Section(snapSecTraces)
-	if r.Int() == len(s.cores) {
+	if r.Expect(len(s.cores), "sim: traces") {
 		for _, c := range s.cores {
-			present := r.Int()
-			sn, ok := c.TraceReader().(snapshotter)
-			if present == 1 && ok {
-				sn.Restore(r)
+			if !r.Expect(1, "sim: trace presence flag") {
+				break
 			}
+			c.TraceReader().(snapshotter).Restore(r)
 		}
 	}
 	r.EndSection()
@@ -303,7 +310,7 @@ func (s *System) Restore(in io.Reader) error {
 	r.EndSection()
 
 	r.Section(snapSecChannels)
-	if r.Int() == len(s.channels) {
+	if r.Expect(len(s.channels), "sim: channels") {
 		for _, ch := range s.channels {
 			ch.Restore(r)
 		}
@@ -311,7 +318,7 @@ func (s *System) Restore(in io.Reader) error {
 	r.EndSection()
 
 	r.Section(snapSecCtrls)
-	if r.Int() == len(s.ctrls) {
+	if r.Expect(len(s.ctrls), "sim: controllers") {
 		for _, c := range s.ctrls {
 			c.Restore(r, checkIn(snapSecCtrls))
 		}
@@ -319,16 +326,15 @@ func (s *System) Restore(in io.Reader) error {
 	r.EndSection()
 
 	r.Section(snapSecHooks)
-	if r.Int() == len(s.hooks) {
+	if r.Expect(len(s.hooks), "sim: hooks") {
 		for _, h := range s.hooks {
-			kind := r.Int()
-			switch {
-			case kind == hookFIGCache && FIGCacheOf(h) != nil:
-				FIGCacheOf(h).Restore(r)
-			case kind == hookLISA:
-				if lv, ok := h.(*core.LISAVilla); ok {
-					lv.Restore(r)
-				}
+			if !r.Expect(hookKind(h), "sim: hook kind") {
+				break
+			}
+			if fc := FIGCacheOf(h); fc != nil {
+				fc.Restore(r)
+			} else if lv, ok := h.(*core.LISAVilla); ok {
+				lv.Restore(r)
 			}
 		}
 	}
@@ -340,10 +346,13 @@ func (s *System) Restore(in io.Reader) error {
 		s.adapter.pending[i] = pendingReq{}
 	}
 	s.adapter.pending = s.adapter.pending[:0]
-	np := r.Int()
+	np := r.Len(math.MaxInt, "sim: buffered requests")
 	for i := 0; i < np && r.Err() == nil; i++ {
 		ch := r.Int()
-		if ch < 0 || ch >= len(s.channels) {
+		if r.Err() == nil && (ch < 0 || ch >= len(s.channels)) {
+			r.Reject("sim: buffered request %d names channel %d of %d", i, ch, len(s.channels))
+		}
+		if r.Err() != nil {
 			break
 		}
 		req := s.adapter.alloc()

@@ -17,7 +17,7 @@ import (
 
 // snapshotAt builds a system, runs it to k total retired instructions,
 // and returns the system plus its snapshot bytes.
-func snapshotAt(t *testing.T, cfg Config, k int64) (*System, []byte) {
+func snapshotAt(t testing.TB, cfg Config, k int64) (*System, []byte) {
 	t.Helper()
 	s, err := New(cfg)
 	if err != nil {
@@ -436,7 +436,7 @@ func TestRestoreRejectsUnrunnablePlans(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			stand := memctrl.NewController(0, memctrl.DefaultConfig(), s.channels[0], &planHook{plan: tc.plan})
+			stand := memctrl.NewController(0, memctrl.Config{}, s.channels[0], &planHook{plan: tc.plan})
 			stand.Enqueue(&memctrl.Request{Addr: 0x40, Loc: dram.Location{Row: 5}}, 0)
 			for now := int64(0); stand.NumReads == 0; now++ {
 				stand.Tick(now, func(int64, ev.Token) {})
@@ -475,6 +475,123 @@ func TestRestoreRejectsUnrunnablePlans(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), tc.wantErr) {
 				t.Errorf("restore error = %v, want it to contain %q", err, tc.wantErr)
+			}
+		})
+	}
+}
+
+// sectionPayload returns the payload fill writes into one section.
+func sectionPayload(t *testing.T, fill func(w *fgss.Writer)) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w := fgss.NewWriter(&buf, 0, [32]byte{})
+	w.Begin(1)
+	fill(w)
+	w.End()
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()[fgss.HeaderSize+8:]
+}
+
+// TestRestoreRejectsSectionShape replaces one section of a real
+// snapshot with a hand-built one Snapshot never writes for the System —
+// a count or kind that does not match it, or a list entry it cannot
+// hold — and checks that restore refuses it, naming the section. Each
+// case used to restore without error, because restore stopped decoding
+// the section at the mismatch and the section ended there: with its
+// controllers section emptied, a resumed mcf run never finished. Every
+// emptied section is tried on Base, FIGCache-Fast and LISA-VILLA.
+func TestRestoreRejectsSectionShape(t *testing.T) {
+	ints := func(vs ...int) func(*System) func(*fgss.Writer) {
+		return func(*System) func(*fgss.Writer) {
+			return func(w *fgss.Writer) {
+				for _, v := range vs {
+					w.Int(v)
+				}
+			}
+		}
+	}
+	// oneEvent writes an events section holding one heap event, a
+	// CoreSlot token for slot 3 of core 0 once kind and id are cast to
+	// their fields, and empty lanes.
+	oneEvent := func(kind uint64, id int64) func(*System) func(*fgss.Writer) {
+		return func(s *System) func(*fgss.Writer) {
+			return func(w *fgss.Writer) {
+				w.I64(1) // seq
+				w.Int(1)
+				w.I64(5) // at
+				w.I64(0) // seq
+				w.U64(kind)
+				w.I64(id)
+				w.U64(3)
+				w.Int(len(s.events.lanes))
+				for range s.events.lanes {
+					w.Int(0)
+				}
+			}
+		}
+	}
+	type tc struct {
+		name    string
+		preset  Preset
+		tag     uint32
+		fill    func(s *System) func(*fgss.Writer)
+		wantErr func(s *System) string
+	}
+	want := func(msg string) func(*System) string { return func(*System) string { return msg } }
+	var cases []tc
+	for _, p := range []Preset{Base, FIGCacheFast, LISAVilla} {
+		cases = append(cases,
+			tc{"no cores", p, snapSecCores, ints(0), want("section 3: sim: cores: 0, want 1")},
+			tc{"no traces", p, snapSecTraces, ints(0), want("section 4: sim: traces: 0, want 1")},
+			tc{"no cache nodes", p, snapSecCaches, ints(0), want("section 5: cache: nodes: 0, want 3")},
+			tc{"no channels", p, snapSecChannels, ints(0), want("section 6: sim: channels: 0, want 1")},
+			tc{"no controllers", p, snapSecCtrls, ints(0), want("section 7: sim: controllers: 0, want 1")},
+			tc{"no hooks", p, snapSecHooks, ints(0), want("section 8: sim: hooks: 0, want 1")},
+		)
+	}
+	cases = append(cases,
+		tc{"FIGCache hook of kind none", FIGCacheFast, snapSecHooks, ints(1, hookNone), want("section 8: sim: hook kind: 0, want 1")},
+		tc{"LISA-VILLA hook of kind none", LISAVilla, snapSecHooks, ints(1, hookNone), want("section 8: sim: hook kind: 0, want 2")},
+		tc{"FIGCache with no banks", FIGCacheFast, snapSecHooks, ints(1, hookFIGCache, 0), want("section 8: core: FIGCache banks: 0, want 16")},
+		tc{"trace marked absent", Base, snapSecTraces, ints(1, 0), want("section 4: sim: trace presence flag: 0, want 1")},
+		tc{"trace presence flag 2", Base, snapSecTraces, ints(1, 2), want("section 4: sim: trace presence flag: 2, want 1")},
+		tc{"no event lanes", Base, snapSecEvents, ints(0, 0, 0), func(s *System) string {
+			return fmt.Sprintf("section 2: sim: event lanes: 0, want %d", len(s.events.lanes))
+		}},
+		tc{"negative event count", Base, snapSecEvents, func(s *System) func(*fgss.Writer) {
+			return func(w *fgss.Writer) {
+				w.I64(0) // seq
+				w.Int(-1)
+				w.Int(len(s.events.lanes))
+				for range s.events.lanes {
+					w.Int(0)
+				}
+			}
+		}, want("section 2: sim: queued events: -1, outside")},
+		tc{"event token kind 257", Base, snapSecEvents, oneEvent(257, 0), want("section 2: event token kind 257 or ID 0 does not fit its field")},
+		tc{"event token ID 2^32", Base, snapSecEvents, oneEvent(uint64(ev.CoreSlot), 1<<32), want("section 2: event token kind 1 or ID 4294967296 does not fit its field")},
+		tc{"buffered request on no channel", Base, snapSecAdapter, ints(1, 5), want("section 9: sim: buffered request 0 names channel 5 of 1")},
+	)
+	snaps := map[Preset][]byte{}
+	for _, tc := range cases {
+		t.Run(tc.preset.String()+"/"+tc.name, func(t *testing.T) {
+			cfg := DefaultConfig(tc.preset, smallMix(t, "mcf"))
+			cfg.TargetInsts = 10_000
+			// A fresh System's snapshot: no event names a miss that an
+			// emptied caches section would drop.
+			if snaps[tc.preset] == nil {
+				_, snaps[tc.preset] = snapshotAt(t, cfg, 0)
+			}
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			payload := sectionPayload(t, tc.fill(s))
+			err = s.Restore(bytes.NewReader(withSection(snaps[tc.preset], tc.tag, payload)))
+			if want := tc.wantErr(s); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("restore error = %v, want one containing %q", err, want)
 			}
 		})
 	}

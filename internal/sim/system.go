@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 
-	"repro/internal/arena"
 	"repro/internal/cache"
 	"repro/internal/cpu"
 	"repro/internal/dram"
@@ -68,13 +67,6 @@ type System struct {
 	// scheduler (see LevelScheduler); lanes are bound once at construction.
 	//fglint:preserved lane bindings are config-determined; the event queue's snapshot carries the lanes' contents
 	latencyLanes map[int64]*laneScheduler
-
-	// arena backs every pointer-free array the System is built from —
-	// cache line arrays, DRAM bank state, controller per-bank registers,
-	// core window rings — so construction is a handful of chunk
-	// allocations instead of one per array. Filled only during
-	// construction.
-	arena *arena.Arena
 }
 
 // New builds a system for the configuration.
@@ -89,13 +81,6 @@ func New(cfg Config) (*System, error) {
 	fast := slow.Fast(dram.PaperFastScale())
 	allFast := cfg.Preset == LLDRAM
 
-	// The cache line arrays dominate the footprint; the bank/controller/
-	// core arrays add a few kilobytes the slack covers, and the arena
-	// grows if a shape outruns the hint.
-	hcfg := cfg.hierarchyConfig()
-	s.arena = arena.New(hcfg.LineArrayBytes() + 32<<10)
-	hcfg.Arena = s.arena
-
 	mapper, err := memctrl.NewAddrMapper(geo, cfg.Channels)
 	if err != nil {
 		return nil, err
@@ -103,7 +88,7 @@ func New(cfg Config) (*System, error) {
 	s.mapper = mapper
 
 	for ch := 0; ch < cfg.Channels; ch++ {
-		channel, err := dram.NewChannelIn(s.arena, geo, slow, fast, allFast)
+		channel, err := dram.NewChannel(geo, slow, fast, allFast)
 		if err != nil {
 			return nil, err
 		}
@@ -111,20 +96,21 @@ func New(cfg Config) (*System, error) {
 		if err != nil {
 			return nil, err
 		}
-		mcCfg := memctrl.DefaultConfig()
-		mcCfg.ImmediateReloc = cfg.ImmediateReloc
 		s.channels = append(s.channels, channel)
 		s.hooks = append(s.hooks, hook)
-		s.ctrls = append(s.ctrls, memctrl.NewControllerIn(s.arena, ch, mcCfg, channel, hook))
+		s.ctrls = append(s.ctrls, memctrl.NewController(ch, memctrl.Config{ImmediateReloc: cfg.ImmediateReloc}, channel, hook))
 	}
 
-	s.adapter = &memAdapter{sys: s}
+	s.adapter = &memAdapter{
+		sys:      s,
+		blocked:  make([]bool, cfg.Channels),
+		enqueued: make([]bool, cfg.Channels),
+	}
 	// Seed the request pool to its structural bound — every controller
 	// queue slot full plus a drain buffer's worth in flight — so the pool
 	// never grows mid-run: high-water-mark creep under bursty relocation
 	// traffic would otherwise allocate long past warm-up.
-	mcDefaults := memctrl.DefaultConfig()
-	poolCap := cfg.Channels*(mcDefaults.ReadQueueDepth+mcDefaults.WriteQueueDepth) + 64
+	poolCap := cfg.Channels*(memctrl.ReadQueueDepth+memctrl.WriteQueueDepth) + 64
 	backing := make([]memctrl.Request, poolCap) // one block: one GC object, not poolCap
 	s.adapter.free = make([]*memctrl.Request, poolCap)
 	for i := range s.adapter.free {
@@ -137,7 +123,7 @@ func New(cfg Config) (*System, error) {
 	s.busSched = func(at int64, tok ev.Token) {
 		s.events.schedule(at*cpb, tok)
 	}
-	hier, err := cache.NewHierarchy(hcfg, s.adapter, s)
+	hier, err := cache.NewHierarchy(cfg.hierarchyConfig(), s.adapter, s)
 	if err != nil {
 		return nil, err
 	}
@@ -146,15 +132,15 @@ func New(cfg Config) (*System, error) {
 	if err := s.initCores(); err != nil {
 		return nil, err
 	}
-	s.ctrlWake = arena.Slice[int64](s.arena, len(s.ctrls))
-	s.parkedAt = arena.Slice[int64](s.arena, len(s.cores))
-	s.wakeAt = arena.Slice[int64](s.arena, len(s.cores))
-	s.awake = arena.Slice[uint64](s.arena, (len(s.cores)+63)/64)
-	s.done = arena.Slice[uint64](s.arena, (len(s.cores)+63)/64)
+	s.ctrlWake = make([]int64, len(s.ctrls))
+	s.parkedAt = make([]int64, len(s.cores))
+	s.wakeAt = make([]int64, len(s.cores))
+	s.awake = make(coreSet, (len(s.cores)+63)/64)
+	s.done = make(coreSet, (len(s.cores)+63)/64)
 	for i := range s.parkedAt {
 		s.parkedAt[i] = -1
 	}
-	s.l1Core = arena.Slice[int32](s.arena, len(hier.Nodes()))
+	s.l1Core = make([]int32, len(hier.Nodes()))
 	for i := range s.l1Core {
 		s.l1Core[i] = -1
 	}
@@ -307,7 +293,7 @@ func (s *System) initCores() error {
 		if err != nil {
 			return err
 		}
-		c, err := cpu.NewIn(s.arena, i, cfg.coreConfig(), gen, s.hier.L1s[i], cfg.TargetInsts)
+		c, err := cpu.New(i, cfg.coreConfig(), gen, s.hier.L1s[i], cfg.TargetInsts)
 		if err != nil {
 			return err
 		}
@@ -444,14 +430,9 @@ func (m *memAdapter) release(r *memctrl.Request) {
 // blocked write must not let a younger read to the same channel jump
 // ahead. Kept requests are compacted in place (no per-element splicing).
 func (m *memAdapter) drain(busNow int64) {
-	if m.blocked == nil {
-		m.blocked = make([]bool, len(m.sys.ctrls))
-		m.enqueued = make([]bool, len(m.sys.ctrls))
-	} else {
-		for i := range m.blocked {
-			m.blocked[i] = false
-			m.enqueued[i] = false
-		}
+	for i := range m.blocked {
+		m.blocked[i] = false
+		m.enqueued[i] = false
 	}
 	if len(m.pending) == 0 {
 		return

@@ -17,13 +17,10 @@ func (r *Reservoir) Snapshot(w *fgss.Writer) {
 
 // Restore reads back what Snapshot wrote. The receiver must be built
 // with the same capacity as the snapshotted reservoir; a sample count
-// exceeding it is a structural mismatch and decoding stops.
+// exceeding it is a decode error.
 func (r *Reservoir) Restore(rd *fgss.Reader) {
 	r.seen = rd.I64()
-	n := rd.Int()
-	if n < 0 || n > r.cap {
-		return
-	}
+	n := rd.Len(r.cap, "stats: reservoir samples")
 	r.items = r.items[:0]
 	for i := 0; i < n && rd.Err() == nil; i++ {
 		r.items = append(r.items, rd.I64())

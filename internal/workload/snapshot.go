@@ -17,14 +17,13 @@ func (g *Generator) Snapshot(w *fgss.Writer) {
 }
 
 // Restore reads back what Snapshot wrote. The receiver must come from
-// the same spec (stream count mismatch stops decoding).
+// the same spec (another stream count is a decode error).
 func (g *Generator) Restore(r *fgss.Reader) {
 	g.rng = splitmix64(r.U64())
-	n := r.Int()
-	if n != len(g.streams) {
+	if !r.Expect(len(g.streams), "workload: generator streams") {
 		return
 	}
-	for i := 0; i < n && r.Err() == nil; i++ {
+	for i := range g.streams {
 		g.streams[i].pos = r.I64()
 	}
 	g.runLeft = r.Int()
@@ -40,10 +39,13 @@ func (r *Replayer) Snapshot(w *fgss.Writer) {
 }
 
 // Restore reads back what Snapshot wrote. An offset outside the trace
-// is a structural mismatch and decoding stops.
+// is a decode error.
 func (r *Replayer) Restore(rd *fgss.Reader) {
 	off := rd.Int()
-	if off < 0 || off > len(r.data) {
+	if rd.Err() == nil && (off < 0 || off > len(r.data)) {
+		rd.Reject("workload: replayer offset %d is outside the %d-byte trace", off, len(r.data))
+	}
+	if rd.Err() != nil {
 		return
 	}
 	r.off = off
