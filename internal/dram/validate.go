@@ -7,9 +7,11 @@ import "fmt"
 type Violation struct {
 	Constraint string
 	At         int64 // issue cycle of the violating command
-	Prev       int64 // issue cycle of the earlier command it conflicts with
-	Cmd        Command
-	Detail     string
+	// Prev is the issue cycle of the earlier command it conflicts with,
+	// or, for a refresh deadline, the cycle the deadline fell on.
+	Prev   int64
+	Cmd    Command
+	Detail string
 }
 
 func (v Violation) String() string {
@@ -17,21 +19,35 @@ func (v Violation) String() string {
 		v.At, v.Constraint, v.Prev, v.Detail, v.Cmd)
 }
 
+// maxPostponedREF is how many REF commands a rank may postpone: JESD79-4
+// allows eight, so the interval between two REFs is at most 9 x tREFI.
+const maxPostponedREF = 8
+
 // ValidateTrace replays a recorded command trace against the JEDEC timing
 // constraints and protocol rules, independently of the issue-time checks
 // the Channel performs. It is the simulator's safety net: any scheduling
 // bug that sneaks a command past CanIssue is caught here.
 //
-// Checked rules:
+// Checked rules, by constraint name. An _S value spaces commands in
+// different bank groups of a rank and an _L value commands in one bank
+// group; as in DDR4, a pair in one group must obey both.
 //
-//	ACT:  bank precharged; tRC since previous ACT (same bank); tRP since
-//	      PRE; tRRD since any ACT in the rank; tFAW over any five ACTs;
-//	      tRFC since REF.
-//	PRE:  bank open; tRAS since ACT; tRTP since RD; tWR after WR data.
-//	RD:   row open and matching; tRCD since ACT; tCCD since previous
-//	      column command; tWTR after WR data.
-//	WR:   row open and matching; tRCD since ACT; tCCD; tRTW after RD.
-//	REF:  all banks in the rank precharged; tRP since every PRE.
+//	ACT:  bank-closed (bank precharged); tRC since the bank's previous
+//	      ACT; tRP since its PRE; tRRD_S since the rank's previous ACT;
+//	      tRRD_L since the bank group's previous ACT; tFAW over any five
+//	      ACTs of the rank; tRFC since the rank's REF.
+//	PRE:  bank-open; tRAS since ACT; tRTP since RD; tWR after WR data.
+//	RD:   row-open (the row open and matching); tRCD since ACT; tCCD_S
+//	      since the previous column command; tCCD_L since the bank
+//	      group's previous column command; tWTR_S after the previous
+//	      command's WR data; tWTR_L after the bank group's last WR data.
+//	WR:   row-open; tRCD since ACT; tCCD_S; tCCD_L; tRTW after the
+//	      previous command's RD data.
+//	REF:  all-precharged (every bank in the rank); tRP-before-REF since
+//	      every PRE; refresh-deadline: a rank's k-th REF falls due at
+//	      k x tREFI and may be postponed at most eight intervals, so it
+//	      must issue by (k+8) x tREFI. The trace's last command must not
+//	      lie past the deadline of the REF that would follow either.
 //
 // Relocation occupancy (RELOC/RBM) is applied by the Channel outside the
 // command stream, so traces containing relocations validate the explicit
@@ -42,25 +58,33 @@ func ValidateTrace(geo Geometry, slow, fast Timing, allFast bool, trace []Comman
 		openCache   bool
 		lastACT     int64
 		lastPRE     int64
-		lastPREFast bool  // the precharged row's timing class
-		lastRDEnd   int64 // last read data end (for tWTR source symmetry)
+		lastPREFast bool // the precharged row's timing class
 		lastRD      int64
 		lastWREnd   int64
 		openIsFast  bool
 	}
+	const never = -1 << 40
 	nBanks := geo.Ranks * geo.BanksPerRank()
 	banks := make([]bankState, nBanks)
 	for i := range banks {
 		banks[i].openRow = -1
-		banks[i].lastACT = -1 << 40
-		banks[i].lastPRE = -1 << 40
-		banks[i].lastWREnd = -1 << 40
-		banks[i].lastRD = -1 << 40
+		banks[i].lastACT = never
+		banks[i].lastPRE = never
+		banks[i].lastWREnd = never
+		banks[i].lastRD = never
+	}
+	// Per bank group (rank-major): the last ACT, the last column command
+	// and the end of the last WR data, for the _L rules.
+	type groupState struct{ lastACT, lastCol, lastWREnd int64 }
+	groups := make([]groupState, geo.Ranks*geo.BankGroups)
+	for i := range groups {
+		groups[i] = groupState{never, never, never}
 	}
 	rankACTs := make([][]int64, geo.Ranks)
 	lastREF := make([]int64, geo.Ranks)
+	refs := make([]int64, geo.Ranks) // REFs issued per rank
 	for r := range lastREF {
-		lastREF[r] = -1 << 40
+		lastREF[r] = never
 	}
 	var lastCol struct {
 		at, end int64
@@ -74,16 +98,25 @@ func ValidateTrace(geo Geometry, slow, fast Timing, allFast bool, trace []Comman
 		}
 		return slow
 	}
+	// refDeadline is the cycle by which rank r's next REF must issue.
+	refDeadline := func(r int) int64 {
+		return (refs[r] + 1 + maxPostponedREF) * int64(slow.REFI)
+	}
 
 	var out []Violation
 	add := func(constraint string, at, prev int64, cmd Command, detail string) {
 		out = append(out, Violation{Constraint: constraint, At: at, Prev: prev, Cmd: cmd, Detail: detail})
 	}
 
+	var last CommandTrace // the latest-issued command
 	for _, tr := range trace {
 		cmd, at := tr.Cmd, tr.At
+		if at >= last.At {
+			last = tr
+		}
 		id := cmd.Loc.BankID(geo)
 		b := &banks[id]
+		g := &groups[cmd.Loc.Rank*geo.BankGroups+cmd.Loc.Group]
 		t := timingFor(cmd.Loc.CacheRow)
 		switch cmd.Type {
 		case CmdACT:
@@ -104,12 +137,16 @@ func ValidateTrace(geo Geometry, slow, fast Timing, allFast bool, trace []Comman
 			}
 			hist := rankACTs[cmd.Loc.Rank]
 			if n := len(hist); n > 0 && at-hist[n-1] < int64(slow.RRDS) {
-				add("tRRD", at, hist[n-1], cmd, fmt.Sprintf("%d < tRRD_S", at-hist[n-1]))
+				add("tRRD_S", at, hist[n-1], cmd, fmt.Sprintf("%d < tRRD_S", at-hist[n-1]))
+			}
+			if at-g.lastACT < int64(slow.RRDL) {
+				add("tRRD_L", at, g.lastACT, cmd, fmt.Sprintf("%d < tRRD_L in one bank group", at-g.lastACT))
 			}
 			if n := len(hist); n >= 4 && at-hist[n-4] < int64(slow.FAW) {
 				add("tFAW", at, hist[n-4], cmd, fmt.Sprintf("five ACTs in %d", at-hist[n-4]))
 			}
 			rankACTs[cmd.Loc.Rank] = append(hist, at)
+			g.lastACT = at
 			b.openRow = cmd.Loc.Row
 			b.openCache = cmd.Loc.CacheRow
 			b.openIsFast = allFast || (cmd.Loc.CacheRow && geo.FastSubarrays > 0)
@@ -143,26 +180,34 @@ func ValidateTrace(geo Geometry, slow, fast Timing, allFast bool, trace []Comman
 			}
 			if lastCol.valid {
 				if at-lastCol.at < int64(slow.CCDS) {
-					add("tCCD", at, lastCol.at, cmd, fmt.Sprintf("%d < tCCD_S", at-lastCol.at))
+					add("tCCD_S", at, lastCol.at, cmd, fmt.Sprintf("%d < tCCD_S", at-lastCol.at))
 				}
 				if lastCol.kind == CmdWR && cmd.Type == CmdRD && at-lastCol.end < int64(slow.WTRS) {
-					add("tWTR", at, lastCol.end, cmd, fmt.Sprintf("%d < tWTR_S after WR data", at-lastCol.end))
+					add("tWTR_S", at, lastCol.end, cmd, fmt.Sprintf("%d < tWTR_S after WR data", at-lastCol.end))
 				}
 				if lastCol.kind == CmdRD && cmd.Type == CmdWR && at-lastCol.end < int64(slow.RTW) {
 					add("tRTW", at, lastCol.end, cmd, fmt.Sprintf("%d < tRTW after RD data", at-lastCol.end))
 				}
 			}
+			if at-g.lastCol < int64(slow.CCDL) {
+				add("tCCD_L", at, g.lastCol, cmd, fmt.Sprintf("%d < tCCD_L in one bank group", at-g.lastCol))
+			}
+			if cmd.Type == CmdRD && at-g.lastWREnd < int64(slow.WTRL) {
+				add("tWTR_L", at, g.lastWREnd, cmd, fmt.Sprintf("%d < tWTR_L after WR data in one bank group", at-g.lastWREnd))
+			}
 			end := at + int64(openT.ReadLatency())
 			if cmd.Type == CmdWR {
 				end = at + int64(openT.WriteLatency())
 				b.lastWREnd = end
+				g.lastWREnd = end
 			} else {
 				b.lastRD = at
-				b.lastRDEnd = end
 			}
+			g.lastCol = at
 			lastCol.at, lastCol.end, lastCol.kind, lastCol.valid = at, end, cmd.Type, true
 		case CmdREF:
-			base := cmd.Loc.Rank * geo.BanksPerRank()
+			r := cmd.Loc.Rank
+			base := r * geo.BanksPerRank()
 			for i := 0; i < geo.BanksPerRank(); i++ {
 				if banks[base+i].openRow != -1 {
 					add("all-precharged", at, banks[base+i].lastACT, cmd,
@@ -172,7 +217,12 @@ func ValidateTrace(geo Geometry, slow, fast Timing, allFast bool, trace []Comman
 					add("tRP-before-REF", at, banks[base+i].lastPRE, cmd, "REF before precharge settled")
 				}
 			}
-			lastREF[cmd.Loc.Rank] = at
+			if due := refDeadline(r); at > due {
+				add("refresh-deadline", at, due, cmd,
+					fmt.Sprintf("REF %d of rank %d more than %d intervals late", refs[r]+1, r, maxPostponedREF))
+			}
+			refs[r]++
+			lastREF[r] = at
 		case CmdRELOC, CmdRBM:
 			// In-DRAM relocation burst: the bank is owned until tr.End and
 			// ends precharged. Rebase the bank state so subsequent
@@ -186,6 +236,14 @@ func ValidateTrace(geo Geometry, slow, fast Timing, allFast bool, trace []Comman
 			b.lastACT = end - int64(t.RC)
 			b.lastRD = end - int64(t.RTP)
 			b.lastWREnd = end - int64(t.WR)
+		}
+	}
+	if len(trace) > 0 {
+		for r := range refs {
+			if due := refDeadline(r); last.At > due {
+				add("refresh-deadline", last.At, due, last.Cmd,
+					fmt.Sprintf("trace ends with REF %d of rank %d more than %d intervals late", refs[r]+1, r, maxPostponedREF))
+			}
 		}
 	}
 	return out

@@ -131,6 +131,67 @@ func TestValidateCatchesFAW(t *testing.T) {
 	}
 }
 
+// TestValidateBankGroupAndRefreshRules checks the same-bank-group (_L)
+// rules and the refresh deadline on hand-built traces: each rule is
+// reported on a trace that breaks it by one cycle, and not on the same
+// trace with the command moved onto its bound.
+func TestValidateBankGroupAndRefreshRules(t *testing.T) {
+	slow := DDR4()
+	refi := int64(slow.REFI)
+	act := func(at int64, group, bank int) CommandTrace {
+		return CommandTrace{At: at, Cmd: Command{Type: CmdACT, Loc: Location{Group: group, Bank: bank, Row: 1}}}
+	}
+	col := func(at int64, typ CmdType, group, bank int) CommandTrace {
+		return CommandTrace{At: at, Cmd: Command{Type: typ, Loc: Location{Group: group, Bank: bank, Row: 1}}}
+	}
+	ref := func(at int64) CommandTrace { return CommandTrace{At: at, Cmd: Command{Type: CmdREF}} }
+	cases := []struct {
+		rule string
+		// trace builds the trace with its last command at cycle at. At
+		// bound it is legal; one cycle short of bound, or past it for a
+		// deadline, it breaks rule.
+		trace func(at int64) []CommandTrace
+		bound int64
+	}{
+		// Two banks of one bank group: tRRD_S (4) is met, tRRD_L (5) is not.
+		{"tRRD_L", func(at int64) []CommandTrace { return []CommandTrace{act(0, 0, 0), act(at, 0, 1)} }, int64(slow.RRDL)},
+		// Reads to two open banks of one group: tCCD_S apart, not tCCD_L.
+		{"tCCD_L", func(at int64) []CommandTrace {
+			return []CommandTrace{act(0, 0, 0), act(5, 0, 1), col(12, CmdRD, 0, 0), col(at, CmdRD, 0, 1)}
+		}, 12 + int64(slow.CCDL)},
+		// A read after a write in one group: tWTR_S after the write data
+		// (cycle 24), not tWTR_L.
+		{"tWTR_L", func(at int64) []CommandTrace {
+			return []CommandTrace{act(0, 0, 0), act(5, 0, 1), col(11, CmdWR, 0, 0), col(at, CmdRD, 0, 1)}
+		}, 11 + int64(slow.WriteLatency()+slow.WTRL)},
+		// The first REF, due at tREFI, eight intervals late.
+		{"refresh-deadline", func(at int64) []CommandTrace { return []CommandTrace{ref(at)} }, 9 * refi},
+		// A trace that ends with no REF past the first one's deadline.
+		{"refresh-deadline", func(at int64) []CommandTrace { return []CommandTrace{act(at, 0, 0)} }, 9 * refi},
+		// One REF on time, then none by the end of the trace.
+		{"refresh-deadline", func(at int64) []CommandTrace { return []CommandTrace{ref(refi), act(at, 0, 0)} }, 10 * refi},
+	}
+	names := func(vs []Violation) map[string]bool {
+		m := map[string]bool{}
+		for _, v := range vs {
+			m[v.Constraint] = true
+		}
+		return m
+	}
+	for _, c := range cases {
+		bad := c.bound - 1
+		if c.rule == "refresh-deadline" {
+			bad = c.bound + 1
+		}
+		if vs := ValidateTrace(Default(), slow, slow.Fast(PaperFastScale()), false, c.trace(c.bound)); len(vs) != 0 {
+			t.Errorf("%s: trace on its bound flagged: %v", c.rule, vs)
+		}
+		if vs := ValidateTrace(Default(), slow, slow.Fast(PaperFastScale()), false, c.trace(bad)); !names(vs)[c.rule] {
+			t.Errorf("%s: trace breaking it by one cycle not caught: %v", c.rule, vs)
+		}
+	}
+}
+
 func TestViolationString(t *testing.T) {
 	v := Violation{Constraint: "tRCD", At: 10, Prev: 5,
 		Cmd: Command{Type: CmdRD, Loc: Location{Row: 3}}, Detail: "too early"}

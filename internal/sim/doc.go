@@ -52,12 +52,18 @@
 // batching core applies its batch up to the waking cycle before the
 // waking event's handler runs. Every exit of the loop wakes the cores
 // still asleep, so outside it no core sleeps
-// and a snapshot carries no sleep state. The loop keeps the running
-// cores in the awake set, a bitset of any width, and visits only its
-// set bits, in core-ID order; a done set counts the cores past their
-// target, and the earliest sleeping wake is kept as cores fall asleep
-// and recomputed only when the core holding it wakes. The loop rebuilds
-// all three on entry, when every core runs.
+// and a snapshot carries no sleep state. The loop takes one of two
+// shapes, chosen once per call by core count. With several cores it
+// keeps the running cores in the awake set, a bitset of any width, and
+// visits only its set bits, in core-ID order; a done set counts the
+// cores past their target, and the earliest sleeping wake is kept as
+// cores fall asleep and recomputed only when the core holding it wakes.
+// It rebuilds all three on entry, when every core runs. With one core
+// (runSolo) the core's own sleep state is all there is to keep, so the
+// loop keeps no sets, and on a System with one controller it ticks that
+// controller without a loop over controllers. Both shapes make the same
+// core and controller calls in the same order, so the choice changes
+// no result and no snapshot byte.
 //
 // New is the only way to build a System's state: every run gets its own
 // System, and Restore overwrites a built one from a snapshot. Run and

@@ -116,6 +116,11 @@ func TestEngineEquivalence(t *testing.T) {
 	halfBus := DefaultConfig(FIGCacheFast, smallMix(t, "mcf"))
 	halfBus.CPUPerBus = 2
 	cases = append(cases, tc{name: "FIGCache-Fast/cpu-per-bus-2", cfg: halfBus, insts: 20_000})
+	// One core over four channels: the one-core loop with the
+	// multi-controller bus path.
+	fourChan := DefaultConfig(FIGCacheFast, smallMix(t, "mcf"))
+	fourChan.Channels = 4
+	cases = append(cases, tc{name: "FIGCache-Fast/mcf/4ch", cfg: fourChan, insts: 20_000})
 
 	// Eight relocating cores over four channels: cores sleep blocked and
 	// wake on fills while relocations run underneath. Short enough for
@@ -333,13 +338,24 @@ func TestEngineHierarchyState(t *testing.T) {
 		return mix
 	}
 	cases := []struct {
-		name   string
-		preset Preset
-		mix    workload.Mix
-		insts  int64
-		sliced bool // pause both engines every 4096 cycles
+		name     string
+		preset   Preset
+		mix      workload.Mix
+		channels int // 0 keeps the default for the core count
+		insts    int64
+		sliced   bool // pause both engines every 4096 cycles
 	}{
 		{name: "mcf", preset: Base, mix: smallMix(t, "mcf"), insts: 20_000},
+		// One-core runs take the skip engine's one-core loop. mcf is
+		// blocked at most pauses. sjeng sleeps through long bubble
+		// batches: at this seed and length 4 of its 15 pauses fall inside
+		// one, and the run ends on the last cycle of a batch that carried
+		// the core across its target. Over four channels the one-core
+		// loop ticks the controllers through the multi-controller bus
+		// path.
+		{name: "mcf/sliced", preset: Base, mix: smallMix(t, "mcf"), insts: 20_000, sliced: true},
+		{name: "FIGCache-Fast/sjeng/sliced", preset: FIGCacheFast, mix: smallMix(t, "sjeng"), insts: 80_000, sliced: true},
+		{name: "FIGCache-Fast/mcf/4ch/sliced", preset: FIGCacheFast, mix: smallMix(t, "mcf"), channels: 4, insts: 20_000, sliced: true},
 		{name: "writeheavy", preset: Base, mix: writeHeavy(), insts: 60_000},
 		{name: "FIGCache-Fast/8core", preset: FIGCacheFast, mix: eightCoreMix(t, 100), insts: 5_000},
 		{name: "FIGCache-Fast/8core/sliced", preset: FIGCacheFast, mix: eightCoreMix(t, 100), insts: 5_000, sliced: true},
@@ -352,6 +368,7 @@ func TestEngineHierarchyState(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			build := func(dense bool) *System {
 				cfg := DefaultConfig(tc.preset, tc.mix)
+				cfg.Channels = tc.channels
 				cfg.TargetInsts = tc.insts
 				cfg.Seed = 2
 				cfg.DenseLoop = dense

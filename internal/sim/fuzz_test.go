@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/dram"
 	"repro/internal/fgss"
 	"repro/internal/workload"
 )
@@ -18,7 +20,14 @@ import (
 // to b-1, and zero keeps each spec's own. Against the issue width of 3,
 // Bubbles of 0-2 give no batch, 3-5 one-cycle batches at the
 // Bubbles/IssueWidth edge, and large values long all-done runs.
-func fuzzConfig(preset, chanLog, apps, source, cpb uint8, seed uint64, immediate bool, insts uint16, bubbles uint8) Config {
+//
+// Under the three FIGCache presets a nonzero fig draws a FIGCache
+// override, the space of Section 9's sensitivity studies: segments of
+// 8-128 blocks; 1-16 fast subarrays, with CacheRowsPerBank to match (for
+// FIGCache-Slow, that many rows of its reserved slow subarray); any
+// replacement policy; an insertion threshold of 1, 2, 4 or 8; and FIGARO
+// or RowClone-PSM relocation. Zero keeps the paper's default.
+func fuzzConfig(preset, chanLog, apps, source, cpb uint8, seed uint64, immediate bool, insts uint16, bubbles uint8, fig uint16) Config {
 	benches := workload.Benchmarks()
 	mixes := workload.EightCoreMixes()
 	n := 1 + int(apps)%8
@@ -43,51 +52,84 @@ func fuzzConfig(preset, chanLog, apps, source, cpb uint8, seed uint64, immediate
 	cfg.Seed = seed
 	cfg.ImmediateReloc = immediate
 	cfg.TargetInsts = 1_000 + int64(insts)%3_001
+	if fig > 0 && (cfg.Preset == FIGCacheSlow || cfg.Preset == FIGCacheFast || cfg.Preset == FIGCacheIdeal) {
+		v := int(fig - 1)
+		f := core.DefaultFIGCacheConfig()
+		f.SegmentBlocks = 8 << (v % 5)
+		v /= 5
+		cfg.FastSubarrays = 1 + v%16
+		f.CacheRowsPerBank = cfg.FastSubarrays * dram.Default().RowsPerFastSubarray
+		v /= 16
+		f.Replacement = []core.ReplacementKind{core.ReplRowBenefit, core.ReplSegmentBenefit, core.ReplLRU, core.ReplRandom}[v%4]
+		v /= 4
+		f.InsertThreshold = 1 << (v % 4)
+		if v/4%2 == 1 {
+			f.Substrate = core.SubstrateRowClonePSM
+		}
+		cfg.FIG = &f
+	}
 	return cfg
 }
 
 // FuzzEngineEquivalence extends the engine equivalence contract from
 // TestEngineEquivalence's hand-picked cases to random small
 // configurations (see fuzzConfig). For each one, the dense and skip
-// engines must return identical Results and hold the same state at the
-// end of the run; both engines paused by RunUntilRetired at a
-// fuzz-chosen retired count K must stop on the same cycle in the same
-// state (compareEngineState); the skip run paused there, snapshotted
-// and restored into a fresh System must finish with the same Result;
+// engines must return identical Results, or stop alike on the MaxCycles
+// safety net, and hold the same state at the end of the run; both
+// engines paused by RunUntilRetired at a fuzz-chosen retired count K
+// must stop on the same cycle in the same state (compareEngineState);
+// the skip run paused there, snapshotted and restored into a fresh
+// System must end with the same Result or error;
 // and the skip run's DRAM command traces must pass the JEDEC validator
 // with no constraint exempt. A failure is an engine bug, not a target
 // to loosen: commit the crasher under testdata/fuzz/ and fix the
 // engine.
 func FuzzEngineEquivalence(f *testing.F) {
 	// Seeds, as (preset, channels, cores, workload, CPUPerBus, seed,
-	// ImmediateReloc, insts, cut, Bubbles), Bubbles "spec" for b = 0:
-	// FIGCache-Fast, 1, 1, mcf, 4, 1, no, 4000, 1/3, spec;
-	// FIGCache-Fast, 4, 8, mix-100-4, 4, 2, no, 2000, 1/2, spec;
-	// LISA-VILLA, 8, 8, mix-25-0, 4, 3, yes, 1000, 1/6, spec;
-	// Base, 2, 2, bwaves, 2, 4, no, 3000, 4/5, spec;
-	// FIGCache-Ideal, 1, 2, lbm, 2, 5, yes, 2500, 1/25, spec;
-	// FIGCache-Slow, 4, 4, mix-75-1, 5, 6, no, 2000, 1/2, spec;
-	// LL-DRAM, 8, 1, libquantum, 1, 7, no, 1000, 3/4, spec;
-	// FIGCache-Fast, 4, 8, mix-25-0, 4, 8, no, 2000, 1/2, 4 (one-cycle batches);
-	// Base, 1, 2, sjeng, 4, 9, no, 4000, 1/3, 200 (long all-done runs).
-	f.Add(uint8(3), uint8(0), uint8(0), uint8(2), uint8(3), uint64(1), false, uint16(3000), uint8(85), uint8(0))
-	f.Add(uint8(3), uint8(2), uint8(7), uint8(39), uint8(3), uint64(2), false, uint16(1000), uint8(128), uint8(0))
-	f.Add(uint8(1), uint8(3), uint8(7), uint8(20), uint8(3), uint64(3), true, uint16(0), uint8(40), uint8(0))
-	f.Add(uint8(0), uint8(1), uint8(1), uint8(5), uint8(1), uint64(4), false, uint16(2000), uint8(200), uint8(0))
-	f.Add(uint8(4), uint8(0), uint8(1), uint8(6), uint8(1), uint64(5), true, uint16(1500), uint8(10), uint8(0))
-	f.Add(uint8(2), uint8(2), uint8(3), uint8(31), uint8(4), uint64(6), false, uint16(1000), uint8(128), uint8(0))
-	f.Add(uint8(5), uint8(3), uint8(0), uint8(4), uint8(0), uint64(7), false, uint16(0), uint8(192), uint8(0))
-	f.Add(uint8(3), uint8(2), uint8(7), uint8(20), uint8(3), uint64(8), false, uint16(1000), uint8(128), uint8(5))
-	f.Add(uint8(0), uint8(0), uint8(1), uint8(17), uint8(3), uint64(9), false, uint16(3000), uint8(85), uint8(201))
-	f.Fuzz(func(t *testing.T, preset, chanLog, apps, source, cpb uint8, seed uint64, immediate bool, insts uint16, cut, bubbles uint8) {
-		cfg := fuzzConfig(preset, chanLog, apps, source, cpb, seed, immediate, insts, bubbles)
+	// ImmediateReloc, insts, cut, Bubbles, FIGCache override), Bubbles
+	// "spec" for b = 0 and override "-" for fig = 0:
+	// FIGCache-Fast, 1, 1, mcf, 4, 1, no, 4000, 1/3, spec, -;
+	// FIGCache-Fast, 4, 8, mix-100-4, 4, 2, no, 2000, 1/2, spec, -;
+	// LISA-VILLA, 8, 8, mix-25-0, 4, 3, yes, 1000, 1/6, spec, -;
+	// Base, 2, 2, bwaves, 2, 4, no, 3000, 4/5, spec, -;
+	// FIGCache-Ideal, 1, 2, lbm, 2, 5, yes, 2500, 1/25, spec, -;
+	// FIGCache-Slow, 4, 4, mix-75-1, 5, 6, no, 2000, 1/2, spec, -;
+	// LL-DRAM, 8, 1, libquantum, 1, 7, no, 1000, 3/4, spec, -;
+	// FIGCache-Fast, 4, 8, mix-25-0, 4, 8, no, 2000, 1/2, 4 (one-cycle batches), -;
+	// Base, 1, 2, sjeng, 4, 9, no, 4000, 1/3, 200 (long all-done runs), -;
+	// FIGCache-Fast, 1, 1, mcf, 4, 10, no, 4000, 1/3, spec,
+	//   32-block segments, 1 fast subarray, LRU, threshold 2, FIGARO;
+	// FIGCache-Slow, 2, 2, lbm, 4, 11, no, 3000, 1/2, spec,
+	//   128-block segments, 512 reserved rows, Random, threshold 1, RowClone-PSM;
+	// FIGCache-Ideal, 4, 4, mix-100-4, 4, 12, yes, 2000, 1/2, spec,
+	//   8-block segments, 4 fast subarrays, SegmentBenefit, threshold 8, RowClone-PSM.
+	f.Add(uint8(3), uint8(0), uint8(0), uint8(2), uint8(3), uint64(1), false, uint16(3000), uint8(85), uint8(0), uint16(0))
+	f.Add(uint8(3), uint8(2), uint8(7), uint8(39), uint8(3), uint64(2), false, uint16(1000), uint8(128), uint8(0), uint16(0))
+	f.Add(uint8(1), uint8(3), uint8(7), uint8(20), uint8(3), uint64(3), true, uint16(0), uint8(40), uint8(0), uint16(0))
+	f.Add(uint8(0), uint8(1), uint8(1), uint8(5), uint8(1), uint64(4), false, uint16(2000), uint8(200), uint8(0), uint16(0))
+	f.Add(uint8(4), uint8(0), uint8(1), uint8(6), uint8(1), uint64(5), true, uint16(1500), uint8(10), uint8(0), uint16(0))
+	f.Add(uint8(2), uint8(2), uint8(3), uint8(31), uint8(4), uint64(6), false, uint16(1000), uint8(128), uint8(0), uint16(0))
+	f.Add(uint8(5), uint8(3), uint8(0), uint8(4), uint8(0), uint64(7), false, uint16(0), uint8(192), uint8(0), uint16(0))
+	f.Add(uint8(3), uint8(2), uint8(7), uint8(20), uint8(3), uint64(8), false, uint16(1000), uint8(128), uint8(5), uint16(0))
+	f.Add(uint8(0), uint8(0), uint8(1), uint8(17), uint8(3), uint64(9), false, uint16(3000), uint8(85), uint8(201), uint16(0))
+	f.Add(uint8(3), uint8(0), uint8(0), uint8(2), uint8(3), uint64(10), false, uint16(3000), uint8(85), uint8(0), uint16(483))
+	f.Add(uint8(2), uint8(1), uint8(1), uint8(6), uint8(3), uint64(11), false, uint16(2000), uint8(128), uint8(0), uint16(1600))
+	f.Add(uint8(4), uint8(2), uint8(3), uint8(39), uint8(3), uint64(12), true, uint16(1000), uint8(128), uint8(0), uint16(2336))
+	f.Fuzz(func(t *testing.T, preset, chanLog, apps, source, cpb uint8, seed uint64, immediate bool, insts uint16, cut, bubbles uint8, fig uint16) {
+		cfg := fuzzConfig(preset, chanLog, apps, source, cpb, seed, immediate, insts, bubbles, fig)
 		if _, err := New(cfg); err != nil {
 			// A shape sim.New rejects: a footprint larger than its window,
 			// or a core count that gives the LLC a non-power-of-two set
 			// count.
 			return
 		}
-		run := func(dense bool) (*System, Result) {
+		// A run may stop on the MaxCycles safety net short of its target:
+		// with RowClone-PSM moving a whole row on every miss of eight
+		// cores, the channels spend nearly every cycle relocating. That is
+		// the configuration's speed, not an engine fault, so the engines,
+		// and the restored run, must stop on it alike: the same error,
+		// Result and state.
+		run := func(dense bool) (*System, Result, string) {
 			c := cfg
 			c.DenseLoop = dense
 			s, err := New(c)
@@ -98,15 +140,12 @@ func FuzzEngineEquivalence(f *testing.F) {
 				ch.TraceOn = !dense
 			}
 			res, err := s.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			return s, res
+			return s, res, fmt.Sprint(err)
 		}
-		d, dense := run(true)
-		k, skip := run(false)
-		if !reflect.DeepEqual(dense, skip) {
-			t.Fatalf("%+v: engines diverge:\n dense: %+v\n  skip: %+v", cfg, dense, skip)
+		d, dense, dErr := run(true)
+		k, skip, kErr := run(false)
+		if dErr != kErr || !reflect.DeepEqual(dense, skip) {
+			t.Fatalf("%+v: engines diverge:\n dense: %+v (error %s)\n  skip: %+v (error %s)", cfg, dense, dErr, skip, kErr)
 		}
 		compareEngineState(t, "end of run", d, k)
 		checkJEDEC(t, k)
@@ -136,11 +175,8 @@ func FuzzEngineEquivalence(f *testing.F) {
 			t.Fatal(err)
 		}
 		restored, err := fresh.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(restored, skip) {
-			t.Fatalf("%+v: checkpoint at %d retired + restore diverges:\n want: %+v\n  got: %+v", cfg, at, skip, restored)
+		if fmt.Sprint(err) != kErr || !reflect.DeepEqual(restored, skip) {
+			t.Fatalf("%+v: checkpoint at %d retired + restore diverges:\n want: %+v (error %s)\n  got: %+v (error %v)", cfg, at, skip, kErr, restored, err)
 		}
 	})
 }

@@ -51,8 +51,9 @@ type System struct {
 	// while parkedAt[i] < 0. done holds the cores past their target, and
 	// nDone counts them. coreNext is the earliest wakeAt over the
 	// sleeping cores, stale once the core holding it wakes, until the
-	// next wake scan recomputes it. runSkipping rebuilds these fields on
-	// entry, when every core runs, so only it reads them.
+	// next wake scan recomputes it. runSkipping's multi-core loop
+	// rebuilds these fields on entry, when every core runs, so only it
+	// reads them; runSolo, the one-core loop, does not keep them.
 	awake    coreSet //fglint:preserved rebuilt on entry to runSkipping
 	done     coreSet //fglint:preserved rebuilt on entry to runSkipping
 	nDone    int     //fglint:preserved rebuilt on entry to runSkipping
@@ -602,7 +603,14 @@ func (s *System) runDense(maxCycles int64) {
 // loop's state at the same cycle, and a Snapshot taken there writes the
 // dense loop's bytes; only ctrlWake, which the dense loop never reads,
 // differs.
+//
+// A System with one core runs runSolo instead, the same loop without the
+// core sets.
 func (s *System) runSkipping(maxCycles int64) {
+	if len(s.cores) == 1 {
+		s.runSolo(maxCycles)
+		return
+	}
 	cpb := s.cfg.CPUPerBus
 	s.wakeAll()
 	for s.clock < maxCycles {
@@ -724,6 +732,108 @@ func (s *System) runSkipping(maxCycles int64) {
 			s.unpark(w<<6 | bits.TrailingZeros64(word))
 		}
 	}
+}
+
+// runSolo is runSkipping for a System with one core, cycle for cycle:
+// the same core and controller calls in the same order, so it pauses on
+// the same cycle in the same state. The core's sleep state is
+// parkedAt[0] and wakeAt[0], so the loop keeps no awake or done set,
+// and its next batch wake is wakeAt[0] while it sleeps. On a System
+// with one controller, as a default one-core System has, the bus ticks
+// and the next-bus probe read that controller and its wake register
+// directly (busTickSolo, nextBusWorkSolo).
+func (s *System) runSolo(maxCycles int64) {
+	cpb := s.cfg.CPUPerBus
+	c := s.cores[0]
+	oneCtrl := len(s.ctrls) == 1
+	for s.clock < maxCycles {
+		s.events.fireDue(s.clock, s)
+		if s.clock%cpb == 0 {
+			s.busTickSolo(oneCtrl, s.clock/cpb)
+		}
+		// A running core ticks, then the wake scan: it needs the next
+		// cycle, or sleeps blocked, or sleeps through its batch.
+		next, coreNext := maxCycles, int64(maxInt64)
+		if s.parkedAt[0] < 0 {
+			c.Tick(s.clock)
+			if c.Done() {
+				s.clock++
+				break
+			}
+			if wake := c.NextWake(s.clock); wake == maxInt64 {
+				s.parkedAt[0], s.wakeAt[0] = s.clock, maxInt64
+			} else if n := c.BatchableCycles(); n == 0 {
+				next = wake
+			} else {
+				s.parkedAt[0], s.wakeAt[0] = s.clock, wake+n
+			}
+		}
+		if s.parkedAt[0] >= 0 {
+			coreNext = s.wakeAt[0]
+			next = min(next, coreNext)
+		}
+		if next > s.clock+1 {
+			// As in runSkipping: the core sleeps, so the event queue and
+			// the memory-only loop decide the next cycle.
+			eventNext := int64(maxInt64)
+			if at, ok := s.events.nextAt(); ok {
+				eventNext = at
+			}
+			bus := s.nextBusWorkSolo(oneCtrl, cpb)
+			for bus < next && bus < eventNext {
+				s.busTickSolo(oneCtrl, bus/cpb)
+				if at, ok := s.events.nextAt(); ok && at < eventNext {
+					eventNext = at
+				}
+				bus = s.nextBusWorkSolo(oneCtrl, cpb)
+			}
+			next = min(next, eventNext, bus)
+		}
+		if next <= s.clock {
+			next = s.clock + 1
+		}
+		s.clock = next
+		if next == coreNext {
+			// The batch ends here: wake the core before this cycle's
+			// events fire. A batch that carried it across its target
+			// ends the run, the clock already past its last cycle.
+			s.unpark(0)
+			if c.Done() {
+				break
+			}
+		}
+	}
+	// Settle a core still asleep, as runSkipping's exit does.
+	s.unpark(0)
+}
+
+// busTickSolo is busTick, reading the one controller and its wake
+// register directly when oneCtrl is set.
+func (s *System) busTickSolo(oneCtrl bool, busNow int64) {
+	if !oneCtrl {
+		s.busTick(busNow)
+		return
+	}
+	s.adapter.drain(busNow)
+	if s.ctrlWake[0] <= busNow || s.adapter.enqueued[0] {
+		s.ctrlWake[0] = s.ctrls[0].Tick(busNow, s.busSched)
+	}
+}
+
+// nextBusWorkSolo is nextBusWork, reading the one controller's wake
+// register directly when oneCtrl is set.
+func (s *System) nextBusWorkSolo(oneCtrl bool, cpb int64) int64 {
+	if !oneCtrl {
+		return s.nextBusWork(cpb)
+	}
+	next := s.ctrlWake[0]
+	if next != maxInt64 {
+		next *= cpb
+	}
+	if len(s.adapter.pending) > 0 {
+		next = min(next, (s.clock/cpb+1)*cpb)
+	}
+	return next
 }
 
 const maxInt64 = int64(1<<63 - 1)
