@@ -49,6 +49,12 @@ const maxPostponedREF = 8
 //	      must issue by (k+8) x tREFI. The trace's last command must not
 //	      lie past the deadline of the REF that would follow either.
 //
+// The refresh-deadline rule counts a rank's REFs from the start of the
+// trace and puts the k-th due at k x tREFI, so the trace must start at
+// cycle 0 of a fresh Channel. A trace begun later, after Restore or
+// with tracing switched on mid-run, reports false refresh-deadline
+// violations once it passes 9 x tREFI.
+//
 // Relocation occupancy (RELOC/RBM) is applied by the Channel outside the
 // command stream, so traces containing relocations validate the explicit
 // commands only.

@@ -60,10 +60,9 @@
 // cores fall asleep and recomputed only when the core holding it wakes.
 // It rebuilds all three on entry, when every core runs. With one core
 // (runSolo) the core's own sleep state is all there is to keep, so the
-// loop keeps no sets, and on a System with one controller it ticks that
-// controller without a loop over controllers. Both shapes make the same
-// core and controller calls in the same order, so the choice changes
-// no result and no snapshot byte.
+// loop keeps no sets. Both shapes make the same core and controller
+// calls in the same order, so the choice changes no result and no
+// snapshot byte.
 //
 // New is the only way to build a System's state: every run gets its own
 // System, and Restore overwrites a built one from a snapshot. Run and

@@ -116,8 +116,8 @@ func TestEngineEquivalence(t *testing.T) {
 	halfBus := DefaultConfig(FIGCacheFast, smallMix(t, "mcf"))
 	halfBus.CPUPerBus = 2
 	cases = append(cases, tc{name: "FIGCache-Fast/cpu-per-bus-2", cfg: halfBus, insts: 20_000})
-	// One core over four channels: the one-core loop with the
-	// multi-controller bus path.
+	// One core over four channels: the one-core loop ticking several
+	// controllers, in its memory-only loop too.
 	fourChan := DefaultConfig(FIGCacheFast, smallMix(t, "mcf"))
 	fourChan.Channels = 4
 	cases = append(cases, tc{name: "FIGCache-Fast/mcf/4ch", cfg: fourChan, insts: 20_000})
@@ -351,8 +351,7 @@ func TestEngineHierarchyState(t *testing.T) {
 		// batches: at this seed and length 4 of its 15 pauses fall inside
 		// one, and the run ends on the last cycle of a batch that carried
 		// the core across its target. Over four channels the one-core
-		// loop ticks the controllers through the multi-controller bus
-		// path.
+		// loop ticks several controllers.
 		{name: "mcf/sliced", preset: Base, mix: smallMix(t, "mcf"), insts: 20_000, sliced: true},
 		{name: "FIGCache-Fast/sjeng/sliced", preset: FIGCacheFast, mix: smallMix(t, "sjeng"), insts: 80_000, sliced: true},
 		{name: "FIGCache-Fast/mcf/4ch/sliced", preset: FIGCacheFast, mix: smallMix(t, "mcf"), channels: 4, insts: 20_000, sliced: true},

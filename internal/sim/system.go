@@ -738,18 +738,17 @@ func (s *System) runSkipping(maxCycles int64) {
 // the same core and controller calls in the same order, so it pauses on
 // the same cycle in the same state. The core's sleep state is
 // parkedAt[0] and wakeAt[0], so the loop keeps no awake or done set,
-// and its next batch wake is wakeAt[0] while it sleeps. On a System
-// with one controller, as a default one-core System has, the bus ticks
-// and the next-bus probe read that controller and its wake register
-// directly (busTickSolo, nextBusWorkSolo).
+// and its next batch wake is wakeAt[0] while it sleeps. It stays a loop
+// of its own because runSkipping with a count of sleeping batchers in
+// place of the earliestWake recompute measured slower on one core
+// (ARCHITECTURE.md, "Core sleep").
 func (s *System) runSolo(maxCycles int64) {
 	cpb := s.cfg.CPUPerBus
 	c := s.cores[0]
-	oneCtrl := len(s.ctrls) == 1
 	for s.clock < maxCycles {
 		s.events.fireDue(s.clock, s)
 		if s.clock%cpb == 0 {
-			s.busTickSolo(oneCtrl, s.clock/cpb)
+			s.busTick(s.clock / cpb)
 		}
 		// A running core ticks, then the wake scan: it needs the next
 		// cycle, or sleeps blocked, or sleeps through its batch.
@@ -779,13 +778,13 @@ func (s *System) runSolo(maxCycles int64) {
 			if at, ok := s.events.nextAt(); ok {
 				eventNext = at
 			}
-			bus := s.nextBusWorkSolo(oneCtrl, cpb)
+			bus := s.nextBusWork(cpb)
 			for bus < next && bus < eventNext {
-				s.busTickSolo(oneCtrl, bus/cpb)
+				s.busTick(bus / cpb)
 				if at, ok := s.events.nextAt(); ok && at < eventNext {
 					eventNext = at
 				}
-				bus = s.nextBusWorkSolo(oneCtrl, cpb)
+				bus = s.nextBusWork(cpb)
 			}
 			next = min(next, eventNext, bus)
 		}
@@ -805,35 +804,6 @@ func (s *System) runSolo(maxCycles int64) {
 	}
 	// Settle a core still asleep, as runSkipping's exit does.
 	s.unpark(0)
-}
-
-// busTickSolo is busTick, reading the one controller and its wake
-// register directly when oneCtrl is set.
-func (s *System) busTickSolo(oneCtrl bool, busNow int64) {
-	if !oneCtrl {
-		s.busTick(busNow)
-		return
-	}
-	s.adapter.drain(busNow)
-	if s.ctrlWake[0] <= busNow || s.adapter.enqueued[0] {
-		s.ctrlWake[0] = s.ctrls[0].Tick(busNow, s.busSched)
-	}
-}
-
-// nextBusWorkSolo is nextBusWork, reading the one controller's wake
-// register directly when oneCtrl is set.
-func (s *System) nextBusWorkSolo(oneCtrl bool, cpb int64) int64 {
-	if !oneCtrl {
-		return s.nextBusWork(cpb)
-	}
-	next := s.ctrlWake[0]
-	if next != maxInt64 {
-		next *= cpb
-	}
-	if len(s.adapter.pending) > 0 {
-		next = min(next, (s.clock/cpb+1)*cpb)
-	}
-	return next
 }
 
 const maxInt64 = int64(1<<63 - 1)
