@@ -24,8 +24,6 @@ type FIGCacheConfig struct {
 	// before it is inserted. 1 is the paper's insert-any-miss policy;
 	// Section 9.4 sweeps 1, 2, 4, 8.
 	InsertThreshold int
-	// BenefitBits is the width of the per-segment benefit counter (5).
-	BenefitBits int
 	// ReservedSubarray, when >= 0, marks the slow subarray whose rows host
 	// the cache in the FIGCache-Slow organization. Segments belonging to
 	// that subarray are never cached, because FIGARO cannot relocate data
@@ -33,8 +31,6 @@ type FIGCacheConfig struct {
 	ReservedSubarray int
 	// Substrate selects the in-DRAM relocation mechanism (default FIGARO).
 	Substrate Substrate
-	// Seed makes the Random replacement policy deterministic.
-	Seed uint64
 }
 
 // Substrate enumerates the relocation mechanisms FIGCache can be built
@@ -67,9 +63,7 @@ func DefaultFIGCacheConfig() FIGCacheConfig {
 		CacheRowsPerBank: 64,
 		Replacement:      ReplRowBenefit,
 		InsertThreshold:  1,
-		BenefitBits:      5,
 		ReservedSubarray: -1,
-		Seed:             1,
 	}
 }
 
@@ -99,8 +93,6 @@ func (c FIGCacheConfig) Validate(geo dram.Geometry) error {
 		return fmt.Errorf("core: insert threshold must be positive, got %d", c.InsertThreshold)
 	case c.Replacement < 0 || c.Replacement >= numReplacementKinds:
 		return fmt.Errorf("core: unknown replacement kind %d", int(c.Replacement))
-	case c.BenefitBits <= 0 || c.BenefitBits > 8:
-		return fmt.Errorf("core: benefit bits must be in [1,8], got %d", c.BenefitBits)
 	case c.Substrate < 0 || c.Substrate >= numSubstrates:
 		return fmt.Errorf("core: unknown relocation substrate %d", int(c.Substrate))
 	}
@@ -153,13 +145,14 @@ func NewFIGCache(cfg FIGCacheConfig, geo dram.Geometry) (*FIGCache, error) {
 	c := &FIGCache{cfg: cfg, geo: geo}
 	nBanks := geo.Ranks * geo.BanksPerRank()
 	for i := 0; i < nBanks; i++ {
-		fts, err := NewFTS(cfg.CacheRowsPerBank*segsPerRow, segsPerRow, cfg.BenefitBits)
+		fts, err := NewFTS(cfg.CacheRowsPerBank*segsPerRow, segsPerRow)
 		if err != nil {
 			return nil, err
 		}
+		// Bank i's Random policy draws from seed i+1.
 		c.banks = append(c.banks, &bankCache{
 			fts:        fts,
-			repl:       newReplacer(cfg.Replacement, cfg.Seed+uint64(i)),
+			repl:       newReplacer(cfg.Replacement, 1+uint64(i)),
 			missCounts: make(map[segKey]int),
 		})
 	}

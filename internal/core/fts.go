@@ -41,9 +41,8 @@ type FTS struct {
 	// always end at an empty cell.
 	idxKey     []segKey
 	idxSlot    []int32
-	idxShift   uint  // 64 - log2(len(idxKey)): hash bits kept
-	segsPerRow int   // cache slots per cache row
-	benefitMax uint8 // saturation value (5-bit counter -> 31)
+	idxShift   uint // 64 - log2(len(idxKey)): hash bits kept
+	segsPerRow int  // cache slots per cache row
 	clock      int64
 
 	// reserved marks slots claimed by an in-flight insertion (planned but
@@ -59,14 +58,15 @@ type FTS struct {
 	Hits, Misses int64
 }
 
-// NewFTS builds a tag store with slots entries, segsPerRow slots per cache
-// row, and a benefit counter of benefitBits bits.
-func NewFTS(slots, segsPerRow, benefitBits int) (*FTS, error) {
+// benefitMax is the saturation value of an entry's benefit counter,
+// 5 bits wide (Section 5.1).
+const benefitMax = 1<<5 - 1
+
+// NewFTS builds a tag store with slots entries and segsPerRow slots per
+// cache row.
+func NewFTS(slots, segsPerRow int) (*FTS, error) {
 	if slots <= 0 || segsPerRow <= 0 || slots%segsPerRow != 0 {
 		return nil, fmt.Errorf("core: slots (%d) must be a positive multiple of segsPerRow (%d)", slots, segsPerRow)
-	}
-	if benefitBits <= 0 || benefitBits > 8 {
-		return nil, fmt.Errorf("core: benefitBits must be in [1,8], got %d", benefitBits)
 	}
 	size := 1 << bits.Len(uint(2*slots-1))
 	return &FTS{
@@ -75,7 +75,6 @@ func NewFTS(slots, segsPerRow, benefitBits int) (*FTS, error) {
 		idxSlot:    make([]int32, size),
 		idxShift:   uint(64 - bits.TrailingZeros(uint(size))),
 		segsPerRow: segsPerRow,
-		benefitMax: uint8(1<<benefitBits - 1),
 		reserved:   make([]bool, slots),
 	}, nil
 }
@@ -151,7 +150,7 @@ func (f *FTS) Lookup(row, seg int, isWrite bool) (slot int, hit bool) {
 		return 0, false
 	}
 	e := &f.entries[i]
-	if e.benefit < f.benefitMax {
+	if e.benefit < benefitMax {
 		e.benefit++
 	}
 	if isWrite {

@@ -17,7 +17,7 @@ import (
 func TestFTSIndexMatchesMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, slots := range []int{4, 8, 64} {
-		f, err := NewFTS(slots, 4, 5)
+		f, err := NewFTS(slots, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,7 +157,7 @@ func TestFTSRestoreRejects(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			f, err := NewFTS(16, 8, 5)
+			f, err := NewFTS(16, 8)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -33,9 +33,7 @@ func TestFunctionalEndToEnd(t *testing.T) {
 		CacheRowsPerBank: 2,
 		Replacement:      ReplRowBenefit,
 		InsertThreshold:  1,
-		BenefitBits:      5,
 		ReservedSubarray: -1,
-		Seed:             1,
 	}
 	fc, err := NewFIGCache(cfg, geo)
 	if err != nil {

@@ -7,56 +7,27 @@ import (
 	"repro/internal/memctrl"
 )
 
-// LISAVillaConfig parameterizes the LISA-VILLA baseline in-DRAM cache
-// (Section 3): whole DRAM rows are cached into fast subarrays that are
-// physically interleaved among the slow subarrays, and relocation uses
-// LISA's row-buffer movement, whose latency grows with the hop distance
-// between source and destination subarrays.
-type LISAVillaConfig struct {
-	// CacheRowsPerBank is the cache capacity in rows (512 in the paper:
-	// 16 fast subarrays x 32 rows).
-	CacheRowsPerBank int
-	// HotThreshold is the number of activations a row must see before
-	// VILLA caches it. Row-granularity insert-any-miss would relocate an
-	// 8 kB row on every activation, so VILLA caches only rows with
-	// demonstrated reuse.
-	HotThreshold int
-	// EpochMisses controls the hot-row counter decay: after this many
-	// misses in a bank, all counters are halved, so stale rows lose their
-	// "hot" status.
-	EpochMisses int
-}
+// VILLA's hot-row insertion policy. Row-granularity insert-any-miss
+// would relocate an 8 kB row on every activation, so VILLA caches only
+// rows with demonstrated reuse.
+const (
+	// lisaHotThreshold is the number of misses a row must see within the
+	// decay epoch before VILLA caches it.
+	lisaHotThreshold = 2
+	// lisaEpochMisses is the hot-row counter decay period: after this
+	// many misses in a bank, all counters are halved, so stale rows lose
+	// their "hot" status.
+	lisaEpochMisses = 4096
+)
 
-// DefaultLISAVillaConfig returns the paper's LISA-VILLA configuration
-// (Table 1: 512-row in-DRAM cache per bank). The number of interleaved
-// fast subarrays (16 in the paper) is the geometry's FastSubarrays.
-func DefaultLISAVillaConfig() LISAVillaConfig {
-	return LISAVillaConfig{
-		CacheRowsPerBank: 512,
-		HotThreshold:     2,
-		EpochMisses:      4096,
-	}
-}
-
-// Validate reports configuration errors, including a geometry without
-// the interleaved fast subarrays the cache rows live in.
-func (c LISAVillaConfig) Validate(geo dram.Geometry) error {
-	switch {
-	case c.CacheRowsPerBank <= 0:
-		return fmt.Errorf("core: LISA cache rows must be positive, got %d", c.CacheRowsPerBank)
-	case geo.FastSubarrays <= 0:
-		return fmt.Errorf("core: LISA fast subarrays must be positive, got %d", geo.FastSubarrays)
-	case c.HotThreshold <= 0:
-		return fmt.Errorf("core: LISA hot threshold must be positive, got %d", c.HotThreshold)
-	case c.EpochMisses <= 0:
-		return fmt.Errorf("core: LISA epoch must be positive, got %d", c.EpochMisses)
-	}
-	return nil
-}
-
-// LISAVilla implements memctrl.CacheHook for the LISA-VILLA baseline.
+// LISAVilla implements memctrl.CacheHook for the LISA-VILLA baseline
+// in-DRAM cache (Section 3): whole DRAM rows are cached into fast
+// subarrays that are physically interleaved among the slow subarrays,
+// and relocation uses LISA's row-buffer movement, whose latency grows
+// with the hop distance between source and destination subarrays. Each
+// bank caches as many rows as its fast subarrays hold (Table 1: 16
+// fast subarrays of 32 rows, 512 rows).
 type LISAVilla struct {
-	cfg LISAVillaConfig
 	geo dram.Geometry
 
 	banks []*lisaBank
@@ -81,7 +52,7 @@ type lisaBank struct {
 	// executed by the controller.
 	inflight map[int]bool
 	// hot tracks per-source-row activation counts for the insertion
-	// policy, decayed every EpochMisses misses.
+	// policy, decayed every lisaEpochMisses misses.
 	hot         map[int]int
 	missesEpoch int
 	clock       int64
@@ -96,17 +67,19 @@ type lisaRow struct {
 	lastUse int64
 }
 
-// NewLISAVilla builds the baseline cache over the channel geometry.
-func NewLISAVilla(cfg LISAVillaConfig, geo dram.Geometry) (*LISAVilla, error) {
-	if err := cfg.Validate(geo); err != nil {
-		return nil, err
+// NewLISAVilla builds the baseline cache over the channel geometry,
+// which must have the interleaved fast subarrays the cache rows live in.
+func NewLISAVilla(geo dram.Geometry) (*LISAVilla, error) {
+	if geo.FastSubarrays <= 0 || geo.RowsPerFastSubarray <= 0 {
+		return nil, fmt.Errorf("core: LISA-VILLA needs fast subarrays, got %d of %d rows", geo.FastSubarrays, geo.RowsPerFastSubarray)
 	}
-	l := &LISAVilla{cfg: cfg, geo: geo}
+	rows := geo.CacheRowsPerBank()
+	l := &LISAVilla{geo: geo}
 	nBanks := geo.Ranks * geo.BanksPerRank()
 	for i := 0; i < nBanks; i++ {
 		l.banks = append(l.banks, &lisaBank{
-			rows:     make([]lisaRow, cfg.CacheRowsPerBank),
-			index:    make(map[int]int, cfg.CacheRowsPerBank),
+			rows:     make([]lisaRow, rows),
+			index:    make(map[int]int, rows),
 			inflight: make(map[int]bool),
 			hot:      make(map[int]int),
 		})
@@ -164,11 +137,11 @@ func (l *LISAVilla) Lookup(loc dram.Location, isWrite bool) (dram.Location, bool
 }
 
 // ShouldInsert implements VILLA's hot-row insertion policy: cache a row
-// once it has missed HotThreshold times within the decay epoch.
+// once it has missed lisaHotThreshold times within the decay epoch.
 func (l *LISAVilla) ShouldInsert(loc dram.Location) bool {
 	bank := l.banks[loc.BankID(l.geo)]
 	bank.missesEpoch++
-	if bank.missesEpoch >= l.cfg.EpochMisses {
+	if bank.missesEpoch >= lisaEpochMisses {
 		bank.missesEpoch = 0
 		//fglint:deterministic per-entry halve-or-delete decay; entries are independent, order cannot matter
 		for k, v := range bank.hot {
@@ -180,7 +153,7 @@ func (l *LISAVilla) ShouldInsert(loc dram.Location) bool {
 		}
 	}
 	bank.hot[loc.Row]++
-	if bank.hot[loc.Row] >= l.cfg.HotThreshold {
+	if bank.hot[loc.Row] >= lisaHotThreshold {
 		delete(bank.hot, loc.Row)
 		return true
 	}

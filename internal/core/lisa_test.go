@@ -14,7 +14,7 @@ func newTestLISA(t *testing.T) (*LISAVilla, *dram.Channel) {
 	t.Helper()
 	geo := dram.Default()
 	geo.FastSubarrays = 16
-	l, err := NewLISAVilla(DefaultLISAVillaConfig(), geo)
+	l, err := NewLISAVilla(geo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,24 +30,16 @@ func lisaInsertNow(l *LISAVilla, ch *dram.Channel, loc dram.Location) *memctrl.R
 	return plan
 }
 
+// TestLISAConfigValidate checks that LISA-VILLA takes its cache rows
+// from the geometry's fast subarrays (Table 1: 16 x 32 = 512 per bank)
+// and refuses a geometry without any.
 func TestLISAConfigValidate(t *testing.T) {
-	geo := dram.Default()
-	geo.FastSubarrays = 16
-	if err := DefaultLISAVillaConfig().Validate(geo); err != nil {
-		t.Fatalf("default config invalid: %v", err)
+	l, _ := newTestLISA(t)
+	if got := len(l.banks[0].rows); got != 512 {
+		t.Errorf("cache rows per bank = %d, want 512", got)
 	}
-	if err := DefaultLISAVillaConfig().Validate(dram.Default()); err == nil {
+	if _, err := NewLISAVilla(dram.Default()); err == nil {
 		t.Error("accepted a geometry without fast subarrays")
-	}
-	bad := DefaultLISAVillaConfig()
-	bad.CacheRowsPerBank = 0
-	if err := bad.Validate(geo); err == nil {
-		t.Error("accepted zero cache rows")
-	}
-	bad = DefaultLISAVillaConfig()
-	bad.HotThreshold = 0
-	if err := bad.Validate(geo); err == nil {
-		t.Error("accepted zero hot threshold")
 	}
 }
 
@@ -105,11 +97,11 @@ func TestLISAHopsDistanceDependent(t *testing.T) {
 }
 
 func TestLISAEvictionLRUAndWriteBack(t *testing.T) {
+	// Two fast subarrays of one row each: two cache rows per bank.
 	geo := dram.Default()
-	geo.FastSubarrays = 16
-	cfg := DefaultLISAVillaConfig()
-	cfg.CacheRowsPerBank = 2
-	l, err := NewLISAVilla(cfg, geo)
+	geo.FastSubarrays = 2
+	geo.RowsPerFastSubarray = 1
+	l, err := NewLISAVilla(geo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,21 +128,16 @@ func TestLISAEvictionLRUAndWriteBack(t *testing.T) {
 }
 
 func TestLISAHotCounterDecay(t *testing.T) {
-	geo := dram.Default()
-	geo.FastSubarrays = 16
-	cfg := DefaultLISAVillaConfig()
-	cfg.EpochMisses = 4
-	cfg.HotThreshold = 3
-	l, err := NewLISAVilla(cfg, geo)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l, _ := newTestLISA(t)
 	loc := dram.Location{Row: 9}
 	l.ShouldInsert(loc) // count 1
-	l.ShouldInsert(loc) // count 2
-	// Fill the epoch with misses to other rows to trigger decay.
-	l.ShouldInsert(dram.Location{Row: 100})
-	l.ShouldInsert(dram.Location{Row: 101}) // decay fires: count 9 -> 1
+	// Fill the 4,096-miss epoch with misses to other rows: the last one
+	// halves every counter first, dropping row 9's single miss.
+	for i := 1; i < 4096; i++ {
+		if l.ShouldInsert(dram.Location{Row: 1000 + i}) {
+			t.Fatalf("row %d hot after one miss", 1000+i)
+		}
+	}
 	// Two more misses needed to reach the threshold again.
 	if l.ShouldInsert(loc) {
 		t.Error("row considered hot right after decay")

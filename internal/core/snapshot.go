@@ -83,8 +83,8 @@ func (f *FTS) Restore(r *fgss.Reader) {
 			r.Reject("core: FTS slots %d and %d both hold row %d segment %d", other, slot, key.row(), key.seg())
 			return
 		}
-		if benefit > uint64(f.benefitMax) {
-			r.Reject("core: FTS slot %d benefit %d is above the counter's %d", slot, benefit, f.benefitMax)
+		if benefit > benefitMax {
+			r.Reject("core: FTS slot %d benefit %d is above the counter's %d", slot, benefit, benefitMax)
 			return
 		}
 		prev = slot

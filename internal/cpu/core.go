@@ -22,31 +22,19 @@ type TraceReader interface {
 	Next() TraceRecord
 }
 
-// Config holds the core parameters from Table 1.
-type Config struct {
-	WindowSize  int // reorder/instruction window entries (256)
-	IssueWidth  int // instructions issued per cycle (3)
-	RetireWidth int // instructions retired per cycle (3)
-}
-
-// DefaultConfig returns Table 1's core parameters.
-func DefaultConfig() Config {
-	return Config{WindowSize: 256, IssueWidth: 3, RetireWidth: 3}
-}
-
-// Validate reports configuration errors.
-func (c Config) Validate() error {
-	if c.WindowSize <= 0 || c.IssueWidth <= 0 || c.RetireWidth <= 0 {
-		return fmt.Errorf("cpu: window (%d), issue (%d) and retire (%d) widths must be positive",
-			c.WindowSize, c.IssueWidth, c.RetireWidth)
-	}
-	return nil
-}
+// Table 1's core: a 256-entry instruction window, 3-wide issue and
+// retire.
+const (
+	// WindowSize is the number of instruction window entries.
+	WindowSize = 256
+	// Width is the number of instructions issued, and the number
+	// retired, per cycle.
+	Width = 3
+)
 
 // Core is one simulated core.
 type Core struct {
-	ID  int
-	cfg Config
+	ID int
 
 	trace TraceReader  //fglint:preserved the cursor is checkpointed by the system layer (trace section), which knows the concrete reader type
 	l1    *cache.Cache //fglint:preserved wiring only, bound at construction; the cache's own state is checkpointed by Hierarchy.Snapshot
@@ -90,20 +78,16 @@ type Core struct {
 }
 
 // New builds a core reading trace and accessing the hierarchy through l1.
-func New(id int, cfg Config, trace TraceReader, l1 *cache.Cache, targetInsts int64) (*Core, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
+func New(id int, trace TraceReader, l1 *cache.Cache, targetInsts int64) (*Core, error) {
 	if trace == nil || l1 == nil {
 		return nil, fmt.Errorf("cpu: trace and l1 must be non-nil")
 	}
 	c := &Core{
 		ID:          id,
-		cfg:         cfg,
 		trace:       trace,
 		l1:          l1,
-		pend:        make([]int, cfg.WindowSize),
-		waiting:     make([]bool, cfg.WindowSize),
+		pend:        make([]int, WindowSize),
+		waiting:     make([]bool, WindowSize),
 		TargetInsts: targetInsts,
 	}
 	return c, nil
@@ -123,7 +107,7 @@ func (c *Core) CompleteSlot(slot int) {
 		return // behind the front: retires only after the front completes
 	}
 	for {
-		if c.pendHead++; c.pendHead == c.cfg.WindowSize {
+		if c.pendHead++; c.pendHead == WindowSize {
 			c.pendHead = 0
 		}
 		if c.pendN--; c.pendN == 0 || c.waiting[c.pend[c.pendHead]] {
@@ -154,9 +138,7 @@ func (c *Core) IPC(now int64) float64 {
 func (c *Core) Tick(now int64) {
 	// Retire a full group, or the whole retirable run if shorter.
 	if n := c.retirableRun(); n > 0 {
-		if r := int64(c.cfg.RetireWidth); n > r {
-			n = r
-		}
+		n = min(n, Width)
 		c.retire(n)
 		if c.FinishedAt == 0 && c.Retired >= c.TargetInsts {
 			c.FinishedAt = now
@@ -164,8 +146,8 @@ func (c *Core) Tick(now int64) {
 	}
 
 	// Issue.
-	for i := 0; i < c.cfg.IssueWidth; i++ {
-		if c.count >= c.cfg.WindowSize {
+	for i := 0; i < Width; i++ {
+		if c.count >= WindowSize {
 			return
 		}
 		if !c.hasPending {
@@ -212,7 +194,7 @@ func (c *Core) NextWake(now int64) int64 {
 	if c.retirableRun() > 0 {
 		return now + 1 // can retire
 	}
-	if c.count < c.cfg.WindowSize {
+	if c.count < WindowSize {
 		// Can issue: a buffered bubble always inserts; a fresh trace
 		// record is fetched optimistically (it may start with bubbles);
 		// a pending memory access issues iff the L1 would accept it.
@@ -239,30 +221,28 @@ func (c *Core) NextWake(now int64) int64 {
 // retirable run cannot grow inside the batch. The count is capped at
 // the cycle the core would reach its instruction target (crossingCycle),
 // so the run loop observes the finish exactly where the dense loop
-// would. A window narrower than an issue group never batches: its
-// steady state is issue-limited.
+// would.
 //
 // Returns 0 when the next cycle must be executed normally.
 func (c *Core) BatchableCycles() int64 {
-	if !c.hasPending || c.cfg.IssueWidth != c.cfg.RetireWidth || c.cfg.IssueWidth > c.cfg.WindowSize {
+	if !c.hasPending {
 		return 0
 	}
-	iw := int64(c.cfg.IssueWidth)
 	// Cycles the dense loop would spend issuing only bubbles: a cycle
-	// issues IssueWidth of them iff that many remain at its start.
-	n := int64(c.pending.Bubbles) / iw
+	// issues Width of them iff that many remain at its start.
+	n := int64(c.pending.Bubbles) / Width
 	if c.pendN > 0 {
 		// Loads in flight: retirement stops at the front of the load ring.
-		if run := c.retirableRun(); run >= iw {
+		if run := c.retirableRun(); run >= Width {
 			// Full-group retire+issue cycles until the run shrinks below
 			// one group; occupancy is stable, so no window-full cycles.
-			n = min(n, run/iw)
+			n = min(n, run/Width)
 		} else {
 			// Head (nearly) blocked: the first cycle retires the short
 			// run, after which bubbles accumulate at issue width. Stop
 			// before the window fills so no cycle is issue-limited
 			// (window-full cycles are the blocked path's business).
-			n = min(n, (int64(c.cfg.WindowSize)-int64(c.count)+run)/iw)
+			n = min(n, (WindowSize-int64(c.count)+run)/Width)
 		}
 	}
 	if n <= 0 {
@@ -290,7 +270,7 @@ func (c *Core) age(slot int) int {
 	if d := slot - c.head; d >= 0 {
 		return d
 	}
-	return slot - c.head + c.cfg.WindowSize
+	return slot - c.head + WindowSize
 }
 
 // batchRetire returns how many entries the first cycle of a batch
@@ -302,11 +282,10 @@ func (c *Core) age(slot int) int {
 // run shrinks below a group), and nothing otherwise (the head is
 // blocked on the load).
 func (c *Core) batchRetire() (first, later int64) {
-	rw := int64(c.cfg.RetireWidth)
 	run := c.retirableRun()
-	first = min(run, rw)
-	if c.pendN == 0 || run >= rw {
-		later = rw
+	first = min(run, Width)
+	if c.pendN == 0 || run >= Width {
+		later = Width
 	}
 	return first, later
 }
@@ -350,19 +329,18 @@ func (c *Core) AdvanceBatch(now, cycles int64) {
 		}
 	}
 	retired := first + later*(cycles-1)
-	issued := int64(c.cfg.IssueWidth) * cycles
-	w := int64(c.cfg.WindowSize)
+	issued := Width * cycles
 	c.Retired += retired
 	c.pending.Bubbles -= int(issued)
-	c.head = int((int64(c.head) + retired) % w)
-	c.tail = int((int64(c.tail) + issued) % w)
+	c.head = int((int64(c.head) + retired) % WindowSize)
+	c.tail = int((int64(c.tail) + issued) % WindowSize)
 	c.count += int(issued - retired)
 }
 
 // ring wraps a slot index that is at most one window past the end.
 func (c *Core) ring(i int) int {
-	if i >= c.cfg.WindowSize {
-		return i - c.cfg.WindowSize
+	if i >= WindowSize {
+		return i - WindowSize
 	}
 	return i
 }

@@ -94,7 +94,7 @@ func newCore(t *testing.T, recs []TraceRecord, memLatency int64, target int64) (
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(0, DefaultConfig(), &sliceTrace{recs: recs}, l1, target)
+	c, err := New(0, &sliceTrace{recs: recs}, l1, target)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,17 +112,6 @@ func run(c *Core, s *sched, limit int64) int64 {
 		}
 	}
 	return limit
-}
-
-func TestConfigValidate(t *testing.T) {
-	if err := DefaultConfig().Validate(); err != nil {
-		t.Fatalf("default config invalid: %v", err)
-	}
-	bad := DefaultConfig()
-	bad.WindowSize = 0
-	if err := bad.Validate(); err == nil {
-		t.Error("accepted zero window")
-	}
 }
 
 func TestPureComputeRetiresAtIssueWidth(t *testing.T) {
@@ -259,13 +248,13 @@ func TestMSHRExhaustionStallsIssue(t *testing.T) {
 	if c.NextWake(s.now) != math.MaxInt64 {
 		t.Error("core not blocked despite MSHR exhaustion")
 	}
-	if got := c.WindowOccupancy(); got > DefaultConfig().WindowSize {
+	if got := c.WindowOccupancy(); got > WindowSize {
 		t.Errorf("window occupancy %d exceeds size", got)
 	}
 }
 
 func TestNewRejectsNilDeps(t *testing.T) {
-	if _, err := New(0, DefaultConfig(), nil, nil, 10); err == nil {
+	if _, err := New(0, nil, nil, 10); err == nil {
 		t.Error("accepted nil trace and l1")
 	}
 }
@@ -369,7 +358,7 @@ func TestBatchableCyclesGating(t *testing.T) {
 	// After one tick it holds a bubble run: batchable, capped at B/issue.
 	s.fire()
 	c.Tick(0)
-	want := int64(c.pending.Bubbles / c.cfg.IssueWidth)
+	want := int64(c.pending.Bubbles / Width)
 	if got := c.BatchableCycles(); got != want {
 		t.Errorf("BatchableCycles = %d, want %d", got, want)
 	}
@@ -391,32 +380,18 @@ func TestBatchableCyclesGating(t *testing.T) {
 		if got == 0 {
 			continue
 		}
-		iw := int64(c.cfg.IssueWidth)
-		if max := int64(c.pending.Bubbles) / iw; got > max {
+		if max := int64(c.pending.Bubbles) / Width; got > max {
 			t.Fatalf("cycle %d: batch %d exceeds bubble supply (%d)", s.now, got, max)
 		}
 		avail := c.retirableRun()
-		if avail >= iw {
-			if got > avail/iw {
+		if avail >= Width {
+			if got > avail/Width {
 				t.Fatalf("cycle %d: batch %d retires past the head run (%d retirable)",
 					s.now, got, avail)
 			}
-		} else if int64(c.count)-avail+iw*got > int64(c.cfg.WindowSize) {
+		} else if int64(c.count)-avail+Width*got > WindowSize {
 			t.Fatalf("cycle %d: batch %d overflows the window (count %d, avail %d)",
 				s.now, got, c.count, avail)
-		}
-	}
-	// A window narrower than an issue group fills every cycle, so its
-	// cycles are issue-limited and never batch.
-	narrow, err := New(0, Config{WindowSize: 2, IssueWidth: 3, RetireWidth: 3},
-		&sliceTrace{recs: []TraceRecord{{Bubbles: 90}}}, s.l1, 1<<40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for now := int64(0); now < 3; now++ {
-		narrow.Tick(now)
-		if got := narrow.BatchableCycles(); got != 0 {
-			t.Fatalf("2-entry window batchable for %d cycles at cycle %d", got, now)
 		}
 	}
 }
@@ -454,7 +429,7 @@ func refRun(t *testing.T, c *Core, s *sched) int64 {
 		if c.waiting[i] {
 			return int64(n)
 		}
-		if i++; i == c.cfg.WindowSize {
+		if i++; i == WindowSize {
 			i = 0
 		}
 	}

@@ -37,15 +37,14 @@ func (c *Core) Snapshot(w *fgss.Writer) {
 // or a front that is not waiting are decode errors (fgss.Reader.Reject)
 // rather than a later panic or a run that never ends.
 func (c *Core) Restore(r *fgss.Reader) {
-	size := c.cfg.WindowSize
 	head, tail, count, n := r.Int(), r.Int(), r.Int(), r.Int()
 	if r.Err() != nil {
 		return
 	}
-	if head < 0 || head >= size || tail < 0 || tail >= size ||
-		count < 0 || count > size || (head+count)%size != tail || n < 0 || n > count {
+	if head < 0 || head >= WindowSize || tail < 0 || tail >= WindowSize ||
+		count < 0 || count > WindowSize || (head+count)%WindowSize != tail || n < 0 || n > count {
 		r.Reject("cpu: core %d: window head %d, tail %d, count %d with %d loads does not fit %d entries",
-			c.ID, head, tail, count, n, size)
+			c.ID, head, tail, count, n, WindowSize)
 		return
 	}
 	c.head, c.tail, c.count = head, tail, count
@@ -56,7 +55,7 @@ func (c *Core) Restore(r *fgss.Reader) {
 		if r.Err() != nil {
 			return
 		}
-		if slot < 0 || slot >= size || c.age(slot) >= count || c.age(slot) <= prev || (i == 0 && !waiting) {
+		if slot < 0 || slot >= WindowSize || c.age(slot) >= count || c.age(slot) <= prev || (i == 0 && !waiting) {
 			r.Reject("cpu: core %d: load ring entry %d (slot %d, waiting %v) is not an occupied slot in age order behind a waiting front",
 				c.ID, i, slot, waiting)
 			return

@@ -41,7 +41,7 @@ func TestSnapshotRoundTripWithLoadsInFlight(t *testing.T) {
 	// that never returns and the test completes them by hand.
 	recs := []TraceRecord{{Bubbles: 5}}
 	c, s, _ := newCore(t, recs, 1_000_000, 1<<40)
-	for ; c.pendN < 7 || c.pendHead+c.pendN <= c.cfg.WindowSize; s.now++ {
+	for ; c.pendN < 7 || c.pendHead+c.pendN <= WindowSize; s.now++ {
 		if s.now > 10_000 {
 			t.Fatal("the load ring never wrapped")
 		}
@@ -89,7 +89,7 @@ func TestSnapshotRoundTripWithLoadsInFlight(t *testing.T) {
 // window does not fit the receiver: each must surface as a decode error
 // naming the core, not as a panic or a restored core.
 func TestRestoreRejectsMalformedWindow(t *testing.T) {
-	const size = 256 // DefaultConfig().WindowSize
+	const size = WindowSize
 	type entry struct {
 		slot    int
 		waiting bool

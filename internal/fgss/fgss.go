@@ -46,10 +46,12 @@ const Magic = "FGSS"
 // the diagnostic counters and registers no result read (stall and
 // access counters, queue depth maxima, write-drain cycles, two DRAM
 // bank registers), version 4 writes only the valid cache lines and
-// FIGCache tag store slots, each with its index, and version 5 writes
+// FIGCache tag store slots, each with its index, version 5 writes
 // only the occupied LISA-VILLA cache rows, each with its index, and
-// refuses a varint that is not in its shortest encoding.
-const FormatVersion = 5
+// refuses a varint that is not in its shortest encoding, and version 6
+// drops the cycle-skipping engine's controller wake registers, so the
+// system section holds only the clock.
+const FormatVersion = 6
 
 // HeaderSize is the byte length of the fixed header.
 const HeaderSize = 44

@@ -43,7 +43,7 @@ func TestGoldenHeader(t *testing.T) {
 	img := encode(t, 3, fp)
 	want := append([]byte{
 		'F', 'G', 'S', 'S', // magic
-		5, 0, // format version 5, little-endian u16
+		6, 0, // format version 6, little-endian u16
 		0, 0, // reserved
 		3, 0, 0, 0, // engine version 3, little-endian u32
 	}, fp[:]...)
@@ -122,7 +122,12 @@ func TestReaderRejectsHeader(t *testing.T) {
 			b := bytes.Clone(img)
 			b[4] = 4
 			return b
-		}(), 3, fp, "unsupported snapshot format version 4 (this build reads version 5)"},
+		}(), 3, fp, "unsupported snapshot format version 4"},
+		{"format 5 snapshot", func() []byte {
+			b := bytes.Clone(img)
+			b[4] = 5
+			return b
+		}(), 3, fp, "unsupported snapshot format version 5 (this build reads version 6)"},
 		{"engine version mismatch", img, 4, fp, "engine version 3, this build is version 4"},
 		{"fingerprint mismatch", img, 3, otherFP, "does not match this run's config"},
 		{"truncated header", img[:HeaderSize/2], 3, fp, "truncated header"},

@@ -66,18 +66,16 @@ type sweepVariant struct {
 	mutate func(*sim.Config)
 }
 
-// figVariant builds a FIGCache-Fast variant with fastSubarrays fast
-// subarrays and a mutated FIGCache configuration.
+// figVariant builds a FIGCache-Fast variant with the cache rows of
+// fastSubarrays 32-row fast subarrays (the geometry follows them) and a
+// mutated FIGCache configuration.
 func figVariant(name string, fastSubarrays int, mutate func(*core.FIGCacheConfig)) sweepVariant {
 	fig := core.DefaultFIGCacheConfig()
 	fig.CacheRowsPerBank = fastSubarrays * 32
 	if mutate != nil {
 		mutate(&fig)
 	}
-	return sweepVariant{name: name, preset: sim.FIGCacheFast, mutate: func(c *sim.Config) {
-		c.FIG = &fig
-		c.FastSubarrays = fastSubarrays
-	}}
+	return sweepVariant{name: name, preset: sim.FIGCacheFast, mutate: func(c *sim.Config) { c.FIG = &fig }}
 }
 
 // Fig12 reproduces Figure 12: performance versus in-DRAM cache capacity

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/core"
-	"repro/internal/cpu"
 	"repro/internal/dram"
 	"repro/internal/memctrl"
 	"repro/internal/workload"
@@ -66,8 +65,6 @@ type Config struct {
 	TargetInsts int64
 	// MaxCycles bounds the run as a safety net (0 = 400x TargetInsts).
 	MaxCycles int64
-	// CPUPerBus is the CPU-to-DRAM-bus clock ratio (3.2 GHz / 800 MHz = 4).
-	CPUPerBus int64
 	// Seed perturbs trace generation, so different runs of the same mix
 	// can be averaged.
 	Seed uint64
@@ -78,11 +75,9 @@ type Config struct {
 
 	// FIG overrides the FIGCache parameters for the FIGCache presets
 	// (sensitivity studies of Section 9). Nil selects the paper default.
+	// Under FIGCacheFast and FIGCacheIdeal its CacheRowsPerBank also
+	// sizes the fast subarrays (Figure 12's capacity sweep).
 	FIG *core.FIGCacheConfig
-	// FastSubarrays overrides the number of fast subarrays per bank for
-	// FIGCacheFast (Figure 12's capacity sweep). Zero selects the default
-	// of 2.
-	FastSubarrays int
 
 	// ImmediateReloc makes the memory controller execute insertion
 	// relocations at miss time instead of deferring them to row close
@@ -103,7 +98,6 @@ func DefaultConfig(p Preset, mix workload.Mix) Config {
 		Preset:      p,
 		Mix:         mix,
 		TargetInsts: 200_000,
-		CPUPerBus:   4,
 		Seed:        1,
 	}
 }
@@ -120,9 +114,6 @@ func (c *Config) normalize() error {
 			c.Channels = 4
 		}
 	}
-	if c.CPUPerBus == 0 {
-		c.CPUPerBus = 4
-	}
 	if c.TargetInsts <= 0 {
 		return fmt.Errorf("sim: target instructions must be positive")
 	}
@@ -132,10 +123,22 @@ func (c *Config) normalize() error {
 	if c.Preset < 0 || c.Preset >= numPresets {
 		return fmt.Errorf("sim: unknown preset %d", int(c.Preset))
 	}
-	if c.FastSubarrays == 0 {
-		c.FastSubarrays = 2
-	}
 	return nil
+}
+
+// cpuPerBus is Table 1's CPU-to-DRAM-bus clock ratio: 3.2 GHz cores on
+// an 800 MHz DDR4-1600 bus.
+const cpuPerBus int64 = 4
+
+// fastSubarrays returns the number of 32-row fast subarrays per bank of
+// a FIGCacheFast or FIGCacheIdeal geometry: two (Table 1), or with a FIG
+// override enough to hold its cache rows.
+func (c *Config) fastSubarrays() int {
+	if c.FIG == nil {
+		return 2
+	}
+	rows := dram.Default().RowsPerFastSubarray
+	return (c.FIG.CacheRowsPerBank + rows - 1) / rows
 }
 
 // geometry returns the per-channel DRAM geometry for the preset.
@@ -143,7 +146,7 @@ func (c *Config) geometry() dram.Geometry {
 	geo := dram.Default()
 	switch c.Preset {
 	case FIGCacheFast, FIGCacheIdeal:
-		geo.FastSubarrays = c.FastSubarrays
+		geo.FastSubarrays = c.fastSubarrays()
 	case LISAVilla:
 		geo.FastSubarrays = 16
 	}
@@ -157,7 +160,7 @@ func (c *Config) buildHook(geo dram.Geometry) (memctrl.CacheHook, error) {
 	case Base, LLDRAM:
 		return nil, nil
 	case LISAVilla:
-		return core.NewLISAVilla(core.DefaultLISAVillaConfig(), geo)
+		return core.NewLISAVilla(geo)
 	case FIGCacheSlow:
 		fcfg := core.SlowConfig()
 		if c.FIG != nil {
@@ -169,10 +172,6 @@ func (c *Config) buildHook(geo dram.Geometry) (memctrl.CacheHook, error) {
 		fcfg := core.DefaultFIGCacheConfig()
 		if c.FIG != nil {
 			fcfg = *c.FIG
-		}
-		// Cache rows track the fast-subarray capacity (32 rows each).
-		if c.FIG == nil {
-			fcfg.CacheRowsPerBank = geo.FastSubarrays * geo.RowsPerFastSubarray
 		}
 		hook, err := core.NewFIGCache(fcfg, geo)
 		if err != nil {
@@ -222,6 +221,3 @@ func FIGCacheOf(h memctrl.CacheHook) *core.FIGCache {
 func (c *Config) hierarchyConfig() cache.HierarchyConfig {
 	return cache.DefaultHierarchyConfig(len(c.Mix.Apps))
 }
-
-// coreConfig returns Table 1's core parameters.
-func (c *Config) coreConfig() cpu.Config { return cpu.DefaultConfig() }

@@ -16,9 +16,7 @@
 //     behind Config.DenseLoop. At every pause — each RunSlice or
 //     RunUntilRetired stop, and the end of the run — both engines hold
 //     the same clock and the same state: their snapshots match byte for
-//     byte in every section but the system section, which carries the
-//     skip engine's controller wake registers. So both produce
-//     bit-identical Results. TestEngineEquivalence,
+//     byte, in every section. So both produce bit-identical Results. TestEngineEquivalence,
 //     TestEngineHierarchyState and FuzzEngineEquivalence enforce it; any
 //     timing-model change must keep them green.
 //

@@ -110,12 +110,6 @@ func TestEngineEquivalence(t *testing.T) {
 		workload.TraceSource(tracePath),
 	}}
 	cases = append(cases, tc{name: "Base/mixed-sources", cfg: DefaultConfig(Base, mixed), insts: 8_000})
-	// A non-default CPU/bus clock ratio: controller completions convert
-	// from bus to CPU cycles through CPUPerBus, and both engines must
-	// place every bus boundary identically.
-	halfBus := DefaultConfig(FIGCacheFast, smallMix(t, "mcf"))
-	halfBus.CPUPerBus = 2
-	cases = append(cases, tc{name: "FIGCache-Fast/cpu-per-bus-2", cfg: halfBus, insts: 20_000})
 	// One core over four channels: the one-core loop ticking several
 	// controllers, in its memory-only loop too.
 	fourChan := DefaultConfig(FIGCacheFast, smallMix(t, "mcf"))
@@ -306,8 +300,7 @@ func TestRunUntilRetiredStopsAtFirstCrossing(t *testing.T) {
 // TestEngineHierarchyState checks that the engines agree on the whole
 // machine state, not only on sim.Result: at every pause, and after the
 // run, both report the same clock and snapshot the same bytes in every
-// section but the system section (compareEngineState) — the event
-// queue, the cores' windows and load rings, the trace cursors, the
+// section (compareEngineState) — the clock, the event queue, the cores' windows and load rings, the trace cursors, the
 // cache hierarchy with its LRU stamps, the DRAM channels, controllers,
 // in-DRAM cache hooks and the request adapter. The sliced cases drive
 // both engines in RunSlice(4096) steps and compare them at each pause,
@@ -420,8 +413,7 @@ func snapshotSections(t testing.TB, s *System) map[uint32][]byte {
 // compareEngineState fails unless a dense-loop System and a skip-engine
 // System paused at the same point of the same run hold the same state:
 // the same clock, and byte-identical snapshot sections (see
-// snapshotSections) in all but the system section, which carries the
-// skip engine's controller wake registers next to the clock.
+// snapshotSections).
 func compareEngineState(t testing.TB, at string, dense, skip *System) {
 	t.Helper()
 	if dense.Clock() != skip.Clock() {
@@ -433,7 +425,7 @@ func compareEngineState(t testing.TB, at string, dense, skip *System) {
 		tag  uint32
 		name string
 	}{
-		{snapSecEvents, "event queue"}, {snapSecCores, "core"}, {snapSecTraces, "trace cursor"},
+		{snapSecSystem, "system"}, {snapSecEvents, "event queue"}, {snapSecCores, "core"}, {snapSecTraces, "trace cursor"},
 		{snapSecCaches, "cache hierarchy"}, {snapSecChannels, "DRAM channel"}, {snapSecCtrls, "memory controller"},
 		{snapSecHooks, "in-DRAM cache"}, {snapSecAdapter, "request adapter"},
 	} {

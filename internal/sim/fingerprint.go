@@ -40,11 +40,19 @@ func (c Config) Fingerprint() Fingerprint {
 	norm := c
 	_ = norm.normalize()
 
+	// The clock ratio, the fast-subarray count (2 for the presets without
+	// a derived one), the benefit counter width (5) and the Random
+	// policy's seed (1) are fixed, but their fields keep the hash of
+	// every cached result.
+	fastsub := 2
+	if norm.Preset == FIGCacheFast || norm.Preset == FIGCacheIdeal {
+		fastsub = norm.fastSubarrays()
+	}
 	h := sha256.New()
 	fmt.Fprintf(h, "engine=%d\n", EngineVersion)
 	fmt.Fprintf(h, "preset=%d channels=%d insts=%d maxcycles=%d cpb=%d seed=%d shared=%t fastsub=%d immreloc=%t\n",
 		int(norm.Preset), norm.Channels, norm.TargetInsts, norm.MaxCycles,
-		norm.CPUPerBus, norm.Seed, norm.SharedFootprint, norm.FastSubarrays,
+		cpuPerBus, norm.Seed, norm.SharedFootprint, fastsub,
 		norm.ImmediateReloc)
 	fmt.Fprintf(h, "mix=%q intensive=%d\n", norm.Mix.Name, norm.Mix.IntensivePercent)
 	for _, a := range norm.Mix.Apps {
@@ -60,9 +68,9 @@ func (c Config) Fingerprint() Fingerprint {
 		a.WriteCanonical(h)
 	}
 	if f := norm.FIG; f != nil {
-		fmt.Fprintf(h, "fig=%d,%d,%d,%d,%d,%d,%d,%d\n",
+		fmt.Fprintf(h, "fig=%d,%d,%d,%d,5,%d,%d,1\n",
 			f.SegmentBlocks, f.CacheRowsPerBank, int(f.Replacement), f.InsertThreshold,
-			f.BenefitBits, f.ReservedSubarray, int(f.Substrate), f.Seed)
+			f.ReservedSubarray, int(f.Substrate))
 	} else {
 		io.WriteString(h, "fig=default\n")
 	}

@@ -29,9 +29,7 @@ func TestFingerprintDeterministic(t *testing.T) {
 func TestFingerprintNormalizes(t *testing.T) {
 	implicit := fpConfig(t)
 	explicit := implicit
-	explicit.Channels = 1  // single-core default
-	explicit.CPUPerBus = 4 // clock-ratio default
-	explicit.FastSubarrays = 2
+	explicit.Channels = 1 // single-core default
 	explicit.MaxCycles = 400 * explicit.TargetInsts
 	if implicit.Fingerprint() != explicit.Fingerprint() {
 		t.Error("normalized defaults fingerprint differently from implicit zeros")
@@ -62,7 +60,6 @@ func TestFingerprintSensitivity(t *testing.T) {
 		"maxcycles":    func(c *Config) { c.MaxCycles = 100 * c.TargetInsts },
 		"seed":         func(c *Config) { c.Seed++ },
 		"shared":       func(c *Config) { c.SharedFootprint = true },
-		"fastsub":      func(c *Config) { c.FastSubarrays = 4 },
 		"immreloc":     func(c *Config) { c.ImmediateReloc = true },
 		"mix-name":     func(c *Config) { c.Mix.Name = "other" },
 		"app-bubbles":  func(c *Config) { c.Mix.Apps[0].Synth.Bubbles++ },

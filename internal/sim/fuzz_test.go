@@ -15,19 +15,20 @@ import (
 // fuzzConfig decodes fuzz inputs into a small valid run configuration:
 // one of the six presets; 1, 2, 4 or 8 channels; 1-8 cores running
 // either copies of one Table 2 benchmark or a prefix of one of the
-// eight-core mixes; a CPU/bus clock ratio of 1-5; and 1k-4k
-// instructions per core. A nonzero bubbles b sets every app's Bubbles
-// to b-1, and zero keeps each spec's own. Against the issue width of 3,
-// Bubbles of 0-2 give no batch, 3-5 one-cycle batches at the
-// Bubbles/IssueWidth edge, and large values long all-done runs.
+// eight-core mixes; and 1k-4k instructions per core. A nonzero bubbles
+// b sets every app's Bubbles to b-1, and zero keeps each spec's own.
+// Against the issue width of 3, Bubbles of 0-2 give no batch, 3-5
+// one-cycle batches at the Bubbles/cpu.Width edge, and large values
+// long all-done runs.
 //
 // Under the three FIGCache presets a nonzero fig draws a FIGCache
 // override, the space of Section 9's sensitivity studies: segments of
-// 8-128 blocks; 1-16 fast subarrays, with CacheRowsPerBank to match (for
-// FIGCache-Slow, that many rows of its reserved slow subarray); any
-// replacement policy; an insertion threshold of 1, 2, 4 or 8; and FIGARO
-// or RowClone-PSM relocation. Zero keeps the paper's default.
-func fuzzConfig(preset, chanLog, apps, source, cpb uint8, seed uint64, immediate bool, insts uint16, bubbles uint8, fig uint16) Config {
+// 8-128 blocks; 32-512 cache rows per bank in steps of 32, which gives
+// FIGCache-Fast and -Ideal 1-16 fast subarrays (and FIGCache-Slow that
+// many rows of its reserved slow subarray); any replacement policy; an
+// insertion threshold of 1, 2, 4 or 8; and FIGARO or RowClone-PSM
+// relocation. Zero keeps the paper's default.
+func fuzzConfig(preset, chanLog, apps, source uint8, seed uint64, immediate bool, insts uint16, bubbles uint8, fig uint16) Config {
 	benches := workload.Benchmarks()
 	mixes := workload.EightCoreMixes()
 	n := 1 + int(apps)%8
@@ -48,7 +49,6 @@ func fuzzConfig(preset, chanLog, apps, source, cpb uint8, seed uint64, immediate
 	}
 	cfg := DefaultConfig(Presets()[int(preset)%len(Presets())], mix)
 	cfg.Channels = 1 << (chanLog % 4)
-	cfg.CPUPerBus = 1 + int64(cpb)%5
 	cfg.Seed = seed
 	cfg.ImmediateReloc = immediate
 	cfg.TargetInsts = 1_000 + int64(insts)%3_001
@@ -57,8 +57,7 @@ func fuzzConfig(preset, chanLog, apps, source, cpb uint8, seed uint64, immediate
 		f := core.DefaultFIGCacheConfig()
 		f.SegmentBlocks = 8 << (v % 5)
 		v /= 5
-		cfg.FastSubarrays = 1 + v%16
-		f.CacheRowsPerBank = cfg.FastSubarrays * dram.Default().RowsPerFastSubarray
+		f.CacheRowsPerBank = (1 + v%16) * dram.Default().RowsPerFastSubarray
 		v /= 16
 		f.Replacement = []core.ReplacementKind{core.ReplRowBenefit, core.ReplSegmentBenefit, core.ReplLRU, core.ReplRandom}[v%4]
 		v /= 4
@@ -86,38 +85,38 @@ func fuzzConfig(preset, chanLog, apps, source, cpb uint8, seed uint64, immediate
 // an engine bug, not a target to loosen: commit the crasher under
 // testdata/fuzz/ and fix the engine.
 func FuzzEngineEquivalence(f *testing.F) {
-	// Seeds, as (preset, channels, cores, workload, CPUPerBus, seed,
-	// ImmediateReloc, insts, cut, Bubbles, FIGCache override), Bubbles
-	// "spec" for b = 0 and override "-" for fig = 0:
-	// FIGCache-Fast, 1, 1, mcf, 4, 1, no, 4000, 1/3, spec, -;
-	// FIGCache-Fast, 4, 8, mix-100-4, 4, 2, no, 2000, 1/2, spec, -;
-	// LISA-VILLA, 8, 8, mix-25-0, 4, 3, yes, 1000, 1/6, spec, -;
-	// Base, 2, 2, bwaves, 2, 4, no, 3000, 4/5, spec, -;
-	// FIGCache-Ideal, 1, 2, lbm, 2, 5, yes, 2500, 1/25, spec, -;
-	// FIGCache-Slow, 4, 4, mix-75-1, 5, 6, no, 2000, 1/2, spec, -;
-	// LL-DRAM, 8, 1, libquantum, 1, 7, no, 1000, 3/4, spec, -;
-	// FIGCache-Fast, 4, 8, mix-25-0, 4, 8, no, 2000, 1/2, 4 (one-cycle batches), -;
-	// Base, 1, 2, sjeng, 4, 9, no, 4000, 1/3, 200 (long all-done runs), -;
-	// FIGCache-Fast, 1, 1, mcf, 4, 10, no, 4000, 1/3, spec,
-	//   32-block segments, 1 fast subarray, LRU, threshold 2, FIGARO;
-	// FIGCache-Slow, 2, 2, lbm, 4, 11, no, 3000, 1/2, spec,
+	// Seeds, as (preset, channels, cores, workload, seed, ImmediateReloc,
+	// insts, cut, Bubbles, FIGCache override), Bubbles "spec" for b = 0
+	// and override "-" for fig = 0:
+	// FIGCache-Fast, 1, 1, mcf, 1, no, 4000, 1/3, spec, -;
+	// FIGCache-Fast, 4, 8, mix-100-4, 2, no, 2000, 1/2, spec, -;
+	// LISA-VILLA, 8, 8, mix-25-0, 3, yes, 1000, 1/6, spec, -;
+	// Base, 2, 2, bwaves, 4, no, 3000, 4/5, spec, -;
+	// FIGCache-Ideal, 1, 2, lbm, 5, yes, 2500, 1/25, spec, -;
+	// FIGCache-Slow, 4, 4, mix-75-1, 6, no, 2000, 1/2, spec, -;
+	// LL-DRAM, 8, 1, libquantum, 7, no, 1000, 3/4, spec, -;
+	// FIGCache-Fast, 4, 8, mix-25-0, 8, no, 2000, 1/2, 4 (one-cycle batches), -;
+	// Base, 1, 2, sjeng, 9, no, 4000, 1/3, 200 (long all-done runs), -;
+	// FIGCache-Fast, 1, 1, mcf, 10, no, 4000, 1/3, spec,
+	//   32-block segments, 32 cache rows, LRU, threshold 2, FIGARO;
+	// FIGCache-Slow, 2, 2, lbm, 11, no, 3000, 1/2, spec,
 	//   128-block segments, 512 reserved rows, Random, threshold 1, RowClone-PSM;
-	// FIGCache-Ideal, 4, 4, mix-100-4, 4, 12, yes, 2000, 1/2, spec,
-	//   8-block segments, 4 fast subarrays, SegmentBenefit, threshold 8, RowClone-PSM.
-	f.Add(uint8(3), uint8(0), uint8(0), uint8(2), uint8(3), uint64(1), false, uint16(3000), uint8(85), uint8(0), uint16(0))
-	f.Add(uint8(3), uint8(2), uint8(7), uint8(39), uint8(3), uint64(2), false, uint16(1000), uint8(128), uint8(0), uint16(0))
-	f.Add(uint8(1), uint8(3), uint8(7), uint8(20), uint8(3), uint64(3), true, uint16(0), uint8(40), uint8(0), uint16(0))
-	f.Add(uint8(0), uint8(1), uint8(1), uint8(5), uint8(1), uint64(4), false, uint16(2000), uint8(200), uint8(0), uint16(0))
-	f.Add(uint8(4), uint8(0), uint8(1), uint8(6), uint8(1), uint64(5), true, uint16(1500), uint8(10), uint8(0), uint16(0))
-	f.Add(uint8(2), uint8(2), uint8(3), uint8(31), uint8(4), uint64(6), false, uint16(1000), uint8(128), uint8(0), uint16(0))
-	f.Add(uint8(5), uint8(3), uint8(0), uint8(4), uint8(0), uint64(7), false, uint16(0), uint8(192), uint8(0), uint16(0))
-	f.Add(uint8(3), uint8(2), uint8(7), uint8(20), uint8(3), uint64(8), false, uint16(1000), uint8(128), uint8(5), uint16(0))
-	f.Add(uint8(0), uint8(0), uint8(1), uint8(17), uint8(3), uint64(9), false, uint16(3000), uint8(85), uint8(201), uint16(0))
-	f.Add(uint8(3), uint8(0), uint8(0), uint8(2), uint8(3), uint64(10), false, uint16(3000), uint8(85), uint8(0), uint16(483))
-	f.Add(uint8(2), uint8(1), uint8(1), uint8(6), uint8(3), uint64(11), false, uint16(2000), uint8(128), uint8(0), uint16(1600))
-	f.Add(uint8(4), uint8(2), uint8(3), uint8(39), uint8(3), uint64(12), true, uint16(1000), uint8(128), uint8(0), uint16(2336))
-	f.Fuzz(func(t *testing.T, preset, chanLog, apps, source, cpb uint8, seed uint64, immediate bool, insts uint16, cut, bubbles uint8, fig uint16) {
-		cfg := fuzzConfig(preset, chanLog, apps, source, cpb, seed, immediate, insts, bubbles, fig)
+	// FIGCache-Ideal, 4, 4, mix-100-4, 12, yes, 2000, 1/2, spec,
+	//   8-block segments, 128 cache rows, SegmentBenefit, threshold 8, RowClone-PSM.
+	f.Add(uint8(3), uint8(0), uint8(0), uint8(2), uint64(1), false, uint16(3000), uint8(85), uint8(0), uint16(0))
+	f.Add(uint8(3), uint8(2), uint8(7), uint8(39), uint64(2), false, uint16(1000), uint8(128), uint8(0), uint16(0))
+	f.Add(uint8(1), uint8(3), uint8(7), uint8(20), uint64(3), true, uint16(0), uint8(40), uint8(0), uint16(0))
+	f.Add(uint8(0), uint8(1), uint8(1), uint8(5), uint64(4), false, uint16(2000), uint8(200), uint8(0), uint16(0))
+	f.Add(uint8(4), uint8(0), uint8(1), uint8(6), uint64(5), true, uint16(1500), uint8(10), uint8(0), uint16(0))
+	f.Add(uint8(2), uint8(2), uint8(3), uint8(31), uint64(6), false, uint16(1000), uint8(128), uint8(0), uint16(0))
+	f.Add(uint8(5), uint8(3), uint8(0), uint8(4), uint64(7), false, uint16(0), uint8(192), uint8(0), uint16(0))
+	f.Add(uint8(3), uint8(2), uint8(7), uint8(20), uint64(8), false, uint16(1000), uint8(128), uint8(5), uint16(0))
+	f.Add(uint8(0), uint8(0), uint8(1), uint8(17), uint64(9), false, uint16(3000), uint8(85), uint8(201), uint16(0))
+	f.Add(uint8(3), uint8(0), uint8(0), uint8(2), uint64(10), false, uint16(3000), uint8(85), uint8(0), uint16(483))
+	f.Add(uint8(2), uint8(1), uint8(1), uint8(6), uint64(11), false, uint16(2000), uint8(128), uint8(0), uint16(1600))
+	f.Add(uint8(4), uint8(2), uint8(3), uint8(39), uint64(12), true, uint16(1000), uint8(128), uint8(0), uint16(2336))
+	f.Fuzz(func(t *testing.T, preset, chanLog, apps, source uint8, seed uint64, immediate bool, insts uint16, cut, bubbles uint8, fig uint16) {
+		cfg := fuzzConfig(preset, chanLog, apps, source, seed, immediate, insts, bubbles, fig)
 		if _, err := New(cfg); err != nil {
 			// A shape sim.New rejects: a footprint larger than its window,
 			// or a core count that gives the LLC a non-power-of-two set
@@ -139,7 +138,7 @@ func FuzzEngineEquivalence(f *testing.F) {
 				return ""
 			}
 			if !relocationBound(s) {
-				t.Fatalf("%+v: %v, and no channel spent most of its %d bus cycles relocating", cfg, err, s.clock/s.cfg.CPUPerBus)
+				t.Fatalf("%+v: %v, and no channel spent most of its %d bus cycles relocating", cfg, err, s.clock/cpuPerBus)
 			}
 			return err.Error()
 		}
@@ -198,7 +197,7 @@ func FuzzEngineEquivalence(f *testing.F) {
 // relocationBound reports whether some channel of s has spent more
 // than half of the bus cycles elapsed so far on relocation work.
 func relocationBound(s *System) bool {
-	bus := s.clock / s.cfg.CPUPerBus
+	bus := s.clock / cpuPerBus
 	for _, ch := range s.channels {
 		if 2*ch.RelocBusy > bus {
 			return true

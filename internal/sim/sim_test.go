@@ -243,16 +243,23 @@ func TestFIGCacheConfigOverride(t *testing.T) {
 	}
 }
 
+// TestFastSubarraySweepChangesCapacity checks Figure 12's capacity
+// sweep: an override of 256 cache rows gives each bank eight 32-row
+// fast subarrays.
 func TestFastSubarraySweepChangesCapacity(t *testing.T) {
 	cfg := DefaultConfig(FIGCacheFast, smallMix(t, "mcf"))
-	cfg.FastSubarrays = 8
+	fig := core.DefaultFIGCacheConfig()
+	fig.CacheRowsPerBank = 256
+	cfg.FIG = &fig
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fc := FIGCacheOf(s.Hooks()[0])
-	if fc.Config().CacheRowsPerBank != 8*32 {
-		t.Errorf("cache rows = %d, want 256 for 8 fast subarrays", fc.Config().CacheRowsPerBank)
+	if got := s.channels[0].Geo.FastSubarrays; got != 8 {
+		t.Errorf("fast subarrays = %d, want 8 for 256 cache rows", got)
+	}
+	if got := FIGCacheOf(s.Hooks()[0]).Config().CacheRowsPerBank; got != 256 {
+		t.Errorf("cache rows = %d, want 256", got)
 	}
 }
 

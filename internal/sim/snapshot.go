@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"repro/internal/core"
+	"repro/internal/cpu"
 	"repro/internal/ev"
 	"repro/internal/fgss"
 	"repro/internal/memctrl"
@@ -14,7 +15,7 @@ import (
 // Section tags of the FGSS stream, one per simulation layer, in the
 // fixed order Snapshot writes and Restore demands them.
 const (
-	snapSecSystem   = 1 // clock, controller wake registers
+	snapSecSystem   = 1 // clock
 	snapSecEvents   = 2 // event queue: heap and FIFO lanes
 	snapSecCores    = 3 // per-core execution state
 	snapSecTraces   = 4 // per-core workload source positions
@@ -122,8 +123,8 @@ func (s *System) checkToken(t ev.Token) error {
 		if t.ID < 0 || int(t.ID) >= len(s.cores) {
 			return fmt.Errorf("core slot token names core %d of %d", t.ID, len(s.cores))
 		}
-		if size := s.cfg.coreConfig().WindowSize; t.Arg >= uint64(size) {
-			return fmt.Errorf("core slot token names slot %d of core %d's %d-entry window", t.Arg, t.ID, size)
+		if t.Arg >= cpu.WindowSize {
+			return fmt.Errorf("core slot token names slot %d of core %d's %d-entry window", t.Arg, t.ID, cpu.WindowSize)
 		}
 	case ev.MSHRStart, ev.MSHRFill:
 		if n := len(s.hier.Nodes()); t.ID < 0 || int(t.ID) >= n {
@@ -146,10 +147,6 @@ func (s *System) Snapshot(out io.Writer) error {
 
 	w.Begin(snapSecSystem)
 	w.I64(s.clock)
-	w.Int(len(s.ctrlWake))
-	for _, v := range s.ctrlWake {
-		w.I64(v)
-	}
 	w.End()
 
 	w.Begin(snapSecEvents)
@@ -267,14 +264,15 @@ func (s *System) Restore(in io.Reader) error {
 
 	r.Section(snapSecSystem)
 	s.clock = r.I64()
-	if nw := r.Int(); nw != len(s.ctrlWake) && r.Err() == nil {
-		r.Reject("%d controller wake registers for %d controllers", nw, len(s.ctrlWake))
-	}
+	// The skip engine's controller wake registers are not machine state:
+	// as New does at cycle 0, they force a tick of every controller at
+	// the first bus boundary at or after the clock. The dense loop ticks
+	// every controller at every boundary, so a tick that is not due is a
+	// no-op. Every run settles its parked cores on exit, so a snapshot is
+	// taken with none parked; the restored cores start running.
 	for i := range s.ctrlWake {
-		s.ctrlWake[i] = r.I64()
+		s.ctrlWake[i] = (s.clock + cpuPerBus - 1) / cpuPerBus
 	}
-	// Every run settles its parked cores on exit, so a snapshot is taken
-	// with none parked; the restored cores start running.
 	for i := range s.parkedAt {
 		s.parkedAt[i] = -1
 	}

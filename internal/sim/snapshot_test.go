@@ -80,42 +80,6 @@ func TestRestoreRefusesTamperedStream(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsWakeCount checks that a system section whose
-// controller wake registers do not number the System's controllers —
-// none, or one too many — is refused, and that the section Snapshot
-// writes, one register per controller, restores.
-func TestRestoreRejectsWakeCount(t *testing.T) {
-	cfg := DefaultConfig(Base, smallMix(t, "mcf"))
-	cfg.TargetInsts = 10_000
-	s, snap := snapshotAt(t, cfg, 3_000)
-	for _, n := range []int{0, len(s.ctrls), len(s.ctrls) + 1} {
-		var buf bytes.Buffer
-		w := fgss.NewWriter(&buf, 0, [32]byte{})
-		w.Begin(snapSecSystem)
-		w.I64(s.Clock())
-		w.Int(n)
-		for i := 0; i < n; i++ {
-			w.I64(int64(i))
-		}
-		w.End()
-		if err := w.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		fresh, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		err = fresh.Restore(bytes.NewReader(withSection(snap, snapSecSystem, buf.Bytes()[fgss.HeaderSize+8:])))
-		want := fmt.Sprintf("section 1: %d controller wake registers for %d controllers", n, len(s.ctrls))
-		if n == len(s.ctrls) {
-			want = ""
-		}
-		if (err == nil) != (want == "") || err != nil && !strings.Contains(err.Error(), want) {
-			t.Errorf("%d wake registers: restore error = %v, want %q", n, err, want)
-		}
-	}
-}
-
 // TestRestoreRewindsDirtySystem restores a checkpoint into a System
 // that has already run *past* it: every piece of mid-flight state —
 // queued requests, outstanding MSHRs, pending events, open rows — is

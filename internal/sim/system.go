@@ -31,9 +31,10 @@ type System struct {
 	// do not evaluate a fresh closure on the hot path.
 	busSched func(at int64, tok ev.Token)
 	// ctrlWake[i] is the next-work bus cycle controller i reported at its
-	// most recent tick; zero forces a tick at the first bus boundary.
-	// Built by New with one entry per controller and owned by
-	// runSkipping; kept on the System so resumed engine runs (RunSlice,
+	// most recent tick; zero forces a tick at the first bus boundary, and
+	// Restore forces one at the first boundary after the restored clock.
+	// Built by New with one entry per controller and owned by the skip
+	// engine; kept on the System so resumed engine runs (RunSlice,
 	// RunUntilRetired) do not re-tick idle controllers.
 	ctrlWake []int64
 	// parkedAt[i] is the cycle at whose wake scan runSkipping parked core
@@ -120,9 +121,8 @@ func New(cfg Config) (*System, error) {
 	for _, ctrl := range s.ctrls {
 		ctrl.Release = s.adapter.release
 	}
-	cpb := cfg.CPUPerBus
 	s.busSched = func(at int64, tok ev.Token) {
-		s.events.schedule(at*cpb, tok)
+		s.events.schedule(at*cpuPerBus, tok)
 	}
 	hier, err := cache.NewHierarchy(cfg.hierarchyConfig(), s.adapter, s)
 	if err != nil {
@@ -294,7 +294,7 @@ func (s *System) initCores() error {
 		if err != nil {
 			return err
 		}
-		c, err := cpu.New(i, cfg.coreConfig(), gen, s.hier.L1s[i], cfg.TargetInsts)
+		c, err := cpu.New(i, gen, s.hier.L1s[i], cfg.TargetInsts)
 		if err != nil {
 			return err
 		}
@@ -472,11 +472,11 @@ func (s *System) Run() (Result, error) {
 // engines pause on the same cycle boundary in the dense loop's exact
 // state, so slices resumed until one reports true execute
 // bit-identically to one uninterrupted Run, and a snapshot taken
-// between slices holds the same bytes under either engine, the system
-// section's controller wake registers apart (TestEngineEquivalence's
-// sliced and checkpoint cases, TestEngineHierarchyState). A finished
-// System executes nothing more: once RunSlice reports true, Run returns
-// the run's Result, and a further RunSlice reports true again.
+// between slices holds the same bytes under either engine
+// (TestEngineEquivalence's sliced and checkpoint cases,
+// TestEngineHierarchyState). A finished System executes nothing more:
+// once RunSlice reports true, Run returns the run's Result, and a
+// further RunSlice reports true again.
 func (s *System) RunSlice(cycles int64) bool {
 	return s.run(min(s.clock+cycles, s.cfg.MaxCycles)) == nil || s.clock >= s.cfg.MaxCycles
 }
@@ -498,13 +498,13 @@ func (s *System) totalRetired() int64 {
 // and calling Run afterwards — on this System or on a fresh one
 // restored from the snapshot — finishes the run bit-identically to an
 // uninterrupted Run. It is a loop of RunSlice calls: a core retires at
-// most RetireWidth instructions a cycle, so a slice of
-// ⌈remaining / (cores × RetireWidth)⌉ cycles cannot pass the first
+// most cpu.Width instructions a cycle, so a slice of
+// ⌈remaining / (cores × cpu.Width)⌉ cycles cannot pass the first
 // cycle boundary at which the total reaches target, and both engines
 // pause on the dense loop's cycle. A target already reached executes
 // nothing.
 func (s *System) RunUntilRetired(target int64) {
-	perCycle := int64(len(s.cores) * s.cfg.coreConfig().RetireWidth)
+	perCycle := int64(len(s.cores) * cpu.Width)
 	for {
 		remaining := target - s.totalRetired()
 		if remaining <= 0 || s.RunSlice((remaining+perCycle-1)/perCycle) {
@@ -544,11 +544,10 @@ func (s *System) unfinished() *cpu.Core {
 // CPU cycle. Splitting the loop at any cycle boundary is trivially
 // bit-identical.
 func (s *System) runDense(maxCycles int64) {
-	cpb := s.cfg.CPUPerBus
 	for ; s.clock < maxCycles; s.clock++ {
 		s.events.fireDue(s.clock, s)
-		if s.clock%cpb == 0 {
-			busNow := s.clock / cpb
+		if s.clock%cpuPerBus == 0 {
+			busNow := s.clock / cpuPerBus
 			s.adapter.drain(busNow)
 			for _, ctrl := range s.ctrls {
 				ctrl.Tick(busNow, s.busSched)
@@ -601,8 +600,8 @@ func (s *System) runDense(maxCycles int64) {
 // still asleep, so at every pause — the clock bound RunSlice passes, in
 // RunUntilRetired's slices too — the machine holds exactly the dense
 // loop's state at the same cycle, and a Snapshot taken there writes the
-// dense loop's bytes; only ctrlWake, which the dense loop never reads,
-// differs.
+// dense loop's bytes. ctrlWake, which the dense loop never reads, is not
+// in the snapshot.
 //
 // A System with one core runs runSolo instead, the same loop without the
 // core sets.
@@ -611,12 +610,11 @@ func (s *System) runSkipping(maxCycles int64) {
 		s.runSolo(maxCycles)
 		return
 	}
-	cpb := s.cfg.CPUPerBus
 	s.wakeAll()
 	for s.clock < maxCycles {
 		s.events.fireDue(s.clock, s)
-		if s.clock%cpb == 0 {
-			s.busTick(s.clock / cpb)
+		if s.clock%cpuPerBus == 0 {
+			s.busTick(s.clock / cpuPerBus)
 		}
 		// A core finishes only in its own Tick or when it wakes, so the
 		// done set tracks Done for every core, asleep or not.
@@ -687,13 +685,13 @@ func (s *System) runSkipping(maxCycles int64) {
 			// The loop stays for a measured end-to-end win over surfacing
 			// every bus boundary (ARCHITECTURE.md, "Performance
 			// engineering").
-			bus := s.nextBusWork(cpb)
+			bus := s.nextBusWork()
 			for bus < next && bus < eventNext {
-				s.busTick(bus / cpb)
+				s.busTick(bus / cpuPerBus)
 				if at, ok := s.events.nextAt(); ok && at < eventNext {
 					eventNext = at
 				}
-				bus = s.nextBusWork(cpb)
+				bus = s.nextBusWork()
 			}
 			if eventNext < next {
 				next = eventNext
@@ -743,12 +741,11 @@ func (s *System) runSkipping(maxCycles int64) {
 // place of the earliestWake recompute measured slower on one core
 // (ARCHITECTURE.md, "Core sleep").
 func (s *System) runSolo(maxCycles int64) {
-	cpb := s.cfg.CPUPerBus
 	c := s.cores[0]
 	for s.clock < maxCycles {
 		s.events.fireDue(s.clock, s)
-		if s.clock%cpb == 0 {
-			s.busTick(s.clock / cpb)
+		if s.clock%cpuPerBus == 0 {
+			s.busTick(s.clock / cpuPerBus)
 		}
 		// A running core ticks, then the wake scan: it needs the next
 		// cycle, or sleeps blocked, or sleeps through its batch.
@@ -778,13 +775,13 @@ func (s *System) runSolo(maxCycles int64) {
 			if at, ok := s.events.nextAt(); ok {
 				eventNext = at
 			}
-			bus := s.nextBusWork(cpb)
+			bus := s.nextBusWork()
 			for bus < next && bus < eventNext {
-				s.busTick(bus / cpb)
+				s.busTick(bus / cpuPerBus)
 				if at, ok := s.events.nextAt(); ok && at < eventNext {
 					eventNext = at
 				}
-				bus = s.nextBusWork(cpb)
+				bus = s.nextBusWork()
 			}
 			next = min(next, eventNext, bus)
 		}
@@ -841,7 +838,7 @@ func (s *System) busTick(busNow int64) {
 // a bus tick: the earliest controller next-work probe, or the very next
 // bus boundary while the adapter still buffers requests that must retry
 // entering a full controller queue.
-func (s *System) nextBusWork(cpb int64) int64 {
+func (s *System) nextBusWork() int64 {
 	next := maxInt64
 	for _, w := range s.ctrlWake {
 		if w < next {
@@ -849,10 +846,10 @@ func (s *System) nextBusWork(cpb int64) int64 {
 		}
 	}
 	if next != maxInt64 {
-		next *= cpb
+		next *= cpuPerBus
 	}
 	if len(s.adapter.pending) > 0 {
-		if b := (s.clock/cpb + 1) * cpb; b < next {
+		if b := (s.clock/cpuPerBus + 1) * cpuPerBus; b < next {
 			next = b
 		}
 	}

@@ -26,10 +26,6 @@ func TestNextBusWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cpb := cfg.CPUPerBus
-	if cpb <= 0 {
-		cpb = 1
-	}
 	if len(s.ctrls) != 4 || len(s.ctrlWake) != 4 {
 		t.Fatalf("got %d controllers and %d wake registers, want 4 of each", len(s.ctrls), len(s.ctrlWake))
 	}
@@ -43,16 +39,16 @@ func TestNextBusWork(t *testing.T) {
 	// bus-to-CPU conversion.
 	idle()
 	s.adapter.pending = s.adapter.pending[:0]
-	if got := s.nextBusWork(cpb); got != maxInt64 {
+	if got := s.nextBusWork(); got != maxInt64 {
 		t.Errorf("all-idle nextBusWork = %d, want MaxInt64", got)
 	}
 
 	// One controller due in the past (bus cycle 3 while the clock is far
 	// ahead): the probe must surface it, converted to CPU cycles, not
 	// clamp it to the present.
-	s.clock = 10 * cpb
+	s.clock = 10 * cpuPerBus
 	s.ctrlWake[2] = 3
-	if got, want := s.nextBusWork(cpb), 3*cpb; got != want {
+	if got, want := s.nextBusWork(), 3*cpuPerBus; got != want {
 		t.Errorf("past-wake nextBusWork = %d, want %d", got, want)
 	}
 
@@ -60,7 +56,7 @@ func TestNextBusWork(t *testing.T) {
 	// of several wakes wins whichever controller holds it.
 	s.ctrlWake[2] = 10
 	s.ctrlWake[3] = 12
-	if got, want := s.nextBusWork(cpb), s.clock; got != want {
+	if got, want := s.nextBusWork(), s.clock; got != want {
 		t.Errorf("exact-boundary nextBusWork = %d, want %d", got, want)
 	}
 
@@ -68,14 +64,14 @@ func TestNextBusWork(t *testing.T) {
 	// even when every controller reports idle: the adapter must retry
 	// entering the full queue.
 	idle()
-	s.clock = 7 * cpb
+	s.clock = 7 * cpuPerBus
 	s.adapter.pending = append(s.adapter.pending[:0], pendingReq{})
-	if got, want := s.nextBusWork(cpb), (s.clock/cpb+1)*cpb; got != want {
+	if got, want := s.nextBusWork(), (s.clock/cpuPerBus+1)*cpuPerBus; got != want {
 		t.Errorf("pending-bound nextBusWork = %d, want %d", got, want)
 	}
 	// A due controller earlier than the retry boundary wins.
-	s.ctrlWake[1] = s.clock / cpb
-	if got, want := s.nextBusWork(cpb), s.clock; got != want {
+	s.ctrlWake[1] = s.clock / cpuPerBus
+	if got, want := s.nextBusWork(), s.clock; got != want {
 		t.Errorf("due-before-retry nextBusWork = %d, want %d", got, want)
 	}
 	s.adapter.pending = s.adapter.pending[:0]
