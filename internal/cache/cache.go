@@ -11,23 +11,13 @@ import (
 // simulator provides the implementation; it must also be able to
 // execute tokens (ev.Dispatcher), because a cache fill fires its
 // waiters synchronously instead of bouncing them through the queue.
+// Every After call a Cache issues uses the same delay, its lookup
+// latency, so its tokens become due in non-decreasing order: a
+// scheduler bound to one latency can queue them as a FIFO (see
+// NewHierarchy).
 type Scheduler interface {
 	After(delay int64, tok ev.Token)
 	ev.Dispatcher
-}
-
-// LevelSchedulerFactory is an optional refinement of Scheduler: a
-// scheduler that can hand out a sub-scheduler dedicated to one fixed
-// delay. Every After call a Cache issues uses the same delay (its lookup
-// latency), so its deferred tokens become due in non-decreasing order
-// — a plain FIFO, which a delay-aware scheduler can service without
-// paying heap push/pop per event. The factory may hand the same
-// sub-scheduler to every caller with the same latency (tokens from
-// different caches at one delay still become due in schedule order). New
-// unwraps the factory once at construction; plain Schedulers keep
-// working unchanged.
-type LevelSchedulerFactory interface {
-	LevelScheduler(latency int64) Scheduler
 }
 
 // Backend receives misses and write-backs from a cache level: either the
@@ -107,10 +97,6 @@ type Cache struct {
 	shift   uint      // log2(BlockBytes)
 	next    Backend   //fglint:preserved wiring, bound once at construction; the next level checkpoints its own state
 	sched   Scheduler //fglint:preserved wiring, bound once at construction; the event queue's snapshot carries the scheduled tokens
-	// disp executes waiter tokens synchronously at fill time. Normally
-	// the unwrapped scheduler passed to New; separate field because New
-	// may replace sched with a level sub-scheduler.
-	disp ev.Dispatcher //fglint:preserved wiring, bound once at construction
 	// id is this cache's node ID in its Hierarchy (see Hierarchy.Node):
 	// the identifier MSHRStart/MSHRFill event tokens carry so a restored
 	// run can route them back here. 0 until SetNodeID.
@@ -132,14 +118,11 @@ type Cache struct {
 	Hits, Misses int64
 }
 
-// New builds a cache level on top of next.
+// New builds a cache level on top of next, deferring its tokens and
+// dispatching its fill waiters through sched.
 func New(cfg Config, next Backend, sched Scheduler, coreID int) (*Cache, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
-	}
-	disp := ev.Dispatcher(sched)
-	if f, ok := sched.(LevelSchedulerFactory); ok {
-		sched = f.LevelScheduler(cfg.Latency)
 	}
 	setsN := cfg.SizeBytes / (cfg.Ways * cfg.BlockBytes)
 	c := &Cache{
@@ -150,7 +133,6 @@ func New(cfg Config, next Backend, sched Scheduler, coreID int) (*Cache, error) 
 		shift:   uint(bits.TrailingZeros64(uint64(cfg.BlockBytes))),
 		next:    next,
 		sched:   sched,
-		disp:    disp,
 		coreID:  coreID,
 	}
 	mshrCap := cfg.MSHRs
@@ -351,7 +333,7 @@ func (c *Cache) Fill(blk uint64) {
 	// absolute value (completion bookkeeping is cycle-exact via the
 	// scheduler events that triggered this fill).
 	for i, w := range m.waiters {
-		c.disp.Dispatch(w, 0)
+		c.sched.Dispatch(w, 0)
 		m.waiters[i] = ev.Token{}
 	}
 	m.waiters = m.waiters[:0]

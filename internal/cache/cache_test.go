@@ -33,6 +33,9 @@ func (s *testSched) After(delay int64, tok ev.Token) {
 	s.events = append(s.events, tokEvent{s.now + delay, tok})
 }
 
+// level is the NewHierarchy scheduler function: every level shares s.
+func (s *testSched) level(int64) Scheduler { return s }
+
 func (s *testSched) Dispatch(tok ev.Token, now int64) {
 	switch tok.Kind {
 	case ev.CoreSlot:
@@ -298,7 +301,7 @@ func TestWriteMergeIntoOutstandingFetchMarksDirty(t *testing.T) {
 func TestHierarchyPropagatesMisses(t *testing.T) {
 	s := &testSched{}
 	m := &memStub{sched: s, latency: 50}
-	h, err := NewHierarchy(DefaultHierarchyConfig(2), m, s)
+	h, err := NewHierarchy(DefaultHierarchyConfig(2), m, s.level)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +340,7 @@ func TestHierarchyPropagatesMisses(t *testing.T) {
 func TestLLCMPKI(t *testing.T) {
 	s := &testSched{}
 	m := &memStub{sched: s, latency: 10}
-	h, err := NewHierarchy(DefaultHierarchyConfig(1), m, s)
+	h, err := NewHierarchy(DefaultHierarchyConfig(1), m, s.level)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,12 +35,16 @@ type Hierarchy struct {
 	nodes []*Cache // topology registry, fixed at construction
 }
 
-// NewHierarchy builds the hierarchy on top of mem.
-func NewHierarchy(cfg HierarchyConfig, mem Backend, sched Scheduler) (*Hierarchy, error) {
+// NewHierarchy builds the hierarchy on top of mem. Each level takes
+// the scheduler sched returns for its lookup latency, in construction
+// order: the LLC's, then each core's L2's and L1's. sched may hand the
+// same scheduler to every level with one latency, because tokens from
+// several caches at one delay still become due in schedule order.
+func NewHierarchy(cfg HierarchyConfig, mem Backend, sched func(latency int64) Scheduler) (*Hierarchy, error) {
 	if cfg.Cores <= 0 {
 		return nil, fmt.Errorf("cache: cores must be positive, got %d", cfg.Cores)
 	}
-	llc, err := New(cfg.LLC, mem, sched, -1)
+	llc, err := New(cfg.LLC, mem, sched(cfg.LLC.Latency), -1)
 	if err != nil {
 		return nil, err
 	}
@@ -49,13 +53,13 @@ func NewHierarchy(cfg HierarchyConfig, mem Backend, sched Scheduler) (*Hierarchy
 	for i := 0; i < cfg.Cores; i++ {
 		l2cfg := cfg.L2
 		l2cfg.Name = fmt.Sprintf("L2.%d", i)
-		l2, err := New(l2cfg, llc, sched, i)
+		l2, err := New(l2cfg, llc, sched(l2cfg.Latency), i)
 		if err != nil {
 			return nil, err
 		}
 		l1cfg := cfg.L1
 		l1cfg.Name = fmt.Sprintf("L1.%d", i)
-		l1, err := New(l1cfg, l2, sched, i)
+		l1, err := New(l1cfg, l2, sched(l1cfg.Latency), i)
 		if err != nil {
 			return nil, err
 		}

@@ -16,7 +16,7 @@ type FIGCacheConfig struct {
 	SegmentBlocks int
 	// CacheRowsPerBank is the number of in-DRAM cache rows per bank
 	// (64 in the paper: two 32-row fast subarrays, or 64 reserved rows of
-	// a slow subarray for FIGCache-Slow).
+	// slow subarray 0 in a bank without fast subarrays, FIGCache-Slow).
 	CacheRowsPerBank int
 	// Replacement selects the eviction policy (default ReplRowBenefit).
 	Replacement ReplacementKind
@@ -24,11 +24,6 @@ type FIGCacheConfig struct {
 	// before it is inserted. 1 is the paper's insert-any-miss policy;
 	// Section 9.4 sweeps 1, 2, 4, 8.
 	InsertThreshold int
-	// ReservedSubarray, when >= 0, marks the slow subarray whose rows host
-	// the cache in the FIGCache-Slow organization. Segments belonging to
-	// that subarray are never cached, because FIGARO cannot relocate data
-	// within a single subarray (Section 5.2).
-	ReservedSubarray int
 	// Substrate selects the in-DRAM relocation mechanism (default FIGARO).
 	Substrate Substrate
 }
@@ -55,25 +50,16 @@ func (s Substrate) String() string {
 	return substrateNames[s]
 }
 
-// DefaultFIGCacheConfig returns the paper's default FIGCache parameters
-// for the fast-subarray organization (FIGCache-Fast).
+// DefaultFIGCacheConfig returns the paper's default FIGCache parameters.
+// They serve both organizations: the geometry decides where the cache
+// rows live (see FIGCache.ShouldInsert).
 func DefaultFIGCacheConfig() FIGCacheConfig {
 	return FIGCacheConfig{
 		SegmentBlocks:    16,
 		CacheRowsPerBank: 64,
 		Replacement:      ReplRowBenefit,
 		InsertThreshold:  1,
-		ReservedSubarray: -1,
 	}
-}
-
-// SlowConfig returns the FIGCache-Slow configuration: the cache rows are
-// 64 reserved rows in slow subarray 0, so segments from subarray 0 are
-// excluded from caching.
-func SlowConfig() FIGCacheConfig {
-	cfg := DefaultFIGCacheConfig()
-	cfg.ReservedSubarray = 0
-	return cfg
 }
 
 // Validate reports configuration errors.
@@ -194,10 +180,12 @@ func (c *FIGCache) Lookup(loc dram.Location, isWrite bool) (dram.Location, bool)
 
 // ShouldInsert implements the insertion policy of Section 5.1/9.4:
 // insert-any-miss when InsertThreshold is 1, otherwise insert after the
-// segment accumulates InsertThreshold consecutive misses. Segments from
-// the reserved subarray (FIGCache-Slow) are never inserted.
+// segment accumulates InsertThreshold consecutive misses. A bank without
+// fast subarrays (FIGCache-Slow) hosts its cache rows in slow subarray 0,
+// whose segments are never inserted, because FIGARO cannot relocate data
+// within a single subarray (Section 5.2).
 func (c *FIGCache) ShouldInsert(loc dram.Location) bool {
-	if c.cfg.ReservedSubarray >= 0 && c.geo.SubarrayOfRow(loc.Row) == c.cfg.ReservedSubarray {
+	if c.geo.FastSubarrays == 0 && c.geo.SubarrayOfRow(loc.Row) == 0 {
 		return false
 	}
 	if c.cfg.InsertThreshold == 1 {

@@ -228,19 +228,25 @@ func TestFIGCacheDirtyEvictionAddsWriteBack(t *testing.T) {
 	}
 }
 
+// TestFIGCacheSlowExcludesReservedSubarray pins where the geometry puts
+// the cache rows: a bank without fast subarrays (FIGCache-Slow) hosts
+// them in slow subarray 0, so it never caches that subarray's segments,
+// and a bank with fast subarrays reserves nothing.
 func TestFIGCacheSlowExcludesReservedSubarray(t *testing.T) {
-	geo := dram.Default() // no fast subarrays
-	fc, err := NewFIGCache(SlowConfig(), geo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Rows 0..511 live in subarray 0 (the reserved one) and must never be
-	// cached; rows elsewhere are cacheable.
-	if fc.ShouldInsert(dram.Location{Row: 10, Block: 0}) {
-		t.Error("segment from reserved subarray accepted")
-	}
-	if !fc.ShouldInsert(dram.Location{Row: 512, Block: 0}) {
-		t.Error("segment from subarray 1 declined")
+	for _, fast := range []int{0, 2} {
+		geo := dram.Default()
+		geo.FastSubarrays = fast
+		fc, err := NewFIGCache(DefaultFIGCacheConfig(), geo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Rows 0..511 live in subarray 0; rows 512 on in later ones.
+		if got := fc.ShouldInsert(dram.Location{Row: 10, Block: 0}); got != (fast > 0) {
+			t.Errorf("%d fast subarrays: subarray-0 segment accepted = %v, want %v", fast, got, fast > 0)
+		}
+		if !fc.ShouldInsert(dram.Location{Row: 512, Block: 0}) {
+			t.Errorf("%d fast subarrays: segment from subarray 1 declined", fast)
+		}
 	}
 }
 

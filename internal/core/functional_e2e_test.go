@@ -33,7 +33,6 @@ func TestFunctionalEndToEnd(t *testing.T) {
 		CacheRowsPerBank: 2,
 		Replacement:      ReplRowBenefit,
 		InsertThreshold:  1,
-		ReservedSubarray: -1,
 	}
 	fc, err := NewFIGCache(cfg, geo)
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/ev"
+	"repro/internal/fgss"
 )
 
 // TraceRecord is one unit of a core's instruction trace: Bubbles
@@ -16,10 +17,13 @@ type TraceRecord struct {
 	IsWrite bool
 }
 
-// TraceReader supplies an endless instruction trace; generators in
-// internal/workload implement it deterministically.
+// TraceReader supplies an endless instruction trace and checkpoints its
+// position in it; the generators and replayers of internal/workload
+// implement it deterministically.
 type TraceReader interface {
 	Next() TraceRecord
+	Snapshot(*fgss.Writer)
+	Restore(*fgss.Reader)
 }
 
 // Table 1's core: a 256-entry instruction window, 3-wide issue and
@@ -36,7 +40,7 @@ const (
 type Core struct {
 	ID int
 
-	trace TraceReader  //fglint:preserved the cursor is checkpointed by the system layer (trace section), which knows the concrete reader type
+	trace TraceReader
 	l1    *cache.Cache //fglint:preserved wiring only, bound at construction; the cache's own state is checkpointed by Hierarchy.Snapshot
 
 	// Instruction window: a ring of WindowSize slots holding count

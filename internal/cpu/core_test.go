@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/ev"
+	"repro/internal/fgss"
 )
 
 // sched is a minimal event scheduler and token dispatcher shared by the
@@ -83,6 +84,9 @@ func (t *sliceTrace) Next() TraceRecord {
 	}
 	return r
 }
+
+func (t *sliceTrace) Snapshot(w *fgss.Writer) { w.Int(t.pos) }
+func (t *sliceTrace) Restore(r *fgss.Reader)  { t.pos = r.Int() }
 
 func newCore(t *testing.T, recs []TraceRecord, memLatency int64, target int64) (*Core, *sched, *fixedMem) {
 	t.Helper()

@@ -28,9 +28,8 @@
 // pause (TestEngineEquivalence, TestEngineHierarchyState).
 //
 // Core.Snapshot/Restore (snapshot.go) serialize the window position, the
-// load ring's live entries, issue state, and progress for the system
-// checkpoint lifecycle, and Restore rejects a window that does
-// not fit the core as a decode error; the trace cursor itself is
-// checkpointed by the system layer, which knows the concrete reader type
-// (TraceReader exposes it).
+// load ring's live entries, issue state, progress and the trace reader's
+// cursor (a TraceReader checkpoints itself) for the system checkpoint
+// lifecycle, and Restore rejects a window that does not fit the core as
+// a decode error.
 package cpu

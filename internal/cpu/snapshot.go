@@ -2,16 +2,12 @@ package cpu
 
 import "repro/internal/fgss"
 
-// TraceReader returns the core's trace source, so the system layer can
-// checkpoint the stream position alongside the core.
-func (c *Core) TraceReader() TraceReader { return c.trace }
-
 // Snapshot appends the core's full execution state: the window's head,
 // tail and count, the load ring's live entries in age order, each with
-// its slot's waiting flag, the buffered trace record, and progress.
-// Slots outside the ring carry no state, so the window
-// costs O(loads in flight) bytes. TargetInsts is configuration and does
-// not travel in the snapshot.
+// its slot's waiting flag, the buffered trace record, progress, and the
+// trace reader's cursor. Slots outside the ring carry no state, so the
+// window costs O(loads in flight) bytes. TargetInsts is configuration
+// and does not travel in the snapshot.
 func (c *Core) Snapshot(w *fgss.Writer) {
 	w.Int(c.head)
 	w.Int(c.tail)
@@ -28,6 +24,7 @@ func (c *Core) Snapshot(w *fgss.Writer) {
 	w.Bool(c.hasPending)
 	w.I64(c.Retired)
 	w.I64(c.FinishedAt)
+	c.trace.Snapshot(w)
 }
 
 // Restore reads back what Snapshot wrote. The bytes come from disk, so
@@ -70,4 +67,5 @@ func (c *Core) Restore(r *fgss.Reader) {
 	c.hasPending = r.Bool()
 	c.Retired = r.I64()
 	c.FinishedAt = r.I64()
+	c.trace.Restore(r)
 }

@@ -66,6 +66,9 @@ func TestSnapshotRoundTripWithLoadsInFlight(t *testing.T) {
 		t.Fatalf("restored window (head %d tail %d count %d ret %d) differs from (head %d tail %d count %d ret %d)",
 			twin.head, twin.tail, twin.count, twin.Retired, c.head, c.tail, c.count, c.Retired)
 	}
+	if got, want := twin.trace.(*sliceTrace).pos, c.trace.(*sliceTrace).pos; got != want {
+		t.Fatalf("restored trace cursor %d, want %d", got, want)
+	}
 	if a, b := liveRing(twin), liveRing(c); !slices.Equal(a, b) {
 		t.Fatalf("restored ring %v, want %v", a, b)
 	}

@@ -5,7 +5,7 @@
 //
 //	offset  size  field
 //	0       4     magic "FGSS"
-//	4       2     format version (currently 5)
+//	4       2     format version (currently 7)
 //	6       2     reserved (zero)
 //	8       4     sim.EngineVersion of the writing build
 //	12      32    config fingerprint (sim.Config.Fingerprint)
@@ -48,10 +48,12 @@ const Magic = "FGSS"
 // bank registers), version 4 writes only the valid cache lines and
 // FIGCache tag store slots, each with its index, version 5 writes
 // only the occupied LISA-VILLA cache rows, each with its index, and
-// refuses a varint that is not in its shortest encoding, and version 6
+// refuses a varint that is not in its shortest encoding, version 6
 // drops the cycle-skipping engine's controller wake registers, so the
-// system section holds only the clock.
-const FormatVersion = 6
+// system section holds only the clock, and version 7 writes each core's
+// trace cursor in the cores section, in place of a traces section of
+// its own.
+const FormatVersion = 7
 
 // HeaderSize is the byte length of the fixed header.
 const HeaderSize = 44

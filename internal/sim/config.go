@@ -107,6 +107,9 @@ func (c *Config) normalize() error {
 	if len(c.Mix.Apps) == 0 {
 		return fmt.Errorf("sim: mix %q has no applications", c.Mix.Name)
 	}
+	if n := len(c.Mix.Apps); n > maxCores {
+		return fmt.Errorf("sim: mix %q has %d applications, above the %d-core bound", c.Mix.Name, n, maxCores)
+	}
 	if c.Channels == 0 {
 		if len(c.Mix.Apps) == 1 {
 			c.Channels = 1
@@ -125,6 +128,10 @@ func (c *Config) normalize() error {
 	}
 	return nil
 }
+
+// maxCores bounds a System's core count: the skip engine keeps its core
+// sets in one 64-bit word. Table 1's machines have one core or eight.
+const maxCores = 64
 
 // cpuPerBus is Table 1's CPU-to-DRAM-bus clock ratio: 3.2 GHz cores on
 // an 800 MHz DDR4-1600 bus.
@@ -161,14 +168,7 @@ func (c *Config) buildHook(geo dram.Geometry) (memctrl.CacheHook, error) {
 		return nil, nil
 	case LISAVilla:
 		return core.NewLISAVilla(geo)
-	case FIGCacheSlow:
-		fcfg := core.SlowConfig()
-		if c.FIG != nil {
-			fcfg = *c.FIG
-			fcfg.ReservedSubarray = 0
-		}
-		return core.NewFIGCache(fcfg, geo)
-	case FIGCacheFast, FIGCacheIdeal:
+	case FIGCacheSlow, FIGCacheFast, FIGCacheIdeal:
 		fcfg := core.DefaultFIGCacheConfig()
 		if c.FIG != nil {
 			fcfg = *c.FIG
@@ -178,7 +178,7 @@ func (c *Config) buildHook(geo dram.Geometry) (memctrl.CacheHook, error) {
 			return nil, err
 		}
 		if c.Preset == FIGCacheIdeal {
-			return &idealHook{inner: hook}, nil
+			return &idealHook{hook}, nil
 		}
 		return hook, nil
 	default:
@@ -186,23 +186,17 @@ func (c *Config) buildHook(geo dram.Geometry) (memctrl.CacheHook, error) {
 	}
 }
 
-// idealHook wraps FIGCache and zeroes all relocation costs: the
+// idealHook is FIGCache with every relocation cost zeroed: the
 // FIGCache-Ideal configuration of Section 8.
-type idealHook struct{ inner *core.FIGCache }
+type idealHook struct{ *core.FIGCache }
 
-func (h *idealHook) Lookup(loc dram.Location, isWrite bool) (dram.Location, bool) {
-	return h.inner.Lookup(loc, isWrite)
-}
-func (h *idealHook) ShouldInsert(loc dram.Location) bool { return h.inner.ShouldInsert(loc) }
 func (h *idealHook) Insert(ch *dram.Channel, loc dram.Location, now int64) *memctrl.RelocPlan {
-	plan := h.inner.Insert(ch, loc, now)
+	plan := h.FIGCache.Insert(ch, loc, now)
 	if plan != nil {
 		plan.Cost = 0
 	}
 	return plan
 }
-func (h *idealHook) Commit(p *memctrl.RelocPlan)          { h.inner.Commit(p) }
-func (h *idealHook) CheckPlan(p *memctrl.RelocPlan) error { return h.inner.CheckPlan(p) }
 
 // FIGCacheOf extracts the FIGCache from a hook, unwrapping the ideal
 // wrapper; nil if the hook is not FIGCache-based.
@@ -211,7 +205,7 @@ func FIGCacheOf(h memctrl.CacheHook) *core.FIGCache {
 	case *core.FIGCache:
 		return v
 	case *idealHook:
-		return v.inner
+		return v.FIGCache
 	default:
 		return nil
 	}

@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/dram"
 	"repro/internal/workload"
 )
@@ -61,23 +62,34 @@ func TestBuildHookKinds(t *testing.T) {
 	}
 }
 
+// TestFIGCacheSlowReservesSubarrayZero checks that FIGCache-Slow, with
+// or without a FIG override, never caches a segment of slow subarray 0,
+// which hosts its cache rows, and that FIGCache-Fast, whose cache rows
+// are fast subarrays, caches it.
 func TestFIGCacheSlowReservesSubarrayZero(t *testing.T) {
 	mix := workload.Mix{Name: "x", Apps: workload.Sources(workload.Benchmarks()[:1]...)}
-	cfg := DefaultConfig(FIGCacheSlow, mix)
-	if err := cfg.normalize(); err != nil {
-		t.Fatal(err)
-	}
-	hook, err := cfg.buildHook(cfg.geometry())
-	if err != nil {
-		t.Fatal(err)
-	}
-	fc := FIGCacheOf(hook)
-	if fc.Config().ReservedSubarray != 0 {
-		t.Errorf("FIGCache-Slow reserved subarray = %d, want 0", fc.Config().ReservedSubarray)
-	}
-	// It must never cache segments from the reserved subarray.
-	if fc.ShouldInsert(dram.Location{Row: 100}) {
-		t.Error("segment from the reserved subarray accepted")
+	fig := core.DefaultFIGCacheConfig()
+	for _, tc := range []struct {
+		preset Preset
+		fig    *core.FIGCacheConfig
+		want   bool
+	}{
+		{FIGCacheSlow, nil, false},
+		{FIGCacheSlow, &fig, false},
+		{FIGCacheFast, nil, true},
+	} {
+		cfg := DefaultConfig(tc.preset, mix)
+		cfg.FIG = tc.fig
+		if err := cfg.normalize(); err != nil {
+			t.Fatal(err)
+		}
+		hook, err := cfg.buildHook(cfg.geometry())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := FIGCacheOf(hook).ShouldInsert(dram.Location{Row: 100}); got != tc.want {
+			t.Errorf("%v (override %v): subarray-0 segment accepted = %v, want %v", tc.preset, tc.fig != nil, got, tc.want)
+		}
 	}
 }
 

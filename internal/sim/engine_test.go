@@ -425,7 +425,7 @@ func compareEngineState(t testing.TB, at string, dense, skip *System) {
 		tag  uint32
 		name string
 	}{
-		{snapSecSystem, "system"}, {snapSecEvents, "event queue"}, {snapSecCores, "core"}, {snapSecTraces, "trace cursor"},
+		{snapSecSystem, "system"}, {snapSecEvents, "event queue"}, {snapSecCores, "core"},
 		{snapSecCaches, "cache hierarchy"}, {snapSecChannels, "DRAM channel"}, {snapSecCtrls, "memory controller"},
 		{snapSecHooks, "in-DRAM cache"}, {snapSecAdapter, "request adapter"},
 	} {

@@ -41,9 +41,10 @@ func (c Config) Fingerprint() Fingerprint {
 	_ = norm.normalize()
 
 	// The clock ratio, the fast-subarray count (2 for the presets without
-	// a derived one), the benefit counter width (5) and the Random
-	// policy's seed (1) are fixed, but their fields keep the hash of
-	// every cached result.
+	// a derived one), the benefit counter width (5), the reserved
+	// subarray (-1; the geometry decides it) and the Random policy's
+	// seed (1) are fixed, but their fields keep the hash of every cached
+	// result.
 	fastsub := 2
 	if norm.Preset == FIGCacheFast || norm.Preset == FIGCacheIdeal {
 		fastsub = norm.fastSubarrays()
@@ -68,9 +69,9 @@ func (c Config) Fingerprint() Fingerprint {
 		a.WriteCanonical(h)
 	}
 	if f := norm.FIG; f != nil {
-		fmt.Fprintf(h, "fig=%d,%d,%d,%d,5,%d,%d,1\n",
+		fmt.Fprintf(h, "fig=%d,%d,%d,%d,5,-1,%d,1\n",
 			f.SegmentBlocks, f.CacheRowsPerBank, int(f.Replacement), f.InsertThreshold,
-			f.ReservedSubarray, int(f.Substrate))
+			int(f.Substrate))
 	} else {
 		io.WriteString(h, "fig=default\n")
 	}

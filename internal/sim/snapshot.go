@@ -17,13 +17,12 @@ import (
 const (
 	snapSecSystem   = 1 // clock
 	snapSecEvents   = 2 // event queue: heap and FIFO lanes
-	snapSecCores    = 3 // per-core execution state
-	snapSecTraces   = 4 // per-core workload source positions
-	snapSecCaches   = 5 // SRAM hierarchy, node-ID order
-	snapSecChannels = 6 // DRAM channels: banks, timing windows
-	snapSecCtrls    = 7 // memory controllers: queues, relocations
-	snapSecHooks    = 8 // in-DRAM cache hooks (FIGCache / LISA-VILLA)
-	snapSecAdapter  = 9 // requests buffered between hierarchy and controllers
+	snapSecCores    = 3 // per-core execution state and trace cursor
+	snapSecCaches   = 4 // SRAM hierarchy, node-ID order
+	snapSecChannels = 5 // DRAM channels: banks, timing windows
+	snapSecCtrls    = 6 // memory controllers: queues, relocations
+	snapSecHooks    = 7 // in-DRAM cache hooks (FIGCache / LISA-VILLA)
+	snapSecAdapter  = 8 // requests buffered between hierarchy and controllers
 )
 
 // Hook kind markers inside snapSecHooks.
@@ -32,15 +31,6 @@ const (
 	hookFIGCache = 1
 	hookLISA     = 2
 )
-
-// snapshotter is the optional checkpoint interface of a workload trace
-// reader. Both workload.Generator and workload.Replayer implement it;
-// a reader that does not cannot travel in a snapshot and is marked
-// absent in the stream.
-type snapshotter interface {
-	Snapshot(*fgss.Writer)
-	Restore(*fgss.Reader)
-}
 
 func snapEvent(w *fgss.Writer, e event) {
 	w.I64(e.at)
@@ -78,14 +68,25 @@ func (q *eventQueue) snapshot(w *fgss.Writer) {
 
 // restore reads back what snapshot wrote, dropping any currently
 // pending events. Lane registrations are construction-time bindings and
-// must already exist (another lane count is a decode error). Every token
+// must already exist (another lane count is a decode error). The events
+// must be in an order snapshot writes: the heap array in heap order,
+// each lane's due times non-decreasing and its sequence numbers
+// increasing, none due before the restored clock (the run has fired
+// those) and no sequence number above the queue's counter. Every token
 // must pass checkTok, or the snapshot is rejected before a bad token
 // reaches Dispatch. nextDue is left at its ambiguous zero, which forces
 // the next nextAt to rescan.
-func (q *eventQueue) restore(r *fgss.Reader, checkTok func(ev.Token) error) {
+func (q *eventQueue) restore(r *fgss.Reader, clock int64, checkTok func(ev.Token) error) {
 	next := func() event {
 		e := restoreEvent(r)
-		if err := checkTok(e.tok); err != nil && r.Err() == nil {
+		if r.Err() != nil {
+			return e
+		}
+		if e.at < clock {
+			r.Reject("sim: event (seq %d) due at cycle %d, before the clock %d", e.seq, e.at, clock)
+		} else if e.seq > q.seq {
+			r.Reject("sim: event at cycle %d has sequence number %d, above the queue's %d", e.at, e.seq, q.seq)
+		} else if err := checkTok(e.tok); err != nil {
 			r.Reject("event at cycle %d: %v", e.at, err)
 		}
 		return e
@@ -96,6 +97,10 @@ func (q *eventQueue) restore(r *fgss.Reader, checkTok func(ev.Token) error) {
 	n := r.Len(math.MaxInt, "sim: queued events")
 	for i := 0; i < n && r.Err() == nil; i++ {
 		q.items = append(q.items, next())
+		if p := (i - 1) / 2; i > 0 && r.Err() == nil && q.less(i, p) {
+			r.Reject("sim: queued event %d (cycle %d, seq %d) precedes its heap parent %d (cycle %d, seq %d)",
+				i, q.items[i].at, q.items[i].seq, p, q.items[p].at, q.items[p].seq)
+		}
 	}
 	if !r.Expect(len(q.lanes), "sim: event lanes") {
 		return
@@ -107,7 +112,14 @@ func (q *eventQueue) restore(r *fgss.Reader, checkTok func(ev.Token) error) {
 		l.head = 0
 		n := r.Len(math.MaxInt, "sim: lane events")
 		for j := 0; j < n && r.Err() == nil; j++ {
-			l.items = append(l.items, next())
+			e := next()
+			if j > 0 && r.Err() == nil {
+				if prev := l.items[j-1]; e.at < prev.at || e.seq <= prev.seq {
+					r.Reject("sim: lane %d event %d (cycle %d, seq %d) does not follow (cycle %d, seq %d)",
+						i, j, e.at, e.seq, prev.at, prev.seq)
+				}
+			}
+			l.items = append(l.items, e)
 		}
 	}
 	q.nextDue = 0
@@ -157,18 +169,6 @@ func (s *System) Snapshot(out io.Writer) error {
 	w.Int(len(s.cores))
 	for _, c := range s.cores {
 		c.Snapshot(w)
-	}
-	w.End()
-
-	w.Begin(snapSecTraces)
-	w.Int(len(s.cores))
-	for _, c := range s.cores {
-		if sn, ok := c.TraceReader().(snapshotter); ok {
-			w.Int(1)
-			sn.Snapshot(w)
-		} else {
-			w.Int(0)
-		}
 	}
 	w.End()
 
@@ -279,26 +279,13 @@ func (s *System) Restore(in io.Reader) error {
 	r.EndSection()
 
 	r.Section(snapSecEvents)
-	s.events.restore(r, checkIn(snapSecEvents))
+	s.events.restore(r, s.clock, checkIn(snapSecEvents))
 	r.EndSection()
 
 	r.Section(snapSecCores)
 	if r.Expect(len(s.cores), "sim: cores") {
 		for _, c := range s.cores {
 			c.Restore(r)
-		}
-	}
-	r.EndSection()
-
-	// Both trace readers New opens, the generator and the replayer,
-	// snapshot themselves, so Snapshot marks each present.
-	r.Section(snapSecTraces)
-	if r.Expect(len(s.cores), "sim: traces") {
-		for _, c := range s.cores {
-			if !r.Expect(1, "sim: trace presence flag") {
-				break
-			}
-			c.TraceReader().(snapshotter).Restore(r)
 		}
 	}
 	r.EndSection()

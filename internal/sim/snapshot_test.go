@@ -197,7 +197,7 @@ func TestRestoreRejectsBadTokens(t *testing.T) {
 				t.Fatal(err)
 			}
 			r := eventsSection(t, s, tc.tok)
-			s.events.restore(r, s.checkToken)
+			s.events.restore(r, 0, s.checkToken)
 			r.EndSection()
 			if err := r.Close(); (err == nil) != (tc.wantErr == "") || err != nil && !strings.Contains(err.Error(), tc.wantErr) {
 				t.Errorf("events section: restore error = %v, want %q", err, tc.wantErr)
@@ -266,18 +266,18 @@ func TestRestoreRejectsUnrunnableState(t *testing.T) {
 		}, ""},
 		{"queued request token", func(s *System) {
 			enqueue(s, &memctrl.Request{Addr: 0x40, OnComplete: badCore})
-		}, "section 7: memctrl: request 0x40: core slot token names core 5 of 1"},
+		}, "section 6: memctrl: request 0x40: core slot token names core 5 of 1"},
 		{"queued request service location", func(s *System) {
 			r := &memctrl.Request{Addr: 0x40}
 			enqueue(s, r)
 			r.ServiceLoc.Bank = 99
-		}, "section 7: memctrl: request 0x40: location"},
+		}, "section 6: memctrl: request 0x40: location"},
 		{"buffered request token", func(s *System) {
 			buffer(s, &memctrl.Request{Addr: 0x80, OnComplete: badCore})
-		}, "section 9: memctrl: request 0x80: core slot token names core 5 of 1"},
+		}, "section 8: memctrl: request 0x80: core slot token names core 5 of 1"},
 		{"buffered request location", func(s *System) {
 			buffer(s, &memctrl.Request{Addr: 0x80, Loc: dram.Location{Rank: 3}})
-		}, "section 9: memctrl: request 0x80: location"},
+		}, "section 8: memctrl: request 0x80: location"},
 		{"fill event for no miss", func(s *System) {
 			s.events.schedule(5, fill(s.hier.L1s[0].NodeID(), 0x1000))
 		}, "section 2: MSHR token (kind 3) names block 0x1000, which cache node 2 has no miss outstanding for"},
@@ -286,13 +286,13 @@ func TestRestoreRejectsUnrunnableState(t *testing.T) {
 		}, "section 2: MSHR token (kind 2) names block 0x1000"},
 		{"fill waiter for no miss", func(s *System) {
 			s.hier.L2s[0].Access(0x3000, false, fill(s.hier.L1s[0].NodeID(), 0x3000))
-		}, "section 5: MSHR token (kind 3) names block 0x3000, which cache node 2"},
+		}, "section 4: MSHR token (kind 3) names block 0x3000, which cache node 2"},
 		{"queued request fill for no miss", func(s *System) {
 			enqueue(s, &memctrl.Request{Addr: 0x4000, OnComplete: fill(s.hier.LLC.NodeID(), 0x4000)})
-		}, "section 7: MSHR token (kind 3) names block 0x4000, which cache node 0"},
+		}, "section 6: MSHR token (kind 3) names block 0x4000, which cache node 0"},
 		{"buffered request fill for no miss", func(s *System) {
 			buffer(s, &memctrl.Request{Addr: 0x4000, OnComplete: fill(s.hier.LLC.NodeID(), 0x4000)})
-		}, "section 9: MSHR token (kind 3) names block 0x4000, which cache node 0"},
+		}, "section 8: MSHR token (kind 3) names block 0x4000, which cache node 0"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -384,13 +384,13 @@ func TestRestoreRejectsUnrunnablePlans(t *testing.T) {
 		{"FIGCache plan", FIGCacheFast, valid, ""},
 		{"LISA-VILLA plan", LISAVilla, valid, ""},
 		{"FIGCache commit bank", FIGCacheFast, with(func(p *memctrl.RelocPlan) { p.CommitBank = 99 }),
-			"section 7: memctrl: controller 0: relocation plan 0 of bank 0: core: FIGCache plan commits to bank 99"},
+			"section 6: memctrl: controller 0: relocation plan 0 of bank 0: core: FIGCache plan commits to bank 99"},
 		{"FIGCache commit slot", FIGCacheFast, with(func(p *memctrl.RelocPlan) { p.CommitSlot = 512 }),
-			"section 7: memctrl: controller 0: relocation plan 0 of bank 0: core: FIGCache plan commits to slot 512"},
+			"section 6: memctrl: controller 0: relocation plan 0 of bank 0: core: FIGCache plan commits to slot 512"},
 		{"LISA-VILLA commit row", LISAVilla, with(func(p *memctrl.RelocPlan) { p.CommitSlot = -1 }),
-			"section 7: memctrl: controller 0: relocation plan 0 of bank 0: core: LISA-VILLA plan commits to cache row -1"},
+			"section 6: memctrl: controller 0: relocation plan 0 of bank 0: core: LISA-VILLA plan commits to cache row -1"},
 		{"plan without an in-DRAM cache", Base, valid,
-			"section 7: memctrl: controller 0: relocation plan 0 of bank 0: no in-DRAM cache"},
+			"section 6: memctrl: controller 0: relocation plan 0 of bank 0: no in-DRAM cache"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -460,12 +460,13 @@ func sectionPayload(t *testing.T, fill func(w *fgss.Writer)) []byte {
 
 // TestRestoreRejectsSectionShape replaces one section of a real
 // snapshot with a hand-built one Snapshot never writes for the System —
-// a count or kind that does not match it, or a list entry it cannot
-// hold — and checks that restore refuses it, naming the section. Each
-// case used to restore without error, because restore stopped decoding
-// the section at the mismatch and the section ended there: with its
-// controllers section emptied, a resumed mcf run never finished. Every
-// emptied section is tried on Base, FIGCache-Fast and LISA-VILLA.
+// a count or kind that does not match it, a list entry it cannot hold,
+// or events out of the queue's order — and checks that restore refuses
+// it, naming the section. The count and kind cases used to restore
+// without error, because restore stopped decoding the section at the
+// mismatch and the section ended there: with its controllers section
+// emptied, a resumed mcf run never finished. Every emptied section is
+// tried on Base, FIGCache-Fast and LISA-VILLA.
 func TestRestoreRejectsSectionShape(t *testing.T) {
 	ints := func(vs ...int) func(*System) func(*fgss.Writer) {
 		return func(*System) func(*fgss.Writer) {
@@ -496,6 +497,32 @@ func TestRestoreRejectsSectionShape(t *testing.T) {
 			}
 		}
 	}
+	// events writes an events section holding sequence counter seq, the
+	// heap array heap and lane 0's events lane0, the other lanes empty.
+	events := func(seq int64, heap, lane0 []event) func(*System) func(*fgss.Writer) {
+		return func(s *System) func(*fgss.Writer) {
+			return func(w *fgss.Writer) {
+				w.I64(seq)
+				w.Int(len(heap))
+				for _, e := range heap {
+					snapEvent(w, e)
+				}
+				w.Int(len(s.events.lanes))
+				w.Int(len(lane0))
+				for _, e := range lane0 {
+					snapEvent(w, e)
+				}
+				for range s.events.lanes[1:] {
+					w.Int(0)
+				}
+			}
+		}
+	}
+	// slotAt is an event due at cycle at with sequence number seq, a
+	// CoreSlot token for slot 3 of core 0.
+	slotAt := func(at, seq int64) event {
+		return event{at: at, seq: seq, tok: ev.Token{Kind: ev.CoreSlot, Arg: 3}}
+	}
 	type tc struct {
 		name    string
 		preset  Preset
@@ -508,19 +535,16 @@ func TestRestoreRejectsSectionShape(t *testing.T) {
 	for _, p := range []Preset{Base, FIGCacheFast, LISAVilla} {
 		cases = append(cases,
 			tc{"no cores", p, snapSecCores, ints(0), want("section 3: sim: cores: 0, want 1")},
-			tc{"no traces", p, snapSecTraces, ints(0), want("section 4: sim: traces: 0, want 1")},
-			tc{"no cache nodes", p, snapSecCaches, ints(0), want("section 5: cache: nodes: 0, want 3")},
-			tc{"no channels", p, snapSecChannels, ints(0), want("section 6: sim: channels: 0, want 1")},
-			tc{"no controllers", p, snapSecCtrls, ints(0), want("section 7: sim: controllers: 0, want 1")},
-			tc{"no hooks", p, snapSecHooks, ints(0), want("section 8: sim: hooks: 0, want 1")},
+			tc{"no cache nodes", p, snapSecCaches, ints(0), want("section 4: cache: nodes: 0, want 3")},
+			tc{"no channels", p, snapSecChannels, ints(0), want("section 5: sim: channels: 0, want 1")},
+			tc{"no controllers", p, snapSecCtrls, ints(0), want("section 6: sim: controllers: 0, want 1")},
+			tc{"no hooks", p, snapSecHooks, ints(0), want("section 7: sim: hooks: 0, want 1")},
 		)
 	}
 	cases = append(cases,
-		tc{"FIGCache hook of kind none", FIGCacheFast, snapSecHooks, ints(1, hookNone), want("section 8: sim: hook kind: 0, want 1")},
-		tc{"LISA-VILLA hook of kind none", LISAVilla, snapSecHooks, ints(1, hookNone), want("section 8: sim: hook kind: 0, want 2")},
-		tc{"FIGCache with no banks", FIGCacheFast, snapSecHooks, ints(1, hookFIGCache, 0), want("section 8: core: FIGCache banks: 0, want 16")},
-		tc{"trace marked absent", Base, snapSecTraces, ints(1, 0), want("section 4: sim: trace presence flag: 0, want 1")},
-		tc{"trace presence flag 2", Base, snapSecTraces, ints(1, 2), want("section 4: sim: trace presence flag: 2, want 1")},
+		tc{"FIGCache hook of kind none", FIGCacheFast, snapSecHooks, ints(1, hookNone), want("section 7: sim: hook kind: 0, want 1")},
+		tc{"LISA-VILLA hook of kind none", LISAVilla, snapSecHooks, ints(1, hookNone), want("section 7: sim: hook kind: 0, want 2")},
+		tc{"FIGCache with no banks", FIGCacheFast, snapSecHooks, ints(1, hookFIGCache, 0), want("section 7: core: FIGCache banks: 0, want 16")},
 		tc{"no event lanes", Base, snapSecEvents, ints(0, 0, 0), func(s *System) string {
 			return fmt.Sprintf("section 2: sim: event lanes: 0, want %d", len(s.events.lanes))
 		}},
@@ -536,7 +560,17 @@ func TestRestoreRejectsSectionShape(t *testing.T) {
 		}, want("section 2: sim: queued events: -1, outside")},
 		tc{"event token kind 257", Base, snapSecEvents, oneEvent(257, 0), want("section 2: event token kind 257 or ID 0 does not fit its field")},
 		tc{"event token ID 2^32", Base, snapSecEvents, oneEvent(uint64(ev.CoreSlot), 1<<32), want("section 2: event token kind 1 or ID 4294967296 does not fit its field")},
-		tc{"buffered request on no channel", Base, snapSecAdapter, ints(1, 5), want("section 9: sim: buffered request 0 names channel 5 of 1")},
+		tc{"buffered request on no channel", Base, snapSecAdapter, ints(1, 5), want("section 8: sim: buffered request 0 names channel 5 of 1")},
+		tc{"heap out of order", Base, snapSecEvents, events(2, []event{slotAt(9, 1), slotAt(5, 2)}, nil),
+			want("section 2: sim: queued event 1 (cycle 5, seq 2) precedes its heap parent 0 (cycle 9, seq 1)")},
+		tc{"lane due times decrease", Base, snapSecEvents, events(2, nil, []event{slotAt(9, 1), slotAt(5, 2)}),
+			want("section 2: sim: lane 0 event 1 (cycle 5, seq 2) does not follow (cycle 9, seq 1)")},
+		tc{"lane sequence numbers decrease", Base, snapSecEvents, events(2, nil, []event{slotAt(5, 2), slotAt(5, 1)}),
+			want("section 2: sim: lane 0 event 1 (cycle 5, seq 1) does not follow (cycle 5, seq 2)")},
+		tc{"event due before the clock", Base, snapSecEvents, events(1, []event{slotAt(-1, 1)}, nil),
+			want("section 2: sim: event (seq 1) due at cycle -1, before the clock 0")},
+		tc{"sequence number above the counter", Base, snapSecEvents, events(1, []event{slotAt(5, 2)}, nil),
+			want("section 2: sim: event at cycle 5 has sequence number 2, above the queue's 1")},
 	)
 	snaps := map[Preset][]byte{}
 	for _, tc := range cases {

@@ -49,16 +49,18 @@ type System struct {
 	// cycle after its batch, or maxInt64 for a blocked core.
 	wakeAt []int64 //fglint:preserved read only while parkedAt[i] >= 0, and Restore resets parkedAt
 	// awake holds the cores runSkipping ticks and scans: bit i is set
-	// while parkedAt[i] < 0. done holds the cores past their target, and
-	// nDone counts them. coreNext is the earliest wakeAt over the
-	// sleeping cores, stale once the core holding it wakes, until the
-	// next wake scan recomputes it. runSkipping's multi-core loop
-	// rebuilds these fields on entry, when every core runs, so only it
-	// reads them; runSolo, the one-core loop, does not keep them.
-	awake    coreSet //fglint:preserved rebuilt on entry to runSkipping
-	done     coreSet //fglint:preserved rebuilt on entry to runSkipping
-	nDone    int     //fglint:preserved rebuilt on entry to runSkipping
-	coreNext int64   //fglint:preserved rebuilt on entry to runSkipping
+	// while parkedAt[i] < 0. done holds the cores past their target, so
+	// the run is over when it equals all, the bit of every core (one
+	// word: Config.normalize refuses more than 64 cores). coreNext is
+	// the earliest wakeAt over the sleeping cores, stale once the core
+	// holding it wakes, until the next wake scan recomputes it.
+	// runSkipping's multi-core loop rebuilds these fields on entry, when
+	// every core runs, so only it reads them; runSolo, the one-core
+	// loop, does not keep them.
+	awake    uint64 //fglint:preserved rebuilt on entry to runSkipping
+	done     uint64 //fglint:preserved rebuilt on entry to runSkipping
+	all      uint64
+	coreNext int64 //fglint:preserved rebuilt on entry to runSkipping
 	// nextStale marks coreNext as held by a core that has woken.
 	nextStale bool //fglint:preserved rebuilt on entry to runSkipping
 	// l1Core maps a hierarchy node ID to the core whose L1 it is, or -1
@@ -66,7 +68,7 @@ type System struct {
 	l1Core []int32
 
 	// latencyLanes maps a fixed cache-level latency to its FIFO lane
-	// scheduler (see LevelScheduler); lanes are bound once at construction.
+	// scheduler (see levelScheduler); lanes are bound once at construction.
 	//fglint:preserved lane bindings are config-determined; the event queue's snapshot carries the lanes' contents
 	latencyLanes map[int64]*laneScheduler
 }
@@ -124,7 +126,7 @@ func New(cfg Config) (*System, error) {
 	s.busSched = func(at int64, tok ev.Token) {
 		s.events.schedule(at*cpuPerBus, tok)
 	}
-	hier, err := cache.NewHierarchy(cfg.hierarchyConfig(), s.adapter, s)
+	hier, err := cache.NewHierarchy(cfg.hierarchyConfig(), s.adapter, s.levelScheduler)
 	if err != nil {
 		return nil, err
 	}
@@ -136,8 +138,7 @@ func New(cfg Config) (*System, error) {
 	s.ctrlWake = make([]int64, len(s.ctrls))
 	s.parkedAt = make([]int64, len(s.cores))
 	s.wakeAt = make([]int64, len(s.cores))
-	s.awake = make(coreSet, (len(s.cores)+63)/64)
-	s.done = make(coreSet, (len(s.cores)+63)/64)
+	s.all = 1<<len(s.cores) - 1
 	for i := range s.parkedAt {
 		s.parkedAt[i] = -1
 	}
@@ -185,7 +186,7 @@ func (s *System) unpark(i int) {
 		return
 	}
 	s.parkedAt[i] = -1
-	s.awake.add(i)
+	s.awake |= bit(i)
 	if s.wakeAt[i] == maxInt64 {
 		return
 	}
@@ -200,7 +201,7 @@ func (s *System) unpark(i int) {
 // sleep parks running core i at the current cycle until cycle wake.
 func (s *System) sleep(i int, wake int64) {
 	s.parkedAt[i], s.wakeAt[i] = s.clock, wake
-	s.awake.remove(i)
+	s.awake &^= bit(i)
 	if wake < s.coreNext {
 		s.coreNext = wake
 	}
@@ -208,45 +209,23 @@ func (s *System) sleep(i int, wake int64) {
 
 // noteDone adds core i to the done set once it has reached its target.
 func (s *System) noteDone(i int, c *cpu.Core) {
-	if c.Done() && !s.done.has(i) {
-		s.done.add(i)
-		s.nDone++
+	if c.Done() {
+		s.done |= bit(i)
 	}
-}
-
-// asleep returns word w of the complement of the awake set: the
-// sleeping cores among IDs 64w to 64w+63.
-func (s *System) asleep(w int) uint64 {
-	word := ^s.awake[w]
-	if n := len(s.cores) - w<<6; n < 64 {
-		word &= 1<<n - 1
-	}
-	return word
 }
 
 // wakeAll resets the skip engine's core sets for a loop in which every
 // core runs: all awake, none sleeping, done as the cores report.
 func (s *System) wakeAll() {
-	clear(s.done)
-	s.nDone = 0
-	for w := range s.awake {
-		s.awake[w] = ^uint64(0)
-		if n := len(s.cores) - w<<6; n < 64 {
-			s.awake[w] = 1<<n - 1
-		}
-	}
+	s.awake, s.done = s.all, 0
 	for i, c := range s.cores {
 		s.noteDone(i, c)
 	}
 	s.coreNext, s.nextStale = maxInt64, false
 }
 
-// coreSet is a set of core IDs, one bit each in 64-bit words.
-type coreSet []uint64
-
-func (c coreSet) add(i int)      { c[i>>6] |= 1 << (i & 63) }
-func (c coreSet) remove(i int)   { c[i>>6] &^= 1 << (i & 63) }
-func (c coreSet) has(i int) bool { return c[i>>6]&(1<<(i&63)) != 0 }
+// bit returns core i's bit in a core set; i < 64 (Config.normalize).
+func bit(i int) uint64 { return 1 << (i & 63) }
 
 // initCores builds the per-core trace readers and cores for s.cfg. Cores get equal disjoint address windows
 // (or one shared window for multithreaded workloads). Each workload
@@ -303,15 +282,15 @@ func (s *System) initCores() error {
 	return nil
 }
 
-// LevelScheduler implements cache.LevelSchedulerFactory: cache levels get
-// FIFO lanes of the event queue, one lane per distinct lookup latency. A
-// fixed delay makes a lane's due times monotonic no matter how many
-// caches feed it, so the lane count stays at the number of distinct
-// latencies (three for the Table 1 hierarchy) instead of growing with the
-// core count — the per-event cost of servicing lanes scales with lane
-// count. Each lane replaces a heap push/pop pair per cache event, the
-// hottest event source in the simulator.
-func (s *System) LevelScheduler(latency int64) cache.Scheduler {
+// levelScheduler is the scheduler cache.NewHierarchy gives each cache
+// level: a FIFO lane of the event queue, one lane per distinct lookup
+// latency. A fixed delay makes a lane's due times monotonic no matter
+// how many caches feed it, so the lane count stays at the number of
+// distinct latencies (three for the Table 1 hierarchy) instead of
+// growing with the core count — the per-event cost of servicing lanes
+// scales with lane count. Each lane replaces a heap push/pop pair per
+// cache event, the hottest event source in the simulator.
+func (s *System) levelScheduler(latency int64) cache.Scheduler {
 	if sched, ok := s.latencyLanes[latency]; ok {
 		return sched
 	}
@@ -334,7 +313,8 @@ func (l *laneScheduler) After(delay int64, tok ev.Token) {
 	l.sys.events.scheduleLane(l.lane, l.sys.clock+delay, tok)
 }
 
-// Dispatch forwards token execution to the System.
+// Dispatch forwards token execution, a fill's waiters among them, to
+// the System.
 func (l *laneScheduler) Dispatch(t ev.Token, now int64) { l.sys.Dispatch(t, now) }
 
 // floorPow2 rounds v down to a power of two.
@@ -344,11 +324,6 @@ func floorPow2(v uint64) uint64 {
 		p <<= 1
 	}
 	return p
-}
-
-// After implements cache.Scheduler on the system's event queue.
-func (s *System) After(delay int64, tok ev.Token) {
-	s.events.schedule(s.clock+delay, tok)
 }
 
 // Clock returns the current CPU cycle.
@@ -618,15 +593,13 @@ func (s *System) runSkipping(maxCycles int64) {
 		}
 		// A core finishes only in its own Tick or when it wakes, so the
 		// done set tracks Done for every core, asleep or not.
-		for w, word := range s.awake {
-			for ; word != 0; word &= word - 1 {
-				i := w<<6 | bits.TrailingZeros64(word)
-				c := s.cores[i]
-				c.Tick(s.clock)
-				s.noteDone(i, c)
-			}
+		for word := s.awake; word != 0; word &= word - 1 {
+			i := bits.TrailingZeros64(word)
+			c := s.cores[i]
+			c.Tick(s.clock)
+			s.noteDone(i, c)
 		}
-		if s.nDone == len(s.cores) {
+		if s.done == s.all {
 			s.clock++
 			break
 		}
@@ -641,22 +614,20 @@ func (s *System) runSkipping(maxCycles int64) {
 			s.coreNext, s.nextStale = s.earliestWake(), false
 		}
 		next := maxCycles
-		for w, word := range s.awake {
-			for ; word != 0; word &= word - 1 {
-				i := w<<6 | bits.TrailingZeros64(word)
-				c := s.cores[i]
-				wake := c.NextWake(s.clock)
-				if wake == maxInt64 {
-					s.sleep(i, maxInt64)
-					continue
-				}
-				n := c.BatchableCycles()
-				if n == 0 {
-					next = wake // the next cycle
-					continue
-				}
-				s.sleep(i, wake+n)
+		for word := s.awake; word != 0; word &= word - 1 {
+			i := bits.TrailingZeros64(word)
+			c := s.cores[i]
+			wake := c.NextWake(s.clock)
+			if wake == maxInt64 {
+				s.sleep(i, maxInt64)
+				continue
 			}
+			n := c.BatchableCycles()
+			if n == 0 {
+				next = wake // the next cycle
+				continue
+			}
+			s.sleep(i, wake+n)
 		}
 		coreNext := s.coreNext
 		if coreNext < next {
@@ -710,14 +681,12 @@ func (s *System) runSkipping(maxCycles int64) {
 			// instruction target on its last cycle, next-1, after which
 			// the dense loop stops: the clock already reads the dense
 			// clock after its last executed cycle.
-			for w := range s.awake {
-				for word := s.asleep(w); word != 0; word &= word - 1 {
-					if i := w<<6 | bits.TrailingZeros64(word); s.wakeAt[i] == next {
-						s.unpark(i)
-					}
+			for word := s.all &^ s.awake; word != 0; word &= word - 1 {
+				if i := bits.TrailingZeros64(word); s.wakeAt[i] == next {
+					s.unpark(i)
 				}
 			}
-			if s.nDone == len(s.cores) {
+			if s.done == s.all {
 				break
 			}
 		}
@@ -725,10 +694,8 @@ func (s *System) runSkipping(maxCycles int64) {
 	// Wake the cores still asleep: the dense loop ticks every core each
 	// cycle up to the last executed one (s.clock-1 on every exit path),
 	// so a batching core applies its batch up to there.
-	for w := range s.awake {
-		for word := s.asleep(w); word != 0; word &= word - 1 {
-			s.unpark(w<<6 | bits.TrailingZeros64(word))
-		}
+	for word := s.all &^ s.awake; word != 0; word &= word - 1 {
+		s.unpark(bits.TrailingZeros64(word))
 	}
 }
 
@@ -809,11 +776,9 @@ const maxInt64 = int64(1<<63 - 1)
 // maxInt64 when none sleeps through a batch.
 func (s *System) earliestWake() int64 {
 	next := int64(maxInt64)
-	for w := range s.awake {
-		for word := s.asleep(w); word != 0; word &= word - 1 {
-			if at := s.wakeAt[w<<6|bits.TrailingZeros64(word)]; at < next {
-				next = at
-			}
+	for word := s.all &^ s.awake; word != 0; word &= word - 1 {
+		if at := s.wakeAt[bits.TrailingZeros64(word)]; at < next {
+			next = at
 		}
 	}
 	return next

@@ -8,7 +8,6 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/cpu"
 	"repro/internal/workload"
 )
 
@@ -145,29 +144,35 @@ func TestEngineEquivalenceCoalescedWakes(t *testing.T) {
 	}
 }
 
-// TestAwakeSetPastOneWord checks the skip engine's core sets on a
-// System of 130 cores, three words of bits: after random cores go to
-// sleep, a walk of the awake set and of its complement visits each
-// core once, in ID order, and none past the last; and coreNext, kept
-// incrementally as cores sleep, equals a fresh scan of the sleeping
-// cores' wake cycles. Engine equivalence past 64 cores is not run: the
-// LLC scales with the core count and must have a power-of-two set
-// count, so the smallest such System has 128 cores and a 256 MB LLC,
-// and its dense run of 300 instructions per core did not finish in ten
-// minutes.
-func TestAwakeSetPastOneWord(t *testing.T) {
-	const n = 130
+// TestAwakeSetOneWord checks the skip engine's core sets on a System of
+// 64 cores, the most Config.normalize accepts: every bit of the all
+// mask is set, and after random cores go to sleep, a walk of the awake
+// set and of its complement visits each core once, in ID order; and
+// coreNext, kept incrementally as cores sleep, equals a fresh scan of
+// the sleeping cores' wake cycles.
+func TestAwakeSetOneWord(t *testing.T) {
+	const n = 64
+	spec, err := workload.ByName("mcf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.FootprintBytes = 64 << 20 // fits a 64th of the address space
+	specs := make([]workload.BenchSpec, n)
+	for i := range specs {
+		specs[i] = spec
+	}
+	cfg := DefaultConfig(Base, workload.Mix{Name: "mcf-64", Apps: workload.Sources(specs...)})
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.all != math.MaxUint64 {
+		t.Fatalf("all = %#x, want every bit of the word", s.all)
+	}
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 50; trial++ {
-		s := &System{
-			cores:    make([]*cpu.Core, n),
-			parkedAt: make([]int64, n),
-			wakeAt:   make([]int64, n),
-			awake:    make(coreSet, 3),
-			coreNext: maxInt64,
-		}
-		for i := 0; i < n; i++ {
-			s.awake.add(i)
+		s.wakeAll()
+		for i := range s.parkedAt {
 			s.parkedAt[i] = -1
 		}
 		asleep := make(map[int]bool)
@@ -182,13 +187,11 @@ func TestAwakeSetPastOneWord(t *testing.T) {
 			asleep[i] = true
 		}
 		var awakeIDs, asleepIDs []int
-		for w, word := range s.awake {
-			for ; word != 0; word &= word - 1 {
-				awakeIDs = append(awakeIDs, w<<6|bits.TrailingZeros64(word))
-			}
-			for word := s.asleep(w); word != 0; word &= word - 1 {
-				asleepIDs = append(asleepIDs, w<<6|bits.TrailingZeros64(word))
-			}
+		for word := s.awake; word != 0; word &= word - 1 {
+			awakeIDs = append(awakeIDs, bits.TrailingZeros64(word))
+		}
+		for word := s.all &^ s.awake; word != 0; word &= word - 1 {
+			asleepIDs = append(asleepIDs, bits.TrailingZeros64(word))
 		}
 		var wantAwake, wantAsleep []int
 		for i := 0; i < n; i++ {
@@ -204,5 +207,35 @@ func TestAwakeSetPastOneWord(t *testing.T) {
 		if s.coreNext != want || s.earliestWake() != want {
 			t.Fatalf("trial %d: coreNext %d, earliestWake %d, want %d", trial, s.coreNext, s.earliestWake(), want)
 		}
+	}
+}
+
+// TestNewRefusesPastOneWord checks that New refuses a mix of more cores
+// than the skip engine's one-word core sets hold, with an error naming
+// the bound, before it allocates anything: no more than normalize's
+// error. A 128-core System would also need a 256 MB LLC (2 MB per core
+// with a power-of-two set count), and its dense run of 300 instructions
+// per core did not finish in ten minutes.
+func TestNewRefusesPastOneWord(t *testing.T) {
+	spec, err := workload.ByName("mcf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := make([]workload.BenchSpec, 128)
+	for i := range specs {
+		specs[i] = spec
+	}
+	cfg := DefaultConfig(Base, workload.Mix{Name: "mcf-128", Apps: workload.Sources(specs...)})
+	const want = `sim: mix "mcf-128" has 128 applications, above the 64-core bound`
+	if _, err := New(cfg); err == nil || err.Error() != want {
+		t.Fatalf("New error = %v, want %q", err, want)
+	}
+	newAllocs := testing.AllocsPerRun(10, func() { New(cfg) })
+	errAllocs := testing.AllocsPerRun(10, func() {
+		c := cfg
+		c.normalize()
+	})
+	if newAllocs > errAllocs {
+		t.Errorf("refusing New made %v allocations, want at most normalize's %v", newAllocs, errAllocs)
 	}
 }
