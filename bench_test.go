@@ -1,7 +1,7 @@
-// Package repro_bench holds the simulator's two engine benchmarks:
-// raw skip-engine throughput, and the skip engine against the dense
-// reference loop. The paper's tables and figures are rendered by
-// cmd/figbench, and the benchmark of record is bench/figperf
+// Package repro_bench holds the simulator's raw throughput benchmark.
+// internal/sim's BenchmarkEngineComparison sets the skip engine against
+// the dense reference loop. The paper's tables and figures are rendered
+// by cmd/figbench, and the benchmark of record is bench/figperf
 // (bash bench/run.sh).
 package repro_bench
 
@@ -38,38 +38,4 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	}
 	b.ReportMetric(float64(insts)/b.Elapsed().Seconds(), "sim-insts/s")
 	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "sim-cycles/s")
-}
-
-// BenchmarkEngineComparison pits the cycle-skipping engine against the
-// dense reference loop on the same memory-intensive Base run, so the
-// speedup is visible directly in the benchmark output.
-func BenchmarkEngineComparison(b *testing.B) {
-	spec, err := workload.ByName("mcf")
-	if err != nil {
-		b.Fatal(err)
-	}
-	mix := workload.Mix{Name: "mcf", Apps: workload.Sources(spec)}
-	for _, eng := range []struct {
-		name  string
-		dense bool
-	}{{"skipping", false}, {"dense", true}} {
-		b.Run(eng.name, func(b *testing.B) {
-			var cycles int64
-			for i := 0; i < b.N; i++ {
-				cfg := sim.DefaultConfig(sim.Base, mix)
-				cfg.TargetInsts = 50_000
-				cfg.DenseLoop = eng.dense
-				system, err := sim.New(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := system.Run()
-				if err != nil {
-					b.Fatal(err)
-				}
-				cycles += res.Cycles
-			}
-			b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "sim-cycles/s")
-		})
-	}
 }

@@ -327,11 +327,12 @@ func (c *Cache) Fill(blk uint64) {
 	// Waiters fire directly instead of bouncing through the scheduler at
 	// zero delay: they only mark their own window entry (or upstream
 	// MSHR) complete, so their order relative to other same-cycle events
-	// is immaterial, and the detour through the event heap costs a
-	// push+pop per miss on the hottest path in the simulator. now is not
-	// threaded through Fill; waiter actions ignore their argument's
-	// absolute value (completion bookkeeping is cycle-exact via the
-	// scheduler events that triggered this fill).
+	// is immaterial, and the system's event queue has no zero-delay lane:
+	// each of its lanes holds events a fixed lookup or read latency after
+	// they were scheduled. now is not threaded through Fill; waiter
+	// actions ignore their argument's absolute value (completion
+	// bookkeeping is cycle-exact via the scheduler events that triggered
+	// this fill).
 	for i, w := range m.waiters {
 		c.sched.Dispatch(w, 0)
 		m.waiters[i] = ev.Token{}

@@ -50,10 +50,12 @@ const Magic = "FGSS"
 // only the occupied LISA-VILLA cache rows, each with its index, and
 // refuses a varint that is not in its shortest encoding, version 6
 // drops the cycle-skipping engine's controller wake registers, so the
-// system section holds only the clock, and version 7 writes each core's
+// system section holds only the clock, version 7 writes each core's
 // trace cursor in the cores section, in place of a traces section of
-// its own.
-const FormatVersion = 7
+// its own, and version 8 writes the event queue as its lanes alone,
+// each a list of (due cycle, token) pairs, with no heap and no sequence
+// numbers.
+const FormatVersion = 8
 
 // HeaderSize is the byte length of the fixed header.
 const HeaderSize = 44

@@ -43,7 +43,7 @@ func TestGoldenHeader(t *testing.T) {
 	img := encode(t, 3, fp)
 	want := append([]byte{
 		'F', 'G', 'S', 'S', // magic
-		7, 0, // format version 7, little-endian u16
+		8, 0, // format version 8, little-endian u16
 		0, 0, // reserved
 		3, 0, 0, 0, // engine version 3, little-endian u32
 	}, fp[:]...)
@@ -132,7 +132,12 @@ func TestReaderRejectsHeader(t *testing.T) {
 			b := bytes.Clone(img)
 			b[4] = 6
 			return b
-		}(), 3, fp, "unsupported snapshot format version 6 (this build reads version 7)"},
+		}(), 3, fp, "unsupported snapshot format version 6"},
+		{"format 7 snapshot", func() []byte {
+			b := bytes.Clone(img)
+			b[4] = 7
+			return b
+		}(), 3, fp, "unsupported snapshot format version 7 (this build reads version 8)"},
 		{"engine version mismatch", img, 4, fp, "engine version 3, this build is version 4"},
 		{"fingerprint mismatch", img, 3, otherFP, "does not match this run's config"},
 		{"truncated header", img[:HeaderSize/2], 3, fp, "truncated header"},

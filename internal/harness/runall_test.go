@@ -98,11 +98,9 @@ func TestRunAllReportsAllFailures(t *testing.T) {
 // keys, so equality is semantic, not syntactic).
 func TestRunAllDedupsJobs(t *testing.T) {
 	r, cfg := testRunner(t)
-	// The dense-loop twin must dedup against the skipping-engine config:
-	// both engines produce bit-identical results, so DenseLoop is
-	// deliberately outside the fingerprint.
+	// The twin spells out the one-core channel default: the same run.
 	twin := cfg
-	twin.DenseLoop = true
+	twin.Channels = 1
 	out, err := r.runAll([]sim.Config{cfg, cfg, twin})
 	if err != nil {
 		t.Fatal(err)

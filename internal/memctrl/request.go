@@ -15,9 +15,12 @@ type Request struct {
 	CoreID  int   // originating core, for per-core statistics
 
 	// OnComplete, unless zero, is the event token the controller hands to
-	// its scheduler once the request's data transfer has finished (reads:
-	// last beat received; writes: retired from the write queue), stamped
-	// with the completion bus cycle.
+	// its scheduler once a read's last data beat has arrived (tCL + tBL
+	// after its column command), stamped with that bus cycle. Only reads
+	// carry one; write-backs pass the zero token. A write's completion,
+	// tCWL + tBL after its command, would come due ahead of a read issued
+	// a cycle earlier, out of the order of the system's memory event
+	// lane.
 	OnComplete ev.Token
 
 	// ServiceLoc is where the request is actually served: either Loc, or

@@ -47,10 +47,12 @@ func SnapshotRequest(w *fgss.Writer, r *Request) {
 
 // RestoreRequest reads back what SnapshotRequest wrote into r and
 // re-resolves the bank cache against ch. The bytes come from disk, so a
-// location or service location naming no bank of ch, and a completion
-// token checkTok refuses, are decode errors (fgss.Reader.Reject) rather
-// than a panic at the bank lookup or at dispatch. The zero token that
-// write-backs carry is never checked.
+// location or service location naming no bank of ch, a completion
+// token checkTok refuses, and a write carrying a completion token
+// (only reads complete; see Request.OnComplete) are decode errors
+// (fgss.Reader.Reject) rather than a panic at the bank lookup, at
+// dispatch or at the scheduler. The zero token that write-backs carry
+// is never checked.
 func RestoreRequest(rd *fgss.Reader, r *Request, ch *dram.Channel, checkTok func(ev.Token) error) {
 	r.Addr = rd.U64()
 	r.Loc = restoreLoc(rd)
@@ -67,6 +69,10 @@ func RestoreRequest(rd *fgss.Reader, r *Request, ch *dram.Channel, checkTok func
 		return
 	}
 	if !r.OnComplete.IsZero() {
+		if r.IsWrite {
+			rd.Reject("memctrl: request %#x: a write carries a completion token (kind %d); only reads complete", r.Addr, r.OnComplete.Kind)
+			return
+		}
 		if err := checkTok(r.OnComplete); err != nil {
 			rd.Reject("memctrl: request %#x: %v", r.Addr, err)
 			return

@@ -39,11 +39,11 @@ func allocGate(b *testing.B, preset Preset, mix workload.Mix, warmup int64, what
 // BenchmarkAccessPathAllocs drives the steady-state memory access path —
 // core issue, L1/L2/LLC lookups and fills, pooled MSHRs, the adapter's
 // pooled memctrl.Request objects, controller scheduling, DRAM timing,
-// the bounded latency reservoir, and the event heap — and asserts that
-// it allocates nothing once warm. The warm-up run grows every pool,
-// queue and heap to its steady-state capacity; from then on the access
-// path must be allocation-free, so full-Scale runs no longer spend time
-// in the allocator or grow with run length.
+// the bounded latency reservoir, and the event queue's lane rings — and
+// asserts that it allocates nothing once warm. The warm-up run grows
+// every pool, queue and ring to its steady-state capacity; from then on
+// the access path must be allocation-free, so full-Scale runs no longer
+// spend time in the allocator or grow with run length.
 func BenchmarkAccessPathAllocs(b *testing.B) {
 	allocGate(b, Base, smallMix(b, "mcf"), 400_000, "access path")
 }

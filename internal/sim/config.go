@@ -83,12 +83,6 @@ type Config struct {
 	// relocations at miss time instead of deferring them to row close
 	// (the design-choice ablation in the benchmark harness).
 	ImmediateReloc bool
-
-	// DenseLoop selects the reference cycle-by-cycle run loop instead of
-	// the cycle-skipping event-driven engine. Both produce bit-identical
-	// results (enforced by TestEngineEquivalence); the dense loop is kept
-	// as the golden reference and as an escape hatch.
-	DenseLoop bool
 }
 
 // DefaultConfig returns a run configuration for the preset and mix with

@@ -11,12 +11,13 @@
 // below it and the experiment machinery above it. Three contracts define
 // that seam (ARCHITECTURE.md describes each in depth):
 //
-//   - Engine equivalence. System.Run normally uses a cycle-skipping,
-//     batching engine; the dense cycle-by-cycle reference loop is kept
-//     behind Config.DenseLoop. At every pause — each RunSlice or
-//     RunUntilRetired stop, and the end of the run — both engines hold
-//     the same clock and the same state: their snapshots match byte for
-//     byte, in every section. So both produce bit-identical Results. TestEngineEquivalence,
+//   - Engine equivalence. System.Run uses a cycle-skipping, batching
+//     engine; the dense cycle-by-cycle reference loop is kept for the
+//     package's tests, which select it on a built System. At every
+//     pause — each RunSlice or RunUntilRetired stop, and the end of the
+//     run — both engines hold the same clock and the same state: their
+//     snapshots match byte for byte, in every section. So both produce
+//     bit-identical Results. TestEngineEquivalence,
 //     TestEngineHierarchyState and FuzzEngineEquivalence enforce it; any
 //     timing-model change must keep them green.
 //

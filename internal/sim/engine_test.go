@@ -11,19 +11,50 @@ import (
 	"repro/internal/workload"
 )
 
+// newSystem builds a System for cfg that runs the dense reference loop
+// when dense is set, and the cycle-skipping engine otherwise.
+func newSystem(tb testing.TB, cfg Config, dense bool) *System {
+	tb.Helper()
+	s, err := New(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	s.dense = dense
+	return s
+}
+
 // runWith executes one config with the given engine selection.
 func runWith(t *testing.T, cfg Config, dense bool) Result {
 	t.Helper()
-	cfg.DenseLoop = dense
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Run()
+	res, err := newSystem(t, cfg, dense).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	return res
+}
+
+// BenchmarkEngineComparison pits the cycle-skipping engine against the
+// dense reference loop on the same memory-intensive Base run, so the
+// speedup is visible directly in the benchmark output.
+func BenchmarkEngineComparison(b *testing.B) {
+	cfg := DefaultConfig(Base, smallMix(b, "mcf"))
+	cfg.TargetInsts = 50_000
+	for _, eng := range []struct {
+		name  string
+		dense bool
+	}{{"skipping", false}, {"dense", true}} {
+		b.Run(eng.name, func(b *testing.B) {
+			var cycles int64
+			for i := 0; i < b.N; i++ {
+				res, err := newSystem(b, cfg, eng.dense).Run()
+				if err != nil {
+					b.Fatal(err)
+				}
+				cycles += res.Cycles
+			}
+			b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "sim-cycles/s")
+		})
+	}
 }
 
 // warmMix returns a workload that exercises the in-DRAM cache (insertions,
@@ -157,12 +188,7 @@ func TestEngineEquivalence(t *testing.T) {
 			}
 			paused := map[bool]*System{}
 			for _, dl := range []bool{true, false} {
-				cfg := c.cfg
-				cfg.DenseLoop = dl
-				sys, err := New(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
+				sys := newSystem(t, c.cfg, dl)
 				sys.RunUntilRetired(k)
 				paused[dl] = sys
 			}
@@ -172,8 +198,6 @@ func TestEngineEquivalence(t *testing.T) {
 				if dl {
 					want = dense
 				}
-				cfg := c.cfg
-				cfg.DenseLoop = dl
 				sys := paused[dl]
 				var buf bytes.Buffer
 				if err := sys.Snapshot(&buf); err != nil {
@@ -187,10 +211,7 @@ func TestEngineEquivalence(t *testing.T) {
 					t.Errorf("dense=%v: checkpoint-at-%d + in-process continue diverges:\n want: %+v\n  got: %+v", dl, k, want, cont)
 				}
 
-				fresh, err := New(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
+				fresh := newSystem(t, c.cfg, dl)
 				if err := fresh.Restore(bytes.NewReader(buf.Bytes())); err != nil {
 					t.Fatal(err)
 				}
@@ -202,10 +223,7 @@ func TestEngineEquivalence(t *testing.T) {
 					t.Errorf("dense=%v: checkpoint-at-%d + fresh-System restore diverges:\n want: %+v\n  got: %+v", dl, k, want, restored)
 				}
 
-				sliced, err := New(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
+				sliced := newSystem(t, c.cfg, dl)
 				for !sliced.RunSlice(4096) {
 				}
 				if got, err := sliced.Run(); err != nil {
@@ -226,12 +244,8 @@ func TestRunFinishedSystem(t *testing.T) {
 		cfg := DefaultConfig(FIGCacheFast, smallMix(t, "mcf"))
 		cfg.TargetInsts = 20_000
 		want := runWith(t, cfg, dense)
-		cfg.DenseLoop = dense
 
-		twice, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		twice := newSystem(t, cfg, dense)
 		for i := 1; i <= 2; i++ {
 			if got, err := twice.Run(); err != nil {
 				t.Fatal(err)
@@ -240,10 +254,7 @@ func TestRunFinishedSystem(t *testing.T) {
 			}
 		}
 
-		sliced, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		sliced := newSystem(t, cfg, dense)
 		for !sliced.RunSlice(4096) {
 		}
 		clock := sliced.Clock()
@@ -267,21 +278,11 @@ func TestRunUntilRetiredStopsAtFirstCrossing(t *testing.T) {
 	cfg := DefaultConfig(FIGCacheFast, eightCoreMix(t, 25))
 	cfg.TargetInsts = 3_000
 	for _, k := range []int64{1, 2_000, 9_001} {
-		ref := cfg
-		ref.DenseLoop = true
-		step, err := New(ref)
-		if err != nil {
-			t.Fatal(err)
-		}
+		step := newSystem(t, cfg, true)
 		for step.totalRetired() < k && !step.RunSlice(1) {
 		}
 		for _, dense := range []bool{true, false} {
-			c := cfg
-			c.DenseLoop = dense
-			s, err := New(c)
-			if err != nil {
-				t.Fatal(err)
-			}
+			s := newSystem(t, cfg, dense)
 			s.RunUntilRetired(k)
 			if s.Clock() != step.Clock() || s.totalRetired() != step.totalRetired() {
 				t.Errorf("dense=%v: RunUntilRetired(%d) paused at cycle %d with %d retired, want cycle %d with %d",
@@ -363,12 +364,7 @@ func TestEngineHierarchyState(t *testing.T) {
 				cfg.Channels = tc.channels
 				cfg.TargetInsts = tc.insts
 				cfg.Seed = 2
-				cfg.DenseLoop = dense
-				s, err := New(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return s
+				return newSystem(t, cfg, dense)
 			}
 			d, k := build(true), build(false)
 			if tc.sliced {

@@ -29,10 +29,6 @@ func (f Fingerprint) String() string { return hex.EncodeToString(f[:]) }
 // the normalized configuration (defaults filled in, so a zero Channels
 // field hashes identically to its explicit default), every workload
 // parameter of the mix, the FIG override, and EngineVersion.
-//
-// DenseLoop is deliberately excluded: the dense and cycle-skipping
-// engines produce bit-identical results (TestEngineEquivalence), so a
-// result computed by either engine may serve both.
 func (c Config) Fingerprint() Fingerprint {
 	// Normalization can fail only for configs sim.New would reject; those
 	// never produce a Result, so hashing the partially-defaulted state is

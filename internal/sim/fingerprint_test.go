@@ -36,18 +36,6 @@ func TestFingerprintNormalizes(t *testing.T) {
 	}
 }
 
-// TestFingerprintEngineInvariant checks that DenseLoop — the one field
-// guaranteed not to change results — is outside the fingerprint, so a
-// result computed by either engine serves both.
-func TestFingerprintEngineInvariant(t *testing.T) {
-	skip := fpConfig(t)
-	dense := skip
-	dense.DenseLoop = true
-	if skip.Fingerprint() != dense.Fingerprint() {
-		t.Error("DenseLoop changed the fingerprint; engines are bit-identical and must share cache entries")
-	}
-}
-
 // TestFingerprintSensitivity mutates every result-affecting knob and
 // checks each one moves the fingerprint — a collision here would let the
 // cache serve one experiment's result for another.

@@ -143,12 +143,7 @@ func FuzzEngineEquivalence(f *testing.F) {
 			return err.Error()
 		}
 		run := func(dense bool) (*System, Result, string) {
-			c := cfg
-			c.DenseLoop = dense
-			s, err := New(c)
-			if err != nil {
-				t.Fatal(err)
-			}
+			s := newSystem(t, cfg, dense)
 			for _, ch := range s.channels {
 				ch.TraceOn = !dense
 			}
@@ -166,12 +161,7 @@ func FuzzEngineEquivalence(f *testing.F) {
 		at := 1 + cfg.TargetInsts*int64(len(cfg.Mix.Apps))*int64(cut)/256
 		paused := map[bool]*System{}
 		for _, dense := range []bool{true, false} {
-			c := cfg
-			c.DenseLoop = dense
-			s, err := New(c)
-			if err != nil {
-				t.Fatal(err)
-			}
+			s := newSystem(t, cfg, dense)
 			s.RunUntilRetired(at)
 			paused[dense] = s
 		}

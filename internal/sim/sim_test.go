@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -38,22 +39,74 @@ type recDisp struct{ got []int }
 
 func (d *recDisp) Dispatch(tok ev.Token, now int64) { d.got = append(d.got, int(tok.Arg)) }
 
+// TestEventQueueOrdering checks the queue's firing order: due events
+// fire lane by lane in registration order, and within a lane in the
+// order they were scheduled, also once the lane's ring has wrapped and
+// doubled while events were pending. nextDue stays exact throughout.
 func TestEventQueueOrdering(t *testing.T) {
-	var q eventQueue
+	q := eventQueue{nextDue: maxInt64}
+	mem, l1 := q.newLane(60), q.newLane(4)
 	d := &recDisp{}
 	tok := func(id int) ev.Token { return ev.Token{Kind: ev.CoreSlot, Arg: uint64(id)} }
-	q.schedule(10, tok(2))
-	q.schedule(5, tok(1))
-	q.schedule(10, tok(3)) // same time: FIFO by seq
-	q.schedule(20, tok(4))
+	q.schedule(l1, 5, tok(1))
+	q.schedule(mem, 10, tok(2))
+	q.schedule(l1, 10, tok(3))
+	q.schedule(l1, 10, tok(4))
+	q.schedule(mem, 20, tok(5))
+	if q.nextDue != 5 {
+		t.Errorf("nextDue = %d, want 5", q.nextDue)
+	}
 	q.fireDue(10, d)
-	if got := d.got; len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
-		t.Errorf("fire order = %v, want [1 2 3]", got)
+	if !slices.Equal(d.got, []int{2, 1, 3, 4}) {
+		t.Errorf("fire order = %v, want [2 1 3 4]", d.got)
+	}
+	if q.nextDue != 20 {
+		t.Errorf("nextDue = %d after firing cycle 10, want 20", q.nextDue)
 	}
 	q.fireDue(100, d)
-	if got := d.got; len(got) != 4 || got[3] != 4 {
-		t.Errorf("final order = %v", got)
+	if !slices.Equal(d.got, []int{2, 1, 3, 4, 5}) || q.nextDue != maxInt64 {
+		t.Errorf("fire order = %v, nextDue = %d; want [2 1 3 4 5] and an empty queue", d.got, q.nextDue)
 	}
+
+	// Half fill the ring, fire a quarter so the head moves, then schedule
+	// a ring's worth: the events wrap past the ring's end, fill it, and
+	// the ring doubles with a quarter of them still pending.
+	d.got = nil
+	size := len(q.lanes[l1].ring)
+	var want []int
+	push := func(k int) {
+		for ; k > 0; k-- {
+			id := len(want)
+			q.schedule(l1, 1000+int64(id), tok(id))
+			want = append(want, id)
+		}
+	}
+	push(size / 2)
+	q.fireDue(1000+int64(size/4)-1, d)
+	push(size)
+	if got := len(q.lanes[l1].ring); got != 2*size {
+		t.Errorf("ring holds %d entries after %d events were pending in %d, want %d", got, size/4+size, size, 2*size)
+	}
+	q.fireDue(1<<40, d)
+	if !slices.Equal(d.got, want) {
+		t.Errorf("fire order after the ring wrapped and doubled = %v, want %v", d.got, want)
+	}
+}
+
+// TestEventQueueRejectsDecreasingDueTime checks that schedule panics on
+// a due time below its lane's last pending one, which would break the
+// lane's firing order, and accepts an equal one.
+func TestEventQueueRejectsDecreasingDueTime(t *testing.T) {
+	q := eventQueue{nextDue: maxInt64}
+	lane := q.newLane(4)
+	q.schedule(lane, 10, ev.Token{Kind: ev.CoreSlot, Arg: 1})
+	q.schedule(lane, 10, ev.Token{Kind: ev.CoreSlot, Arg: 2})
+	defer func() {
+		if recover() == nil {
+			t.Error("schedule accepted a due time below the lane's last")
+		}
+	}()
+	q.schedule(lane, 9, ev.Token{Kind: ev.CoreSlot, Arg: 3})
 }
 
 func TestPresetStrings(t *testing.T) {

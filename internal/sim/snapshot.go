@@ -16,7 +16,7 @@ import (
 // fixed order Snapshot writes and Restore demands them.
 const (
 	snapSecSystem   = 1 // clock
-	snapSecEvents   = 2 // event queue: heap and FIFO lanes
+	snapSecEvents   = 2 // event queue: one FIFO lane per event delay
 	snapSecCores    = 3 // per-core execution state and trace cursor
 	snapSecCaches   = 4 // SRAM hierarchy, node-ID order
 	snapSecChannels = 5 // DRAM channels: banks, timing windows
@@ -32,97 +32,61 @@ const (
 	hookLISA     = 2
 )
 
-func snapEvent(w *fgss.Writer, e event) {
-	w.I64(e.at)
-	w.I64(e.seq)
-	ev.WriteToken(w, e.tok)
-}
-
-func restoreEvent(r *fgss.Reader) event {
-	var e event
-	e.at = r.I64()
-	e.seq = r.I64()
-	e.tok = ev.ReadToken(r)
-	return e
-}
-
-// snapshot appends the queue's pending events: the heap in array order
-// (a valid heap round-trips as-is) and each lane's undelivered suffix.
-// The global sequence counter travels too, so post-restore scheduling
-// continues the uninterrupted run's tie-break order exactly.
+// snapshot appends each lane's pending events in firing order, as
+// (due cycle, token) pairs.
 func (q *eventQueue) snapshot(w *fgss.Writer) {
-	w.I64(q.seq)
-	w.Int(len(q.items))
-	for _, e := range q.items {
-		snapEvent(w, e)
-	}
 	w.Int(len(q.lanes))
 	for i := range q.lanes {
 		l := &q.lanes[i]
-		w.Int(len(l.items) - l.head)
-		for _, e := range l.items[l.head:] {
-			snapEvent(w, e)
+		w.Int(l.n)
+		for j := range l.n {
+			e := l.ring[(l.head+j)&(len(l.ring)-1)]
+			w.I64(e.at)
+			ev.WriteToken(w, e.tok)
 		}
 	}
 }
 
 // restore reads back what snapshot wrote, dropping any currently
-// pending events. Lane registrations are construction-time bindings and
-// must already exist (another lane count is a decode error). The events
-// must be in an order snapshot writes: the heap array in heap order,
-// each lane's due times non-decreasing and its sequence numbers
-// increasing, none due before the restored clock (the run has fired
-// those) and no sequence number above the queue's counter. Every token
-// must pass checkTok, or the snapshot is rejected before a bad token
-// reaches Dispatch. nextDue is left at its ambiguous zero, which forces
-// the next nextAt to rescan.
+// pending events, and leaves nextDue exact. Lanes are construction-time
+// bindings and must already exist (another lane count is a decode
+// error). Each lane's events must be due in order, none before the
+// restored clock (the run has fired those) and none more than the
+// lane's delay after it: every later schedule on the lane is due at
+// least that late, so the restored run cannot reach schedule's order
+// panic. Every token must pass checkTok, or the snapshot is rejected
+// before a bad token reaches Dispatch.
 func (q *eventQueue) restore(r *fgss.Reader, clock int64, checkTok func(ev.Token) error) {
-	next := func() event {
-		e := restoreEvent(r)
-		if r.Err() != nil {
-			return e
-		}
-		if e.at < clock {
-			r.Reject("sim: event (seq %d) due at cycle %d, before the clock %d", e.seq, e.at, clock)
-		} else if e.seq > q.seq {
-			r.Reject("sim: event at cycle %d has sequence number %d, above the queue's %d", e.at, e.seq, q.seq)
-		} else if err := checkTok(e.tok); err != nil {
-			r.Reject("event at cycle %d: %v", e.at, err)
-		}
-		return e
-	}
-	q.seq = r.I64()
-	clear(q.items)
-	q.items = q.items[:0]
-	n := r.Len(math.MaxInt, "sim: queued events")
-	for i := 0; i < n && r.Err() == nil; i++ {
-		q.items = append(q.items, next())
-		if p := (i - 1) / 2; i > 0 && r.Err() == nil && q.less(i, p) {
-			r.Reject("sim: queued event %d (cycle %d, seq %d) precedes its heap parent %d (cycle %d, seq %d)",
-				i, q.items[i].at, q.items[i].seq, p, q.items[p].at, q.items[p].seq)
-		}
-	}
+	q.nextDue = maxInt64
 	if !r.Expect(len(q.lanes), "sim: event lanes") {
 		return
 	}
 	for i := range q.lanes {
 		l := &q.lanes[i]
-		clear(l.items)
-		l.items = l.items[:0]
-		l.head = 0
+		l.head, l.n = 0, 0
 		n := r.Len(math.MaxInt, "sim: lane events")
-		for j := 0; j < n && r.Err() == nil; j++ {
-			e := next()
-			if j > 0 && r.Err() == nil {
-				if prev := l.items[j-1]; e.at < prev.at || e.seq <= prev.seq {
-					r.Reject("sim: lane %d event %d (cycle %d, seq %d) does not follow (cycle %d, seq %d)",
-						i, j, e.at, e.seq, prev.at, prev.seq)
+		for j, last := 0, clock; j < n && r.Err() == nil; j++ {
+			at, tok := r.I64(), ev.ReadToken(r)
+			if r.Err() != nil {
+				break
+			}
+			switch {
+			case at < clock:
+				r.Reject("sim: lane %d event %d due at cycle %d, before the clock %d", i, j, at, clock)
+			case at < last:
+				r.Reject("sim: lane %d event %d due at cycle %d, before its predecessor at cycle %d", i, j, at, last)
+			case at > clock+l.delay:
+				r.Reject("sim: lane %d event %d due at cycle %d, more than the lane's delay %d after the clock %d", i, j, at, l.delay, clock)
+			default:
+				if err := checkTok(tok); err != nil {
+					r.Reject("event at cycle %d: %v", at, err)
+				} else {
+					q.schedule(i, at, tok)
+					last = at
 				}
 			}
-			l.items = append(l.items, e)
 		}
 	}
-	q.nextDue = 0
 }
 
 // checkToken reports why a restored event token cannot be dispatched on

@@ -139,18 +139,18 @@ func BenchmarkSnapshotRoundTrip(b *testing.B) {
 }
 
 // eventsSection returns a reader positioned in a hand-built events
-// section for s: the sequence counter, one heap event carrying tok, and
-// s's lanes, empty.
+// section for s: one event carrying tok on the memory lane, due at cycle
+// 5, and s's other lanes, empty.
 func eventsSection(t *testing.T, s *System, tok ev.Token) *fgss.Reader {
 	t.Helper()
 	var buf bytes.Buffer
 	w := fgss.NewWriter(&buf, 1, [32]byte{})
 	w.Begin(snapSecEvents)
-	w.I64(1) // seq
-	w.Int(1)
-	snapEvent(w, event{at: 5, seq: 1, tok: tok})
 	w.Int(len(s.events.lanes))
-	for range s.events.lanes {
+	w.Int(1)
+	w.I64(5)
+	ev.WriteToken(w, tok)
+	for range s.events.lanes[1:] {
 		w.Int(0)
 	}
 	w.End()
@@ -233,13 +233,14 @@ func TestRestoreRejectsBadTokens(t *testing.T) {
 
 // TestRestoreRejectsUnrunnableState checks that a snapshot holding
 // state the run would fail on later — a request whose completion token
-// names no core, a request location naming no bank, an MSHR token
-// naming a block its cache node has no miss outstanding for — is
-// refused at restore, with an error naming the section that held it.
-// Each case puts the state into a real System through its own methods,
-// snapshots it and restores the bytes into a fresh System. A restore
-// that accepts the snapshot is then run for a while, to show the panic
-// the rejection prevents.
+// names no core, a write carrying a completion token, whose earlier
+// completion would break the memory lane's order, a request location
+// naming no bank, an MSHR token naming a block its cache node has no
+// miss outstanding for — is refused at restore, with an error naming
+// the section that held it. Each case puts the state into a real System
+// through its own methods, snapshots it and restores the bytes into a
+// fresh System. A restore that accepts the snapshot is then run for a
+// while, to show the panic the rejection prevents.
 func TestRestoreRejectsUnrunnableState(t *testing.T) {
 	cfg := DefaultConfig(Base, smallMix(t, "mcf"))
 	cfg.TargetInsts = 10_000
@@ -278,11 +279,17 @@ func TestRestoreRejectsUnrunnableState(t *testing.T) {
 		{"buffered request location", func(s *System) {
 			buffer(s, &memctrl.Request{Addr: 0x80, Loc: dram.Location{Rank: 3}})
 		}, "section 8: memctrl: request 0x80: location"},
+		{"queued write with a completion token", func(s *System) {
+			enqueue(s, &memctrl.Request{Addr: 0x100, IsWrite: true, OnComplete: ev.Token{Kind: ev.CoreSlot, Arg: 1}})
+		}, "section 6: memctrl: request 0x100: a write carries a completion token (kind 1); only reads complete"},
+		{"buffered write with a completion token", func(s *System) {
+			buffer(s, &memctrl.Request{Addr: 0x140, IsWrite: true, OnComplete: ev.Token{Kind: ev.CoreSlot, Arg: 1}})
+		}, "section 8: memctrl: request 0x140: a write carries a completion token (kind 1); only reads complete"},
 		{"fill event for no miss", func(s *System) {
-			s.events.schedule(5, fill(s.hier.L1s[0].NodeID(), 0x1000))
+			s.events.schedule(0, 5, fill(s.hier.L1s[0].NodeID(), 0x1000))
 		}, "section 2: MSHR token (kind 3) names block 0x1000, which cache node 2 has no miss outstanding for"},
 		{"start event for no miss", func(s *System) {
-			s.events.schedule(5, ev.Token{Kind: ev.MSHRStart, ID: s.hier.L1s[0].NodeID(), Arg: 0x1000})
+			s.events.schedule(0, 5, ev.Token{Kind: ev.MSHRStart, ID: s.hier.L1s[0].NodeID(), Arg: 0x1000})
 		}, "section 2: MSHR token (kind 2) names block 0x1000"},
 		{"fill waiter for no miss", func(s *System) {
 			s.hier.L2s[0].Access(0x3000, false, fill(s.hier.L1s[0].NodeID(), 0x3000))
@@ -461,8 +468,8 @@ func sectionPayload(t *testing.T, fill func(w *fgss.Writer)) []byte {
 // TestRestoreRejectsSectionShape replaces one section of a real
 // snapshot with a hand-built one Snapshot never writes for the System —
 // a count or kind that does not match it, a list entry it cannot hold,
-// or events out of the queue's order — and checks that restore refuses
-// it, naming the section. The count and kind cases used to restore
+// or lane events out of order or out of the lane's reach — and checks
+// that restore refuses it, naming the section. The count and kind cases used to restore
 // without error, because restore stopped decoding the section at the
 // mismatch and the section ended there: with its controllers section
 // emptied, a resumed mcf run never finished. Every emptied section is
@@ -477,51 +484,41 @@ func TestRestoreRejectsSectionShape(t *testing.T) {
 			}
 		}
 	}
-	// oneEvent writes an events section holding one heap event, a
-	// CoreSlot token for slot 3 of core 0 once kind and id are cast to
-	// their fields, and empty lanes.
+	// oneEvent writes an events section holding one memory-lane event
+	// due at cycle 5, a CoreSlot token for slot 3 of core 0 once kind and
+	// id are cast to their fields, and the other lanes empty.
 	oneEvent := func(kind uint64, id int64) func(*System) func(*fgss.Writer) {
 		return func(s *System) func(*fgss.Writer) {
 			return func(w *fgss.Writer) {
-				w.I64(1) // seq
+				w.Int(len(s.events.lanes))
 				w.Int(1)
 				w.I64(5) // at
-				w.I64(0) // seq
 				w.U64(kind)
 				w.I64(id)
 				w.U64(3)
-				w.Int(len(s.events.lanes))
-				for range s.events.lanes {
-					w.Int(0)
-				}
-			}
-		}
-	}
-	// events writes an events section holding sequence counter seq, the
-	// heap array heap and lane 0's events lane0, the other lanes empty.
-	events := func(seq int64, heap, lane0 []event) func(*System) func(*fgss.Writer) {
-		return func(s *System) func(*fgss.Writer) {
-			return func(w *fgss.Writer) {
-				w.I64(seq)
-				w.Int(len(heap))
-				for _, e := range heap {
-					snapEvent(w, e)
-				}
-				w.Int(len(s.events.lanes))
-				w.Int(len(lane0))
-				for _, e := range lane0 {
-					snapEvent(w, e)
-				}
 				for range s.events.lanes[1:] {
 					w.Int(0)
 				}
 			}
 		}
 	}
-	// slotAt is an event due at cycle at with sequence number seq, a
-	// CoreSlot token for slot 3 of core 0.
-	slotAt := func(at, seq int64) event {
-		return event{at: at, seq: seq, tok: ev.Token{Kind: ev.CoreSlot, Arg: 3}}
+	// memLane writes an events section holding memory-lane events due at
+	// the cycles ats, each a CoreSlot token for slot 3 of core 0, and the
+	// other lanes empty.
+	memLane := func(ats ...int64) func(*System) func(*fgss.Writer) {
+		return func(s *System) func(*fgss.Writer) {
+			return func(w *fgss.Writer) {
+				w.Int(len(s.events.lanes))
+				w.Int(len(ats))
+				for _, at := range ats {
+					w.I64(at)
+					ev.WriteToken(w, ev.Token{Kind: ev.CoreSlot, Arg: 3})
+				}
+				for range s.events.lanes[1:] {
+					w.Int(0)
+				}
+			}
+		}
 	}
 	type tc struct {
 		name    string
@@ -545,32 +542,24 @@ func TestRestoreRejectsSectionShape(t *testing.T) {
 		tc{"FIGCache hook of kind none", FIGCacheFast, snapSecHooks, ints(1, hookNone), want("section 7: sim: hook kind: 0, want 1")},
 		tc{"LISA-VILLA hook of kind none", LISAVilla, snapSecHooks, ints(1, hookNone), want("section 7: sim: hook kind: 0, want 2")},
 		tc{"FIGCache with no banks", FIGCacheFast, snapSecHooks, ints(1, hookFIGCache, 0), want("section 7: core: FIGCache banks: 0, want 16")},
-		tc{"no event lanes", Base, snapSecEvents, ints(0, 0, 0), func(s *System) string {
+		tc{"no event lanes", Base, snapSecEvents, ints(0), func(s *System) string {
 			return fmt.Sprintf("section 2: sim: event lanes: 0, want %d", len(s.events.lanes))
 		}},
 		tc{"negative event count", Base, snapSecEvents, func(s *System) func(*fgss.Writer) {
 			return func(w *fgss.Writer) {
-				w.I64(0) // seq
-				w.Int(-1)
 				w.Int(len(s.events.lanes))
-				for range s.events.lanes {
-					w.Int(0)
-				}
+				w.Int(-1)
 			}
-		}, want("section 2: sim: queued events: -1, outside")},
+		}, want("section 2: sim: lane events: -1, outside")},
 		tc{"event token kind 257", Base, snapSecEvents, oneEvent(257, 0), want("section 2: event token kind 257 or ID 0 does not fit its field")},
 		tc{"event token ID 2^32", Base, snapSecEvents, oneEvent(uint64(ev.CoreSlot), 1<<32), want("section 2: event token kind 1 or ID 4294967296 does not fit its field")},
 		tc{"buffered request on no channel", Base, snapSecAdapter, ints(1, 5), want("section 8: sim: buffered request 0 names channel 5 of 1")},
-		tc{"heap out of order", Base, snapSecEvents, events(2, []event{slotAt(9, 1), slotAt(5, 2)}, nil),
-			want("section 2: sim: queued event 1 (cycle 5, seq 2) precedes its heap parent 0 (cycle 9, seq 1)")},
-		tc{"lane due times decrease", Base, snapSecEvents, events(2, nil, []event{slotAt(9, 1), slotAt(5, 2)}),
-			want("section 2: sim: lane 0 event 1 (cycle 5, seq 2) does not follow (cycle 9, seq 1)")},
-		tc{"lane sequence numbers decrease", Base, snapSecEvents, events(2, nil, []event{slotAt(5, 2), slotAt(5, 1)}),
-			want("section 2: sim: lane 0 event 1 (cycle 5, seq 1) does not follow (cycle 5, seq 2)")},
-		tc{"event due before the clock", Base, snapSecEvents, events(1, []event{slotAt(-1, 1)}, nil),
-			want("section 2: sim: event (seq 1) due at cycle -1, before the clock 0")},
-		tc{"sequence number above the counter", Base, snapSecEvents, events(1, []event{slotAt(5, 2)}, nil),
-			want("section 2: sim: event at cycle 5 has sequence number 2, above the queue's 1")},
+		tc{"lane due times decrease", Base, snapSecEvents, memLane(9, 5),
+			want("section 2: sim: lane 0 event 1 due at cycle 5, before its predecessor at cycle 9")},
+		tc{"event due before the clock", Base, snapSecEvents, memLane(-1),
+			want("section 2: sim: lane 0 event 0 due at cycle -1, before the clock 0")},
+		tc{"event due past the lane's delay", Base, snapSecEvents, memLane(5, 61),
+			want("section 2: sim: lane 0 event 1 due at cycle 61, more than the lane's delay 60 after the clock 0")},
 	)
 	snaps := map[Preset][]byte{}
 	for _, tc := range cases {

@@ -17,6 +17,10 @@ type System struct {
 	cfg    Config
 	clock  int64
 	events eventQueue
+	// dense selects the reference cycle-by-cycle loop in place of the
+	// cycle-skipping engine. The two are bit-identical
+	// (TestEngineEquivalence), so only the package's tests set it.
+	dense bool
 
 	cores    []*cpu.Core
 	hier     *cache.Hierarchy
@@ -26,9 +30,9 @@ type System struct {
 	hooks    []memctrl.CacheHook
 	adapter  *memAdapter
 
-	// busSched converts a controller's bus-cycle completion tokens to
-	// CPU-cycle events. Bound once at construction so the per-tick calls
-	// do not evaluate a fresh closure on the hot path.
+	// busSched puts a controller's read completions, due at a bus cycle,
+	// on the memory lane in CPU cycles. Bound once at construction so the
+	// per-tick calls do not evaluate a fresh closure on the hot path.
 	busSched func(at int64, tok ev.Token)
 	// ctrlWake[i] is the next-work bus cycle controller i reported at its
 	// most recent tick; zero forces a tick at the first bus boundary, and
@@ -79,6 +83,7 @@ func New(cfg Config) (*System, error) {
 		return nil, err
 	}
 	s := &System{cfg: cfg}
+	s.events.nextDue = maxInt64
 
 	geo := cfg.geometry()
 	slow := dram.DDR4()
@@ -123,8 +128,13 @@ func New(cfg Config) (*System, error) {
 	for _, ctrl := range s.ctrls {
 		ctrl.Release = s.adapter.release
 	}
+	// A read's data ends tCL + tBL after its column command on every
+	// subarray (fast ones shorten only tRCD, tRP and tRAS), so the memory
+	// lane has a fixed delay too. It is registered before the cache
+	// levels' lanes and fires first.
+	memLane := s.events.newLane(int64(slow.ReadLatency()) * cpuPerBus)
 	s.busSched = func(at int64, tok ev.Token) {
-		s.events.schedule(at*cpuPerBus, tok)
+		s.events.schedule(memLane, at*cpuPerBus, tok)
 	}
 	hier, err := cache.NewHierarchy(cfg.hierarchyConfig(), s.adapter, s.levelScheduler)
 	if err != nil {
@@ -287,9 +297,7 @@ func (s *System) initCores() error {
 // latency. A fixed delay makes a lane's due times monotonic no matter
 // how many caches feed it, so the lane count stays at the number of
 // distinct latencies (three for the Table 1 hierarchy) instead of
-// growing with the core count — the per-event cost of servicing lanes
-// scales with lane count. Each lane replaces a heap push/pop pair per
-// cache event, the hottest event source in the simulator.
+// growing with the core count: fireDue visits every lane.
 func (s *System) levelScheduler(latency int64) cache.Scheduler {
 	if sched, ok := s.latencyLanes[latency]; ok {
 		return sched
@@ -297,7 +305,7 @@ func (s *System) levelScheduler(latency int64) cache.Scheduler {
 	if s.latencyLanes == nil {
 		s.latencyLanes = make(map[int64]*laneScheduler)
 	}
-	sched := &laneScheduler{sys: s, lane: s.events.newLane()}
+	sched := &laneScheduler{sys: s, lane: s.events.newLane(latency)}
 	s.latencyLanes[latency] = sched
 	return sched
 }
@@ -310,7 +318,7 @@ type laneScheduler struct {
 }
 
 func (l *laneScheduler) After(delay int64, tok ev.Token) {
-	l.sys.events.scheduleLane(l.lane, l.sys.clock+delay, tok)
+	l.sys.events.schedule(l.lane, l.sys.clock+delay, tok)
 }
 
 // Dispatch forwards token execution, a fill's waiters among them, to
@@ -431,8 +439,8 @@ func (m *memAdapter) drain(busNow int64) {
 
 // Run executes the system until every core reaches its instruction target
 // (or MaxCycles elapse) and returns the collected results. It uses the
-// cycle-skipping engine unless Config.DenseLoop selects the reference
-// cycle-by-cycle loop; the two are bit-identical (TestEngineEquivalence).
+// cycle-skipping engine, which is bit-identical to the reference
+// cycle-by-cycle loop (TestEngineEquivalence).
 func (s *System) Run() (Result, error) {
 	if c := s.run(s.cfg.MaxCycles); c != nil {
 		return Result{}, fmt.Errorf("sim: core %d retired only %d/%d instructions in %d cycles",
@@ -488,7 +496,7 @@ func (s *System) RunUntilRetired(target int64) {
 	}
 }
 
-// run advances the engine Config.DenseLoop selects until every core is
+// run advances the engine System.dense selects until every core is
 // done or the clock reaches maxCycles (exclusive). It returns the first
 // core still short of its target, or nil once every core has finished;
 // a System whose cores have all finished executes no further cycle.
@@ -496,7 +504,7 @@ func (s *System) run(maxCycles int64) *cpu.Core {
 	if s.unfinished() == nil {
 		return nil
 	}
-	if s.cfg.DenseLoop {
+	if s.dense {
 		s.runDense(maxCycles)
 	} else {
 		s.runSkipping(maxCycles)
@@ -637,10 +645,7 @@ func (s *System) runSkipping(maxCycles int64) {
 			// Only consult the event queue and the memory system when
 			// every core is asleep: due events have already fired, so
 			// neither source can be earlier than clock+1.
-			eventNext := int64(maxInt64)
-			if at, ok := s.events.nextAt(); ok {
-				eventNext = at
-			}
+			//
 			// Memory-only fast path: while the earliest thing anywhere in
 			// the machine is controller work — strictly before the next
 			// event and the next core wake — run those bus boundaries in
@@ -650,26 +655,17 @@ func (s *System) runSkipping(maxCycles int64) {
 			// cores apply their batch when they wake or when the loop
 			// exits) and fire no events, so the only dense effects are the
 			// bus ticks themselves. Completions scheduled along the way
-			// can only pull eventNext earlier, never invalidate work done
-			// at earlier bus cycles: each lands after the bus cycle that
-			// issued it, and eventNext is re-read before the next tick.
-			// The loop stays for a measured end-to-end win over surfacing
-			// every bus boundary (ARCHITECTURE.md, "Performance
-			// engineering").
+			// can only pull nextDue earlier, never invalidate work done at
+			// earlier bus cycles: each lands after the bus cycle that
+			// issued it, and nextDue is read before every tick. The loop
+			// stays for a measured end-to-end win over surfacing every bus
+			// boundary (ARCHITECTURE.md, "Performance engineering").
 			bus := s.nextBusWork()
-			for bus < next && bus < eventNext {
+			for bus < next && bus < s.events.nextDue {
 				s.busTick(bus / cpuPerBus)
-				if at, ok := s.events.nextAt(); ok && at < eventNext {
-					eventNext = at
-				}
 				bus = s.nextBusWork()
 			}
-			if eventNext < next {
-				next = eventNext
-			}
-			if bus < next {
-				next = bus
-			}
+			next = min(next, s.events.nextDue, bus)
 		}
 		if next <= s.clock {
 			next = s.clock + 1
@@ -738,19 +734,12 @@ func (s *System) runSolo(maxCycles int64) {
 		if next > s.clock+1 {
 			// As in runSkipping: the core sleeps, so the event queue and
 			// the memory-only loop decide the next cycle.
-			eventNext := int64(maxInt64)
-			if at, ok := s.events.nextAt(); ok {
-				eventNext = at
-			}
 			bus := s.nextBusWork()
-			for bus < next && bus < eventNext {
+			for bus < next && bus < s.events.nextDue {
 				s.busTick(bus / cpuPerBus)
-				if at, ok := s.events.nextAt(); ok && at < eventNext {
-					eventNext = at
-				}
 				bus = s.nextBusWork()
 			}
-			next = min(next, eventNext, bus)
+			next = min(next, s.events.nextDue, bus)
 		}
 		if next <= s.clock {
 			next = s.clock + 1

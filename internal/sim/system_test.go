@@ -107,3 +107,26 @@ func TestDrainIndependentChannels(t *testing.T) {
 		t.Errorf("adapter buffers %d requests, want 1 (the blocked channel-0 write)", got)
 	}
 }
+
+// TestEventLanesStayBounded checks that every event lane's ring stays
+// small over a long run: eight memory-intensive cores (mix-100-0) under
+// FIGCache-Fast at 500k instructions per core. A lane holds only the
+// events due within its fixed delay, so its ring need not grow with run
+// length; an array that restarted only when its lane drained reached
+// 4,864 entries on the LLC lane of this run.
+func TestEventLanesStayBounded(t *testing.T) {
+	cfg := DefaultConfig(FIGCacheFast, eightCoreMix(t, 100))
+	cfg.TargetInsts = 500_000
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for i, l := range s.events.lanes {
+		if len(l.ring) > 64 {
+			t.Errorf("lane %d (delay %d) has a %d-entry ring, want at most 64", i, l.delay, len(l.ring))
+		}
+	}
+}
