@@ -236,7 +236,7 @@ func printResult(cfg sim.Config, res sim.Result) {
 	fmt.Printf("LLC MPKI:  %.1f\n", res.LLCMPKI())
 	fmt.Printf("DRAM:      reads %d, writes %d, avg read latency %.1f ns\n",
 		res.MemReads, res.MemWrites, res.AvgReadLatencyNS)
-	fmt.Printf("           ACT %d (fast %d), PRE %d, REF %d, RELOC %d, RBM hops %d\n",
+	fmt.Printf("           ACT %d slow + %d fast, PRE %d, REF %d, RELOC %d, RBM hops %d\n",
 		res.DRAM.ACT, res.DRAM.ACTFast, res.DRAM.PRE, res.DRAM.REF, res.DRAM.RELOC, res.DRAM.RBMHops)
 	fmt.Printf("row buffer hit rate: %.1f%%\n", res.RowBufferHitRate()*100)
 	if res.CacheHits+res.CacheMisses > 0 {

@@ -1,22 +1,24 @@
 package cache
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"math/bits"
+	"slices"
 
 	"repro/internal/ev"
 )
 
-// Scheduler defers an event token by a number of CPU cycles. The system
-// simulator provides the implementation; it must also be able to
-// execute tokens (ev.Dispatcher), because a cache fill fires its
-// waiters synchronously instead of bouncing them through the queue.
-// Every After call a Cache issues uses the same delay, its lookup
-// latency, so its tokens become due in non-decreasing order: a
-// scheduler bound to one latency can queue them as a FIFO (see
-// NewHierarchy).
+// Scheduler defers a cache level's event tokens by its lookup latency.
+// The system simulator provides the implementation, bound to one level's
+// latency (see NewHierarchy), so every token a Cache hands it becomes
+// due in the order it was handed over and the scheduler can queue them
+// as a FIFO. It must also be able to execute tokens (ev.Dispatcher),
+// because a cache fill fires its waiters synchronously instead of
+// bouncing them through the queue.
 type Scheduler interface {
-	After(delay int64, tok ev.Token)
+	After(tok ev.Token)
 	ev.Dispatcher
 }
 
@@ -55,24 +57,29 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cache %s: set count must be a power of two", c.Name)
 	case c.BlockBytes&(c.BlockBytes-1) != 0:
 		return fmt.Errorf("cache %s: block bytes %d must be a power of two", c.Name, c.BlockBytes)
-	case c.BlockBytes < 1<<flagBits:
-		return fmt.Errorf("cache %s: block bytes %d leave no room for the %d line flag bits (minimum %d)",
-			c.Name, c.BlockBytes, flagBits, 1<<flagBits)
 	case c.Latency < 0 || c.MSHRs < 0:
 		return fmt.Errorf("cache %s: latency and MSHRs must be non-negative", c.Name)
 	}
 	return nil
 }
 
-// A way's tag word packs the line's tag above its two flag bits. The
-// tag is the block address shifted right by the set bits, so it is at
-// most 64-2 bits wide whenever a block spans at least four bytes, which
-// Validate requires: the shift left by flagBits loses nothing.
+// A way's 32-bit tag word packs the line's tag above its two flag bits.
+// The tag is the block address shifted right by the set bits, and
+// NewHierarchy refuses a memory whose addresses need a tag wider than
+// tagBits (see Config.Reach), so the shift left by flagBits loses
+// nothing.
 const (
 	lineValid = 1 << 0
 	lineDirty = 1 << 1
 	flagBits  = 2
+	tagBits   = 32 - flagBits
 )
+
+// Reach returns the bytes of address space the level's tags can name:
+// a set spans SizeBytes/Ways bytes of it per tag value. An address at or
+// above the reach would alias a lower one that shares its low tag bits.
+// Table 1's L1 (16 kB per way) reaches 16 TiB.
+func (c Config) Reach() uint64 { return uint64(c.SizeBytes/c.Ways) << tagBits }
 
 type mshr struct {
 	blockAddr uint64
@@ -88,10 +95,11 @@ type Cache struct {
 	// sets is the flat backing array of all sets: set i occupies
 	// sets[i*2*Ways:(i+1)*2*Ways], its Ways tag words (see lineValid)
 	// followed by its Ways LRU stamps, so a lookup's tag compares read
-	// one contiguous run of words. One pointer-free allocation: the GC
-	// never scans it, and construction is a single zeroed make — both
-	// matter when the harness builds thousands of short-lived systems.
-	sets    []uint64
+	// one contiguous run of 32-bit words. One pointer-free allocation:
+	// the GC never scans it, and construction is a single zeroed make —
+	// both matter when the harness builds thousands of short-lived
+	// systems, and the 8-core LLC's array alone is 2 MB.
+	sets    []uint32
 	setsN   uint64
 	setBits uint      // log2(setsN): the tag is the block address >> setBits
 	shift   uint      // log2(BlockBytes)
@@ -110,8 +118,9 @@ type Cache struct {
 	free   []*mshr // recycled MSHRs, fully re-initialized by newMSHR before reuse
 	// clock is the LRU clock. It advances only where a stamp is written
 	// (a hit or a fill), which keeps the stamps in write order, so a
-	// refused Access changes nothing.
-	clock  int64
+	// refused Access changes nothing. Before it would pass 2^32-1,
+	// renumber compacts every set's stamps (see tick).
+	clock  uint32
 	coreID int // reported downstream for per-core accounting
 
 	// Stats.
@@ -127,7 +136,7 @@ func New(cfg Config, next Backend, sched Scheduler, coreID int) (*Cache, error) 
 	setsN := cfg.SizeBytes / (cfg.Ways * cfg.BlockBytes)
 	c := &Cache{
 		cfg:     cfg,
-		sets:    make([]uint64, setsN*cfg.Ways*2),
+		sets:    make([]uint32, setsN*cfg.Ways*2),
 		setsN:   uint64(setsN),
 		setBits: uint(bits.TrailingZeros64(uint64(setsN))),
 		shift:   uint(bits.TrailingZeros64(uint64(cfg.BlockBytes))),
@@ -152,7 +161,7 @@ func (c *Cache) SetNodeID(id int32) { c.id = id }
 func (c *Cache) NodeID() int32 { return c.id }
 
 // set returns one cache set: its tag words, then its LRU stamps.
-func (c *Cache) set(idx uint64) []uint64 {
+func (c *Cache) set(idx uint64) []uint32 {
 	w := uint64(c.cfg.Ways) * 2
 	return c.sets[idx*w : idx*w+w]
 }
@@ -161,10 +170,47 @@ func (c *Cache) set(idx uint64) []uint64 {
 func (c *Cache) Config() Config { return c.cfg }
 
 // setAndKey returns the set an address maps to and the tag word a valid
-// line holding its block has, dirty bit clear.
-func (c *Cache) setAndKey(addr uint64) (setIdx uint64, key uint64) {
+// line holding its block has, dirty bit clear. The address must lie
+// below Config.Reach, or the tag loses its high bits.
+func (c *Cache) setAndKey(addr uint64) (setIdx uint64, key uint32) {
 	block := addr >> c.shift
-	return block & (c.setsN - 1), block>>c.setBits<<flagBits | lineValid
+	return block & (c.setsN - 1), uint32(block>>c.setBits)<<flagBits | lineValid
+}
+
+// tick advances the LRU clock and returns the stamp it reaches. When
+// the clock would pass 2^32-1 it first renumbers every set's stamps, so
+// stamps stay in write order within each set and no victim changes.
+func (c *Cache) tick() uint32 {
+	if c.clock == math.MaxUint32 {
+		c.renumber()
+	}
+	c.clock++
+	return c.clock
+}
+
+// renumber rewrites each set's valid stamps as 1..k in their current
+// order (ties, which only a restored snapshot can hold, in way order, as
+// Fill's victim scan breaks them) and restarts the clock at Ways, above
+// every stamp. Fill reads only the order of a set's stamps, so every
+// later victim is the one the unwrapped stamps would pick.
+func (c *Cache) renumber() {
+	ways := c.cfg.Ways
+	order := make([]int, 0, ways)
+	for s := uint64(0); s < c.setsN; s++ {
+		set := c.set(s)
+		tags, stamps := set[:ways], set[ways:]
+		order = order[:0]
+		for i, t := range tags {
+			if t&lineValid != 0 {
+				order = append(order, i)
+			}
+		}
+		slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(stamps[a], stamps[b]) })
+		for k, i := range order {
+			stamps[i] = uint32(k + 1)
+		}
+	}
+	c.clock = uint32(ways)
 }
 
 func (c *Cache) blockAddr(addr uint64) uint64 {
@@ -182,14 +228,13 @@ func (c *Cache) Access(addr uint64, isWrite bool, onDone ev.Token) bool {
 	for i, t := range set[:c.cfg.Ways] {
 		// One compare checks tag and valid bit together.
 		if t&^lineDirty == key {
-			c.clock++
-			set[c.cfg.Ways+i] = uint64(c.clock)
+			set[c.cfg.Ways+i] = c.tick()
 			if isWrite {
 				set[i] = t | lineDirty
 			}
 			c.Hits++
 			if !onDone.IsZero() {
-				c.sched.After(c.cfg.Latency, onDone)
+				c.sched.After(onDone)
 			}
 			return true
 		}
@@ -217,7 +262,7 @@ func (c *Cache) Access(addr uint64, isWrite bool, onDone ev.Token) bool {
 	}
 	c.addMSHR(m)
 	// Fetch after the lookup latency (miss detection time).
-	c.sched.After(c.cfg.Latency, ev.Token{Kind: ev.MSHRStart, ID: c.id, Arg: blk})
+	c.sched.After(ev.Token{Kind: ev.MSHRStart, ID: c.id, Arg: blk})
 	return true
 }
 
@@ -310,20 +355,19 @@ func (c *Cache) Fill(blk uint64) {
 			victim = i
 			break
 		}
-		if int64(stamps[i]) < int64(stamps[victim]) {
+		if stamps[i] < stamps[victim] {
 			victim = i
 		}
 	}
 	if old := tags[victim]; old&(lineValid|lineDirty) == lineValid|lineDirty {
-		victimAddr := (old>>flagBits<<c.setBits | setIdx) << c.shift
+		victimAddr := (uint64(old>>flagBits)<<c.setBits | setIdx) << c.shift
 		c.next.Request(victimAddr, true, c.coreID, ev.Token{})
 	}
-	c.clock++
 	m := c.removeMSHR(blk)
 	if m.markDirty {
 		key |= lineDirty
 	}
-	tags[victim], stamps[victim] = key, uint64(c.clock)
+	tags[victim], stamps[victim] = key, c.tick()
 	// Waiters fire directly instead of bouncing through the scheduler at
 	// zero delay: they only mark their own window entry (or upstream
 	// MSHR) complete, so their order relative to other same-cycle events

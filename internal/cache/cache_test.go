@@ -2,7 +2,10 @@ package cache
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
+	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"strings"
@@ -29,12 +32,23 @@ type tokEvent struct {
 	tok ev.Token
 }
 
-func (s *testSched) After(delay int64, tok ev.Token) {
+// after defers tok by delay cycles.
+func (s *testSched) after(delay int64, tok ev.Token) {
 	s.events = append(s.events, tokEvent{s.now + delay, tok})
 }
 
-// level is the NewHierarchy scheduler function: every level shares s.
-func (s *testSched) level(int64) Scheduler { return s }
+// level returns s as the Scheduler of a level with the given lookup
+// latency; it is the NewHierarchy scheduler function.
+func (s *testSched) level(latency int64) Scheduler { return levelSched{s, latency} }
+
+// levelSched is one level's view of a testSched: it defers every token
+// by the level's latency.
+type levelSched struct {
+	*testSched
+	latency int64
+}
+
+func (l levelSched) After(tok ev.Token) { l.after(l.latency, tok) }
 
 func (s *testSched) Dispatch(tok ev.Token, now int64) {
 	switch tok.Kind {
@@ -102,7 +116,7 @@ func (m *memStub) Request(addr uint64, isWrite bool, coreID int, onDone ev.Token
 	}
 	m.reads++
 	if !onDone.IsZero() {
-		m.sched.After(m.latency, onDone)
+		m.sched.after(m.latency, onDone)
 	}
 }
 
@@ -114,7 +128,7 @@ func newTestCache(t *testing.T, cfg Config) (*Cache, *memStub, *testSched) {
 	t.Helper()
 	s := &testSched{}
 	m := &memStub{sched: s, latency: 20}
-	c, err := New(cfg, m, s, 0)
+	c, err := New(cfg, m, s.level(cfg.Latency), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,12 +155,6 @@ func TestConfigValidate(t *testing.T) {
 	bad = Config{Name: "t", SizeBytes: 384, Ways: 2, BlockBytes: 48, Latency: 2}
 	if err := bad.Validate(); err == nil {
 		t.Error("accepted a non-power-of-two block size")
-	}
-	// 2-byte blocks leave one offset bit, too few for a line's valid and
-	// dirty flags beside its tag.
-	bad = Config{Name: "t", SizeBytes: 16, Ways: 2, BlockBytes: 2, Latency: 2}
-	if err := bad.Validate(); err == nil {
-		t.Error("accepted a block too small for the line flag bits")
 	}
 }
 
@@ -301,7 +309,7 @@ func TestWriteMergeIntoOutstandingFetchMarksDirty(t *testing.T) {
 func TestHierarchyPropagatesMisses(t *testing.T) {
 	s := &testSched{}
 	m := &memStub{sched: s, latency: 50}
-	h, err := NewHierarchy(DefaultHierarchyConfig(2), m, s.level)
+	h, err := NewHierarchy(DefaultHierarchyConfig(2), 8<<30, m, s.level)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,10 +345,36 @@ func TestHierarchyPropagatesMisses(t *testing.T) {
 	}
 }
 
+// TestHierarchyRefusesMemoryPastTagReach checks that NewHierarchy
+// builds Table 1's hierarchy over a memory its 30-bit tags reach — 16 TiB
+// for the L1, whose ways span the fewest bytes — and refuses one byte
+// more with an error naming the level and the bound, where two
+// addresses would share a line.
+func TestHierarchyRefusesMemoryPastTagReach(t *testing.T) {
+	cfg := DefaultHierarchyConfig(1)
+	for _, tc := range []struct {
+		level Config
+		reach uint64
+	}{{cfg.L1, 16 << 40}, {cfg.L2, 32 << 40}, {cfg.LLC, 128 << 40}} {
+		if got := tc.level.Reach(); got != tc.reach {
+			t.Errorf("%s reaches %d bytes, want %d", tc.level.Name, got, tc.reach)
+		}
+	}
+	s := &testSched{}
+	m := &memStub{sched: s}
+	if _, err := NewHierarchy(cfg, 16<<40, m, s.level); err != nil {
+		t.Fatalf("a 16 TiB memory: %v", err)
+	}
+	const want = "cache L1: 30-bit tags reach 17592186044416 bytes, short of the 17592186044417-byte memory"
+	if _, err := NewHierarchy(cfg, 16<<40+1, m, s.level); err == nil || err.Error() != want {
+		t.Errorf("a memory one byte past 16 TiB: error %v, want %q", err, want)
+	}
+}
+
 func TestLLCMPKI(t *testing.T) {
 	s := &testSched{}
 	m := &memStub{sched: s, latency: 10}
-	h, err := NewHierarchy(DefaultHierarchyConfig(1), m, s.level)
+	h, err := NewHierarchy(DefaultHierarchyConfig(1), 4<<30, m, s.level)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +394,7 @@ func TestPropertyCacheAccounting(t *testing.T) {
 	f := func(addrs []uint32) bool {
 		s := &testSched{}
 		m := &memStub{sched: s, latency: 5}
-		c, err := New(smallCfg(), m, s, 0)
+		c, err := New(smallCfg(), m, s.level(smallCfg().Latency), 0)
 		if err != nil {
 			return false
 		}
@@ -453,7 +487,7 @@ func (o *lineOracle) Access(addr uint64, isWrite bool, onDone ev.Token) bool {
 			}
 			o.Hits++
 			if !onDone.IsZero() {
-				o.sched.After(o.cfg.Latency, onDone)
+				o.sched.After(onDone)
 			}
 			return true
 		}
@@ -478,7 +512,7 @@ func (o *lineOracle) Access(addr uint64, isWrite bool, onDone ev.Token) bool {
 		m.waiters = append(m.waiters, onDone)
 	}
 	o.active = append(o.active, m)
-	o.sched.After(o.cfg.Latency, ev.Token{Kind: ev.MSHRStart, Arg: blk})
+	o.sched.After(ev.Token{Kind: ev.MSHRStart, Arg: blk})
 	return true
 }
 
@@ -571,8 +605,8 @@ func (l *traceLog) Request(addr uint64, isWrite bool, coreID int, onDone ev.Toke
 	l.log = append(l.log, fmt.Sprintf("request %#x write=%v %+v", addr, isWrite, onDone))
 }
 
-func (l *traceLog) After(delay int64, tok ev.Token) {
-	l.log = append(l.log, fmt.Sprintf("after %d %+v", delay, tok))
+func (l *traceLog) After(tok ev.Token) {
+	l.log = append(l.log, fmt.Sprintf("after %+v", tok))
 }
 
 func (l *traceLog) Dispatch(tok ev.Token, now int64) {
@@ -601,16 +635,80 @@ var diffConfigs = []Config{
 	{Name: "16way", SizeBytes: 4 * 16 * 64, Ways: 16, BlockBytes: 64, Latency: 38, MSHRs: 3},
 }
 
+// lruOrder lists, set by set, each valid way from the least to the most
+// recently used (ties in way order, as Fill breaks them) as
+// tag<<16 | way<<1 | dirty, closing each set with ^0: the state Fill's
+// victim choice and write-backs read, without the stamps' values.
+func lruOrder(sets uint64, ways int, line func(set uint64, way int) (tag uint64, valid, dirty bool, stamp int64)) []uint64 {
+	var out []uint64
+	order := make([]int, 0, ways)
+	stamps := make([]int64, ways)
+	for s := uint64(0); s < sets; s++ {
+		order = order[:0]
+		for w := 0; w < ways; w++ {
+			if _, valid, _, stamp := line(s, w); valid {
+				order = append(order, w)
+				stamps[w] = stamp
+			}
+		}
+		slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(stamps[a], stamps[b]) })
+		for _, w := range order {
+			tag, _, dirty, _ := line(s, w)
+			e := tag<<16 | uint64(w)<<1
+			if dirty {
+				e |= 1
+			}
+			out = append(out, e)
+		}
+		out = append(out, ^uint64(0))
+	}
+	return out
+}
+
+func (c *Cache) lruOrder() []uint64 {
+	return lruOrder(c.setsN, c.cfg.Ways, func(s uint64, w int) (uint64, bool, bool, int64) {
+		set := c.set(s)
+		t := set[w]
+		return uint64(t >> flagBits), t&lineValid != 0, t&lineDirty != 0, int64(set[c.cfg.Ways+w])
+	})
+}
+
+func (o *lineOracle) lruOrder() []uint64 {
+	return lruOrder(o.setsN, o.cfg.Ways, func(s uint64, w int) (uint64, bool, bool, int64) {
+		l := o.set(s)[w]
+		return l.tag, l.valid, l.dirty, l.lru
+	})
+}
+
+// sameMisses reports whether c holds the oracle's outstanding misses, in
+// the same order, and its hit and miss counts.
+func (o *lineOracle) sameMisses(c *Cache) bool {
+	if len(c.active) != len(o.active) || c.Hits != o.Hits || c.Misses != o.Misses {
+		return false
+	}
+	for i, m := range o.active {
+		a := c.active[i]
+		if a.blockAddr != m.blockAddr || a.markDirty != m.markDirty || !slices.Equal(a.waiters, m.waiters) {
+			return false
+		}
+	}
+	return true
+}
+
 // diffAgainstOracle decodes ops into a sequence of Access, CanAccept and
 // Fill calls, applies each to a Cache and to the line oracle built for
-// the same configuration, and fails on the first difference in a return
-// value, a downstream request (write-backs carry the victim's address),
-// a scheduled or dispatched token, or the Snapshot bytes (which hold
-// every way's tag, flags and LRU stamp, so they name the victim too),
-// and on any change to the Cache's Snapshot bytes across a refused
-// Access. It then restores the final snapshot into a fresh Cache and
-// requires the same bytes back.
-func diffAgainstOracle(t testing.TB, cfg Config, ops []byte) {
+// the same configuration, both with their LRU clocks at clock, and fails
+// on the first difference in a return value, a downstream request
+// (write-backs carry the victim's address) or a scheduled or dispatched
+// token; in the Snapshot bytes (which hold every way's tag, flags and
+// LRU stamp, so they name the victim too) while the two clocks agree,
+// and once a renumbering has split them, in the sets' LRU order, the
+// outstanding misses or the counters; and on any change to the Cache's
+// Snapshot bytes across a refused Access. It then restores the final
+// snapshot into a fresh Cache and requires the same bytes back. It
+// reports whether the oracle's clock passed 2^32-1, so the Cache
+// renumbered.
+func diffAgainstOracle(t testing.TB, cfg Config, ops []byte, clock uint32) (wrapped bool) {
 	t.Helper()
 	var gotLog, wantLog traceLog
 	c, err := New(cfg, &gotLog, &gotLog, 0)
@@ -618,16 +716,20 @@ func diffAgainstOracle(t testing.TB, cfg Config, ops []byte) {
 		t.Fatal(err)
 	}
 	o := newLineOracle(cfg, &wantLog, &wantLog)
+	c.clock, o.clock = clock, int64(clock)
+	// The top five bits of a block number just inside Config.Reach: the
+	// five top bits of the tag.
+	far := uint(bits.TrailingZeros64(cfg.Reach()/uint64(cfg.BlockBytes))) - 5
 	prev := snapshotBytes(t, c.Snapshot)
 	for n := 0; len(ops) >= 3; n++ {
 		op, v := ops[0], uint64(ops[1])|uint64(ops[2])<<8
 		ops = ops[3:]
 		// A small pool of blocks makes hits, merges and evictions
 		// common; the top bits of v move some blocks to the far end of
-		// the address space, where the tag is widest.
+		// the address space the tags reach, where the tag is widest.
 		block := v & 0x3ff
 		if v&0x8000 != 0 {
-			block |= (v >> 10 & 0x1f) << 53
+			block |= (v >> 10 & 0x1f) << far
 		}
 		addr := block<<6 | uint64(op>>3&63)
 		var tok ev.Token
@@ -663,8 +765,15 @@ func diffAgainstOracle(t testing.TB, cfg Config, ops []byte) {
 		}
 		gotLog.log, wantLog.log = gotLog.log[:0], wantLog.log[:0]
 		got := snapshotBytes(t, c.Snapshot)
-		if !bytes.Equal(got, snapshotBytes(t, o.Snapshot)) {
-			t.Fatalf("op %d: %s: snapshot bytes diverge from the line oracle's", n, what)
+		switch {
+		case int64(c.clock) == o.clock:
+			if !bytes.Equal(got, snapshotBytes(t, o.Snapshot)) {
+				t.Fatalf("op %d: %s: snapshot bytes diverge from the line oracle's", n, what)
+			}
+		case !slices.Equal(c.lruOrder(), o.lruOrder()):
+			t.Fatalf("op %d: %s: the sets' LRU order diverges from the line oracle's", n, what)
+		case !o.sameMisses(c):
+			t.Fatalf("op %d: %s: outstanding misses or counters diverge from the line oracle's", n, what)
 		}
 		if refused && !bytes.Equal(got, prev) {
 			t.Fatalf("op %d: refused %s changed the snapshot bytes", n, what)
@@ -690,6 +799,7 @@ func diffAgainstOracle(t testing.TB, cfg Config, ops []byte) {
 	if !bytes.Equal(snapshotBytes(t, fresh.Snapshot), snap) {
 		t.Fatal("a restored cache snapshots different bytes")
 	}
+	return o.clock > math.MaxUint32
 }
 
 // TestPackedSetsMatchLineOracle drives the packed cache and the line
@@ -702,7 +812,28 @@ func TestPackedSetsMatchLineOracle(t *testing.T) {
 			for run := 0; run < 20; run++ {
 				ops := make([]byte, 3*2000)
 				rng.Read(ops)
-				diffAgainstOracle(t, cfg, ops)
+				diffAgainstOracle(t, cfg, ops, 0)
+			}
+		})
+	}
+}
+
+// TestLRUClockWrapMatchesLineOracle starts the LRU clocks of the packed
+// cache and of the line oracle, whose clock is 64 bits wide, a few
+// hundred stamps below 2^32 and drives both through the same random
+// operations past the point where the cache renumbers its stamps: every
+// return value, downstream effect and set's LRU order must stay the
+// oracle's.
+func TestLRUClockWrapMatchesLineOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for _, cfg := range diffConfigs {
+		t.Run(cfg.Name, func(t *testing.T) {
+			for run := 0; run < 20; run++ {
+				ops := make([]byte, 3*2000)
+				rng.Read(ops)
+				if !diffAgainstOracle(t, cfg, ops, math.MaxUint32-uint32(rng.Intn(300))) {
+					t.Fatalf("run %d: the LRU clock never passed 2^32-1", run)
+				}
 			}
 		})
 	}
@@ -719,19 +850,22 @@ func FuzzPackedSetsMatchLineOracle(f *testing.F) {
 		if len(data) == 0 {
 			return
 		}
-		diffAgainstOracle(t, diffConfigs[int(data[0])%len(diffConfigs)], data[1:])
+		diffAgainstOracle(t, diffConfigs[int(data[0])%len(diffConfigs)], data[1:], 0)
 	})
 }
 
 // TestRestoreRejects checks that a hand-built cache section holding a
 // line index out of range or not ascending, a line tag wider than the
-// address space leaves room for, or an MSHR waiter token the caller's
-// check refuses, is a decode error, and that a well-formed one restores
-// its lines and leaves the unlisted ways invalid.
+// tag word's 30 bits, an LRU stamp or clock outside [0,2^32-1], or an
+// MSHR waiter token the caller's check refuses, is a decode error, and
+// that a well-formed one restores its lines and leaves the unlisted
+// ways invalid.
 func TestRestoreRejects(t *testing.T) {
-	cfg := smallCfg() // 8 sets of 2 ways, 64-byte blocks: tags of 64-6-3 bits
+	cfg := smallCfg() // 8 sets of 2 ways, 64-byte blocks: 30-bit tags
 	errBadTok := fmt.Errorf("no such core")
-	section := func(lines []int, tag uint64, waiter ev.Token) *fgss.Reader {
+	// section lists lines with the given tag and LRU stamps stamp,
+	// stamp+1, ..., then the clock and one MSHR with one waiter.
+	section := func(lines []int, tag uint64, stamp, clock int64, waiter ev.Token) *fgss.Reader {
 		var buf bytes.Buffer
 		w := fgss.NewWriter(&buf, 1, [32]byte{})
 		w.Begin(1)
@@ -740,10 +874,10 @@ func TestRestoreRejects(t *testing.T) {
 			w.Int(idx)
 			w.U64(tag)
 			w.Bool(false)
-			w.I64(int64(i + 1))
+			w.I64(stamp + int64(i))
 		}
-		w.I64(16) // clock
-		w.Int(1)  // one MSHR with one waiter
+		w.I64(clock)
+		w.Int(1) // one MSHR with one waiter
 		w.U64(0x40)
 		w.Bool(false)
 		w.Int(1)
@@ -782,20 +916,27 @@ func TestRestoreRejects(t *testing.T) {
 	}
 	good := ev.Token{Kind: ev.CoreSlot, Arg: 1}
 	lines := []int{0, 5, 15}
+	const top = math.MaxUint32 // the largest stamp and clock
 	for _, tc := range []struct {
-		name    string
-		lines   []int
-		tag     uint64
-		waiter  ev.Token
-		wantErr string
+		name         string
+		lines        []int
+		tag          uint64
+		stamp, clock int64
+		waiter       ev.Token
+		wantErr      string
 	}{
-		{"well-formed", lines, 1<<55 - 1, good, ""},
-		{"line past the cache", []int{0, 16}, 7, good, "line index 16 is outside [1,16)"},
-		{"negative line", []int{-1}, 7, good, "line index -1 is outside [0,16)"},
-		{"line repeated", []int{3, 3}, 7, good, "line index 3 is outside [4,16)"},
-		{"lines out of order", []int{5, 2}, 7, good, "line index 2 is outside [6,16)"},
-		{"tag too wide", lines, 1 << 55, good, "is wider than 55 bits"},
-		{"refused waiter", lines, 7, ev.Token{Kind: ev.CoreSlot, ID: 4, Arg: 1}, "no such core"},
+		{"well-formed", lines, 1<<30 - 1, 1, 16, good, ""},
+		{"stamps and clock at the top", lines, 7, top - 2, top, good, ""},
+		{"line past the cache", []int{0, 16}, 7, 1, 16, good, "line index 16 is outside [1,16)"},
+		{"negative line", []int{-1}, 7, 1, 16, good, "line index -1 is outside [0,16)"},
+		{"line repeated", []int{3, 3}, 7, 1, 16, good, "line index 3 is outside [4,16)"},
+		{"lines out of order", []int{5, 2}, 7, 1, 16, good, "line index 2 is outside [6,16)"},
+		{"tag too wide", lines, 1 << 30, 1, 16, good, "is wider than 30 bits"},
+		{"stamp past 32 bits", lines, 7, top - 1, top, good, "line 15 LRU stamp 4294967296 is outside [0,2^32-1]"},
+		{"negative stamp", lines, 7, -1, 16, good, "line 0 LRU stamp -1 is outside [0,2^32-1]"},
+		{"clock past 32 bits", lines, 7, 1, top + 1, good, "LRU clock 4294967296 is outside [0,2^32-1]"},
+		{"negative clock", lines, 7, 1, -1, good, "LRU clock -1 is outside [0,2^32-1]"},
+		{"refused waiter", lines, 7, 1, 16, ev.Token{Kind: ev.CoreSlot, ID: 4, Arg: 1}, "no such core"},
 	} {
 		c, _, _ := newTestCache(t, cfg)
 		// Fill every way first: the restore must invalidate the ways the
@@ -807,7 +948,7 @@ func TestRestoreRejects(t *testing.T) {
 		if n := validWays(c); n != 16 {
 			t.Fatalf("%s: setup filled %d of 16 ways", tc.name, n)
 		}
-		r := section(tc.lines, tc.tag, tc.waiter)
+		r := section(tc.lines, tc.tag, tc.stamp, tc.clock, tc.waiter)
 		c.Restore(r, check)
 		r.EndSection()
 		err := r.Close()

@@ -35,14 +35,26 @@ type Hierarchy struct {
 	nodes []*Cache // topology registry, fixed at construction
 }
 
-// NewHierarchy builds the hierarchy on top of mem. Each level takes
-// the scheduler sched returns for its lookup latency, in construction
-// order: the LLC's, then each core's L2's and L1's. sched may hand the
-// same scheduler to every level with one latency, because tokens from
-// several caches at one delay still become due in schedule order.
-func NewHierarchy(cfg HierarchyConfig, mem Backend, sched func(latency int64) Scheduler) (*Hierarchy, error) {
+// NewHierarchy builds the hierarchy on top of mem, a memory of memBytes
+// bytes. Before it builds anything it refuses a memory that some
+// level's tags cannot reach (Config.Reach), where two addresses would
+// share a line. Each level takes the scheduler sched returns for its
+// lookup latency, in construction order: the LLC's, then each core's
+// L2's and L1's. sched may hand the same scheduler to every level with
+// one latency, because tokens from several caches at one delay still
+// become due in schedule order.
+func NewHierarchy(cfg HierarchyConfig, memBytes uint64, mem Backend, sched func(latency int64) Scheduler) (*Hierarchy, error) {
 	if cfg.Cores <= 0 {
 		return nil, fmt.Errorf("cache: cores must be positive, got %d", cfg.Cores)
+	}
+	for _, l := range []Config{cfg.L1, cfg.L2, cfg.LLC} {
+		if err := l.Validate(); err != nil {
+			return nil, err
+		}
+		if reach := l.Reach(); memBytes > reach {
+			return nil, fmt.Errorf("cache %s: %d-bit tags reach %d bytes, short of the %d-byte memory",
+				l.Name, tagBits, reach, memBytes)
+		}
 	}
 	llc, err := New(cfg.LLC, mem, sched(cfg.LLC.Latency), -1)
 	if err != nil {

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math"
+	"math/bits"
 
 	"repro/internal/ev"
 	"repro/internal/fgss"
@@ -35,12 +36,12 @@ func (c *Cache) Snapshot(w *fgss.Writer) {
 				continue
 			}
 			w.Int(int(s)*ways + i)
-			w.U64(t >> flagBits)
+			w.U64(uint64(t >> flagBits))
 			w.Bool(t&lineDirty != 0)
 			w.I64(int64(set[ways+i]))
 		}
 	}
-	w.I64(c.clock)
+	w.I64(int64(c.clock))
 	snapMSHR := func(m *mshr) {
 		w.U64(m.blockAddr)
 		w.Bool(m.markDirty)
@@ -62,16 +63,17 @@ func (c *Cache) Snapshot(w *fgss.Writer) {
 // outstanding misses are recycled to the free list, then the
 // snapshotted set is rebuilt through the normal allocation path. The
 // bytes come from disk, so a line index outside the cache or not above
-// the previous one, a tag wider than an address leaves room for, and a
-// waiter token that names no core or cache node of this System, are
-// decode errors (fgss.Reader.Reject), not a wrong block address or a
-// panic at dispatch; checkTok decides which tokens a waiter list may
-// hold.
+// the previous one, a tag wider than the tag word's 30 bits (or than a
+// 64-bit address leaves room for), an LRU stamp or clock outside
+// [0, 2^32-1], and a waiter token that names no core or cache node of
+// this System, are decode errors (fgss.Reader.Reject), not a wrong block
+// address, a truncated stamp or a panic at dispatch; checkTok decides
+// which tokens a waiter list may hold.
 func (c *Cache) Restore(r *fgss.Reader, checkTok func(ev.Token) error) {
 	clear(c.sets)
 	ways := c.cfg.Ways
 	lines := int(c.setsN) * ways
-	maxTag := ^uint64(0) >> (c.shift + c.setBits)
+	maxTag := min(uint64(1)<<tagBits-1, ^uint64(0)>>(c.shift+c.setBits))
 	n := r.Len(lines, "cache "+c.cfg.Name+": valid lines")
 	for i, prev := 0, -1; i < n && r.Err() == nil; i++ {
 		idx, tag, dirty, lru := r.Int(), r.U64(), r.Bool(), r.I64()
@@ -83,18 +85,27 @@ func (c *Cache) Restore(r *fgss.Reader, checkTok func(ev.Token) error) {
 			return
 		}
 		if tag > maxTag {
-			r.Reject("cache %s: line %d tag %#x is wider than %d bits", c.cfg.Name, idx, tag, 64-c.shift-c.setBits)
+			r.Reject("cache %s: line %d tag %#x is wider than %d bits", c.cfg.Name, idx, tag, bits.Len64(maxTag))
+			return
+		}
+		if lru < 0 || lru > math.MaxUint32 {
+			r.Reject("cache %s: line %d LRU stamp %d is outside [0,2^32-1]", c.cfg.Name, idx, lru)
 			return
 		}
 		prev = idx
-		t := tag<<flagBits | lineValid
+		t := uint32(tag)<<flagBits | lineValid
 		if dirty {
 			t |= lineDirty
 		}
 		set, way := c.set(uint64(idx/ways)), idx%ways
-		set[way], set[ways+way] = t, uint64(lru)
+		set[way], set[ways+way] = t, uint32(lru)
 	}
-	c.clock = r.I64()
+	clock := r.I64()
+	if r.Err() == nil && (clock < 0 || clock > math.MaxUint32) {
+		r.Reject("cache %s: LRU clock %d is outside [0,2^32-1]", c.cfg.Name, clock)
+		return
+	}
+	c.clock = uint32(clock)
 	for i, m := range c.active {
 		m.waiters = m.waiters[:0]
 		c.free = append(c.free, m)

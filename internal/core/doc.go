@@ -16,7 +16,12 @@
 //     replacement policy (Section 5). The FTS finds a tag's slot through
 //     an open-addressing table of twice the slot count (linear probing,
 //     backward-shift deletion), so every tag it holds must be unique; a
-//     bank's planned insertions are a short sorted slice.
+//     bank's planned insertions are a short sorted slice. A tag is 32
+//     bits (source row above an 8-bit segment index, rows per bank at
+//     most 2^24 by FIGCacheConfig.Validate) and an FTS entry 16 bytes.
+//     One FIGCache covers a channel's banks and cuts their tag stores'
+//     entries, index tables and reserved bitmaps from one backing array
+//     per kind; only a threshold above 1 gives a bank miss counters.
 //
 //   - LISA-VILLA (lisa.go): the state-of-the-art in-DRAM cache baseline the
 //     paper compares against — whole-row caching into 16 fast subarrays
@@ -30,9 +35,11 @@
 // FIGCache.Snapshot/Restore and LISAVilla.Snapshot/Restore
 // (snapshot.go) serialize the tag stores, replacement state, and hot
 // counters for the system checkpoint lifecycle (sim.System.Snapshot).
-// FTS.Restore rejects a valid tag held by two slots and a reserved slot
-// out of range or listed twice; FIGCache.Restore rejects planned
-// insertions out of ascending order. Both caches' CheckPlan lets a
+// FTS.Restore rejects a valid tag held by two slots, a tag at or above
+// 2^32 and a reserved slot out of range or listed twice;
+// FIGCache.Restore rejects planned insertions and miss counters out of
+// ascending order or keyed at or above 2^32, and miss counters on a
+// threshold-1 cache, which keeps none. Both caches' CheckPlan lets a
 // restoring controller refuse a deferred plan whose commit payload names
 // no bank or slot of the cache.
 package core

@@ -73,6 +73,9 @@ func (c FIGCacheConfig) Validate(geo dram.Geometry) error {
 		// The RowBenefit policy marks a draining row's segments in one
 		// 64-bit word.
 		return fmt.Errorf("core: %d segments per row exceed the 64 a row's eviction mask holds", geo.BlocksPerRow()/c.SegmentBlocks)
+	case geo.RowsPerBank() > maxSegRows:
+		// A segment's tag holds its source row in 24 bits (segKey).
+		return fmt.Errorf("core: %d rows per bank exceed the %d a segment tag can name", geo.RowsPerBank(), maxSegRows)
 	case c.CacheRowsPerBank <= 0:
 		return fmt.Errorf("core: cache rows per bank must be positive, got %d", c.CacheRowsPerBank)
 	case c.InsertThreshold <= 0:
@@ -91,7 +94,7 @@ type FIGCache struct {
 	cfg FIGCacheConfig
 	geo dram.Geometry
 
-	banks []*bankCache
+	banks []bankCache
 
 	// plan is the scratch the next Insert returns a pointer to; per the
 	// CacheHook contract the controller copies it before the call after.
@@ -109,9 +112,10 @@ type FIGCache struct {
 
 type bankCache struct {
 	fts  *FTS
-	repl *replacer
+	repl replacer
 	// missCounts tracks per-segment consecutive misses for threshold
-	// insertion policies (threshold > 1). Cleared on insertion.
+	// insertion policies; nil under insert-any-miss (threshold 1), which
+	// never counts. Cleared on insertion.
 	missCounts map[segKey]int
 	// inflight lists, in ascending order, the segments whose insertion
 	// the controller has planned but not yet executed (the relocation
@@ -122,25 +126,29 @@ type bankCache struct {
 	inflight []segKey
 }
 
-// NewFIGCache builds a FIGCache over the channel geometry.
+// NewFIGCache builds a FIGCache over the channel geometry. Its banks'
+// tag stores share one backing array per kind (newFTSs), and the bank
+// records, replacers included, sit in one slice, so a channel's cache
+// costs a handful of allocations however many banks it covers.
 func NewFIGCache(cfg FIGCacheConfig, geo dram.Geometry) (*FIGCache, error) {
 	if err := cfg.Validate(geo); err != nil {
 		return nil, err
 	}
 	segsPerRow := geo.BlocksPerRow() / cfg.SegmentBlocks
-	c := &FIGCache{cfg: cfg, geo: geo}
 	nBanks := geo.Ranks * geo.BanksPerRank()
-	for i := 0; i < nBanks; i++ {
-		fts, err := NewFTS(cfg.CacheRowsPerBank*segsPerRow, segsPerRow)
-		if err != nil {
-			return nil, err
-		}
+	ftss, err := newFTSs(nBanks, cfg.CacheRowsPerBank*segsPerRow, segsPerRow)
+	if err != nil {
+		return nil, err
+	}
+	c := &FIGCache{cfg: cfg, geo: geo, banks: make([]bankCache, nBanks)}
+	for i := range c.banks {
+		b := &c.banks[i]
+		b.fts = &ftss[i]
 		// Bank i's Random policy draws from seed i+1.
-		c.banks = append(c.banks, &bankCache{
-			fts:        fts,
-			repl:       newReplacer(cfg.Replacement, 1+uint64(i)),
-			missCounts: make(map[segKey]int),
-		})
+		b.repl = *newReplacer(cfg.Replacement, 1+uint64(i))
+		if cfg.InsertThreshold > 1 {
+			b.missCounts = make(map[segKey]int)
+		}
 	}
 	return c, nil
 }
@@ -169,7 +177,7 @@ func (c *FIGCache) cacheLoc(orig dram.Location, fts *FTS, slot, blockInSeg int) 
 
 // Lookup implements memctrl.CacheHook: FTS lookup for every request.
 func (c *FIGCache) Lookup(loc dram.Location, isWrite bool) (dram.Location, bool) {
-	bank := c.banks[loc.BankID(c.geo)]
+	bank := &c.banks[loc.BankID(c.geo)]
 	seg := c.segOf(loc.Block)
 	slot, hit := bank.fts.Lookup(loc.Row, seg, isWrite)
 	if !hit {
@@ -191,7 +199,7 @@ func (c *FIGCache) ShouldInsert(loc dram.Location) bool {
 	if c.cfg.InsertThreshold == 1 {
 		return true
 	}
-	bank := c.banks[loc.BankID(c.geo)]
+	bank := &c.banks[loc.BankID(c.geo)]
 	key := makeSegKey(loc.Row, c.segOf(loc.Block))
 	bank.missCounts[key]++
 	if bank.missCounts[key] >= c.cfg.InsertThreshold {
@@ -210,7 +218,7 @@ func (c *FIGCache) ShouldInsert(loc dram.Location) bool {
 // plan's Commit when the controller executes the relocation, so requests
 // arriving while the source row remains open keep hitting it.
 func (c *FIGCache) Insert(ch *dram.Channel, loc dram.Location, now int64) *memctrl.RelocPlan {
-	bank := c.banks[loc.BankID(c.geo)]
+	bank := &c.banks[loc.BankID(c.geo)]
 	seg := c.segOf(loc.Block)
 	key := makeSegKey(loc.Row, seg)
 	at, planned := slices.BinarySearch(bank.inflight, key)
@@ -266,7 +274,7 @@ func (c *FIGCache) Insert(ch *dram.Channel, loc dram.Location, now int64) *memct
 // returned, clearing its reservation. Called by the controller when the
 // relocation executes.
 func (c *FIGCache) Commit(p *memctrl.RelocPlan) {
-	bank := c.banks[p.CommitBank]
+	bank := &c.banks[p.CommitBank]
 	if at, ok := slices.BinarySearch(bank.inflight, makeSegKey(p.CommitRow, p.CommitSeg)); ok {
 		bank.inflight = slices.Delete(bank.inflight, at, at+1)
 	}

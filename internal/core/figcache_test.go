@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -65,6 +66,18 @@ func TestFIGCacheConfigValidate(t *testing.T) {
 		if err := cfg.Validate(geo); err == nil {
 			t.Errorf("case %d: accepted invalid config %+v", i, cfg)
 		}
+	}
+	// A segment tag holds its source row in 24 bits: a bank of 2^24 rows
+	// fits, one more subarray does not.
+	big := geo
+	big.SubarraysPerBank = 1 << 24 / geo.RowsPerSubarray
+	if err := DefaultFIGCacheConfig().Validate(big); err != nil {
+		t.Errorf("2^24 rows per bank: %v", err)
+	}
+	big.SubarraysPerBank++
+	want := fmt.Sprintf("core: %d rows per bank exceed the 16777216 a segment tag can name", big.RowsPerBank())
+	if err := DefaultFIGCacheConfig().Validate(big); err == nil || err.Error() != want {
+		t.Errorf("%d rows per bank: error %v, want %q", big.RowsPerBank(), err, want)
 	}
 }
 

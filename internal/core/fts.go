@@ -6,18 +6,24 @@ import (
 )
 
 // segKey uniquely identifies a row segment within one bank: the source
-// row and the segment index within that row. It is the "tag (original
-// address)" field of an FTS entry (Figure 6).
-type segKey uint64
+// row above the segment index within that row. It is the "tag (original
+// address)" field of an FTS entry (Figure 6). FIGCacheConfig.Validate
+// keeps rows below 2^24 and segments below 2^8, so a key fits 32 bits.
+type segKey uint32
 
-func makeSegKey(row, seg int) segKey { return segKey(uint64(row)<<8 | uint64(seg)) }
+const (
+	segBits    = 8
+	maxSegRows = 1 << (32 - segBits) // rows per bank a segKey can name
+)
 
-func (k segKey) row() int { return int(k >> 8) }
-func (k segKey) seg() int { return int(k & 0xff) }
+func makeSegKey(row, seg int) segKey { return segKey(uint32(row)<<segBits | uint32(seg)) }
+
+func (k segKey) row() int { return int(k >> segBits) }
+func (k segKey) seg() int { return int(k & (1<<segBits - 1)) }
 
 // ftsEntry is one entry of the FIGCache tag store: the tag of the cached
 // segment, valid and dirty bits, and the saturating benefit counter used
-// by the replacement policy (Section 5.1).
+// by the replacement policy (Section 5.1). 16 bytes.
 type ftsEntry struct {
 	key     segKey
 	valid   bool
@@ -65,18 +71,39 @@ const benefitMax = 1<<5 - 1
 // NewFTS builds a tag store with slots entries and segsPerRow slots per
 // cache row.
 func NewFTS(slots, segsPerRow int) (*FTS, error) {
+	fs, err := newFTSs(1, slots, segsPerRow)
+	if err != nil {
+		return nil, err
+	}
+	return &fs[0], nil
+}
+
+// newFTSs builds n tag stores of slots entries each, segsPerRow slots to
+// a cache row. The stores' entries, index arrays and reserved bitmaps
+// are cut from one backing array apiece, so n stores cost five
+// allocations, not four per store: a channel's FIGCache builds one store
+// per bank.
+func newFTSs(n, slots, segsPerRow int) ([]FTS, error) {
 	if slots <= 0 || segsPerRow <= 0 || slots%segsPerRow != 0 {
 		return nil, fmt.Errorf("core: slots (%d) must be a positive multiple of segsPerRow (%d)", slots, segsPerRow)
 	}
 	size := 1 << bits.Len(uint(2*slots-1))
-	return &FTS{
-		entries:    make([]ftsEntry, slots),
-		idxKey:     make([]segKey, size),
-		idxSlot:    make([]int32, size),
-		idxShift:   uint(64 - bits.TrailingZeros(uint(size))),
-		segsPerRow: segsPerRow,
-		reserved:   make([]bool, slots),
-	}, nil
+	entries := make([]ftsEntry, n*slots)
+	idxKey := make([]segKey, n*size)
+	idxSlot := make([]int32, n*size)
+	reserved := make([]bool, n*slots)
+	fs := make([]FTS, n)
+	for i := range fs {
+		fs[i] = FTS{
+			entries:    entries[i*slots : (i+1)*slots : (i+1)*slots],
+			idxKey:     idxKey[i*size : (i+1)*size : (i+1)*size],
+			idxSlot:    idxSlot[i*size : (i+1)*size : (i+1)*size],
+			idxShift:   uint(64 - bits.TrailingZeros(uint(size))),
+			segsPerRow: segsPerRow,
+			reserved:   reserved[i*slots : (i+1)*slots : (i+1)*slots],
+		}
+	}
+	return fs, nil
 }
 
 // home returns the index cell a key's probe run starts at (Fibonacci

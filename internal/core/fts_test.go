@@ -91,7 +91,7 @@ func TestFTSIndexMatchesMap(t *testing.T) {
 // slotTag is one valid entry of a hand-built tag store section.
 type slotTag struct {
 	slot int
-	key  segKey
+	key  uint64 // a segKey, or a wider value no segKey holds
 }
 
 // ftsSection writes a tag store section: the valid entries in the order
@@ -104,7 +104,7 @@ func ftsSection(t *testing.T, tags []slotTag, benefit uint64, reserved []int) *f
 	w.Int(len(tags))
 	for _, st := range tags {
 		w.Int(st.slot)
-		w.U64(uint64(st.key))
+		w.U64(st.key)
 		w.Bool(false)
 		w.U64(benefit)
 		w.I64(0)
@@ -129,13 +129,14 @@ func ftsSection(t *testing.T, tags []slotTag, benefit uint64, reserved []int) *f
 }
 
 // TestFTSRestoreRejects checks that a tag store snapshot listing a
-// valid slot outside the store or out of ascending order, a benefit
-// above the 5-bit counter's 31, a reserved slot outside the store,
-// listed twice or out of ascending order, or one valid tag in two slots
-// is a decode error, while a well-formed one restores its entries into
-// a store whose other slots come back invalid.
+// valid slot outside the store or out of ascending order, a tag at or
+// above 2^32, a benefit above the 5-bit counter's 31, a reserved slot
+// outside the store, listed twice or out of ascending order, or one
+// valid tag in two slots is a decode error, while a well-formed one
+// restores its entries into a store whose other slots come back
+// invalid.
 func TestFTSRestoreRejects(t *testing.T) {
-	a, b := makeSegKey(100, 3), makeSegKey(200, 1)
+	a, b := uint64(makeSegKey(100, 3)), uint64(makeSegKey(200, 1))
 	cases := []struct {
 		name     string
 		tags     []slotTag
@@ -154,6 +155,7 @@ func TestFTSRestoreRejects(t *testing.T) {
 		{name: "negative reserved slot", reserved: []int{-1}, wantErr: "reserved slot -1"},
 		{name: "reserved slot listed twice", reserved: []int{3, 3}, wantErr: "reserved slot 3"},
 		{name: "valid tag in two slots", tags: []slotTag{{2, a}, {9, a}}, wantErr: "both hold row 100 segment 3"},
+		{name: "tag past 32 bits", tags: []slotTag{{0, a}, {1, 1<<32 | a}}, wantErr: "FTS tag 0x100006403 is not below 2^32"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -175,7 +177,7 @@ func TestFTSRestoreRejects(t *testing.T) {
 					t.Fatalf("restore: %v", err)
 				}
 				for _, st := range tc.tags {
-					k := st.key
+					k := segKey(st.key)
 					if got, hit := f.Lookup(k.row(), k.seg(), false); !hit || got != st.slot {
 						t.Errorf("Lookup(%d, %d) = (%d, %v), want slot %d", k.row(), k.seg(), got, hit, st.slot)
 					}
@@ -230,8 +232,8 @@ func TestFIGCacheRestoreRejectsUnsortedInflight(t *testing.T) {
 
 // figSection writes a FIGCache section as Snapshot does, except that
 // bank's miss counters are the given keys, in the given order, each
-// counting 1.
-func figSection(t *testing.T, fc *FIGCache, bank int, keys []segKey) *fgss.Reader {
+// counting 1, and its in-flight insertions the given list.
+func figSection(t *testing.T, fc *FIGCache, bank int, keys, inflight []uint64) *fgss.Reader {
 	t.Helper()
 	var buf bytes.Buffer
 	w := fgss.NewWriter(&buf, 1, [32]byte{})
@@ -240,16 +242,20 @@ func figSection(t *testing.T, fc *FIGCache, bank int, keys []segKey) *fgss.Reade
 	for i, b := range fc.banks {
 		b.fts.Snapshot(w)
 		b.repl.snapshot(w)
-		if i == bank {
-			w.Int(len(keys))
-			for _, k := range keys {
-				w.U64(uint64(k))
-				w.Int(1)
-			}
-		} else {
-			w.Int(0)
+		if i != bank {
+			w.Int(0) // miss counters
+			w.Int(0) // in-flight insertions
+			continue
 		}
-		w.Int(0) // in-flight insertions
+		w.Int(len(keys))
+		for _, k := range keys {
+			w.U64(k)
+			w.Int(1)
+		}
+		w.Int(len(inflight))
+		for _, k := range inflight {
+			w.U64(k)
+		}
 	}
 	for i := 0; i < 4; i++ {
 		w.I64(0) // Insertions, Evictions, WriteBacks, ThrottledBy
@@ -266,27 +272,56 @@ func figSection(t *testing.T, fc *FIGCache, bank int, keys []segKey) *fgss.Reade
 	return r
 }
 
-// TestFIGCacheRestoreRejectsUnsortedMissCounters checks that miss
-// counters not in the strictly ascending key order Snapshot writes them
-// in — swapped, or one key listed twice — are a decode error, and that
+// TestFIGCacheRestoreRejectsUnsortedMissCounters checks that, on a cache
+// that inserts after two misses, miss counters not in the strictly
+// ascending key order Snapshot writes them in — swapped, or one key
+// listed twice — or keyed at or above 2^32 are a decode error, and that
 // ascending ones restore.
 func TestFIGCacheRestoreRejectsUnsortedMissCounters(t *testing.T) {
-	lo, hi := makeSegKey(4, 0), makeSegKey(9, 2)
+	lo, hi := uint64(makeSegKey(4, 0)), uint64(makeSegKey(9, 2))
 	for _, tc := range []struct {
-		keys    []segKey
+		keys    []uint64
 		wantErr string
 	}{
-		{[]segKey{lo, hi}, ""},
-		{[]segKey{hi, lo}, "miss counters 2306 and 1024 are not in ascending order"},
-		{[]segKey{lo, lo}, "miss counters 1024 and 1024 are not in ascending order"},
+		{[]uint64{lo, hi}, ""},
+		{[]uint64{hi, lo}, "miss counters 2306 and 1024 are not in ascending order"},
+		{[]uint64{lo, lo}, "miss counters 1024 and 1024 are not in ascending order"},
+		{[]uint64{lo, 1 << 32}, "miss counter tag 0x100000000 is not below 2^32"},
 	} {
-		fc, _ := newTestFIGCache(t, nil)
-		r := figSection(t, fc, 3, tc.keys)
+		fc, _ := newTestFIGCache(t, func(c *FIGCacheConfig) { c.InsertThreshold = 2 })
+		r := figSection(t, fc, 3, tc.keys, nil)
 		fc.Restore(r)
 		r.EndSection()
 		err := r.Close()
 		if (err == nil) != (tc.wantErr == "") || err != nil && !strings.Contains(err.Error(), tc.wantErr) {
 			t.Errorf("miss counters %v: restore error = %v, want %q", tc.keys, err, tc.wantErr)
+		}
+	}
+}
+
+// TestFIGCacheRestoreRejectsWhatSnapshotNeverWrites checks that a
+// section a FIGCache's Snapshot could not have written is a decode
+// error: miss counters on an insert-any-miss cache, which counts none
+// and keeps no counter map, and an in-flight insertion keyed at or
+// above 2^32.
+func TestFIGCacheRestoreRejectsWhatSnapshotNeverWrites(t *testing.T) {
+	key := uint64(makeSegKey(4, 0))
+	for _, tc := range []struct {
+		name           string
+		keys, inflight []uint64
+		wantErr        string
+	}{
+		{"well-formed", nil, []uint64{key}, ""},
+		{"miss counters at threshold 1", []uint64{key}, nil, "bank 3 lists 1 miss counters, but threshold 1 counts none"},
+		{"in-flight tag past 32 bits", nil, []uint64{key, 1<<32 | key}, "in-flight insertion tag 0x100000400 is not below 2^32"},
+	} {
+		fc, _ := newTestFIGCache(t, nil)
+		r := figSection(t, fc, 3, tc.keys, tc.inflight)
+		fc.Restore(r)
+		r.EndSection()
+		err := r.Close()
+		if (err == nil) != (tc.wantErr == "") || err != nil && !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("%s: restore error = %v, want %q", tc.name, err, tc.wantErr)
 		}
 	}
 }

@@ -10,7 +10,7 @@ import (
 // sortedKeys returns a map's keys in ascending order, so snapshot
 // output is byte-identical across runs regardless of map iteration
 // order.
-func sortedKeys[K ~int | ~uint64, V any](m map[K]V) []K {
+func sortedKeys[K ~int | ~uint32, V any](m map[K]V) []K {
 	keys := make([]K, 0, len(m))
 	//fglint:deterministic keys are sorted before use
 	for k := range m {
@@ -56,13 +56,24 @@ func (f *FTS) Snapshot(w *fgss.Writer) {
 	w.I64(f.Misses)
 }
 
+// readSegKey reads a segment tag, rejecting one at or above 2^32, which
+// no segKey holds.
+func readSegKey(r *fgss.Reader, what string) segKey {
+	k := r.U64()
+	if k > math.MaxUint32 && r.Err() == nil {
+		r.Reject("core: %s %#x is not below 2^32", what, k)
+	}
+	return segKey(k)
+}
+
 // Restore reads back what Snapshot wrote and rebuilds the tag index.
 // Every slot is zeroed first, so the slots the snapshot does not list
 // come back invalid. The bytes come from disk, so a slot out of range
-// or not above the previous one, a valid tag held by two slots, a
-// benefit above the counter's saturation value, and a reserved slot out
-// of range or not above the previous one, are decode errors
-// (fgss.Reader.Reject) rather than a corrupt index or a panic.
+// or not above the previous one, a tag at or above 2^32, a valid tag
+// held by two slots, a benefit above the counter's saturation value,
+// and a reserved slot out of range or not above the previous one, are
+// decode errors (fgss.Reader.Reject) rather than a corrupt index or a
+// panic.
 func (f *FTS) Restore(r *fgss.Reader) {
 	clear(f.entries)
 	clear(f.idxKey)
@@ -71,7 +82,7 @@ func (f *FTS) Restore(r *fgss.Reader) {
 	n := r.Len(slots, "core: FTS valid slots")
 	for i, prev := 0, -1; i < n && r.Err() == nil; i++ {
 		slot := r.Int()
-		key, dirty, benefit, lastUse := segKey(r.U64()), r.Bool(), r.U64(), r.I64()
+		key, dirty, benefit, lastUse := readSegKey(r, "FTS tag"), r.Bool(), r.U64(), r.I64()
 		if r.Err() != nil {
 			return
 		}
@@ -155,19 +166,26 @@ func (c *FIGCache) Snapshot(w *fgss.Writer) {
 
 // Restore reads back what Snapshot wrote. The receiver must be built
 // from the same configuration (another bank count is a decode error).
-// Miss counters and in-flight insertions not in the strictly ascending
-// order Snapshot writes them in are decode errors too.
+// Miss counters under insert-any-miss (threshold 1), which counts none,
+// segment tags at or above 2^32, and miss counters and in-flight
+// insertions not in the strictly ascending order Snapshot writes them
+// in, are decode errors too.
 func (c *FIGCache) Restore(r *fgss.Reader) {
 	if !r.Expect(len(c.banks), "core: FIGCache banks") {
 		return
 	}
-	for _, b := range c.banks {
+	for bank := range c.banks {
+		b := &c.banks[bank]
 		b.fts.Restore(r)
 		b.repl.restore(r)
 		clear(b.missCounts)
 		n := r.Len(math.MaxInt, "core: FIGCache miss counters")
+		if n > 0 && b.missCounts == nil && r.Err() == nil {
+			r.Reject("core: bank %d lists %d miss counters, but threshold 1 counts none", bank, n)
+			return
+		}
 		for i, prev := 0, segKey(0); i < n && r.Err() == nil; i++ {
-			k := segKey(r.U64())
+			k := readSegKey(r, "miss counter tag")
 			if i > 0 && k <= prev {
 				r.Reject("core: miss counters %d and %d are not in ascending order", prev, k)
 				return
@@ -178,7 +196,7 @@ func (c *FIGCache) Restore(r *fgss.Reader) {
 		b.inflight = b.inflight[:0]
 		n = r.Len(math.MaxInt, "core: FIGCache in-flight insertions")
 		for i := 0; i < n && r.Err() == nil; i++ {
-			k := segKey(r.U64())
+			k := readSegKey(r, "in-flight insertion tag")
 			if last := len(b.inflight) - 1; last >= 0 && b.inflight[last] >= k {
 				r.Reject("core: in-flight insertions %d and %d are not in ascending order", b.inflight[last], k)
 				return

@@ -12,7 +12,8 @@ import (
 
 // sched is a minimal event scheduler and token dispatcher shared by the
 // test fixtures: MSHR tokens route to the single L1 under test, core-slot
-// tokens to the single core.
+// tokens to the single core. As the L1's scheduler it defers tokens by
+// the L1's lookup latency.
 type sched struct {
 	now       int64
 	events    []tokEvent
@@ -26,9 +27,12 @@ type tokEvent struct {
 	tok ev.Token
 }
 
-func (s *sched) After(delay int64, tok ev.Token) {
+// after defers tok by delay cycles.
+func (s *sched) after(delay int64, tok ev.Token) {
 	s.events = append(s.events, tokEvent{s.now + delay, tok})
 }
+
+func (s *sched) After(tok ev.Token) { s.after(s.l1.Config().Latency, tok) }
 
 func (s *sched) Dispatch(tok ev.Token, now int64) {
 	switch tok.Kind {
@@ -66,7 +70,7 @@ func (m *fixedMem) Request(addr uint64, isWrite bool, coreID int, onDone ev.Toke
 	if onDone.IsZero() {
 		return
 	}
-	m.s.After(m.latency, onDone)
+	m.s.after(m.latency, onDone)
 }
 
 // sliceTrace replays a fixed set of records, looping forever.

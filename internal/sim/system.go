@@ -96,6 +96,24 @@ func New(cfg Config) (*System, error) {
 	}
 	s.mapper = mapper
 
+	// A read's data ends tCL + tBL after its column command on every
+	// subarray (fast ones shorten only tRCD, tRP and tRAS), so the memory
+	// lane has a fixed delay too. It is registered before the cache
+	// levels' lanes and fires first.
+	memLane := s.events.newLane(int64(slow.ReadLatency()) * cpuPerBus)
+	s.busSched = func(at int64, tok ev.Token) {
+		s.events.schedule(memLane, at*cpuPerBus, tok)
+	}
+	// The hierarchy comes before the channels: it refuses a memory its
+	// tags cannot reach before anything sized by the channel count is
+	// built.
+	s.adapter = &memAdapter{sys: s}
+	hier, err := cache.NewHierarchy(cfg.hierarchyConfig(), uint64(mapper.TotalBytes()), s.adapter, s.levelScheduler)
+	if err != nil {
+		return nil, err
+	}
+	s.hier = hier
+
 	for ch := 0; ch < cfg.Channels; ch++ {
 		channel, err := dram.NewChannel(geo, slow, fast, allFast)
 		if err != nil {
@@ -110,11 +128,8 @@ func New(cfg Config) (*System, error) {
 		s.ctrls = append(s.ctrls, memctrl.NewController(ch, memctrl.Config{ImmediateReloc: cfg.ImmediateReloc}, channel, hook))
 	}
 
-	s.adapter = &memAdapter{
-		sys:      s,
-		blocked:  make([]bool, cfg.Channels),
-		enqueued: make([]bool, cfg.Channels),
-	}
+	s.adapter.blocked = make([]bool, cfg.Channels)
+	s.adapter.enqueued = make([]bool, cfg.Channels)
 	// Seed the request pool to its structural bound — every controller
 	// queue slot full plus a drain buffer's worth in flight — so the pool
 	// never grows mid-run: high-water-mark creep under bursty relocation
@@ -128,19 +143,6 @@ func New(cfg Config) (*System, error) {
 	for _, ctrl := range s.ctrls {
 		ctrl.Release = s.adapter.release
 	}
-	// A read's data ends tCL + tBL after its column command on every
-	// subarray (fast ones shorten only tRCD, tRP and tRAS), so the memory
-	// lane has a fixed delay too. It is registered before the cache
-	// levels' lanes and fires first.
-	memLane := s.events.newLane(int64(slow.ReadLatency()) * cpuPerBus)
-	s.busSched = func(at int64, tok ev.Token) {
-		s.events.schedule(memLane, at*cpuPerBus, tok)
-	}
-	hier, err := cache.NewHierarchy(cfg.hierarchyConfig(), s.adapter, s.levelScheduler)
-	if err != nil {
-		return nil, err
-	}
-	s.hier = hier
 
 	if err := s.initCores(); err != nil {
 		return nil, err
@@ -310,15 +312,17 @@ func (s *System) levelScheduler(latency int64) cache.Scheduler {
 	return sched
 }
 
-// laneScheduler defers callbacks onto one FIFO lane of the system's event
-// queue.
+// laneScheduler defers tokens onto one FIFO lane of the system's event
+// queue, each due the lane's delay after the current cycle: the clock
+// never goes back, so the lane's due times never do either.
 type laneScheduler struct {
 	sys  *System
 	lane int
 }
 
-func (l *laneScheduler) After(delay int64, tok ev.Token) {
-	l.sys.events.schedule(l.lane, l.sys.clock+delay, tok)
+func (l *laneScheduler) After(tok ev.Token) {
+	q := &l.sys.events
+	q.schedule(l.lane, l.sys.clock+q.lanes[l.lane].delay, tok)
 }
 
 // Dispatch forwards token execution, a fill's waiters among them, to

@@ -4,8 +4,11 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"os"
+	"os/exec"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/workload"
@@ -210,12 +213,34 @@ func TestAwakeSetOneWord(t *testing.T) {
 	}
 }
 
+// allocCountEnv marks a child test process that counts allocations for
+// TestNewRefusesPastOneWord; see there.
+const allocCountEnv = "SIM_TEST_ALLOC_CHILD"
+
+// fewestAllocs returns the fewest allocations one call of f made over
+// calls calls. Under the race detector sync.Pool drops a quarter of the
+// values put back into it, at random, so fmt, which pools its printers,
+// now and then allocates a fresh one; the fewest over many calls is the
+// count of a call that found its printer pooled, while an allocation
+// every call makes still counts.
+func fewestAllocs(calls int, f func()) float64 {
+	fewest := math.Inf(1)
+	for i := 0; i < calls; i++ {
+		fewest = min(fewest, testing.AllocsPerRun(1, f))
+	}
+	return fewest
+}
+
 // TestNewRefusesPastOneWord checks that New refuses a mix of more cores
 // than the skip engine's one-word core sets hold, with an error naming
 // the bound, before it allocates anything: no more than normalize's
 // error. A 128-core System would also need a 256 MB LLC (2 MB per core
 // with a power-of-two set count), and its dense run of 300 instructions
-// per core did not finish in ten minutes.
+// per core did not finish in ten minutes. testing.AllocsPerRun counts
+// the whole process's allocations, so a goroutine another test left
+// behind could land in a count; the test therefore re-runs itself alone
+// in a child process, which takes both counts (see fewestAllocs for the
+// race detector's share).
 func TestNewRefusesPastOneWord(t *testing.T) {
 	spec, err := workload.ByName("mcf")
 	if err != nil {
@@ -230,8 +255,18 @@ func TestNewRefusesPastOneWord(t *testing.T) {
 	if _, err := New(cfg); err == nil || err.Error() != want {
 		t.Fatalf("New error = %v, want %q", err, want)
 	}
-	newAllocs := testing.AllocsPerRun(10, func() { New(cfg) })
-	errAllocs := testing.AllocsPerRun(10, func() {
+	if os.Getenv(allocCountEnv) == "" {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestNewRefusesPastOneWord$", "-test.count=1", "-test.v")
+		// A race-enabled binary sleeps a second at exit unless told not to.
+		cmd.Env = append(os.Environ(), allocCountEnv+"=1", "GORACE="+os.Getenv("GORACE")+" atexit_sleep_ms=0")
+		out, err := cmd.CombinedOutput()
+		if err != nil || !strings.Contains(string(out), "--- PASS: TestNewRefusesPastOneWord") {
+			t.Fatalf("counting allocations in a child process: %v\n%s", err, out)
+		}
+		return
+	}
+	newAllocs := fewestAllocs(50, func() { New(cfg) })
+	errAllocs := fewestAllocs(50, func() {
 		c := cfg
 		c.normalize()
 	})
