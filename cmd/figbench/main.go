@@ -12,10 +12,10 @@
 // fig14 fig15 sec42 sec83 multithreaded ablation custom
 //
 // The custom experiment runs user-supplied workloads — anything figsim's
-// -workload flag accepts, including recorded traces — through the exact
-// pipeline that renders the paper's figures:
+// -workload flag accepts — through the exact pipeline that renders the
+// paper's figures:
 //
-//	figbench -workload trace:mcf.trc,mix-100-0 custom
+//	figbench -workload mcf,mix-100-0 custom
 //
 // The instruction budget trades fidelity for runtime; the shipped default
 // reproduces the paper's qualitative shapes in minutes on one machine.
@@ -62,7 +62,7 @@ func main() {
 	par := flag.Int("parallel", 0, "concurrent simulations (0 = GOMAXPROCS)")
 	cacheDir := flag.String("cache-dir", "", "persistent result cache directory (empty = in-memory only)")
 	force := flag.Bool("force", false, "recompute cached runs and rewrite the persistent cache")
-	customWl := flag.String("workload", "", "comma-separated workloads for the custom experiment (benchmarks, mixes, mt-<app>, trace:FILE)")
+	customWl := flag.String("workload", "", "comma-separated workloads for the custom experiment (benchmarks, mixes, mt-<app>)")
 	worker := flag.String("worker", "", "serve a figserve coordinator at this base URL instead of running locally (scale and experiments come from the coordinator)")
 	workerID := flag.String("worker-id", "", "worker name in coordinator logs (default: host-pid)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file (inspect with go tool pprof)")
@@ -229,6 +229,6 @@ func splitList(s string) []string {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage: figbench [flags] <experiment>...
 experiments: all table1 table2 fig5 fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14 fig15 sec42 sec83 multithreaded ablation custom
-(custom runs the workloads named by -workload, e.g. -workload trace:mcf.trc,mix-100-0 custom)`)
+(custom runs the workloads named by -workload, e.g. -workload mcf,mix-100-0 custom)`)
 	flag.PrintDefaults()
 }

@@ -1,15 +1,12 @@
 // Command figsim runs one simulated system configuration on one workload
 // and prints its statistics: the quickest way to inspect a single run.
 // Workloads are anything the workload package resolves: Table-2
-// benchmarks, eight-core mixes, multithreaded applications, or recorded
-// binary traces ("trace:FILE", see tracegen -o). Trace replay is
-// deterministic — two runs of the same trace print identical statistics.
+// benchmarks, eight-core mixes, or multithreaded applications.
 //
 // Usage:
 //
 //	figsim -preset FIGCache-Fast -workload mcf -insts 400000
 //	figsim -preset Base -workload mix-100-0 -insts 200000
-//	figsim -preset FIGCache-Fast -workload trace:mcf.trc
 //	figsim -list
 //
 // Checkpoint/restore: -checkpoint-at N pauses the run once N
@@ -44,7 +41,7 @@ func main() {
 	preset := flag.String("preset", "FIGCache-Fast",
 		"configuration: Base, LISA-VILLA, FIGCache-Slow, FIGCache-Fast, FIGCache-Ideal, LL-DRAM")
 	wl := flag.String("workload", "mcf",
-		"benchmark name (single-core), mix name like mix-100-0 (eight-core), mt-<app> (multithreaded), or trace:FILE (recorded trace)")
+		"benchmark name (single-core), mix name like mix-100-0 (eight-core), or mt-<app> (multithreaded)")
 	insts := flag.Int64("insts", 400_000, "per-core instruction target")
 	seed := flag.Uint64("seed", 1, "trace generation seed")
 	list := flag.Bool("list", false, "list available presets and workloads, then exit")
@@ -192,10 +189,8 @@ func findWorkload(name string) (workload.Mix, bool, error) {
 	if err == nil {
 		return mix, shared, nil
 	}
-	if !strings.HasPrefix(name, "trace:") {
-		if s := workload.Suggest(name, workload.MixNames()); s != "" {
-			return workload.Mix{}, false, fmt.Errorf("unknown workload %q — did you mean %q? (try -list)", name, s)
-		}
+	if s := workload.Suggest(name, workload.MixNames()); s != "" {
+		return workload.Mix{}, false, fmt.Errorf("unknown workload %q — did you mean %q? (try -list)", name, s)
 	}
 	return workload.Mix{}, false, fmt.Errorf("%v (try -list)", err)
 }
@@ -221,8 +216,6 @@ func printCatalog() {
 	for _, m := range workload.MultithreadedWorkloads() {
 		fmt.Printf("  mt-%s\n", m.Name)
 	}
-	fmt.Println("recorded traces:")
-	fmt.Println("  trace:FILE    replay a binary trace recorded with tracegen -o FILE")
 }
 
 func printResult(cfg sim.Config, res sim.Result) {

@@ -1,14 +1,10 @@
-// Command tracegen emits synthetic benchmark traces — as text ("<bubbles>
-// <hex addr> R|W", one record per line) for inspection, or as the compact
-// versioned binary trace format (-o) that figsim and figbench replay with
-// "-workload trace:FILE". It also decodes binary traces back to text
-// (-dump), so the two formats can be diffed record for record.
+// Command tracegen emits synthetic benchmark traces as text ("<bubbles>
+// <hex addr> R|W", one record per line) for inspecting the workload
+// model, or summarizes them (-stats).
 //
 // Usage:
 //
 //	tracegen -bench mcf -n 1000 -seed 1          # text to stdout
-//	tracegen -bench mcf -n 200000 -o mcf.trc     # record a binary trace
-//	tracegen -dump mcf.trc                       # binary back to text
 //	tracegen -bench mcf -n 100000 -stats         # workload summary
 package main
 
@@ -28,8 +24,6 @@ func main() {
 	seed := flag.Uint64("seed", 1, "generator seed")
 	base := flag.Uint64("base", 0, "address window base")
 	stats := flag.Bool("stats", false, "print a summary instead of records")
-	out := flag.String("o", "", "record a binary trace to this file instead of printing text")
-	dump := flag.String("dump", "", "decode a binary trace file to text and exit (ignores generator flags)")
 	flag.Parse()
 
 	if args := flag.Args(); len(args) > 0 {
@@ -38,27 +32,8 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *dump != "" {
-		if err := dumpTrace(*dump); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
 	if *n <= 0 {
 		fmt.Fprintf(os.Stderr, "tracegen: -n must be positive, got %d\n", *n)
-		usage()
-		os.Exit(2)
-	}
-	if *out != "" && *stats {
-		fmt.Fprintln(os.Stderr, "tracegen: -stats and -o are mutually exclusive")
-		usage()
-		os.Exit(2)
-	}
-	if *out != "" && *base != 0 {
-		// The binary header records the span only; a nonzero base would
-		// bake a rotation into the addresses that replay cannot undo.
-		fmt.Fprintln(os.Stderr, "tracegen: -o records address-window-relative traces; use -base 0 (the default)")
 		usage()
 		os.Exit(2)
 	}
@@ -71,66 +46,20 @@ func main() {
 		fatal(err)
 	}
 
-	switch {
-	case *out != "":
-		if err := record(gen, *out, *n); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("recorded %d %s records (span %d bytes) to %s\n", *n, spec.Name, gen.Span(), *out)
-	case *stats:
+	if *stats {
 		printStats(spec, gen, *n)
-	default:
-		w := bufio.NewWriter(os.Stdout)
-		defer w.Flush()
-		for i := 0; i < *n; i++ {
-			fmt.Fprintln(w, workload.FormatTextRecord(gen.Next()))
-		}
-	}
-}
-
-// record writes n generator records as a binary trace file.
-func record(gen *workload.Generator, path string, n int) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	tw, err := workload.NewTraceWriter(f, gen.Span(), uint64(n))
-	if err != nil {
-		f.Close()
-		return err
-	}
-	for i := 0; i < n; i++ {
-		if err := tw.Write(gen.Next()); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	if err := tw.Close(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// dumpTrace decodes a binary trace to the text format, line by line — by
-// construction the exact text tracegen would have printed for the same
-// records, so text and binary outputs diff clean.
-func dumpTrace(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	s, err := workload.NewTraceScanner(bufio.NewReader(f))
-	if err != nil {
-		return err
+		return
 	}
 	w := bufio.NewWriter(os.Stdout)
 	defer w.Flush()
-	for s.Scan() {
-		fmt.Fprintln(w, workload.FormatTextRecord(s.Record()))
+	for i := 0; i < *n; i++ {
+		rec := gen.Next()
+		kind := "R"
+		if rec.IsWrite {
+			kind = "W"
+		}
+		fmt.Fprintf(w, "%d %#x %s\n", rec.Bubbles, rec.Addr, kind)
 	}
-	return s.Err()
 }
 
 func printStats(spec workload.BenchSpec, gen *workload.Generator, n int) {
@@ -159,8 +88,7 @@ func printStats(spec workload.BenchSpec, gen *workload.Generator, n int) {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: tracegen [-bench NAME] [-n N] [-seed S] [-base B] [-stats | -o FILE]
-       tracegen -dump FILE`)
+	fmt.Fprintln(os.Stderr, "usage: tracegen [-bench NAME] [-n N] [-seed S] [-base B] [-stats]")
 	flag.PrintDefaults()
 }
 

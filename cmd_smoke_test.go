@@ -13,10 +13,8 @@ import (
 
 // TestCommandsSmoke builds the cmd/* binaries and drives their
 // user-facing contracts end to end: catalog listing, workload stats,
-// input validation, the record→replay loop (byte-identical statistics on
-// a second replay — the determinism promise the trace format makes), the
-// text↔binary round trip, and a figserve fleet of figbench workers,
-// including a coordinator restarted over a partial directory.
+// input validation, checkpoint/restore, and a figserve fleet of figbench
+// workers, including a coordinator restarted over a partial directory.
 func TestCommandsSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping command execution in -short mode")
@@ -56,10 +54,13 @@ func TestCommandsSmoke(t *testing.T) {
 	t.Run("figsim-list", func(t *testing.T) {
 		t.Parallel()
 		out := mustRun(t, "figsim", "-list")
-		for _, want := range []string{"presets:", "FIGCache-Fast", "mix-100-0", "mt-canneal", "trace:FILE"} {
+		for _, want := range []string{"presets:", "FIGCache-Fast", "mix-100-0", "mt-canneal"} {
 			if !strings.Contains(out, want) {
 				t.Errorf("figsim -list missing %q:\n%s", want, out)
 			}
+		}
+		if strings.Contains(out, "trace:") {
+			t.Errorf("figsim -list advertises trace replay:\n%s", out)
 		}
 	})
 
@@ -71,6 +72,9 @@ func TestCommandsSmoke(t *testing.T) {
 		}
 		if !strings.Contains(out, `did you mean "mix-100-0"`) {
 			t.Errorf("no suggestion for typo'd mix name:\n%s", out)
+		}
+		if out, err := run(t, "figsim", "-workload", "trace:x.trc", "-insts", "1000"); err == nil {
+			t.Errorf("figsim accepted a trace: workload:\n%s", out)
 		}
 	})
 
@@ -92,8 +96,6 @@ func TestCommandsSmoke(t *testing.T) {
 			{"-no-such-flag"},
 			{"unexpected-positional"},
 			{"-bench", "nosuch"},
-			{"-stats", "-o", "conflict.trc"},
-			{"-base", "4096", "-o", "rebased.trc"},
 		} {
 			out, err := run(t, "tracegen", args...)
 			if err == nil {
@@ -104,21 +106,6 @@ func TestCommandsSmoke(t *testing.T) {
 		out, _ := run(t, "tracegen", "-n", "0")
 		if !strings.Contains(out, "usage:") || !strings.Contains(out, "-n must be positive") {
 			t.Errorf("tracegen -n 0 printed no usage message:\n%s", out)
-		}
-	})
-
-	t.Run("record-replay-deterministic", func(t *testing.T) {
-		t.Parallel()
-		trc := filepath.Join(workDir, "smoke-mcf.trc")
-		mustRun(t, "tracegen", "-bench", "mcf", "-n", "20000", "-o", trc)
-		args := []string{"-preset", "FIGCache-Fast", "-workload", "trace:" + trc, "-insts", "10000"}
-		first := mustRun(t, "figsim", args...)
-		second := mustRun(t, "figsim", args...)
-		if first != second {
-			t.Errorf("two replays of one trace printed different statistics:\n--- first\n%s\n--- second\n%s", first, second)
-		}
-		if !strings.Contains(first, "trace:") {
-			t.Errorf("replay output does not name the trace workload:\n%s", first)
 		}
 	})
 
@@ -151,20 +138,9 @@ func TestCommandsSmoke(t *testing.T) {
 		}
 	})
 
-	t.Run("text-binary-round-trip", func(t *testing.T) {
-		t.Parallel()
-		trc := filepath.Join(workDir, "smoke-rt.trc")
-		text := mustRun(t, "tracegen", "-bench", "gcc", "-n", "2000", "-seed", "7")
-		mustRun(t, "tracegen", "-bench", "gcc", "-n", "2000", "-seed", "7", "-o", trc)
-		dump := mustRun(t, "tracegen", "-dump", trc)
-		if !bytes.Equal([]byte(text), []byte(dump)) {
-			t.Error("text output and binary dump of the same generation differ")
-		}
-	})
-
 	t.Run("figbench-workload-needs-custom", func(t *testing.T) {
 		t.Parallel()
-		out, err := run(t, "figbench", "-workload", "trace:whatever.trc", "table1")
+		out, err := run(t, "figbench", "-workload", "mcf", "table1")
 		if err == nil {
 			t.Fatalf("figbench silently ignored -workload without the custom experiment:\n%s", out)
 		}

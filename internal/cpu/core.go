@@ -18,8 +18,8 @@ type TraceRecord struct {
 }
 
 // TraceReader supplies an endless instruction trace and checkpoints its
-// position in it; the generators and replayers of internal/workload
-// implement it deterministically.
+// position in it; internal/workload's generator implements it
+// deterministically.
 type TraceReader interface {
 	Next() TraceRecord
 	Snapshot(*fgss.Writer)

@@ -86,9 +86,8 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReaderRejectsHeader mirrors the FGTR corrupt-trace suite for the
-// snapshot container: every header defense refuses with a message that
-// names the problem.
+// TestReaderRejectsHeader checks every header defense of the snapshot
+// container refuses with a message that names the problem.
 func TestReaderRejectsHeader(t *testing.T) {
 	fp := testFingerprint()
 	img := encode(t, 3, fp)

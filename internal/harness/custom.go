@@ -9,8 +9,8 @@ import (
 )
 
 // CustomWorkload is one user-supplied workload for the custom experiment:
-// any mix the workload package can resolve — synthetic benchmarks, mix
-// names, multithreaded applications, or recorded traces ("trace:PATH").
+// any mix the workload package can resolve — benchmarks, mix names, or
+// multithreaded applications.
 type CustomWorkload struct {
 	Mix workload.Mix
 	// Shared makes all cores address one window (multithreaded apps).
@@ -34,8 +34,7 @@ func ParseCustomWorkloads(names []string) ([]CustomWorkload, error) {
 // Custom runs every evaluated preset over user-supplied workloads and
 // tabulates IPC and weighted speedup over Base — the same pipeline (and
 // result cache, and fingerprints) that produces the paper's figures,
-// pointed at workloads the paper never shipped: recorded traces,
-// adversarial mixes, cross-tool corpora. Rows keep the order the
+// pointed at the workloads the user names. Rows keep the order the
 // workloads were given in.
 func (r *Runner) Custom(workloads []CustomWorkload) (*stats.Table, error) {
 	if len(workloads) == 0 {
@@ -69,6 +68,6 @@ func (r *Runner) Custom(workloads []CustomWorkload) (*stats.Table, error) {
 		}
 		t.AddRow(row...)
 	}
-	t.AddNote("speedups are weighted per core against the Base run of the same workload; recorded traces replay deterministically")
+	t.AddNote("speedups are weighted per core against the Base run of the same workload")
 	return t, nil
 }

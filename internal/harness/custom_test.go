@@ -1,59 +1,19 @@
 package harness
 
 import (
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
 
 	"repro/internal/stats"
-	"repro/internal/workload"
 )
 
-// recordTestTrace writes a small mcf-derived binary trace file.
-func recordTestTrace(t *testing.T, dir string) string {
-	t.Helper()
-	spec, err := workload.ByName("mcf")
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec.FootprintBytes = 64 << 20
-	spec.HotSegments = 2048
-	gen, err := workload.NewGenerator(spec, 3, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, "custom.trc")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	const n = 1_000
-	tw, err := workload.NewTraceWriter(f, gen.Span(), n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		if err := tw.Write(gen.Next()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := tw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-// TestCustomTraceWorkload runs the custom experiment over a recorded
-// trace and a synthetic benchmark through the standard pipeline, and
-// checks the trace rows render and the whole table is reproducible.
-func TestCustomTraceWorkload(t *testing.T) {
+// TestCustomNamedWorkloads runs the custom experiment over two named
+// benchmarks through the standard pipeline, and checks their rows render
+// in the order given and the whole table is reproducible.
+func TestCustomNamedWorkloads(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation matrix in -short mode")
 	}
-	path := recordTestTrace(t, t.TempDir())
-	ws, err := ParseCustomWorkloads([]string{"trace:" + path, "gcc"})
+	ws, err := ParseCustomWorkloads([]string{"mcf", "gcc"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,15 +23,11 @@ func TestCustomTraceWorkload(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := tab.Render()
-	if !strings.Contains(out, "trace:custom.trc") || !strings.Contains(out, "gcc") {
-		t.Fatalf("custom table missing workload rows:\n%s", out)
-	}
-	if len(tab.Rows) != 2 {
-		t.Fatalf("custom rows = %d, want 2:\n%s", len(tab.Rows), out)
+	if len(tab.Rows) != 2 || tab.Rows[0][0] != "mcf" || tab.Rows[1][0] != "gcc" {
+		t.Fatalf("custom rows are not mcf then gcc:\n%s", out)
 	}
 
-	// A second runner over the same inputs renders identical bytes —
-	// recorded-trace replay is deterministic through the whole harness.
+	// A second runner over the same inputs renders identical bytes.
 	tab2, err := quickRunner().Custom(ws)
 	if err != nil {
 		t.Fatal(err)
@@ -91,12 +47,9 @@ func TestCustomRejectsEmptyAndUnknown(t *testing.T) {
 }
 
 // TestCustomEnumerates checks the custom experiment participates in
-// plan-only job enumeration without running any simulation: trace-backed
-// jobs are fingerprinted from cached content hashes, no replayer is
-// constructed.
+// plan-only job enumeration without running any simulation.
 func TestCustomEnumerates(t *testing.T) {
-	path := recordTestTrace(t, t.TempDir())
-	ws, err := ParseCustomWorkloads([]string{"trace:" + path})
+	ws, err := ParseCustomWorkloads([]string{"mcf"})
 	if err != nil {
 		t.Fatal(err)
 	}

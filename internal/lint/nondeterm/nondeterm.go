@@ -6,9 +6,8 @@
 // enter through harness and cmd, and all randomness must flow from
 // seeded, run-owned generators (workload generators, stats.Reservoir).
 //
-// A call that provably cannot affect results (e.g. an mtime freshness
-// check on a cached file read) may carry a trailing (or directly
-// preceding) annotation:
+// A call that provably cannot affect results may carry a trailing (or
+// directly preceding) annotation:
 //
 //	//fglint:deterministic <why this cannot affect results>
 package nondeterm

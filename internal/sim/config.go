@@ -55,8 +55,8 @@ func Presets() []Preset {
 // Config describes one simulation run.
 type Config struct {
 	Preset Preset
-	// Mix assigns one workload source per core — a synthetic benchmark
-	// generator or a recorded trace (see workload.Source).
+	// Mix assigns one workload source per core, a synthetic benchmark
+	// generator (see workload.Source).
 	Mix workload.Mix
 	// Channels: Table 1 uses 1 channel for single-core and 4 for
 	// eight-core runs. Zero selects that default.

@@ -121,26 +121,6 @@ func TestEngineEquivalence(t *testing.T) {
 		tc{name: "FIGCache-Fast/sjeng", cfg: DefaultConfig(FIGCacheFast, smallMix(t, "sjeng")), insts: 60_000},
 	)
 
-	// Recorded-trace replay must satisfy the same equivalence contract as
-	// the synthetic generator: dense, skipping, checkpointed and sliced
-	// runs all bit-identical. The trace is shorter than the run consumes,
-	// so the looping replay path is exercised too.
-	traceDir := t.TempDir()
-	tracePath := recordTrace(t, traceDir, "equiv.trc", "mcf", 1_500, 3)
-	for _, p := range []Preset{Base, FIGCacheFast} {
-		cases = append(cases, tc{
-			name:  p.String() + "/trace",
-			cfg:   DefaultConfig(p, workload.Mix{Name: "trace-equiv", Apps: []workload.Source{workload.TraceSource(tracePath)}}),
-			insts: 20_000,
-		})
-	}
-	// A heterogeneous mix — one synthetic core, one replayed core — pins
-	// that the two source kinds coexist in one system.
-	mixed := workload.Mix{Name: "mixed-sources", Apps: []workload.Source{
-		workload.SynthSource(smallMix(t, "gcc").Apps[0].Synth),
-		workload.TraceSource(tracePath),
-	}}
-	cases = append(cases, tc{name: "Base/mixed-sources", cfg: DefaultConfig(Base, mixed), insts: 8_000})
 	// One core over four channels: the one-core loop ticking several
 	// controllers, in its memory-only loop too.
 	fourChan := DefaultConfig(FIGCacheFast, smallMix(t, "mcf"))

@@ -55,13 +55,9 @@ func (c Config) Fingerprint() Fingerprint {
 	for _, a := range norm.Mix.Apps {
 		// Every workload-source parameter: two mixes that differ only in
 		// a spec field (sensitivity studies mutate them) must not collide.
-		// Synthetic sources serialize the exact pre-Source line layout, so
-		// results cached before the Source refactor stay addressable;
-		// trace sources serialize their *content* hash (sha256 of the
-		// trace file, cached by workload.LoadTrace), so a run's identity
-		// moves exactly when the replayed records can change — never with
-		// a rename or copy of the file. Pinned by
-		// TestFingerprintGoldenSynthetic and TestFingerprintTraceContent.
+		// Sources serialize the exact pre-Source line layout, so results
+		// cached before the Source refactor stay addressable. Pinned by
+		// TestFingerprintGoldenSynthetic.
 		a.WriteCanonical(h)
 	}
 	if f := norm.FIG; f != nil {

@@ -23,6 +23,41 @@ func TestFingerprintDeterministic(t *testing.T) {
 	}
 }
 
+// TestFingerprintGoldenSynthetic pins the exact fingerprints of three
+// representative synthetic configurations to the values the
+// pre-workload.Source implementation computed. These hashes are the
+// on-disk identities of every previously cached synthetic result: if
+// this test fails, the refactor you are making orphans existing result
+// caches, which is only acceptable together with a sim.EngineVersion
+// bump (and then these constants must be re-pinned).
+func TestFingerprintGoldenSynthetic(t *testing.T) {
+	mcf, err := workload.ByName("mcf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	single := DefaultConfig(FIGCacheFast, workload.Mix{Name: "mcf", Apps: workload.Sources(mcf), IntensivePercent: 100})
+	single.TargetInsts = 20_000
+	eight := DefaultConfig(Base, workload.EightCoreMixes()[0])
+	eight.TargetInsts = 5_000
+	mt := DefaultConfig(LISAVilla, workload.MultithreadedWorkloads()[0])
+	mt.SharedFootprint = true
+
+	golden := []struct {
+		name string
+		cfg  Config
+		want string
+	}{
+		{"single", single, "ba153cdb4573acad00593b7047af729533c9bb0c6fec0ac3c098a1b324f121c2"},
+		{"eight", eight, "fa2a9ec55498df7929c5f29315440ff409cd1f046e12a14893ab0fe78234e0b0"},
+		{"multithreaded", mt, "cf3cbeac2cac91b6675da78172f847daa9278d2c1bd49f0a0592bb872819a082"},
+	}
+	for _, g := range golden {
+		if got := g.cfg.Fingerprint().String(); got != g.want {
+			t.Errorf("%s fingerprint drifted:\n got  %s\n want %s\n(cached synthetic results are orphaned; see comment above)", g.name, got, g.want)
+		}
+	}
+}
+
 // TestFingerprintNormalizes checks that implicit defaults and their
 // explicit spellings share an identity: a zero Channels field and the
 // normalized value must not cache-split the same run.

@@ -239,15 +239,12 @@ func (s *System) wakeAll() {
 // bit returns core i's bit in a core set; i < 64 (Config.normalize).
 func bit(i int) uint64 { return 1 << (i & 63) }
 
-// initCores builds the per-core trace readers and cores for s.cfg. Cores get equal disjoint address windows
-// (or one shared window for multithreaded workloads). Each workload
-// source resolves into a cpu.TraceReader through workload.Source.Open:
-// synthetic specs scatter their footprint across the whole window
-// (mimicking OS page placement across banks and subarrays), recorded
-// traces replay their stream rebased into the window. Trace files are
-// read here — compute time — not during planning or fingerprinting of
-// the synthetic parts (the loaded trace bytes are cached and immutable,
-// so every System replaying a file opens the same stream).
+// initCores builds the per-core trace generators and cores for s.cfg.
+// Cores get equal disjoint address windows (or one shared window for
+// multithreaded workloads). Each workload source opens a generator
+// through workload.Source.Open, which scatters the spec's footprint
+// across the whole window (mimicking OS page placement across banks and
+// subarrays).
 func (s *System) initCores() error {
 	cfg := s.cfg
 	geo := cfg.geometry()
@@ -260,10 +257,7 @@ func (s *System) initCores() error {
 		if !cfg.SharedFootprint {
 			base = uint64(i) * span
 		}
-		footprint, err := src.FootprintBytes()
-		if err != nil {
-			return fmt.Errorf("sim: %w", err)
-		}
+		footprint := src.FootprintBytes()
 		if uint64(footprint) > span {
 			return fmt.Errorf("sim: %s footprint %d exceeds its %d-byte window",
 				src.Name(), footprint, span)
@@ -272,8 +266,7 @@ func (s *System) initCores() error {
 		// bank under this system's interleaving, so hot conflict groups
 		// land in one bank across different rows (Section 8.1). Threads of
 		// a multithreaded workload share one layout seed so their logical
-		// segments resolve to the same physical addresses. Recorded traces
-		// ignore both knobs: their access pattern is fixed at record time.
+		// segments resolve to the same physical addresses.
 		layout := workload.Layout{
 			RowStrideBytes: uint64(geo.RowBytes) * uint64(cfg.Channels) *
 				uint64(geo.BanksPerRank()) * uint64(geo.Ranks),

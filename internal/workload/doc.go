@@ -27,19 +27,12 @@
 // mutate a spec can never collide with the stock benchmark's cached
 // results.
 //
-// Workload identity is abstracted behind Source: a core's trace comes
-// either from a synthetic generator (KindSynth, the spec above) or from
-// a recorded trace file (KindTrace) replayed through the identical
-// pipeline — the door to real SPEC/gem5-derived traces and adversarial
-// access patterns. Recorded traces use a compact versioned binary format
-// (TraceWriter/TraceScanner; see trace.go for the layout) with an
-// allocation-free streaming reader and a deterministic looping Replayer;
-// a trace's run identity is the sha256 of its content (cached per path
-// by LoadTrace), never its filename. tracegen records them, figsim and
-// figbench replay them as "trace:FILE" workloads.
+// A core's workload is a Source, which wraps one BenchSpec: a pure value
+// the fingerprint serializes (Source.WriteCanonical) and sim.New opens
+// into a Generator for the core's address window. tracegen prints a
+// generator's records as text, or summarizes them.
 //
-// Generator.Snapshot/Restore and Replayer.Snapshot/Restore
-// (snapshot.go) serialize the RNG, sweep-stream, and cursor state for
-// the system checkpoint lifecycle, so a restored trace source resumes
-// mid-stream bit-identically.
+// Generator.Snapshot/Restore (snapshot.go) serialize the RNG,
+// sweep-stream and burst state for the system checkpoint lifecycle, so
+// a restored generator resumes mid-stream bit-identically.
 package workload

@@ -4,8 +4,7 @@ import "fmt"
 
 // Mix is one multiprogrammed workload: an ordered list of workload
 // sources, one per core, plus the category it belongs to (fraction of
-// memory-intensive applications). Sources may be synthetic generators,
-// recorded traces, or any combination.
+// memory-intensive applications).
 type Mix struct {
 	Name             string
 	Apps             []Source

@@ -29,25 +29,3 @@ func (g *Generator) Restore(r *fgss.Reader) {
 	g.runLeft = r.Int()
 	g.runAddr = r.U64()
 }
-
-// Snapshot appends the replayer's position in the recorded trace. The
-// trace bytes themselves are content-addressed by the config
-// fingerprint, so only the cursor travels in the checkpoint.
-func (r *Replayer) Snapshot(w *fgss.Writer) {
-	w.Int(r.off)
-	w.U64(r.prev)
-}
-
-// Restore reads back what Snapshot wrote. An offset outside the trace
-// is a decode error.
-func (r *Replayer) Restore(rd *fgss.Reader) {
-	off := rd.Int()
-	if rd.Err() == nil && (off < 0 || off > len(r.data)) {
-		rd.Reject("workload: replayer offset %d is outside the %d-byte trace", off, len(r.data))
-	}
-	if rd.Err() != nil {
-		return
-	}
-	r.off = off
-	r.prev = rd.U64()
-}

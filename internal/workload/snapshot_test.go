@@ -32,9 +32,9 @@ func restoreFrom(t *testing.T, fill func(w *fgss.Writer), restore func(r *fgss.R
 }
 
 // TestRestoreRejects checks that a generator section whose stream count
-// is not the generator's, and a replayer offset outside the trace, are
-// decode errors. Each section ends where restore used to stop decoding
-// without an error. The sections Snapshot writes restore.
+// is not the generator's is a decode error. The section ends where
+// restore used to stop decoding without an error. The section Snapshot
+// writes restores.
 func TestRestoreRejects(t *testing.T) {
 	spec, err := ByName("mcf")
 	if err != nil {
@@ -46,18 +46,6 @@ func TestRestoreRejects(t *testing.T) {
 			t.Fatal(err)
 		}
 		return g
-	}
-	recs, span := genRecords(t, 10, 7)
-	td, err := parseTrace(encodeTrace(t, recs, span))
-	if err != nil {
-		t.Fatal(err)
-	}
-	replayer := func() *Replayer {
-		r, err := td.Replayer(0, span)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
 	}
 	streams := len(gen().streams)
 	cases := []struct {
@@ -71,11 +59,6 @@ func TestRestoreRejects(t *testing.T) {
 			w.U64(1) // rng
 			w.Int(streams + 1)
 		}, gen().Restore, fmt.Sprintf("workload: generator streams: %d, want %d", streams+1, streams)},
-		{"replayer as Snapshot writes", replayer().Snapshot, replayer().Restore, ""},
-		{"replayer offset past the trace", func(w *fgss.Writer) {
-			w.Int(len(td.data) + 1)
-		}, replayer().Restore, fmt.Sprintf("workload: replayer offset %d is outside the %d-byte trace", len(td.data)+1, len(td.data))},
-		{"negative replayer offset", func(w *fgss.Writer) { w.Int(-1) }, replayer().Restore, "workload: replayer offset -1 is outside"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -57,15 +57,12 @@ type Layout struct {
 	// RowStrideBytes is the address distance between two rows of the same
 	// bank under the system's address interleaving (row bytes x channels
 	// x banks x ranks). When non-zero, the generator places groups of
-	// GroupSize consecutive hot ranks in the *same bank but different
-	// rows*: the bank-conflict chains Section 8.1 describes, which
+	// eight consecutive hot ranks in the *same bank but different rows*
+	// (see hotPhys): the bank-conflict chains Section 8.1 describes, which
 	// conventional DRAM serves with a precharge+activate per access and
 	// FIGCache collapses into one cache row. Zero scatters hot segments
 	// uniformly instead.
 	RowStrideBytes uint64
-	// GroupSize is the number of consecutive hot ranks per conflict group
-	// (default 8, one in-DRAM cache row's worth of segments).
-	GroupSize int
 	// LayoutSeed, when non-zero, decouples the logical-to-physical address
 	// mapping from the generator seed. Threads of a multithreaded
 	// application must share a LayoutSeed so the same logical segment maps
@@ -103,9 +100,6 @@ func NewGeneratorLayout(spec BenchSpec, seed uint64, base uint64, span uint64, l
 			return nil, fmt.Errorf("workload %s: row stride %d must divide span %d and be a multiple of %d",
 				spec.Name, layout.RowStrideBytes, span, segmentBytes)
 		}
-		if layout.GroupSize <= 0 {
-			layout.GroupSize = 8
-		}
 	}
 	g := &Generator{
 		spec:          spec,
@@ -141,19 +135,13 @@ func NewGeneratorLayout(spec BenchSpec, seed uint64, base uint64, span uint64, l
 		start := lo + int64(g.rng.next()%uint64(hi-lo))
 		g.streams = append(g.streams, sweepStream{lo: lo, hi: hi, pos: start})
 	}
-	g.streamZipf = newZipfSampler(len(g.streams), spec.ZipfTheta, seed+7)
+	g.streamZipf = newZipfSampler(len(g.streams), spec.ZipfTheta)
 	// Hot ranks are scattered across the footprint with a fixed odd
 	// stride, so they land in distinct DRAM rows and banks: one hot
 	// segment per row, the paper's limited-row-locality regime.
 	g.hotStride = oddStride(uint64(g.totalSegments))
 	return g, nil
 }
-
-// Spec returns the generated benchmark's parameters.
-func (g *Generator) Spec() BenchSpec { return g.spec }
-
-// Span returns the size of the generator's address window.
-func (g *Generator) Span() uint64 { return g.span }
 
 // Next implements cpu.TraceReader.
 func (g *Generator) Next() cpu.TraceRecord {
@@ -205,18 +193,19 @@ func (g *Generator) startBurst() {
 // hotPhys maps a hot rank to its physical segment within the window.
 //
 // Without a layout, ranks scatter uniformly (one hot segment per DRAM
-// row). With a bank-conflict layout, GroupSize consecutive ranks share a
-// bank-slot (the same channel/bank/segment-in-row position) but occupy
-// different rows: a sweep then produces chains of same-bank row conflicts
-// on conventional DRAM, while FIGCache co-locates the whole group into a
-// single in-DRAM cache row (Section 8.1).
+// row). With a bank-conflict layout, conflictGroup consecutive ranks
+// share a bank-slot (the same channel/bank/segment-in-row position) but
+// occupy different rows: a sweep then produces chains of same-bank row
+// conflicts on conventional DRAM, while FIGCache co-locates the whole
+// group into a single in-DRAM cache row (Section 8.1).
 func (g *Generator) hotPhys(rank uint64) uint64 {
 	if g.layout.RowStrideBytes == 0 {
 		logical := (rank * g.hotStride) % uint64(g.totalSegments)
 		return (logical * g.spreadStride) % g.spanSegments
 	}
-	gs := uint64(g.layout.GroupSize)
-	group, member := rank/gs, rank%gs
+	// One in-DRAM cache row's worth of segments per conflict group.
+	const conflictGroup = 8
+	group, member := rank/conflictGroup, rank%conflictGroup
 	slotsPerStride := g.layout.RowStrideBytes / segmentBytes
 	rows := g.span / g.layout.RowStrideBytes
 	// The group's bank-slot: one of the channel/bank/segment positions
@@ -246,7 +235,7 @@ type zipfSampler struct {
 	cdf []float64
 }
 
-func newZipfSampler(n int, theta float64, seed uint64) *zipfSampler {
+func newZipfSampler(n int, theta float64) *zipfSampler {
 	cdf := make([]float64, n)
 	sum := 0.0
 	for i := 0; i < n; i++ {

@@ -108,8 +108,8 @@ func TestGeneratorAddressesInWindow(t *testing.T) {
 	}
 	for i := 0; i < 50000; i++ {
 		r := g.Next()
-		if r.Addr < base || r.Addr >= base+g.Span() {
-			t.Fatalf("address %#x outside window [%#x,%#x)", r.Addr, base, base+g.Span())
+		if r.Addr < base || r.Addr >= base+g.span {
+			t.Fatalf("address %#x outside window [%#x,%#x)", r.Addr, base, base+g.span)
 		}
 		if r.Addr%blockBytes != 0 {
 			t.Fatalf("address %#x not block aligned", r.Addr)
@@ -129,8 +129,8 @@ func TestGeneratorSpanValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.Span() != 1<<30 {
-		t.Errorf("span = %d, want 1<<30", g.Span())
+	if g.span != 1<<30 {
+		t.Errorf("span = %d, want 1<<30", g.span)
 	}
 }
 
@@ -241,7 +241,7 @@ func TestGeneratorSpatialRuns(t *testing.T) {
 }
 
 func TestZipfSamplerBounds(t *testing.T) {
-	z := newZipfSampler(100, 0.9, 1)
+	z := newZipfSampler(100, 0.9)
 	rng := splitmix64(11)
 	seen0 := false
 	for i := 0; i < 10000; i++ {
@@ -259,7 +259,7 @@ func TestZipfSamplerBounds(t *testing.T) {
 }
 
 func TestZipfThetaZeroIsUniformish(t *testing.T) {
-	z := newZipfSampler(16, 0, 2)
+	z := newZipfSampler(16, 0)
 	rng := splitmix64(3)
 	counts := make([]int, 16)
 	n := 160000
