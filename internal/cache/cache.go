@@ -28,7 +28,7 @@ type Backend interface {
 	// Request forwards a block fetch (read) or write-back (write).
 	// onDone is dispatched when a fetch completes; it is the zero Token
 	// for write-backs.
-	Request(addr uint64, isWrite bool, coreID int, onDone ev.Token)
+	Request(addr uint64, isWrite bool, onDone ev.Token)
 }
 
 // Config describes one cache level.
@@ -120,8 +120,7 @@ type Cache struct {
 	// (a hit or a fill), which keeps the stamps in write order, so a
 	// refused Access changes nothing. Before it would pass 2^32-1,
 	// renumber compacts every set's stamps (see tick).
-	clock  uint32
-	coreID int // reported downstream for per-core accounting
+	clock uint32
 
 	// Stats.
 	Hits, Misses int64
@@ -129,7 +128,7 @@ type Cache struct {
 
 // New builds a cache level on top of next, deferring its tokens and
 // dispatching its fill waiters through sched.
-func New(cfg Config, next Backend, sched Scheduler, coreID int) (*Cache, error) {
+func New(cfg Config, next Backend, sched Scheduler) (*Cache, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -142,7 +141,6 @@ func New(cfg Config, next Backend, sched Scheduler, coreID int) (*Cache, error) 
 		shift:   uint(bits.TrailingZeros64(uint64(cfg.BlockBytes))),
 		next:    next,
 		sched:   sched,
-		coreID:  coreID,
 	}
 	mshrCap := cfg.MSHRs
 	if mshrCap <= 0 {
@@ -270,7 +268,7 @@ func (c *Cache) Access(addr uint64, isWrite bool, onDone ev.Token) bool {
 // MSHRStart token scheduled by Access has become due (the lookup latency
 // elapsed, miss detected).
 func (c *Cache) StartFetch(blk uint64) {
-	c.next.Request(blk, false, c.coreID, ev.Token{Kind: ev.MSHRFill, ID: c.id, Arg: blk})
+	c.next.Request(blk, false, ev.Token{Kind: ev.MSHRFill, ID: c.id, Arg: blk})
 }
 
 // Outstanding reports whether the cache has a miss outstanding for the
@@ -361,7 +359,7 @@ func (c *Cache) Fill(blk uint64) {
 	}
 	if old := tags[victim]; old&(lineValid|lineDirty) == lineValid|lineDirty {
 		victimAddr := (uint64(old>>flagBits)<<c.setBits | setIdx) << c.shift
-		c.next.Request(victimAddr, true, c.coreID, ev.Token{})
+		c.next.Request(victimAddr, true, ev.Token{})
 	}
 	m := c.removeMSHR(blk)
 	if m.markDirty {
@@ -387,7 +385,7 @@ func (c *Cache) Fill(blk uint64) {
 
 // Request implements Backend, so a Cache can serve as the next level of
 // another Cache: fetches become reads, write-backs become writes.
-func (c *Cache) Request(addr uint64, isWrite bool, coreID int, onDone ev.Token) {
+func (c *Cache) Request(addr uint64, isWrite bool, onDone ev.Token) {
 	// Lower levels are modelled without an MSHR bound (Table 1 specifies
 	// MSHRs only per core); Access never refuses when MSHRs == 0.
 	if !c.Access(addr, isWrite, onDone) {

@@ -108,7 +108,7 @@ type memStub struct {
 	addrs   []uint64
 }
 
-func (m *memStub) Request(addr uint64, isWrite bool, coreID int, onDone ev.Token) {
+func (m *memStub) Request(addr uint64, isWrite bool, onDone ev.Token) {
 	m.addrs = append(m.addrs, addr)
 	if isWrite {
 		m.writes++
@@ -128,7 +128,7 @@ func newTestCache(t *testing.T, cfg Config) (*Cache, *memStub, *testSched) {
 	t.Helper()
 	s := &testSched{}
 	m := &memStub{sched: s, latency: 20}
-	c, err := New(cfg, m, s.level(cfg.Latency), 0)
+	c, err := New(cfg, m, s.level(cfg.Latency))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,7 +394,7 @@ func TestPropertyCacheAccounting(t *testing.T) {
 	f := func(addrs []uint32) bool {
 		s := &testSched{}
 		m := &memStub{sched: s, latency: 5}
-		c, err := New(smallCfg(), m, s.level(smallCfg().Latency), 0)
+		c, err := New(smallCfg(), m, s.level(smallCfg().Latency))
 		if err != nil {
 			return false
 		}
@@ -543,7 +543,7 @@ func (o *lineOracle) Fill(blk uint64) {
 		}
 	}
 	if set[victim].valid && set[victim].dirty {
-		o.next.Request((set[victim].tag*o.setsN+setIdx)<<o.shift, true, 0, ev.Token{})
+		o.next.Request((set[victim].tag*o.setsN+setIdx)<<o.shift, true, ev.Token{})
 	}
 	o.clock++
 	var m *oracleMSHR
@@ -601,7 +601,7 @@ func (o *lineOracle) Snapshot(w *fgss.Writer) {
 // behaviour compares as one slice.
 type traceLog struct{ log []string }
 
-func (l *traceLog) Request(addr uint64, isWrite bool, coreID int, onDone ev.Token) {
+func (l *traceLog) Request(addr uint64, isWrite bool, onDone ev.Token) {
 	l.log = append(l.log, fmt.Sprintf("request %#x write=%v %+v", addr, isWrite, onDone))
 }
 
@@ -711,7 +711,7 @@ func (o *lineOracle) sameMisses(c *Cache) bool {
 func diffAgainstOracle(t testing.TB, cfg Config, ops []byte, clock uint32) (wrapped bool) {
 	t.Helper()
 	var gotLog, wantLog traceLog
-	c, err := New(cfg, &gotLog, &gotLog, 0)
+	c, err := New(cfg, &gotLog, &gotLog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -782,7 +782,7 @@ func diffAgainstOracle(t testing.TB, cfg Config, ops []byte, clock uint32) (wrap
 	}
 
 	snap := snapshotBytes(t, c.Snapshot)
-	fresh, err := New(cfg, &gotLog, &gotLog, 0)
+	fresh, err := New(cfg, &gotLog, &gotLog)
 	if err != nil {
 		t.Fatal(err)
 	}

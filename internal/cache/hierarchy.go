@@ -56,7 +56,7 @@ func NewHierarchy(cfg HierarchyConfig, memBytes uint64, mem Backend, sched func(
 				l.Name, tagBits, reach, memBytes)
 		}
 	}
-	llc, err := New(cfg.LLC, mem, sched(cfg.LLC.Latency), -1)
+	llc, err := New(cfg.LLC, mem, sched(cfg.LLC.Latency))
 	if err != nil {
 		return nil, err
 	}
@@ -65,13 +65,13 @@ func NewHierarchy(cfg HierarchyConfig, memBytes uint64, mem Backend, sched func(
 	for i := 0; i < cfg.Cores; i++ {
 		l2cfg := cfg.L2
 		l2cfg.Name = fmt.Sprintf("L2.%d", i)
-		l2, err := New(l2cfg, llc, sched(l2cfg.Latency), i)
+		l2, err := New(l2cfg, llc, sched(l2cfg.Latency))
 		if err != nil {
 			return nil, err
 		}
 		l1cfg := cfg.L1
 		l1cfg.Name = fmt.Sprintf("L1.%d", i)
-		l1, err := New(l1cfg, l2, sched(l1cfg.Latency), i)
+		l1, err := New(l1cfg, l2, sched(l1cfg.Latency))
 		if err != nil {
 			return nil, err
 		}

@@ -65,7 +65,7 @@ type fixedMem struct {
 	reqs    int
 }
 
-func (m *fixedMem) Request(addr uint64, isWrite bool, coreID int, onDone ev.Token) {
+func (m *fixedMem) Request(addr uint64, isWrite bool, onDone ev.Token) {
 	m.reqs++
 	if onDone.IsZero() {
 		return
@@ -98,7 +98,7 @@ func newCore(t *testing.T, recs []TraceRecord, memLatency int64, target int64) (
 	m := &fixedMem{s: s, latency: memLatency}
 	l1, err := cache.New(cache.Config{
 		Name: "L1", SizeBytes: 64 << 10, Ways: 4, BlockBytes: 64, Latency: 4, MSHRs: 8,
-	}, m, s, 0)
+	}, m, s)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,8 @@
 package dram
 
 import (
+	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -51,6 +53,28 @@ func TestGeometryValidateRejectsBad(t *testing.T) {
 		mutate(&g)
 		if err := g.Validate(); err == nil {
 			t.Errorf("case %d: Validate accepted invalid geometry %+v", i, g)
+		}
+	}
+}
+
+// TestGeometryValidateBoundsBanks checks the 64-bank channel bound:
+// 4 ranks of 16 banks pass, a 65th bank fails with an error naming the
+// bound, and so do counts whose product would overflow an int.
+func TestGeometryValidateBoundsBanks(t *testing.T) {
+	g := Default()
+	g.Ranks = 4
+	if err := g.Validate(); err != nil {
+		t.Fatalf("64 banks refused: %v", err)
+	}
+	for _, mutate := range []func(*Geometry){
+		func(g *Geometry) { g.Ranks = 5 },
+		func(g *Geometry) { g.BanksPerGroup = 65; g.BankGroups = 1 },
+		func(g *Geometry) { g.BankGroups = math.MaxInt; g.BanksPerGroup = math.MaxInt },
+	} {
+		g := Default()
+		mutate(&g)
+		if err := g.Validate(); err == nil || !strings.Contains(err.Error(), "64-bank channel bound") {
+			t.Errorf("%d x %d x %d banks: Validate = %v, want the 64-bank bound", g.Ranks, g.BankGroups, g.BanksPerGroup, err)
 		}
 	}
 }

@@ -63,6 +63,10 @@ func (g Geometry) ChannelBytes() int64 {
 // regular row.
 func (g Geometry) SubarrayOfRow(row int) int { return row / g.RowsPerSubarray }
 
+// maxBanks bounds a channel's bank count: the memory controller keeps
+// its per-bank sets in one 64-bit word. Table 1's channel has 16 banks.
+const maxBanks = 64
+
 // Validate reports an error if the geometry is internally inconsistent.
 func (g Geometry) Validate() error {
 	switch {
@@ -71,6 +75,9 @@ func (g Geometry) Validate() error {
 	case g.BankGroups <= 0 || g.BanksPerGroup <= 0:
 		return fmt.Errorf("dram: bank groups (%d) and banks per group (%d) must be positive",
 			g.BankGroups, g.BanksPerGroup)
+	case g.BanksPerGroup > maxBanks/g.Ranks/g.BankGroups: // by division, so no product overflows
+		return fmt.Errorf("dram: %d ranks of %d bank groups of %d banks exceed the %d-bank channel bound",
+			g.Ranks, g.BankGroups, g.BanksPerGroup, maxBanks)
 	case g.SubarraysPerBank <= 0 || g.RowsPerSubarray <= 0:
 		return fmt.Errorf("dram: subarrays (%d) and rows per subarray (%d) must be positive",
 			g.SubarraysPerBank, g.RowsPerSubarray)

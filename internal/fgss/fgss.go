@@ -52,10 +52,12 @@ const Magic = "FGSS"
 // drops the cycle-skipping engine's controller wake registers, so the
 // system section holds only the clock, version 7 writes each core's
 // trace cursor in the cores section, in place of a traces section of
-// its own, and version 8 writes the event queue as its lanes alone,
-// each a list of (due cycle, token) pairs, with no heap and no sequence
-// numbers.
-const FormatVersion = 8
+// its own, version 8 writes the event queue as its lanes alone, each a
+// list of (due cycle, token) pairs, with no heap and no sequence
+// numbers, and version 9 writes each memory controller queue as a count
+// and its requests, oldest first, with no per-bank buckets, and a
+// request with neither a push stamp nor a core ID.
+const FormatVersion = 9
 
 // HeaderSize is the byte length of the fixed header.
 const HeaderSize = 44

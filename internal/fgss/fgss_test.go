@@ -43,7 +43,7 @@ func TestGoldenHeader(t *testing.T) {
 	img := encode(t, 3, fp)
 	want := append([]byte{
 		'F', 'G', 'S', 'S', // magic
-		8, 0, // format version 8, little-endian u16
+		9, 0, // format version 9, little-endian u16
 		0, 0, // reserved
 		3, 0, 0, 0, // engine version 3, little-endian u32
 	}, fp[:]...)
@@ -136,7 +136,12 @@ func TestReaderRejectsHeader(t *testing.T) {
 			b := bytes.Clone(img)
 			b[4] = 7
 			return b
-		}(), 3, fp, "unsupported snapshot format version 7 (this build reads version 8)"},
+		}(), 3, fp, "unsupported snapshot format version 7"},
+		{"format 8 snapshot", func() []byte {
+			b := bytes.Clone(img)
+			b[4] = 8
+			return b
+		}(), 3, fp, "unsupported snapshot format version 8 (this build reads version 9)"},
 		{"engine version mismatch", img, 4, fp, "engine version 3, this build is version 4"},
 		{"fingerprint mismatch", img, 3, otherFP, "does not match this run's config"},
 		{"truncated header", img[:HeaderSize/2], 3, fp, "truncated header"},

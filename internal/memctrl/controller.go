@@ -132,20 +132,16 @@ type Controller struct {
 	planPool []*RelocPlan
 	// relocMask has bit i set while bank i holds pending relocation
 	// plans, so an idle tick visits only the banks with deferred work
-	// instead of scanning every bank. Derived from pendingRelocs: Restore
-	// rebuilds it.
-	relocMask []uint64
+	// instead of scanning every bank (dram.Geometry.Validate bounds a
+	// channel at 64 banks). Derived from pendingRelocs: Restore rebuilds
+	// it.
+	relocMask uint64
 	// lastColumn records each bank's last column-access cycle (indexed by
 	// dense bank ID); the idle flush waits IdleFlushAfter cycles beyond
 	// it, so relocations do not close a row in the middle of a spatial
 	// burst whose next block is still working its way down the cache
 	// hierarchy.
 	lastColumn []int64
-	// cands is scratch space for the FR-FCFS pass-1 arbitration: one
-	// column-command candidate per open bank (the bank's oldest request
-	// matching the open row, plus its bucket index). At most one entry
-	// per bank, reused across ticks without allocating.
-	cands []colCand
 
 	// Stats.
 	NumReads, NumWrites    int64
@@ -173,12 +169,10 @@ func NewController(id int, cfg Config, ch *dram.Channel, cache CacheHook) *Contr
 		cfg:           cfg,
 		channel:       ch,
 		cache:         cache,
-		readQ:         newQueue(ReadQueueDepth, ch.NumBanks()),
-		writeQ:        newQueue(WriteQueueDepth, ch.NumBanks()),
+		readQ:         newQueue(ReadQueueDepth),
+		writeQ:        newQueue(WriteQueueDepth),
 		pendingRelocs: make([][]*RelocPlan, ch.NumBanks()),
-		relocMask:     make([]uint64, (ch.NumBanks()+63)/64),
 		lastColumn:    make([]int64, ch.NumBanks()),
-		cands:         make([]colCand, 0, ch.NumBanks()),
 		// Seed by controller ID so per-channel reservoirs differ but any
 		// two runs of the same configuration sample identically.
 		latSamples: stats.NewReservoir(latSampleCap, uint64(id)+1),
@@ -345,7 +339,7 @@ func (c *Controller) flushRelocs(bankID int, now int64, rowOpen bool) bool {
 	// Keep the backing array: the bank will accumulate plans again, and
 	// regrowing the slice every flush is a steady-state allocation.
 	c.pendingRelocs[bankID] = plans[:0]
-	c.relocMask[bankID>>6] &^= 1 << (bankID & 63)
+	c.relocMask &^= 1 << bankID
 	var cost int64
 	blocks, hops := 0, 0
 	isLISA, channelWide := false, false
@@ -418,60 +412,35 @@ func (c *Controller) relocFlushReady(bankID int, now int64) int64 {
 // caller gets the next-work probe from the same single walk.
 func (c *Controller) flushIdleRelocs(now int64) (flushed bool, nextAt int64) {
 	nextAt = math.MaxInt64
-	for w, word := range c.relocMask {
-		for ; word != 0; word &= word - 1 {
-			bankID := w<<6 | bits.TrailingZeros64(word)
-			ready := c.relocFlushReady(bankID, now)
-			if ready > now {
-				if ready < nextAt {
-					nextAt = ready
-				}
-				continue
+	for mask := c.relocMask; mask != 0; mask &= mask - 1 {
+		bankID := bits.TrailingZeros64(mask)
+		ready := c.relocFlushReady(bankID, now)
+		if ready > now {
+			if ready < nextAt {
+				nextAt = ready
 			}
-			row, _ := c.channel.Bank(c.pendingRelocs[bankID][0].Loc).Open()
-			c.flushRelocs(bankID, now, row != -1)
-			return true, now + 1
+			continue
 		}
+		row, _ := c.channel.Bank(c.pendingRelocs[bankID][0].Loc).Open()
+		c.flushRelocs(bankID, now, row != -1)
+		return true, now + 1
 	}
 	return false, nextAt
 }
 
-// colCand is one bank's pass-1 column candidate: the bank's oldest
-// request matching its open row, and that request's bucket index.
-type colCand struct {
-	r   *Request
-	idx int
-}
-
-// schedule implements FR-FCFS over queue q: first any request whose column
-// command is ready on an open row (oldest first), then the oldest request,
-// for which it issues the next command of the ACT/PRE sequence.
+// schedule implements FR-FCFS over queue q in one oldest-first walk: the
+// oldest request whose column command is ready on an open row issues;
+// failing that, the oldest request whose bank is ready for the next
+// command of its ACT/PRE sequence does.
 //
-// Both passes run over the queue's per-bank buckets, so the work per tick
-// is bounded by the number of banks with queued work, not the queue depth
-// (the lever behind deep write-queue drains). The bucket walk is exactly
-// equivalent to the former whole-queue age-order scan:
-//
-//   - Pass 1: only a bank with an open row can serve a column command,
-//     and within one bank every request matching the open row builds the
-//     identical command (same rank/group/bank/row, same type — the queue
-//     is all-reads or all-writes), so they share one CanIssue answer.
-//     The oldest match per open bank therefore stands in for all of
-//     them, and trying those candidates oldest-first until one is
-//     issuable reproduces the age-order scan's choice (and its CanIssue
-//     call order, minus same-bank duplicates). Arbitration is
-//     incremental: occupied is head-age ordered, and every candidate a
-//     later bank can contribute is younger than that bank's head, so a
-//     pending candidate older than the current bank's head is final —
-//     it is tried (and usually issues) without visiting the remaining
-//     banks, preserving the age scan's early exit.
-//
-//   - Pass 2 only ever acted on the oldest request per bank (younger
-//     requests to a claimed bank were skipped: they must not precharge a
-//     row an older request is still waiting on). The bucket heads are
-//     those oldest-per-bank requests, and occupied's head-age order is
-//     the order the old scan claimed banks in, so a direct front-to-back
-//     iteration visits them identically.
+//   - Every request matching its bank's open row builds the same column
+//     command (same rank/group/bank/row, same type: the queue is
+//     all-reads or all-writes), so the bank's oldest such request prices
+//     it for all of them, and a ready one issues at once.
+//   - Only a bank's oldest request may open or close its row: a younger
+//     one must not precharge a row an older request is still waiting on.
+//     The first ready ACT or PRE the walk finds issues only if the walk
+//     ends with no ready row hit.
 //
 // When nothing is issuable this tick, nextAt is the earliest bus cycle at
 // which any considered command becomes issuable. The DRAM timing windows
@@ -479,111 +448,63 @@ type colCand struct {
 // enqueue — the run loop can skip the idle ticks in between.
 func (c *Controller) schedule(q *queue, now int64, schedule func(at int64, tok ev.Token)) (issued bool, nextAt int64) {
 	nextAt = math.MaxInt64
-	// Pass 1: row hits — column command ready now. Closed banks are
-	// skipped whole; an open bank's bucket is scanned only up to its
-	// oldest request matching the open row.
-	cands := c.cands[:0]
-	ci := 0 // arbitration cursor: cands[ci:] are pending, seq-ordered
-	tryCand := func(cc colCand) bool {
-		if at, ok := c.channel.CanColumn(cc.r.bank, &cc.r.ServiceLoc, cc.r.IsWrite, now); ok {
-			if at <= now {
-				c.issueColumn(q, cc.idx, cc.r, now, schedule)
-				return true
-			}
-			if at < nextAt {
-				nextAt = at
-			}
-		}
-		return false
-	}
-	for k, h := range q.heads {
-		// Pending candidates older than this bank's head cannot be
-		// displaced by this or any later bank: arbitrate them now.
-		for ci < len(cands) && cands[ci].r.seq < h.seq {
-			cc := cands[ci]
-			ci++
-			if tryCand(cc) {
-				return true, now + 1
-			}
-		}
-		var cand colCand
-		if h.bank.IsOpen(h.ServiceLoc.CacheRow, h.ServiceLoc.Row) {
-			cand = colCand{h, 0}
-		} else {
-			row, cacheRow := h.bank.Open()
-			if row == -1 {
-				continue
-			}
-			// Head misses the open row; find the bank's oldest match.
-			bucket := q.byBank[q.occupied[k]]
-			for i := 1; i < len(bucket); i++ {
-				if r := bucket[i]; r.ServiceLoc.Row == row && r.ServiceLoc.CacheRow == cacheRow {
-					cand = colCand{r, i}
-					break
-				}
-			}
-			if cand.r == nil {
-				continue
-			}
-		}
-		// Keep the pending window seq-ordered; candidates arrive nearly
-		// ordered (head order), so the bubble is rare.
-		cands = append(cands, cand)
-		for j := len(cands) - 1; j > ci && cands[j-1].r.seq > cands[j].r.seq; j-- {
-			cands[j-1], cands[j] = cands[j], cands[j-1]
-		}
-	}
-	for ; ci < len(cands); ci++ {
-		if tryCand(cands[ci]) {
-			return true, now + 1
-		}
-	}
-	// Pass 2: oldest request first, issue ACT or PRE as needed. Each bank
-	// belongs to the oldest request targeting it — its bucket head;
-	// heads is already in age order.
-	for _, r := range q.heads {
-		bank := r.bank
+	var priced, claimed uint64 // bank sets (a channel has at most 64 banks)
+	var ready *Request         // the oldest request whose ACT or PRE can issue now
+	for i, r := range q.reqs {
+		bank, bit := r.bank, uint64(1)<<r.bankID
+		oldest := claimed&bit == 0
+		claimed |= bit
 		row, cacheRow := bank.Open()
 		if row == r.ServiceLoc.Row && cacheRow == r.ServiceLoc.CacheRow {
-			continue // waiting on tRCD; pass 1 covers its column command
-		}
-		if row != -1 {
-			// Conflict: precharge the open row, folding in any pending
-			// relocation work for the bank (the RELOC burst ends with the
-			// precharge the row needed anyway). The readiness probe is
-			// CanIssue's CmdPRE arm verbatim; the command itself is only
-			// built on the rare tick that actually issues it.
-			if at, ok := bank.CanPRE(now); ok {
+			if priced&bit != 0 {
+				continue
+			}
+			priced |= bit
+			if at, ok := c.channel.CanColumn(bank, &r.ServiceLoc, r.IsWrite, now); ok {
 				if at <= now {
-					bank.RowConflict++
-					if c.flushRelocs(r.bankID, now, true) {
-						return true, now + 1
-					}
-					pre := dram.Command{Type: dram.CmdPRE,
-						Loc: dram.Location{Rank: r.ServiceLoc.Rank, Group: r.ServiceLoc.Group,
-							Bank: r.ServiceLoc.Bank, Row: row, CacheRow: cacheRow}}
-					c.channel.Issue(&pre, now)
+					c.issueColumn(q, i, r, now, schedule)
 					return true, now + 1
 				}
-				if at < nextAt {
-					nextAt = at
-				}
+				nextAt = min(nextAt, at)
 			}
 			continue
 		}
-		if at, ok := c.channel.CanACTAt(bank, r.ServiceLoc.Rank, now); ok {
-			if at <= now {
-				bank.RowMisses++
-				act := dram.Command{Type: dram.CmdACT, Loc: r.ServiceLoc}
-				c.channel.Issue(&act, now)
-				return true, now + 1
-			}
-			if at < nextAt {
-				nextAt = at
-			}
+		if !oldest || ready != nil {
+			continue
+		}
+		var at int64
+		if row != -1 {
+			at, _ = bank.CanPRE(now) // a bank with an open row can always PRE eventually
+		} else {
+			at, _ = c.channel.CanACTAt(bank, r.ServiceLoc.Rank, now) // a closed bank can always ACT eventually
+		}
+		if at <= now {
+			ready = r
+		} else {
+			nextAt = min(nextAt, at)
 		}
 	}
-	return false, nextAt
+	if ready == nil {
+		return false, nextAt
+	}
+	bank := ready.bank
+	if row, cacheRow := bank.Open(); row != -1 {
+		// Conflict: precharge the open row, folding in any pending
+		// relocation work for the bank (the RELOC burst ends with the
+		// precharge the row needed anyway).
+		bank.RowConflict++
+		if !c.flushRelocs(ready.bankID, now, true) {
+			loc := ready.ServiceLoc
+			pre := dram.Command{Type: dram.CmdPRE,
+				Loc: dram.Location{Rank: loc.Rank, Group: loc.Group, Bank: loc.Bank, Row: row, CacheRow: cacheRow}}
+			c.channel.Issue(&pre, now)
+		}
+	} else {
+		bank.RowMisses++
+		act := dram.Command{Type: dram.CmdACT, Loc: ready.ServiceLoc}
+		c.channel.Issue(&act, now)
+	}
+	return true, now + 1
 }
 
 func (c *Controller) columnCmd(r *Request) dram.Command {
@@ -594,8 +515,8 @@ func (c *Controller) columnCmd(r *Request) dram.Command {
 	return dram.Command{Type: t, Loc: r.ServiceLoc}
 }
 
-// issueColumn issues the RD/WR for the i-th request of its bank's bucket,
-// retires the request, and triggers cache insertion for read misses (the
+// issueColumn issues the RD/WR for q's i-th oldest request r, retires
+// the request, and triggers cache insertion for read misses (the
 // relocation runs while the just-accessed source row is still open).
 func (c *Controller) issueColumn(q *queue, i int, r *Request, now int64, schedule func(at int64, tok ev.Token)) {
 	r.bank.RowHits++
@@ -612,7 +533,7 @@ func (c *Controller) issueColumn(q *queue, i int, r *Request, now int64, schedul
 	if !r.OnComplete.IsZero() {
 		schedule(end, r.OnComplete)
 	}
-	q.remove(r.bankID, i)
+	q.remove(i)
 
 	// Cache insertion on miss: the source row is open in its local row
 	// buffer, so the relocation skips the first ACTIVATE (Section 8.1).
@@ -626,7 +547,7 @@ func (c *Controller) issueColumn(q *queue, i int, r *Request, now int64, schedul
 			p := c.takePlan()
 			*p = *plan
 			id := p.Loc.BankID(c.channel.Geo)
-			c.relocMask[id>>6] |= 1 << (id & 63)
+			c.relocMask |= 1 << id
 			c.pendingRelocs[id] = append(c.pendingRelocs[id], p)
 			c.Inserted++
 			if c.cfg.ImmediateReloc {

@@ -19,11 +19,10 @@
 //     cycle the controller could change state — which is what lets the
 //     cycle-skipping engine in internal/sim jump over idle bus cycles.
 //
-//   - Scheduling work per tick is bounded by the number of banks with
-//     queued work, not the queue depth: the queues bucket requests per
-//     bank and incrementally maintain the oldest request of each bank
-//     in age order, so deep write-queue drains cost the same per issued
-//     command as shallow queues (see queue in request.go).
+//   - Each queue is one slice in arrival order, and each tick schedules
+//     in one oldest-first walk over it (see Controller.schedule): the
+//     walk prices each bank's row hit once, and only a bank's oldest
+//     request may open or close its row.
 //
 // Controller.Snapshot/Restore (snapshot.go) serialize the queues,
 // in-flight requests (SnapshotRequest/RestoreRequest, driven by the

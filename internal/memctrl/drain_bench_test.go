@@ -45,10 +45,10 @@ func benchDrain(b *testing.B, locs func(i int, geo dram.Geometry) dram.Location)
 }
 
 // BenchmarkWriteDrainDeepQueue measures the FR-FCFS scheduling cost of
-// draining a full 64-entry write queue — the deep-queue scan the ROADMAP
-// profiled as the remaining scheduler lever — with writes spread over
-// every bank (several rows per bank, so drains mix row hits, conflicts
-// and activates).
+// draining a full 64-entry write queue, with writes spread over every
+// bank (several rows per bank, so drains mix row hits, conflicts and
+// activates). No benchmark workload queues this deep; the benchmark
+// bounds what the oldest-first walk costs at the queue's full depth.
 func BenchmarkWriteDrainDeepQueue(b *testing.B) {
 	benchDrain(b, func(i int, geo dram.Geometry) dram.Location {
 		return dram.Location{
@@ -61,11 +61,9 @@ func BenchmarkWriteDrainDeepQueue(b *testing.B) {
 }
 
 // BenchmarkWriteDrainHotBank drains a queue dominated by a sequential
-// burst to one hot row — the pattern that made the former whole-queue
-// scan quadratic: on every tick that issues nothing, each queued request
-// to the open hot row re-priced the identical column command, so a
-// 64-deep burst paid 64 CanIssue calls per tick. The per-bank candidate
-// walk prices one.
+// burst to one hot row. On a tick that issues nothing, the walk visits
+// every queued request, but prices the hot row's column command once,
+// for its oldest request, not once per request.
 func BenchmarkWriteDrainHotBank(b *testing.B) {
 	benchDrain(b, func(i int, geo dram.Geometry) dram.Location {
 		if i%8 == 7 { // a few strays keep several banks occupied

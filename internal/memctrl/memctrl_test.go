@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -415,126 +414,41 @@ func TestPropertyAllReadsComplete(t *testing.T) {
 	}
 }
 
-// TestQueueHeadIndexInvariants pins the queue's incrementally maintained
-// oldest-per-bank index (the structure that bounds FR-FCFS scans by bank
-// count instead of queue depth): after any sequence of pushes and
-// removals, occupied must list exactly the non-empty banks in strictly
-// ascending head-age order, heads must mirror their bucket heads, and pos
-// must invert occupied.
-func TestQueueHeadIndexInvariants(t *testing.T) {
-	const banks = 8
-	q := newQueue(64, banks)
-	rng := rand.New(rand.NewSource(11))
-	check := func(step int) {
-		t.Helper()
-		total := 0
-		for b := 0; b < banks; b++ {
-			n := len(q.byBank[b])
-			total += n
-			if n == 0 {
-				if q.pos[b] != -1 {
-					t.Fatalf("step %d: empty bank %d has pos %d", step, b, q.pos[b])
-				}
-				continue
-			}
-			idx := q.pos[b]
-			if idx < 0 || idx >= len(q.occupied) || q.occupied[idx] != b {
-				t.Fatalf("step %d: bank %d pos %d does not invert occupied %v", step, b, idx, q.occupied)
-			}
-			if q.heads[idx] != q.byBank[b][0] {
-				t.Fatalf("step %d: heads[%d] is not bank %d's bucket head", step, idx, b)
-			}
-			for i := 1; i < n; i++ {
-				if q.byBank[b][i-1].seq >= q.byBank[b][i].seq {
-					t.Fatalf("step %d: bank %d bucket not age-ordered", step, b)
-				}
-			}
-		}
-		if total != q.count {
-			t.Fatalf("step %d: count %d, buckets hold %d", step, q.count, total)
-		}
-		if len(q.occupied) != len(q.heads) {
-			t.Fatalf("step %d: occupied/heads length mismatch", step)
-		}
-		for i := 1; i < len(q.heads); i++ {
-			if q.heads[i-1].seq >= q.heads[i].seq {
-				t.Fatalf("step %d: occupied not in head-age order: %v", step, q.occupied)
-			}
-		}
-	}
-	for step := 0; step < 4000; step++ {
-		if q.count == 0 || (!q.full() && rng.Intn(2) == 0) {
-			r := &Request{bankID: rng.Intn(banks)}
-			q.push(r)
-		} else {
-			b := q.occupied[rng.Intn(len(q.occupied))]
-			q.remove(b, rng.Intn(len(q.byBank[b])))
-		}
-		check(step)
-	}
-	q.reset()
-	check(-1)
-	if q.count != 0 || len(q.occupied) != 0 || len(q.heads) != 0 {
-		t.Fatal("reset left queue state behind")
-	}
-}
-
 // TestQueueRestoreRejects checks that a hand-built queue section holding
 // a queue push never builds is a decode error: a read in the write queue
-// or a write in the read queue, more requests than the queue holds, push
-// stamps not ascending within a bank, not ascending across the occupied
-// banks' heads, or not below the push counter, more occupied banks than
-// the channel has, and an occupied bank listed with no request, listed
-// twice or with another bank's request. A well-formed
-// section restores with its requests bucketed by bank in head-age order.
+// or a write in the read queue, or more requests than the queue holds. A
+// well-formed section restores its requests oldest first, in the order
+// it lists them.
 func TestQueueRestoreRejects(t *testing.T) {
 	ch := newTestController(t, nil).channel
-	req := func(bank int, seq int64, write bool) *Request {
+	req := func(bank, i int, write bool) *Request {
 		loc := dram.Location{Bank: bank, Row: 7}
-		return &Request{Addr: uint64(bank)<<20 | uint64(seq)<<6, Loc: loc, ServiceLoc: loc, IsWrite: write, seq: seq}
+		return &Request{Addr: uint64(bank)<<20 | uint64(i)<<6, Loc: loc, ServiceLoc: loc, IsWrite: write}
 	}
-	read := func(bank int, seq int64) *Request { return req(bank, seq, false) }
+	read := func(bank, i int) *Request { return req(bank, i, false) }
+	wellFormed := []*Request{read(0, 0), read(1, 1), read(2, 2), read(0, 3)}
 	cases := []struct {
 		name    string
-		writes  bool  // restore into a write queue
-		seq     int64 // the queue's push counter
-		buckets [][]*Request
+		writes  bool // restore into a write queue
+		reqs    []*Request
 		wantErr string
 	}{
-		{name: "well-formed", seq: 4, buckets: [][]*Request{{read(0, 0), read(0, 3)}, {read(1, 1)}, {read(2, 2)}}},
-		{name: "read in the write queue", writes: true, seq: 4, buckets: [][]*Request{{req(0, 0, true), read(0, 1)}},
+		{name: "well-formed", reqs: wellFormed},
+		{name: "read in the write queue", writes: true, reqs: []*Request{req(0, 0, true), read(0, 1)},
 			wantErr: "write queue: request 0x40: write=false in the other kind's queue"},
-		{name: "write in the read queue", seq: 4, buckets: [][]*Request{{read(0, 0)}, {req(1, 1, true)}},
+		{name: "write in the read queue", reqs: []*Request{read(0, 0), req(1, 1, true)},
 			wantErr: "read queue: request 0x100040: write=true in the other kind's queue"},
-		{name: "more requests than the queue holds", seq: 9, buckets: [][]*Request{{read(0, 0), read(0, 1), read(0, 2), read(0, 3), read(0, 4)}},
+		{name: "more requests than the queue holds", reqs: []*Request{read(0, 0), read(0, 1), read(0, 2), read(0, 3), read(0, 4)},
 			wantErr: "more than the queue's 4 entries"},
-		{name: "stamps not ascending within a bank", seq: 4, buckets: [][]*Request{{read(0, 2), read(0, 1)}},
-			wantErr: "push stamp 1 is not above bank 0's previous 2"},
-		{name: "heads not ascending", seq: 4, buckets: [][]*Request{{read(0, 2)}, {read(1, 1)}},
-			wantErr: "push stamp 1 of bank 1's head is not above the previous head's 2"},
-		{name: "stamp not below the push counter", seq: 3, buckets: [][]*Request{{read(0, 0)}, {read(1, 3)}},
-			wantErr: "push stamp 3 is not below the push counter 3"},
-		{name: "more occupied banks than the channel has", seq: 4, buckets: make([][]*Request, ch.NumBanks()+1),
-			wantErr: fmt.Sprintf("read queue lists %d occupied banks of %d", ch.NumBanks()+1, ch.NumBanks())},
-		{name: "occupied bank with no request", seq: 4, buckets: [][]*Request{{read(0, 0)}, {}},
-			wantErr: "read queue: occupied bank 1 of 2 lists no request"},
-		{name: "bank listed twice", seq: 4, buckets: [][]*Request{{read(0, 0)}, {read(1, 1)}, {read(0, 2)}},
-			wantErr: "read queue: request 0x80: bank 0 is listed twice"},
-		{name: "another bank's request in a bucket", seq: 4, buckets: [][]*Request{{read(0, 0), read(1, 1)}},
-			wantErr: "read queue: request 0x100040: bank 1's request in bank 0's bucket"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var buf bytes.Buffer
 			w := fgss.NewWriter(&buf, 1, [32]byte{})
 			w.Begin(1)
-			w.I64(tc.seq)
-			w.Int(len(tc.buckets))
-			for _, b := range tc.buckets {
-				w.Int(len(b))
-				for _, r := range b {
-					SnapshotRequest(w, r)
-				}
+			w.Int(len(tc.reqs))
+			for _, r := range tc.reqs {
+				SnapshotRequest(w, r)
 			}
 			w.End()
 			if err := w.Flush(); err != nil {
@@ -544,7 +458,7 @@ func TestQueueRestoreRejects(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			q := newQueue(4, ch.NumBanks())
+			q := newQueue(4)
 			r.Section(1)
 			q.restore(r, ch, tc.writes, func(ev.Token) error { return nil })
 			r.EndSection()
@@ -558,10 +472,54 @@ func TestQueueRestoreRejects(t *testing.T) {
 			if err != nil {
 				t.Fatalf("restore: %v", err)
 			}
-			if q.count != 4 || !slices.Equal(q.occupied, []int{0, 1, 2}) || len(q.byBank[0]) != 2 || q.heads[0].seq != 0 {
-				t.Fatalf("restored queue: count %d, occupied %v, bank 0 holds %d", q.count, q.occupied, len(q.byBank[0]))
+			if q.size() != len(tc.reqs) {
+				t.Fatalf("restored %d requests, want %d", q.size(), len(tc.reqs))
+			}
+			for i, got := range q.reqs {
+				if want := tc.reqs[i]; got.Addr != want.Addr || got.bankID != want.Loc.Bank {
+					t.Errorf("request %d: %#x in bank %d, want %#x in bank %d", i, got.Addr, got.bankID, want.Addr, want.Loc.Bank)
+				}
 			}
 		})
+	}
+}
+
+// TestFRFCFSOldestRequestClaimsBank pins FR-FCFS's bank claim: a bank
+// belongs to its oldest queued request, so a younger request to another
+// row must not precharge the row an older request is waiting on, even
+// on a tick where the precharge is ready and the older request's read is
+// not.
+func TestFRFCFSOldestRequestClaimsBank(t *testing.T) {
+	c := newTestController(t, nil)
+	ch := c.Channel()
+	issue := func(typ dram.CmdType, loc dram.Location, now int64) {
+		t.Helper()
+		cmd := dram.Command{Type: typ, Loc: loc}
+		if at, ok := ch.CanIssue(&cmd, now); !ok || at > now {
+			t.Fatalf("%v at cycle %d: not issuable until %d (ok %v)", typ, now, at, ok)
+		}
+		ch.Issue(&cmd, now)
+	}
+	bank0 := dram.Location{Bank: 0, Row: 1}
+	issue(dram.CmdACT, dram.Location{Bank: 1, Row: 5}, 0)
+	issue(dram.CmdACT, bank0, 5)
+	// Write-to-read turnaround holds bank 0's read to cycle 49.
+	issue(dram.CmdWR, dram.Location{Bank: 1, Row: 5}, 30)
+	const now = 33
+	if at, _ := ch.BankByID(0).CanPRE(now); at > now {
+		t.Fatalf("bank 0 cannot precharge until %d; the test needs tRAS met at %d", at, now)
+	}
+	if at, _ := ch.CanColumn(ch.BankByID(0), &bank0, false, now); at != 49 {
+		t.Fatalf("bank 0's read is ready at %d, want 49", at)
+	}
+	c.Enqueue(&Request{Loc: bank0}, now)
+	c.Enqueue(&Request{Loc: dram.Location{Bank: 0, Row: 2}}, now)
+	next := c.Tick(now, func(int64, ev.Token) {})
+	if row, _ := ch.BankByID(0).Open(); row != 1 {
+		t.Fatalf("bank 0 holds row %d after the tick, want row 1 (the younger request precharged the older one's row)", row)
+	}
+	if next != 49 {
+		t.Errorf("next-work probe = %d, want 49 (the older request's read)", next)
 	}
 }
 

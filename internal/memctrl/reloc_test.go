@@ -221,7 +221,7 @@ func bruteIdleFlush(c *Controller, now int64) (bank int, nextAt int64, ready int
 func checkRelocMask(t *testing.T, c *Controller, when string, now int64) {
 	t.Helper()
 	for id, plans := range c.pendingRelocs {
-		if bit := c.relocMask[id>>6]>>(id&63)&1 == 1; bit != (len(plans) > 0) {
+		if bit := c.relocMask>>id&1 == 1; bit != (len(plans) > 0) {
 			t.Fatalf("cycle %d, %s: bank %d mask bit %v with %d pending plans", now, when, id, bit, len(plans))
 		}
 	}

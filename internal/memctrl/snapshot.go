@@ -37,12 +37,10 @@ func SnapshotRequest(w *fgss.Writer, r *Request) {
 	snapLoc(w, r.Loc)
 	w.Bool(r.IsWrite)
 	w.I64(r.Arrive)
-	w.Int(r.CoreID)
 	ev.WriteToken(w, r.OnComplete)
 	snapLoc(w, r.ServiceLoc)
 	w.Bool(r.CacheHit)
 	w.Bool(r.noInsert)
-	w.I64(r.seq)
 }
 
 // RestoreRequest reads back what SnapshotRequest wrote into r and
@@ -58,12 +56,10 @@ func RestoreRequest(rd *fgss.Reader, r *Request, ch *dram.Channel, checkTok func
 	r.Loc = restoreLoc(rd)
 	r.IsWrite = rd.Bool()
 	r.Arrive = rd.I64()
-	r.CoreID = rd.Int()
 	r.OnComplete = ev.ReadToken(rd)
 	r.ServiceLoc = restoreLoc(rd)
 	r.CacheHit = rd.Bool()
 	r.noInsert = rd.Bool()
-	r.seq = rd.I64()
 	if !ch.Geo.HasBank(r.Loc) || !ch.Geo.HasBank(r.ServiceLoc) {
 		rd.Reject("memctrl: request %#x: location %v or service location %v names no bank of the channel", r.Addr, r.Loc, r.ServiceLoc)
 		return
@@ -82,96 +78,44 @@ func RestoreRequest(rd *fgss.Reader, r *Request, ch *dram.Channel, checkTok func
 	r.bank = ch.BankByID(r.bankID)
 }
 
-// snapshot appends the queue's push counter and every queued request,
-// bucket by bucket in occupied (head-age) order — the walk order that
-// lets restore rebuild occupied/heads/pos exactly.
+// snapshot appends the queue's request count and its requests, oldest
+// first.
 func (q *queue) snapshot(w *fgss.Writer) {
-	w.I64(q.seq)
-	w.Int(len(q.occupied))
-	for _, b := range q.occupied {
-		bucket := q.byBank[b]
-		w.Int(len(bucket))
-		for _, r := range bucket {
-			SnapshotRequest(w, r)
-		}
+	w.Int(len(q.reqs))
+	for _, r := range q.reqs {
+		SnapshotRequest(w, r)
 	}
 }
 
 // restore reads back what snapshot wrote into the read queue (writes
 // false) or the write queue (writes true), dropping any currently
-// queued requests first. Requests are re-bucketed by their re-resolved
-// bank ID in serialized order, which reproduces the occupied/heads/pos
-// index byte-for-byte because snapshot walked buckets in head-age
-// order. checkTok vets each request's completion token. The bytes come
-// from disk, so a queue push never builds is a decode error
-// (fgss.Reader.Reject): a request of the other kind, more requests than
-// the queue holds, an occupied bank listed with no request, listed
-// twice or with another bank's request, or push stamps that are not
-// ascending within a bank, not ascending across the occupied banks'
-// heads, or not below the push counter.
+// queued requests first. checkTok vets each request's completion token.
+// The bytes come from disk, so a request of the other kind, or more
+// requests than the queue holds, is a decode error
+// (fgss.Reader.Reject).
 func (q *queue) restore(rd *fgss.Reader, ch *dram.Channel, writes bool, checkTok func(ev.Token) error) {
 	q.reset()
-	q.seq = rd.I64()
 	kind := "read"
 	if writes {
 		kind = "write"
 	}
-	nOcc := rd.Int()
-	if nOcc < 0 || nOcc > len(q.byBank) {
-		rd.Reject("memctrl: %s queue lists %d occupied banks of %d", kind, nOcc, len(q.byBank))
-		return
-	}
-	for i := 0; i < nOcc && rd.Err() == nil; i++ {
-		n := rd.Len(math.MaxInt, "memctrl: bucket requests")
-		if n == 0 && rd.Err() == nil {
-			rd.Reject("memctrl: %s queue: occupied bank %d of %d lists no request", kind, i, nOcc)
+	n := rd.Len(math.MaxInt, "memctrl: queued requests")
+	for i := 0; i < n && rd.Err() == nil; i++ {
+		r := &Request{}
+		RestoreRequest(rd, r, ch, checkTok)
+		if rd.Err() != nil {
+			return
 		}
-		bank := -1 // the listed bucket's bank, once its first request names it
-		for j := 0; j < n && rd.Err() == nil; j++ {
-			r := &Request{}
-			RestoreRequest(rd, r, ch, checkTok)
-			if rd.Err() != nil {
-				return
-			}
-			if why := q.refuse(r, writes, bank); why != "" {
-				rd.Reject("memctrl: %s queue: request %#x: %s", kind, r.Addr, why)
-				return
-			}
-			b := r.bankID
-			if bank < 0 {
-				bank = b
-				q.pos[b] = len(q.occupied)
-				q.occupied = append(q.occupied, b)
-				q.heads = append(q.heads, r)
-			}
-			q.byBank[b] = append(q.byBank[b], r)
-			q.count++
+		switch {
+		case r.IsWrite != writes:
+			rd.Reject("memctrl: %s queue: request %#x: write=%v in the other kind's queue", kind, r.Addr, r.IsWrite)
+			return
+		case q.full():
+			rd.Reject("memctrl: %s queue: request %#x: more than the queue's %d entries", kind, r.Addr, q.cap)
+			return
 		}
+		q.push(r)
 	}
-}
-
-// refuse reports why restore cannot append r to the queue rebuilt so
-// far, as a request of bank's listed bucket (-1 for a bucket's first
-// request), or "".
-func (q *queue) refuse(r *Request, writes bool, bank int) string {
-	bucket := q.byBank[r.bankID]
-	switch {
-	case r.IsWrite != writes:
-		return fmt.Sprintf("write=%v in the other kind's queue", r.IsWrite)
-	case q.count >= q.cap:
-		return fmt.Sprintf("more than the queue's %d entries", q.cap)
-	case bank < 0 && len(bucket) > 0:
-		return fmt.Sprintf("bank %d is listed twice", r.bankID)
-	case bank >= 0 && r.bankID != bank:
-		return fmt.Sprintf("bank %d's request in bank %d's bucket", r.bankID, bank)
-	case r.seq >= q.seq:
-		return fmt.Sprintf("push stamp %d is not below the push counter %d", r.seq, q.seq)
-	case len(bucket) > 0 && r.seq <= bucket[len(bucket)-1].seq:
-		return fmt.Sprintf("push stamp %d is not above bank %d's previous %d", r.seq, r.bankID, bucket[len(bucket)-1].seq)
-	case len(bucket) == 0 && len(q.heads) > 0 && r.seq <= q.heads[len(q.heads)-1].seq:
-		return fmt.Sprintf("push stamp %d of bank %d's head is not above the previous head's %d", r.seq, r.bankID, q.heads[len(q.heads)-1].seq)
-	}
-	return ""
 }
 
 func snapPlan(w *fgss.Writer, p *RelocPlan) {
@@ -248,7 +192,7 @@ func (c *Controller) Restore(r *fgss.Reader, checkTok func(ev.Token) error) {
 	if !r.Expect(len(c.pendingRelocs), "memctrl: plan banks") {
 		return
 	}
-	clear(c.relocMask)
+	c.relocMask = 0
 	for i := range c.pendingRelocs {
 		c.pendingRelocs[i] = nil
 		n := r.Len(math.MaxInt, "memctrl: bank plans")
@@ -261,7 +205,7 @@ func (c *Controller) Restore(r *fgss.Reader, checkTok func(ev.Token) error) {
 			c.pendingRelocs[i] = append(c.pendingRelocs[i], p)
 		}
 		if len(c.pendingRelocs[i]) > 0 {
-			c.relocMask[i>>6] |= 1 << (i & 63)
+			c.relocMask |= 1 << i
 		}
 	}
 	if !r.Expect(len(c.lastColumn), "memctrl: last-column registers") {

@@ -374,10 +374,10 @@ type pendingReq struct {
 }
 
 // Request implements cache.Backend.
-func (m *memAdapter) Request(addr uint64, isWrite bool, coreID int, onDone ev.Token) {
+func (m *memAdapter) Request(addr uint64, isWrite bool, onDone ev.Token) {
 	ch, loc := m.sys.mapper.Decode(addr)
 	req := m.alloc()
-	req.Addr, req.Loc, req.IsWrite, req.CoreID = addr, loc, isWrite, coreID
+	req.Addr, req.Loc, req.IsWrite = addr, loc, isWrite
 	// The controller hands OnComplete to busSched, which converts bus
 	// cycles to CPU cycles, so the token fires in CPU time and can be
 	// passed through directly.

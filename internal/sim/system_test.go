@@ -28,8 +28,8 @@ func TestDrainPreservesPerChannelOrder(t *testing.T) {
 
 	// Buffer an (older) write that cannot enter, then a younger read that
 	// could — the read queue has space, but order must hold.
-	s.adapter.Request(1<<20, true, 0, ev.Token{})
-	s.adapter.Request(2<<20, false, 0, ev.Token{Kind: ev.CoreSlot})
+	s.adapter.Request(1<<20, true, ev.Token{})
+	s.adapter.Request(2<<20, false, ev.Token{Kind: ev.CoreSlot})
 	s.adapter.drain(0)
 
 	if got := ctrl.PendingReads(); got != 0 {
@@ -96,8 +96,8 @@ func TestDrainIndependentChannels(t *testing.T) {
 		}
 	}
 
-	s.adapter.Request(addr0, true, 0, ev.Token{})  // blocked: channel 0 write queue full
-	s.adapter.Request(addr1, false, 0, ev.Token{}) // channel 1 is free
+	s.adapter.Request(addr0, true, ev.Token{})  // blocked: channel 0 write queue full
+	s.adapter.Request(addr1, false, ev.Token{}) // channel 1 is free
 	s.adapter.drain(0)
 
 	if got := s.ctrls[1].PendingReads(); got != 1 {
