@@ -11,9 +11,11 @@
 //
 // The design leans on three existing invariants:
 //
-//   - the matrix index is canonical (harness.EnumerateJobs +
-//     SortByFingerprint): the coordinator and its workers enumerate it
-//     independently and must agree fingerprint-for-fingerprint;
+//   - the matrix index is canonical (harness.EnumerateJobs returns the
+//     jobs and their fingerprints in ascending fingerprint order): the
+//     coordinator and its workers enumerate it independently, use the
+//     returned fingerprints without hashing again, and must agree
+//     fingerprint-for-fingerprint;
 //   - entries are content-addressed, self-validating, and atomic on
 //     disk (expcache), so accepting an upload is decode-and-rename and
 //     duplicate work from re-dispatched leases resolves

@@ -17,24 +17,23 @@ func BuildSpec(r *harness.Runner, names []string) (Spec, []sim.Config, *expcache
 	if err != nil {
 		return Spec{}, nil, nil, err
 	}
-	jobs, err := r.EnumerateJobs(builders...)
+	jobs, fps, err := r.EnumerateJobs(builders...)
 	if err != nil {
 		return Spec{}, nil, nil, err
 	}
-	fps := make([]string, len(jobs))
-	for i, cfg := range jobs {
-		fps[i] = cfg.Fingerprint().String()
-	}
+	manifest := r.ShardManifest(fps, names)
 	scale := r.Scale()
 	spec := Spec{
-		Format:       SpecFormatVersion,
-		Engine:       sim.EngineVersion,
-		Insts:        scale.Insts,
-		Apps:         scale.SingleApps,
-		Mixes:        scale.MixesPerCategory,
-		MC:           scale.MCIterations,
-		Experiments:  names,
-		Fingerprints: fps,
+		Format:      SpecFormatVersion,
+		Engine:      sim.EngineVersion,
+		Insts:       scale.Insts,
+		Apps:        scale.SingleApps,
+		Mixes:       scale.MixesPerCategory,
+		MC:          scale.MCIterations,
+		Experiments: names,
+		// The spec and the manifest index the same matrix; neither
+		// changes its list, so they share one.
+		Fingerprints: manifest.Fingerprints,
 	}
-	return spec, jobs, r.ShardManifest(jobs, names), nil
+	return spec, jobs, manifest, nil
 }

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strings"
 	"time"
 
@@ -111,29 +110,22 @@ func RunWorker(baseURL string, opts WorkerOptions) error {
 	if err != nil {
 		return err
 	}
-	jobs, err := w.runner.EnumerateJobs(builders...)
+	w.jobs, w.fps, err = w.runner.EnumerateJobs(builders...)
 	if err != nil {
 		return fmt.Errorf("dispatch: enumerating the matrix: %w", err)
 	}
-	w.index = make(map[string]sim.Config, len(jobs))
-	local := make([]string, len(jobs))
-	for i, cfg := range jobs {
-		fp := cfg.Fingerprint().String()
-		local[i] = fp
-		w.index[fp] = cfg
+	if len(w.fps) != len(spec.Fingerprints) {
+		return fmt.Errorf("dispatch: local matrix has %d jobs, coordinator's %d: builds or scales differ", len(w.fps), len(spec.Fingerprints))
 	}
-	if !sort.StringsAreSorted(local) {
-		return fmt.Errorf("dispatch: local enumeration not in fingerprint order")
-	}
-	if len(local) != len(spec.Fingerprints) {
-		return fmt.Errorf("dispatch: local matrix has %d jobs, coordinator's %d: builds or scales differ", len(local), len(spec.Fingerprints))
-	}
-	for i := range local {
-		if local[i] != spec.Fingerprints[i] {
-			return fmt.Errorf("dispatch: matrix disagrees with the coordinator at index %d (%.12s... vs %.12s...): builds differ", i, local[i], spec.Fingerprints[i])
+	w.index = make(map[string]int, len(w.fps))
+	for i, fp := range w.fps {
+		local := fp.String()
+		if local != spec.Fingerprints[i] {
+			return fmt.Errorf("dispatch: matrix disagrees with the coordinator at index %d (%.12s... vs %.12s...): builds differ", i, local, spec.Fingerprints[i])
 		}
+		w.index[local] = i
 	}
-	opts.Logf("%s: serving %s: %d-job matrix verified", opts.ID, baseURL, len(local))
+	opts.Logf("%s: serving %s: %d-job matrix verified", opts.ID, baseURL, len(w.fps))
 
 	uploads := 0
 	for {
@@ -172,7 +164,11 @@ type worker struct {
 	opts   WorkerOptions
 	runner *harness.Runner
 	cache  *expcache.Cache
-	index  map[string]sim.Config
+	// jobs and fps are the verified matrix index (EnumerateJobs); index
+	// maps a hex fingerprint to its position in both.
+	jobs  []sim.Config
+	fps   []sim.Fingerprint
+	index map[string]int
 }
 
 // serveLease computes one lease's fingerprints and uploads the entries,
@@ -186,15 +182,16 @@ func (w *worker) serveLease(lease Lease, uploads *int) (bool, error) {
 		go w.heartbeatLoop(lease.ID, stop)
 	}
 
-	cfgs := make([]sim.Config, 0, len(lease.Fingerprints))
-	for _, fp := range lease.Fingerprints {
-		cfg, ok := w.index[fp]
+	leased := make([]int, len(lease.Fingerprints))
+	cfgs := make([]sim.Config, len(lease.Fingerprints))
+	for k, hex := range lease.Fingerprints {
+		i, ok := w.index[hex]
 		if !ok {
 			// Cannot happen after the matrix check; refuse loudly if the
 			// coordinator invents fingerprints anyway.
-			return false, fmt.Errorf("dispatch: leased fingerprint %.12s... is not in the verified matrix", fp)
+			return false, fmt.Errorf("dispatch: leased fingerprint %.12s... is not in the verified matrix", hex)
 		}
-		cfgs = append(cfgs, cfg)
+		leased[k], cfgs[k] = i, w.jobs[i]
 	}
 	// One batch run on the runner's worker pool, exactly as a solo
 	// figbench run computes its matrix.
@@ -202,26 +199,26 @@ func (w *worker) serveLease(lease Lease, uploads *int) (bool, error) {
 		return false, fmt.Errorf("dispatch: computing lease %s: %w", lease.ID, err)
 	}
 	matrixDone := false
-	for _, cfg := range cfgs {
-		fp := cfg.Fingerprint()
-		res, ok := w.cache.Get(fp)
+	for k, i := range leased {
+		hex := lease.Fingerprints[k]
+		res, ok := w.cache.Get(w.fps[i])
 		if !ok {
-			return false, fmt.Errorf("dispatch: computed result for %.12s... missing from the local cache", fp.String())
+			return false, fmt.Errorf("dispatch: computed result for %.12s... missing from the local cache", hex)
 		}
-		data, err := expcache.EncodeEntry(fp, res)
+		data, err := expcache.EncodeEntry(w.fps[i], res)
 		if err != nil {
 			return false, err
 		}
 		if d := w.opts.Faults.StallBeforeUpload; d > 0 {
 			time.Sleep(d)
 		}
-		done, err := w.upload(fp.String(), data)
+		done, err := w.upload(hex, data)
 		if err != nil {
 			return false, err
 		}
 		matrixDone = matrixDone || done
 		if w.opts.Faults.DuplicateUploads {
-			if _, err := w.upload(fp.String(), data); err != nil {
+			if _, err := w.upload(hex, data); err != nil {
 				return false, fmt.Errorf("dispatch: duplicate upload rejected: %w", err)
 			}
 		}

@@ -54,7 +54,7 @@ func TestCustomEnumerates(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := quickRunner()
-	jobs, err := r.EnumerateJobs(func() (*stats.Table, error) { return r.Custom(ws) })
+	jobs, _, err := r.EnumerateJobs(func() (*stats.Table, error) { return r.Custom(ws) })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,8 +16,10 @@
 // For a fleet run across machines (internal/dispatch), the package also
 // plans the matrix (plan.go): EnumerateJobs runs the experiment builders
 // in a plan-only mode that records every distinct job without
-// simulating, in canonical fingerprint order; RunJobs computes a leased
-// subset through the result cache; and ShardManifest describes the whole
-// matrix so a completed fleet directory is self-describing. See
-// ARCHITECTURE.md for the multi-machine workflow.
+// simulating, and returns the jobs with their fingerprints, hashed once
+// each and sorted together into canonical order; RunJobs computes a
+// leased subset through the result cache; and ShardManifest describes
+// the whole matrix from those fingerprints so a completed fleet
+// directory is self-describing. See ARCHITECTURE.md for the
+// multi-machine workflow.
 package harness

@@ -40,14 +40,14 @@ func TestSweepFingerprintsGolden(t *testing.T) {
 		}, "31047d7cdd9a72f3421771530482233b871e9a1311aed29f6f2383585ac85515"},
 	}
 	for _, g := range golden {
-		jobs, err := r.EnumerateJobs(g.build)
+		jobs, fps, err := r.EnumerateJobs(g.build)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var got []string
-		for _, cfg := range jobs {
+		for i, cfg := range jobs {
 			if len(cfg.Mix.Apps) == 1 && g.pick(cfg) {
-				got = append(got, cfg.Fingerprint().String())
+				got = append(got, fps[i].String())
 			}
 		}
 		if len(got) != 1 || got[0] != g.want {

@@ -65,13 +65,12 @@ type Runner struct {
 	// sysBuilt counts sim.New constructions across all workers.
 	sysBuilt int64
 
-	// planning switches runAll into job enumeration: submitted
-	// configurations are recorded in plan (deduplicated via planSeen)
-	// and errPlanOnly aborts the calling experiment builder before it
-	// renders anything. EnumerateJobs drives this; see plan.go.
-	planning bool
-	plan     []sim.Config
-	planSeen map[sim.Fingerprint]bool
+	// plan, while EnumerateJobs runs, switches runAll into job
+	// enumeration: each submitted configuration is recorded under its
+	// fingerprint (the first of equal ones is kept) and errPlanOnly
+	// aborts the calling experiment builder before it renders anything.
+	// See plan.go.
+	plan map[sim.Fingerprint]sim.Config
 }
 
 // NewRunner builds a runner for the scale with an in-memory result cache.
@@ -139,12 +138,11 @@ func (rs results) of(cfg sim.Config) sim.Result {
 // hiding siblings behind the first error. Completed runs are cached even
 // when a sibling fails, so a retry does not recompute them.
 func (r *Runner) runAll(cfgs []sim.Config) (results, error) {
-	if r.planning {
+	if r.plan != nil {
 		for _, cfg := range cfgs {
 			fp := cfg.Fingerprint()
-			if !r.planSeen[fp] {
-				r.planSeen[fp] = true
-				r.plan = append(r.plan, cfg)
+			if _, ok := r.plan[fp]; !ok {
+				r.plan[fp] = cfg
 			}
 		}
 		return nil, errPlanOnly
@@ -341,9 +339,10 @@ func (r *Runner) workloadGroups() ([]workload.Mix, []workloadGroup) {
 
 // eightCoreMixes returns the configured subset of eight-core mixes.
 func (r *Runner) eightCoreMixes() []workload.Mix {
+	all := workload.EightCoreMixes()
 	var out []workload.Mix
 	for _, pct := range []int{25, 50, 75, 100} {
-		cat := workload.MixesByCategory(workload.EightCoreMixes(), pct)
+		cat := workload.MixesByCategory(all, pct)
 		if len(cat) > r.scale.MixesPerCategory {
 			cat = cat[:r.scale.MixesPerCategory]
 		}

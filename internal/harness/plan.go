@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/expcache"
 	"repro/internal/sim"
@@ -19,11 +19,13 @@ import (
 var errPlanOnly = errors.New("harness: plan-only enumeration")
 
 // EnumerateJobs runs the given experiment builders in plan-only mode and
-// returns every distinct simulation job of their combined matrix in
-// ascending fingerprint order — the canonical matrix index a fleet
-// coordinator leases from. No simulation runs: each builder's first
-// runAll call records its jobs and aborts the builder. Builders that run
-// no simulations (static tables, the circuit model) contribute no jobs;
+// returns every distinct simulation job of their combined matrix with
+// its fingerprint, both in ascending fingerprint order — the canonical
+// matrix index a fleet coordinator leases from. Each job is hashed once,
+// when runAll records it; callers use the returned fingerprints rather
+// than hashing again. No simulation runs: each builder's first runAll
+// call records its jobs and aborts the builder. Builders that run no
+// simulations (static tables, the circuit model) contribute no jobs;
 // their output is discarded.
 //
 // The returned order depends only on the set of jobs, not on builder
@@ -32,48 +34,24 @@ var errPlanOnly = errors.New("harness: plan-only enumeration")
 // experiment set and scale (the dispatch Spec carries both).
 //
 // Not safe to call concurrently with the builders' normal execution.
-func (r *Runner) EnumerateJobs(builders ...func() (*stats.Table, error)) ([]sim.Config, error) {
-	r.planning = true
-	r.plan = nil
-	r.planSeen = make(map[sim.Fingerprint]bool)
-	defer func() {
-		r.planning = false
-		r.plan = nil
-		r.planSeen = nil
-	}()
+func (r *Runner) EnumerateJobs(builders ...func() (*stats.Table, error)) ([]sim.Config, []sim.Fingerprint, error) {
+	r.plan = make(map[sim.Fingerprint]sim.Config)
+	defer func() { r.plan = nil }()
 	for _, build := range builders {
 		if _, err := build(); err != nil && !errors.Is(err, errPlanOnly) {
-			return nil, err
+			return nil, nil, err
 		}
 	}
-	jobs := make([]sim.Config, len(r.plan))
-	copy(jobs, r.plan)
-	SortByFingerprint(jobs)
-	return jobs, nil
-}
-
-// SortByFingerprint puts jobs into canonical ascending fingerprint order,
-// the matrix order a coordinator leases in.
-func SortByFingerprint(jobs []sim.Config) {
-	fps := make([]sim.Fingerprint, len(jobs))
-	for i, cfg := range jobs {
-		fps[i] = cfg.Fingerprint()
+	fps := make([]sim.Fingerprint, 0, len(r.plan))
+	for fp := range r.plan { //fglint:deterministic the keys are sorted next
+		fps = append(fps, fp)
 	}
-	sort.Sort(&byFingerprint{jobs, fps})
-}
-
-type byFingerprint struct {
-	jobs []sim.Config
-	fps  []sim.Fingerprint
-}
-
-func (s *byFingerprint) Len() int { return len(s.jobs) }
-func (s *byFingerprint) Less(i, j int) bool {
-	return bytes.Compare(s.fps[i][:], s.fps[j][:]) < 0
-}
-func (s *byFingerprint) Swap(i, j int) {
-	s.jobs[i], s.jobs[j] = s.jobs[j], s.jobs[i]
-	s.fps[i], s.fps[j] = s.fps[j], s.fps[i]
+	slices.SortFunc(fps, func(a, b sim.Fingerprint) int { return bytes.Compare(a[:], b[:]) })
+	jobs := make([]sim.Config, len(fps))
+	for i, fp := range fps {
+		jobs[i] = r.plan[fp]
+	}
+	return jobs, fps, nil
 }
 
 // RunJobs computes the given configurations through the result cache —
@@ -89,20 +67,20 @@ func (r *Runner) RunJobs(jobs []sim.Config) (int, error) {
 }
 
 // ShardManifest builds the manifest of the whole matrix over the
-// canonical (fingerprint-sorted) job index, stamped with the runner's
-// scale and the experiment names the index was enumerated from. A fleet
-// coordinator writes it once the matrix is complete.
-func (r *Runner) ShardManifest(jobs []sim.Config, experiments []string) *expcache.Manifest {
+// canonical job index's fingerprints (EnumerateJobs), stamped with the
+// runner's scale and the experiment names the index was enumerated
+// from. A fleet coordinator writes it once the matrix is complete.
+func (r *Runner) ShardManifest(fps []sim.Fingerprint, experiments []string) *expcache.Manifest {
 	m := &expcache.Manifest{
 		Format: expcache.ManifestFormatVersion,
 		Engine: sim.EngineVersion,
 		Scale: fmt.Sprintf("insts=%d apps=%d mixes=%d mc=%d",
 			r.scale.Insts, r.scale.SingleApps, r.scale.MixesPerCategory, r.scale.MCIterations),
 		Experiments:  experiments,
-		Fingerprints: make([]string, len(jobs)),
+		Fingerprints: make([]string, len(fps)),
 	}
-	for i, cfg := range jobs {
-		m.Fingerprints[i] = cfg.Fingerprint().String()
+	for i, fp := range fps {
+		m.Fingerprints[i] = fp.String()
 	}
 	return m
 }

@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"bytes"
+	"slices"
 	"testing"
 
 	"repro/internal/stats"
@@ -18,7 +20,7 @@ func enumerationBuilders(r *Runner) []func() (*stats.Table, error) {
 // touching the result cache.
 func TestEnumerateJobsRunsNothing(t *testing.T) {
 	r := NewRunner(QuickScale())
-	jobs, err := r.EnumerateJobs(enumerationBuilders(r)...)
+	jobs, _, err := r.EnumerateJobs(enumerationBuilders(r)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,11 +33,32 @@ func TestEnumerateJobsRunsNothing(t *testing.T) {
 	if st := r.CacheStats(); st.Hits()+st.Misses+st.Stores != 0 {
 		t.Errorf("enumeration touched the result cache: %+v", st)
 	}
-	// Canonical order: ascending fingerprints, no duplicates.
-	for i := 1; i < len(jobs); i++ {
-		a, b := jobs[i-1].Fingerprint().String(), jobs[i].Fingerprint().String()
-		if a >= b {
-			t.Fatalf("jobs not in strict fingerprint order at %d: %s >= %s", i, a, b)
+}
+
+// TestEnumerateJobsFingerprints pins the index EnumerateJobs returns
+// over the whole catalog at quick scale: one fingerprint per job, each
+// its job's Fingerprint, in strictly ascending order (the canonical
+// order, without duplicates). BuildSpec, ShardManifest and the fleet
+// worker use these fingerprints without hashing the jobs again.
+func TestEnumerateJobsFingerprints(t *testing.T) {
+	r := NewRunner(QuickScale())
+	var builders []func() (*stats.Table, error)
+	for _, e := range r.Catalog() {
+		builders = append(builders, e.Run)
+	}
+	jobs, fps, err := r.EnumerateJobs(builders...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(jobs) == 0 || len(fps) != len(jobs) {
+		t.Fatalf("enumeration returned %d jobs and %d fingerprints", len(jobs), len(fps))
+	}
+	for i, cfg := range jobs {
+		if fp := cfg.Fingerprint(); fps[i] != fp {
+			t.Fatalf("fingerprint %d is %s, its job's is %s", i, fps[i], fp)
+		}
+		if i > 0 && bytes.Compare(fps[i-1][:], fps[i][:]) >= 0 {
+			t.Fatalf("fingerprints not strictly ascending at %d: %s >= %s", i, fps[i-1], fps[i])
 		}
 	}
 }
@@ -44,24 +67,17 @@ func TestEnumerateJobsRunsNothing(t *testing.T) {
 // depend on the order experiments are enumerated in.
 func TestEnumerateJobsStableAcrossOrder(t *testing.T) {
 	r := NewRunner(QuickScale())
-	forward, err := r.EnumerateJobs(enumerationBuilders(r)...)
+	_, forward, err := r.EnumerateJobs(enumerationBuilders(r)...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	bs := enumerationBuilders(r)
-	for i, j := 0, len(bs)-1; i < j; i, j = i+1, j-1 {
-		bs[i], bs[j] = bs[j], bs[i]
-	}
-	backward, err := r.EnumerateJobs(bs...)
+	slices.Reverse(bs)
+	_, backward, err := r.EnumerateJobs(bs...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(forward) != len(backward) {
-		t.Fatalf("enumeration order changed the matrix size: %d vs %d", len(forward), len(backward))
-	}
-	for i := range forward {
-		if forward[i].Fingerprint() != backward[i].Fingerprint() {
-			t.Fatalf("enumeration order changed the canonical index at %d", i)
-		}
+	if !slices.Equal(forward, backward) {
+		t.Fatalf("enumeration order changed the canonical index: %d jobs forward, %d backward", len(forward), len(backward))
 	}
 }

@@ -23,10 +23,12 @@
 //
 //   - Run identity. Config.Fingerprint() is the canonical identity of a
 //     run: a SHA-256 over the normalized configuration plus
-//     EngineVersion. Equal fingerprints imply bit-identical Results, the
-//     property the harness's result caching, cross-process persistence
-//     (internal/expcache), and cross-machine fleets all build on. Bump
-//     EngineVersion with any change that can alter what a run produces.
+//     EngineVersion, whose canonical text is appended with strconv into
+//     a stack buffer (no fmt, no allocation). Equal fingerprints imply
+//     bit-identical Results, the property the harness's result caching,
+//     cross-process persistence (internal/expcache), and cross-machine
+//     fleets all build on. Bump EngineVersion with any change that can
+//     alter what a run produces.
 //
 //   - Checkpoint/restore. System.Snapshot serializes the complete
 //     mid-run state of every layer into the versioned FGSS format

@@ -28,7 +28,7 @@
 // results.
 //
 // A core's workload is a Source, which wraps one BenchSpec: a pure value
-// the fingerprint serializes (Source.WriteCanonical) and sim.New opens
+// the fingerprint serializes (Source.AppendCanonical) and sim.New opens
 // into a Generator for the core's address window. tracegen prints a
 // generator's records as text, or summarizes them.
 //

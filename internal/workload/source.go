@@ -2,7 +2,7 @@ package workload
 
 import (
 	"fmt"
-	"io"
+	"strconv"
 	"strings"
 )
 
@@ -45,18 +45,43 @@ func (s Source) Open(seed, base, span uint64, layout Layout) (*Generator, error)
 	return NewGeneratorLayout(s.Synth, seed, base, span, layout)
 }
 
-// WriteCanonical serializes the source's run identity into w, one line
-// per source, for configuration fingerprinting (sim.Config.Fingerprint).
+// AppendCanonical appends the source's run identity to dst, one line
+// per source, for configuration fingerprinting (sim.Config.Fingerprint),
+// and returns the extended slice. It allocates only when dst is too
+// short.
 //
 // The line layout predates Source and MUST NOT change: it is the
 // persisted cache identity of every run ever computed, and changing a
 // byte of it would orphan those results as surely as an engine-version
-// bump.
-func (s Source) WriteCanonical(w io.Writer) {
-	b := s.Synth
-	fmt.Fprintf(w, "app=%q mi=%t bub=%d fp=%d hot=%d str=%d zipf=%g hf=%g seq=%d wf=%g\n",
-		b.Name, b.MemIntensive, b.Bubbles, b.FootprintBytes, b.HotSegments,
-		b.Streams, b.ZipfTheta, b.HotFraction, b.SeqRun, b.WriteFrac)
+// bump. It is the fmt layout
+//
+//	app=%q mi=%t bub=%d fp=%d hot=%d str=%d zipf=%g hf=%g seq=%d wf=%g
+//
+// spelled with strconv, whose AppendQuote, AppendBool, AppendInt and
+// AppendFloat(v, 'g', -1, 64) write what those verbs print.
+func (s Source) AppendCanonical(dst []byte) []byte {
+	b := &s.Synth
+	dst = append(dst, "app="...)
+	dst = strconv.AppendQuote(dst, b.Name)
+	dst = append(dst, " mi="...)
+	dst = strconv.AppendBool(dst, b.MemIntensive)
+	dst = append(dst, " bub="...)
+	dst = strconv.AppendInt(dst, int64(b.Bubbles), 10)
+	dst = append(dst, " fp="...)
+	dst = strconv.AppendInt(dst, b.FootprintBytes, 10)
+	dst = append(dst, " hot="...)
+	dst = strconv.AppendInt(dst, int64(b.HotSegments), 10)
+	dst = append(dst, " str="...)
+	dst = strconv.AppendInt(dst, int64(b.Streams), 10)
+	dst = append(dst, " zipf="...)
+	dst = strconv.AppendFloat(dst, b.ZipfTheta, 'g', -1, 64)
+	dst = append(dst, " hf="...)
+	dst = strconv.AppendFloat(dst, b.HotFraction, 'g', -1, 64)
+	dst = append(dst, " seq="...)
+	dst = strconv.AppendInt(dst, int64(b.SeqRun), 10)
+	dst = append(dst, " wf="...)
+	dst = strconv.AppendFloat(dst, b.WriteFrac, 'g', -1, 64)
+	return append(dst, '\n')
 }
 
 // FindMix resolves a workload argument the way the CLIs spell them:

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"bytes"
 	"testing"
 )
 
@@ -26,18 +25,18 @@ func TestSourceValidateAndNames(t *testing.T) {
 	}
 }
 
-func TestSourceWriteCanonical(t *testing.T) {
+func TestSourceAppendCanonical(t *testing.T) {
 	spec, err := ByName("mcf")
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The synthetic line is a persisted-cache identity; its exact bytes
-	// must never change (see Source.WriteCanonical).
-	var buf bytes.Buffer
-	SynthSource(spec).WriteCanonical(&buf)
-	want := `app="mcf" mi=true bub=36 fp=1073741824 hot=2944 str=2 zipf=0.7 hf=0.93 seq=1 wf=0.15` + "\n"
-	if buf.String() != want {
-		t.Errorf("synthetic canonical line changed:\n got: %q\nwant: %q", buf.String(), want)
+	// must never change (see Source.AppendCanonical). It appends after
+	// what dst already holds.
+	got := SynthSource(spec).AppendCanonical([]byte("x\n"))
+	want := "x\n" + `app="mcf" mi=true bub=36 fp=1073741824 hot=2944 str=2 zipf=0.7 hf=0.93 seq=1 wf=0.15` + "\n"
+	if string(got) != want {
+		t.Errorf("synthetic canonical line changed:\n got: %q\nwant: %q", got, want)
 	}
 }
 
