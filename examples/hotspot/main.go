@@ -39,18 +39,16 @@ func main() {
 			fmt.Printf("  %-22s row %4d seg %d: HIT\n", label, row, block/16)
 			return
 		}
-		var planNote string
-		if cache.ShouldInsert(loc) {
-			if plan := cache.Insert(channel, loc, 0); plan != nil {
-				planNote = fmt.Sprintf("inserted (%d RELOCs, %d-cycle occupancy)", plan.Blocks, plan.Cost)
-				// The memory controller defers relocation work until the
-				// source row closes and only then commits the cache tags;
-				// this demo has no controller, so the relocation executes
-				// (and commits) immediately.
-				cache.Commit(plan)
-			}
+		var note string
+		if cache.ShouldInsert(loc) && cache.Insert(loc) {
+			// The memory controller flushes a bank's queued insertions
+			// when the source row closes, and only then are the cache
+			// tags installed; this demo has no controller, so it flushes
+			// each insertion at once.
+			burst := cache.Flush(channel, loc.BankID(geo))
+			note = fmt.Sprintf("inserted (%d RELOCs, %d-cycle occupancy)", burst.Blocks, burst.Cost)
 		}
-		fmt.Printf("  %-22s row %4d seg %d: miss, %s\n", label, row, block/16, planNote)
+		fmt.Printf("  %-22s row %4d seg %d: miss, %s\n", label, row, block/16, note)
 	}
 
 	fmt.Println("--- phase 1: first touch of 8 hot segments (fills cache row 0) ---")

@@ -16,7 +16,7 @@
 //     replacement policy (Section 5). The FTS finds a tag's slot through
 //     an open-addressing table of twice the slot count (linear probing,
 //     backward-shift deletion), so every tag it holds must be unique; a
-//     bank's planned insertions are a short sorted slice. A tag is 32
+//     bank's queued insertions are a short slice in queue order. A tag is 32
 //     bits (source row above an 8-bit segment index, rows per bank at
 //     most 2^24 by FIGCacheConfig.Validate) and an FTS entry 16 bytes.
 //     One FIGCache covers a channel's banks and cuts their tag stores'
@@ -31,15 +31,19 @@
 // The timing integration with the memory controller goes through
 // memctrl.CacheHook; this package owns all cache metadata and policy
 // decisions, while the controller and internal/dram charge the cycles.
+// Each cache owns its queued insertions: Insert queues one per bank, and
+// Flush installs a bank's queue and prices its relocation burst when the
+// controller closes the source row.
 //
 // FIGCache.Snapshot/Restore and LISAVilla.Snapshot/Restore
-// (snapshot.go) serialize the tag stores, replacement state, and hot
-// counters for the system checkpoint lifecycle (sim.System.Snapshot).
-// FTS.Restore rejects a valid tag held by two slots, a tag at or above
-// 2^32 and a reserved slot out of range or listed twice;
-// FIGCache.Restore rejects planned insertions and miss counters out of
-// ascending order or keyed at or above 2^32, and miss counters on a
-// threshold-1 cache, which keeps none. Both caches' CheckPlan lets a
-// restoring controller refuse a deferred plan whose commit payload names
-// no bank or slot of the cache.
+// (snapshot.go) serialize the tag stores, replacement state, hot
+// counters and queued insertions for the system checkpoint lifecycle
+// (sim.System.Snapshot); restore re-derives every reservation from the
+// queues. FTS.Restore rejects a valid tag held by two slots and a tag at
+// or above 2^32; FIGCache.Restore rejects miss counters out of ascending
+// order or keyed at or above 2^32, and miss counters on a threshold-1
+// cache, which keeps none. Both caches' Restore reject a queued
+// insertion their Insert could not have queued: its location outside its
+// bank, its segment (LISA-VILLA: row) already cached or queued, or its
+// slot (cache row) out of range, valid or reserved.
 package core

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/dram"
 	"repro/internal/memctrl"
@@ -96,13 +95,6 @@ type FIGCache struct {
 
 	banks []bankCache
 
-	// plan is the scratch the next Insert returns a pointer to; per the
-	// CacheHook contract the controller copies it before the call after.
-	// Keeping it here instead of allocating per insertion is what lets a
-	// relocating preset run allocation-free in steady state.
-	//fglint:preserved scratch; fully overwritten by every Insert before the pointer is returned
-	plan memctrl.RelocPlan
-
 	// Stats aggregated across banks.
 	Insertions  int64
 	Evictions   int64
@@ -117,13 +109,22 @@ type bankCache struct {
 	// insertion policies; nil under insert-any-miss (threshold 1), which
 	// never counts. Cleared on insertion.
 	missCounts map[segKey]int
-	// inflight lists, in ascending order, the segments whose insertion
-	// the controller has planned but not yet executed (the relocation
-	// runs when the source row closes). Requests in this window keep
-	// hitting the open source row, and duplicate insertions are
-	// suppressed. A bank rarely has more than one insertion planned, so
-	// a binary search of a short slice beats hashing.
-	inflight []segKey
+	// queue holds the bank's queued insertions in the order Insert
+	// queued them; Flush installs and empties it when the controller
+	// closes the source row. Requests in this window keep hitting the
+	// open source row, and a second insertion of a queued segment is
+	// refused. A flush rarely finds more than one insertion queued, so
+	// the queue is scanned, not indexed.
+	queue []insertion
+}
+
+// insertion is one queued FIGCache insertion: the miss location whose
+// segment it relocates, the slot it reserved, and whether it evicted a
+// dirty victim whose write-back runs first.
+type insertion struct {
+	loc       dram.Location
+	slot      int
+	writeBack bool
 }
 
 // NewFIGCache builds a FIGCache over the channel geometry. Its banks'
@@ -210,89 +211,81 @@ func (c *FIGCache) ShouldInsert(loc dram.Location) bool {
 	return false
 }
 
-// Insert implements memctrl.CacheHook: allocate a slot (evicting per the
-// replacement policy if full) and return the relocation plan. The source
-// row is open when Insert is called, so the insertion relocation skips
-// the first ACTIVATE (Section 8.1); a dirty victim adds a standalone
-// write-back relocation to the plan cost. The tag is installed by the
-// plan's Commit when the controller executes the relocation, so requests
-// arriving while the source row remains open keep hitting it.
-func (c *FIGCache) Insert(ch *dram.Channel, loc dram.Location, now int64) *memctrl.RelocPlan {
+// queued reports whether the bank has queued the insertion of a
+// segment.
+func (c *FIGCache) queued(bank *bankCache, row, seg int) bool {
+	for _, in := range bank.queue {
+		if in.loc.Row == row && c.segOf(in.loc.Block) == seg {
+			return true
+		}
+	}
+	return false
+}
+
+// Insert implements memctrl.CacheHook: reserve a slot (evicting per the
+// replacement policy if full) and queue the insertion. The victim's tag
+// leaves the FTS now; a dirty victim's write-back runs at Flush, ahead
+// of the insertion's relocation.
+func (c *FIGCache) Insert(loc dram.Location) bool {
 	bank := &c.banks[loc.BankID(c.geo)]
 	seg := c.segOf(loc.Block)
-	key := makeSegKey(loc.Row, seg)
-	at, planned := slices.BinarySearch(bank.inflight, key)
-	if bank.fts.Contains(loc.Row, seg) || planned {
-		return nil // already cached or already being inserted
+	if bank.fts.Contains(loc.Row, seg) || c.queued(bank, loc.Row, seg) {
+		return false // already cached or already being inserted
 	}
-
-	var cost int64
-	blocks := c.cfg.SegmentBlocks
-	psm := c.cfg.Substrate == SubstrateRowClonePSM
+	writeBack := false
 	slot, free := bank.fts.FreeSlot()
 	if !free {
 		slot = bank.repl.victim(bank.fts)
 		if slot < 0 {
-			return nil // everything evictable is reserved by in-flight work
+			return false // everything evictable is reserved by queued insertions
 		}
 		_, _, dirty, valid := bank.fts.Evict(slot)
 		if valid {
 			c.Evictions++
 			if dirty {
-				// Write the victim segment back: ACT(cache row) + n RELOC +
-				// ACT(source row) + PRE.
-				if psm {
-					cost += ch.PSMCost(blocks, false)
-				} else {
-					cost += ch.RelocStandaloneCost(blocks, true, false)
-				}
-				blocks += c.cfg.SegmentBlocks
+				writeBack = true
 				c.WriteBacks++
 			}
 		}
 	}
-	// Insertion relocation with the source row already open: n RELOC +
-	// ACT(cache row) + PRE via FIGARO, or the channel-blocking two-hop
-	// copy via RowClone-PSM.
-	if psm {
-		cost += ch.PSMCost(c.cfg.SegmentBlocks, true)
-	} else {
-		cost += ch.RelocCost(c.cfg.SegmentBlocks, true)
-	}
-	bank.inflight = slices.Insert(bank.inflight, at, key)
 	bank.fts.Reserve(slot)
+	bank.queue = append(bank.queue, insertion{loc: loc, slot: slot, writeBack: writeBack})
 	c.Insertions++
-	c.plan = memctrl.RelocPlan{
-		Loc: loc, Cost: cost, Blocks: blocks, ChannelWide: psm,
-		CommitBank: loc.BankID(c.geo), CommitSlot: slot,
-		CommitRow: loc.Row, CommitSeg: seg,
-	}
-	return &c.plan
+	return true
 }
 
-// Commit implements memctrl.CacheHook: install the tag for a plan Insert
-// returned, clearing its reservation. Called by the controller when the
-// relocation executes.
-func (c *FIGCache) Commit(p *memctrl.RelocPlan) {
-	bank := &c.banks[p.CommitBank]
-	if at, ok := slices.BinarySearch(bank.inflight, makeSegKey(p.CommitRow, p.CommitSeg)); ok {
-		bank.inflight = slices.Delete(bank.inflight, at, at+1)
+// Flush implements memctrl.CacheHook: install the bank's queued
+// segments in queue order, releasing their slots, and return the burst.
+// Each insertion relocates its segment with the source row already
+// open: n RELOC + ACT(cache row) + PRE via FIGARO, or the
+// channel-blocking two-hop copy via RowClone-PSM. A dirty victim first
+// adds a standalone write-back: ACT(cache row) + n RELOC + ACT(source
+// row) + PRE.
+func (c *FIGCache) Flush(ch *dram.Channel, bank int) memctrl.RelocBurst {
+	b := &c.banks[bank]
+	n := c.cfg.SegmentBlocks
+	psm := c.cfg.Substrate == SubstrateRowClonePSM
+	insert, writeBack := ch.RelocCost(n, true), ch.RelocStandaloneCost(n, true, false)
+	if psm {
+		insert, writeBack = ch.PSMCost(n, true), ch.PSMCost(n, false)
 	}
-	bank.fts.Unreserve(p.CommitSlot)
-	bank.fts.Install(p.CommitSlot, p.CommitRow, p.CommitSeg, false)
+	burst := memctrl.RelocBurst{Loc: b.queue[0].loc, Count: len(b.queue), ChannelWide: psm}
+	for _, in := range b.queue {
+		if in.writeBack {
+			burst.Cost += writeBack
+			burst.Blocks += n
+		}
+		burst.Cost += insert
+		burst.Blocks += n
+		b.fts.Unreserve(in.slot)
+		b.fts.Install(in.slot, in.loc.Row, c.segOf(in.loc.Block), false)
+	}
+	b.queue = b.queue[:0]
+	return burst
 }
 
-// CheckPlan implements memctrl.CacheHook: a restored plan must name one
-// of this cache's banks and one of that bank's tag-store slots.
-func (c *FIGCache) CheckPlan(p *memctrl.RelocPlan) error {
-	if p.CommitBank < 0 || p.CommitBank >= len(c.banks) {
-		return fmt.Errorf("core: FIGCache plan commits to bank %d of %d", p.CommitBank, len(c.banks))
-	}
-	if n := c.banks[p.CommitBank].fts.Slots(); p.CommitSlot < 0 || p.CommitSlot >= n {
-		return fmt.Errorf("core: FIGCache plan commits to slot %d of bank %d's %d", p.CommitSlot, p.CommitBank, n)
-	}
-	return nil
-}
+// Pending implements memctrl.CacheHook.
+func (c *FIGCache) Pending(bank int) bool { return len(c.banks[bank].queue) > 0 }
 
 // HitRate returns the aggregate in-DRAM cache hit rate.
 func (c *FIGCache) HitRate() float64 {

@@ -36,14 +36,14 @@ func newTestFIGCache(t *testing.T, mutate func(*FIGCacheConfig)) (*FIGCache, *dr
 	return fc, newTestChannel(t, 2)
 }
 
-// insertNow performs an insertion and immediately commits it, emulating
-// the controller executing the relocation right away.
-func insertNow(fc *FIGCache, ch *dram.Channel, loc dram.Location) *memctrl.RelocPlan {
-	plan := fc.Insert(ch, loc, 0)
-	if plan != nil {
-		fc.Commit(plan)
+// insertNow queues an insertion and flushes its bank at once, emulating
+// the controller executing the relocation right away. ok reports
+// whether Insert queued one.
+func insertNow(fc *FIGCache, ch *dram.Channel, loc dram.Location) (burst memctrl.RelocBurst, ok bool) {
+	if !fc.Insert(loc) {
+		return memctrl.RelocBurst{}, false
 	}
-	return plan
+	return fc.Flush(ch, loc.BankID(fc.geo)), true
 }
 
 func TestFIGCacheConfigValidate(t *testing.T) {
@@ -147,19 +147,19 @@ func TestFIGCacheLookupMissThenHit(t *testing.T) {
 	if !fc.ShouldInsert(loc) {
 		t.Fatal("insert-any-miss declined an insertion")
 	}
-	plan := insertNow(fc, ch, loc)
-	if plan == nil {
-		t.Fatal("Insert returned nil plan")
+	burst, ok := insertNow(fc, ch, loc)
+	if !ok {
+		t.Fatal("Insert queued nothing")
 	}
-	if plan.Blocks != 16 {
-		t.Errorf("plan blocks = %d, want 16 (one segment)", plan.Blocks)
+	if burst.Blocks != 16 {
+		t.Errorf("burst blocks = %d, want 16 (one segment)", burst.Blocks)
 	}
-	if plan.IsLISA {
-		t.Error("FIGCache plan marked as LISA")
+	if burst.IsLISA {
+		t.Error("FIGCache burst marked as LISA")
 	}
 	want := ch.RelocCost(16, true)
-	if plan.Cost != want {
-		t.Errorf("plan cost = %d, want %d", plan.Cost, want)
+	if burst.Cost != want {
+		t.Errorf("burst cost = %d, want %d", burst.Cost, want)
 	}
 
 	// Any block of the cached segment now hits, at the right offset.
@@ -184,11 +184,11 @@ func TestFIGCacheLookupMissThenHit(t *testing.T) {
 func TestFIGCacheDoubleInsertIsNoop(t *testing.T) {
 	fc, ch := newTestFIGCache(t, nil)
 	loc := dram.Location{Row: 5, Block: 0}
-	if insertNow(fc, ch, loc) == nil {
+	if _, ok := insertNow(fc, ch, loc); !ok {
 		t.Fatal("first insert failed")
 	}
-	if insertNow(fc, ch, loc) != nil {
-		t.Error("second insert of the same segment returned a plan")
+	if _, ok := insertNow(fc, ch, loc); ok {
+		t.Error("second insert of the same segment queued an insertion")
 	}
 	if fc.Insertions != 1 {
 		t.Errorf("Insertions = %d, want 1", fc.Insertions)
@@ -201,7 +201,7 @@ func TestFIGCacheEvictionWhenFull(t *testing.T) {
 	// evict.
 	for i := 0; i < 9; i++ {
 		loc := dram.Location{Row: 100 + i, Block: 0}
-		if insertNow(fc, ch, loc) == nil {
+		if _, ok := insertNow(fc, ch, loc); !ok {
 			t.Fatalf("insert %d returned nil", i)
 		}
 	}
@@ -224,8 +224,8 @@ func TestFIGCacheDirtyEvictionAddsWriteBack(t *testing.T) {
 			t.Fatalf("segment %d should hit", i)
 		}
 	}
-	plan := insertNow(fc, ch, dram.Location{Row: 500, Block: 0})
-	if plan == nil {
+	burst, ok := insertNow(fc, ch, dram.Location{Row: 500, Block: 0})
+	if !ok {
 		t.Fatal("insert with eviction returned nil")
 	}
 	if fc.WriteBacks != 1 {
@@ -233,11 +233,11 @@ func TestFIGCacheDirtyEvictionAddsWriteBack(t *testing.T) {
 	}
 	// Cost must include both the write-back and the insertion relocation.
 	want := ch.RelocStandaloneCost(16, true, false) + ch.RelocCost(16, true)
-	if plan.Cost != want {
-		t.Errorf("plan cost = %d, want %d", plan.Cost, want)
+	if burst.Cost != want {
+		t.Errorf("burst cost = %d, want %d", burst.Cost, want)
 	}
-	if plan.Blocks != 32 {
-		t.Errorf("plan blocks = %d, want 32 (write-back + insert)", plan.Blocks)
+	if burst.Blocks != 32 {
+		t.Errorf("burst blocks = %d, want 32 (write-back + insert)", burst.Blocks)
 	}
 }
 
@@ -519,17 +519,17 @@ func TestRowClonePSMSubstrate(t *testing.T) {
 		t.Fatal(err)
 	}
 	ch := newTestChannel(t, 2)
-	plan := fc.Insert(ch, dram.Location{Row: 7, Block: 0}, 0)
-	if plan == nil {
+	burst, ok := insertNow(fc, ch, dram.Location{Row: 7, Block: 0})
+	if !ok {
 		t.Fatal("insert failed")
 	}
-	if !plan.ChannelWide {
-		t.Error("PSM plan not marked channel-wide")
+	if !burst.ChannelWide {
+		t.Error("PSM burst not marked channel-wide")
 	}
 	// PSM relocation is strictly more expensive than FIGARO's: two global
 	// data-bus crossings per block plus the intermediate bank's rows.
-	if figaro := ch.RelocCost(cfg.SegmentBlocks, true); plan.Cost <= figaro {
-		t.Errorf("PSM cost %d not above FIGARO cost %d", plan.Cost, figaro)
+	if figaro := ch.RelocCost(cfg.SegmentBlocks, true); burst.Cost <= figaro {
+		t.Errorf("PSM cost %d not above FIGARO cost %d", burst.Cost, figaro)
 	}
 }
 

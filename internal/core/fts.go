@@ -51,14 +51,14 @@ type FTS struct {
 	segsPerRow int  // cache slots per cache row
 	clock      int64
 
-	// reserved marks slots claimed by an in-flight insertion (planned but
-	// not yet executed by the controller); they are neither allocatable
-	// nor evictable until the insertion commits. A dense bitmap rather
-	// than a map: slots are bounded and small, and map insert/delete
-	// churn allocates during same-size bucket growth, which would break
-	// the allocation-free steady state.
-	reserved  []bool
-	nReserved int
+	// reserved marks slots claimed by a queued insertion (see
+	// FIGCache.Insert); they are neither allocatable nor evictable until
+	// the insertion is flushed. It mirrors the owning FIGCache's queues,
+	// which restore re-derives it from. A dense bitmap rather than a
+	// map: slots are bounded and small, and map insert/delete churn
+	// allocates during same-size bucket growth, which would break the
+	// allocation-free steady state.
+	reserved []bool
 
 	// Stats.
 	Hits, Misses int64
@@ -206,24 +206,14 @@ func (f *FTS) FreeSlot() (int, bool) {
 	return 0, false
 }
 
-// Reserve claims a slot for an in-flight insertion; Unreserve releases
-// it. Reserved slots are skipped by FreeSlot and by replacement.
-func (f *FTS) Reserve(slot int) {
-	if !f.reserved[slot] {
-		f.reserved[slot] = true
-		f.nReserved++
-	}
-}
+// Reserve claims a slot for a queued insertion; Unreserve releases it.
+// Reserved slots are skipped by FreeSlot and by replacement.
+func (f *FTS) Reserve(slot int) { f.reserved[slot] = true }
 
 // Unreserve releases a slot claimed by Reserve.
-func (f *FTS) Unreserve(slot int) {
-	if f.reserved[slot] {
-		f.reserved[slot] = false
-		f.nReserved--
-	}
-}
+func (f *FTS) Unreserve(slot int) { f.reserved[slot] = false }
 
-// IsReserved reports whether a slot is claimed by an in-flight insertion.
+// IsReserved reports whether a slot is claimed by a queued insertion.
 func (f *FTS) IsReserved(slot int) bool { return f.reserved[slot] }
 
 // Install fills a slot with a new segment, resetting its metadata. Any

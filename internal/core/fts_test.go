@@ -3,9 +3,11 @@ package core
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/dram"
 	"repro/internal/fgss"
 )
 
@@ -95,8 +97,8 @@ type slotTag struct {
 }
 
 // ftsSection writes a tag store section: the valid entries in the order
-// given, each with the given benefit, then the reserved slot list.
-func ftsSection(t *testing.T, tags []slotTag, benefit uint64, reserved []int) *fgss.Reader {
+// given, each with the given benefit.
+func ftsSection(t *testing.T, tags []slotTag, benefit uint64) *fgss.Reader {
 	t.Helper()
 	var buf bytes.Buffer
 	w := fgss.NewWriter(&buf, 1, [32]byte{})
@@ -110,10 +112,6 @@ func ftsSection(t *testing.T, tags []slotTag, benefit uint64, reserved []int) *f
 		w.I64(0)
 	}
 	w.I64(7) // clock
-	w.Int(len(reserved))
-	for _, s := range reserved {
-		w.Int(s)
-	}
 	w.I64(0) // hits
 	w.I64(0) // misses
 	w.End()
@@ -130,11 +128,12 @@ func ftsSection(t *testing.T, tags []slotTag, benefit uint64, reserved []int) *f
 
 // TestFTSRestoreRejects checks that a tag store snapshot listing a
 // valid slot outside the store or out of ascending order, a tag at or
-// above 2^32, a benefit above the 5-bit counter's 31, a reserved slot
-// outside the store, listed twice or out of ascending order, or one
-// valid tag in two slots is a decode error, while a well-formed one
-// restores its entries into a store whose other slots come back
-// invalid.
+// above 2^32, a benefit above the 5-bit counter's 31, or one valid tag
+// in two slots is a decode error, and so is re-reserving, for the
+// owning FIGCache's queued insertions, a slot outside the store, a
+// valid one, or one twice. A well-formed snapshot restores its entries
+// into a store whose other slots come back invalid, and reserved only
+// if a queued insertion re-reserved them.
 func TestFTSRestoreRejects(t *testing.T) {
 	a, b := uint64(makeSegKey(100, 3)), uint64(makeSegKey(200, 1))
 	cases := []struct {
@@ -144,16 +143,16 @@ func TestFTSRestoreRejects(t *testing.T) {
 		reserved []int
 		wantErr  string
 	}{
-		{name: "well-formed", tags: []slotTag{{0, a}, {5, b}}, benefit: 31, reserved: []int{1, 15}},
+		{name: "well-formed", tags: []slotTag{{0, a}, {5, b}}, benefit: 31, reserved: []int{15, 1}},
 		{name: "benefit above the counter", tags: []slotTag{{0, a}}, benefit: 32, wantErr: "FTS slot 0 benefit 32 is above the counter's 31"},
 		{name: "benefit a cast would wrap", tags: []slotTag{{0, a}}, benefit: 257, wantErr: "FTS slot 0 benefit 257"},
-		{name: "reserved slots out of order", reserved: []int{5, 2}, wantErr: "reserved slot 2 is outside [6,16)"},
 		{name: "valid slot past the end", tags: []slotTag{{0, a}, {16, b}}, wantErr: "FTS slot 16 is outside [1,16)"},
 		{name: "negative valid slot", tags: []slotTag{{-1, a}}, wantErr: "FTS slot -1 is outside [0,16)"},
 		{name: "valid slots out of order", tags: []slotTag{{5, a}, {2, b}}, wantErr: "FTS slot 2 is outside [6,16)"},
-		{name: "reserved slot past the end", tags: []slotTag{{0, a}}, reserved: []int{99}, wantErr: "reserved slot 99"},
-		{name: "negative reserved slot", reserved: []int{-1}, wantErr: "reserved slot -1"},
-		{name: "reserved slot listed twice", reserved: []int{3, 3}, wantErr: "reserved slot 3"},
+		{name: "reserved slot past the end", tags: []slotTag{{0, a}}, reserved: []int{99}, wantErr: "slot 99 is outside the store's 16"},
+		{name: "negative reserved slot", reserved: []int{-1}, wantErr: "slot -1 is outside the store's 16"},
+		{name: "reserved slot listed twice", reserved: []int{3, 3}, wantErr: "slot 3 is already reserved"},
+		{name: "reserved slot holds a valid tag", tags: []slotTag{{0, a}}, reserved: []int{0}, wantErr: "slot 0 holds a valid segment"},
 		{name: "valid tag in two slots", tags: []slotTag{{2, a}, {9, a}}, wantErr: "both hold row 100 segment 3"},
 		{name: "tag past 32 bits", tags: []slotTag{{0, a}, {1, 1<<32 | a}}, wantErr: "FTS tag 0x100006403 is not below 2^32"},
 	}
@@ -163,15 +162,22 @@ func TestFTSRestoreRejects(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Fill every slot first: the restore must invalidate the
-			// slots the section does not list.
+			// Fill and reserve every slot first: the restore must
+			// invalidate the slots the section does not list, and
+			// release every reservation.
 			for i := 0; i < f.Slots(); i++ {
 				f.Install(i, 300+i, 0, false)
+				f.Reserve(i)
 			}
-			r := ftsSection(t, tc.tags, tc.benefit, tc.reserved)
+			r := ftsSection(t, tc.tags, tc.benefit)
 			f.Restore(r)
 			r.EndSection()
 			err = r.Close()
+			for _, s := range tc.reserved {
+				if err == nil {
+					err = f.reserveQueued(s)
+				}
+			}
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatalf("restore: %v", err)
@@ -188,9 +194,9 @@ func TestFTSRestoreRejects(t *testing.T) {
 				if f.Contains(300, 0) {
 					t.Error("a tag installed before the restore is still indexed")
 				}
-				for _, s := range tc.reserved {
-					if !f.IsReserved(s) {
-						t.Errorf("slot %d not reserved after restore", s)
+				for i := 0; i < f.Slots(); i++ {
+					if want := slices.Contains(tc.reserved, i); f.IsReserved(i) != want {
+						t.Errorf("slot %d reserved %v after restore, want %v", i, f.IsReserved(i), want)
 					}
 				}
 				return
@@ -202,38 +208,10 @@ func TestFTSRestoreRejects(t *testing.T) {
 	}
 }
 
-// TestFIGCacheRestoreRejectsUnsortedInflight checks that a snapshot
-// whose in-flight insertion list is not in strictly ascending order —
-// the order Snapshot writes — is a decode error.
-func TestFIGCacheRestoreRejectsUnsortedInflight(t *testing.T) {
-	for _, list := range [][]segKey{{makeSegKey(9, 0), makeSegKey(4, 0)}, {makeSegKey(4, 0), makeSegKey(4, 0)}} {
-		fc, _ := newTestFIGCache(t, nil)
-		fc.banks[3].inflight = list
-		var buf bytes.Buffer
-		w := fgss.NewWriter(&buf, 1, [32]byte{})
-		w.Begin(1)
-		fc.Snapshot(w)
-		w.End()
-		if err := w.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		fresh, _ := newTestFIGCache(t, nil)
-		r, err := fgss.NewReader(&buf, 1, [32]byte{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.Section(1)
-		fresh.Restore(r)
-		if err := r.Err(); err == nil || !strings.Contains(err.Error(), "not in ascending order") {
-			t.Errorf("in-flight list %v: restore error = %v, want an ordering rejection", list, err)
-		}
-	}
-}
-
 // figSection writes a FIGCache section as Snapshot does, except that
 // bank's miss counters are the given keys, in the given order, each
-// counting 1, and its in-flight insertions the given list.
-func figSection(t *testing.T, fc *FIGCache, bank int, keys, inflight []uint64) *fgss.Reader {
+// counting 1, and its queue the given insertions.
+func figSection(t *testing.T, fc *FIGCache, bank int, keys []uint64, queue []insertion) *fgss.Reader {
 	t.Helper()
 	var buf bytes.Buffer
 	w := fgss.NewWriter(&buf, 1, [32]byte{})
@@ -244,7 +222,6 @@ func figSection(t *testing.T, fc *FIGCache, bank int, keys, inflight []uint64) *
 		b.repl.snapshot(w)
 		if i != bank {
 			w.Int(0) // miss counters
-			w.Int(0) // in-flight insertions
 			continue
 		}
 		w.Int(len(keys))
@@ -252,13 +229,21 @@ func figSection(t *testing.T, fc *FIGCache, bank int, keys, inflight []uint64) *
 			w.U64(k)
 			w.Int(1)
 		}
-		w.Int(len(inflight))
-		for _, k := range inflight {
-			w.U64(k)
-		}
 	}
 	for i := 0; i < 4; i++ {
 		w.I64(0) // Insertions, Evictions, WriteBacks, ThrottledBy
+	}
+	for i := range fc.banks {
+		if i != bank {
+			w.Int(0) // queued insertions
+			continue
+		}
+		w.Int(len(queue))
+		for _, in := range queue {
+			writeLoc(w, in.loc)
+			w.Int(in.slot)
+			w.Bool(in.writeBack)
+		}
 	}
 	w.End()
 	if err := w.Flush(); err != nil {
@@ -302,26 +287,34 @@ func TestFIGCacheRestoreRejectsUnsortedMissCounters(t *testing.T) {
 // TestFIGCacheRestoreRejectsWhatSnapshotNeverWrites checks that a
 // section a FIGCache's Snapshot could not have written is a decode
 // error: miss counters on an insert-any-miss cache, which counts none
-// and keeps no counter map, and an in-flight insertion keyed at or
-// above 2^32.
+// and keeps no counter map, and a queued insertion of a row the bank
+// does not have. The well-formed case's queued insertion reserves its
+// slot.
 func TestFIGCacheRestoreRejectsWhatSnapshotNeverWrites(t *testing.T) {
 	key := uint64(makeSegKey(4, 0))
+	queued := func(row int) []insertion {
+		return []insertion{{loc: dram.Location{Bank: 3, Row: row}, slot: 2}}
+	}
 	for _, tc := range []struct {
-		name           string
-		keys, inflight []uint64
-		wantErr        string
+		name    string
+		keys    []uint64
+		queue   []insertion
+		wantErr string
 	}{
-		{"well-formed", nil, []uint64{key}, ""},
+		{"well-formed", nil, queued(4), ""},
 		{"miss counters at threshold 1", []uint64{key}, nil, "bank 3 lists 1 miss counters, but threshold 1 counts none"},
-		{"in-flight tag past 32 bits", nil, []uint64{key, 1<<32 | key}, "in-flight insertion tag 0x100000400 is not below 2^32"},
+		{"queued row past the bank", nil, queued(32768), "bank 3 queued insertion 0: location r0.g0.b3.row32768.blk0 lies outside the bank"},
 	} {
 		fc, _ := newTestFIGCache(t, nil)
-		r := figSection(t, fc, 3, tc.keys, tc.inflight)
+		r := figSection(t, fc, 3, tc.keys, tc.queue)
 		fc.Restore(r)
 		r.EndSection()
 		err := r.Close()
 		if (err == nil) != (tc.wantErr == "") || err != nil && !strings.Contains(err.Error(), tc.wantErr) {
 			t.Errorf("%s: restore error = %v, want %q", tc.name, err, tc.wantErr)
+		}
+		if err == nil && (!fc.Pending(3) || !fc.FTSForBank(3).IsReserved(2)) {
+			t.Errorf("%s: restore queued %v on bank 3 and reserved slot 2 %v, want both", tc.name, fc.Pending(3), fc.FTSForBank(3).IsReserved(2))
 		}
 	}
 }

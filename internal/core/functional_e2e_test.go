@@ -107,15 +107,14 @@ func TestFunctionalEndToEnd(t *testing.T) {
 				if blk != 0 || !fc.ShouldInsert(loc) {
 					continue
 				}
-				plan := fc.Insert(ch, loc, 0)
-				if plan == nil {
+				if !fc.Insert(loc) {
 					continue
 				}
 				// Execute the relocation functionally: the FTS slot
 				// determines the destination cache row and column.
 				fts := fc.FTSForBank(0)
 				slot := -1
-				fc.Commit(plan)
+				fc.Flush(ch, 0)
 				if s, ok := fts.Lookup(loc.Row, loc.Block/segBlocks, false); ok {
 					slot = s
 				} else {

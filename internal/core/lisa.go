@@ -32,11 +32,6 @@ type LISAVilla struct {
 
 	banks []*lisaBank
 
-	// plan is the scratch the next Insert returns a pointer to; per the
-	// CacheHook contract the controller copies it before the call after.
-	//fglint:preserved scratch; fully overwritten by every Insert before the pointer is returned
-	plan memctrl.RelocPlan
-
 	// Stats.
 	Insertions int64
 	Evictions  int64
@@ -48,9 +43,9 @@ type lisaBank struct {
 	rows []lisaRow
 	// index maps a cached source row to its cache row.
 	index map[int]int
-	// inflight marks source rows whose relocation is planned but not yet
-	// executed by the controller.
-	inflight map[int]bool
+	// queue holds the bank's queued insertions in the order Insert
+	// queued them; Flush installs and empties it.
+	queue []lisaInsertion
 	// hot tracks per-source-row activation counts for the insertion
 	// policy, decayed every lisaEpochMisses misses.
 	hot         map[int]int
@@ -67,6 +62,15 @@ type lisaRow struct {
 	lastUse int64
 }
 
+// lisaInsertion is one queued LISA-VILLA insertion: the miss location
+// whose row it relocates, the cache row it reserved, and the source row
+// of a dirty victim whose write-back runs first (-1 for none).
+type lisaInsertion struct {
+	loc       dram.Location
+	slot      int
+	writeBack int
+}
+
 // NewLISAVilla builds the baseline cache over the channel geometry,
 // which must have the interleaved fast subarrays the cache rows live in.
 func NewLISAVilla(geo dram.Geometry) (*LISAVilla, error) {
@@ -78,10 +82,9 @@ func NewLISAVilla(geo dram.Geometry) (*LISAVilla, error) {
 	nBanks := geo.Ranks * geo.BanksPerRank()
 	for i := 0; i < nBanks; i++ {
 		l.banks = append(l.banks, &lisaBank{
-			rows:     make([]lisaRow, rows),
-			index:    make(map[int]int, rows),
-			inflight: make(map[int]bool),
-			hot:      make(map[int]int),
+			rows:  make([]lisaRow, rows),
+			index: make(map[int]int, rows),
+			hot:   make(map[int]int),
 		})
 	}
 	return l, nil
@@ -160,20 +163,29 @@ func (l *LISAVilla) ShouldInsert(loc dram.Location) bool {
 	return false
 }
 
-// Insert implements memctrl.CacheHook: relocate the whole source row into
-// a fast subarray via LISA RBM. The relocation is distance-dependent; a
-// dirty LRU victim first pays a write-back over its own hop distance.
-func (l *LISAVilla) Insert(ch *dram.Channel, loc dram.Location, now int64) *memctrl.RelocPlan {
-	bank := l.banks[loc.BankID(l.geo)]
-	if _, ok := bank.index[loc.Row]; ok {
-		return nil
+// queued reports whether the bank has queued the insertion of a
+// source row.
+func (b *lisaBank) queued(row int) bool {
+	for _, in := range b.queue {
+		if in.loc.Row == row {
+			return true
+		}
 	}
-	if bank.inflight[loc.Row] {
-		return nil
+	return false
+}
+
+// Insert implements memctrl.CacheHook: reserve a cache row, evicting the
+// LRU valid row if none is free, and queue the whole source row's
+// relocation via LISA RBM. A dirty victim's write-back runs at Flush,
+// ahead of the insertion.
+func (l *LISAVilla) Insert(loc dram.Location) bool {
+	bank := l.banks[loc.BankID(l.geo)]
+	if _, ok := bank.index[loc.Row]; ok || bank.queued(loc.Row) {
+		return false
 	}
 
 	// A slot is allocatable if it is invalid and not reserved (srcRow < 0
-	// marks a reservation by an in-flight insertion).
+	// marks a reservation by a queued insertion).
 	slot := -1
 	for i := range bank.rows {
 		if !bank.rows[i].valid && bank.rows[i].srcRow >= 0 {
@@ -181,8 +193,7 @@ func (l *LISAVilla) Insert(ch *dram.Channel, loc dram.Location, now int64) *memc
 			break
 		}
 	}
-	var cost int64
-	hops := l.Hops(loc.Row)
+	writeBack := -1
 	if slot < 0 {
 		// Evict the LRU valid (unreserved) cache row.
 		best, bestUse := -1, int64(1)<<62
@@ -192,55 +203,50 @@ func (l *LISAVilla) Insert(ch *dram.Channel, loc dram.Location, now int64) *memc
 			}
 		}
 		if best < 0 {
-			return nil // everything reserved by in-flight insertions
+			return false // everything reserved by queued insertions
 		}
 		slot = best
 		victim := bank.rows[slot]
 		delete(bank.index, victim.srcRow)
 		l.Evictions++
 		if victim.dirty {
-			wbHops := l.Hops(victim.srcRow)
-			cost += ch.RBMCost(wbHops, false)
-			hops += wbHops
+			writeBack = victim.srcRow
 			l.WriteBacks++
 		}
 	}
-	// Insertion: the source row is open (the miss just accessed it), so
-	// the RBM sequence skips its ACTIVATE. The tag is installed when the
-	// controller executes the relocation at row-close time; until then
-	// the slot is reserved.
-	insHops := l.Hops(loc.Row)
-	cost += ch.RBMCost(insHops, true)
-	bank.inflight[loc.Row] = true
 	bank.rows[slot] = lisaRow{srcRow: -1}
+	bank.queue = append(bank.queue, lisaInsertion{loc: loc, slot: slot, writeBack: writeBack})
 	l.Insertions++
-	l.plan = memctrl.RelocPlan{Loc: loc, Cost: cost, Hops: hops, IsLISA: true,
-		CommitBank: loc.BankID(l.geo), CommitSlot: slot, CommitRow: loc.Row,
-	}
-	return &l.plan
+	return true
 }
 
-// Commit implements memctrl.CacheHook: install the cache-row tag for a
-// plan Insert returned, clearing its reservation.
-func (l *LISAVilla) Commit(p *memctrl.RelocPlan) {
-	bank := l.banks[p.CommitBank]
-	delete(bank.inflight, p.CommitRow)
-	bank.clock++
-	bank.rows[p.CommitSlot] = lisaRow{srcRow: p.CommitRow, valid: true, lastUse: bank.clock}
-	bank.index[p.CommitRow] = p.CommitSlot
+// Flush implements memctrl.CacheHook: install the bank's queued rows in
+// queue order and return the burst. The relocation is distance-
+// dependent: each insertion's source row is open (the miss just
+// accessed it), so its RBM sequence skips the ACTIVATE, and a dirty
+// victim first pays a write-back over its own hop distance.
+func (l *LISAVilla) Flush(ch *dram.Channel, bank int) memctrl.RelocBurst {
+	b := l.banks[bank]
+	burst := memctrl.RelocBurst{Loc: b.queue[0].loc, Count: len(b.queue), IsLISA: true}
+	for _, in := range b.queue {
+		if in.writeBack >= 0 {
+			hops := l.Hops(in.writeBack)
+			burst.Cost += ch.RBMCost(hops, false)
+			burst.Hops += hops
+		}
+		hops := l.Hops(in.loc.Row)
+		burst.Cost += ch.RBMCost(hops, true)
+		burst.Hops += hops
+		b.clock++
+		b.rows[in.slot] = lisaRow{srcRow: in.loc.Row, valid: true, lastUse: b.clock}
+		b.index[in.loc.Row] = in.slot
+	}
+	b.queue = b.queue[:0]
+	return burst
 }
 
-// CheckPlan implements memctrl.CacheHook: a restored plan must name one
-// of this cache's banks and one of that bank's cache rows.
-func (l *LISAVilla) CheckPlan(p *memctrl.RelocPlan) error {
-	if p.CommitBank < 0 || p.CommitBank >= len(l.banks) {
-		return fmt.Errorf("core: LISA-VILLA plan commits to bank %d of %d", p.CommitBank, len(l.banks))
-	}
-	if n := len(l.banks[p.CommitBank].rows); p.CommitSlot < 0 || p.CommitSlot >= n {
-		return fmt.Errorf("core: LISA-VILLA plan commits to cache row %d of bank %d's %d", p.CommitSlot, p.CommitBank, n)
-	}
-	return nil
-}
+// Pending implements memctrl.CacheHook.
+func (l *LISAVilla) Pending(bank int) bool { return len(l.banks[bank].queue) > 0 }
 
 // HitRate returns the aggregate in-DRAM cache hit rate.
 func (l *LISAVilla) HitRate() float64 {

@@ -21,13 +21,13 @@ func newTestLISA(t *testing.T) (*LISAVilla, *dram.Channel) {
 	return l, newTestChannel(t, 16)
 }
 
-// lisaInsertNow performs an insertion and immediately commits it.
-func lisaInsertNow(l *LISAVilla, ch *dram.Channel, loc dram.Location) *memctrl.RelocPlan {
-	plan := l.Insert(ch, loc, 0)
-	if plan != nil {
-		l.Commit(plan)
+// lisaInsertNow queues an insertion and flushes its bank at once. ok
+// reports whether Insert queued one.
+func lisaInsertNow(l *LISAVilla, ch *dram.Channel, loc dram.Location) (burst memctrl.RelocBurst, ok bool) {
+	if !l.Insert(loc) {
+		return memctrl.RelocBurst{}, false
 	}
-	return plan
+	return l.Flush(ch, loc.BankID(l.geo)), true
 }
 
 // TestLISAConfigValidate checks that LISA-VILLA takes its cache rows
@@ -58,12 +58,12 @@ func TestLISAHotThresholdInsertion(t *testing.T) {
 func TestLISARowGranularityCaching(t *testing.T) {
 	l, ch := newTestLISA(t)
 	loc := dram.Location{Row: 77, Block: 3}
-	plan := lisaInsertNow(l, ch, loc)
-	if plan == nil {
-		t.Fatal("Insert returned nil")
+	burst, ok := lisaInsertNow(l, ch, loc)
+	if !ok {
+		t.Fatal("Insert queued nothing")
 	}
-	if !plan.IsLISA || plan.Hops < 1 {
-		t.Errorf("plan = %+v, want LISA with >= 1 hop", plan)
+	if !burst.IsLISA || burst.Hops < 1 {
+		t.Errorf("burst = %+v, want LISA with >= 1 hop", burst)
 	}
 	// Every block of the row hits (row granularity).
 	for _, blk := range []int{0, 64, 127} {
@@ -112,12 +112,19 @@ func TestLISAEvictionLRUAndWriteBack(t *testing.T) {
 	l.Lookup(dram.Location{Row: 2, Block: 0}, true)
 	l.Lookup(dram.Location{Row: 1, Block: 0}, false)
 	// Third insertion evicts row 2 (LRU) and pays its write-back.
-	plan := lisaInsertNow(l, ch, dram.Location{Row: 3})
-	if plan == nil {
-		t.Fatal("insert returned nil")
+	burst, ok := lisaInsertNow(l, ch, dram.Location{Row: 3})
+	if !ok {
+		t.Fatal("Insert queued nothing")
 	}
 	if l.Evictions != 1 || l.WriteBacks != 1 {
 		t.Errorf("evictions=%d writebacks=%d, want 1/1", l.Evictions, l.WriteBacks)
+	}
+	// The burst writes row 2 back over its own hops, then moves row 3 in.
+	if want := ch.RBMCost(l.Hops(2), false) + ch.RBMCost(l.Hops(3), true); burst.Cost != want {
+		t.Errorf("burst cost = %d, want %d (write-back + insert)", burst.Cost, want)
+	}
+	if want := l.Hops(2) + l.Hops(3); burst.Hops != want {
+		t.Errorf("burst hops = %d, want %d (write-back + insert)", burst.Hops, want)
 	}
 	if _, hit := l.Lookup(dram.Location{Row: 2, Block: 0}, false); hit {
 		t.Error("evicted row still hits")
@@ -149,11 +156,11 @@ func TestLISAHotCounterDecay(t *testing.T) {
 
 func TestLISADoubleInsertNoop(t *testing.T) {
 	l, ch := newTestLISA(t)
-	if lisaInsertNow(l, ch, dram.Location{Row: 5}) == nil {
+	if _, ok := lisaInsertNow(l, ch, dram.Location{Row: 5}); !ok {
 		t.Fatal("first insert failed")
 	}
-	if lisaInsertNow(l, ch, dram.Location{Row: 5}) != nil {
-		t.Error("duplicate insert returned a plan")
+	if _, ok := lisaInsertNow(l, ch, dram.Location{Row: 5}); ok {
+		t.Error("duplicate insert queued an insertion")
 	}
 }
 
@@ -196,16 +203,16 @@ func lisaRestore(t *testing.T, l *LISAVilla, stream []byte) error {
 }
 
 // TestLISASnapshotListsOccupiedRows checks that a snapshot lists only
-// the valid and reserved cache rows, and that it restores into a cache
-// whose rows were all occupied: the unlisted rows come back free, the
-// listed ones as they were, and the restored cache snapshots to the
-// same bytes.
+// the valid cache rows and the queued insertion, and that it restores
+// into a cache whose rows were all occupied: the unlisted rows come back
+// free, the listed ones as they were, the queued insertion's row
+// reserved again, and the restored cache snapshots to the same bytes.
 func TestLISASnapshotListsOccupiedRows(t *testing.T) {
 	l, ch := newTestLISA(t)
 	lisaInsertNow(l, ch, dram.Location{Row: 7})
 	l.Lookup(dram.Location{Row: 7, Block: 3}, true) // dirty
 	lisaInsertNow(l, ch, dram.Location{Bank: 2, Row: 9})
-	l.Insert(ch, dram.Location{Row: 11}, 0) // reserved, not committed
+	l.Insert(dram.Location{Row: 11}) // queued, not flushed
 	snap := lisaSnapshot(t, l)
 
 	dirtied, _ := newTestLISA(t)
@@ -246,38 +253,49 @@ func TestLISASnapshotListsOccupiedRows(t *testing.T) {
 // TestLISARestoreRejects checks that a LISA-VILLA section Snapshot never
 // writes is a decode error: a bank count other than the cache's, a
 // listed row outside the bank or not above the previous one, a listed
-// row that is neither valid nor reserved, two valid rows holding one
-// source row, and in-flight or hot rows not in strictly ascending
-// order. Each case writes bank 0 by hand and leaves the other banks
-// empty; the well-formed case restores.
+// row that is not valid or holds a source row outside the bank, two
+// valid rows holding one source row, hot rows
+// not in strictly ascending order, and one source row queued twice.
+// Each case writes bank 0 by hand and leaves the other banks empty; the
+// well-formed case restores, its queued insertions reserving their
+// cache rows.
 func TestLISARestoreRejects(t *testing.T) {
 	valid := func(idx, src int) lisaRow { return lisaRow{srcRow: src, valid: true, lastUse: int64(idx)} }
-	reserved := lisaRow{srcRow: -1}
 	type entry struct {
 		idx int
 		r   lisaRow
 	}
+	queued := func(rows ...int) []lisaInsertion {
+		var q []lisaInsertion
+		for i, row := range rows {
+			q = append(q, lisaInsertion{loc: dram.Location{Row: row}, slot: 3 + i, writeBack: -1})
+		}
+		return q
+	}
 	cases := []struct {
-		name     string
-		banks    int
-		rows     []entry
-		inflight []int
-		hot      [][2]int
-		wantErr  string
+		name    string
+		banks   int
+		rows    []entry
+		hot     [][2]int
+		queue   []lisaInsertion
+		wantErr string
 	}{
-		{name: "well-formed", rows: []entry{{0, valid(0, 7)}, {3, reserved}, {511, valid(511, 9)}},
-			inflight: []int{11, 12}, hot: [][2]int{{4, 1}, {20, 3}}},
+		{name: "well-formed", rows: []entry{{0, valid(0, 7)}, {511, valid(511, 9)}},
+			hot: [][2]int{{4, 1}, {20, 3}}, queue: []lisaInsertion{{loc: dram.Location{Row: 11}, slot: 3, writeBack: 20}, {loc: dram.Location{Row: 12, Block: 5}, slot: 4, writeBack: -1}}},
 		{name: "bank count", banks: 1, wantErr: "core: LISA-VILLA banks: 1, want 16"},
 		{name: "row past the bank", rows: []entry{{512, valid(0, 7)}}, wantErr: "bank 0 row 512 is outside [0,512)"},
 		{name: "negative row", rows: []entry{{-1, valid(0, 7)}}, wantErr: "bank 0 row -1 is outside [0,512)"},
 		{name: "rows out of order", rows: []entry{{5, valid(5, 7)}, {2, valid(2, 8)}}, wantErr: "bank 0 row 2 is outside [6,512)"},
 		{name: "row neither valid nor reserved", rows: []entry{{4, lisaRow{srcRow: 7, dirty: true}}},
-			wantErr: "bank 0 row 4 is listed but neither valid nor reserved"},
-		{name: "free row listed", rows: []entry{{4, lisaRow{}}}, wantErr: "bank 0 row 4 is listed but neither valid nor reserved"},
+			wantErr: "bank 0 row 4 is listed but not valid"},
+		{name: "free row listed", rows: []entry{{4, lisaRow{}}}, wantErr: "bank 0 row 4 is listed but not valid"},
 		{name: "source row cached twice", rows: []entry{{1, valid(1, 7)}, {2, valid(2, 7)}},
 			wantErr: "bank 0 rows 1 and 2 both hold source row 7"},
-		{name: "in-flight rows out of order", inflight: []int{12, 11}, wantErr: "in-flight rows 12 and 11 are not in ascending order"},
-		{name: "in-flight row listed twice", inflight: []int{11, 11}, wantErr: "in-flight rows 11 and 11 are not in ascending order"},
+		{name: "source row past the bank", rows: []entry{{1, valid(1, 32768)}},
+			wantErr: "bank 0 row 1 holds source row 32768, outside the bank"},
+		{name: "negative source row", rows: []entry{{1, valid(1, -1)}},
+			wantErr: "bank 0 row 1 holds source row -1, outside the bank"},
+		{name: "in-flight row listed twice", queue: queued(11, 11), wantErr: "bank 0 queued insertion 1: source row 11 is already queued"},
 		{name: "hot rows out of order", hot: [][2]int{{20, 1}, {4, 1}}, wantErr: "hot rows 20 and 4 are not in ascending order"},
 	}
 	for _, tc := range cases {
@@ -295,7 +313,6 @@ func TestLISARestoreRejects(t *testing.T) {
 				if b > 0 {
 					w.Int(0)
 					w.Int(0)
-					w.Int(0)
 				} else {
 					w.Int(len(tc.rows))
 					for _, e := range tc.rows {
@@ -304,10 +321,6 @@ func TestLISARestoreRejects(t *testing.T) {
 						w.Bool(e.r.valid)
 						w.Bool(e.r.dirty)
 						w.I64(e.r.lastUse)
-					}
-					w.Int(len(tc.inflight))
-					for _, k := range tc.inflight {
-						w.Int(k)
 					}
 					w.Int(len(tc.hot))
 					for _, kv := range tc.hot {
@@ -322,6 +335,18 @@ func TestLISARestoreRejects(t *testing.T) {
 			for i := 0; i < 3; i++ {
 				w.I64(0) // Insertions, Evictions, WriteBacks
 			}
+			for b := 0; b < banks; b++ {
+				if b > 0 {
+					w.Int(0)
+					continue
+				}
+				w.Int(len(tc.queue))
+				for _, in := range tc.queue {
+					writeLoc(w, in.loc)
+					w.Int(in.slot)
+					w.Int(in.writeBack)
+				}
+			}
 			w.End()
 			if err := w.Flush(); err != nil {
 				t.Fatal(err)
@@ -330,8 +355,16 @@ func TestLISARestoreRejects(t *testing.T) {
 			if (err == nil) != (tc.wantErr == "") || err != nil && !strings.Contains(err.Error(), tc.wantErr) {
 				t.Fatalf("restore error = %v, want %q", err, tc.wantErr)
 			}
-			if err == nil && !bytes.Equal(lisaSnapshot(t, l), buf.Bytes()) {
+			if err != nil {
+				return
+			}
+			if !bytes.Equal(lisaSnapshot(t, l), buf.Bytes()) {
 				t.Error("the restored cache snapshots to other bytes")
+			}
+			for _, in := range tc.queue {
+				if r := l.banks[0].rows[in.slot]; r != (lisaRow{srcRow: -1}) {
+					t.Errorf("cache row %d of a queued insertion restored as %+v, want reserved", in.slot, r)
+				}
 			}
 		})
 	}

@@ -52,7 +52,7 @@ func newReplacer(kind ReplacementKind, seed uint64) *replacer {
 }
 
 // victim returns the slot to evict from f, or -1 when nothing is
-// evictable (every slot reserved by in-flight insertions). The caller
+// evictable (every slot reserved by queued insertions). The caller
 // guarantees the cache has no free slots. Reserved slots are never
 // chosen.
 func (r *replacer) victim(f *FTS) int {
@@ -120,7 +120,7 @@ func (r *replacer) rowBenefitVictim(f *FTS) int {
 		}
 	}
 	if bestRow < 0 {
-		return -1 // every valid slot is reserved by in-flight insertions
+		return -1 // every valid slot is reserved by queued insertions
 	}
 	r.evictRow = bestRow
 	r.evictMask = 0
@@ -146,7 +146,7 @@ func (r *replacer) lowestMarked(f *FTS) (int, bool) {
 		slot := r.evictRow*f.SegsPerRow() + off
 		e := f.entry(slot)
 		if !e.valid || f.IsReserved(slot) {
-			// Already evicted or claimed by an in-flight insertion since
+			// Already evicted or claimed by a queued insertion since
 			// the mask was built; drop the mark.
 			r.evictMask &^= 1 << uint(off)
 			continue

@@ -117,11 +117,6 @@ func (g Geometry) HasBank(l Location) bool {
 		l.Bank >= 0 && l.Bank < g.BanksPerGroup
 }
 
-// SameBank reports whether two locations address the same bank.
-func (l Location) SameBank(o Location) bool {
-	return l.Rank == o.Rank && l.Group == o.Group && l.Bank == o.Bank
-}
-
 func (l Location) String() string {
 	space := "row"
 	if l.CacheRow {

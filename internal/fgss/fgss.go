@@ -5,7 +5,7 @@
 //
 //	offset  size  field
 //	0       4     magic "FGSS"
-//	4       2     format version (currently 7)
+//	4       2     format version (currently 10)
 //	6       2     reserved (zero)
 //	8       4     sim.EngineVersion of the writing build
 //	12      32    config fingerprint (sim.Config.Fingerprint)
@@ -54,10 +54,14 @@ const Magic = "FGSS"
 // trace cursor in the cores section, in place of a traces section of
 // its own, version 8 writes the event queue as its lanes alone, each a
 // list of (due cycle, token) pairs, with no heap and no sequence
-// numbers, and version 9 writes each memory controller queue as a count
+// numbers, version 9 writes each memory controller queue as a count
 // and its requests, oldest first, with no per-bank buckets, and a
-// request with neither a push stamp nor a core ID.
-const FormatVersion = 9
+// request with neither a push stamp nor a core ID, and version 10
+// moves the in-DRAM cache hooks' section ahead of the controllers'
+// and writes each bank's queued insertions there, in queue order, in
+// place of the controllers' relocation plans, the FTS reserved slots
+// and the hooks' in-flight lists.
+const FormatVersion = 10
 
 // HeaderSize is the byte length of the fixed header.
 const HeaderSize = 44

@@ -30,7 +30,7 @@ func (r *Runner) runMatrix(presets []sim.Preset, mixes []workload.Mix) (results,
 // Fig7 reproduces Figure 7: single-thread application speedups over Base,
 // grouped by memory intensity, for every caching configuration.
 func (r *Runner) Fig7() (*stats.Table, error) {
-	mixes := r.singleWorkloads()
+	mixes := r.singles
 	res, err := r.runMatrix(perfPresets, mixes)
 	if err != nil {
 		return nil, err
@@ -70,7 +70,7 @@ func (r *Runner) Fig7() (*stats.Table, error) {
 // Fig8 reproduces Figure 8: eight-core weighted speedup over Base per
 // memory-intensity category.
 func (r *Runner) Fig8() (*stats.Table, error) {
-	mixes := r.eightCoreMixes()
+	mixes := r.eights
 	res, err := r.runMatrix(perfPresets, mixes)
 	if err != nil {
 		return nil, err
@@ -113,7 +113,7 @@ var cachePresets = []sim.Preset{sim.LISAVilla, sim.FIGCacheSlow, sim.FIGCacheFas
 
 // hitRateTable builds Figures 9/10 from a per-result metric.
 func (r *Runner) hitRateTable(title, note string, metric func(sim.Result) float64) (*stats.Table, error) {
-	mixes, groups := r.workloadGroups()
+	mixes, groups := r.all, r.groups
 	res, err := r.runMatrix(cachePresets, mixes)
 	if err != nil {
 		return nil, err
@@ -157,7 +157,7 @@ func (r *Runner) Fig10() (*stats.Table, error) {
 // Fig11 reproduces Figure 11: system energy breakdown normalized to Base.
 func (r *Runner) Fig11() (*stats.Table, error) {
 	energyPresets := []sim.Preset{sim.FIGCacheSlow, sim.FIGCacheFast}
-	mixes, groups := r.workloadGroups()
+	mixes, groups := r.all, r.groups
 	res, err := r.runMatrix(energyPresets, mixes)
 	if err != nil {
 		return nil, err

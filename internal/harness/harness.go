@@ -71,6 +71,13 @@ type Runner struct {
 	// aborts the calling experiment builder before it renders anything.
 	// See plan.go.
 	plan map[sim.Fingerprint]sim.Config
+
+	// singles and eights are the scale's single-core workloads and
+	// eight-core mixes, all is the two lists in one, and groups is their
+	// split into the tables' six row groups. NewRunnerWithCache builds
+	// them once; nothing changes them after.
+	singles, eights, all []workload.Mix
+	groups               []workloadGroup
 }
 
 // NewRunner builds a runner for the scale with an in-memory result cache.
@@ -94,7 +101,11 @@ func NewRunnerWithCache(scale Scale, cache *expcache.Cache, force bool) *Runner 
 	if cache == nil {
 		cache = expcache.New("")
 	}
-	return &Runner{scale: scale, cache: cache, force: force}
+	r := &Runner{scale: scale, cache: cache, force: force,
+		singles: singleWorkloads(scale.SingleApps), eights: eightCoreMixes(scale.MixesPerCategory)}
+	r.all = append(append([]workload.Mix{}, r.singles...), r.eights...)
+	r.groups = workloadGroups(r.singles, r.eights)
+	return r
 }
 
 // Scale returns the runner's scale.
@@ -272,11 +283,11 @@ func (r *Runner) baseConfig(p sim.Preset, mix workload.Mix) sim.Config {
 	return cfg
 }
 
-// singleWorkloads returns the configured subset of single-core workloads,
-// keeping the intensive/non-intensive balance.
-func (r *Runner) singleWorkloads() []workload.Mix {
+// singleWorkloads returns n of the single-core workloads, keeping the
+// intensive/non-intensive balance.
+func singleWorkloads(n int) []workload.Mix {
 	all := workload.SingleCoreWorkloads()
-	if r.scale.SingleApps >= len(all) {
+	if n >= len(all) {
 		return all
 	}
 	// Alternate between non-intensive (first half of Benchmarks) and
@@ -290,11 +301,11 @@ func (r *Runner) singleWorkloads() []workload.Mix {
 		}
 	}
 	var out []workload.Mix
-	for i := 0; len(out) < r.scale.SingleApps; i++ {
+	for i := 0; len(out) < n; i++ {
 		if i < len(intensive) {
 			out = append(out, intensive[i])
 		}
-		if len(out) < r.scale.SingleApps && i < len(non) {
+		if len(out) < n && i < len(non) {
 			out = append(out, non[i])
 		}
 		if i >= len(intensive) && i >= len(non) {
@@ -312,13 +323,10 @@ type workloadGroup struct {
 	cores, channels int
 }
 
-// workloadGroups returns the configured single-core workloads and
-// eight-core mixes in one list, and their split into the six row groups
-// the tables report: 1-core non-intensive, 1-core intensive, and 8-core
-// 25/50/75/100% intensive.
-func (r *Runner) workloadGroups() ([]workload.Mix, []workloadGroup) {
-	singles := r.singleWorkloads()
-	eights := r.eightCoreMixes()
+// workloadGroups splits single-core workloads and eight-core mixes into
+// the six row groups the tables report: 1-core non-intensive, 1-core
+// intensive, and 8-core 25/50/75/100% intensive.
+func workloadGroups(singles, eights []workload.Mix) []workloadGroup {
 	var nonInt, intens []workload.Mix
 	for _, m := range singles {
 		if m.Apps[0].MemIntensive() {
@@ -334,17 +342,18 @@ func (r *Runner) workloadGroups() ([]workload.Mix, []workloadGroup) {
 	for _, pct := range []int{25, 50, 75, 100} {
 		groups = append(groups, workloadGroup{fmt.Sprintf("8-core %d%%", pct), workload.MixesByCategory(eights, pct), 8, 4})
 	}
-	return append(append([]workload.Mix{}, singles...), eights...), groups
+	return groups
 }
 
-// eightCoreMixes returns the configured subset of eight-core mixes.
-func (r *Runner) eightCoreMixes() []workload.Mix {
+// eightCoreMixes returns the first perCategory eight-core mixes of each
+// category.
+func eightCoreMixes(perCategory int) []workload.Mix {
 	all := workload.EightCoreMixes()
 	var out []workload.Mix
 	for _, pct := range []int{25, 50, 75, 100} {
 		cat := workload.MixesByCategory(all, pct)
-		if len(cat) > r.scale.MixesPerCategory {
-			cat = cat[:r.scale.MixesPerCategory]
+		if len(cat) > perCategory {
+			cat = cat[:perCategory]
 		}
 		out = append(out, cat...)
 	}

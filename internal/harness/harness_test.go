@@ -128,10 +128,10 @@ func TestScaleNormalization(t *testing.T) {
 	if r.scale.Parallelism <= 0 {
 		t.Error("parallelism not defaulted")
 	}
-	if got := len(r.singleWorkloads()); got != 20 {
+	if got := len(r.singles); got != 20 {
 		t.Errorf("single workloads = %d, want 20", got)
 	}
-	if got := len(r.eightCoreMixes()); got != 20 {
+	if got := len(r.eights); got != 20 {
 		t.Errorf("eight-core mixes = %d, want 20", got)
 	}
 }
@@ -140,7 +140,7 @@ func TestSingleWorkloadSubsetBalanced(t *testing.T) {
 	s := QuickScale()
 	s.SingleApps = 4
 	r := NewRunner(s)
-	ws := r.singleWorkloads()
+	ws := r.singles
 	if len(ws) != 4 {
 		t.Fatalf("subset = %d, want 4", len(ws))
 	}

@@ -12,7 +12,7 @@ import (
 // over Base per workload group: the structure shared by Figures 12-15
 // and the ablation.
 func (r *Runner) sweepTable(title, note string, variants []sweepVariant) (*stats.Table, error) {
-	mixes, groups := r.workloadGroups()
+	mixes, groups := r.all, r.groups
 
 	// variantConfig is both the job builder and the lookup key builder:
 	// every mutation is fingerprinted by value, so rebuilding the config

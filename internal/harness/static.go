@@ -38,7 +38,7 @@ func (r *Runner) Table1() *stats.Table {
 // Table2 runs every single-core application on Base and classifies it by
 // LLC MPKI, reproducing Table 2's memory-intensity split.
 func (r *Runner) Table2() (*stats.Table, error) {
-	mixes := r.singleWorkloads()
+	mixes := r.singles
 	res, err := r.runMatrix(nil, mixes)
 	if err != nil {
 		return nil, err

@@ -15,6 +15,11 @@ import (
 // miss finishes its column access with the source row still open — the
 // moment FIGCache exploits to relocate the row segment into the cache
 // without paying the first ACTIVATE (Section 8.1 of the paper).
+//
+// The hook owns its queued insertions: Insert queues one on its bank,
+// and Flush runs the bank's queue when the controller decides the source
+// row's useful life is over. The controller keeps only which banks have
+// a queue (Pending), so it knows where a flush is due.
 type CacheHook interface {
 	// Lookup checks whether the block at loc is cached. On a hit it
 	// returns the in-DRAM cache location that serves the request. The
@@ -25,54 +30,41 @@ type CacheHook interface {
 	// segment should be relocated into the cache once its row is open.
 	ShouldInsert(loc dram.Location) bool
 
-	// Insert performs the cache bookkeeping for inserting the segment
-	// containing loc, assuming the source row is currently open in its
-	// local row buffer. It returns the relocation work to perform:
-	// occupancy cycles for the bank and the number of RELOC column
-	// operations (or LISA hops). A nil plan means the insertion was
-	// cancelled (e.g. no evictable slot). The returned plan is valid
-	// only until the hook's next Insert call: the controller copies it
-	// into pooled storage immediately, which lets hooks return a pointer
-	// to a reused scratch plan instead of allocating per insertion.
-	Insert(ch *dram.Channel, loc dram.Location, now int64) *RelocPlan
+	// Insert queues the insertion of the segment (or row) containing
+	// loc on loc's bank, whose source row is open in its local row
+	// buffer, and reports whether it queued one: it does not when the
+	// segment is already cached or queued, or when every slot that
+	// could take it is reserved. The tag is installed at Flush, so
+	// requests arriving while the source row stays open keep hitting it.
+	Insert(loc dram.Location) bool
 
-	// Commit installs the cache tags for a plan this hook returned from
-	// Insert, at the moment the controller executes the relocation. The
-	// plan's CommitBank/CommitSlot/CommitRow/CommitSeg fields carry the
-	// hook-specific payload recorded at Insert time.
-	Commit(p *RelocPlan)
+	// Flush installs the tags of the bank's queued insertions, in the
+	// order they were queued, empties the queue, and returns the
+	// relocation burst that carries them out with the source rows open.
+	// bank is a dense bank index (dram.Location.BankID) with a queue.
+	Flush(ch *dram.Channel, bank int) RelocBurst
 
-	// CheckPlan reports why Commit could not install a plan read back
-	// from a snapshot — its commit payload names no bank or slot of
-	// this hook — or nil.
-	CheckPlan(p *RelocPlan) error
+	// Pending reports whether the bank (a dense bank index) has queued
+	// insertions.
+	Pending(bank int) bool
 }
 
-// RelocPlan describes in-DRAM relocation work the controller must apply to
-// a bank: total occupancy cycles and accounting detail. The controller
-// defers the work until the source row is about to close; CacheHook.Commit
-// installs the cache metadata at that point, so requests arriving while
-// the source row is still open keep being served from it (as row hits),
-// exactly as the paper's insertion sequence allows (Section 8.1). The plan
-// is plain data — the commit payload is carried in the Commit* fields
-// rather than a closure — so deferred plans survive a checkpoint.
-type RelocPlan struct {
-	Loc    dram.Location // bank being occupied
-	Cost   int64         // occupancy in bus cycles
+// RelocBurst is the relocation work of one flush: a bank's queued
+// insertions, run back to back (Section 8.1). The controller occupies
+// the bank (or, ChannelWide, every bank) for Cost cycles, plus one
+// ACTIVATE per insertion if the source rows were closed before the
+// flush.
+type RelocBurst struct {
+	Loc    dram.Location // the first insertion's miss location: the bank occupied
+	Cost   int64         // occupancy in bus cycles, with the source rows open
 	Blocks int           // FIGARO RELOC column operations performed
 	Hops   int           // LISA inter-subarray hops performed
+	Count  int           // insertions carried out
 	IsLISA bool
 	// ChannelWide marks a RowClone-PSM relocation: the copy crosses the
 	// shared global data bus and occupies every bank in the channel, not
 	// just the source bank.
 	ChannelWide bool
-	// Commit payload, recorded by the hook's Insert and consumed by its
-	// Commit: the hook-local dense bank index, the reserved slot, and the
-	// source row (FIGCache additionally uses the segment index).
-	CommitBank int
-	CommitSlot int
-	CommitRow  int
-	CommitSeg  int
 }
 
 // The controller parameters from Table 1.
@@ -117,24 +109,14 @@ type Controller struct {
 	writeQ  *queue
 	writing bool // in write-drain mode
 
-	// pendingRelocs holds cache-insertion relocation plans per bank
-	// (indexed by dense bank ID), deferred until the source row's useful
-	// life ends (conflict precharge, refresh precharge, or an idle tick).
+	// relocMask has bit i set while bank i has queued insertions
+	// (CacheHook.Pending), deferred until the source row's useful life
+	// ends (conflict precharge, refresh precharge, or an idle tick).
 	// Deferring keeps the row open for queued row hits — the RELOCs only
 	// need the row in the local row buffer, and the controller schedules
-	// them when no column commands are pending (Section 8.1).
-	pendingRelocs [][]*RelocPlan
-	// planPool recycles RelocPlan storage: issueColumn copies each plan
-	// the hook returns into a pooled object, and flushRelocs returns the
-	// objects after Commit, so steady-state relocation traffic allocates
-	// nothing.
-	//fglint:preserved recycled plans are fully overwritten before reuse, so pooled storage carries no state
-	planPool []*RelocPlan
-	// relocMask has bit i set while bank i holds pending relocation
-	// plans, so an idle tick visits only the banks with deferred work
-	// instead of scanning every bank (dram.Geometry.Validate bounds a
-	// channel at 64 banks). Derived from pendingRelocs: Restore rebuilds
-	// it.
+	// them when no column commands are pending (Section 8.1). An idle
+	// tick visits only these banks (dram.Geometry.Validate bounds a
+	// channel at 64 banks). Restore rebuilds it from the hook.
 	relocMask uint64
 	// lastColumn records each bank's last column-access cycle (indexed by
 	// dense bank ID); the idle flush waits IdleFlushAfter cycles beyond
@@ -165,14 +147,13 @@ type Controller struct {
 // the Base configuration.
 func NewController(id int, cfg Config, ch *dram.Channel, cache CacheHook) *Controller {
 	return &Controller{
-		ID:            id,
-		cfg:           cfg,
-		channel:       ch,
-		cache:         cache,
-		readQ:         newQueue(ReadQueueDepth),
-		writeQ:        newQueue(WriteQueueDepth),
-		pendingRelocs: make([][]*RelocPlan, ch.NumBanks()),
-		lastColumn:    make([]int64, ch.NumBanks()),
+		ID:         id,
+		cfg:        cfg,
+		channel:    ch,
+		cache:      cache,
+		readQ:      newQueue(ReadQueueDepth),
+		writeQ:     newQueue(WriteQueueDepth),
+		lastColumn: make([]int64, ch.NumBanks()),
 		// Seed by controller ID so per-channel reservoirs differ but any
 		// two runs of the same configuration sample identically.
 		latSamples: stats.NewReservoir(latSampleCap, uint64(id)+1),
@@ -325,71 +306,39 @@ func (c *Controller) prechargeForRefresh(rank int, now int64) bool {
 	return false
 }
 
-// flushRelocs performs the deferred relocation work for a bank, occupying
-// it for the combined cost and leaving it precharged. rowOpen indicates
-// that the source rows' data is still reachable via the open-row path; if
-// the bank was already closed (e.g. the row was precharged by refresh
-// before the flush), each plan pays an extra ACTIVATE to reopen its source
-// row. Returns false when the bank has no pending work.
+// flushRelocs runs the bank's queued insertions as one relocation
+// burst, occupying the bank for its cost and leaving it precharged.
+// rowOpen indicates that the source rows' data is still reachable via the
+// open-row path; if the bank was already closed (e.g. the row was
+// precharged by refresh before the flush), each insertion pays an extra
+// ACTIVATE to reopen its source row. Returns false when the bank has no
+// queued insertion.
 func (c *Controller) flushRelocs(bankID int, now int64, rowOpen bool) bool {
-	plans := c.pendingRelocs[bankID]
-	if len(plans) == 0 {
+	if c.relocMask>>bankID&1 == 0 {
 		return false
 	}
-	// Keep the backing array: the bank will accumulate plans again, and
-	// regrowing the slice every flush is a steady-state allocation.
-	c.pendingRelocs[bankID] = plans[:0]
 	c.relocMask &^= 1 << bankID
-	var cost int64
-	blocks, hops := 0, 0
-	isLISA, channelWide := false, false
-	for _, p := range plans {
-		cost += p.Cost
-		if !rowOpen {
-			cost += int64(c.channel.Slow.RCD)
-		}
-		blocks += p.Blocks
-		hops += p.Hops
-		isLISA = isLISA || p.IsLISA
-		channelWide = channelWide || p.ChannelWide
-		c.cache.Commit(p)
+	b := c.cache.Flush(c.channel, bankID)
+	if !rowOpen {
+		b.Cost += int64(b.Count) * int64(c.channel.Slow.RCD)
 	}
-	if channelWide {
-		c.channel.RelocateAll(plans[0].Loc, now, cost)
+	if b.ChannelWide {
+		c.channel.RelocateAll(b.Loc, now, b.Cost)
 	} else {
-		c.channel.Relocate(plans[0].Loc, now, cost, blocks, isLISA, hops)
-	}
-	for i, p := range plans {
-		c.planPool = append(c.planPool, p)
-		plans[i] = nil
+		c.channel.Relocate(b.Loc, now, b.Cost, b.Blocks, b.IsLISA, b.Hops)
 	}
 	return true
 }
 
-// takePlan returns a recycled RelocPlan from the pool, or a fresh one
-// when the pool is empty. Callers fully overwrite the plan.
-func (c *Controller) takePlan() *RelocPlan {
-	if n := len(c.planPool); n > 0 {
-		p := c.planPool[n-1]
-		c.planPool = c.planPool[:n-1]
-		return p
-	}
-	return new(RelocPlan)
-}
-
-// relocFlushReady returns the earliest bus cycle at which the bank's
-// deferred relocation work may be flushed: the quiet window after its
-// last column access must have elapsed (IdleFlushAfter), and the bank
-// must be able to precharge (row open, tRAS met) or activate (row
-// closed). math.MaxInt64 when the bank has no pending work. Both the
-// idle flush and the next-work probe derive from this single predicate,
-// so the cycle-skipping engine can never wake later than a flush.
+// relocFlushReady returns the earliest bus cycle at which the queued
+// insertions of a bank may be flushed: the quiet window after its last
+// column access must have elapsed (IdleFlushAfter), and the bank must be
+// able to precharge (row open, tRAS met) or activate (row closed). Both
+// the idle flush and the next-work probe derive from this single
+// predicate, so the cycle-skipping engine can never wake later than a
+// flush.
 func (c *Controller) relocFlushReady(bankID int, now int64) int64 {
-	plans := c.pendingRelocs[bankID]
-	if len(plans) == 0 {
-		return math.MaxInt64
-	}
-	bank := c.channel.Bank(plans[0].Loc)
+	bank := c.channel.BankByID(bankID)
 	var ready int64
 	if row, _ := bank.Open(); row != -1 {
 		ready, _ = bank.CanPRE(now) // a bank with an open row can always PRE eventually
@@ -405,7 +354,7 @@ func (c *Controller) relocFlushReady(bankID int, now int64) int64 {
 // flushIdleRelocs spends an otherwise idle tick performing deferred
 // relocation work on a bank that no queued request needs right now and
 // that has been quiet for at least IdleFlushAfter cycles. The banks with
-// pending work (relocMask's set bits) are visited in ascending ID order
+// queued insertions (relocMask's set bits) are visited in ascending ID order
 // so that runs are deterministic when several banks are eligible on the
 // same tick. When nothing is flushed, nextAt is the earliest bus cycle a
 // flush could happen (math.MaxInt64 if no work is pending), so the
@@ -421,7 +370,7 @@ func (c *Controller) flushIdleRelocs(now int64) (flushed bool, nextAt int64) {
 			}
 			continue
 		}
-		row, _ := c.channel.Bank(c.pendingRelocs[bankID][0].Loc).Open()
+		row, _ := c.channel.BankByID(bankID).Open()
 		c.flushRelocs(bankID, now, row != -1)
 		return true, now + 1
 	}
@@ -537,22 +486,15 @@ func (c *Controller) issueColumn(q *queue, i int, r *Request, now int64, schedul
 
 	// Cache insertion on miss: the source row is open in its local row
 	// buffer, so the relocation skips the first ACTIVATE (Section 8.1).
-	// The relocation work is deferred until the row is about to close so
-	// it does not steal row hits from queued requests. A zero-cost plan
-	// (the FIGCache-Ideal configuration) updates metadata only.
-	if c.cache != nil && !r.CacheHit && !r.noInsert && !r.ServiceLoc.CacheRow {
-		if plan := c.cache.Insert(c.channel, r.Loc, now); plan != nil {
-			// The hook's plan is scratch, valid only until its next
-			// Insert; keep a pooled copy (see CacheHook.Insert).
-			p := c.takePlan()
-			*p = *plan
-			id := p.Loc.BankID(c.channel.Geo)
-			c.relocMask |= 1 << id
-			c.pendingRelocs[id] = append(c.pendingRelocs[id], p)
-			c.Inserted++
-			if c.cfg.ImmediateReloc {
-				c.flushRelocs(id, now, true)
-			}
+	// The hook queues the insertion, and the controller flushes the
+	// bank's queue when the row is about to close, so the relocation does
+	// not steal row hits from queued requests.
+	if c.cache != nil && !r.CacheHit && !r.noInsert && !r.ServiceLoc.CacheRow && c.cache.Insert(r.Loc) {
+		id := r.Loc.BankID(c.channel.Geo)
+		c.relocMask |= 1 << id
+		c.Inserted++
+		if c.cfg.ImmediateReloc {
+			c.flushRelocs(id, now, true)
 		}
 	}
 	if c.Release != nil {
@@ -573,20 +515,3 @@ func (c *Controller) AvgReadLatencyNS() float64 {
 // latency samples (bus cycles): a uniform, deterministic sample of every
 // read the controller served. The slice aliases internal storage.
 func (c *Controller) LatencySamples() []int64 { return c.latSamples.Samples() }
-
-// ReadLatencyPercentilesNS returns the requested read-latency
-// percentiles (each in [0,1]) in nanoseconds, estimated from the sample
-// reservoir. The mean alone hides the tail that queueing and refresh
-// interference produce; the reservoir keeps the tail visible at O(1)
-// memory. Returns nil when no reads were sampled.
-func (c *Controller) ReadLatencyPercentilesNS(ps ...float64) []float64 {
-	vals := stats.WeightedPercentiles([][]int64{c.latSamples.Samples()}, []int64{c.NumReads}, ps)
-	if vals == nil {
-		return nil
-	}
-	out := make([]float64, len(vals))
-	for i, v := range vals {
-		out[i] = c.channel.Slow.NS(v)
-	}
-	return out
-}

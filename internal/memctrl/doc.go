@@ -9,8 +9,9 @@
 // device model: LLC misses and write-backs enter through Enqueue, and
 // each Tick issues at most one DRAM command chosen by FR-FCFS (column
 // commands to open rows first, then the oldest request's ACT/PRE
-// sequence). Cache-insertion relocations are deferred until the source
-// row is about to close (Section 8.1), so they never steal row hits from
+// sequence). The cache hook queues each insertion, and the controller
+// flushes a bank's queue as one relocation burst when the source row is
+// about to close (Section 8.1), so relocations never steal row hits from
 // queued requests.
 //
 // Two properties matter to the layers above:
@@ -27,9 +28,9 @@
 // Controller.Snapshot/Restore (snapshot.go) serialize the queues,
 // in-flight requests (SnapshotRequest/RestoreRequest, driven by the
 // sim layer, which owns request identity), drain/refresh state, and
-// the latency reservoir for the system checkpoint lifecycle. Restore
-// refuses a request whose location names no bank of the channel or
-// whose completion token the caller's check refuses, and a deferred
-// relocation plan whose bank is not in the channel or whose commit
-// payload the hook's CheckPlan refuses.
+// the latency reservoir for the system checkpoint lifecycle; the hook
+// checkpoints its own queued insertions, and Restore rebuilds the mask
+// of banks with a queue from CacheHook.Pending. Restore refuses a
+// request whose location names no bank of the channel or whose
+// completion token the caller's check refuses.
 package memctrl

@@ -11,6 +11,7 @@ import (
 	"repro/internal/dram"
 	"repro/internal/ev"
 	"repro/internal/fgss"
+	"repro/internal/stats"
 )
 
 // testCtrl wraps a Controller with a token-to-closure registry: tests
@@ -102,7 +103,7 @@ func TestAddrMapperInterleaving(t *testing.T) {
 	blk := uint64(m.geo.BlockBytes)
 	ch0, loc0 := m.Decode(0)
 	ch1, loc1 := m.Decode(blk)
-	if ch0 != ch1 || !loc0.SameBank(loc1) || loc1.Block != loc0.Block+1 {
+	if ch0 != ch1 || loc0.BankID(m.geo) != loc1.BankID(m.geo) || loc1.Block != loc0.Block+1 {
 		t.Errorf("consecutive blocks: (%d,%v) then (%d,%v)", ch0, loc0, ch1, loc1)
 	}
 	// Crossing the row's worth of blocks switches channel first.
@@ -268,15 +269,17 @@ func TestRefreshEventuallyIssues(t *testing.T) {
 	}
 }
 
-// fakeCache is a deterministic CacheHook for controller-integration tests.
+// fakeCache is a deterministic CacheHook for controller-integration
+// tests. It caches a segment as soon as it queues its insertion, and
+// charges each insertion a fixed cost at Flush.
 type fakeCache struct {
 	cached    map[uint64]dram.Location
 	insertAll bool
 	inserted  int
 	lookups   int
 	relocCost int64
-	relocLoc  dram.Location
 	blocks    int
+	queues    [16][]dram.Location // per dense bank of dram.Default()
 }
 
 func key(loc dram.Location) uint64 {
@@ -294,16 +297,21 @@ func (f *fakeCache) Lookup(loc dram.Location, isWrite bool) (dram.Location, bool
 
 func (f *fakeCache) ShouldInsert(loc dram.Location) bool { return f.insertAll }
 
-func (f *fakeCache) Insert(ch *dram.Channel, loc dram.Location, now int64) *RelocPlan {
+func (f *fakeCache) Insert(loc dram.Location) bool {
 	f.inserted++
-	redirect := dram.Location{Rank: loc.Rank, Group: loc.Group, Bank: loc.Bank, Row: 0, CacheRow: true}
-	f.cached[key(loc)] = redirect
-	return &RelocPlan{Loc: loc, Cost: f.relocCost, Blocks: f.blocks}
+	f.cached[key(loc)] = dram.Location{Rank: loc.Rank, Group: loc.Group, Bank: loc.Bank, Row: 0, CacheRow: true}
+	bank := loc.BankID(dram.Default())
+	f.queues[bank] = append(f.queues[bank], loc)
+	return true
 }
 
-func (f *fakeCache) Commit(p *RelocPlan) {}
+func (f *fakeCache) Flush(ch *dram.Channel, bank int) RelocBurst {
+	q := f.queues[bank]
+	f.queues[bank] = nil
+	return RelocBurst{Loc: q[0], Cost: f.relocCost * int64(len(q)), Blocks: f.blocks * len(q), Count: len(q)}
+}
 
-func (f *fakeCache) CheckPlan(*RelocPlan) error { return nil }
+func (f *fakeCache) Pending(bank int) bool { return len(f.queues[bank]) > 0 }
 
 func TestCacheHookHitRedirects(t *testing.T) {
 	fc := &fakeCache{cached: map[uint64]dram.Location{}, insertAll: true, relocCost: 30, blocks: 16}
@@ -549,8 +557,8 @@ func TestWriteDrainFRFCFSOrder(t *testing.T) {
 }
 
 // TestReadLatencyPercentiles drives reads through a controller and checks
-// the reservoir-backed percentile accessor: samples are recorded, the
-// percentiles are ordered, and they bracket the mean.
+// its latency reservoir: samples are recorded, and the percentiles the
+// reporting tools draw from it are ordered and bracket the mean.
 func TestReadLatencyPercentiles(t *testing.T) {
 	c := newTestController(t, nil)
 	done := 0
@@ -566,50 +574,37 @@ func TestReadLatencyPercentiles(t *testing.T) {
 	if n := len(c.LatencySamples()); n != 32 {
 		t.Fatalf("reservoir holds %d samples, want 32 (below capacity keeps all)", n)
 	}
-	ps := c.ReadLatencyPercentilesNS(0.50, 0.90, 0.99)
+	ps := stats.WeightedPercentiles([][]int64{c.LatencySamples()}, []int64{c.NumReads}, []float64{0.50, 0.90, 0.99})
 	if ps == nil {
 		t.Fatal("no percentiles despite completed reads")
 	}
 	if !(ps[0] <= ps[1] && ps[1] <= ps[2]) {
 		t.Errorf("percentiles not monotonic: %v", ps)
 	}
-	mean := c.AvgReadLatencyNS()
-	if ps[0] <= 0 || ps[2] < mean*0.5 {
-		t.Errorf("implausible percentiles %v for mean %.1f ns", ps, mean)
+	mean := float64(c.ReadLatencySum) / float64(c.NumReads)
+	if ps[0] <= 0 || float64(ps[2]) < mean*0.5 {
+		t.Errorf("implausible percentiles %v cycles for mean %.1f cycles", ps, mean)
 	}
 }
 
 // TestControllerRestoreRejects checks that a controller section whose
-// relocation plan list or last-column registers do not number the
-// channel's banks is a decode error. Each section ends where restore
-// used to stop decoding without an error.
+// last-column registers do not number the channel's banks is a decode
+// error. The section ends where restore used to stop decoding without
+// an error.
 func TestControllerRestoreRejects(t *testing.T) {
 	c := newTestController(t, nil)
 	banks := c.channel.NumBanks()
-	// section writes empty queues and plan lists, then no last-column
-	// register, and stops after a plan bank count that differs.
-	section := func(planBanks int) func(w *fgss.Writer) {
-		return func(w *fgss.Writer) {
-			c.readQ.snapshot(w)
-			c.writeQ.snapshot(w)
-			w.Bool(false)
-			w.Int(planBanks)
-			if planBanks != banks {
-				return
-			}
-			for i := 0; i < banks; i++ {
-				w.Int(0)
-			}
-			w.Int(0)
-		}
-	}
 	for _, tc := range []struct {
 		name    string
 		fill    func(w *fgss.Writer)
 		wantErr string
 	}{
-		{"no plan banks", section(0), fmt.Sprintf("memctrl: plan banks: 0, want %d", banks)},
-		{"no last-column registers", section(banks), fmt.Sprintf("memctrl: last-column registers: 0, want %d", banks)},
+		{"no last-column registers", func(w *fgss.Writer) {
+			c.readQ.snapshot(w)
+			c.writeQ.snapshot(w)
+			w.Bool(false)
+			w.Int(0)
+		}, fmt.Sprintf("memctrl: last-column registers: 0, want %d", banks)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var buf bytes.Buffer

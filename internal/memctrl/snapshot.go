@@ -1,7 +1,6 @@
 package memctrl
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/dram"
@@ -118,49 +117,14 @@ func (q *queue) restore(rd *fgss.Reader, ch *dram.Channel, writes bool, checkTok
 	}
 }
 
-func snapPlan(w *fgss.Writer, p *RelocPlan) {
-	snapLoc(w, p.Loc)
-	w.I64(p.Cost)
-	w.Int(p.Blocks)
-	w.Int(p.Hops)
-	w.Bool(p.IsLISA)
-	w.Bool(p.ChannelWide)
-	w.Int(p.CommitBank)
-	w.Int(p.CommitSlot)
-	w.Int(p.CommitRow)
-	w.Int(p.CommitSeg)
-}
-
-func restorePlan(r *fgss.Reader) *RelocPlan {
-	p := &RelocPlan{}
-	p.Loc = restoreLoc(r)
-	p.Cost = r.I64()
-	p.Blocks = r.Int()
-	p.Hops = r.Int()
-	p.IsLISA = r.Bool()
-	p.ChannelWide = r.Bool()
-	p.CommitBank = r.Int()
-	p.CommitSlot = r.Int()
-	p.CommitRow = r.Int()
-	p.CommitSeg = r.Int()
-	return p
-}
-
 // Snapshot appends the controller's full mutable state: both request
-// queues, the write-drain mode, every deferred relocation plan, the
-// per-bank quiet-window registers, the statistics counters, and the
-// latency reservoir.
+// queues, the write-drain mode, the per-bank quiet-window registers, the
+// statistics counters, and the latency reservoir. The queued insertions
+// are the hook's, which the system layer checkpoints.
 func (c *Controller) Snapshot(w *fgss.Writer) {
 	c.readQ.snapshot(w)
 	c.writeQ.snapshot(w)
 	w.Bool(c.writing)
-	w.Int(len(c.pendingRelocs))
-	for _, plans := range c.pendingRelocs {
-		w.Int(len(plans))
-		for _, p := range plans {
-			snapPlan(w, p)
-		}
-	}
 	w.Int(len(c.lastColumn))
 	for _, v := range c.lastColumn {
 		w.I64(v)
@@ -174,40 +138,18 @@ func (c *Controller) Snapshot(w *fgss.Writer) {
 	c.latSamples.Snapshot(w)
 }
 
-// Restore reads back what Snapshot wrote, recomputing the derived
-// mask of banks with relocation work. Queued requests are rebuilt as fresh
-// objects; the creator's pooling resumes as they are served and
-// released. The receiver must be built over a channel with the
-// snapshotted bank count (another count is a decode error). The bytes come
-// from disk, so besides RestoreRequest's checks (checkTok vets the
-// requests' completion tokens) and the queues' own (see queue.restore),
-// a relocation plan whose bank is not in
-// the channel, or whose commit payload the hook refuses
-// (CacheHook.CheckPlan) or that a controller without a hook holds, is a
-// decode error rather than a panic when the plan is flushed.
+// Restore reads back what Snapshot wrote, and rebuilds the mask of banks
+// with queued insertions from the hook, which must be restored first.
+// Queued requests are rebuilt as fresh objects; the creator's pooling
+// resumes as they are served and released. The receiver must be built
+// over a channel with the snapshotted bank count (another count is a
+// decode error). The bytes come from disk, so besides RestoreRequest's
+// checks (checkTok vets the requests' completion tokens) the queues'
+// own (see queue.restore) refuse what Snapshot never writes.
 func (c *Controller) Restore(r *fgss.Reader, checkTok func(ev.Token) error) {
 	c.readQ.restore(r, c.channel, false, checkTok)
 	c.writeQ.restore(r, c.channel, true, checkTok)
 	c.writing = r.Bool()
-	if !r.Expect(len(c.pendingRelocs), "memctrl: plan banks") {
-		return
-	}
-	c.relocMask = 0
-	for i := range c.pendingRelocs {
-		c.pendingRelocs[i] = nil
-		n := r.Len(math.MaxInt, "memctrl: bank plans")
-		for j := 0; j < n && r.Err() == nil; j++ {
-			p := restorePlan(r)
-			if err := c.checkPlan(p); err != nil {
-				r.Reject("memctrl: controller %d: relocation plan %d of bank %d: %v", c.ID, j, i, err)
-				return
-			}
-			c.pendingRelocs[i] = append(c.pendingRelocs[i], p)
-		}
-		if len(c.pendingRelocs[i]) > 0 {
-			c.relocMask |= 1 << i
-		}
-	}
 	if !r.Expect(len(c.lastColumn), "memctrl: last-column registers") {
 		return
 	}
@@ -221,15 +163,10 @@ func (c *Controller) Restore(r *fgss.Reader, checkTok func(ev.Token) error) {
 	c.ReadLatencySum = r.I64()
 	c.Inserted = r.I64()
 	c.latSamples.Restore(r)
-}
-
-// checkPlan reports why flushing a restored plan would fail, or nil.
-func (c *Controller) checkPlan(p *RelocPlan) error {
-	switch {
-	case !c.channel.Geo.HasBank(p.Loc):
-		return fmt.Errorf("location %v names no bank of the channel", p.Loc)
-	case c.cache == nil:
-		return fmt.Errorf("no in-DRAM cache to commit it")
+	c.relocMask = 0
+	for i := range c.lastColumn {
+		if c.cache != nil && c.cache.Pending(i) {
+			c.relocMask |= 1 << i
+		}
 	}
-	return c.cache.CheckPlan(p)
 }

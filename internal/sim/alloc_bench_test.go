@@ -50,14 +50,11 @@ func BenchmarkAccessPathAllocs(b *testing.B) {
 
 // BenchmarkAccessPathAllocsReloc drives the access path with an active
 // relocation preset, so the steady state additionally covers the cache
-// hook's insertion decisions, the controller's pooled RelocPlan copies
-// (the hook returns a pointer to reused scratch; the controller copies
-// it into a pooled object and recycles the object after Commit), and
-// the per-bank pending-plan slices whose backing arrays survive each
-// flush. Relocation traffic is continuous for mcf under FIGCache-Fast,
-// so a single allocation per insertion would show up immediately.
-// Relocation state (hook maps, plan pool, pending-plan slices) takes
-// longer to reach steady capacity than the pools alone.
+// hook's insertion decisions and its per-bank insertion queues, whose
+// backing arrays survive each flush. Relocation traffic is continuous
+// for mcf under FIGCache-Fast, so a single allocation per insertion
+// would show up immediately. Relocation state (hook maps, insertion
+// queues) takes longer to reach steady capacity than the pools alone.
 func BenchmarkAccessPathAllocsReloc(b *testing.B) {
 	allocGate(b, FIGCacheFast, smallMix(b, "mcf"), 1_200_000, "relocation path")
 }
@@ -69,7 +66,7 @@ func BenchmarkAccessPathAllocsReloc(b *testing.B) {
 // batches, each waking on its own cycle, on top of everything the
 // single-core gates cover. Like the relocation gate it warms up for
 // 1.2M cycles: until then the event lanes, the MSHR free lists and the
-// plan pool still reach new high-water marks.
+// insertion queues still reach new high-water marks.
 func BenchmarkAccessPathAllocs8Core(b *testing.B) {
 	allocGate(b, FIGCacheFast, eightCoreMix(b, 100), 1_200_000, "8-core path")
 }

@@ -181,15 +181,14 @@ func (c *Config) buildHook(geo dram.Geometry) (memctrl.CacheHook, error) {
 }
 
 // idealHook is FIGCache with every relocation cost zeroed: the
-// FIGCache-Ideal configuration of Section 8.
+// FIGCache-Ideal configuration of Section 8. A flush of a closed bank
+// still pays the controller's ACTIVATE per insertion.
 type idealHook struct{ *core.FIGCache }
 
-func (h *idealHook) Insert(ch *dram.Channel, loc dram.Location, now int64) *memctrl.RelocPlan {
-	plan := h.FIGCache.Insert(ch, loc, now)
-	if plan != nil {
-		plan.Cost = 0
-	}
-	return plan
+func (h *idealHook) Flush(ch *dram.Channel, bank int) memctrl.RelocBurst {
+	b := h.FIGCache.Flush(ch, bank)
+	b.Cost = 0
+	return b
 }
 
 // FIGCacheOf extracts the FIGCache from a hook, unwrapping the ideal

@@ -109,18 +109,17 @@ func TestIdealHookZeroesCost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := hook.Insert(ch, dram.Location{Row: 7}, 0)
-	if plan == nil {
+	if !hook.Insert(dram.Location{Row: 7}) {
 		t.Fatal("ideal hook refused an insertion")
 	}
-	if plan.Cost != 0 {
-		t.Errorf("ideal plan cost = %d, want 0", plan.Cost)
+	burst := hook.Flush(ch, 0)
+	if burst.Cost != 0 || burst.Count != 1 || burst.Blocks != 16 {
+		t.Errorf("ideal burst = %+v, want cost 0, one insertion of 16 blocks", burst)
 	}
-	// Committing through the ideal wrapper must reach the inner FIGCache:
+	// Flushing through the ideal wrapper must reach the inner FIGCache:
 	// the inserted segment becomes visible to Lookup.
-	hook.Commit(plan)
 	if _, hit := hook.Lookup(dram.Location{Row: 7}, false); !hit {
-		t.Error("ideal hook did not commit the insertion to the inner cache")
+		t.Error("ideal hook did not install the insertion in the inner cache")
 	}
 }
 

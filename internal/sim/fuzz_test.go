@@ -202,7 +202,11 @@ func relocationBound(s *System) bool {
 // it accepts must be the one Snapshot writes for the state it restored:
 // re-encoded, it gives back its own bytes. So a field, count, order or
 // encoding that Snapshot never writes must be refused, not read as
-// something else.
+// something else. The accepted state then runs on for 4,096 cycles,
+// and a fresh System must restore the snapshot taken there: an input
+// that restores cleanly into a state the run turns into one restore
+// refuses (say, a queued insertion of a segment already cached, which
+// the flush would install in a second slot) fails the target.
 func FuzzRestore(f *testing.F) {
 	// The seeds, each cut at the given retired count: FIGCache-Fast and
 	// Base on mcf, LISA-VILLA on warmMix's hotter mcf (plain mcf makes
@@ -242,6 +246,18 @@ func FuzzRestore(f *testing.F) {
 		if !bytes.Equal(out.Bytes(), in) {
 			t.Fatalf("%s: restore accepted a snapshot Snapshot does not write: %d bytes in, %d re-encoded, first difference at byte %d",
 				seeds[i].cfg.Describe(), len(in), out.Len(), firstDiff(in, out.Bytes()))
+		}
+		s.RunSlice(4096)
+		out.Reset()
+		if err := s.Snapshot(&out); err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := New(seeds[i].cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fresh.Restore(&out); err != nil {
+			t.Fatalf("%s: a restored snapshot ran 4096 cycles into a state restore refuses: %v", seeds[i].cfg.Describe(), err)
 		}
 	})
 }

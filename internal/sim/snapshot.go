@@ -20,8 +20,8 @@ const (
 	snapSecCores    = 3 // per-core execution state and trace cursor
 	snapSecCaches   = 4 // SRAM hierarchy, node-ID order
 	snapSecChannels = 5 // DRAM channels: banks, timing windows
-	snapSecCtrls    = 6 // memory controllers: queues, relocations
-	snapSecHooks    = 7 // in-DRAM cache hooks (FIGCache / LISA-VILLA)
+	snapSecHooks    = 6 // in-DRAM cache hooks (FIGCache / LISA-VILLA): tags, queued insertions
+	snapSecCtrls    = 7 // memory controllers: request queues
 	snapSecAdapter  = 8 // requests buffered between hierarchy and controllers
 )
 
@@ -147,13 +147,6 @@ func (s *System) Snapshot(out io.Writer) error {
 	}
 	w.End()
 
-	w.Begin(snapSecCtrls)
-	w.Int(len(s.ctrls))
-	for _, c := range s.ctrls {
-		c.Snapshot(w)
-	}
-	w.End()
-
 	w.Begin(snapSecHooks)
 	w.Int(len(s.hooks))
 	for _, h := range s.hooks {
@@ -163,6 +156,13 @@ func (s *System) Snapshot(out io.Writer) error {
 		} else if lv, ok := h.(*core.LISAVilla); ok {
 			lv.Snapshot(w)
 		}
+	}
+	w.End()
+
+	w.Begin(snapSecCtrls)
+	w.Int(len(s.ctrls))
+	for _, c := range s.ctrls {
+		c.Snapshot(w)
 	}
 	w.End()
 
@@ -266,14 +266,8 @@ func (s *System) Restore(in io.Reader) error {
 	}
 	r.EndSection()
 
-	r.Section(snapSecCtrls)
-	if r.Expect(len(s.ctrls), "sim: controllers") {
-		for _, c := range s.ctrls {
-			c.Restore(r, checkIn(snapSecCtrls))
-		}
-	}
-	r.EndSection()
-
+	// The hooks come before the controllers, whose masks of banks with
+	// queued insertions are derived from them.
 	r.Section(snapSecHooks)
 	if r.Expect(len(s.hooks), "sim: hooks") {
 		for _, h := range s.hooks {
@@ -285,6 +279,14 @@ func (s *System) Restore(in io.Reader) error {
 			} else if lv, ok := h.(*core.LISAVilla); ok {
 				lv.Restore(r)
 			}
+		}
+	}
+	r.EndSection()
+
+	r.Section(snapSecCtrls)
+	if r.Expect(len(s.ctrls), "sim: controllers") {
+		for _, c := range s.ctrls {
+			c.Restore(r, checkIn(snapSecCtrls))
 		}
 	}
 	r.EndSection()

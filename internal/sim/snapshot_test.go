@@ -267,12 +267,12 @@ func TestRestoreRejectsUnrunnableState(t *testing.T) {
 		}, ""},
 		{"queued request token", func(s *System) {
 			enqueue(s, &memctrl.Request{Addr: 0x40, OnComplete: badCore})
-		}, "section 6: memctrl: request 0x40: core slot token names core 5 of 1"},
+		}, "section 7: memctrl: request 0x40: core slot token names core 5 of 1"},
 		{"queued request service location", func(s *System) {
 			r := &memctrl.Request{Addr: 0x40}
 			enqueue(s, r)
 			r.ServiceLoc.Bank = 99
-		}, "section 6: memctrl: request 0x40: location"},
+		}, "section 7: memctrl: request 0x40: location"},
 		{"buffered request token", func(s *System) {
 			buffer(s, &memctrl.Request{Addr: 0x80, OnComplete: badCore})
 		}, "section 8: memctrl: request 0x80: core slot token names core 5 of 1"},
@@ -281,7 +281,7 @@ func TestRestoreRejectsUnrunnableState(t *testing.T) {
 		}, "section 8: memctrl: request 0x80: location"},
 		{"queued write with a completion token", func(s *System) {
 			enqueue(s, &memctrl.Request{Addr: 0x100, IsWrite: true, OnComplete: ev.Token{Kind: ev.CoreSlot, Arg: 1}})
-		}, "section 6: memctrl: request 0x100: a write carries a completion token (kind 1); only reads complete"},
+		}, "section 7: memctrl: request 0x100: a write carries a completion token (kind 1); only reads complete"},
 		{"buffered write with a completion token", func(s *System) {
 			buffer(s, &memctrl.Request{Addr: 0x140, IsWrite: true, OnComplete: ev.Token{Kind: ev.CoreSlot, Arg: 1}})
 		}, "section 8: memctrl: request 0x140: a write carries a completion token (kind 1); only reads complete"},
@@ -296,7 +296,7 @@ func TestRestoreRejectsUnrunnableState(t *testing.T) {
 		}, "section 4: MSHR token (kind 3) names block 0x3000, which cache node 2"},
 		{"queued request fill for no miss", func(s *System) {
 			enqueue(s, &memctrl.Request{Addr: 0x4000, OnComplete: fill(s.hier.LLC.NodeID(), 0x4000)})
-		}, "section 6: MSHR token (kind 3) names block 0x4000, which cache node 0"},
+		}, "section 7: MSHR token (kind 3) names block 0x4000, which cache node 0"},
 		{"buffered request fill for no miss", func(s *System) {
 			buffer(s, &memctrl.Request{Addr: 0x4000, OnComplete: fill(s.hier.LLC.NodeID(), 0x4000)})
 		}, "section 8: MSHR token (kind 3) names block 0x4000, which cache node 0"},
@@ -335,18 +335,6 @@ func TestRestoreRejectsUnrunnableState(t *testing.T) {
 	}
 }
 
-// planHook is an in-DRAM cache stand-in whose Insert returns a fixed
-// relocation plan and whose Lookup always misses.
-type planHook struct{ plan memctrl.RelocPlan }
-
-func (h *planHook) Lookup(dram.Location, bool) (dram.Location, bool) { return dram.Location{}, false }
-func (h *planHook) ShouldInsert(dram.Location) bool                  { return true }
-func (h *planHook) Insert(*dram.Channel, dram.Location, int64) *memctrl.RelocPlan {
-	return &h.plan
-}
-func (h *planHook) Commit(*memctrl.RelocPlan)          {}
-func (h *planHook) CheckPlan(*memctrl.RelocPlan) error { return nil }
-
 // withSection returns the snapshot snap with section tag's payload
 // replaced by payload.
 func withSection(snap []byte, tag uint32, payload []byte) []byte {
@@ -365,39 +353,88 @@ func withSection(snap []byte, tag uint32, payload []byte) []byte {
 	return out
 }
 
-// TestRestoreRejectsUnrunnablePlans checks that a controllers section
-// holding a deferred relocation plan the run could not commit — its
-// payload naming no bank or slot of the channel's in-DRAM cache, or any
-// plan where there is no such cache — is refused at restore, with an
-// error naming the section. (memctrl's TestRestoreRejectsPlanOutsideChannel
-// covers a plan whose own bank is not in the channel.) The section
-// is built by a stand-in controller whose hook plans the given
-// relocation for its first read, and spliced into a real System's
-// snapshot. A restore that accepts it is then run for a while, to show
-// the panic the rejection prevents.
-func TestRestoreRejectsUnrunnablePlans(t *testing.T) {
-	valid := memctrl.RelocPlan{Loc: dram.Location{Row: 5}, Cost: 40, Blocks: 16, CommitRow: 5}
-	with := func(edit func(p *memctrl.RelocPlan)) memctrl.RelocPlan {
-		p := valid
-		edit(&p)
-		return p
+// sectionOf returns the payload of section tag in the snapshot snap.
+func sectionOf(t *testing.T, snap []byte, tag uint32) []byte {
+	t.Helper()
+	for b := snap[fgss.HeaderSize:]; len(b) > 0; {
+		got, n := binary.LittleEndian.Uint32(b), binary.LittleEndian.Uint32(b[4:])
+		if got == tag {
+			return b[8 : 8+n]
+		}
+		b = b[8+n:]
 	}
+	t.Fatalf("snapshot has no section %d", tag)
+	return nil
+}
+
+// TestRestoreRejectsUnrunnablePlans checks that a hooks section holding
+// a relocation plan — a queued insertion — that the hook's Insert could
+// not have queued is refused at restore, with an error naming the
+// section: its location outside its bank or the channel, its segment
+// (FIGCache) or source row (LISA-VILLA) already cached or queued, its
+// slot or cache row out of range, valid or reserved, a LISA-VILLA
+// write-back row outside the bank, or any plan where the System has no
+// in-DRAM cache. Before its snapshot, each System caches row 1000
+// segment 0 of bank 0 through its hook (FIGCache slot 0, LISA-VILLA
+// cache row 0); the test then writes bank 0's queue by hand in place of
+// the snapshot's empty queues, which end the hook's encoding. A
+// well-formed queue restores, and the resumed run flushes it, so the
+// controller rebuilt its mask of banks with queued insertions from the
+// hook; a restore that accepts a malformed one is run for a while, to
+// show the failure the rejection prevents.
+func TestRestoreRejectsUnrunnablePlans(t *testing.T) {
+	// plan is one hand-written queued insertion of bank 0: FIGCache
+	// writes wb != 0 as its write-back bit, LISA-VILLA wb as the victim's
+	// source row (-1 for none).
+	type plan struct {
+		loc      dram.Location
+		slot, wb int
+	}
+	at := func(row, block int) dram.Location { return dram.Location{Row: row, Block: block} }
+	const sec = "section 6: core: "
 	cases := []struct {
 		name    string
 		preset  Preset
-		plan    memctrl.RelocPlan
+		plans   []plan
 		wantErr string
 	}{
-		{"FIGCache plan", FIGCacheFast, valid, ""},
-		{"LISA-VILLA plan", LISAVilla, valid, ""},
-		{"FIGCache commit bank", FIGCacheFast, with(func(p *memctrl.RelocPlan) { p.CommitBank = 99 }),
-			"section 6: memctrl: controller 0: relocation plan 0 of bank 0: core: FIGCache plan commits to bank 99"},
-		{"FIGCache commit slot", FIGCacheFast, with(func(p *memctrl.RelocPlan) { p.CommitSlot = 512 }),
-			"section 6: memctrl: controller 0: relocation plan 0 of bank 0: core: FIGCache plan commits to slot 512"},
-		{"LISA-VILLA commit row", LISAVilla, with(func(p *memctrl.RelocPlan) { p.CommitSlot = -1 }),
-			"section 6: memctrl: controller 0: relocation plan 0 of bank 0: core: LISA-VILLA plan commits to cache row -1"},
-		{"plan without an in-DRAM cache", Base, valid,
-			"section 6: memctrl: controller 0: relocation plan 0 of bank 0: no in-DRAM cache"},
+		{"FIGCache plan", FIGCacheFast, []plan{{at(5, 0), 1, 0}, {at(6, 16), 2, 1}}, ""},
+		{"LISA-VILLA plan", LISAVilla, []plan{{at(5, 0), 1, -1}, {at(6, 9), 2, 20}}, ""},
+		{"FIGCache commit bank", FIGCacheFast, []plan{{dram.Location{Bank: 1, Row: 5}, 1, 0}},
+			sec + "FIGCache bank 0 queued insertion 0: location r0.g0.b1.row5.blk0 lies outside the bank"},
+		{"FIGCache location outside the channel", FIGCacheFast, []plan{{dram.Location{Group: 7, Row: 5}, 1, 0}},
+			sec + "FIGCache bank 0 queued insertion 0: location r0.g7.b0.row5.blk0 lies outside the bank"},
+		{"FIGCache row past the bank", FIGCacheFast, []plan{{at(32768, 0), 1, 0}},
+			sec + "FIGCache bank 0 queued insertion 0: location r0.g0.b0.row32768.blk0 lies outside the bank"},
+		{"FIGCache commit slot", FIGCacheFast, []plan{{at(5, 0), 512, 0}},
+			sec + "FIGCache bank 0 queued insertion 0: slot 512 is outside the store's 512"},
+		{"FIGCache negative slot", FIGCacheFast, []plan{{at(5, 0), -1, 0}},
+			sec + "FIGCache bank 0 queued insertion 0: slot -1 is outside the store's 512"},
+		{"FIGCache segment already cached", FIGCacheFast, []plan{{at(1000, 3), 7, 0}},
+			sec + "FIGCache bank 0 queued insertion 0: row 1000 segment 0 is already cached"},
+		{"FIGCache segment already queued", FIGCacheFast, []plan{{at(5, 0), 1, 0}, {at(5, 15), 2, 0}},
+			sec + "FIGCache bank 0 queued insertion 1: row 5 segment 0 is already queued"},
+		{"FIGCache slot holds a valid segment", FIGCacheFast, []plan{{at(5, 0), 0, 0}},
+			sec + "FIGCache bank 0 queued insertion 0: slot 0 holds a valid segment"},
+		{"FIGCache slot already reserved", FIGCacheFast, []plan{{at(5, 0), 1, 0}, {at(6, 0), 1, 0}},
+			sec + "FIGCache bank 0 queued insertion 1: slot 1 is already reserved"},
+		{"LISA-VILLA commit bank", LISAVilla, []plan{{dram.Location{Bank: 2, Row: 5}, 1, -1}},
+			sec + "LISA-VILLA bank 0 queued insertion 0: location r0.g0.b2.row5.blk0 lies outside the bank"},
+		{"LISA-VILLA commit row", LISAVilla, []plan{{at(5, 0), -1, -1}},
+			sec + "LISA-VILLA bank 0 queued insertion 0: cache row -1 is outside the bank's 512"},
+		{"LISA-VILLA cache row past the bank", LISAVilla, []plan{{at(5, 0), 512, -1}},
+			sec + "LISA-VILLA bank 0 queued insertion 0: cache row 512 is outside the bank's 512"},
+		{"LISA-VILLA row already cached", LISAVilla, []plan{{at(1000, 0), 1, -1}},
+			sec + "LISA-VILLA bank 0 queued insertion 0: source row 1000 is already cached"},
+		{"LISA-VILLA row already queued", LISAVilla, []plan{{at(5, 0), 1, -1}, {at(5, 64), 2, -1}},
+			sec + "LISA-VILLA bank 0 queued insertion 1: source row 5 is already queued"},
+		{"LISA-VILLA cache row valid", LISAVilla, []plan{{at(5, 0), 0, -1}},
+			sec + "LISA-VILLA bank 0 queued insertion 0: cache row 0 is valid"},
+		{"LISA-VILLA cache row already reserved", LISAVilla, []plan{{at(5, 0), 1, -1}, {at(6, 0), 1, -1}},
+			sec + "LISA-VILLA bank 0 queued insertion 1: cache row 1 is already reserved"},
+		{"LISA-VILLA write-back row outside the bank", LISAVilla, []plan{{at(5, 0), 1, 32768}},
+			sec + "LISA-VILLA bank 0 queued insertion 0: write-back row 32768 is outside the bank"},
+		{"plan without an in-DRAM cache", Base, []plan{{at(5, 0), 1, 0}}, "section 6: sim: hook kind: 1, want 0"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -407,22 +444,45 @@ func TestRestoreRejectsUnrunnablePlans(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			stand := memctrl.NewController(0, memctrl.Config{}, s.channels[0], &planHook{plan: tc.plan})
-			stand.Enqueue(&memctrl.Request{Addr: 0x40, Loc: dram.Location{Row: 5}}, 0)
-			for now := int64(0); stand.NumReads == 0; now++ {
-				stand.Tick(now, func(int64, ev.Token) {})
+			banks := s.channels[0].NumBanks()
+			writePlans := func(w *fgss.Writer) {
+				w.Int(len(tc.plans))
+				for _, p := range tc.plans {
+					for _, v := range []int{p.loc.Rank, p.loc.Group, p.loc.Bank, p.loc.Row, p.loc.Block, p.slot} {
+						w.Int(v)
+					}
+					if tc.preset == LISAVilla {
+						w.Int(p.wb)
+					} else {
+						w.Bool(p.wb != 0)
+					}
+				}
+				for range banks - 1 {
+					w.Int(0)
+				}
 			}
-			var sec bytes.Buffer
-			w := fgss.NewWriter(&sec, 0, [32]byte{})
-			w.Begin(snapSecCtrls)
-			w.Int(len(s.ctrls))
-			stand.Snapshot(w)
-			for _, c := range s.ctrls[1:] {
-				c.Snapshot(w)
-			}
-			w.End()
-			if err := w.Flush(); err != nil {
-				t.Fatal(err)
+			var payload []byte
+			if h := s.hooks[0]; h == nil {
+				payload = sectionPayload(t, func(w *fgss.Writer) {
+					w.Int(1)
+					w.Int(hookFIGCache)
+					writePlans(w)
+				})
+			} else {
+				if !h.Insert(at(1000, 0)) {
+					t.Fatal("a fresh hook refused an insertion")
+				}
+				h.Flush(s.channels[0], 0)
+				var snap bytes.Buffer
+				if err := s.Snapshot(&snap); err != nil {
+					t.Fatal(err)
+				}
+				hooks := sectionOf(t, snap.Bytes(), snapSecHooks)
+				queues := hooks[len(hooks)-banks:]
+				if !bytes.Equal(queues, make([]byte, banks)) {
+					t.Fatalf("the hooks section ends in %x, not %d empty queues", queues, banks)
+				}
+				payload = append(bytes.Clone(hooks[:len(hooks)-banks]), sectionPayload(t, writePlans)...)
 			}
 			var snap bytes.Buffer
 			if err := s.Snapshot(&snap); err != nil {
@@ -432,10 +492,16 @@ func TestRestoreRejectsUnrunnablePlans(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			err = fresh.Restore(bytes.NewReader(withSection(snap.Bytes(), snapSecCtrls, sec.Bytes()[fgss.HeaderSize+8:])))
+			err = fresh.Restore(bytes.NewReader(withSection(snap.Bytes(), snapSecHooks, payload)))
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatalf("restore error = %v, want none", err)
+				}
+				fresh.RunSlice(100_000)
+				for _, p := range tc.plans {
+					if _, hit := fresh.hooks[0].Lookup(p.loc, false); !hit {
+						t.Errorf("the resumed run never flushed the plan for %v", p.loc)
+					}
 				}
 				return
 			}
@@ -534,14 +600,14 @@ func TestRestoreRejectsSectionShape(t *testing.T) {
 			tc{"no cores", p, snapSecCores, ints(0), want("section 3: sim: cores: 0, want 1")},
 			tc{"no cache nodes", p, snapSecCaches, ints(0), want("section 4: cache: nodes: 0, want 3")},
 			tc{"no channels", p, snapSecChannels, ints(0), want("section 5: sim: channels: 0, want 1")},
-			tc{"no controllers", p, snapSecCtrls, ints(0), want("section 6: sim: controllers: 0, want 1")},
-			tc{"no hooks", p, snapSecHooks, ints(0), want("section 7: sim: hooks: 0, want 1")},
+			tc{"no controllers", p, snapSecCtrls, ints(0), want("section 7: sim: controllers: 0, want 1")},
+			tc{"no hooks", p, snapSecHooks, ints(0), want("section 6: sim: hooks: 0, want 1")},
 		)
 	}
 	cases = append(cases,
-		tc{"FIGCache hook of kind none", FIGCacheFast, snapSecHooks, ints(1, hookNone), want("section 7: sim: hook kind: 0, want 1")},
-		tc{"LISA-VILLA hook of kind none", LISAVilla, snapSecHooks, ints(1, hookNone), want("section 7: sim: hook kind: 0, want 2")},
-		tc{"FIGCache with no banks", FIGCacheFast, snapSecHooks, ints(1, hookFIGCache, 0), want("section 7: core: FIGCache banks: 0, want 16")},
+		tc{"FIGCache hook of kind none", FIGCacheFast, snapSecHooks, ints(1, hookNone), want("section 6: sim: hook kind: 0, want 1")},
+		tc{"LISA-VILLA hook of kind none", LISAVilla, snapSecHooks, ints(1, hookNone), want("section 6: sim: hook kind: 0, want 2")},
+		tc{"FIGCache with no banks", FIGCacheFast, snapSecHooks, ints(1, hookFIGCache, 0), want("section 6: core: FIGCache banks: 0, want 16")},
 		tc{"no event lanes", Base, snapSecEvents, ints(0), func(s *System) string {
 			return fmt.Sprintf("section 2: sim: event lanes: 0, want %d", len(s.events.lanes))
 		}},

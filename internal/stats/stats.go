@@ -43,34 +43,6 @@ func Speedup(before, after float64) float64 {
 	return after / before
 }
 
-// Min and Max return the extrema of xs (0 for empty).
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the largest element of xs (0 for empty).
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Table is a plain-text table: the harness prints one per reproduced
 // figure/table, with the same rows or series the paper reports.
 type Table struct {
@@ -239,9 +211,6 @@ func WeightedPercentiles(sets [][]int64, streamLens []int64, ps []float64) []int
 	}
 	return out
 }
-
-// Pct formats a ratio as a signed percentage ("+16.3%").
-func Pct(ratio float64) string { return fmt.Sprintf("%+.1f%%", (ratio-1)*100) }
 
 // F formats a float with the given decimals.
 func F(v float64, decimals int) string { return fmt.Sprintf("%.*f", decimals, v) }

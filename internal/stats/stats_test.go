@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -45,20 +46,6 @@ func TestSpeedupGuardsZero(t *testing.T) {
 		t.Errorf("Speedup = %g, want 1.5", got)
 	}
 }
-
-func TestMinMax(t *testing.T) {
-	xs := []float64{3, -1, 7, 2}
-	if got := Min(xs); got != -1 {
-		t.Errorf("Min = %g", got)
-	}
-	if got := Max(xs); got != 7 {
-		t.Errorf("Max = %g", got)
-	}
-	if Min(nil) != 0 || Max(nil) != 0 {
-		t.Error("empty Min/Max not zero")
-	}
-}
-
 func TestTableRender(t *testing.T) {
 	tab := &Table{Title: "demo", Header: []string{"name", "value"}}
 	tab.AddRow("alpha", "1.00")
@@ -203,13 +190,7 @@ func TestWeightedPercentilesWeighsByTraffic(t *testing.T) {
 	}
 }
 
-func TestPctAndF(t *testing.T) {
-	if got := Pct(1.163); got != "+16.3%" {
-		t.Errorf("Pct = %q", got)
-	}
-	if got := Pct(0.95); got != "-5.0%" {
-		t.Errorf("Pct = %q", got)
-	}
+func TestF(t *testing.T) {
 	if got := F(3.14159, 2); got != "3.14" {
 		t.Errorf("F = %q", got)
 	}
@@ -226,7 +207,7 @@ func TestPropertyGeoMeanBetweenMinMax(t *testing.T) {
 			return true
 		}
 		g := GeoMean(xs)
-		return g >= Min(xs)-1e-9 && g <= Max(xs)+1e-9
+		return g >= slices.Min(xs)-1e-9 && g <= slices.Max(xs)+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
