@@ -274,9 +274,11 @@ func layoutApps(specs ...workload.BenchSpec) []byte {
 // words), or none (an empty fig); a mix name of any bytes; and 1-8
 // sources (layoutInput.spec) whose names hold any bytes, quotes,
 // backslashes and invalid UTF-8 among them, and whose floats include -0,
-// the infinities, NaN, subnormals and 1e21 (layoutFloats). Fingerprint
-// must hash that text, also when it outgrows the stack buffer (the last
-// seed's mix name).
+// the infinities, NaN, subnormals and 1e21 (layoutFloats). The seeds
+// hold Table 2's specs, whose lines workload.Source copies from its
+// interned table, and one of them a spec one ulp off, which it formats.
+// Fingerprint must hash that text, also when it outgrows the stack
+// buffer (the last seed's mix name).
 func FuzzFingerprintLayout(f *testing.F) {
 	mcf, err := workload.ByName("mcf")
 	if err != nil {
@@ -299,6 +301,10 @@ func FuzzFingerprintLayout(f *testing.F) {
 		return out
 	}
 	f.Add(int(FIGCacheFast), 0, int64(200_000), int64(0), uint64(1), false, false, "mcf", 100, []byte(nil), layoutApps(mcf))
+	// Table 2's mcf is an interned line; one ulp off, it is formatted.
+	ulp := mcf
+	ulp.ZipfTheta = math.Nextafter(mcf.ZipfTheta, 1)
+	f.Add(int(FIGCacheFast), 0, int64(200_000), int64(0), uint64(1), false, false, "mcf", 100, []byte(nil), layoutApps(ulp, mcf))
 	f.Add(int(Base), 4, int64(5_000), int64(0), uint64(3), true, false, "mix-100-0", 100, []byte(nil), layoutApps(mix...))
 	f.Add(int(FIGCacheIdeal), 2, int64(60_000), int64(7), uint64(1)<<63, false, true, "mix-100-0", 75,
 		words(8, 384, 3, 2, 1), layoutApps(mix...))

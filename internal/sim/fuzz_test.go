@@ -229,6 +229,40 @@ func FuzzRestore(f *testing.F) {
 		headers[i] = snap[:fgss.HeaderSize]
 		f.Add(uint8(i), snap[fgss.HeaderSize:])
 	}
+	// Two more seeds, for the FIGCache-Fast and LISA-VILLA configs above,
+	// are fresh Systems whose bank 0 caches segment 0 of rows 1000, 1002,
+	// 1004 and 1006 (LISA-VILLA: the rows), as
+	// TestRestoreRejectsUnrunnablePlans sets them up, and queues an
+	// insertion next to each: its segment 1 (LISA-VILLA: the next row).
+	// One byte of a queued location then names a cached segment or row,
+	// which Restore must refuse; the cut snapshots' queued insertions lie
+	// nowhere near a cached one.
+	for i, next := range []func(row int) dram.Location{
+		func(row int) dram.Location { return dram.Location{Row: row, Block: 16} },
+		func(row int) dram.Location { return dram.Location{Row: row + 1} },
+	} {
+		s, err := New(seeds[i].cfg)
+		if err != nil {
+			f.Fatal(err)
+		}
+		h := s.hooks[0]
+		for row := 1000; row < 1008; row += 2 {
+			if !h.Insert(dram.Location{Row: row}) {
+				f.Fatalf("%s: a fresh hook refused to cache row %d", seeds[i].cfg.Describe(), row)
+			}
+		}
+		h.Flush(s.channels[0], 0)
+		for row := 1000; row < 1008; row += 2 {
+			if !h.Insert(next(row)) {
+				f.Fatalf("%s: the hook refused to queue %v", seeds[i].cfg.Describe(), next(row))
+			}
+		}
+		var snap bytes.Buffer
+		if err := s.Snapshot(&snap); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(uint8(i), snap.Bytes()[fgss.HeaderSize:])
+	}
 	f.Fuzz(func(t *testing.T, which uint8, body []byte) {
 		i := int(which) % len(seeds)
 		s, err := New(seeds[i].cfg)

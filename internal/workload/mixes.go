@@ -11,12 +11,28 @@ type Mix struct {
 	IntensivePercent int // 25, 50, 75 or 100
 }
 
-// EightCoreMixes builds the paper's 20 eight-core multiprogrammed
+// EightCoreMixes returns the paper's 20 eight-core multiprogrammed
 // workloads: five mixes in each of the 25%, 50%, 75% and 100%
-// memory-intensive categories (Section 7). Mix composition is
-// deterministic: benchmarks rotate through the intensive and
-// non-intensive pools.
+// memory-intensive categories (Section 7). The catalog is built once;
+// each call returns a copy the caller may change freely, mixes and
+// sources alike.
 func EightCoreMixes() []Mix {
+	out := make([]Mix, len(eightCoreMixes))
+	apps := make([]Source, 8*len(eightCoreMixes))
+	for i, m := range eightCoreMixes {
+		n := copy(apps, m.Apps)
+		// Cap each copy's sources at their length, so appending to one
+		// mix's Apps never writes into the next mix's.
+		m.Apps, apps = apps[:n:n], apps[n:]
+		out[i] = m
+	}
+	return out
+}
+
+// eightCoreMixes is the catalog EightCoreMixes copies. Mix composition
+// is deterministic: benchmarks rotate through the intensive and
+// non-intensive pools.
+var eightCoreMixes = func() []Mix {
 	intensive := Intensive()
 	nonIntensive := NonIntensive()
 	var mixes []Mix
@@ -44,7 +60,7 @@ func EightCoreMixes() []Mix {
 		}
 	}
 	return mixes
-}
+}()
 
 // MixesByCategory filters mixes to one intensive-percentage category.
 func MixesByCategory(mixes []Mix, pct int) []Mix {

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -48,19 +49,25 @@ func (s Source) Open(seed, base, span uint64, layout Layout) (*Generator, error)
 // AppendCanonical appends the source's run identity to dst, one line
 // per source, for configuration fingerprinting (sim.Config.Fingerprint),
 // and returns the extended slice. It allocates only when dst is too
-// short.
-//
-// The line layout predates Source and MUST NOT change: it is the
-// persisted cache identity of every run ever computed, and changing a
-// byte of it would orphan those results as surely as an engine-version
-// bump. It is the fmt layout
+// short. A catalog spec's line is copied from catalogLines; any other
+// spec is formatted by appendLine.
+func (s Source) AppendCanonical(dst []byte) []byte {
+	if line, ok := catalogLines.lookup(&s.Synth); ok {
+		return append(dst, line...)
+	}
+	return appendLine(dst, &s.Synth)
+}
+
+// appendLine formats b's canonical line. The layout predates Source and
+// MUST NOT change: it is the persisted cache identity of every run ever
+// computed, and changing a byte of it would orphan those results as
+// surely as an engine-version bump. It is the fmt layout
 //
 //	app=%q mi=%t bub=%d fp=%d hot=%d str=%d zipf=%g hf=%g seq=%d wf=%g
 //
 // spelled with strconv, whose AppendQuote, AppendBool, AppendInt and
 // AppendFloat(v, 'g', -1, 64) write what those verbs print.
-func (s Source) AppendCanonical(dst []byte) []byte {
-	b := &s.Synth
+func appendLine(dst []byte, b *BenchSpec) []byte {
 	dst = append(dst, "app="...)
 	dst = strconv.AppendQuote(dst, b.Name)
 	dst = append(dst, " mi="...)
@@ -84,6 +91,43 @@ func (s Source) AppendCanonical(dst []byte) []byte {
 	return append(dst, '\n')
 }
 
+// lineTable maps specs to their canonical lines, keyed by the spec
+// value, so every field takes part in a match.
+type lineTable map[BenchSpec]catalogLine
+
+// catalogLine is a spec with its canonical line.
+type catalogLine struct {
+	spec BenchSpec
+	line string
+}
+
+// lookup returns b's line if the table holds b. A map hit alone does not
+// decide it: == equates -0 and +0, so the float fields must also match
+// bit for bit (a NaN never matches, so it always misses).
+func (t lineTable) lookup(b *BenchSpec) (string, bool) {
+	c, ok := t[*b]
+	return c.line, ok &&
+		math.Float64bits(c.spec.ZipfTheta) == math.Float64bits(b.ZipfTheta) &&
+		math.Float64bits(c.spec.HotFraction) == math.Float64bits(b.HotFraction) &&
+		math.Float64bits(c.spec.WriteFrac) == math.Float64bits(b.WriteFrac)
+}
+
+// internLines returns a table of the lines of list's specs.
+func internLines(list ...BenchSpec) lineTable {
+	t := make(lineTable, len(list))
+	for _, b := range list {
+		t[b] = catalogLine{b, string(appendLine(nil, &b))}
+	}
+	return t
+}
+
+// catalogLines holds the canonical lines of the 23 catalog specs (specs
+// and multithreaded). A matrix hashes these specs again for every
+// config, and formatting their floats was most of a fingerprint's cost.
+// The table is built at package initialization and never written after,
+// so any number of goroutines may read it.
+var catalogLines = internLines(append(Benchmarks(), multithreaded...)...)
+
 // FindMix resolves a workload argument the way the CLIs spell them:
 //
 //   - a Table-2 benchmark name (single-core)
@@ -101,8 +145,9 @@ func FindMix(name string) (Mix, bool, error) {
 		}
 		return Mix{}, false, fmt.Errorf("workload: unknown multithreaded workload %q", name)
 	}
-	for _, m := range EightCoreMixes() {
+	for _, m := range eightCoreMixes {
 		if m.Name == name {
+			m.Apps = append([]Source(nil), m.Apps...)
 			return m, false, nil
 		}
 	}
@@ -119,7 +164,7 @@ func MixNames() []string {
 	for _, s := range Benchmarks() {
 		out = append(out, s.Name)
 	}
-	for _, m := range EightCoreMixes() {
+	for _, m := range eightCoreMixes {
 		out = append(out, m.Name)
 	}
 	for _, m := range MultithreadedWorkloads() {

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -297,6 +299,28 @@ func TestEightCoreMixes(t *testing.T) {
 				t.Errorf("%s: %d intensive apps, want %d", m.Name, nInt, want)
 			}
 		}
+	}
+	for i, m := range mixes {
+		if want := fmt.Sprintf("mix-%d-%d", 25*(1+i/5), i%5); m.Name != want {
+			t.Errorf("mix %d is %s, want %s", i, m.Name, want)
+		}
+	}
+
+	// Each call returns its own copy: changing a mix, one of its
+	// sources, or appending to its sources changes no other mix and no
+	// later call's.
+	mixes[0].Name = "changed"
+	mixes[0].Apps[7].Synth.Bubbles = -1
+	mixes[0].Apps = append(mixes[0].Apps, mixes[0].Apps[0])
+	fresh := EightCoreMixes()
+	if !reflect.DeepEqual(fresh[1:], mixes[1:]) {
+		t.Error("changing one mix changed another")
+	}
+	if m := fresh[0]; m.Name != "mix-25-0" || len(m.Apps) != 8 || m.Apps[7].Synth.Bubbles < 0 {
+		t.Errorf("changing a returned mix changed the catalog: %s with %d apps", m.Name, len(m.Apps))
+	}
+	if found, _, err := FindMix("mix-25-0"); err != nil || !reflect.DeepEqual(found, fresh[0]) {
+		t.Errorf("FindMix(mix-25-0) = %+v, %v; want %+v", found, err, fresh[0])
 	}
 }
 
