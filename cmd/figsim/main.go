@@ -236,7 +236,7 @@ func printResult(cfg sim.Config, res sim.Result) {
 		fmt.Printf("in-DRAM cache: hit rate %.1f%%, %d insertions\n",
 			res.InDRAMCacheHitRate()*100, res.Inserted)
 	}
-	b := energy.Compute(energy.DefaultParams(), res, len(res.Cores), cfg.Channels, res.Preset != sim.Base && res.Preset != sim.LLDRAM)
+	b := energy.Compute(energy.DefaultParams(), res, len(res.Cores), cfg.Channels)
 	fmt.Printf("energy:    total %.3f mJ (CPU %.3f, L1&L2 %.3f, LLC %.3f, off-chip %.3f, DRAM %.3f)\n",
 		b.Total()*1e3, b.CPU*1e3, b.L1L2*1e3, b.LLC*1e3, b.OffChip*1e3, b.DRAM*1e3)
 }

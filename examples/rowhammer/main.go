@@ -21,7 +21,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dram"
-	"repro/internal/ev"
 	"repro/internal/memctrl"
 )
 
@@ -74,8 +73,8 @@ func hammer(cache memctrl.CacheHook) map[int]int64 {
 	channel.TraceOn = true
 	ctrl := memctrl.NewController(0, memctrl.Config{}, channel, cache)
 
-	// The only tokens the controller schedules here are request
-	// completions, so the replay loop just counts fired tokens.
+	// The controller reports each read's data-end cycle; the replay loop
+	// counts the reads whose data has arrived.
 	var pending []int64
 	completed := 0
 	issued := 0
@@ -98,13 +97,10 @@ func hammer(cache memctrl.CacheHook) map[int]int64 {
 			} else {
 				nextRow = aggressorA
 			}
-			ctrl.Enqueue(&memctrl.Request{
-				Loc:        dram.Location{Row: row, Block: (issued / 2) % 16},
-				OnComplete: ev.Token{Kind: ev.CoreSlot, Arg: uint64(issued)},
-			}, now)
+			ctrl.Enqueue(&memctrl.Request{Loc: dram.Location{Row: row, Block: (issued / 2) % 16}}, now)
 			issued++
 		}
-		ctrl.Tick(now, func(at int64, tok ev.Token) {
+		ctrl.Tick(now, func(at int64, _ uint64) {
 			pending = append(pending, at)
 		})
 	}

@@ -24,7 +24,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dram"
-	"repro/internal/ev"
 	"repro/internal/memctrl"
 )
 
@@ -81,8 +80,8 @@ func probeLatency(victimActive, withFIGCache bool) float64 {
 	}
 	ctrl := memctrl.NewController(0, memctrl.Config{}, channel, hook)
 
-	// The only tokens the controller schedules here are request
-	// completions, so the replay loop just counts fired tokens.
+	// The controller reports each read's data-end cycle; the replay loop
+	// counts the reads whose data has arrived.
 	var pending []int64
 	step := 0
 	issued, completed := 0, 0
@@ -105,13 +104,10 @@ func probeLatency(victimActive, withFIGCache bool) float64 {
 				row = victimRow // victim access between attacker probes
 			}
 			step++
-			ctrl.Enqueue(&memctrl.Request{
-				Loc:        dram.Location{Row: row, Block: (step / 2) % 16},
-				OnComplete: ev.Token{Kind: ev.CoreSlot, Arg: uint64(step)},
-			}, now)
+			ctrl.Enqueue(&memctrl.Request{Loc: dram.Location{Row: row, Block: (step / 2) % 16}}, now)
 			issued++
 		}
-		ctrl.Tick(now, func(at int64, tok ev.Token) {
+		ctrl.Tick(now, func(at int64, _ uint64) {
 			pending = append(pending, at)
 		})
 	}

@@ -276,6 +276,10 @@ func (c *Cache) StartFetch(blk uint64) {
 // an MSHR to act on.
 func (c *Cache) Outstanding(blk uint64) bool { return c.findMSHR(blk) != nil }
 
+// OutstandingMisses returns the number of misses the cache has
+// outstanding.
+func (c *Cache) OutstandingMisses() int { return len(c.active) }
+
 // findMSHR returns the outstanding miss for blk, or nil.
 func (c *Cache) findMSHR(blk uint64) *mshr {
 	for _, m := range c.active {

@@ -791,7 +791,7 @@ func diffAgainstOracle(t testing.TB, cfg Config, ops []byte, clock uint32) (wrap
 		t.Fatal(err)
 	}
 	r.Section(1)
-	fresh.Restore(r, func(ev.Token) error { return nil })
+	fresh.Restore(r, func(uint64, ev.Token) error { return nil })
 	r.EndSection()
 	if err := r.Close(); err != nil {
 		t.Fatalf("restoring the final snapshot: %v", err)
@@ -856,16 +856,18 @@ func FuzzPackedSetsMatchLineOracle(f *testing.F) {
 
 // TestRestoreRejects checks that a hand-built cache section holding a
 // line index out of range or not ascending, a line tag wider than the
-// tag word's 30 bits, an LRU stamp or clock outside [0,2^32-1], or an
-// MSHR waiter token the caller's check refuses, is a decode error, and
-// that a well-formed one restores its lines and leaves the unlisted
-// ways invalid.
+// tag word's 30 bits, an LRU stamp or clock outside [0,2^32-1], an MSHR
+// block that is not block aligned or repeats another MSHR's, more MSHRs
+// than the level's bound, or an MSHR waiter token the caller's check
+// refuses, is a decode error, and that a well-formed one restores its
+// lines and MSHRs and leaves the unlisted ways invalid.
 func TestRestoreRejects(t *testing.T) {
-	cfg := smallCfg() // 8 sets of 2 ways, 64-byte blocks: 30-bit tags
+	cfg := smallCfg() // 8 sets of 2 ways, 64-byte blocks, 4 MSHRs: 30-bit tags
 	errBadTok := fmt.Errorf("no such core")
 	// section lists lines with the given tag and LRU stamps stamp,
-	// stamp+1, ..., then the clock and one MSHR with one waiter.
-	section := func(lines []int, tag uint64, stamp, clock int64, waiter ev.Token) *fgss.Reader {
+	// stamp+1, ..., then the clock and an MSHR on each of the blocks
+	// mshrs, each with one waiter.
+	section := func(lines []int, tag uint64, stamp, clock int64, mshrs []uint64, waiter ev.Token) *fgss.Reader {
 		var buf bytes.Buffer
 		w := fgss.NewWriter(&buf, 1, [32]byte{})
 		w.Begin(1)
@@ -877,13 +879,15 @@ func TestRestoreRejects(t *testing.T) {
 			w.I64(stamp + int64(i))
 		}
 		w.I64(clock)
-		w.Int(1) // one MSHR with one waiter
-		w.U64(0x40)
-		w.Bool(false)
-		w.Int(1)
-		w.U64(uint64(waiter.Kind))
-		w.I64(int64(waiter.ID))
-		w.U64(waiter.Arg)
+		w.Int(len(mshrs))
+		for _, blk := range mshrs {
+			w.U64(blk)
+			w.Bool(false)
+			w.Int(1)
+			w.U64(uint64(waiter.Kind))
+			w.I64(int64(waiter.ID))
+			w.U64(waiter.Arg)
+		}
 		w.I64(0) // hits
 		w.I64(0) // misses
 		w.End()
@@ -897,7 +901,7 @@ func TestRestoreRejects(t *testing.T) {
 		r.Section(1)
 		return r
 	}
-	check := func(tok ev.Token) error {
+	check := func(_ uint64, tok ev.Token) error {
 		if tok.ID != 0 {
 			return errBadTok
 		}
@@ -916,27 +920,34 @@ func TestRestoreRejects(t *testing.T) {
 	}
 	good := ev.Token{Kind: ev.CoreSlot, Arg: 1}
 	lines := []int{0, 5, 15}
+	one := []uint64{0x40}
 	const top = math.MaxUint32 // the largest stamp and clock
 	for _, tc := range []struct {
 		name         string
 		lines        []int
 		tag          uint64
 		stamp, clock int64
+		mshrs        []uint64
 		waiter       ev.Token
 		wantErr      string
 	}{
-		{"well-formed", lines, 1<<30 - 1, 1, 16, good, ""},
-		{"stamps and clock at the top", lines, 7, top - 2, top, good, ""},
-		{"line past the cache", []int{0, 16}, 7, 1, 16, good, "line index 16 is outside [1,16)"},
-		{"negative line", []int{-1}, 7, 1, 16, good, "line index -1 is outside [0,16)"},
-		{"line repeated", []int{3, 3}, 7, 1, 16, good, "line index 3 is outside [4,16)"},
-		{"lines out of order", []int{5, 2}, 7, 1, 16, good, "line index 2 is outside [6,16)"},
-		{"tag too wide", lines, 1 << 30, 1, 16, good, "is wider than 30 bits"},
-		{"stamp past 32 bits", lines, 7, top - 1, top, good, "line 15 LRU stamp 4294967296 is outside [0,2^32-1]"},
-		{"negative stamp", lines, 7, -1, 16, good, "line 0 LRU stamp -1 is outside [0,2^32-1]"},
-		{"clock past 32 bits", lines, 7, 1, top + 1, good, "LRU clock 4294967296 is outside [0,2^32-1]"},
-		{"negative clock", lines, 7, 1, -1, good, "LRU clock -1 is outside [0,2^32-1]"},
-		{"refused waiter", lines, 7, 1, 16, ev.Token{Kind: ev.CoreSlot, ID: 4, Arg: 1}, "no such core"},
+		{"well-formed", lines, 1<<30 - 1, 1, 16, one, good, ""},
+		{"stamps and clock at the top", lines, 7, top - 2, top, one, good, ""},
+		{"every MSHR in use", lines, 7, 1, 16, []uint64{0x40, 0x1000, 0x80, 0}, good, ""},
+		{"line past the cache", []int{0, 16}, 7, 1, 16, one, good, "line index 16 is outside [1,16)"},
+		{"negative line", []int{-1}, 7, 1, 16, one, good, "line index -1 is outside [0,16)"},
+		{"line repeated", []int{3, 3}, 7, 1, 16, one, good, "line index 3 is outside [4,16)"},
+		{"lines out of order", []int{5, 2}, 7, 1, 16, one, good, "line index 2 is outside [6,16)"},
+		{"tag too wide", lines, 1 << 30, 1, 16, one, good, "is wider than 30 bits"},
+		{"stamp past 32 bits", lines, 7, top - 1, top, one, good, "line 15 LRU stamp 4294967296 is outside [0,2^32-1]"},
+		{"negative stamp", lines, 7, -1, 16, one, good, "line 0 LRU stamp -1 is outside [0,2^32-1]"},
+		{"clock past 32 bits", lines, 7, 1, top + 1, one, good, "LRU clock 4294967296 is outside [0,2^32-1]"},
+		{"negative clock", lines, 7, 1, -1, one, good, "LRU clock -1 is outside [0,2^32-1]"},
+		{"refused waiter", lines, 7, 1, 16, one, ev.Token{Kind: ev.CoreSlot, ID: 4, Arg: 1}, "no such core"},
+		{"MSHR block not block aligned", lines, 7, 1, 16, []uint64{0x40, 0x88}, good, "cache t: MSHR block 0x88 is not block aligned"},
+		{"MSHR block repeated", lines, 7, 1, 16, []uint64{0x40, 0x80, 0x40}, good, "cache t: MSHR block 0x40 repeats another MSHR's"},
+		{"more MSHRs than the level has", lines, 7, 1, 16, []uint64{0x40, 0x80, 0xc0, 0x100, 0x140}, good,
+			"cache t: outstanding misses: 5, outside [0,4]"},
 	} {
 		c, _, _ := newTestCache(t, cfg)
 		// Fill every way first: the restore must invalidate the ways the
@@ -948,7 +959,7 @@ func TestRestoreRejects(t *testing.T) {
 		if n := validWays(c); n != 16 {
 			t.Fatalf("%s: setup filled %d of 16 ways", tc.name, n)
 		}
-		r := section(tc.lines, tc.tag, tc.stamp, tc.clock, tc.waiter)
+		r := section(tc.lines, tc.tag, tc.stamp, tc.clock, tc.mshrs, tc.waiter)
 		c.Restore(r, check)
 		r.EndSection()
 		err := r.Close()
@@ -960,6 +971,14 @@ func TestRestoreRejects(t *testing.T) {
 		}
 		if n := validWays(c); n != len(tc.lines) {
 			t.Errorf("%s: %d valid ways after restore, want the %d listed", tc.name, n, len(tc.lines))
+		}
+		for _, blk := range tc.mshrs {
+			if !c.Outstanding(blk) {
+				t.Errorf("%s: no miss outstanding for %#x after restore", tc.name, blk)
+			}
+		}
+		if len(c.active) != len(tc.mshrs) {
+			t.Errorf("%s: %d MSHRs after restore, want the %d listed", tc.name, len(c.active), len(tc.mshrs))
 		}
 	}
 }

@@ -36,7 +36,8 @@
 // and LRU state plus in-flight MSHRs for the system checkpoint
 // lifecycle (sim.System.Snapshot), in the per-line format of the
 // earlier layout. Restore rejects a tag wider than 30 bits, an LRU
-// stamp or clock outside [0,2^32-1] and, through the caller's check,
-// any MSHR waiter token that names no core or cache node of the
-// restoring System.
+// stamp or clock outside [0,2^32-1], an MSHR block that is not block
+// aligned or repeats another's, more MSHRs than a bounded level has
+// and, through the caller's check, any MSHR waiter token the restoring
+// System would not put in that MSHR.
 package cache

@@ -95,6 +95,15 @@ func (h *Hierarchy) Node(id int32) *Cache { return h.nodes[id] }
 // Nodes returns every cache level in node-ID order.
 func (h *Hierarchy) Nodes() []*Cache { return h.nodes }
 
+// Below returns the node ID of the level that node id sends its misses
+// to, or -1 for the LLC, whose misses go to memory.
+func (h *Hierarchy) Below(id int32) int32 {
+	if next, ok := h.nodes[id].next.(*Cache); ok {
+		return next.id
+	}
+	return -1
+}
+
 // LLCMPKI returns the last-level-cache misses per kilo-instruction given
 // the retired instruction count — the paper's memory-intensity metric
 // (Table 2 classifies applications at 10 MPKI).

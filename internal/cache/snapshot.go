@@ -65,11 +65,12 @@ func (c *Cache) Snapshot(w *fgss.Writer) {
 // bytes come from disk, so a line index outside the cache or not above
 // the previous one, a tag wider than the tag word's 30 bits (or than a
 // 64-bit address leaves room for), an LRU stamp or clock outside
-// [0, 2^32-1], and a waiter token that names no core or cache node of
-// this System, are decode errors (fgss.Reader.Reject), not a wrong block
-// address, a truncated stamp or a panic at dispatch; checkTok decides
-// which tokens a waiter list may hold.
-func (c *Cache) Restore(r *fgss.Reader, checkTok func(ev.Token) error) {
+// [0, 2^32-1], an MSHR block that is not block aligned or repeats
+// another MSHR's, more MSHRs than a bounded level has, and a waiter
+// token checkTok refuses for its MSHR's block, are decode errors
+// (fgss.Reader.Reject), not a wrong block address, a truncated stamp,
+// an MSHR Access never allocates or a panic at dispatch.
+func (c *Cache) Restore(r *fgss.Reader, checkTok func(blk uint64, t ev.Token) error) {
 	clear(c.sets)
 	ways := c.cfg.Ways
 	lines := int(c.setsN) * ways
@@ -112,13 +113,25 @@ func (c *Cache) Restore(r *fgss.Reader, checkTok func(ev.Token) error) {
 		c.active[i] = nil
 	}
 	c.active = c.active[:0]
-	nm := r.Len(math.MaxInt, "cache "+c.cfg.Name+": outstanding misses")
+	maxMSHRs := math.MaxInt
+	if c.cfg.MSHRs > 0 {
+		maxMSHRs = c.cfg.MSHRs
+	}
+	nm := r.Len(maxMSHRs, "cache "+c.cfg.Name+": outstanding misses")
 	for i := 0; i < nm && r.Err() == nil; i++ {
-		m := c.newMSHR(r.U64(), r.Bool())
+		blk := r.U64()
+		switch {
+		case r.Err() != nil:
+		case blk != c.blockAddr(blk):
+			r.Reject("cache %s: MSHR block %#x is not block aligned", c.cfg.Name, blk)
+		case c.findMSHR(blk) != nil:
+			r.Reject("cache %s: MSHR block %#x repeats another MSHR's", c.cfg.Name, blk)
+		}
+		m := c.newMSHR(blk, r.Bool())
 		nw := r.Len(math.MaxInt, "cache "+c.cfg.Name+": MSHR waiters")
 		for j := 0; j < nw && r.Err() == nil; j++ {
 			tok := ev.ReadToken(r)
-			if err := checkTok(tok); err != nil && r.Err() == nil {
+			if err := checkTok(m.blockAddr, tok); err != nil && r.Err() == nil {
 				r.Reject("cache %s: MSHR %#x waiter %d: %v", c.cfg.Name, m.blockAddr, j, err)
 			}
 			m.waiters = append(m.waiters, tok)
@@ -139,13 +152,14 @@ func (h *Hierarchy) Snapshot(w *fgss.Writer) {
 }
 
 // Restore reads back what Snapshot wrote, level by level in node-ID
-// order, accepting only the waiter tokens checkTok accepts. Another
-// level count is a decode error.
-func (h *Hierarchy) Restore(r *fgss.Reader, checkTok func(ev.Token) error) {
+// order, accepting only the waiter tokens checkTok accepts for the node
+// and the block of the MSHR that holds them. Another level count is a
+// decode error.
+func (h *Hierarchy) Restore(r *fgss.Reader, checkTok func(node int32, blk uint64, t ev.Token) error) {
 	if !r.Expect(len(h.nodes), "cache: nodes") {
 		return
 	}
 	for _, c := range h.nodes {
-		c.Restore(r, checkTok)
+		c.Restore(r, func(blk uint64, t ev.Token) error { return checkTok(c.id, blk, t) })
 	}
 }

@@ -96,8 +96,10 @@ type Breakdown struct {
 func (b Breakdown) Total() float64 { return b.CPU + b.L1L2 + b.LLC + b.OffChip + b.DRAM }
 
 // Compute derives the energy breakdown of a run from its statistics.
-// channels is the number of memory channels, cores the core count.
-func Compute(p Params, r sim.Result, cores, channels int, hasFTS bool) Breakdown {
+// channels is the number of memory channels, cores the core count. The
+// three FIGCache presets keep a FIGCache tag store (FTS) in the memory
+// controller, whose static power the DRAM component carries.
+func Compute(p Params, r sim.Result, cores, channels int) Breakdown {
 	seconds := float64(r.Cycles) / p.CPUFreqHz
 	var b Breakdown
 
@@ -115,7 +117,8 @@ func Compute(p Params, r sim.Result, cores, channels int, hasFTS bool) Breakdown
 		float64(d.RELOC)*p.RelocColJ +
 		float64(d.RBMHops)*p.RBMHopJ +
 		float64(channels)*p.DRAMStaticW*seconds
-	if hasFTS {
+	switch r.Preset {
+	case sim.FIGCacheSlow, sim.FIGCacheFast, sim.FIGCacheIdeal:
 		b.DRAM += p.FTSW * seconds
 	}
 	return b

@@ -1,6 +1,7 @@
 package energy
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/dram"
@@ -39,7 +40,7 @@ func TestDefaultParamsValid(t *testing.T) {
 }
 
 func TestComputeBreakdownPositive(t *testing.T) {
-	b := Compute(DefaultParams(), sampleResult(), 1, 1, false)
+	b := Compute(DefaultParams(), sampleResult(), 1, 1)
 	for name, v := range map[string]float64{
 		"CPU": b.CPU, "L1L2": b.L1L2, "LLC": b.LLC, "OffChip": b.OffChip, "DRAM": b.DRAM,
 	} {
@@ -55,7 +56,7 @@ func TestComputeBreakdownPositive(t *testing.T) {
 func TestBreakdownProportionsResembleFigure11(t *testing.T) {
 	// Figure 11 for Base: CPU is the largest component; DRAM is a
 	// substantial share.
-	b := Compute(DefaultParams(), sampleResult(), 1, 1, false)
+	b := Compute(DefaultParams(), sampleResult(), 1, 1)
 	total := b.Total()
 	if b.CPU/total < 0.3 {
 		t.Errorf("CPU share = %.2f, want >= 0.3", b.CPU/total)
@@ -69,8 +70,8 @@ func TestShorterRunLessStaticEnergy(t *testing.T) {
 	r := sampleResult()
 	fast := r
 	fast.Cycles = r.Cycles / 2
-	b1 := Compute(DefaultParams(), r, 1, 1, false)
-	b2 := Compute(DefaultParams(), fast, 1, 1, false)
+	b1 := Compute(DefaultParams(), r, 1, 1)
+	b2 := Compute(DefaultParams(), fast, 1, 1)
 	if b2.Total() >= b1.Total() {
 		t.Errorf("halving runtime did not reduce energy: %g vs %g", b2.Total(), b1.Total())
 	}
@@ -82,8 +83,8 @@ func TestFewerActivationsLessDRAMEnergy(t *testing.T) {
 	r := sampleResult()
 	amortized := r
 	amortized.DRAM.ACT = r.DRAM.ACT / 2
-	b1 := Compute(DefaultParams(), r, 1, 1, false)
-	b2 := Compute(DefaultParams(), amortized, 1, 1, false)
+	b1 := Compute(DefaultParams(), r, 1, 1)
+	b2 := Compute(DefaultParams(), amortized, 1, 1)
 	if b2.DRAM >= b1.DRAM {
 		t.Errorf("halving ACTs did not reduce DRAM energy: %g vs %g", b2.DRAM, b1.DRAM)
 	}
@@ -94,8 +95,8 @@ func TestFastACTCheaperThanSlow(t *testing.T) {
 	fastActs := r
 	fastActs.DRAM.ACT = 0
 	fastActs.DRAM.ACTFast = r.DRAM.ACT
-	b1 := Compute(DefaultParams(), r, 1, 1, false)
-	b2 := Compute(DefaultParams(), fastActs, 1, 1, false)
+	b1 := Compute(DefaultParams(), r, 1, 1)
+	b2 := Compute(DefaultParams(), fastActs, 1, 1)
 	if b2.DRAM >= b1.DRAM {
 		t.Error("fast-subarray activations not cheaper than slow ones")
 	}
@@ -104,26 +105,38 @@ func TestFastACTCheaperThanSlow(t *testing.T) {
 func TestRelocAndRBMEnergyCounted(t *testing.T) {
 	r := sampleResult()
 	r.DRAM.RELOC = 100_000
-	withReloc := Compute(DefaultParams(), r, 1, 1, true)
+	r.Preset = sim.FIGCacheFast
+	withReloc := Compute(DefaultParams(), r, 1, 1)
 	r.DRAM.RELOC = 0
-	without := Compute(DefaultParams(), r, 1, 1, true)
+	without := Compute(DefaultParams(), r, 1, 1)
 	if withReloc.DRAM <= without.DRAM {
 		t.Error("RELOC energy not accounted")
 	}
 	r.DRAM.RBMHops = 50_000
-	withRBM := Compute(DefaultParams(), r, 1, 1, false)
+	withRBM := Compute(DefaultParams(), r, 1, 1)
 	r.DRAM.RBMHops = 0
-	if withRBM.DRAM <= Compute(DefaultParams(), r, 1, 1, false).DRAM {
+	if withRBM.DRAM <= Compute(DefaultParams(), r, 1, 1).DRAM {
 		t.Error("RBM energy not accounted")
 	}
 }
 
+// TestFTSPowerIncludedWhenPresent checks that exactly the three
+// FIGCache presets, which keep a FIGCache tag store, are charged its
+// static power over the run.
 func TestFTSPowerIncludedWhenPresent(t *testing.T) {
 	r := sampleResult()
-	with := Compute(DefaultParams(), r, 1, 1, true)
-	without := Compute(DefaultParams(), r, 1, 1, false)
-	if with.DRAM <= without.DRAM {
-		t.Error("FTS power not included")
+	without := Compute(DefaultParams(), r, 1, 1)
+	fts := DefaultParams().FTSW * float64(r.Cycles) / DefaultParams().CPUFreqHz
+	for _, p := range sim.Presets() {
+		r.Preset = p
+		got := Compute(DefaultParams(), r, 1, 1).DRAM - without.DRAM
+		want := 0.0
+		if p == sim.FIGCacheSlow || p == sim.FIGCacheFast || p == sim.FIGCacheIdeal {
+			want = fts
+		}
+		if math.Abs(got-want) > 1e-6*fts {
+			t.Errorf("%v: DRAM energy above Base's by %g J, want %g J of FTS power", p, got, want)
+		}
 	}
 }
 

@@ -17,9 +17,10 @@
 // closure.
 //
 // Snapshot/Restore contract: a Token is plain data; layers that buffer
-// tokens (the event queue, MSHR waiter lists, memctrl requests)
-// serialize them with WriteToken and restore them verbatim with
-// ReadToken.
+// tokens (the event queue, MSHR waiter lists) serialize them with
+// WriteToken and restore them verbatim with ReadToken. A memory request
+// holds none: its read completes the LLC's miss on its block, which the
+// system layer derives from the address.
 package ev
 
 import (

@@ -5,7 +5,7 @@
 //
 //	offset  size  field
 //	0       4     magic "FGSS"
-//	4       2     format version (currently 10)
+//	4       2     format version (currently 11)
 //	6       2     reserved (zero)
 //	8       4     sim.EngineVersion of the writing build
 //	12      32    config fingerprint (sim.Config.Fingerprint)
@@ -56,12 +56,17 @@ const Magic = "FGSS"
 // list of (due cycle, token) pairs, with no heap and no sequence
 // numbers, version 9 writes each memory controller queue as a count
 // and its requests, oldest first, with no per-bank buckets, and a
-// request with neither a push stamp nor a core ID, and version 10
-// moves the in-DRAM cache hooks' section ahead of the controllers'
-// and writes each bank's queued insertions there, in queue order, in
-// place of the controllers' relocation plans, the FTS reserved slots
-// and the hooks' in-flight lists.
-const FormatVersion = 10
+// request with neither a push stamp nor a core ID, version 10 moves
+// the in-DRAM cache hooks' section ahead of the controllers' and
+// writes each bank's queued insertions there, in queue order, in place
+// of the controllers' relocation plans, the FTS reserved slots and the
+// hooks' in-flight lists, and version 11 writes a memory request as
+// what the run decided alone: a queued one as its address, arrival
+// cycle and the cache hook's decision (a miss, a declined insertion, or
+// a hit with its cache row and block), a buffered one as its address
+// and kind, with no location, completion token or channel, which
+// restore derives from the address.
+const FormatVersion = 11
 
 // HeaderSize is the byte length of the fixed header.
 const HeaderSize = 44

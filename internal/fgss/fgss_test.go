@@ -43,7 +43,7 @@ func TestGoldenHeader(t *testing.T) {
 	img := encode(t, 3, fp)
 	want := append([]byte{
 		'F', 'G', 'S', 'S', // magic
-		10, 0, // format version 10, little-endian u16
+		11, 0, // format version 11, little-endian u16
 		0, 0, // reserved
 		3, 0, 0, 0, // engine version 3, little-endian u32
 	}, fp[:]...)
@@ -146,7 +146,12 @@ func TestReaderRejectsHeader(t *testing.T) {
 			b := bytes.Clone(img)
 			b[4] = 9
 			return b
-		}(), 3, fp, "unsupported snapshot format version 9 (this build reads version 10)"},
+		}(), 3, fp, "unsupported snapshot format version 9"},
+		{"format 10 snapshot", func() []byte {
+			b := bytes.Clone(img)
+			b[4] = 10
+			return b
+		}(), 3, fp, "unsupported snapshot format version 10 (this build reads version 11)"},
 		{"engine version mismatch", img, 4, fp, "engine version 3, this build is version 4"},
 		{"fingerprint mismatch", img, 3, otherFP, "does not match this run's config"},
 		{"truncated header", img[:HeaderSize/2], 3, fp, "truncated header"},

@@ -170,8 +170,7 @@ func (r *Runner) Fig11() (*stats.Table, error) {
 	for _, g := range groups {
 		var baseTotals []float64
 		breakdown := func(p sim.Preset, m workload.Mix) energy.Breakdown {
-			return energy.Compute(params, res.of(r.baseConfig(p, m)),
-				g.cores, g.channels, p != sim.Base)
+			return energy.Compute(params, res.of(r.baseConfig(p, m)), g.cores, g.channels)
 		}
 		for _, m := range g.mixes {
 			baseTotals = append(baseTotals, breakdown(sim.Base, m).Total())

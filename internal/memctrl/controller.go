@@ -5,7 +5,6 @@ import (
 	"math/bits"
 
 	"repro/internal/dram"
-	"repro/internal/ev"
 	"repro/internal/stats"
 )
 
@@ -22,8 +21,10 @@ import (
 // a queue (Pending), so it knows where a flush is due.
 type CacheHook interface {
 	// Lookup checks whether the block at loc is cached. On a hit it
-	// returns the in-DRAM cache location that serves the request. The
-	// hook updates its benefit/dirty metadata internally.
+	// returns the in-DRAM cache location that serves the request: a
+	// block of a cache row (CacheRow) in loc's bank, which is all a
+	// snapshot keeps of it. The hook updates its benefit/dirty metadata
+	// internally.
 	Lookup(loc dram.Location, isWrite bool) (redirect dram.Location, hit bool)
 
 	// ShouldInsert asks the insertion policy whether the missing block's
@@ -136,8 +137,8 @@ type Controller struct {
 	latSamples *stats.Reservoir
 
 	// Release, when non-nil, receives each request after the controller
-	// has fully served it (column command issued, completion callback
-	// scheduled, insertion bookkeeping done). The request creator uses it
+	// has fully served it (column command issued, a read's completion
+	// reported, insertion bookkeeping done). The request creator uses it
 	// to recycle Request objects; the controller never touches a request
 	// after releasing it.
 	Release func(*Request)
@@ -207,16 +208,18 @@ func (c *Controller) PendingReads() int { return c.readQ.size() }
 func (c *Controller) PendingWrites() int { return c.writeQ.size() }
 
 // Tick advances the controller by one bus cycle, issuing at most one
-// command. done receives completion callbacks to schedule; the controller
-// calls them synchronously at the data-end cycle via the deferred list the
-// caller drains.
+// command. When the command is a read's column access, done receives
+// the bus cycle its last data beat arrives (tCL + tBL later) and its
+// address: every read fetches a block the cache above has a miss
+// outstanding for, and the caller completes that miss then. Writes
+// report nothing.
 //
 // The return value is the controller's next-work probe: a lower bound on
 // the next bus cycle at which the controller could change state, assuming
 // no new request is enqueued before then. The run loop may skip all bus
 // cycles up to (but not including) that cycle; ticking earlier is always
 // safe and behaves exactly like the skipped idle ticks (a no-op).
-func (c *Controller) Tick(now int64, schedule func(at int64, tok ev.Token)) int64 {
+func (c *Controller) Tick(now int64, done func(at int64, addr uint64)) int64 {
 	// Refresh has strict priority once due: the controller stops issuing
 	// new work to the rank, precharges its open banks as their timing
 	// allows, and issues REF as soon as every bank is closed and the bus
@@ -259,7 +262,7 @@ func (c *Controller) Tick(now int64, schedule func(at int64, tok ev.Token)) int6
 	}
 	nextAt := int64(math.MaxInt64)
 	if !q.empty() {
-		issued, qNext := c.schedule(q, now, schedule)
+		issued, qNext := c.schedule(q, now, done)
 		if issued {
 			return now + 1
 		}
@@ -395,7 +398,7 @@ func (c *Controller) flushIdleRelocs(now int64) (flushed bool, nextAt int64) {
 // which any considered command becomes issuable. The DRAM timing windows
 // only move when a command issues, so nextAt stays valid until the next
 // enqueue — the run loop can skip the idle ticks in between.
-func (c *Controller) schedule(q *queue, now int64, schedule func(at int64, tok ev.Token)) (issued bool, nextAt int64) {
+func (c *Controller) schedule(q *queue, now int64, done func(at int64, addr uint64)) (issued bool, nextAt int64) {
 	nextAt = math.MaxInt64
 	var priced, claimed uint64 // bank sets (a channel has at most 64 banks)
 	var ready *Request         // the oldest request whose ACT or PRE can issue now
@@ -411,7 +414,7 @@ func (c *Controller) schedule(q *queue, now int64, schedule func(at int64, tok e
 			priced |= bit
 			if at, ok := c.channel.CanColumn(bank, &r.ServiceLoc, r.IsWrite, now); ok {
 				if at <= now {
-					c.issueColumn(q, i, r, now, schedule)
+					c.issueColumn(q, i, r, now, done)
 					return true, now + 1
 				}
 				nextAt = min(nextAt, at)
@@ -465,9 +468,10 @@ func (c *Controller) columnCmd(r *Request) dram.Command {
 }
 
 // issueColumn issues the RD/WR for q's i-th oldest request r, retires
-// the request, and triggers cache insertion for read misses (the
-// relocation runs while the just-accessed source row is still open).
-func (c *Controller) issueColumn(q *queue, i int, r *Request, now int64, schedule func(at int64, tok ev.Token)) {
+// the request, reports a read's completion to done, and triggers cache
+// insertion for misses (the relocation runs while the just-accessed
+// source row is still open).
+func (c *Controller) issueColumn(q *queue, i int, r *Request, now int64, done func(at int64, addr uint64)) {
 	r.bank.RowHits++
 	c.lastColumn[r.bankID] = now
 	cmd := c.columnCmd(r)
@@ -478,9 +482,7 @@ func (c *Controller) issueColumn(q *queue, i int, r *Request, now int64, schedul
 		c.NumReads++
 		c.ReadLatencySum += end - r.Arrive
 		c.latSamples.Add(end - r.Arrive)
-	}
-	if !r.OnComplete.IsZero() {
-		schedule(end, r.OnComplete)
+		done(end, r.Addr)
 	}
 	q.remove(i)
 
@@ -489,7 +491,7 @@ func (c *Controller) issueColumn(q *queue, i int, r *Request, now int64, schedul
 	// The hook queues the insertion, and the controller flushes the
 	// bank's queue when the row is about to close, so the relocation does
 	// not steal row hits from queued requests.
-	if c.cache != nil && !r.CacheHit && !r.noInsert && !r.ServiceLoc.CacheRow && c.cache.Insert(r.Loc) {
+	if c.cache != nil && !r.CacheHit && !r.noInsert && c.cache.Insert(r.Loc) {
 		id := r.Loc.BankID(c.channel.Geo)
 		c.relocMask |= 1 << id
 		c.Inserted++

@@ -26,11 +26,11 @@
 //     request may open or close its row.
 //
 // Controller.Snapshot/Restore (snapshot.go) serialize the queues,
-// in-flight requests (SnapshotRequest/RestoreRequest, driven by the
-// sim layer, which owns request identity), drain/refresh state, and
-// the latency reservoir for the system checkpoint lifecycle; the hook
+// drain/refresh state, and the latency reservoir for the system
+// checkpoint lifecycle. A request is its address: a queued one travels
+// as its address, arrival cycle and the hook's decision at Enqueue, and
+// Restore decodes the address (AddrMapper.ReadAddr) into its location;
+// a read completes the miss on its block, which Tick reports. The hook
 // checkpoints its own queued insertions, and Restore rebuilds the mask
-// of banks with a queue from CacheHook.Pending. Restore refuses a
-// request whose location names no bank of the channel or whose
-// completion token the caller's check refuses.
+// of banks with a queue from CacheHook.Pending.
 package memctrl

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/dram"
-	"repro/internal/ev"
 )
 
 // benchDrain fills the write queue with locs and ticks the controller
@@ -18,7 +17,7 @@ func benchDrain(b *testing.B, locs func(i int, geo dram.Geometry) dram.Location)
 	geo := dram.Default()
 	slow := dram.DDR4()
 	fast := slow.Fast(dram.PaperFastScale())
-	sched := func(at int64, tok ev.Token) {}
+	sched := func(int64, uint64) {}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {

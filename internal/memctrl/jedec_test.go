@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/dram"
-	"repro/internal/ev"
 )
 
 // streamReq is one request of a hand-built stream: a read or write to
@@ -38,7 +37,7 @@ func runStream(t *testing.T, timing dram.Timing, reqs []streamReq) []dram.Comman
 			loc := dram.Location{Group: r.group, Bank: r.bank, Row: r.row, Block: r.block}
 			c.Enqueue(&Request{Loc: loc, IsWrite: r.write}, now)
 		}
-		c.Tick(now, func(int64, ev.Token) {})
+		c.Tick(now, func(int64, uint64) {})
 	}
 	return ch.Trace
 }

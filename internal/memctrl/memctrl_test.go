@@ -4,32 +4,34 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/dram"
-	"repro/internal/ev"
 	"repro/internal/fgss"
 	"repro/internal/stats"
 )
 
-// testCtrl wraps a Controller with a token-to-closure registry: tests
-// register a completion closure with on and pass the returned token as
-// Request.OnComplete; runUntil dispatches fired tokens back through it.
+// testCtrl wraps a Controller with a completion registry: a test
+// registers a read's completion closure with on and uses the returned
+// number as the read's Request.Addr, which the controller only reports
+// back; runUntil calls the closure of each read the controller reports
+// done. Address 0 has no closure.
 type testCtrl struct {
 	*Controller
 	fns []func(int64)
 }
 
-func (c *testCtrl) on(fn func(int64)) ev.Token {
+func (c *testCtrl) on(fn func(int64)) uint64 {
 	c.fns = append(c.fns, fn)
-	return ev.Token{Kind: ev.CoreSlot, Arg: uint64(len(c.fns) - 1)}
+	return uint64(len(c.fns))
 }
 
-func (c *testCtrl) dispatch(tok ev.Token, now int64) {
-	if tok.Kind == ev.CoreSlot {
-		c.fns[tok.Arg](now)
+func (c *testCtrl) dispatch(addr uint64, now int64) {
+	if addr > 0 {
+		c.fns[addr-1](now)
 	}
 }
 
@@ -45,19 +47,19 @@ func newTestController(t *testing.T, hook CacheHook) *testCtrl {
 }
 
 // runUntil ticks the controller until pred returns true or the cycle limit
-// is reached, dispatching scheduled tokens at their due cycle.
+// is reached, dispatching reported reads at their data-end cycle.
 func runUntil(c *testCtrl, limit int64, pred func() bool) int64 {
-	type pendingTok struct {
-		at  int64
-		tok ev.Token
+	type doneRead struct {
+		at   int64
+		addr uint64
 	}
-	var pending []pendingTok
+	var pending []doneRead
 	for now := int64(0); now < limit; now++ {
 		for i := 0; i < len(pending); {
 			if pending[i].at <= now {
-				tok := pending[i].tok
+				addr := pending[i].addr
 				pending = append(pending[:i], pending[i+1:]...)
-				c.dispatch(tok, now)
+				c.dispatch(addr, now)
 			} else {
 				i++
 			}
@@ -65,8 +67,8 @@ func runUntil(c *testCtrl, limit int64, pred func() bool) int64 {
 		if pred() {
 			return now
 		}
-		c.Tick(now, func(at int64, tok ev.Token) {
-			pending = append(pending, pendingTok{at, tok})
+		c.Tick(now, func(at int64, addr uint64) {
+			pending = append(pending, doneRead{at, addr})
 		})
 	}
 	return limit
@@ -130,7 +132,7 @@ func TestReadRequestCompletes(t *testing.T) {
 	done := false
 	var doneAt int64
 	r := &Request{Loc: dram.Location{Row: 42, Block: 5},
-		OnComplete: c.on(func(at int64) { done = true; doneAt = at })}
+		Addr: c.on(func(at int64) { done = true; doneAt = at })}
 	c.Enqueue(r, 0)
 	end := runUntil(c, 200, func() bool { return done })
 	if !done {
@@ -152,7 +154,7 @@ func TestRowHitSecondRead(t *testing.T) {
 	var completions int
 	mk := func(block int) *Request {
 		return &Request{Loc: dram.Location{Row: 42, Block: block},
-			OnComplete: c.on(func(int64) { completions++ })}
+			Addr: c.on(func(int64) { completions++ })}
 	}
 	c.Enqueue(mk(0), 0)
 	c.Enqueue(mk(1), 0)
@@ -173,8 +175,8 @@ func TestRowConflictPrecharges(t *testing.T) {
 	c := newTestController(t, nil)
 	var completions int
 	on := c.on(func(int64) { completions++ })
-	c.Enqueue(&Request{Loc: dram.Location{Row: 1}, OnComplete: on}, 0)
-	c.Enqueue(&Request{Loc: dram.Location{Row: 2}, OnComplete: on}, 0)
+	c.Enqueue(&Request{Loc: dram.Location{Row: 1}, Addr: on}, 0)
+	c.Enqueue(&Request{Loc: dram.Location{Row: 2}, Addr: on}, 0)
 	runUntil(c, 500, func() bool { return completions == 2 })
 	if completions != 2 {
 		t.Fatal("both reads should complete")
@@ -193,7 +195,7 @@ func TestFRFCFSPrefersRowHit(t *testing.T) {
 	order := make([]int, 0, 3)
 	mk := func(id, row, block int) *Request {
 		return &Request{Loc: dram.Location{Row: row, Block: block},
-			OnComplete: c.on(func(int64) { order = append(order, id) })}
+			Addr: c.on(func(int64) { order = append(order, id) })}
 	}
 	// Open row 1 via request 0; then a conflicting request to row 9
 	// arrives before another hit to row 1. FR-FCFS must serve the row hit
@@ -260,9 +262,9 @@ func TestRefreshEventuallyIssues(t *testing.T) {
 		if c.CanAccept(false) && now%50 == 0 {
 			row++
 			c.Enqueue(&Request{Loc: dram.Location{Row: row % 1000},
-				OnComplete: c.on(func(int64) { served++ })}, now)
+				Addr: c.on(func(int64) { served++ })}, now)
 		}
-		c.Tick(now, func(at int64, tok ev.Token) {})
+		c.Tick(now, func(int64, uint64) {})
 	}
 	if c.Channel().NumREF < 2 {
 		t.Errorf("NumREF = %d over 3 tREFI, want >= 2", c.Channel().NumREF)
@@ -320,7 +322,7 @@ func TestCacheHookHitRedirects(t *testing.T) {
 	on := c.on(func(int64) { completions++ })
 
 	// First access: miss, triggers insertion.
-	c.Enqueue(&Request{Loc: dram.Location{Row: 7, Block: 3}, OnComplete: on}, 0)
+	c.Enqueue(&Request{Loc: dram.Location{Row: 7, Block: 3}, Addr: on}, 0)
 	runUntil(c, 400, func() bool { return completions == 1 })
 	if fc.inserted != 1 || c.Inserted != 1 {
 		t.Fatalf("inserted = %d/%d, want 1/1", fc.inserted, c.Inserted)
@@ -331,7 +333,7 @@ func TestCacheHookHitRedirects(t *testing.T) {
 
 	// Second access to the same segment: must hit and be served from the
 	// cache row.
-	c.Enqueue(&Request{Loc: dram.Location{Row: 7, Block: 4}, OnComplete: on}, 500)
+	c.Enqueue(&Request{Loc: dram.Location{Row: 7, Block: 4}, Addr: on}, 500)
 	runUntil(c, 1500, func() bool { return completions == 2 })
 	if c.CacheHits != 1 {
 		t.Errorf("CacheHits = %d, want 1", c.CacheHits)
@@ -345,11 +347,11 @@ func TestCacheInsertOccupiesBank(t *testing.T) {
 	fc := &fakeCache{cached: map[uint64]dram.Location{}, insertAll: true, relocCost: 100, blocks: 16}
 	c := newTestController(t, fc)
 	var first, second int64
-	c.Enqueue(&Request{Loc: dram.Location{Row: 7}, OnComplete: c.on(func(at int64) { first = at })}, 0)
+	c.Enqueue(&Request{Loc: dram.Location{Row: 7}, Addr: c.on(func(at int64) { first = at })}, 0)
 	runUntil(c, 400, func() bool { return first != 0 })
 	// A conflicting request right after insertion must wait out the
 	// relocation occupancy.
-	c.Enqueue(&Request{Loc: dram.Location{Row: 8}, OnComplete: c.on(func(at int64) { second = at })}, first)
+	c.Enqueue(&Request{Loc: dram.Location{Row: 8}, Addr: c.on(func(at int64) { second = at })}, first)
 	runUntil(c, 2000, func() bool { return second != 0 })
 	// The second insertion is deferred; idle ticks must flush it.
 	runUntil(c, 4000, func() bool { return c.Channel().CollectStats().RELOC >= 32 })
@@ -369,7 +371,7 @@ func TestNoInsertWhenPolicyDeclines(t *testing.T) {
 	fc := &fakeCache{cached: map[uint64]dram.Location{}, insertAll: false}
 	c := newTestController(t, fc)
 	done := false
-	c.Enqueue(&Request{Loc: dram.Location{Row: 7}, OnComplete: c.on(func(int64) { done = true })}, 0)
+	c.Enqueue(&Request{Loc: dram.Location{Row: 7}, Addr: c.on(func(int64) { done = true })}, 0)
 	runUntil(c, 400, func() bool { return done })
 	if fc.inserted != 0 {
 		t.Errorf("inserted %d despite policy declining", fc.inserted)
@@ -402,14 +404,14 @@ func TestPropertyAllReadsComplete(t *testing.T) {
 		for now := int64(0); now < 100000; now++ {
 			if want < len(rows) && c.CanAccept(false) {
 				c.Enqueue(&Request{
-					Loc:        dram.Location{Row: int(rows[want]) % 32768, Block: int(rows[want]) % 128},
-					OnComplete: c.on(func(int64) { got++ }),
+					Loc:  dram.Location{Row: int(rows[want]) % 32768, Block: int(rows[want]) % 128},
+					Addr: c.on(func(int64) { got++ }),
 				}, now)
 				want++
 			}
-			c.Tick(now, func(at int64, tok ev.Token) {
-				// Completion tokens only mutate counters; dispatch late.
-				defer c.dispatch(tok, at)
+			c.Tick(now, func(at int64, addr uint64) {
+				// Completions only mutate counters; dispatch late.
+				defer c.dispatch(addr, at)
 			})
 			if want == len(rows) && got == want {
 				return true
@@ -422,53 +424,125 @@ func TestPropertyAllReadsComplete(t *testing.T) {
 	}
 }
 
-// TestQueueRestoreRejects checks that a hand-built queue section holding
-// a queue push never builds is a decode error: a read in the write queue
-// or a write in the read queue, or more requests than the queue holds. A
-// well-formed section restores its requests oldest first, in the order
-// it lists them.
-func TestQueueRestoreRejects(t *testing.T) {
-	ch := newTestController(t, nil).channel
-	req := func(bank, i int, write bool) *Request {
-		loc := dram.Location{Bank: bank, Row: 7}
-		return &Request{Addr: uint64(bank)<<20 | uint64(i)<<6, Loc: loc, ServiceLoc: loc, IsWrite: write}
+// testMapper is the address mapping of a system whose channel 0 is
+// newTestController's and which has one more channel.
+func testMapper(t *testing.T) *AddrMapper {
+	t.Helper()
+	m, err := NewAddrMapper(dram.Default(), 2)
+	if err != nil {
+		t.Fatal(err)
 	}
-	read := func(bank, i int) *Request { return req(bank, i, false) }
-	wellFormed := []*Request{read(0, 0), read(1, 1), read(2, 2), read(0, 3)}
+	return m
+}
+
+// record is one queued request as a queue section writes it: its
+// address, arrival cycle and hook decision, and on a hit the cache row
+// and block.
+type record struct {
+	addr       uint64
+	arrive     int64
+	dec        int
+	row, block int
+}
+
+// queueSection returns one section's stream, whose payload write
+// writes.
+func queueSection(t *testing.T, write func(w *fgss.Writer)) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w := fgss.NewWriter(&buf, 1, [32]byte{})
+	w.Begin(1)
+	write(w)
+	w.End()
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// writeRecords writes recs as one queue.
+func writeRecords(recs []record) func(w *fgss.Writer) {
+	return func(w *fgss.Writer) {
+		w.Int(len(recs))
+		for _, rec := range recs {
+			w.U64(rec.addr)
+			w.I64(rec.arrive)
+			w.Int(rec.dec)
+			if rec.dec == decHit {
+				w.Int(rec.row)
+				w.Int(rec.block)
+			}
+		}
+	}
+}
+
+// TestQueueRestoreRejects checks that a hand-built queue section holding
+// a request Enqueue never queues at the controller is a decode error:
+// an address that is not a block of the memory or belongs to another
+// channel, a read of a block with no miss outstanding, arrivals out of
+// order, a hook decision without a hook, an unknown decision, a hit
+// outside its bank, or more requests than the queue holds. A
+// well-formed section restores its requests oldest first, each carrying
+// the location its address decodes to, and snapshots to its own bytes.
+func TestQueueRestoreRejects(t *testing.T) {
+	m := testMapper(t)
+	geo := m.Geometry()
+	at := func(ch, bank, row, block int) uint64 {
+		return m.Encode(ch, dram.Location{Bank: bank, Row: row, Block: block})
+	}
+	read := func(bank, i int) record { return record{addr: at(0, bank, 7, i), arrive: int64(i)} }
+	wellFormed := []record{read(0, 0), {at(0, 1, 7, 1), 1, decDeclined, 0, 0}, {at(0, 2, 7, 2), 1, decHit, 3, 5}, read(0, 3)}
+	noMiss := at(0, 3, 7, 0)
 	cases := []struct {
-		name    string
-		writes  bool // restore into a write queue
-		reqs    []*Request
-		wantErr string
+		name     string
+		hookless bool
+		writes   bool // restore into a write queue
+		recs     []record
+		wantErr  string
 	}{
-		{name: "well-formed", reqs: wellFormed},
-		{name: "read in the write queue", writes: true, reqs: []*Request{req(0, 0, true), read(0, 1)},
-			wantErr: "write queue: request 0x40: write=false in the other kind's queue"},
-		{name: "write in the read queue", reqs: []*Request{read(0, 0), req(1, 1, true)},
-			wantErr: "read queue: request 0x100040: write=true in the other kind's queue"},
-		{name: "more requests than the queue holds", reqs: []*Request{read(0, 0), read(0, 1), read(0, 2), read(0, 3), read(0, 4)},
+		{name: "well-formed", recs: wellFormed},
+		{name: "well-formed writes", writes: true, recs: []record{{addr: noMiss}, {noMiss, 2, decHit, 0, 127}}},
+		{name: "well-formed without a hook", hookless: true, recs: []record{read(0, 0), read(1, 1)}},
+		{name: "more requests than the queue holds", recs: []record{read(0, 0), read(0, 1), read(0, 2), read(0, 3), read(0, 4)},
 			wantErr: "more than the queue's 4 entries"},
+		{name: "address not block aligned", recs: []record{{addr: at(0, 0, 7, 0) + 8}},
+			wantErr: fmt.Sprintf("memctrl: request %#x is not a block of the %d-byte memory", at(0, 0, 7, 0)+8, m.TotalBytes())},
+		{name: "address past the memory", recs: []record{{addr: uint64(m.TotalBytes())}},
+			wantErr: "is not a block of the"},
+		{name: "address of another channel", recs: []record{read(0, 0), {addr: at(1, 0, 7, 1), arrive: 1}},
+			wantErr: fmt.Sprintf("controller 0: request %#x belongs to channel 1", at(1, 0, 7, 1))},
+		{name: "read with no miss outstanding", recs: []record{read(0, 0), {addr: noMiss, arrive: 1}},
+			wantErr: fmt.Sprintf("read %#x fetches a block the cache above has no miss outstanding for", noMiss)},
+		{name: "arrivals out of order", recs: []record{read(0, 2), read(1, 1)},
+			wantErr: "arrives at bus cycle 1, before the request ahead of it (2)"},
+		{name: "negative arrival", recs: []record{{addr: at(0, 0, 7, 0), arrive: -1}},
+			wantErr: "arrives at bus cycle -1, before the request ahead of it (0)"},
+		{name: "hit without a hook", hookless: true, recs: []record{{at(0, 2, 7, 2), 0, decHit, 3, 5}},
+			wantErr: "hook decision 2 on a controller without an in-DRAM cache"},
+		{name: "declined insertion without a hook", hookless: true, writes: true, recs: []record{{at(0, 2, 7, 2), 0, decDeclined, 0, 0}},
+			wantErr: "hook decision 1 on a controller without an in-DRAM cache"},
+		{name: "unknown decision", recs: []record{{at(0, 2, 7, 2), 0, 3, 0, 0}},
+			wantErr: "unknown hook decision 3"},
+		{name: "hit past the bank's rows", recs: []record{{at(0, 2, 7, 2), 0, decHit, geo.RowsPerBank(), 0}},
+			wantErr: fmt.Sprintf("hit on cache row %d block 0, outside the bank", geo.RowsPerBank())},
+		{name: "hit past the row's blocks", recs: []record{{at(0, 2, 7, 2), 0, decHit, 3, geo.BlocksPerRow()}},
+			wantErr: fmt.Sprintf("hit on cache row 3 block %d, outside the bank", geo.BlocksPerRow())},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var buf bytes.Buffer
-			w := fgss.NewWriter(&buf, 1, [32]byte{})
-			w.Begin(1)
-			w.Int(len(tc.reqs))
-			for _, r := range tc.reqs {
-				SnapshotRequest(w, r)
+			var hook CacheHook = &fakeCache{cached: map[uint64]dram.Location{}}
+			if tc.hookless {
+				hook = nil
 			}
-			w.End()
-			if err := w.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			r, err := fgss.NewReader(&buf, 1, [32]byte{})
+			c := newTestController(t, hook)
+			q := newQueue(4)
+			in := queueSection(t, writeRecords(tc.recs))
+			r, err := fgss.NewReader(bytes.NewReader(in), 1, [32]byte{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			q := newQueue(4)
 			r.Section(1)
-			q.restore(r, ch, tc.writes, func(ev.Token) error { return nil })
+			c.restore(r, q, tc.writes, m, func(blk uint64) bool { return blk != noMiss })
 			r.EndSection()
 			err = r.Close()
 			if tc.wantErr != "" {
@@ -480,15 +554,71 @@ func TestQueueRestoreRejects(t *testing.T) {
 			if err != nil {
 				t.Fatalf("restore: %v", err)
 			}
-			if q.size() != len(tc.reqs) {
-				t.Fatalf("restored %d requests, want %d", q.size(), len(tc.reqs))
+			if q.size() != len(tc.recs) {
+				t.Fatalf("restored %d requests, want %d", q.size(), len(tc.recs))
 			}
 			for i, got := range q.reqs {
-				if want := tc.reqs[i]; got.Addr != want.Addr || got.bankID != want.Loc.Bank {
-					t.Errorf("request %d: %#x in bank %d, want %#x in bank %d", i, got.Addr, got.bankID, want.Addr, want.Loc.Bank)
+				rec := tc.recs[i]
+				ch, loc := m.Decode(rec.addr)
+				service := loc
+				if rec.dec == decHit {
+					service.Row, service.Block, service.CacheRow = rec.row, rec.block, true
+				}
+				if ch != 0 || got.Addr != rec.addr || got.Loc != loc || got.ServiceLoc != service || got.bankID != loc.BankID(geo) ||
+					got.IsWrite != tc.writes || got.Arrive != rec.arrive || got.CacheHit != (rec.dec == decHit) || got.noInsert != (rec.dec == decDeclined) {
+					t.Errorf("request %d: restored %+v from %+v", i, *got, rec)
 				}
 			}
+			if !bytes.Equal(queueSection(t, q.snapshot), in) {
+				t.Error("the restored queue snapshots other bytes than it was restored from")
+			}
 		})
+	}
+}
+
+// TestRestoreDerivesRequests checks that a queued request's snapshot
+// carries its address, arrival and the hook's decision, and that restore
+// derives the rest from them: requests queued with locations that
+// disagree with their addresses come back with the locations and banks
+// the addresses decode to, a hit with its cache row and block in that
+// bank, and a miss served where it lives.
+func TestRestoreDerivesRequests(t *testing.T) {
+	m := testMapper(t)
+	fc := &fakeCache{cached: map[uint64]dram.Location{}, insertAll: true}
+	c := newTestController(t, fc)
+	hitLoc := dram.Location{Bank: 2, Row: 9, Block: 3}
+	fc.cached[key(hitLoc)] = dram.Location{Bank: 2, Row: 1, CacheRow: true}
+	// Each request is queued at a location in bank 5 that its address
+	// does not decode to; restore serves it where the address says.
+	wrong := dram.Location{Bank: 5, Row: 100, Block: 1}
+	hit := &Request{Addr: m.Encode(0, hitLoc), Loc: hitLoc}
+	c.Enqueue(hit, 3)
+	hit.Loc, hit.bankID = wrong, wrong.BankID(m.Geometry())
+	miss := &Request{Addr: m.Encode(0, dram.Location{Bank: 1, Row: 4, Block: 6}), Loc: wrong}
+	c.Enqueue(miss, 4)
+	write := &Request{Addr: m.Encode(0, dram.Location{Group: 1, Row: 2}), Loc: wrong, IsWrite: true}
+	c.Enqueue(write, 5)
+
+	dst := restoreInto(t, c.Controller, nil, m)
+	want := []struct {
+		r       *Request
+		service dram.Location
+	}{
+		{hit, dram.Location{Bank: 2, Row: 1, Block: 3, CacheRow: true}},
+		{miss, dram.Location{Bank: 1, Row: 4, Block: 6}},
+		{write, dram.Location{Group: 1, Row: 2}},
+	}
+	got := append(slices.Clone(dst.readQ.reqs), dst.writeQ.reqs...)
+	if len(got) != len(want) {
+		t.Fatalf("restored %d requests, want %d", len(got), len(want))
+	}
+	for i, w := range want {
+		ch, loc := m.Decode(w.r.Addr)
+		g := got[i]
+		if ch != 0 || g.Addr != w.r.Addr || g.Loc != loc || g.ServiceLoc != w.service || g.bankID != w.service.BankID(m.Geometry()) ||
+			g.bank != dst.channel.BankByID(g.bankID) || g.IsWrite != w.r.IsWrite || g.Arrive != w.r.Arrive || g.CacheHit != w.r.CacheHit {
+			t.Errorf("request %d: restored %+v, want address %#x at %v served at %v", i, *g, w.r.Addr, loc, w.service)
+		}
 	}
 }
 
@@ -522,7 +652,7 @@ func TestFRFCFSOldestRequestClaimsBank(t *testing.T) {
 	}
 	c.Enqueue(&Request{Loc: bank0}, now)
 	c.Enqueue(&Request{Loc: dram.Location{Bank: 0, Row: 2}}, now)
-	next := c.Tick(now, func(int64, ev.Token) {})
+	next := c.Tick(now, func(int64, uint64) {})
 	if row, _ := ch.BankByID(0).Open(); row != 1 {
 		t.Fatalf("bank 0 holds row %d after the tick, want row 1 (the younger request precharged the older one's row)", row)
 	}
@@ -535,24 +665,27 @@ func TestFRFCFSOldestRequestClaimsBank(t *testing.T) {
 // with symmetric writes queued to two closed banks, the controller must
 // serve the oldest request's bank first, and a same-bank row hit must not
 // overtake an older request to another open bank (FR-FCFS arbitration is
-// by request age among issuable candidates).
+// by request age among issuable candidates). Writes report no
+// completion, so the channel's command trace gives the order.
 func TestWriteDrainFRFCFSOrder(t *testing.T) {
 	c := newTestController(t, nil)
-	var order []int
-	mk := func(id, bank, row, block int) *Request {
-		return &Request{IsWrite: true,
-			Loc:        dram.Location{Bank: bank, Row: row, Block: block},
-			OnComplete: c.on(func(int64) { order = append(order, id) })}
-	}
+	c.Channel().TraceOn = true
 	// W0 -> bank0/row1, W1 -> bank1/row1, W2 -> bank0/row1 (row hit once
 	// bank0 is open). Oldest-first: W0, then W1 (older than the bank0 row
 	// hit W2), then W2.
-	c.Enqueue(mk(0, 0, 1, 0), 0)
-	c.Enqueue(mk(1, 1, 1, 0), 0)
-	c.Enqueue(mk(2, 0, 1, 1), 0)
-	runUntil(c, 2000, func() bool { return len(order) == 3 })
-	if len(order) != 3 || order[0] != 0 || order[1] != 1 || order[2] != 2 {
-		t.Errorf("drain order = %v, want [0 1 2] (oldest issuable first)", order)
+	writes := []dram.Location{{Bank: 0, Row: 1}, {Bank: 1, Row: 1}, {Bank: 0, Row: 1, Block: 1}}
+	for _, loc := range writes {
+		c.Enqueue(&Request{IsWrite: true, Loc: loc}, 0)
+	}
+	runUntil(c, 2000, func() bool { return c.PendingWrites() == 0 })
+	var order []dram.Location
+	for _, tr := range c.Channel().Trace {
+		if tr.Cmd.Type == dram.CmdWR {
+			order = append(order, tr.Cmd.Loc)
+		}
+	}
+	if !slices.Equal(order, writes) {
+		t.Errorf("drain order = %v, want %v (oldest issuable first)", order, writes)
 	}
 }
 
@@ -564,7 +697,7 @@ func TestReadLatencyPercentiles(t *testing.T) {
 	done := 0
 	for i := 0; i < 32; i++ {
 		r := &Request{Loc: dram.Location{Row: i * 7, Block: i % 16},
-			OnComplete: c.on(func(int64) { done++ })}
+			Addr: c.on(func(int64) { done++ })}
 		c.Enqueue(r, 0)
 	}
 	runUntil(c, 100_000, func() bool { return done == 32 })
@@ -620,7 +753,7 @@ func TestControllerRestoreRejects(t *testing.T) {
 				t.Fatal(err)
 			}
 			r.Section(1)
-			newTestController(t, nil).Restore(r, func(ev.Token) error { return nil })
+			newTestController(t, nil).Restore(r, testMapper(t), func(uint64) bool { return true })
 			r.EndSection()
 			if err := r.Close(); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 				t.Errorf("restore error = %v, want one containing %q", err, tc.wantErr)

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/dram"
-	"repro/internal/ev"
 	"repro/internal/fgss"
 )
 
@@ -69,21 +68,21 @@ func TestDeferredRelocCommitsAtRowClose(t *testing.T) {
 	on := c.on(func(int64) { done++ })
 	// Miss to row 1 plans an insertion; it must not commit while row 1
 	// keeps serving requests.
-	c.Enqueue(&Request{Loc: dram.Location{Row: 1, Block: 0}, OnComplete: on}, 0)
+	c.Enqueue(&Request{Loc: dram.Location{Row: 1, Block: 0}, Addr: on}, 0)
 	runUntil(c, 200, func() bool { return done == 1 })
 	if pc.committed != 0 {
 		t.Fatalf("committed %d before row close", pc.committed)
 	}
 	// A row hit to the same row is served from the still-open source row
 	// (no FTS entry exists yet, so no redirect happens).
-	c.Enqueue(&Request{Loc: dram.Location{Row: 1, Block: 5}, OnComplete: on}, 60)
+	c.Enqueue(&Request{Loc: dram.Location{Row: 1, Block: 5}, Addr: on}, 60)
 	runUntil(c, 400, func() bool { return done == 2 })
 	if pc.committed != 0 {
 		t.Fatalf("committed %d while the source row was open", pc.committed)
 	}
 	// A conflicting request forces the row closed: the relocation executes
 	// and commits there.
-	c.Enqueue(&Request{Loc: dram.Location{Row: 9, Block: 0}, OnComplete: on}, 400)
+	c.Enqueue(&Request{Loc: dram.Location{Row: 9, Block: 0}, Addr: on}, 400)
 	runUntil(c, 1200, func() bool { return done == 3 })
 	if pc.committed == 0 {
 		t.Fatal("relocation never committed at row close")
@@ -105,9 +104,9 @@ func TestIdleFlushWaitsForQuietWindow(t *testing.T) {
 	for now := int64(0); now < quiet*6; now++ {
 		if now == 0 {
 			c.Enqueue(&Request{Loc: dram.Location{Row: 1, Block: 0},
-				OnComplete: c.on(func(at int64) { colAt = at })}, 0)
+				Addr: c.on(func(at int64) { colAt = at })}, 0)
 		}
-		c.Tick(now, func(at int64, tok ev.Token) { c.dispatch(tok, at) })
+		c.Tick(now, func(at int64, addr uint64) { c.dispatch(addr, at) })
 		if pc.committed > 0 && flushAt == 0 {
 			flushAt = now
 		}
@@ -143,7 +142,7 @@ func TestImmediateRelocExecutesAtMiss(t *testing.T) {
 	}
 	c := &testCtrl{Controller: NewController(0, Config{ImmediateReloc: true}, ch, pc)}
 	done := false
-	c.Enqueue(&Request{Loc: dram.Location{Row: 1, Block: 0}, OnComplete: c.on(func(int64) { done = true })}, 0)
+	c.Enqueue(&Request{Loc: dram.Location{Row: 1, Block: 0}, Addr: c.on(func(int64) { done = true })}, 0)
 	runUntil(c, 200, func() bool { return done && pc.committed > 0 })
 	if pc.committed != 1 {
 		t.Fatalf("immediate mode committed %d at miss time, want 1", pc.committed)
@@ -157,7 +156,7 @@ func TestRefreshFlushesPendingRelocs(t *testing.T) {
 	pc := newPlanCache(40)
 	c := newTestController(t, pc)
 	done := false
-	c.Enqueue(&Request{Loc: dram.Location{Row: 1, Block: 0}, OnComplete: c.on(func(int64) { done = true })}, 0)
+	c.Enqueue(&Request{Loc: dram.Location{Row: 1, Block: 0}, Addr: c.on(func(int64) { done = true })}, 0)
 	// Serve the miss just before the refresh deadline, then keep the bank
 	// busy enough that only the refresh path can close it.
 	refi := int64(c.Channel().Slow.REFI)
@@ -256,11 +255,13 @@ func checkRelocMask(t *testing.T, c *Controller, when string, now int64) {
 }
 
 // restoreInto snapshots src and its channel and restores both over dst
-// and dst's channel. A nil dst restores into a fresh channel and
-// controller over src's hook. The hook is shared, not snapshotted, so
-// the restore rebuilds dst's mask from the hook's queues as they stand.
-// It returns the restored controller.
-func restoreInto(t *testing.T, src, dst *Controller) *Controller {
+// and dst's channel, decoding the queued requests' addresses with m and
+// taking every read's block to have a miss outstanding. A nil dst
+// restores into a fresh channel and controller over src's hook. The
+// hook is shared, not snapshotted, so the restore rebuilds dst's mask
+// from the hook's queues as they stand. It returns the restored
+// controller.
+func restoreInto(t *testing.T, src, dst *Controller, m *AddrMapper) *Controller {
 	t.Helper()
 	var buf bytes.Buffer
 	w := fgss.NewWriter(&buf, 1, [32]byte{})
@@ -284,7 +285,7 @@ func restoreInto(t *testing.T, src, dst *Controller) *Controller {
 	}
 	r.Section(1)
 	dst.channel.Restore(r)
-	dst.Restore(r, func(ev.Token) error { return nil })
+	dst.Restore(r, m, func(uint64) bool { return true })
 	r.EndSection()
 	if err := r.Err(); err != nil {
 		t.Fatal(err)
@@ -311,8 +312,9 @@ func TestRelocMaskTracksPendingBanks(t *testing.T) {
 	pc := newPlanCache(40)
 	c := newTestController(t, pc).Controller
 	geo := c.channel.Geo
+	m := testMapper(t)
 	rng := rand.New(rand.NewSource(1))
-	sched := func(int64, ev.Token) {}
+	sched := func(int64, uint64) {}
 	before := make([]bool, c.channel.NumBanks())
 	flushes, multiReady, restoredPending, staleDropped := 0, 0, 0, 0
 	var left *Controller // the controller the last round trip left behind
@@ -325,15 +327,16 @@ func TestRelocMaskTracksPendingBanks(t *testing.T) {
 					staleDropped++
 				}
 			}
-			left, c = c, restoreInto(t, c, left)
+			left, c = c, restoreInto(t, c, left, m)
 			checkRelocMask(t, c, "after Restore", now)
 		}
 		if now%1000 < 500 {
 			if now%1000 < 400 && rng.Intn(4) == 0 && c.CanAccept(false) {
-				c.Enqueue(&Request{Loc: dram.Location{
+				loc := dram.Location{
 					Group: rng.Intn(geo.BankGroups), Bank: rng.Intn(geo.BanksPerGroup),
 					Row: 1 + rng.Intn(64), Block: rng.Intn(geo.BlocksPerRow()),
-				}}, now)
+				}
+				c.Enqueue(&Request{Addr: m.Encode(0, loc), Loc: loc}, now)
 			}
 			c.Tick(now, sched)
 			checkRelocMask(t, c, "after Tick", now)

@@ -4,25 +4,17 @@ import (
 	"slices"
 
 	"repro/internal/dram"
-	"repro/internal/ev"
 )
 
 // Request is one cache-block memory request queued at a channel's memory
-// controller.
+// controller. A read completes when its last data beat arrives: the
+// controller reports its address and that bus cycle (see
+// Controller.Tick).
 type Request struct {
 	Addr    uint64        // physical byte address (block aligned)
 	Loc     dram.Location // decoded location in the channel
 	IsWrite bool
 	Arrive  int64 // bus cycle the request entered the queue
-
-	// OnComplete, unless zero, is the event token the controller hands to
-	// its scheduler once a read's last data beat has arrived (tCL + tBL
-	// after its column command), stamped with that bus cycle. Only reads
-	// carry one; write-backs pass the zero token. A write's completion,
-	// tCWL + tBL after its command, would come due ahead of a read issued
-	// a cycle earlier, out of the order of the system's memory event
-	// lane.
-	OnComplete ev.Token
 
 	// ServiceLoc is where the request is actually served: either Loc, or
 	// the in-DRAM cache location the cache hook redirected it to.

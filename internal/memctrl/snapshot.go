@@ -4,115 +4,101 @@ import (
 	"math"
 
 	"repro/internal/dram"
-	"repro/internal/ev"
 	"repro/internal/fgss"
 )
 
-func snapLoc(w *fgss.Writer, l dram.Location) {
-	w.Int(l.Rank)
-	w.Int(l.Group)
-	w.Int(l.Bank)
-	w.Int(l.Row)
-	w.Int(l.Block)
-	w.Bool(l.CacheRow)
-}
+// The cache hook's decision on a queued request, made at Enqueue, as a
+// request record writes it.
+const (
+	decMiss     = 0 // a miss the hook may insert, or any request without a hook
+	decDeclined = 1 // a miss whose insertion the hook declined
+	decHit      = 2 // a hit, followed by its cache row and block
+)
 
-func restoreLoc(r *fgss.Reader) dram.Location {
-	var l dram.Location
-	l.Rank = r.Int()
-	l.Group = r.Int()
-	l.Bank = r.Int()
-	l.Row = r.Int()
-	l.Block = r.Int()
-	l.CacheRow = r.Bool()
-	return l
-}
-
-// SnapshotRequest appends one request's full payload: everything but
-// the bank resolution (recomputed from ServiceLoc on restore) travels
-// in the snapshot.
-func SnapshotRequest(w *fgss.Writer, r *Request) {
-	w.U64(r.Addr)
-	snapLoc(w, r.Loc)
-	w.Bool(r.IsWrite)
-	w.I64(r.Arrive)
-	ev.WriteToken(w, r.OnComplete)
-	snapLoc(w, r.ServiceLoc)
-	w.Bool(r.CacheHit)
-	w.Bool(r.noInsert)
-}
-
-// RestoreRequest reads back what SnapshotRequest wrote into r and
-// re-resolves the bank cache against ch. The bytes come from disk, so a
-// location or service location naming no bank of ch, a completion
-// token checkTok refuses, and a write carrying a completion token
-// (only reads complete; see Request.OnComplete) are decode errors
-// (fgss.Reader.Reject) rather than a panic at the bank lookup, at
-// dispatch or at the scheduler. The zero token that write-backs carry
-// is never checked.
-func RestoreRequest(rd *fgss.Reader, r *Request, ch *dram.Channel, checkTok func(ev.Token) error) {
-	r.Addr = rd.U64()
-	r.Loc = restoreLoc(rd)
-	r.IsWrite = rd.Bool()
-	r.Arrive = rd.I64()
-	r.OnComplete = ev.ReadToken(rd)
-	r.ServiceLoc = restoreLoc(rd)
-	r.CacheHit = rd.Bool()
-	r.noInsert = rd.Bool()
-	if !ch.Geo.HasBank(r.Loc) || !ch.Geo.HasBank(r.ServiceLoc) {
-		rd.Reject("memctrl: request %#x: location %v or service location %v names no bank of the channel", r.Addr, r.Loc, r.ServiceLoc)
-		return
+// ReadAddr reads a request's address and decodes it: everything else
+// about a request follows from it. The bytes come from disk, so an
+// address that is not block aligned or lies past the memory is a
+// decode error (fgss.Reader.Reject): Decode would wrap it onto another
+// block.
+func (m *AddrMapper) ReadAddr(r *fgss.Reader) (addr uint64, channel int, loc dram.Location) {
+	addr = r.U64()
+	if r.Err() == nil && (addr&(uint64(m.geo.BlockBytes)-1) != 0 || addr >= uint64(m.TotalBytes())) {
+		r.Reject("memctrl: request %#x is not a block of the %d-byte memory", addr, m.TotalBytes())
 	}
-	if !r.OnComplete.IsZero() {
-		if r.IsWrite {
-			rd.Reject("memctrl: request %#x: a write carries a completion token (kind %d); only reads complete", r.Addr, r.OnComplete.Kind)
-			return
-		}
-		if err := checkTok(r.OnComplete); err != nil {
-			rd.Reject("memctrl: request %#x: %v", r.Addr, err)
-			return
-		}
-	}
-	r.bankID = r.ServiceLoc.BankID(ch.Geo)
-	r.bank = ch.BankByID(r.bankID)
+	channel, loc = m.Decode(addr)
+	return addr, channel, loc
 }
 
 // snapshot appends the queue's request count and its requests, oldest
-// first.
+// first, each as its address, arrival cycle and the hook's decision.
+// The kind is the queue's, and the rest follows from the address and
+// the decision (see restore).
 func (q *queue) snapshot(w *fgss.Writer) {
 	w.Int(len(q.reqs))
 	for _, r := range q.reqs {
-		SnapshotRequest(w, r)
+		w.U64(r.Addr)
+		w.I64(r.Arrive)
+		switch {
+		case r.CacheHit:
+			w.Int(decHit)
+			w.Int(r.ServiceLoc.Row)
+			w.Int(r.ServiceLoc.Block)
+		case r.noInsert:
+			w.Int(decDeclined)
+		default:
+			w.Int(decMiss)
+		}
 	}
 }
 
-// restore reads back what snapshot wrote into the read queue (writes
-// false) or the write queue (writes true), dropping any currently
-// queued requests first. checkTok vets each request's completion token.
-// The bytes come from disk, so a request of the other kind, or more
-// requests than the queue holds, is a decode error
-// (fgss.Reader.Reject).
-func (q *queue) restore(rd *fgss.Reader, ch *dram.Channel, writes bool, checkTok func(ev.Token) error) {
+// restore reads back what snapshot wrote into c's read queue q (writes
+// false) or write queue (writes true), dropping any currently queued
+// requests first. It decodes each address with m into the request's
+// location; the service location is that location, or on a hit the
+// cache row and block in the same bank. The bytes come from disk, so
+// besides ReadAddr's checks it refuses (fgss.Reader.Reject) an address
+// of another channel than c's, a read of a block for which outstanding
+// reports no miss, an arrival before the request ahead of it (or before
+// cycle 0), a hook decision on a controller without a hook, a hit
+// outside its bank, and more requests than the queue holds.
+func (c *Controller) restore(rd *fgss.Reader, q *queue, writes bool, m *AddrMapper, outstanding func(blk uint64) bool) {
 	q.reset()
-	kind := "read"
-	if writes {
-		kind = "write"
-	}
+	geo := c.channel.Geo
 	n := rd.Len(math.MaxInt, "memctrl: queued requests")
-	for i := 0; i < n && rd.Err() == nil; i++ {
-		r := &Request{}
-		RestoreRequest(rd, r, ch, checkTok)
+	for i, last := 0, int64(0); i < n && rd.Err() == nil; i++ {
+		addr, ch, loc := m.ReadAddr(rd)
+		r := &Request{Addr: addr, Loc: loc, IsWrite: writes, Arrive: rd.I64(), ServiceLoc: loc}
+		switch dec := rd.Int(); {
+		case rd.Err() != nil:
+		case r.Arrive < last:
+			rd.Reject("memctrl: request %#x arrives at bus cycle %d, before the request ahead of it (%d)", addr, r.Arrive, last)
+		case ch != c.ID:
+			rd.Reject("memctrl: controller %d: request %#x belongs to channel %d", c.ID, addr, ch)
+		case !writes && !outstanding(addr):
+			rd.Reject("memctrl: read %#x fetches a block the cache above has no miss outstanding for", addr)
+		case dec != decMiss && c.cache == nil:
+			rd.Reject("memctrl: request %#x: hook decision %d on a controller without an in-DRAM cache", addr, dec)
+		case dec == decDeclined:
+			r.noInsert = true
+		case dec == decHit:
+			row, block := rd.Int(), rd.Int()
+			if rd.Err() == nil && (row < 0 || row >= geo.RowsPerBank() || block < 0 || block >= geo.BlocksPerRow()) {
+				rd.Reject("memctrl: request %#x: hit on cache row %d block %d, outside the bank", addr, row, block)
+			}
+			r.CacheHit = true
+			r.ServiceLoc.Row, r.ServiceLoc.Block, r.ServiceLoc.CacheRow = row, block, true
+		case dec != decMiss:
+			rd.Reject("memctrl: request %#x: unknown hook decision %d", addr, dec)
+		}
+		if rd.Err() == nil && q.full() {
+			rd.Reject("memctrl: request %#x: more than the queue's %d entries", addr, q.cap)
+		}
 		if rd.Err() != nil {
 			return
 		}
-		switch {
-		case r.IsWrite != writes:
-			rd.Reject("memctrl: %s queue: request %#x: write=%v in the other kind's queue", kind, r.Addr, r.IsWrite)
-			return
-		case q.full():
-			rd.Reject("memctrl: %s queue: request %#x: more than the queue's %d entries", kind, r.Addr, q.cap)
-			return
-		}
+		last = r.Arrive
+		r.bankID = r.ServiceLoc.BankID(geo)
+		r.bank = c.channel.BankByID(r.bankID)
 		q.push(r)
 	}
 }
@@ -138,17 +124,16 @@ func (c *Controller) Snapshot(w *fgss.Writer) {
 	c.latSamples.Snapshot(w)
 }
 
-// Restore reads back what Snapshot wrote, and rebuilds the mask of banks
-// with queued insertions from the hook, which must be restored first.
-// Queued requests are rebuilt as fresh objects; the creator's pooling
-// resumes as they are served and released. The receiver must be built
-// over a channel with the snapshotted bank count (another count is a
-// decode error). The bytes come from disk, so besides RestoreRequest's
-// checks (checkTok vets the requests' completion tokens) the queues'
-// own (see queue.restore) refuse what Snapshot never writes.
-func (c *Controller) Restore(r *fgss.Reader, checkTok func(ev.Token) error) {
-	c.readQ.restore(r, c.channel, false, checkTok)
-	c.writeQ.restore(r, c.channel, true, checkTok)
+// Restore reads back what Snapshot wrote, decoding the queued requests'
+// addresses with m (see restore; outstanding reports the blocks a read
+// may fetch), and rebuilds the mask of banks with queued insertions
+// from the hook, which must be restored first. Queued requests are
+// rebuilt as fresh objects; the creator's pooling resumes as they are
+// served and released. The receiver must be built over a channel with
+// the snapshotted bank count (another count is a decode error).
+func (c *Controller) Restore(r *fgss.Reader, m *AddrMapper, outstanding func(blk uint64) bool) {
+	c.restore(r, c.readQ, false, m, outstanding)
+	c.restore(r, c.writeQ, true, m, outstanding)
 	c.writing = r.Bool()
 	if !r.Expect(len(c.lastColumn), "memctrl: last-column registers") {
 		return

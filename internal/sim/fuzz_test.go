@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dram"
+	"repro/internal/ev"
 	"repro/internal/fgss"
 	"repro/internal/workload"
 )
@@ -263,6 +264,18 @@ func FuzzRestore(f *testing.F) {
 		}
 		f.Add(uint8(i), snap.Bytes()[fgss.HeaderSize:])
 	}
+	// One more, for the LISA-VILLA config, holds a request of every
+	// record shape (see requestRecords), so a mutation reaches each.
+	s, err := New(seeds[1].cfg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	requestRecords(f, s)
+	var snap bytes.Buffer
+	if err := s.Snapshot(&snap); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(uint8(1), snap.Bytes()[fgss.HeaderSize:])
 	f.Fuzz(func(t *testing.T, which uint8, body []byte) {
 		i := int(which) % len(seeds)
 		s, err := New(seeds[i].cfg)
@@ -294,6 +307,41 @@ func FuzzRestore(f *testing.F) {
 			t.Fatalf("%s: a restored snapshot ran 4096 cycles into a state restore refuses: %v", seeds[i].cfg.Describe(), err)
 		}
 	})
+}
+
+// requestRecords puts a request of every record shape into the memory
+// path of s, a fresh LISA-VILLA System, through the protocol a run
+// follows: queued reads of each hook decision (a hit on a cached row, a
+// row's first miss, whose insertion the hook declines, and its second,
+// which it inserts), queued writes, one of them a hit, and a read and a
+// write the adapter buffers. Each read is the fetch of an LLC miss,
+// started once the LLC's latency has passed.
+func requestRecords(tb testing.TB, s *System) {
+	tb.Helper()
+	h, ch := s.hooks[0], s.ctrls[0].ID
+	if !h.Insert(dram.Location{Row: 1000}) {
+		tb.Fatal("a fresh hook refused to cache row 1000")
+	}
+	h.Flush(s.channels[0], 0)
+	at := func(row, block int) uint64 { return s.mapper.Encode(ch, dram.Location{Row: row, Block: block}) }
+	fetch := func(addrs ...uint64) {
+		for _, a := range addrs {
+			if !s.hier.LLC.Access(a, false, ev.Token{}) {
+				tb.Fatal("the LLC refused an access")
+			}
+		}
+		s.events.fireDue(s.hier.LLC.Config().Latency, s)
+	}
+	fetch(at(1000, 3), at(2000, 0), at(2000, 1))
+	s.adapter.Request(at(1000, 5), true, ev.Token{})
+	s.adapter.Request(at(4000, 0), true, ev.Token{})
+	s.adapter.drain(0)
+	fetch(at(3000, 0))
+	s.adapter.Request(at(5000, 0), true, ev.Token{})
+	if c := s.ctrls[0]; c.PendingReads() != 3 || c.PendingWrites() != 2 || c.CacheHits != 2 || len(s.adapter.pending) != 2 {
+		tb.Fatalf("%d reads and %d writes queued, %d hits, %d requests buffered; want 3, 2, 2 and 2",
+			c.PendingReads(), c.PendingWrites(), c.CacheHits, len(s.adapter.pending))
+	}
 }
 
 // firstDiff returns the index of the first byte where a and b differ,

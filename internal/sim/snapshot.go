@@ -54,9 +54,9 @@ func (q *eventQueue) snapshot(w *fgss.Writer) {
 // restored clock (the run has fired those) and none more than the
 // lane's delay after it: every later schedule on the lane is due at
 // least that late, so the restored run cannot reach schedule's order
-// panic. Every token must pass checkTok, or the snapshot is rejected
-// before a bad token reaches Dispatch.
-func (q *eventQueue) restore(r *fgss.Reader, clock int64, checkTok func(ev.Token) error) {
+// panic. Every token must pass checkTok with its lane, or the snapshot
+// is rejected before a bad token reaches Dispatch.
+func (q *eventQueue) restore(r *fgss.Reader, clock int64, checkTok func(lane int, t ev.Token) error) {
 	q.nextDue = maxInt64
 	if !r.Expect(len(q.lanes), "sim: event lanes") {
 		return
@@ -78,7 +78,7 @@ func (q *eventQueue) restore(r *fgss.Reader, clock int64, checkTok func(ev.Token
 			case at > clock+l.delay:
 				r.Reject("sim: lane %d event %d due at cycle %d, more than the lane's delay %d after the clock %d", i, j, at, l.delay, clock)
 			default:
-				if err := checkTok(tok); err != nil {
+				if err := checkTok(i, tok); err != nil {
 					r.Reject("event at cycle %d: %v", at, err)
 				} else {
 					q.schedule(i, at, tok)
@@ -89,27 +89,85 @@ func (q *eventQueue) restore(r *fgss.Reader, clock int64, checkTok func(ev.Token
 	}
 }
 
-// checkToken reports why a restored event token cannot be dispatched on
-// this System, or nil: its kind must be one Dispatch executes, its ID a
-// core (CoreSlot) or hierarchy node (MSHRStart, MSHRFill) of this
-// System, and a CoreSlot's slot inside the core's window.
-func (s *System) checkToken(t ev.Token) error {
+// tokenHolder returns the cache node that holds a token until it fires
+// — in an MSHR's waiter list, or as an event on the lane of the node's
+// lookup latency — or -1 for the memory side, whose events wait on the
+// memory lane. A core's slot completion is held by the core's L1, which
+// completes it on a hit or a fill; a node's MSHRStart by the node; and
+// a node's MSHRFill by the level below, which fetches the block: for
+// the LLC, the memory side. It reports why a restored token cannot be
+// dispatched on this System instead: its kind must be one Dispatch
+// executes, its ID a core (CoreSlot) or hierarchy node (MSHRStart,
+// MSHRFill) of this System, and a CoreSlot's slot inside the core's
+// window.
+func (s *System) tokenHolder(t ev.Token) (int32, error) {
 	switch t.Kind {
 	case ev.CoreSlot:
 		if t.ID < 0 || int(t.ID) >= len(s.cores) {
-			return fmt.Errorf("core slot token names core %d of %d", t.ID, len(s.cores))
+			return 0, fmt.Errorf("core slot token names core %d of %d", t.ID, len(s.cores))
 		}
 		if t.Arg >= cpu.WindowSize {
-			return fmt.Errorf("core slot token names slot %d of core %d's %d-entry window", t.Arg, t.ID, cpu.WindowSize)
+			return 0, fmt.Errorf("core slot token names slot %d of core %d's %d-entry window", t.Arg, t.ID, cpu.WindowSize)
 		}
+		return s.hier.L1s[t.ID].NodeID(), nil
 	case ev.MSHRStart, ev.MSHRFill:
 		if n := len(s.hier.Nodes()); t.ID < 0 || int(t.ID) >= n {
-			return fmt.Errorf("MSHR token (kind %d) names cache node %d of %d", t.Kind, t.ID, n)
+			return 0, fmt.Errorf("MSHR token (kind %d) names cache node %d of %d", t.Kind, t.ID, n)
 		}
+		if t.Kind == ev.MSHRStart {
+			return t.ID, nil
+		}
+		return s.hier.Below(t.ID), nil
 	default:
-		return fmt.Errorf("unknown event token kind %d", t.Kind)
+		return 0, fmt.Errorf("unknown event token kind %d", t.Kind)
 	}
-	return nil
+}
+
+// holderName names a token holder: a cache level, or the memory side.
+func (s *System) holderName(holder int32) string {
+	if holder < 0 {
+		return "memory"
+	}
+	return s.hier.Node(holder).Config().Name
+}
+
+// laneOf returns the event lane of a token holder: the memory lane, or
+// the lane of the cache level's lookup latency.
+func (s *System) laneOf(holder int32) int {
+	if holder < 0 {
+		return memLane
+	}
+	return s.latencyLanes[s.hier.Node(holder).Config().Latency].lane
+}
+
+// checkEvent reports why a restored event on lane cannot fire on this
+// System, or nil: its token must be one Dispatch executes, on the lane
+// of its holder (tokenHolder).
+func (s *System) checkEvent(lane int, t ev.Token) error {
+	holder, err := s.tokenHolder(t)
+	if err == nil && lane != s.laneOf(holder) {
+		err = fmt.Errorf("token (kind %d, ID %d) is held by %s, on lane %d, not lane %d", t.Kind, t.ID, s.holderName(holder), s.laneOf(holder), lane)
+	}
+	return err
+}
+
+// checkWaiter reports why a restored waiter of cache node's MSHR on
+// block blk cannot be dispatched on this System, or nil: its token must
+// be one Dispatch executes, and its holder (tokenHolder) the node. A
+// waiter is a load's slot completion or an upper level's fill of the
+// same block; an MSHRStart is only ever an event.
+func (s *System) checkWaiter(node int32, blk uint64, t ev.Token) error {
+	holder, err := s.tokenHolder(t)
+	switch {
+	case err != nil:
+	case holder != node:
+		err = fmt.Errorf("token (kind %d, ID %d) is held by %s, not %s", t.Kind, t.ID, s.holderName(holder), s.holderName(node))
+	case t.Kind == ev.MSHRStart:
+		err = fmt.Errorf("MSHRStart token for block %#x of cache node %d waits on a fill", t.Arg, t.ID)
+	case t.Kind == ev.MSHRFill && t.Arg != blk:
+		err = fmt.Errorf("MSHRFill token for block %#x of cache node %d waits on block %#x", t.Arg, t.ID, blk)
+	}
+	return err
 }
 
 // Snapshot writes the complete mutable simulation state as one FGSS
@@ -169,8 +227,8 @@ func (s *System) Snapshot(out io.Writer) error {
 	w.Begin(snapSecAdapter)
 	w.Int(len(s.adapter.pending))
 	for _, p := range s.adapter.pending {
-		w.Int(p.channel)
-		memctrl.SnapshotRequest(w, p.req)
+		w.U64(p.req.Addr)
+		w.Bool(p.req.IsWrite)
 	}
 	w.End()
 
@@ -198,12 +256,21 @@ func hookKind(h memctrl.CacheHook) int {
 // called immediately after; the continuation is bit-identical to the
 // uninterrupted run.
 //
-// Every event token the snapshot holds — queued, an MSHR waiter, or a
-// request's completion — must pass checkToken. An MSHRStart or MSHRFill
-// token must also name a miss its cache node has outstanding, or
-// Cache.Fill would find no MSHR; the misses are known only once the
-// caches section is read, so those tokens are checked in one pass after
-// the last section, and a failure names the section that held the token.
+// Every event token the snapshot holds, queued or an MSHR waiter, must
+// sit where its holder keeps it (checkEvent, checkWaiter). A memory
+// request is its address: the controllers and the adapter decode it
+// with the System's AddrMapper into the request's channel and location,
+// and a read completes the LLC's miss on its block.
+//
+// Each miss a cache node has outstanding waits on exactly one fetch in
+// flight: its MSHRStart, the MSHRFill token the level below holds, or,
+// for the LLC, a read in the memory system. So an MSHRStart or MSHRFill
+// token, and a read, must name a miss its cache node (the LLC) has
+// outstanding, and no miss may have a second fetch, or Cache.Fill would
+// find no MSHR; nor may a miss have none, or it never completes. The
+// misses are known only once the caches section is read, so the tokens
+// are checked then, the reads as they are read, and a failure names the
+// section that held the fetch.
 func (s *System) Restore(in io.Reader) error {
 	r, err := fgss.NewReader(in, uint32(EngineVersion), [32]byte(s.cfg.Fingerprint()))
 	if err != nil {
@@ -214,16 +281,33 @@ func (s *System) Restore(in io.Reader) error {
 		tok ev.Token
 	}
 	var mshrToks []heldToken
-	checkIn := func(sec uint32) func(ev.Token) error {
-		return func(t ev.Token) error {
-			if err := s.checkToken(t); err != nil {
-				return err
-			}
-			if t.Kind != ev.CoreSlot {
-				mshrToks = append(mshrToks, heldToken{sec, t})
-			}
-			return nil
+	held := func(sec uint32, err error, t ev.Token) error {
+		if err == nil && t.Kind != ev.CoreSlot {
+			mshrToks = append(mshrToks, heldToken{sec, t})
 		}
+		return err
+	}
+	type miss struct {
+		node int32
+		blk  uint64
+	}
+	fetched := map[miss]bool{}
+	inFlight := make([]int, len(s.hier.Nodes())) // fetches per node
+	fetch := func(sec uint32, node int32, blk uint64) {
+		if m := (miss{node, blk}); fetched[m] {
+			r.RejectIn(sec, "a second fetch fills block %#x of cache node %d", blk, node)
+		} else {
+			fetched[m] = true
+			inFlight[node]++
+		}
+	}
+	llc := s.hier.LLC
+	read := func(sec uint32, blk uint64) bool {
+		if !llc.Outstanding(blk) {
+			return false
+		}
+		fetch(sec, llc.NodeID(), blk)
+		return true
 	}
 
 	r.Section(snapSecSystem)
@@ -243,7 +327,9 @@ func (s *System) Restore(in io.Reader) error {
 	r.EndSection()
 
 	r.Section(snapSecEvents)
-	s.events.restore(r, s.clock, checkIn(snapSecEvents))
+	s.events.restore(r, s.clock, func(lane int, t ev.Token) error {
+		return held(snapSecEvents, s.checkEvent(lane, t), t)
+	})
 	r.EndSection()
 
 	r.Section(snapSecCores)
@@ -255,8 +341,17 @@ func (s *System) Restore(in io.Reader) error {
 	r.EndSection()
 
 	r.Section(snapSecCaches)
-	s.hier.Restore(r, checkIn(snapSecCaches))
+	s.hier.Restore(r, func(node int32, blk uint64, t ev.Token) error {
+		return held(snapSecCaches, s.checkWaiter(node, blk, t), t)
+	})
 	r.EndSection()
+	for _, h := range mshrToks {
+		if !s.hier.Node(h.tok.ID).Outstanding(h.tok.Arg) {
+			r.RejectIn(h.sec, "MSHR token (kind %d) names block %#x, which cache node %d has no miss outstanding for",
+				h.tok.Kind, h.tok.Arg, h.tok.ID)
+		}
+		fetch(h.sec, h.tok.ID, h.tok.Arg)
+	}
 
 	r.Section(snapSecChannels)
 	if r.Expect(len(s.channels), "sim: channels") {
@@ -286,7 +381,7 @@ func (s *System) Restore(in io.Reader) error {
 	r.Section(snapSecCtrls)
 	if r.Expect(len(s.ctrls), "sim: controllers") {
 		for _, c := range s.ctrls {
-			c.Restore(r, checkIn(snapSecCtrls))
+			c.Restore(r, s.mapper, func(blk uint64) bool { return read(snapSecCtrls, blk) })
 		}
 	}
 	r.EndSection()
@@ -299,23 +394,19 @@ func (s *System) Restore(in io.Reader) error {
 	s.adapter.pending = s.adapter.pending[:0]
 	np := r.Len(math.MaxInt, "sim: buffered requests")
 	for i := 0; i < np && r.Err() == nil; i++ {
-		ch := r.Int()
-		if r.Err() == nil && (ch < 0 || ch >= len(s.channels)) {
-			r.Reject("sim: buffered request %d names channel %d of %d", i, ch, len(s.channels))
+		addr, _, _ := s.mapper.ReadAddr(r)
+		isWrite := r.Bool()
+		if r.Err() == nil && !isWrite && !read(snapSecAdapter, addr) {
+			r.Reject("sim: buffered read %#x fetches a block the LLC has no miss outstanding for", addr)
 		}
-		if r.Err() != nil {
-			break
+		if r.Err() == nil {
+			s.adapter.Request(addr, isWrite, ev.Token{})
 		}
-		req := s.adapter.alloc()
-		memctrl.RestoreRequest(r, req, s.channels[ch], checkIn(snapSecAdapter))
-		s.adapter.pending = append(s.adapter.pending, pendingReq{channel: ch, req: req})
 	}
 	r.EndSection()
-
-	for _, h := range mshrToks {
-		if !s.hier.Node(h.tok.ID).Outstanding(h.tok.Arg) {
-			r.RejectIn(h.sec, "MSHR token (kind %d) names block %#x, which cache node %d has no miss outstanding for",
-				h.tok.Kind, h.tok.Arg, h.tok.ID)
+	for i, c := range s.hier.Nodes() {
+		if n := c.OutstandingMisses(); inFlight[i] != n {
+			r.RejectIn(snapSecCaches, "cache %s: %d outstanding misses, %d fetches in flight to fill them", c.Config().Name, n, inFlight[i])
 		}
 	}
 

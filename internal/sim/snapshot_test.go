@@ -139,19 +139,27 @@ func BenchmarkSnapshotRoundTrip(b *testing.B) {
 }
 
 // eventsSection returns a reader positioned in a hand-built events
-// section for s: one event carrying tok on the memory lane, due at cycle
-// 5, and s's other lanes, empty.
+// section for s: one event carrying tok on the lane of its holder (the
+// memory lane for a token without one), due the lane's delay after
+// cycle 0, and s's other lanes, empty.
 func eventsSection(t *testing.T, s *System, tok ev.Token) *fgss.Reader {
 	t.Helper()
+	lane := memLane
+	if holder, err := s.tokenHolder(tok); err == nil {
+		lane = s.laneOf(holder)
+	}
 	var buf bytes.Buffer
 	w := fgss.NewWriter(&buf, 1, [32]byte{})
 	w.Begin(snapSecEvents)
 	w.Int(len(s.events.lanes))
-	w.Int(1)
-	w.I64(5)
-	ev.WriteToken(w, tok)
-	for range s.events.lanes[1:] {
-		w.Int(0)
+	for i, l := range s.events.lanes {
+		if i != lane {
+			w.Int(0)
+			continue
+		}
+		w.Int(1)
+		w.I64(l.delay)
+		ev.WriteToken(w, tok)
 	}
 	w.End()
 	if err := w.Flush(); err != nil {
@@ -197,7 +205,7 @@ func TestRestoreRejectsBadTokens(t *testing.T) {
 				t.Fatal(err)
 			}
 			r := eventsSection(t, s, tc.tok)
-			s.events.restore(r, 0, s.checkToken)
+			s.events.restore(r, 0, s.checkEvent)
 			r.EndSection()
 			if err := r.Close(); (err == nil) != (tc.wantErr == "") || err != nil && !strings.Contains(err.Error(), tc.wantErr) {
 				t.Errorf("events section: restore error = %v, want %q", err, tc.wantErr)
@@ -232,19 +240,22 @@ func TestRestoreRejectsBadTokens(t *testing.T) {
 }
 
 // TestRestoreRejectsUnrunnableState checks that a snapshot holding
-// state the run would fail on later — a request whose completion token
-// names no core, a write carrying a completion token, whose earlier
-// completion would break the memory lane's order, a request location
-// naming no bank, an MSHR token naming a block its cache node has no
-// miss outstanding for — is refused at restore, with an error naming
-// the section that held it. Each case puts the state into a real System
-// through its own methods, snapshots it and restores the bytes into a
-// fresh System. A restore that accepts the snapshot is then run for a
-// while, to show the panic the rejection prevents.
+// state the run would fail on later is refused at restore, with an
+// error naming the section that held it: a memory request whose address
+// is no block of the memory or belongs to another channel, a read of a
+// block the LLC has no miss outstanding for (whose derived completion
+// would find no MSHR), a hook decision where no in-DRAM cache is, a hit
+// outside its bank, an MSHR token naming a block its cache node has no
+// miss outstanding for, an MSHR token held where the protocol never
+// puts it (an LLC waiter filling an L1, which skips the L2 that fetches
+// for it, a fill of an L2 on the memory lane, which only the LLC's fills
+// reach, an MSHRStart waiting on a fill, and a fill waiting on another
+// block's), and a miss with a second fetch in flight, or none. Each case
+// puts the state into a real System through its own methods, snapshots
+// it and restores the bytes into a fresh System.
+// A restore that accepts the snapshot is then run for a while, to show
+// the failure the rejection prevents.
 func TestRestoreRejectsUnrunnableState(t *testing.T) {
-	cfg := DefaultConfig(Base, smallMix(t, "mcf"))
-	cfg.TargetInsts = 10_000
-	badCore := ev.Token{Kind: ev.CoreSlot, ID: 5, Arg: 1}
 	enqueue := func(s *System, r *memctrl.Request) {
 		s.ctrls[0].Enqueue(r, 0)
 	}
@@ -254,55 +265,113 @@ func TestRestoreRejectsUnrunnableState(t *testing.T) {
 	fill := func(id int32, blk uint64) ev.Token {
 		return ev.Token{Kind: ev.MSHRFill, ID: id, Arg: blk}
 	}
+	// l2Miss gives L2.0 a miss on blk that the LLC does not share: a
+	// read of blk completing to L2.0 is the wrong holder's.
+	l2Miss := func(s *System, blk uint64) {
+		if !s.hier.L2s[0].Access(blk, false, ev.Token{}) {
+			t.Fatal("a fresh L2 refused an access")
+		}
+	}
+	want := func(msg string) func(*System) string { return func(*System) string { return msg } }
 	cases := []struct {
-		name    string
-		inject  func(s *System)
-		wantErr string
+		name     string
+		preset   Preset
+		channels int
+		inject   func(s *System)
+		wantErr  func(s *System) string
 	}{
-		{"outstanding misses", func(s *System) {
-			// An L1 miss schedules an MSHRStart for a block it has
-			// outstanding; a queued write-back carries the zero token.
+		{"outstanding misses", Base, 1, func(s *System) {
+			// An LLC miss's fetch starts after the LLC's latency, and its
+			// read enters the controller's queue. Then an L1 miss
+			// schedules an MSHRStart for a block it has outstanding, a
+			// write-back is queued and another buffered.
+			s.hier.LLC.Access(0x6000, false, ev.Token{})
+			s.events.fireDue(s.hier.LLC.Config().Latency, s)
+			s.adapter.drain(0)
 			s.hier.L1s[0].Access(0x1000, false, ev.Token{Kind: ev.CoreSlot, Arg: 3})
 			enqueue(s, &memctrl.Request{Addr: 0x2000, IsWrite: true})
-		}, ""},
-		{"queued request token", func(s *System) {
-			enqueue(s, &memctrl.Request{Addr: 0x40, OnComplete: badCore})
-		}, "section 7: memctrl: request 0x40: core slot token names core 5 of 1"},
-		{"queued request service location", func(s *System) {
-			r := &memctrl.Request{Addr: 0x40}
+			buffer(s, &memctrl.Request{Addr: 0x7000, IsWrite: true})
+			if s.ctrls[0].PendingReads() != 1 {
+				t.Fatalf("%d reads queued, want the LLC miss's", s.ctrls[0].PendingReads())
+			}
+		}, nil},
+		{"queued request token", Base, 1, func(s *System) {
+			l2Miss(s, 0x4000)
+			enqueue(s, &memctrl.Request{Addr: 0x4000})
+		}, want("section 7: memctrl: read 0x4000 fetches a block the cache above has no miss outstanding for")},
+		{"queued request service location", FIGCacheFast, 1, func(s *System) {
+			r := &memctrl.Request{Addr: 0x40, IsWrite: true}
 			enqueue(s, r)
-			r.ServiceLoc.Bank = 99
-		}, "section 7: memctrl: request 0x40: location"},
-		{"buffered request token", func(s *System) {
-			buffer(s, &memctrl.Request{Addr: 0x80, OnComplete: badCore})
-		}, "section 8: memctrl: request 0x80: core slot token names core 5 of 1"},
-		{"buffered request location", func(s *System) {
-			buffer(s, &memctrl.Request{Addr: 0x80, Loc: dram.Location{Rank: 3}})
-		}, "section 8: memctrl: request 0x80: location"},
-		{"queued write with a completion token", func(s *System) {
-			enqueue(s, &memctrl.Request{Addr: 0x100, IsWrite: true, OnComplete: ev.Token{Kind: ev.CoreSlot, Arg: 1}})
-		}, "section 7: memctrl: request 0x100: a write carries a completion token (kind 1); only reads complete"},
-		{"buffered write with a completion token", func(s *System) {
-			buffer(s, &memctrl.Request{Addr: 0x140, IsWrite: true, OnComplete: ev.Token{Kind: ev.CoreSlot, Arg: 1}})
-		}, "section 8: memctrl: request 0x140: a write carries a completion token (kind 1); only reads complete"},
-		{"fill event for no miss", func(s *System) {
-			s.events.schedule(0, 5, fill(s.hier.L1s[0].NodeID(), 0x1000))
-		}, "section 2: MSHR token (kind 3) names block 0x1000, which cache node 2 has no miss outstanding for"},
-		{"start event for no miss", func(s *System) {
-			s.events.schedule(0, 5, ev.Token{Kind: ev.MSHRStart, ID: s.hier.L1s[0].NodeID(), Arg: 0x1000})
-		}, "section 2: MSHR token (kind 2) names block 0x1000"},
-		{"fill waiter for no miss", func(s *System) {
+			r.CacheHit, r.ServiceLoc.Row = true, 1<<20
+		}, want("section 7: memctrl: request 0x40: hit on cache row 1048576 block 0, outside the bank")},
+		{"queued hit without an in-DRAM cache", Base, 1, func(s *System) {
+			r := &memctrl.Request{Addr: 0x40, IsWrite: true}
+			enqueue(s, r)
+			r.CacheHit, r.ServiceLoc.CacheRow = true, true
+		}, want("section 7: memctrl: request 0x40: hook decision 2 on a controller without an in-DRAM cache")},
+		{"queued request on another channel", Base, 2, func(s *System) {
+			_, loc := s.mapper.Decode(0x40)
+			enqueue(s, &memctrl.Request{Addr: s.mapper.Encode(1, loc), IsWrite: true})
+		}, func(s *System) string {
+			_, loc := s.mapper.Decode(0x40)
+			return fmt.Sprintf("section 7: memctrl: controller 0: request %#x belongs to channel 1", s.mapper.Encode(1, loc))
+		}},
+		{"buffered request token", Base, 1, func(s *System) {
+			l2Miss(s, 0x4000)
+			buffer(s, &memctrl.Request{Addr: 0x4000})
+		}, want("section 8: sim: buffered read 0x4000 fetches a block the LLC has no miss outstanding for")},
+		{"buffered request location", Base, 1, func(s *System) {
+			buffer(s, &memctrl.Request{Addr: uint64(s.mapper.TotalBytes()), IsWrite: true})
+		}, func(s *System) string {
+			return fmt.Sprintf("section 8: memctrl: request %#x is not a block of the %d-byte memory", s.mapper.TotalBytes(), s.mapper.TotalBytes())
+		}},
+		{"fill event for no miss", Base, 1, func(s *System) {
+			s.events.schedule(s.laneOf(s.hier.L2s[0].NodeID()), 5, fill(s.hier.L1s[0].NodeID(), 0x1000))
+		}, want("section 2: MSHR token (kind 3) names block 0x1000, which cache node 2 has no miss outstanding for")},
+		{"start event for no miss", Base, 1, func(s *System) {
+			s.events.schedule(s.laneOf(s.hier.L1s[0].NodeID()), 3, ev.Token{Kind: ev.MSHRStart, ID: s.hier.L1s[0].NodeID(), Arg: 0x1000})
+		}, want("section 2: MSHR token (kind 2) names block 0x1000")},
+		{"fill waiter for no miss", Base, 1, func(s *System) {
 			s.hier.L2s[0].Access(0x3000, false, fill(s.hier.L1s[0].NodeID(), 0x3000))
-		}, "section 4: MSHR token (kind 3) names block 0x3000, which cache node 2"},
-		{"queued request fill for no miss", func(s *System) {
-			enqueue(s, &memctrl.Request{Addr: 0x4000, OnComplete: fill(s.hier.LLC.NodeID(), 0x4000)})
-		}, "section 7: MSHR token (kind 3) names block 0x4000, which cache node 0"},
-		{"buffered request fill for no miss", func(s *System) {
-			buffer(s, &memctrl.Request{Addr: 0x4000, OnComplete: fill(s.hier.LLC.NodeID(), 0x4000)})
-		}, "section 8: MSHR token (kind 3) names block 0x4000, which cache node 0"},
+		}, want("section 4: MSHR token (kind 3) names block 0x3000, which cache node 2")},
+		{"queued request fill for no miss", Base, 1, func(s *System) {
+			enqueue(s, &memctrl.Request{Addr: 0x4000})
+		}, want("section 7: memctrl: read 0x4000 fetches a block the cache above has no miss outstanding for")},
+		{"buffered request fill for no miss", Base, 1, func(s *System) {
+			buffer(s, &memctrl.Request{Addr: 0x4000})
+		}, want("section 8: sim: buffered read 0x4000 fetches a block the LLC has no miss outstanding for")},
+		{"LLC waiter skipping the L2", Base, 1, func(s *System) {
+			s.hier.L1s[0].Access(0x3000, false, ev.Token{Kind: ev.CoreSlot, Arg: 1})
+			s.hier.LLC.Access(0x3000, false, fill(s.hier.L1s[0].NodeID(), 0x3000))
+		}, want("section 4: cache LLC: MSHR 0x3000 waiter 0: token (kind 3, ID 2) is held by L2.0, not LLC")},
+		{"L2 fill on the memory lane", Base, 1, func(s *System) {
+			l2Miss(s, 0x5000)
+			s.events.schedule(memLane, 5, fill(s.hier.L2s[0].NodeID(), 0x5000))
+		}, want("section 2: event at cycle 5: token (kind 3, ID 1) is held by LLC, on lane 1, not lane 0")},
+		{"MSHRStart waiter", Base, 1, func(s *System) {
+			s.hier.L2s[0].Access(0x3000, false, ev.Token{Kind: ev.MSHRStart, ID: s.hier.L2s[0].NodeID(), Arg: 0x3000})
+		}, want("section 4: cache L2.0: MSHR 0x3000 waiter 0: MSHRStart token for block 0x3000 of cache node 1 waits on a fill")},
+		{"fill waiter on another block", Base, 1, func(s *System) {
+			s.hier.L1s[0].Access(0x3000, false, ev.Token{Kind: ev.CoreSlot, Arg: 1})
+			s.hier.L2s[0].Access(0x5000, false, fill(s.hier.L1s[0].NodeID(), 0x3000))
+		}, want("section 4: cache L2.0: MSHR 0x5000 waiter 0: MSHRFill token for block 0x3000 of cache node 2 waits on block 0x5000")},
+		{"second fetch of a miss", Base, 1, func(s *System) {
+			// The LLC's MSHRStart is still due when its read is queued.
+			s.hier.LLC.Access(0x6000, false, ev.Token{})
+			enqueue(s, &memctrl.Request{Addr: 0x6000})
+		}, want("section 7: a second fetch fills block 0x6000 of cache node 0")},
+		{"miss with no fetch", Base, 1, func(s *System) {
+			// The LLC's read is started and then dropped from the adapter.
+			s.hier.LLC.Access(0x6000, false, ev.Token{})
+			s.events.fireDue(s.hier.LLC.Config().Latency, s)
+			s.adapter.pending = s.adapter.pending[:0]
+		}, want("section 4: cache LLC: 1 outstanding misses, 0 fetches in flight to fill them")},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig(tc.preset, smallMix(t, "mcf"))
+			cfg.TargetInsts = 10_000
+			cfg.Channels = tc.channels
 			s, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -317,21 +386,76 @@ func TestRestoreRejectsUnrunnableState(t *testing.T) {
 				t.Fatal(err)
 			}
 			err = fresh.Restore(&buf)
-			if tc.wantErr == "" {
+			if tc.wantErr == nil {
 				if err != nil {
 					t.Fatalf("restore error = %v, want none", err)
 				}
 				return
 			}
+			msg := tc.wantErr(s)
 			if err == nil {
-				t.Errorf("restore accepted the snapshot, want an error containing %q", tc.wantErr)
+				t.Errorf("restore accepted the snapshot, want an error containing %q", msg)
 				fresh.RunSlice(100_000)
 				return
 			}
-			if !strings.Contains(err.Error(), tc.wantErr) {
-				t.Errorf("restore error = %v, want it to contain %q", err, tc.wantErr)
+			if !strings.Contains(err.Error(), msg) {
+				t.Errorf("restore error = %v, want it to contain %q", err, msg)
 			}
 		})
+	}
+}
+
+// TestRestoreDerivesRequests checks that a memory request travels as
+// what the run decided and that restore derives the rest from its
+// address. A two-channel LISA-VILLA System holds a request of every
+// record shape (requestRecords) and two buffered writes whose stored
+// channel, location and hit decision disagree with their addresses:
+// restored, the writes carry the channel and location their addresses
+// decode to and no hit decision, and the System snapshots to the bytes
+// it was restored from.
+func TestRestoreDerivesRequests(t *testing.T) {
+	cfg := DefaultConfig(LISAVilla, warmMix(t))
+	cfg.Channels = 2
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requestRecords(t, s)
+	wrong := dram.Location{Bank: 3, Row: 77, Block: 9, CacheRow: true}
+	for _, a := range []uint64{
+		s.mapper.Encode(1, dram.Location{Row: 6000, Block: 2}),
+		s.mapper.Encode(0, dram.Location{Group: 2, Row: 6001}),
+	} {
+		ch, _ := s.mapper.Decode(a)
+		s.adapter.pending = append(s.adapter.pending, pendingReq{channel: 1 - ch,
+			req: &memctrl.Request{Addr: a, Loc: wrong, IsWrite: true, ServiceLoc: wrong, CacheHit: true}})
+	}
+	var snap, again bytes.Buffer
+	if err := s.Snapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.Restore(bytes.NewReader(snap.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	if len(fresh.adapter.pending) != len(s.adapter.pending) {
+		t.Fatalf("restored %d buffered requests, want %d", len(fresh.adapter.pending), len(s.adapter.pending))
+	}
+	for i, p := range fresh.adapter.pending {
+		orig := s.adapter.pending[i].req
+		ch, loc := s.mapper.Decode(orig.Addr)
+		if want := (memctrl.Request{Addr: orig.Addr, Loc: loc, IsWrite: orig.IsWrite}); p.channel != ch || *p.req != want {
+			t.Errorf("buffered request %d: restored on channel %d as %+v, want channel %d and %+v", i, p.channel, *p.req, ch, want)
+		}
+	}
+	if err := fresh.Snapshot(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), snap.Bytes()) {
+		t.Errorf("the restored System snapshots other bytes, first difference at byte %d", firstDiff(again.Bytes(), snap.Bytes()))
 	}
 }
 
@@ -568,17 +692,17 @@ func TestRestoreRejectsSectionShape(t *testing.T) {
 			}
 		}
 	}
-	// memLane writes an events section holding memory-lane events due at
-	// the cycles ats, each a CoreSlot token for slot 3 of core 0, and the
-	// other lanes empty.
-	memLane := func(ats ...int64) func(*System) func(*fgss.Writer) {
+	// memEvents writes an events section holding memory-lane events due
+	// at the cycles ats, each the LLC's fill of block 0x40, and the other
+	// lanes empty.
+	memEvents := func(ats ...int64) func(*System) func(*fgss.Writer) {
 		return func(s *System) func(*fgss.Writer) {
 			return func(w *fgss.Writer) {
 				w.Int(len(s.events.lanes))
 				w.Int(len(ats))
 				for _, at := range ats {
 					w.I64(at)
-					ev.WriteToken(w, ev.Token{Kind: ev.CoreSlot, Arg: 3})
+					ev.WriteToken(w, ev.Token{Kind: ev.MSHRFill, ID: s.hier.LLC.NodeID(), Arg: 0x40})
 				}
 				for range s.events.lanes[1:] {
 					w.Int(0)
@@ -619,12 +743,20 @@ func TestRestoreRejectsSectionShape(t *testing.T) {
 		}, want("section 2: sim: lane events: -1, outside")},
 		tc{"event token kind 257", Base, snapSecEvents, oneEvent(257, 0), want("section 2: event token kind 257 or ID 0 does not fit its field")},
 		tc{"event token ID 2^32", Base, snapSecEvents, oneEvent(uint64(ev.CoreSlot), 1<<32), want("section 2: event token kind 1 or ID 4294967296 does not fit its field")},
-		tc{"buffered request on no channel", Base, snapSecAdapter, ints(1, 5), want("section 8: sim: buffered request 0 names channel 5 of 1")},
-		tc{"lane due times decrease", Base, snapSecEvents, memLane(9, 5),
+		tc{"buffered request on no channel", Base, snapSecAdapter, func(s *System) func(*fgss.Writer) {
+			return func(w *fgss.Writer) {
+				w.Int(1)
+				w.U64(uint64(s.mapper.TotalBytes()))
+				w.Bool(true)
+			}
+		}, func(s *System) string {
+			return fmt.Sprintf("section 8: memctrl: request %#x is not a block of the", s.mapper.TotalBytes())
+		}},
+		tc{"lane due times decrease", Base, snapSecEvents, memEvents(9, 5),
 			want("section 2: sim: lane 0 event 1 due at cycle 5, before its predecessor at cycle 9")},
-		tc{"event due before the clock", Base, snapSecEvents, memLane(-1),
+		tc{"event due before the clock", Base, snapSecEvents, memEvents(-1),
 			want("section 2: sim: lane 0 event 0 due at cycle -1, before the clock 0")},
-		tc{"event due past the lane's delay", Base, snapSecEvents, memLane(5, 61),
+		tc{"event due past the lane's delay", Base, snapSecEvents, memEvents(5, 61),
 			want("section 2: sim: lane 0 event 1 due at cycle 61, more than the lane's delay 60 after the clock 0")},
 	)
 	snaps := map[Preset][]byte{}

@@ -30,10 +30,11 @@ type System struct {
 	hooks    []memctrl.CacheHook
 	adapter  *memAdapter
 
-	// busSched puts a controller's read completions, due at a bus cycle,
-	// on the memory lane in CPU cycles. Bound once at construction so the
-	// per-tick calls do not evaluate a fresh closure on the hot path.
-	busSched func(at int64, tok ev.Token)
+	// memFill completes a read a controller reports at a bus cycle: it
+	// puts the LLC's fill of the block on the memory lane, in CPU cycles.
+	// Bound once at construction so the per-tick calls do not evaluate a
+	// fresh closure on the hot path.
+	memFill func(at int64, addr uint64)
 	// ctrlWake[i] is the next-work bus cycle controller i reported at its
 	// most recent tick; zero forces a tick at the first bus boundary, and
 	// Restore forces one at the first boundary after the restored clock.
@@ -99,11 +100,8 @@ func New(cfg Config) (*System, error) {
 	// A read's data ends tCL + tBL after its column command on every
 	// subarray (fast ones shorten only tRCD, tRP and tRAS), so the memory
 	// lane has a fixed delay too. It is registered before the cache
-	// levels' lanes and fires first.
-	memLane := s.events.newLane(int64(slow.ReadLatency()) * cpuPerBus)
-	s.busSched = func(at int64, tok ev.Token) {
-		s.events.schedule(memLane, at*cpuPerBus, tok)
-	}
+	// levels' lanes (memLane) and fires first.
+	s.events.newLane(int64(slow.ReadLatency()) * cpuPerBus)
 	// The hierarchy comes before the channels: it refuses a memory its
 	// tags cannot reach before anything sized by the channel count is
 	// built.
@@ -113,6 +111,10 @@ func New(cfg Config) (*System, error) {
 		return nil, err
 	}
 	s.hier = hier
+	llc := hier.LLC.NodeID()
+	s.memFill = func(at int64, addr uint64) {
+		s.events.schedule(memLane, at*cpuPerBus, ev.Token{Kind: ev.MSHRFill, ID: llc, Arg: addr})
+	}
 
 	for ch := 0; ch < cfg.Channels; ch++ {
 		channel, err := dram.NewChannel(geo, slow, fast, allFast)
@@ -163,6 +165,10 @@ func New(cfg Config) (*System, error) {
 	}
 	return s, nil
 }
+
+// memLane is the event lane of DRAM read completions: New registers it
+// first.
+const memLane = 0
 
 // Dispatch implements ev.Dispatcher: execute one event token. This is
 // the single point where a deferred action — a due event, a fill's
@@ -373,15 +379,14 @@ type pendingReq struct {
 	req     *memctrl.Request
 }
 
-// Request implements cache.Backend.
-func (m *memAdapter) Request(addr uint64, isWrite bool, onDone ev.Token) {
+// Request implements cache.Backend. The LLC is the adapter's one
+// client, so a read's onDone is always the LLC's fill of addr, which
+// System.memFill schedules when the controller reports the read done:
+// the request keeps only its address and kind.
+func (m *memAdapter) Request(addr uint64, isWrite bool, _ ev.Token) {
 	ch, loc := m.sys.mapper.Decode(addr)
 	req := m.alloc()
 	req.Addr, req.Loc, req.IsWrite = addr, loc, isWrite
-	// The controller hands OnComplete to busSched, which converts bus
-	// cycles to CPU cycles, so the token fires in CPU time and can be
-	// passed through directly.
-	req.OnComplete = onDone
 	m.pending = append(m.pending, pendingReq{channel: ch, req: req})
 }
 
@@ -397,7 +402,7 @@ func (m *memAdapter) alloc() *memctrl.Request {
 }
 
 // release implements memctrl.Controller.Release: the request has been
-// fully served (its completion callback scheduled), so it is zeroed and
+// fully served (a read's completion scheduled), so it is zeroed and
 // reused by the next access.
 func (m *memAdapter) release(r *memctrl.Request) {
 	*r = memctrl.Request{}
@@ -530,7 +535,7 @@ func (s *System) runDense(maxCycles int64) {
 			busNow := s.clock / cpuPerBus
 			s.adapter.drain(busNow)
 			for _, ctrl := range s.ctrls {
-				ctrl.Tick(busNow, s.busSched)
+				ctrl.Tick(busNow, s.memFill)
 			}
 		}
 		allDone := true
@@ -781,7 +786,7 @@ func (s *System) busTick(busNow int64) {
 		if s.ctrlWake[i] > busNow && !s.adapter.enqueued[i] {
 			continue
 		}
-		s.ctrlWake[i] = ctrl.Tick(busNow, s.busSched)
+		s.ctrlWake[i] = ctrl.Tick(busNow, s.memFill)
 	}
 }
 

@@ -43,7 +43,7 @@ func TestDrainPreservesPerChannelOrder(t *testing.T) {
 	// buffered write and read must then enter in order.
 	now := int64(1)
 	for ; !ctrl.CanAccept(true) && now < 1_000_000; now++ {
-		ctrl.Tick(now, func(at int64, tok ev.Token) {})
+		ctrl.Tick(now, func(int64, uint64) {})
 	}
 	if !ctrl.CanAccept(true) {
 		t.Fatal("write queue never drained")
