@@ -12,7 +12,7 @@ var specSink Spec
 // BenchmarkBuildSpec times a fleet's planning: one iteration builds a
 // runner over an in-memory result cache and the dispatch Spec of fig7,
 // fig8, fig9, fig10 and fig12 at quick scale with parallelism 2 (168
-// fingerprints, 88 distinct jobs). It is the interval figperf's
+// fingerprints, 80 distinct jobs). It is the interval figperf's
 // matrix-quick setup_s times.
 func BenchmarkBuildSpec(b *testing.B) {
 	scale := harness.Scale{Insts: 60_000, SingleApps: 4, MixesPerCategory: 1, MCIterations: 500, Parallelism: 2}
@@ -24,8 +24,8 @@ func BenchmarkBuildSpec(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(jobs) != 88 {
-			b.Fatalf("%d jobs, want 88", len(jobs))
+		if len(jobs) != 80 {
+			b.Fatalf("%d jobs, want 80", len(jobs))
 		}
 		specSink = spec
 	}

@@ -99,7 +99,7 @@ func (r *Runner) Fig8() (*stats.Table, error) {
 		}
 		t.AddRow(row...)
 	}
-	row := []string{"all 20 mixes"}
+	row := []string{fmt.Sprintf("all %d mixes", len(mixes))}
 	for _, p := range perfPresets {
 		row = append(row, stats.F(stats.Mean(allCats[p]), 3))
 	}

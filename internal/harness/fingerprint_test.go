@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -52,6 +53,68 @@ func TestSweepFingerprintsGolden(t *testing.T) {
 		}
 		if len(got) != 1 || got[0] != g.want {
 			t.Errorf("%s: one-core job fingerprints %v, want [%s]\n(cached sweep results are orphaned; see comment above)", g.name, got, g.want)
+		}
+	}
+}
+
+// TestOneIdentityPerRun enumerates the whole catalog at quick and at
+// default scale and checks that each machine it simulates has one
+// identity: no job carries a FIG override equal to the FIGCache-Fast
+// defaults, and the default column of each sensitivity sweep (Fig. 12's
+// "2 FS", Fig. 13's "1kB", Fig. 14's "RowBenefit", Fig. 15's "Threshold
+// 1") is the FIGCache-Fast run Figures 7-11 make. It pins the distinct
+// job counts: 80 for fig7-fig10 and fig12 at quick scale (figperf's
+// matrix-quick) and 886 for the whole catalog at default scale.
+func TestOneIdentityPerRun(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		scale       Scale
+		experiments []string
+		want        int
+	}{
+		{"quick", QuickScale(), []string{"fig7", "fig8", "fig9", "fig10", "fig12"}, 80},
+		{"default", DefaultScale(), nil, 886},
+	} {
+		r := NewRunner(tc.scale)
+		var catalog []func() (*stats.Table, error)
+		for _, e := range r.Catalog() {
+			catalog = append(catalog, e.Run)
+		}
+		jobs, _, err := r.EnumerateJobs(catalog...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cfg := range jobs {
+			if cfg.FIG != nil && *cfg.FIG == core.DefaultFIGCacheConfig() {
+				t.Errorf("%s: %s overrides FIG with the defaults", tc.name, cfg.Describe())
+			}
+		}
+		if tc.experiments != nil {
+			_, builders, err := r.SelectExperiments(tc.experiments)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if jobs, _, err = r.EnumerateJobs(builders...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(jobs) != tc.want {
+			t.Errorf("%s: %d distinct jobs, want %d", tc.name, len(jobs), tc.want)
+		}
+
+		for _, sweep := range []struct {
+			name  string
+			build func() (*stats.Table, error)
+		}{{"fig12", r.Fig12}, {"fig13", r.Fig13}, {"fig14", r.Fig14}, {"fig15", r.Fig15}} {
+			_, fps, err := r.EnumerateJobs(sweep.build)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, mix := range r.all {
+				if fp := r.baseConfig(sim.FIGCacheFast, mix).Fingerprint(); !slices.Contains(fps, fp) {
+					t.Errorf("%s %s: no column is FIGCache-Fast's default run on %s", tc.name, sweep.name, mix.Name)
+				}
+			}
 		}
 	}
 }

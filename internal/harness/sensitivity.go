@@ -68,14 +68,21 @@ type sweepVariant struct {
 
 // figVariant builds a FIGCache-Fast variant with the cache rows of
 // fastSubarrays 32-row fast subarrays (the geometry follows them) and a
-// mutated FIGCache configuration.
+// mutated FIGCache configuration. A variant equal to the preset's
+// defaults is the preset's own run, with no override: a FIG override
+// is fingerprinted by value, so an override equal to the defaults
+// would simulate the default machine again under a second identity.
 func figVariant(name string, fastSubarrays int, mutate func(*core.FIGCacheConfig)) sweepVariant {
 	fig := core.DefaultFIGCacheConfig()
 	fig.CacheRowsPerBank = fastSubarrays * 32
 	if mutate != nil {
 		mutate(&fig)
 	}
-	return sweepVariant{name: name, preset: sim.FIGCacheFast, mutate: func(c *sim.Config) { c.FIG = &fig }}
+	v := sweepVariant{name: name, preset: sim.FIGCacheFast}
+	if fig != core.DefaultFIGCacheConfig() {
+		v.mutate = func(c *sim.Config) { c.FIG = &fig }
+	}
+	return v
 }
 
 // Fig12 reproduces Figure 12: performance versus in-DRAM cache capacity
@@ -91,7 +98,7 @@ func (r *Runner) Fig12() (*stats.Table, error) {
 	}
 	return r.sweepTable(
 		"Figure 12: weighted speedup over Base vs in-DRAM cache capacity",
-		"paper: diminishing returns past 2 fast subarrays (2->4: <2.7%%, 4->8: <0.8%% for 100%%-intensive)",
+		"paper: diminishing returns past 2 fast subarrays (2->4: <2.7%, 4->8: <0.8% for 100%-intensive)",
 		variants)
 }
 
@@ -122,7 +129,7 @@ func (r *Runner) Fig14() (*stats.Table, error) {
 	}
 	return r.sweepTable(
 		"Figure 14: weighted speedup over Base vs replacement policy",
-		"paper: all policies >= +12.5%%; RowBenefit best, +4.1%% over SegmentBenefit on 100%%-intensive",
+		"paper: all policies >= +12.5%; RowBenefit best, +4.1% over SegmentBenefit on 100%-intensive",
 		variants)
 }
 

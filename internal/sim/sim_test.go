@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"slices"
 	"testing"
 
@@ -293,6 +294,37 @@ func TestFIGCacheConfigOverride(t *testing.T) {
 	}
 	if _, err := s.Run(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDefaultFIGOverrideIsTheDefaultRun checks that a FIGCache-Fast
+// override equal to core.DefaultFIGCacheConfig computes the Result of
+// the preset's own run, on one core and on eight. The harness relies on
+// it: a sweep's default column is the run Figures 7-11 make.
+func TestDefaultFIGOverrideIsTheDefaultRun(t *testing.T) {
+	for _, mix := range []workload.Mix{smallMix(t, "mcf"), eightCoreMix(t, 100)} {
+		cfg := DefaultConfig(FIGCacheFast, mix)
+		cfg.TargetInsts = 4_000
+		run := func(cfg Config) Result {
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := s.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+		plain := run(cfg)
+		fig := core.DefaultFIGCacheConfig()
+		cfg.FIG = &fig
+		if got := run(cfg); !reflect.DeepEqual(got, plain) {
+			t.Errorf("%s: default override gives\n%+v\nthe preset's run gives\n%+v", mix.Name, got, plain)
+		}
+		if plain.Inserted == 0 {
+			t.Errorf("%s: no insertion, so the override's parameters were never used", mix.Name)
+		}
 	}
 }
 
